@@ -7,12 +7,25 @@ per pass, weight bounds respected — and the pass is rolled back to its
 best prefix.  Passes repeat until one yields no improvement ("no free
 vertex left or no gain in cut-size can be obtained").
 
-Gains are evaluated against the **global** k-way cut through
-:meth:`PartitionState.move_gain`, so refining the pair (a, b) never
-degrades edges that also touch third partitions without accounting for
-them.  A lazy max-heap with per-vertex version stamps stands in for
-the classic bucket array — same amortized behaviour, simpler to keep
-correct with weighted vertices and k-way gain updates.
+Gains are measured against the **global** k-way cut, so refining the
+pair (a, b) never degrades edges that also touch third partitions
+without accounting for them.  A pass seeds every pair vertex's gain
+with one batch :meth:`PartitionState.move_gains` query and from then
+on maintains it by exact integer **delta updates**: a move changes a
+neighbour's gain only through a shared *critical* edge — one whose pin
+count on the source or target side crosses 0/1/2 while it spans at
+most those two blocks — and :meth:`PartitionState.move` reports
+exactly those edges with their per-side change, so a move costs its
+own degree plus the pins of its critical edges, not a re-evaluation of
+every neighbour.  A wide clock/reset net with many pins on both sides
+is never critical.
+
+A lazy max-heap of ``(-gain, vertex)`` entries stands in for the
+classic bucket array; an entry is live while it carries its vertex's
+current gain, so the live entries are totally ordered and the pop
+sequence — hence every move, rollback prefix and final partition — is
+a function of the gains alone, independent of how or how often they
+were (re)computed (``docs/partitioning.md``).
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hypergraph.partition_state import _VECTOR_DEGREE, PartitionState
+from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .balance import BalanceConstraint
 
@@ -48,6 +61,12 @@ class FMPassResult:
     moves_log: list[tuple[int, int]] | None = None
 
 
+#: the ``PartitionState`` work tallies surfaced as ``part.core.<name>``
+_CORE_TALLIES = (
+    "lambda_hits", "gain_batches", "gain_batch_vertices", "boundary_batches",
+)
+
+
 def _pair_vertices(state: PartitionState, a: int, b: int) -> list[int]:
     """Vertices currently in partition a or b (ascending ids)."""
     return state.pair_vertices(a, b).tolist()
@@ -68,8 +87,9 @@ def refine_pair(
     realizes no positive gain.  Returns the total cut improvement.
 
     ``recorder`` (optional, :mod:`repro.obs`) accumulates
-    ``part.fm.passes`` / ``part.fm.moves`` / ``part.fm.gain`` across
-    calls; the default no-op recorder keeps this free.
+    ``part.fm.passes`` / ``part.fm.moves`` / ``part.fm.gain`` and this
+    call's share of the state's ``part.core.*`` tallies across calls;
+    the default no-op recorder keeps this free.
 
     With ``collect_moves=True`` the result additionally carries the
     retained move log (see :class:`FMPassResult.moves_log`) so a remote
@@ -79,6 +99,7 @@ def refine_pair(
     total_moves = 0
     passes = 0
     log: list[tuple[int, int]] | None = [] if collect_moves else None
+    core_before = [getattr(state, name) for name in _CORE_TALLIES]
     for _ in range(max_passes):
         gain, retained = _one_pass(state, a, b, constraint)
         passes += 1
@@ -92,6 +113,8 @@ def refine_pair(
         recorder.incr("part.fm.passes", passes)
         recorder.incr("part.fm.moves", total_moves)
         recorder.incr("part.fm.gain", total_gain)
+        for name, before in zip(_CORE_TALLIES, core_before):
+            recorder.incr(f"part.core.{name}", getattr(state, name) - before)
     return FMPassResult(total_gain, total_moves, passes, log)
 
 
@@ -108,21 +131,18 @@ def _one_pass(
     if not vertices:
         return 0, []
 
-    stamp = dict.fromkeys(vertices, 0)
-    locked: set[int] = set()
-
-    # (-gain, v, stamp, target): a total order with no duplicate keys,
-    # so the heap's internal layout (heapify vs. pushes, batch vs.
-    # scalar fill) can never change pop order — only speed.  The
-    # initial fill is one vectorized batch gain query plus an O(n)
-    # heapify.
+    # gain_of[u]: maintained gain of free pair vertex u toward the other
+    # side; None once u is locked (moved or blocked) or outside the pair.
+    # The initial fill is one vectorized batch gain query.
     frm_arr = state.part[vertices]
-    targets = np.where(frm_arr == a, b, a)
-    gains = state.move_gains(vertices, targets)
-    heap: list[tuple[int, int, int, int]] = [
-        (-g, u, 0, to)
-        for u, g, to in zip(vertices, gains.tolist(), targets.tolist())
-    ]
+    gains = state.move_gains(vertices, np.where(frm_arr == a, b, a)).tolist()
+    gain_of: list[int | None] = [None] * hg.num_vertices
+    for u, g in zip(vertices, gains):
+        gain_of[u] = g
+    # (-gain, v) entries, live while they carry v's current gain: live
+    # entries have distinct keys, so the heap's internal layout (heapify
+    # vs. pushes, stale duplicates) can never change pop order.
+    heap: list[tuple[int, int]] = [(-g, u) for u, g in zip(vertices, gains)]
     heapq.heapify(heap)
 
     # move log for best-prefix rollback: (v, frm, to)
@@ -139,84 +159,61 @@ def _one_pass(
     weight_b = int(state.part_weight[b])
     heappop = heapq.heappop
     heappush = heapq.heappush
-    move_gain = state.move_gain
-    neighbor_lists = hg.neighbor_lists()
-    # the neighbour-refresh gain evaluation below inlines the scalar
-    # λ-cache kernel of PartitionState.move_gain — this is the hottest
-    # loop in the whole partitioner and even a bound method call per
-    # neighbour is measurable.  Same arithmetic, same integers; the
-    # property tests cross-check both against recompute().
+    move = state.move
     part_list = state._part_list
-    adj = state._adj
-    counts_list = state._counts_list
-    lam_list = state._lam_list
-    w_list = state._w_list
-    lam_hits = 0
+    edge_pins = hg.edge_pins_lists()
+    critical: list[tuple[int, int, int]] = []
+    walked = 0
 
     while heap:
-        neg_g, v, st, to = heappop(heap)
-        if v in locked or st != stamp[v]:
-            continue
+        neg_g, v = heappop(heap)
+        if gain_of[v] != -neg_g:
+            continue  # locked, or superseded by a later gain
+        gain_of[v] = None  # each vertex is decided once per pass
         frm = part_list[v]
-        if frm not in (a, b):  # pragma: no cover - defensive
-            continue
-        expected_to = b if frm == a else a
-        if to != expected_to:
-            continue  # stale direction after an interleaved move
         wv = vw[v]
         if frm == a:
+            to = b
             blocked = weight_b + wv > hi or weight_a - wv < lo
         else:
+            to = a
             blocked = weight_a + wv > hi or weight_b - wv < lo
         if blocked:
-            # re-push is pointless within this pass: bounds only tighten
-            # for this direction as the pass proceeds; simply skip.
-            locked.add(v)
+            # bounds only tighten for this direction as the pass
+            # proceeds, so a blocked vertex stays out for the pass
             continue
-        realized = state.move(v, to)
+        realized = move(v, to, critical)
         if frm == a:
             weight_a -= wv
             weight_b += wv
         else:
             weight_b -= wv
             weight_a += wv
-        locked.add(v)
         moves.append((v, frm, to))
         cum += realized
         if cum > best:
             best = cum
             best_idx = len(moves)
-        # refresh gains of unlocked neighbours sharing an edge — the
-        # cached adjacency avoids rebuilding a pin set per move; the
-        # handful of survivors is re-evaluated through the scalar gain
-        # path (same integers as the batch query, no array dispatch)
-        for u in neighbor_lists[v]:
-            if u in stamp and u not in locked:
-                su = stamp[u] + 1
-                stamp[u] = su
-                frm_u = part_list[u]
-                to_u = b if frm_u == a else a
-                edges_u = adj[u]
-                if len(edges_u) > _VECTOR_DEGREE:
-                    g = move_gain(u, to_u)
-                else:
-                    lam_hits += len(edges_u)
-                    g = 0
-                    for e in edges_u:
-                        row = counts_list[e]
-                        spanned = lam_list[e]
-                        new_spanned = (
-                            spanned
-                            - (1 if row[frm_u] == 1 else 0)
-                            + (1 if row[to_u] == 0 else 0)
-                        )
-                        if spanned > 1 and new_spanned == 1:
-                            g += w_list[e]
-                        elif spanned == 1 and new_spanned > 1:
-                            g -= w_list[e]
-                heappush(heap, (-g, u, su, to_u))
+        if critical:
+            # sum the per-side changes over the critical edges first: a
+            # bus of parallel nets moves one neighbour many times, and
+            # only a net change needs a new heap entry
+            walked += len(critical)
+            delta: dict[int, int] = {}
+            for e, d_frm, d_to in critical:
+                for u in edge_pins[e]:
+                    if gain_of[u] is not None:
+                        d = d_frm if part_list[u] == frm else d_to
+                        if d:
+                            delta[u] = delta.get(u, 0) + d
+            critical.clear()
+            for u, d in delta.items():
+                if d:
+                    g = gain_of[u] + d
+                    gain_of[u] = g
+                    heappush(heap, (-g, u))
 
-    state.lambda_hits += lam_hits
+    state.lambda_hits += walked
     # roll back past the best prefix
     for v, frm, _ in reversed(moves[best_idx:]):
         state.move(v, frm)

@@ -51,6 +51,13 @@ def _csr_gather(
     return data[idx], counts
 
 
+def _csr_lists(ptr: np.ndarray, data: np.ndarray) -> list[list[int]]:
+    """Every CSR slice ``data[ptr[i]:ptr[i+1]]`` as a plain-``int`` list."""
+    flat = data.tolist()
+    bounds = ptr.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 class Hypergraph:
     """An immutable weighted hypergraph.
 
@@ -77,8 +84,8 @@ class Hypergraph:
         "_pin_edge",
         "_vertex_ptr",
         "_vertex_pins",
-        "_neighbor_lists",
         "_vertex_edges_lists",
+        "_edge_pins_lists",
         "_edge_weight_list",
         "_vertex_weight_list",
         "vertex_names",
@@ -190,15 +197,15 @@ class Hypergraph:
         Also retains ``_pin_edge`` — the owning edge of every entry of
         the edge-major pin array — which the vectorized
         :meth:`~repro.hypergraph.partition_state.PartitionState.recompute`
-        scatters through, and seeds the lazy per-vertex neighbor cache.
+        scatters through, and seeds the lazy plain-list caches.
         """
         n = len(self.vertex_weight)
         counts = np.zeros(n + 1, dtype=np.int64)
         if len(self._edge_pins):
             np.add.at(counts, self._edge_pins + 1, 1)
         self._vertex_ptr = np.cumsum(counts)
-        self._neighbor_lists: list[list[int]] | None = None
         self._vertex_edges_lists: list[list[int]] | None = None
+        self._edge_pins_lists: list[list[int]] | None = None
         self._edge_weight_list: list[int] | None = None
         self._vertex_weight_list: list[int] | None = None
         if len(self._edge_pins) == 0:
@@ -311,58 +318,16 @@ class Hypergraph:
         vertices, as ``(edges, counts)`` (see :meth:`edges_pins`)."""
         return _csr_gather(self._vertex_ptr, self._vertex_pins, vertices)
 
-    def neighbor_array(self, v: int) -> np.ndarray:
-        """Vertices sharing at least one hyperedge with ``v`` — sorted
-        unique ``int64`` array (see :meth:`neighbor_lists`)."""
-        return np.asarray(self.neighbor_list(v), dtype=np.int64)
-
-    def neighbor_list(self, v: int) -> list[int]:
-        """Neighbors of ``v`` as a cached plain-``int`` list.
-
-        The FM inner loop consumes neighbors element-wise (dict lookups,
-        heap keys); handing it native ints skips a per-move
-        ``ndarray.tolist()`` conversion.
-        """
-        return self.neighbor_lists()[v]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """The whole vertex → neighbor adjacency as nested plain lists.
-
-        Built once for the entire graph — one bulk CSR gather expands
-        every vertex's incident edges to their pins, then a single
-        ``np.unique`` over combined ``(vertex, neighbor)`` keys sorts
-        and deduplicates all adjacency rows at once.  The hypergraph is
-        immutable, so the cache can never go stale; per-row semantics
-        match the old per-vertex path exactly (sorted unique neighbor
-        ids, the vertex itself excluded).
-        """
-        lists = self._neighbor_lists
-        if lists is None:
-            n = self.num_vertices
-            if self.num_pins == 0:
-                lists = [[] for _ in range(n)]
-            else:
-                degrees = np.diff(self._vertex_ptr)
-                owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-                pins, counts = _csr_gather(
-                    self._edge_ptr, self._edge_pins, self._vertex_pins
-                )
-                keys = np.unique(np.repeat(owners, counts) * n + pins)
-                owner, neigh = np.divmod(keys, n)
-                keep = owner != neigh
-                owner = owner[keep]
-                neigh = neigh[keep]
-                ptr = np.concatenate(
-                    ([0], np.cumsum(np.bincount(owner, minlength=n)))
-                ).tolist()
-                flat = neigh.tolist()
-                lists = [flat[ptr[u]:ptr[u + 1]] for u in range(n)]
-            self._neighbor_lists = lists
-        return lists
-
     def neighbors(self, v: int) -> set[int]:
-        """All vertices sharing at least one hyperedge with ``v``."""
-        return set(self.neighbor_list(v))
+        """All vertices sharing at least one hyperedge with ``v``.
+
+        An on-demand CSR gather over ``v``'s incident edges — O(their
+        pins), nothing cached: a whole-graph adjacency materialises
+        ``|e|²`` entries per hyperedge, which one wide clock net makes
+        unaffordable.
+        """
+        pins, _ = self.edges_pins(self.vertex_edges(v))
+        return set(pins.tolist()) - {v}
 
     def vertex_edges_list(self, v: int) -> list[int]:
         """Incident edges of ``v`` as a plain-``int`` list.
@@ -379,12 +344,20 @@ class Hypergraph:
         lists (see :meth:`vertex_edges_list`); built once, cached."""
         lists = self._vertex_edges_lists
         if lists is None:
-            flat = self._vertex_pins.tolist()
-            ptr = self._vertex_ptr.tolist()
-            lists = [
-                flat[ptr[u]:ptr[u + 1]] for u in range(self.num_vertices)
-            ]
+            lists = _csr_lists(self._vertex_ptr, self._vertex_pins)
             self._vertex_edges_lists = lists
+        return lists
+
+    def edge_pins_lists(self) -> list[list[int]]:
+        """The whole edge → pins incidence as nested plain lists — the
+        transpose of :meth:`vertex_edges_lists`, built once, cached on
+        the hypergraph (so it dies with it).  FM's delta-gain update
+        walks the pins of *critical* edges only; it wants native ints
+        for the same reason the scalar move/gain paths do."""
+        lists = self._edge_pins_lists
+        if lists is None:
+            lists = _csr_lists(self._edge_ptr, self._edge_pins)
+            self._edge_pins_lists = lists
         return lists
 
     @property

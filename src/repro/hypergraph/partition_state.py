@@ -31,8 +31,10 @@ table):
   implementation made them O(degree · k);
 * :meth:`move_gains` evaluates a whole batch of candidate moves in a
   handful of NumPy operations over the gathered incidence slices — FM
-  heap fills, neighbor gain refreshes and pairing estimates all go
-  through it;
+  heap fills and pairing estimates go through it;
+* :meth:`move` can report, per *critical* incident edge, how the move
+  changed the pairwise gains of that edge's other pins, so FM
+  maintains neighbour gains by deltas instead of re-evaluating them;
 * :meth:`copy` / :meth:`export_arrays` / :meth:`from_arrays` duplicate
   the derived arrays directly instead of replaying ``recompute`` —
   O(edges · k) ``memcpy`` instead of an O(pins) scatter, and the cheap
@@ -430,9 +432,8 @@ class PartitionState:
         if not len(vertices):
             return gains
         if len(vertices) <= _VECTOR_DEGREE:
-            # tiny batch (e.g. a neighbour refresh after one FM move):
-            # the scalar path beats NumPy dispatch overhead and computes
-            # the same exact integers
+            # tiny batch: the scalar path beats NumPy dispatch overhead
+            # and computes the same exact integers
             for i, (v, t) in enumerate(zip(vertices.tolist(), to_arr.tolist())):
                 gains[i] = self.move_gain(v, t)
             return gains
@@ -550,12 +551,30 @@ class PartitionState:
 
     # -- mutation -------------------------------------------------------------
 
-    def move(self, v: int, to_part: int) -> int:
+    def move(
+        self,
+        v: int,
+        to_part: int,
+        critical: list[tuple[int, int, int]] | None = None,
+    ) -> int:
         """Move vertex ``v`` to ``to_part``; returns the realized gain.
 
         Updates part weights, per-edge partition counts, the λ array,
         cut size and connectivity incrementally in O(degree(v)) — the
         λ cache removes the per-edge O(k) occupied-partition scan.
+
+        A ``critical`` list, when given, receives one ``(edge, d_from,
+        d_to)`` triple per incident edge whose *other* pins' gains this
+        move changes: every remaining pin in the source block gains
+        ``d_from`` toward ``to_part``, every other pin in ``to_part``
+        gains ``d_to`` toward the source block.  An edge contributes
+        ``+w`` to a pin's gain iff λ = 2 with that pin alone on its side
+        and the other side present, ``−w`` iff λ = 1 with company; the
+        triple is that contribution after the move minus before, so it
+        is nonzero only for an edge that lay inside the source block or
+        spans exactly the two blocks with ≤ 2 source or 1 target pins —
+        never for an edge reaching a third block or a wide net with
+        many pins on both sides (``docs/partitioning.md``).
         """
         frm = self._part_list[v]
         if to_part == frm:
@@ -565,9 +584,13 @@ class PartitionState:
         edges = self._adj[v]
         self.lambda_hits += len(edges)
         if len(edges) > _VECTOR_DEGREE:
-            gain, soed_delta = self._move_update_vector(edges, frm, to_part)
+            gain, soed_delta = self._move_update_vector(
+                edges, frm, to_part, critical
+            )
         else:
-            gain, soed_delta = self._move_update_scalar(edges, frm, to_part)
+            gain, soed_delta = self._move_update_scalar(
+                edges, frm, to_part, critical
+            )
         wv = self._vw_list[v]
         pw = self._pw_list
         pw[frm] -= wv
@@ -579,7 +602,11 @@ class PartitionState:
         return gain
 
     def _move_update_scalar(
-        self, edges: list[int], frm: int, to_part: int
+        self,
+        edges: list[int],
+        frm: int,
+        to_part: int,
+        critical: list[tuple[int, int, int]] | None,
     ) -> tuple[int, int]:
         """Per-edge loop move update — fastest at small degrees.
 
@@ -618,10 +645,27 @@ class PartitionState:
                 elif spanned == 1 and new_spanned > 1:
                     gain -= w
                 soed_delta += w * (new_spanned - spanned)
+            if critical is not None:
+                # nf / nt are the counts *after* the move
+                if spanned == 1:
+                    if nf:
+                        w = w_list[e]
+                        critical.append((e, w if nf > 1 else 2 * w, 0))
+                elif spanned == 2 and nt > 1 and (nf < 2 or nt == 2):
+                    w = w_list[e]
+                    critical.append((
+                        e,
+                        w if nf == 1 else 0,
+                        -w * ((nf == 0) + (nt == 2)),
+                    ))
         return gain, soed_delta
 
     def _move_update_vector(
-        self, edges: list[int], frm: int, to_part: int
+        self,
+        edges: list[int],
+        frm: int,
+        to_part: int,
+        critical: list[tuple[int, int, int]] | None,
     ) -> tuple[int, int]:
         """Vectorized move update — O(degree) NumPy for fat vertices."""
         idx = np.asarray(edges, dtype=np.int64)
@@ -647,6 +691,17 @@ class PartitionState:
             w[(lam == 1) & (new_lam > 1)].sum()
         )
         soed_delta = int((w * (new_lam - lam)).sum())
+        if critical is not None:
+            # same rule as the scalar loop, on the after-move counts
+            inside = (lam == 1) & (frm_counts > 0)
+            pair = (lam == 2) & (to_counts > 1)
+            d_from = w * inside + w * ((inside | pair) & (frm_counts == 1))
+            d_to = -(w * (pair & (frm_counts == 0))
+                     + w * (pair & (to_counts == 2)))
+            hot = np.flatnonzero(d_from | d_to)
+            critical.extend(zip(
+                idx[hot].tolist(), d_from[hot].tolist(), d_to[hot].tolist()
+            ))
         return gain, soed_delta
 
     def move_batch(

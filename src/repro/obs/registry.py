@@ -39,7 +39,7 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.fm.rebalance_moves": "vertices moved by balance repair (rebalance_pair)",
     "part.refine.rounds": "conflict-free pair rounds executed by the refinement engine",
     "part.refine.tasks": "pair-refinement tasks executed (one FM pair each)",
-    "part.core.lambda_hits": "edge λ-cache reads serving incremental gain/move queries",
+    "part.core.lambda_hits": "edges examined through the λ cache: per move, per gain query, per critical edge walked by FM's delta update",
     "part.core.gain_batches": "batch move_gains() queries answered by the vectorized core",
     "part.core.gain_batch_vertices": "total vertices evaluated across batch gain queries",
     "part.core.boundary_batches": "vectorized pair-boundary extractions (pairing + FM fills)",

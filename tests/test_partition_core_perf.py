@@ -158,25 +158,30 @@ def test_snapshot_restore_preserves_views_and_state():
     _assert_matches_oracle(state)
 
 
-def test_neighbor_lists_match_bruteforce():
+def test_neighbors_match_bruteforce():
     hg = _random_hg(17)
-    lists = hg.neighbor_lists()
-    assert len(lists) == hg.num_vertices
     for v in range(hg.num_vertices):
         expect: set[int] = set()
         for e in hg.vertex_edges(v):
             expect.update(int(u) for u in hg.edge_vertices(int(e)))
         expect.discard(v)
-        assert lists[v] == sorted(expect)
-        assert hg.neighbor_list(v) is lists[v]
         assert hg.neighbors(v) == expect
-        np.testing.assert_array_equal(hg.neighbor_array(v), sorted(expect))
 
 
-def test_neighbor_lists_empty_graph():
+def test_neighbors_empty_graph():
     hg = Hypergraph.from_edges([1, 1, 1], [])
-    assert hg.neighbor_lists() == [[], [], []]
     assert hg.neighbors(1) == set()
+
+
+def test_edge_pins_lists_transpose_vertex_edges_lists():
+    hg = _random_hg(17)
+    pins = hg.edge_pins_lists()
+    assert hg.edge_pins_lists() is pins  # cached on the object
+    assert pins == [hg.edge_vertices(e).tolist() for e in range(hg.num_edges)]
+    adj = hg.vertex_edges_lists()
+    for e, row in enumerate(pins):
+        assert all(e in adj[u] for u in row)
+    assert sum(map(len, pins)) == sum(map(len, adj)) == hg.num_pins
 
 
 def test_smoke_speed_study_parity_and_counters():

@@ -201,10 +201,11 @@ def invocation_complaints(text: str,
 
 
 def script_flags(root: Path) -> set[str]:
-    """Long options declared by scripts under benchmarks/ and tools/."""
+    """Long options declared by scripts under benchmarks/ (including
+    benchmarks/pipeline/) and tools/."""
     flags: set[str] = set()
     for directory in ("benchmarks", "tools"):
-        for script in sorted((root / directory).glob("*.py")):
+        for script in sorted((root / directory).rglob("*.py")):
             flags.update(_ADD_ARGUMENT_RE.findall(script.read_text()))
     return flags
 

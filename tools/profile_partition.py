@@ -1,14 +1,18 @@
 #!/usr/bin/env python
-"""Profile the multilevel partitioner on a streamed scale-ladder rung.
+"""Profile one partitioner call: flat multilevel or design-driven.
 
-Runs cProfile over one ``multilevel_kway_partition`` call on a named
-stream circuit (the scale-ladder workload shape: streamed array-native
-build, batch refiner) and prints the top cumulative functions plus the
-recorder's per-phase wall breakdown (coarsen / initial / uncoarsen /
-batch_refine).  This is the before/after evidence harness for
-partitioner kernel work — the peer of ``tools/profile_sim.py`` on the
-partitioning side (docs/performance.md, "Coarsening" and "Scale
-ladder", record the numbers it moved).
+``--algorithm multilevel`` (default) runs cProfile over one
+``multilevel_kway_partition`` call on a named stream circuit (the
+scale-ladder workload shape: streamed array-native build, batch
+refiner); ``--algorithm multiway`` parses and elaborates a named text
+circuit and profiles ``design_driven_partition`` on its top-level
+hierarchy (the pipeline benchmark's ``hier_93k`` shape: a few hundred
+fat super-gates, heap FM).  Either way it prints the top functions, the
+recorder's per-phase wall breakdown, and — where FM ran — how many
+moves it executed against how many survived best-prefix rollback.  This
+is the before/after evidence harness for partitioner kernel work — the
+peer of ``tools/profile_sim.py`` on the partitioning side
+(docs/performance.md records the numbers it moved).
 
 Examples::
 
@@ -17,6 +21,8 @@ Examples::
         --circuit viterbi-s10k --k 4 --top 30
     PYTHONPATH=src python tools/profile_partition.py --refiner fm \\
         --sort tottime
+    PYTHONPATH=src python tools/profile_partition.py --algorithm multiway \\
+        --k 4
 """
 
 from __future__ import annotations
@@ -30,19 +36,44 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.circuits import load_stream_circuit  # noqa: E402
-from repro.core import multilevel_kway_partition  # noqa: E402
+from repro.circuits import load_circuit, load_stream_circuit  # noqa: E402
+from repro.core import (  # noqa: E402
+    design_driven_partition,
+    multilevel_kway_partition,
+)
 from repro.core.batch_refine import REFINERS  # noqa: E402
+from repro.hypergraph import Clustering  # noqa: E402
 from repro.hypergraph.build import streamed_flat_hypergraph  # noqa: E402
 from repro.obs import MetricsRecorder  # noqa: E402
+
+#: default circuit per algorithm (stream registry / text registry)
+DEFAULT_CIRCUIT = {"multilevel": "viterbi-s100k", "multiway": "viterbi-paper"}
+
+
+def _move_calls(stats: pstats.Stats) -> int:
+    """``PartitionState.move`` calls in the profile: every FM move
+    executed plus every one undone by best-prefix rollback (and, at
+    ``workers`` > 1, replayed) — the profile is the counter."""
+    return sum(
+        ncalls
+        for (path, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()
+        if name == "move" and path.endswith("partition_state.py")
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="cProfile one multilevel partition of a stream rung")
-    parser.add_argument("--circuit", default="viterbi-s100k",
-                        help="stream circuit registry name "
-                             "(default: %(default)s)")
+        description="cProfile one partitioner call")
+    parser.add_argument("--algorithm", default="multilevel",
+                        choices=sorted(DEFAULT_CIRCUIT),
+                        help="multilevel: flat k-way on a stream circuit; "
+                             "multiway: design-driven on a text circuit's "
+                             "hierarchy (default: %(default)s)")
+    parser.add_argument("--circuit", default=None,
+                        help="circuit registry name (default: "
+                             + ", ".join(f"{c} for {a}" for a, c
+                                         in sorted(DEFAULT_CIRCUIT.items()))
+                             + ")")
     parser.add_argument("--k", type=int, default=8,
                         help="partition count (default: %(default)s)")
     parser.add_argument("--b", type=float, default=5.0,
@@ -51,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1,
                         help="matching / initial-fill seed")
     parser.add_argument("--refiner", default="batch", choices=REFINERS,
-                        help="per-level refiner (default: %(default)s)")
+                        help="multilevel's per-level refiner; multiway "
+                             "always runs heap FM (default: %(default)s)")
     parser.add_argument("--top", type=int, default=25,
                         help="functions to print")
     parser.add_argument("--sort", default="cumulative",
@@ -59,23 +91,45 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort order")
     args = parser.parse_args(argv)
 
-    csr = load_stream_circuit(args.circuit)
-    hg = streamed_flat_hypergraph(csr)
-    print(f"circuit={args.circuit} gates={csr.num_gates} "
-          f"edges={hg.num_edges} pins={hg.num_pins} "
-          f"k={args.k} b={args.b} refiner={args.refiner}")
-
+    circuit = args.circuit or DEFAULT_CIRCUIT[args.algorithm]
     rec = MetricsRecorder()
     prof = cProfile.Profile()
-    result = prof.runcall(
-        multilevel_kway_partition, hg, args.k, args.b,
-        seed=args.seed, workers=1, recorder=rec, refiner=args.refiner,
-    )
+    if args.algorithm == "multiway":
+        netlist = load_circuit(circuit)
+        clustering = Clustering.top_level(netlist)
+        hg = clustering.hypergraph()
+        print(f"circuit={circuit} gates={netlist.num_gates} "
+              f"vertices={hg.num_vertices} edges={hg.num_edges} "
+              f"pins={hg.num_pins} k={args.k} b={args.b}")
+        result = prof.runcall(
+            design_driven_partition, clustering, args.k, args.b,
+            seed=args.seed, workers=1, recorder=rec,
+        )
+        summary = (f"cut={result.cut_size} balanced={result.balanced} "
+                   f"flatten_steps={result.flatten_steps} "
+                   f"rounds={result.fm_rounds}")
+    else:
+        csr = load_stream_circuit(circuit)
+        hg = streamed_flat_hypergraph(csr)
+        print(f"circuit={circuit} gates={csr.num_gates} "
+              f"edges={hg.num_edges} pins={hg.num_pins} "
+              f"k={args.k} b={args.b} refiner={args.refiner}")
+        result = prof.runcall(
+            multilevel_kway_partition, hg, args.k, args.b,
+            seed=args.seed, workers=1, recorder=rec, refiner=args.refiner,
+        )
+        summary = (f"cut={result.cut_size} balanced={result.balanced} "
+                   f"levels={result.levels} rounds={result.refine_rounds}")
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
 
-    print(f"cut={result.cut_size} balanced={result.balanced} "
-          f"levels={result.levels} rounds={result.refine_rounds}")
+    print(summary)
+    counters = rec.counters
+    if counters.get("part.fm.passes"):
+        print(f"fm: {counters['part.fm.passes']} passes, "
+              f"{_move_calls(stats)} move() calls (executed + rolled back), "
+              f"part.fm.moves={counters['part.fm.moves']} retained, "
+              f"part.core.lambda_hits={counters['part.core.lambda_hits']}")
     print("phase walls:")
     for phase, wall in rec.host_timings().items():
         if phase.startswith("partition."):

@@ -14,7 +14,11 @@ Runs, in order, stopping at the first failure:
 4. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
    --rungs 1``) — the 10k rung builds, partitions balanced, and its
    per-phase coarsen/refine wall breakdown carries every expected
-   recorder phase (the smoke asserts the breakdown keys exist).
+   recorder phase (the smoke asserts the breakdown keys exist);
+5. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
+   --smoke``) — all five workloads at test size, front end through
+   verified Time Warp, every output check on, under 30 s; it writes
+   only the git-ignored ``benchmarks/pipeline/out/``.
 
 Usage::
 
@@ -22,9 +26,9 @@ Usage::
     python tools/run_checks.py --list     # show the steps and exit
 
 Exit code 0 means every step passed (the README names this as the
-command to run before opening a PR).  Benchmarks are *not* included —
-they take minutes; run ``pytest benchmarks/ --benchmark-only`` when a
-change touches measured claims.
+command to run before opening a PR).  The full-size benchmarks are
+*not* included — they take minutes; run ``pytest benchmarks/
+--benchmark-only`` when a change touches measured claims.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("scale-ladder smoke rung",
      [sys.executable, "benchmarks/bench_scale_ladder.py", "--rungs", "1"],
      ("src",)),
+    ("pipeline benchmark smoke",
+     [sys.executable, "benchmarks/pipeline/run.py", "--smoke"],
+     ()),
 ]
 
 
