@@ -120,6 +120,7 @@ def test_batch_refine_vs_fm_at_scale(benchmark):
                 batch_counters["part.batch.balance_dropped"],
             "part.batch.boundary.max":
                 batch_counters["part.batch.boundary.max"],
+            "part.batch.gathered": batch_counters["part.batch.gathered"],
             "part.fm.moves": fm_moves,
         },
         host_timings=host_timings,

@@ -23,7 +23,10 @@ asserted:
 
 Deterministic columns (gates/nets/pins/edges/cut/balanced) land in the
 metrics rows and gate byte-for-byte under ``make_experiments_md.py
---check --baseline``; walls and RSS are host facts and live in the
+--check --baseline``, and so do each rung's batch-refiner round and
+re-scored-vertex counts (``rung.<name>.part.batch.*`` counters: a
+regression of the refiner's invalidation rule is a count diff, whatever
+the host); walls and RSS are host facts and live in the
 quarantined ``host_timings`` channel.  ``--rungs N`` caps the ladder
 (``tools/run_checks.py`` runs the 10k smoke rung in tier-1 time); a
 capped run prints and asserts but does not overwrite the committed
@@ -69,6 +72,10 @@ PARTITION_PHASES = (
     "partition.uncoarsen",
     "partition.batch_refine",
 )
+
+#: batch-refiner counters kept per rung instead of summed over the
+#: ladder (the XL rung would drown a regression on a small one)
+RUNG_COUNTERS = ("part.batch.gathered", "part.batch.rounds")
 
 
 def run_rung(name: str, k: int) -> dict:
@@ -133,6 +140,7 @@ def child(name: str, k: int) -> None:
         "counters": {
             key: int(val) for key, val in sorted(rec.counters.items())
             if key.startswith(("circ.", "part.build."))
+            or key in RUNG_COUNTERS
         },
     }))
 
@@ -218,7 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         for phase, wall in r["phase_s"].items():
             host_timings[f"rung.{r['rung']}.{phase}_s"] = wall
         for key, val in r["counters"].items():
-            counters[key] = counters.get(key, 0) + val
+            if key in RUNG_COUNTERS:
+                counters[f"rung.{r['rung']}.{key}"] = val
+            else:
+                counters[key] = counters.get(key, 0) + val
     emit(
         "scale_ladder",
         text,

@@ -14,11 +14,15 @@ PAPERS.md).  Each round is three vectorized steps:
    maintained incrementally as a per-vertex cut-edge degree) is scored
    through the fused
    :meth:`~repro.hypergraph.partition_state.PartitionState.move_gains_matrix`
-   CSR kernel into ``(k, |boundary|)`` exact integer cut-gain and SOED
-   matrices with no per-vertex Python work — *incrementally*: gains
-   are cached per vertex and only the boundary slice whose incident
-   edges were touched by the previous batches is re-scored
-   (``part.batch.gathered`` counts the re-scored vertices);
+   CSR kernel into exact integer cut-gain and SOED rows, one per
+   destination, with no per-vertex Python work — *incrementally*
+   (:class:`BoundaryGains`): rows and each vertex's best destination
+   are cached, and an applied batch stales only the vertices it moved
+   and the pins of the edges whose pattern of empty / single-pin
+   blocks it changed — the only way an edge enters a pin's gains — so
+   a clock net cut across every block costs nothing when one of its
+   flip-flops moves (``part.batch.gathered`` counts the re-scored
+   vertices);
 2. **select** — a conflict-free move batch is chosen vectorially.
    Candidates (the lexicographically best (cut, SOED)-improving
    destination per vertex) are ranked by ``(-cut gain, -soed gain,
@@ -78,6 +82,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 __all__ = [
     "REFINERS",
     "BatchRefineResult",
+    "BoundaryGains",
     "batch_refine",
     "cut_degrees",
     "validate_refiner",
@@ -89,6 +94,10 @@ REFINERS = ("fm", "batch")
 #: a kick perturbs the best ``1/_KICK_FRACTION`` of the boundary's
 #: non-improving candidates (at least one vertex)
 _KICK_FRACTION = 16
+
+#: vertices scored per ``move_gains_matrix`` call (bounds the
+#: ``(pins, T)`` transients at XL scale)
+_GATHER_CHUNK = 1 << 16
 
 
 def validate_refiner(name: str) -> str:
@@ -133,12 +142,96 @@ def cut_degrees(state: PartitionState) -> np.ndarray:
     return deg
 
 
+class BoundaryGains:
+    """What one :func:`batch_refine` call keeps incrementally about its
+    state: the boundary's cut-edge degrees and exact move gains.
+
+    ``gain`` / ``soed`` are ``(T, n)`` caches of
+    :meth:`~repro.hypergraph.partition_state.PartitionState.move_gains_matrix`
+    rows (every target, own block 0); ``best_target`` / ``best_gain`` /
+    ``best_soed`` hold each vertex's lexicographically best
+    (cut gain, SOED gain) entry — lowest target index on ties — which
+    is all a greedy round reads.  A vertex's entries are exact unless
+    ``stale[v]``: :meth:`applied` marks stale precisely the vertices
+    whose rows the batch can have changed, and :meth:`refresh`
+    re-scores the stale part of whatever the caller is about to read,
+    so every decision sees the numbers a full re-gather would produce.
+    """
+
+    def __init__(self, state: PartitionState, targets: np.ndarray):
+        n = state.hg.num_vertices
+        self.state = state
+        self.targets = targets
+        self.cut_deg = cut_degrees(state)
+        self.gain = np.zeros((len(targets), n), dtype=np.int64)
+        self.soed = np.zeros((len(targets), n), dtype=np.int64)
+        self.best_target = np.zeros(n, dtype=np.int64)
+        self.best_gain = np.zeros(n, dtype=np.int64)
+        self.best_soed = np.zeros(n, dtype=np.int64)
+        self.stale = np.ones(n, dtype=bool)
+
+    def refresh(self, vertices: np.ndarray) -> int:
+        """Re-score the stale ones among ``vertices``; returns how many."""
+        need = vertices[self.stale[vertices]]
+        for s in range(0, len(need), _GATHER_CHUNK):
+            chunk = need[s:s + _GATHER_CHUNK]
+            g, so = self.state.move_gains_matrix(chunk, self.targets)
+            self.gain[:, chunk] = g
+            self.soed[:, chunk] = so
+            # scale cut gains past the soed range so one argmax
+            # resolves the lexicographic (cut, soed) order; the winner
+            # is the same for any scale > 2·max|soed|, so a per-chunk
+            # scale picks what a whole-boundary one would
+            big = 2 * int(np.abs(so).max(initial=0)) + 1
+            best = np.argmax(g * big + so, axis=0)
+            ar = np.arange(len(chunk))
+            self.best_target[chunk] = best
+            self.best_gain[chunk] = g[best, ar]
+            self.best_soed[chunk] = so[best, ar]
+        self.stale[need] = False
+        return len(need)
+
+    def applied(self, moved: np.ndarray, touched: np.ndarray,
+                old_lam: np.ndarray, changed: np.ndarray) -> None:
+        """Account for a ``move_batch`` of ``moved`` that returned
+        ``(_, touched, old_lam, changed)``.
+
+        Stale afterwards: the moved vertices (their own block changed)
+        and the pins of the changed edges — an edge whose zero /
+        exactly-one count pattern survived the batch contributes to
+        its pins' rows exactly what it did before
+        (``docs/refinement.md``), so a clock net with two pins left in
+        every block stales nobody.  Cut-edge degrees change only on the
+        edges whose λ crossed 1; those are changed edges, so the same
+        pin gather serves both.
+        """
+        self.stale[moved] = True
+        if not changed.any():
+            return
+        hot = touched[changed]
+        pins, cnt = self.state.hg.edges_pins(hot)
+        self.stale[pins] = True
+        lam_was, lam_now = old_lam[changed], self.state.edge_lambda[hot]
+        delta = ((lam_was == 1) & (lam_now > 1)).astype(np.int64) \
+            - ((lam_was > 1) & (lam_now == 1))
+        flipped = delta != 0
+        if flipped.any():
+            np.add.at(self.cut_deg, pins[np.repeat(flipped, cnt)],
+                      np.repeat(delta[flipped], cnt[flipped]))
+
+    def rollback(self, cut_deg: np.ndarray) -> None:
+        """Adopt the cut-edge degrees saved before an abandoned
+        exploration; the gains cached since describe states that no
+        longer exist, so everything goes stale."""
+        self.cut_deg = cut_deg
+        self.stale[:] = True
+
+
 def batch_refine(
     state: PartitionState,
     constraint,
     blocks: Sequence[int] | None = None,
     max_rounds: int = 1024,
-    balance_fallback: bool = False,
     max_kicks: int = 8,
     recorder: Recorder = NULL_RECORDER,
 ) -> BatchRefineResult:
@@ -161,16 +254,6 @@ def batch_refine(
         Safety cap on gather/select/apply rounds; the natural exit is
         the fixpoint (a round with no applicable (cut, soed)-improving
         move).
-    balance_fallback:
-        When True, a round whose every race survivor is rejected by the
-        balance filter bans those (vertex, target) pairs and re-selects,
-        so vertices fall back to their next-best improving destination
-        instead of stalling (``part.batch.retries`` counts the
-        re-selections).  Pays when the filter binds — heavy
-        cluster-grade vertices against tight windows, i.e. coarse
-        multilevel levels — and is off by default because on light-
-        vertex boundaries a first-choice stall is almost always a
-        genuine fixpoint and the retries are churn.
     max_kicks:
         At the greedy fixpoint, up to this many perturbation attempts:
         a snapshot is taken, the least-damaging non-improving batch is
@@ -192,7 +275,7 @@ def batch_refine(
     """
     with recorder.phase("partition.batch_refine"):
         result = _batch_refine(state, constraint, blocks, max_rounds,
-                               balance_fallback, max_kicks, recorder)
+                               max_kicks, recorder)
     if recorder.enabled:
         recorder.incr("part.batch.rounds", result.rounds)
         recorder.incr("part.batch.moves", result.moves)
@@ -205,7 +288,6 @@ def _batch_refine(
     constraint,
     blocks: Sequence[int] | None,
     max_rounds: int,
-    balance_fallback: bool,
     max_kicks: int,
     recorder: Recorder,
 ) -> BatchRefineResult:
@@ -223,25 +305,14 @@ def _batch_refine(
         return BatchRefineResult(0, 0, 0, cut_before)
     targets_arr = np.asarray(targets, dtype=np.int64)
     lo, hi = constraint.bounds(hg.total_weight)
-    cut_deg = cut_degrees(state)
+    cache = BoundaryGains(state, targets_arr)
     rounds = 0
     moves = 0
-    floor = np.iinfo(np.int64).min // 4
-
-    # incremental gather state: exact (T, n) cut-gain / SOED-gain
-    # caches plus a staleness mask.  A vertex's gains can only change
-    # when one of its incident edges' partition counts change, i.e.
-    # when it is a pin of an edge touched by an applied batch — so
-    # apply_batch marks exactly those pins stale and gather re-scores
-    # only the stale part of the boundary.  Cached entries are the full
-    # exact matrices (every target, not just spanned blocks), so both
-    # the greedy descent and kick() read numbers identical to a full
-    # re-gather — the determinism contract is untouched.
-    tcount = len(targets)
-    gain_cache = np.zeros((tcount, hg.num_vertices), dtype=np.int64)
-    soed_cache = np.zeros((tcount, hg.num_vertices), dtype=np.int64)
-    stale = np.ones(hg.num_vertices, dtype=bool)
-    gather_chunk = 1 << 16  # bounds the (pins, T) transients at XL scale
+    # race() scratch: the best candidate rank seen per hyperedge.  Only
+    # the entries a round writes are read back, and they are reset on
+    # the way out, so a round costs its candidates' pins, not |edges|
+    unranked = np.iinfo(np.int64).max
+    edge_best = np.full(hg.num_edges, unranked, dtype=np.int64)
 
     def race(cand_v: np.ndarray, cand_t: np.ndarray) -> np.ndarray:
         # conflict-free selection: scatter-min each candidate's rank
@@ -259,9 +330,9 @@ def _batch_refine(
         if not len(edges):
             return np.ones(n_cand, dtype=bool)
         rank_of = np.repeat(np.arange(n_cand, dtype=np.int64), deg)
-        edge_best = np.full(hg.num_edges, n_cand, dtype=np.int64)
         np.minimum.at(edge_best, edges, rank_of)
         ok = cand_t[rank_of] == cand_t[edge_best[edges]]
+        edge_best[edges] = unranked
         wins = np.zeros(n_cand, dtype=np.int64)
         np.add.at(wins, rank_of, ok)
         return wins == deg
@@ -290,13 +361,21 @@ def _batch_refine(
                 keep[idx[~ok]] = False
         return keep
 
+    def select(cand_v: np.ndarray,
+               cand_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+        # positions (in the ranked candidate arrays) of the batch to
+        # apply, plus how many candidates the race and the balance
+        # filter each turned away
+        raced = np.flatnonzero(race(cand_v, cand_t))
+        keep = balance_keep(cand_v[raced], cand_t[raced])
+        sel = raced[keep]
+        return sel, len(cand_v) - len(raced), len(raced) - len(sel)
+
     def apply_batch(sel_v: np.ndarray, sel_t: np.ndarray,
                     sel_g: np.ndarray, sel_s: np.ndarray) -> None:
-        # one scatter, then re-derive the boundary from the edges whose
-        # cut status flipped
         nonlocal rounds, moves
         soed_before = state.connectivity
-        gain, touched, old_lam = state.move_batch(sel_v, sel_t)
+        gain, touched, old_lam, changed = state.move_batch(sel_v, sel_t)
         predicted = int(sel_g.sum())
         if gain < predicted:
             raise PartitionError(
@@ -308,170 +387,89 @@ def _batch_refine(
                 "batch_refine soed gain bound violated "
                 "(conflict filter bug)"
             )
-        new_lam = state.edge_lambda[touched]
-        if len(touched):
-            # one gather serves both incremental structures: every pin
-            # of a touched edge goes stale for the gain caches, and the
-            # pins of edges whose cut status flipped (λ crossing 1)
-            # adjust the boundary's cut-edge degrees
-            pins, cnt = hg.edges_pins(touched)
-            stale[pins] = True
-            delta = ((old_lam == 1) & (new_lam > 1)).astype(np.int64) \
-                - ((old_lam > 1) & (new_lam == 1)).astype(np.int64)
-            flipped = delta != 0
-            if flipped.any():
-                np.add.at(cut_deg, pins[np.repeat(flipped, cnt)],
-                          np.repeat(delta[flipped], cnt[flipped]))
+        cache.applied(sel_v, touched, old_lam, changed)
         rounds += 1
         moves += len(sel_v)
 
-    def gather(boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # boundary-restricted incremental gather: re-score only the
-        # stale slice of the boundary with the fused
-        # move_gains_matrix kernel (cut + SOED, all targets, one CSR
-        # gather), serve the rest from the caches.  The first round
-        # scores the whole boundary; later rounds only the pins of
-        # edges the previous batches actually touched.
-        need = boundary[stale[boundary]]
-        for s in range(0, len(need), gather_chunk):
-            chunk = need[s:s + gather_chunk]
-            g, so = state.move_gains_matrix(chunk, targets_arr)
-            gain_cache[:, chunk] = g
-            soed_cache[:, chunk] = so
-        stale[need] = False
-        if recorder.enabled:
-            recorder.incr("part.batch.gathered", len(need))
-        return gain_cache[:, boundary], soed_cache[:, boundary]
-
-    def current_boundary(frozen: np.ndarray | None = None) -> np.ndarray:
-        boundary = np.flatnonzero(cut_deg > 0)
+    def scored_boundary(frozen: np.ndarray | None = None) -> np.ndarray:
+        # the movable boundary, its cached gains made exact
+        boundary = np.flatnonzero(cache.cut_deg > 0)
         if blocks is not None and len(boundary):
             boundary = boundary[np.isin(state.part[boundary], targets_arr)]
         if frozen is not None and len(boundary):
             boundary = boundary[~frozen[boundary]]
+        gathered = cache.refresh(boundary)
+        if recorder.enabled:
+            recorder.incr("part.batch.gathered", gathered)
         return boundary
 
     def greedy(frozen: np.ndarray | None = None) -> None:
         # improving rounds (positive cut gain, or zero cut gain with
-        # positive SOED gain) to a fixpoint
-        nonlocal rounds
+        # positive SOED gain) to a fixpoint.  Each vertex proposes its
+        # cached best destination (own block scores (0, 0), so it can
+        # never be strictly improving).
         while rounds < max_rounds:
-            boundary = current_boundary(frozen)
+            boundary = scored_boundary(frozen)
             if not len(boundary):
                 return
             if recorder.enabled:
                 recorder.observe_max("part.batch.boundary", len(boundary))
-            gain_mat, soed_mat = gather(boundary)
-            # scale cut gains past the soed range so one argmax
-            # resolves the lexicographic (cut, soed) objective; any
-            # (vertex, target) pair the balance filter rejects in a
-            # zero-move attempt is banned (score floored) and the
-            # selection retried when balance_fallback is on
-            big = 2 * int(np.abs(soed_mat).max(initial=0)) + 1
-            score = gain_mat * big + soed_mat
-            ar = np.arange(len(boundary))
-            sel_v = np.empty(0, dtype=np.int64)
-            first_attempt = True
-            while True:
-                # best unbanned destination per vertex (own block
-                # scores (0, 0), so it can never win a strictly-
-                # improving race; argmax takes the lowest target index
-                # on ties)
-                best_idx = np.argmax(score, axis=0)
-                best_gain = gain_mat[best_idx, ar]
-                best_soed = soed_mat[best_idx, ar]
-                pos = ((best_gain > 0)
-                       | ((best_gain == 0) & (best_soed > 0))) \
-                    & (score[best_idx, ar] > floor)
-                cand_b = np.flatnonzero(pos)
-                cand_v = boundary[pos]
-                cand_ti = best_idx[pos]
-                cand_t = targets_arr[cand_ti]
-                cand_g = best_gain[pos]
-                cand_s = best_soed[pos]
-                n_cand = len(cand_v)
-                if recorder.enabled and first_attempt:
-                    recorder.incr("part.batch.candidates", n_cand)
-                first_attempt = False
-                if not n_cand:
-                    break  # fixpoint: no improving move exists
-                # rank candidates: highest cut gain first, then highest
-                # soed gain, lowest vertex id on ties — the
-                # deterministic priority the edge race resolves by
-                order = np.lexsort((cand_v, -cand_s, -cand_g))
-                cand_b, cand_ti = cand_b[order], cand_ti[order]
-                cand_v, cand_t = cand_v[order], cand_t[order]
-                cand_g, cand_s = cand_g[order], cand_s[order]
-                selected = race(cand_v, cand_t)
-                if recorder.enabled:
-                    recorder.incr("part.batch.conflicts",
-                                  int(n_cand - selected.sum()))
-                sel_v = cand_v[selected]
-                sel_t = cand_t[selected]
-                sel_g = cand_g[selected]
-                sel_s = cand_s[selected]
-                keep = balance_keep(sel_v, sel_t)
-                if recorder.enabled:
-                    recorder.incr("part.batch.balance_dropped",
-                                  int(len(sel_v) - keep.sum()))
-                sel_v, sel_t = sel_v[keep], sel_t[keep]
-                sel_g, sel_s = sel_g[keep], sel_s[keep]
-                if len(sel_v) or not balance_fallback:
-                    break  # non-empty batch to apply, or no-retry mode
-                # balance rejected every race survivor (the rank-0
-                # winner included).  Ban exactly those (vertex, target)
-                # pairs and re-select: the next attempt proposes each
-                # vertex's next-best improving destination.  Each
-                # attempt bans >= 1 of the <= k*|boundary| pairs, so
-                # the retry loop terminates.  (keep is all-False here,
-                # so the dropped set is exactly the race survivors)
-                score[cand_ti[selected], cand_b[selected]] = floor
-                if recorder.enabled:
-                    recorder.incr("part.batch.retries")
-            if not len(sel_v):
+            best_gain = cache.best_gain[boundary]
+            best_soed = cache.best_soed[boundary]
+            pos = (best_gain > 0) | ((best_gain == 0) & (best_soed > 0))
+            cand_v, cand_g, cand_s = \
+                boundary[pos], best_gain[pos], best_soed[pos]
+            if recorder.enabled:
+                recorder.incr("part.batch.candidates", len(cand_v))
+            if not len(cand_v):
+                return  # fixpoint: no improving move exists
+            # rank candidates: highest cut gain first, then highest
+            # soed gain, lowest vertex id on ties — the deterministic
+            # priority the edge race resolves by
+            order = np.lexsort((cand_v, -cand_s, -cand_g))
+            cand_v, cand_g, cand_s = \
+                cand_v[order], cand_g[order], cand_s[order]
+            cand_t = targets_arr[cache.best_target[cand_v]]
+            sel, conflicts, dropped = select(cand_v, cand_t)
+            if recorder.enabled:
+                recorder.incr("part.batch.conflicts", conflicts)
+                recorder.incr("part.batch.balance_dropped", dropped)
+            if not len(sel):
                 return  # no balance-admissible improving batch
-            apply_batch(sel_v, sel_t, sel_g, sel_s)
+            apply_batch(cand_v[sel], cand_t[sel], cand_g[sel], cand_s[sel])
 
     def kick() -> np.ndarray | None:
         # perturbation: force the least-damaging non-improving batch —
         # each boundary vertex's best *other* block (own block masked
-        # out), best `1/_KICK_FRACTION` of them by (cut, soed) score —
-        # through the same race and balance filters.  The subsequent
-        # greedy descent decides whether the valley led anywhere; the
-        # caller rolls back when it did not.
-        boundary = current_boundary()
+        # out of the full cached rows), best `1/_KICK_FRACTION` of them
+        # by (cut, soed) score — through the same race and balance
+        # filters.  The subsequent greedy descent decides whether the
+        # valley led anywhere; the caller rolls back when it did not.
+        boundary = scored_boundary()
         if not len(boundary):
             return None
-        gain_mat, soed_mat = gather(boundary)
+        gain_mat = cache.gain[:, boundary]
+        soed_mat = cache.soed[:, boundary]
         big = 2 * int(np.abs(soed_mat).max(initial=0)) + 1
         score = gain_mat * big + soed_mat
+        floor = np.iinfo(np.int64).min // 4
         own = state.part[boundary]
         score[targets_arr[:, None] == own[None, :]] = floor
         best_idx = np.argmax(score, axis=0)
         ar = np.arange(len(boundary))
-        valid = score[best_idx, ar] > floor
-        cand_v = boundary[valid]
-        cand_t = targets_arr[best_idx[valid]]
-        cand_g = gain_mat[best_idx, ar][valid]
-        cand_s = soed_mat[best_idx, ar][valid]
-        if not len(cand_v):
+        cand_t = targets_arr[best_idx]
+        cand_g = gain_mat[best_idx, ar]
+        cand_s = soed_mat[best_idx, ar]
+        order = np.lexsort((boundary, -cand_s, -cand_g))
+        order = order[:max(1, len(boundary) // _KICK_FRACTION)]
+        cand_v, cand_t = boundary[order], cand_t[order]
+        sel, _, _ = select(cand_v, cand_t)
+        if not len(sel):
             return None
-        order = np.lexsort((cand_v, -cand_s, -cand_g))
-        top = max(1, len(cand_v) // _KICK_FRACTION)
-        order = order[:top]
-        cand_v, cand_t = cand_v[order], cand_t[order]
-        cand_g, cand_s = cand_g[order], cand_s[order]
-        selected = race(cand_v, cand_t)
-        sel_v, sel_t = cand_v[selected], cand_t[selected]
-        sel_g, sel_s = cand_g[selected], cand_s[selected]
-        keep = balance_keep(sel_v, sel_t)
-        sel_v, sel_t = sel_v[keep], sel_t[keep]
-        sel_g, sel_s = sel_g[keep], sel_s[keep]
-        if not len(sel_v):
-            return None
-        apply_batch(sel_v, sel_t, sel_g, sel_s)
+        apply_batch(cand_v[sel], cand_t[sel],
+                    cand_g[order][sel], cand_s[order][sel])
         frozen = np.zeros(hg.num_vertices, dtype=bool)
-        frozen[sel_v] = True
+        frozen[cand_v[sel]] = True
         return frozen
 
     greedy()
@@ -488,7 +486,7 @@ def _batch_refine(
             break
         snap = state.snapshot()
         snap_key = (state.cut_size, state.connectivity)
-        snap_cut_deg = cut_deg.copy()
+        snap_cut_deg = cache.cut_deg.copy()
         snap_rounds, snap_moves = rounds, moves
         if recorder.enabled:
             recorder.incr("part.batch.kicks")
@@ -499,8 +497,7 @@ def _batch_refine(
         greedy()
         if (state.cut_size, state.connectivity) >= snap_key:
             state.restore(snap)
-            cut_deg = snap_cut_deg
-            stale[:] = True  # caches describe the abandoned exploration
+            cache.rollback(snap_cut_deg)
             rounds, moves = snap_rounds, snap_moves
             break
     return BatchRefineResult(rounds, moves, cut_before - state.cut_size,

@@ -457,7 +457,6 @@ def _improve(
     rng: np.random.Generator,
     cfg: MultilevelConfig,
     refiner: str = "fm",
-    balance_fallback: bool = False,
     recorder: Recorder = NULL_RECORDER,
 ) -> int:
     """Refine to stability with the selected refiner.
@@ -469,18 +468,12 @@ def _improve(
     its fixpoint.  A batch round is one synchronous gather/select/apply
     step — far finer-grained than a pairing round — so the FM round cap
     does not apply; the refiner's own generous default cap backstops
-    the natural fixpoint exit.  ``balance_fallback`` (batch only)
-    forwards the next-best-destination retry mode; it defaults off —
-    measured at 100k vertices, the retries buy a better coarsest cut
-    but a worse final one (greedy churn), so only genuinely
-    window-bound callers should enable it.
+    the natural fixpoint exit.
     """
     if refiner == "batch":
         kicks = 8 if state.hg.num_vertices <= cfg.batch_kick_vertex_limit \
             else 0
-        return batch_refine(state, constraint,
-                            balance_fallback=balance_fallback,
-                            max_kicks=kicks,
+        return batch_refine(state, constraint, max_kicks=kicks,
                             recorder=recorder).rounds
     rounds = 0
     for _ in range(cfg.max_rounds):

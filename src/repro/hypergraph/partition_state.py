@@ -35,6 +35,9 @@ table):
 * :meth:`move` can report, per *critical* incident edge, how the move
   changed the pairwise gains of that edge's other pins, so FM
   maintains neighbour gains by deltas instead of re-evaluating them;
+* :meth:`move_batch` reports which touched edges now contribute
+  differently to their pins' gains, so the batch refiner re-scores
+  those pins instead of every pin of every touched edge;
 * :meth:`copy` / :meth:`export_arrays` / :meth:`from_arrays` duplicate
   the derived arrays directly instead of replaying ``recompute`` —
   O(edges · k) ``memcpy`` instead of an O(pins) scatter, and the cheap
@@ -512,9 +515,21 @@ class PartitionState:
         sits in that block — but the incidence CSR gather, λ lookup
         and source-block analysis run **once** for the whole matrix
         instead of once per destination per objective.  This is the
-        batch refiner's whole-boundary scoring kernel; collapsing its
-        ``2·T`` stacked vector queries into one call is what keeps the
-        per-round gather affordable at a million vertices.
+        batch refiner's scoring kernel.
+
+        With ``last`` = "the vertex is the edge's only pin in its
+        block" and ``z[t]`` = "block ``t`` holds no pin of the edge",
+        an incident edge of weight ``w`` contributes
+        ``w·a − w·(a + b)·z[t]`` to the cut gain toward ``t`` and
+        ``w·last − w·z[t]`` to the SOED gain, where ``a = (λ = 2) ∧
+        last`` (the move uncuts the edge unless it opens ``t``) and
+        ``b = (λ = 1) ∧ ¬last`` (the move cuts an internal edge when it
+        opens ``t``).  Only the ``z`` factor depends on the
+        destination, so each objective is one per-vertex segment sum
+        minus one ``(pins, T)`` product.  An edge's contribution to a
+        pin's rows is thus a function of which blocks hold none of its
+        pins, and of whether the pin's own block holds exactly one —
+        the invalidation rule :meth:`move_batch` reports.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.asarray(to_parts, dtype=np.int64)
@@ -529,21 +544,24 @@ class PartitionState:
         edges, deg = hg.vertices_edges(vertices)
         if len(edges):
             self.lambda_hits += len(edges)
-            counts = self.edge_part_count
+            rows = self.edge_part_count[edges]                      # (E, k)
             frm = np.repeat(self.part[vertices], deg)
-            last_in_from = (counts[edges, frm] == 1)[:, None]       # (E, 1)
-            to_empty = counts[np.ix_(edges, targets)] == 0          # (E, T)
-            lam = self.edge_lambda[edges][:, None]
-            w = hg.edge_weight[edges][:, None]
-            new_lam = lam - last_in_from + to_empty
-            cut_delta = np.where((lam > 1) & (new_lam == 1), w, 0) \
-                - np.where((lam == 1) & (new_lam > 1), w, 0)
-            soed_delta = np.where(last_in_from, w, 0) \
-                - np.where(to_empty, w, 0)
+            last = rows[np.arange(len(edges)), frm] == 1
+            to_empty = (rows == 0)[:, targets]                      # (E, T)
+            lam = self.edge_lambda[edges]
+            w = hg.edge_weight[edges]
+            uncut = w * ((lam == 2) & last)
+            flips = uncut + w * ((lam == 1) & ~last)
             nz = np.flatnonzero(deg)
             starts = (np.cumsum(deg) - deg)[nz]
-            gains[:, nz] = np.add.reduceat(cut_delta, starts, axis=0).T
-            soeds[:, nz] = np.add.reduceat(soed_delta, starts, axis=0).T
+            gains[:, nz] = (
+                np.add.reduceat(uncut, starts)[:, None]
+                - np.add.reduceat(flips[:, None] * to_empty, starts, axis=0)
+            ).T
+            soeds[:, nz] = (
+                np.add.reduceat(w * last, starts)[:, None]
+                - np.add.reduceat(w[:, None] * to_empty, starts, axis=0)
+            ).T
         own = targets[:, None] == self.part[vertices][None, :]
         gains[own] = 0
         soeds[own] = 0
@@ -708,7 +726,7 @@ class PartitionState:
         self,
         vertices: Sequence[int] | np.ndarray,
         to_parts: Sequence[int] | np.ndarray,
-    ) -> tuple[int, np.ndarray, np.ndarray]:
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Apply many moves in one vectorized scatter; the batch
         counterpart of :meth:`move`.
 
@@ -720,12 +738,20 @@ class PartitionState:
         from the λ transitions — O(batch pins + touched·k) total,
         independent of how many untouched edges the hypergraph has.
 
-        Returns ``(gain, touched_edges, old_lambda)``: the realized cut
-        decrease, the sorted ids of every edge incident to a moved
-        vertex, and those edges' λ values *before* the batch.  The two
-        arrays let callers maintain incremental boundary structures —
-        only an edge whose cut status flipped (λ crossing 1) changes
-        any vertex's cut-edge degree (:mod:`repro.core.batch_refine`).
+        Returns ``(gain, touched_edges, old_lambda, changed)``: the
+        realized cut decrease, the sorted ids of every edge incident to
+        a moved vertex, those edges' λ values *before* the batch, and a
+        boolean mask over ``touched_edges`` marking the edges that now
+        contribute differently to the :meth:`move_gains_matrix` rows of
+        their pins.  By that kernel's formula an edge's contribution
+        depends only on which blocks hold none of its pins (that also
+        fixes λ) and which hold exactly one, so ``changed`` is False
+        for a net with two or more pins left in every block it spans —
+        however many of its pins moved.  A moved vertex's *own* block
+        changed, so callers caching gains re-score the moved vertices
+        besides the pins of the changed edges; ``old_lambda`` lets them
+        maintain cut-edge degrees, which only an edge whose λ crossed 1
+        (always a changed one) alters (:mod:`repro.core.batch_refine`).
 
         When no two moved vertices share a hyperedge the realized gain
         equals the sum of the individual :meth:`move_gain` predictions
@@ -748,16 +774,23 @@ class PartitionState:
         vertices, to_arr, frm = vertices[changed], to_arr[changed], frm[changed]
         if not len(vertices):
             empty = np.empty(0, dtype=np.int64)
-            return 0, empty, empty.copy()
+            return 0, empty, empty.copy(), np.empty(0, dtype=bool)
         hg = self.hg
         edges, deg = hg.vertices_edges(vertices)
         counts = self.edge_part_count
+        touched = np.unique(edges)
+        before = counts[touched]
         np.subtract.at(counts, (edges, np.repeat(frm, deg)), 1)
         np.add.at(counts, (edges, np.repeat(to_arr, deg)), 1)
-        touched = np.unique(edges)
-        old_lam = self.edge_lambda[touched].copy()
-        new_lam = np.count_nonzero(counts[touched], axis=1).astype(np.int64)
+        after = counts[touched]
+        old_lam = self.edge_lambda[touched]
+        new_lam = np.count_nonzero(after, axis=1).astype(np.int64)
         self.edge_lambda[touched] = new_lam
+        # counts clipped at 2 carry exactly the "none" / "exactly one"
+        # pattern the gain rows read
+        edge_changed = (
+            np.minimum(before, 2) != np.minimum(after, 2)
+        ).any(axis=1)
         w = hg.edge_weight[touched]
         gain = int(w[(old_lam > 1) & (new_lam == 1)].sum()) - int(
             w[(old_lam == 1) & (new_lam > 1)].sum()
@@ -778,11 +811,11 @@ class PartitionState:
             counts_list = self._counts_list
             lam_list = self._lam_list
             for e, row, nl in zip(
-                touched.tolist(), counts[touched].tolist(), new_lam.tolist()
+                touched.tolist(), after.tolist(), new_lam.tolist()
             ):
                 counts_list[e] = row
                 lam_list[e] = nl
-        return gain, touched, old_lam
+        return gain, touched, old_lam, edge_changed
 
     def bulk_assign(self, vertices: Iterable[int], to_part: int) -> None:
         """Assign many vertices at once, then recompute.

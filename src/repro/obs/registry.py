@@ -50,8 +50,7 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.batch.conflicts": "candidates dropped by the one-destination-per-hyperedge race",
     "part.batch.balance_dropped": "candidates dropped by the prefix-sum weight filters",
     "part.batch.boundary": "boundary vertices gathered in one round (use .max)",
-    "part.batch.gathered": "stale boundary vertices re-scored by the incremental gather",
-    "part.batch.retries": "balance-stalled re-selections with next-best destinations",
+    "part.batch.gathered": "boundary vertices re-scored: moved, or on an edge whose empty/single-pin block pattern changed",
     "part.batch.kicks": "perturbation attempts at the greedy fixpoint (rollback on no gain)",
     "part.ml.levels": "coarsening levels built by the multilevel engine",
     "part.ml.coarse_vertices": "vertex count of the coarsest hypergraph",

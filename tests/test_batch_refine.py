@@ -3,12 +3,14 @@
 Covers the ISSUE acceptance matrix: the degenerate exits (empty
 boundary, k=1, every move rejected by balance), the randomized
 never-worse / oracle-consistency property at the fixpoint, the
-move_batch scatter against a sequential-move oracle, and the
-``refiner="batch"`` plumbing through multilevel, multiway, recursive
-and the CLI.
+move_batch scatter against a sequential-move oracle, the incremental
+gain cache (``BoundaryGains``) against a fresh ``move_gains_matrix``
+after every applied batch, and the ``refiner="batch"`` plumbing through
+multilevel, multiway, recursive and the CLI.
 """
 
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.core import (
     recursive_design_driven_partition,
     validate_refiner,
 )
+from repro.core.batch_refine import BoundaryGains
 from repro.errors import ConfigError, PartitionError
 from repro.hypergraph import Hypergraph, PartitionState, hyperedge_cut
 from repro.obs import MetricsRecorder
@@ -223,7 +226,7 @@ class TestMoveBatchOracle:
         targets = rng.integers(0, k, n_moves)
 
         batched = PartitionState(hg, k, init.copy())
-        gain, touched, old_lam = batched.move_batch(verts, targets)
+        gain, touched, old_lam, changed = batched.move_batch(verts, targets)
 
         serial = PartitionState(hg, k, init.copy())
         cut_before = serial.cut_size
@@ -251,8 +254,181 @@ class TestMoveBatchOracle:
     def test_empty_batch(self):
         hg = Hypergraph.from_edges([1, 1], [[0, 1]])
         state = PartitionState(hg, 2, [0, 1])
-        gain, touched, old_lam = state.move_batch([], [])
+        gain, touched, old_lam, changed = state.move_batch([], [])
         assert gain == 0 and len(touched) == 0 and len(old_lam) == 0
+
+
+def assert_cache_exact(cache: BoundaryGains) -> int:
+    """Every non-stale vertex's cached rows, cached best destination
+    and the cut-edge degrees equal a from-scratch computation on the
+    current state; returns how many vertices were compared."""
+    state = cache.state
+    assert np.array_equal(cache.cut_deg, cut_degrees(state))
+    fresh = np.flatnonzero(~cache.stale)
+    gain, soed = state.move_gains_matrix(fresh, cache.targets)
+    assert np.array_equal(cache.gain[:, fresh], gain)
+    assert np.array_equal(cache.soed[:, fresh], soed)
+    for i, v in enumerate(fresh.tolist()):
+        # lexicographic (cut, soed) argmax, lowest target index on ties
+        pairs = list(zip(gain[:, i].tolist(), soed[:, i].tolist()))
+        best = pairs.index(max(pairs))
+        assert cache.best_target[v] == best, v
+        assert (cache.best_gain[v], cache.best_soed[v]) == pairs[best], v
+    return len(fresh)
+
+
+@pytest.fixture
+def checked_gains(monkeypatch):
+    """Make batch_refine verify its gain cache against the kernel after
+    every applied batch and every kick rollback; yields the tallies."""
+    seen = {"applied": 0, "rollbacks": 0, "compared": 0}
+
+    class CheckedGains(BoundaryGains):
+        def applied(self, moved, touched, old_lam, changed):
+            super().applied(moved, touched, old_lam, changed)
+            assert self.stale[moved].all()
+            seen["applied"] += 1
+            seen["compared"] += assert_cache_exact(self)
+
+        def rollback(self, cut_deg):
+            super().rollback(cut_deg)
+            seen["rollbacks"] += 1
+            assert_cache_exact(self)
+
+    # (repro.core re-exports the function under the module's own name)
+    monkeypatch.setattr(sys.modules["repro.core.batch_refine"],
+                        "BoundaryGains", CheckedGains)
+    return seen
+
+
+def family_hypergraph(family: str, k: int, seed: int):
+    """(hypergraph, initial assignment) of one oracle family."""
+    rng = np.random.default_rng(seed)
+    n = 40 * k
+    weights = rng.integers(1, 4, n).tolist()
+    edges = [[i, i + 1, i + 2] for i in range(0, n - 2, 2)]
+    edges += [rng.choice(n, size=int(rng.integers(2, 6)),
+                         replace=False).tolist() for _ in range(n // 2)]
+    edge_weights = [1] * len(edges)
+    part = rng.integers(0, k, n)
+    if family == "spanning_net":
+        # one net over every vertex, >= 2 pins in every block: touched
+        # by every move, critical for nobody
+        edges.append(list(range(n)))
+        edge_weights.append(1)
+        part[:2 * k] = np.repeat(np.arange(k), 2)
+    elif family == "weighted":
+        edge_weights = rng.integers(1, 6, len(edges)).tolist()
+    elif family == "all_parallel":
+        edges = [edges[0]] * 6 + [edges[-1]] * 6 + edges[:n // 4]
+        edge_weights = [1] * len(edges)
+    else:
+        assert family == "plain"
+    return Hypergraph.from_edges(weights, edges, edge_weights), part
+
+
+class TestGainCacheOracle:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "family", ["plain", "spanning_net", "weighted", "all_parallel"])
+    def test_cache_equals_fresh_kernel_after_every_batch(
+            self, checked_gains, family, k):
+        hg, part = family_hypergraph(family, k, seed=31 + k)
+        state = PartitionState(hg, k, part)
+        res = batch_refine(state, BalanceConstraint(k, 20.0))
+        assert res.moves > 0
+        assert checked_gains["applied"] >= res.rounds > 0
+        assert checked_gains["compared"] > 0
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_blocks_restriction(self, checked_gains, k):
+        hg, part = family_hypergraph("plain", k, seed=5)
+        state = PartitionState(hg, k, part)
+        res = batch_refine(state, BalanceConstraint(k, 40.0),
+                           blocks=(0, k - 1))
+        assert res.moves > 0 and checked_gains["applied"] > 0
+
+    def test_kick_that_rolls_back(self, checked_gains):
+        # the last kick's exploration ends no better than its snapshot:
+        # more batches were applied (and checked) than rounds retained
+        hg, part = family_hypergraph("weighted", 8, seed=1)
+        state = PartitionState(hg, 8, part)
+        res = batch_refine(state, BalanceConstraint(8, 20.0))
+        assert checked_gains["rollbacks"] == 1
+        assert checked_gains["applied"] > res.rounds
+
+    # one 6-pin edge over k=3 blocks plus an untouched bystander edge;
+    # (assignment of the six pins, vertex moved, target, edge changed?)
+    @pytest.mark.parametrize("pins, v, to, expect_changed", [
+        ([0, 0, 0, 1, 1, 1], 0, 1, False),   # 3->2 and 3->4: nothing
+        ([0, 0, 1, 1, 1, 1], 0, 1, True),    # count 2->1
+        ([0, 1, 1, 1, 1, 1], 0, 1, True),    # count 1->0, lambda 2->1
+        ([0, 0, 0, 0, 0, 0], 0, 1, True),    # count 0->1, lambda 1->2
+        ([0, 1, 1, 1, 2, 2], 0, 1, True),    # lambda 3->2
+        ([0, 0, 0, 1, 1, 1], 0, 2, True),    # lambda 2->3 (0->1 at 2)
+        ([0, 0, 0, 1, 2, 2], 3, 2, True),    # 1->0 and 2->3
+        ([0, 0, 0, 1, 1, 2], 0, 2, True),    # count 1->2
+    ])
+    def test_signature_transitions(self, pins, v, to, expect_changed):
+        hg = Hypergraph.from_edges(
+            [1] * 9, [[0, 1, 2, 3, 4, 5], [6, 7, 8], [5, 6]], [3, 1, 2])
+        state = PartitionState(hg, 3, pins + [0, 1, 2])
+        cache = BoundaryGains(state, np.arange(3))
+        cache.refresh(np.arange(9))
+        assert not cache.stale.any()
+        moved = np.array([v])
+        _, touched, old_lam, changed = state.move_batch(moved, [to])
+        assert touched.tolist() == [0]
+        assert changed.tolist() == [expect_changed]
+        cache.applied(moved, touched, old_lam, changed)
+        expect_stale = set(range(6)) if expect_changed else {v}
+        assert set(np.flatnonzero(cache.stale).tolist()) == expect_stale
+        assert assert_cache_exact(cache) == 9 - len(expect_stale)
+        # ... and the rule is tight where it says "changed": some
+        # other pin's rows really did move
+        if expect_changed:
+            others = np.array([u for u in range(6) if u != v])
+            gain, soed = state.move_gains_matrix(others, cache.targets)
+            assert not (np.array_equal(cache.gain[:, others], gain)
+                        and np.array_equal(cache.soed[:, others], soed))
+
+    def test_moved_vertex_is_stale_without_any_signature_change(self):
+        # every edge of the mover keeps >= 2 pins in both blocks, so no
+        # signature flips; the mover itself must still be re-scored
+        hg = Hypergraph.from_edges(
+            [1] * 8, [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 4, 5, 6]])
+        state = PartitionState(hg, 2, [0, 0, 0, 0, 1, 1, 1, 1])
+        cache = BoundaryGains(state, np.arange(2))
+        cache.refresh(np.arange(8))
+        moved = np.array([0])
+        _, touched, old_lam, changed = state.move_batch(moved, [1])
+        assert touched.tolist() == [0, 1] and not changed.any()
+        cache.applied(moved, touched, old_lam, changed)
+        assert np.flatnonzero(cache.stale).tolist() == [0]
+        assert cache.refresh(np.arange(8)) == 1
+        assert assert_cache_exact(cache) == 8
+
+    def test_wide_net_is_rescored_once(self):
+        # a 5000-pin net cut across all four blocks (the clock) plus
+        # 2-pin chains: every vertex is on the boundary and every move
+        # touches the net, yet only the first round scores its pins —
+        # later rounds pay for the movers and their chain neighbours
+        n, k = 5000, 4
+        rng = np.random.default_rng(41)
+        part = np.repeat(np.arange(k), n // k)
+        flipped = rng.choice(n, size=200, replace=False)
+        part[flipped] = (part[flipped] + 1 + rng.integers(0, k - 1, 200)) % k
+        chains = [[i, i + 1] for i in range(n - 1) if (i + 1) % 50]
+        hg = Hypergraph.from_edges([1] * n, [list(range(n))] + chains)
+        state = PartitionState(hg, k, part)
+        rec = MetricsRecorder()
+        res = batch_refine(state, BalanceConstraint(k, 10.0), max_kicks=0,
+                           recorder=rec)
+        counters = rec.as_counters()
+        assert res.rounds > 1 and res.moves > 0
+        assert counters["part.batch.boundary.max"] == n
+        # a mover stales itself and the <= 2 far ends of its chain edges
+        assert counters["part.batch.gathered"] <= n + 3 * res.moves
 
 
 class TestBlocksRestriction:

@@ -35,9 +35,10 @@ from repro.hypergraph.build import (
 )
 
 
-def random_hypergraph(rng, n_max=48, e_max=70, adversarial=0):
+def random_hypergraph(rng, n_max=48, e_max=70, adversarial=0, isolated=0):
     """Random circuit-ish hypergraph; ``adversarial`` selects a shape:
-    0 plain, 1 all-parallel bundle, 2 clock-net-wide edge, 3 both."""
+    0 plain, 1 all-parallel bundle, 2 clock-net-wide edge, 3 both.
+    ``isolated`` appends that many vertices on no edge at all."""
     n = int(rng.integers(2, n_max))
     ne = int(rng.integers(1, e_max))
     edges = [
@@ -48,7 +49,7 @@ def random_hypergraph(rng, n_max=48, e_max=70, adversarial=0):
         edges += [edges[0]] * 4  # parallel copies of one edge
     if adversarial in (2, 3):
         edges.append(list(range(n)))  # one clock/reset-wide net
-    weights = rng.integers(1, 6, n).tolist()
+    weights = rng.integers(1, 6, n + isolated).tolist()
     edge_weights = rng.integers(1, 4, len(edges)).tolist()
     return Hypergraph.from_edges(weights, edges, edge_weights)
 
@@ -205,21 +206,35 @@ class TestFromCsr:
 
 class TestGainMatrixKernel:
     def test_matches_stacked_vector_queries(self):
+        # weighted edges (random_hypergraph draws weights 1..3), two
+        # zero-degree vertices, a shuffled target subset on odd trials,
+        # and single-block / two-block / wider edges all present
         rng = np.random.default_rng(99)
+        lambdas_seen = set()
         for trial in range(60):
-            hg = random_hypergraph(rng, adversarial=trial % 4)
+            hg = random_hypergraph(rng, adversarial=trial % 4, isolated=2)
             n = hg.num_vertices
             k = int(rng.integers(2, 6))
             state = PartitionState(hg, k, rng.integers(0, k, n))
-            verts = np.unique(rng.integers(0, n, int(rng.integers(1, n + 1))))
+            verts = np.unique(np.concatenate([
+                rng.integers(0, n, int(rng.integers(1, n + 1))),
+                [n - 2, n - 1],
+            ]))
+            assert not len(hg.vertex_edges(n - 1))
             targets = np.arange(k, dtype=np.int64)
+            if trial % 2:
+                targets = rng.permutation(k)[:int(rng.integers(1, k + 1))]
+            edges, _ = hg.vertices_edges(verts)
+            lambdas_seen |= set(np.minimum(state.edge_lambda[edges], 3)
+                                .tolist())
             gains, soeds = state.move_gains_matrix(verts, targets)
             assert np.array_equal(
-                gains, np.stack([state.move_gains(verts, p)
-                                 for p in range(k)]))
+                gains, np.stack([state.move_gains(verts, int(p))
+                                 for p in targets]))
             assert np.array_equal(
-                soeds, np.stack([state.move_soed_gains(verts, p)
-                                 for p in range(k)]))
+                soeds, np.stack([state.move_soed_gains(verts, int(p))
+                                 for p in targets]))
+        assert lambdas_seen == {1, 2, 3}
 
     def test_target_subset_and_empty(self):
         hg = Hypergraph.from_edges([1] * 6, [[0, 1, 2], [2, 3], [4, 5]])

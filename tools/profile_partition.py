@@ -9,7 +9,9 @@ circuit and profiles ``design_driven_partition`` on its top-level
 hierarchy (the pipeline benchmark's ``hier_93k`` shape: a few hundred
 fat super-gates, heap FM).  Either way it prints the top functions, the
 recorder's per-phase wall breakdown, and — where FM ran — how many
-moves it executed against how many survived best-prefix rollback.  This
+moves it executed against how many survived best-prefix rollback, or —
+where the batch refiner ran — how many vertices it re-scored per round
+and per applied move.  This
 is the before/after evidence harness for partitioner kernel work — the
 peer of ``tools/profile_sim.py`` on the partitioning side
 (docs/performance.md records the numbers it moved).
@@ -124,12 +126,22 @@ def main(argv: list[str] | None = None) -> int:
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
 
     print(summary)
-    counters = rec.counters
+    counters = rec.as_counters()
     if counters.get("part.fm.passes"):
         print(f"fm: {counters['part.fm.passes']} passes, "
               f"{_move_calls(stats)} move() calls (executed + rolled back), "
               f"part.fm.moves={counters['part.fm.moves']} retained, "
               f"part.core.lambda_hits={counters['part.core.lambda_hits']}")
+    if "part.batch.rounds" in counters:
+        rounds = counters["part.batch.rounds"]
+        moves = counters["part.batch.moves"]
+        gathered = counters.get("part.batch.gathered", 0)
+        print(f"batch: {rounds} rounds, {moves} moves, "
+              f"part.batch.boundary.max="
+              f"{counters.get('part.batch.boundary.max', 0)}, "
+              f"part.batch.gathered={gathered} re-scored "
+              f"({gathered / max(rounds, 1):.1f}/round, "
+              f"{gathered / max(moves, 1):.1f}/move)")
     print("phase walls:")
     for phase, wall in rec.host_timings().items():
         if phase.startswith("partition."):
