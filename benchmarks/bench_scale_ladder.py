@@ -112,7 +112,7 @@ def child(name: str, k: int) -> None:
         sampler._sample_once()
         build_peak_kb = sampler.peak_rss_kb
         result = multilevel_kway_partition(
-            hg, k, B, seed=SEED, workers=1, recorder=rec, refiner="batch"
+            hg, k, B, seed=SEED, recorder=rec, refiner="batch"
         )
         t3 = time.perf_counter()
     phase_walls = rec.host_timings()

@@ -145,16 +145,6 @@ SECTIONS = [
      "count exactly (388 top-level instances, ~93k gates).  Partitioning "
      "at that structure — the closest match to the original experiment "
      "this reproduction can run — shows the same multi-x cut advantage."),
-    ("Extension — deterministic parallel refinement", "parallel_refine",
-     "Not in the paper: the pairwise-refinement engine fans each "
-     "tournament round's disjoint pairs out over worker processes "
-     "(docs/parallelism.md).  Measured at paper scale (k=16, "
-     "exhaustive pairing): the partition bytes, cut and balance are "
-     "identical at every worker count — worker count is a wall-time "
-     "knob only.  The deterministic 'ideal speedup' column is the "
-     "structural bound (tasks / critical-path slots); measured walls "
-     "live in the quarantined host_timings channel and depend on how "
-     "many cores the host actually has."),
     ("Extension — vectorized partition-core speed study", "partition_speed",
      "Not in the paper: the λ-cached, batch-gain partition core against "
      "the pre-optimization bookkeeping (kept runnable as "
@@ -181,24 +171,23 @@ SECTIONS = [
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "
      "identical LPT seeding and FM budget, on a deterministic "
-     "100k-vertex netlist-shaped hypergraph.  Two gates are asserted: "
+     "100k-vertex netlist-shaped hypergraph.  One gate is asserted: "
      "the multilevel cut beats or matches direct at equal Formula-1 "
-     "balance, and the assignment sha256 is identical at 1/2/4 "
-     "refinement workers (the PR 3 determinism contract, inherited "
-     "level by level).  Walls live in the quarantined host_timings "
+     "balance; the assignment sha256 column pins the partitions "
+     "themselves.  Walls live in the quarantined host_timings "
      "channel."),
     ("Extension — batch data-parallel refinement vs heap FM",
      "batch_refine",
      "Not in the paper: the whole-boundary batch refiner "
      "(docs/refinement.md, `--refiner batch`) against heap FM, both "
      "driven by the multilevel engine on the same 100k-vertex "
-     "hypergraph as the multilevel extension.  Three gates are "
+     "hypergraph as the multilevel extension.  Two gates are "
      "asserted: the batch cut lands within 5% of FM's at equal "
-     "Formula-1 balance, the batch refiner's synchronous round count "
-     "stays an order of magnitude below FM's sequential move count "
-     "(the structural speedup — vector width replaces move-by-move "
-     "dependency), and the batch assignment sha256 is identical at "
-     "1/2/4 workers.  Walls live in the quarantined host_timings "
+     "Formula-1 balance, and the batch refiner's synchronous round "
+     "count stays an order of magnitude below FM's sequential move "
+     "count (the structural speedup — vector width replaces "
+     "move-by-move dependency); the sha256 column pins both "
+     "partitions.  Walls live in the quarantined host_timings "
      "channel."),
     ("Extension — million-gate scale ladder", "scale_ladder",
      "Not in the paper's experiments but its premise: the original "

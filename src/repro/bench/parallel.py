@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..core.balance import PAPER_B_VALUES
-from ..core.parallel_refine import resolve_workers
+from ..core.presim import resolve_workers
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.spans import export_telemetry, merge_telemetry, worker_telemetry
 
@@ -59,7 +59,6 @@ def _evaluate_cell(
     n_vectors: int,
     seed: int,
     pairing: str,
-    refine_workers: int = 1,
     algorithm: str = "design",
     collect: bool = False,
     refiner: str = "fm",
@@ -84,13 +83,12 @@ def _evaluate_cell(
         events = random_vectors(netlist, n_vectors, seed=seed)
         if algorithm == "multilevel":
             part = multilevel_flat_partition(
-                netlist, k, b, seed=seed, workers=refine_workers,
-                refiner=refiner, recorder=wrec,
+                netlist, k, b, seed=seed, refiner=refiner, recorder=wrec,
             )
         else:
             part = design_driven_partition(
                 netlist, k=k, b=b, seed=seed, pairing=pairing,
-                workers=refine_workers, refiner=refiner, recorder=wrec,
+                refiner=refiner, recorder=wrec,
             )
         clusters, machines = part.to_simulation()
         report = run_partitioned(
@@ -119,7 +117,6 @@ def run_presim_grid(
     pairing: str = "gain",
     top: str | None = None,
     workers: int | None = None,
-    refine_workers: int = 1,
     algorithm: str = "design",
     refiner: str = "fm",
     recorder: Recorder = NULL_RECORDER,
@@ -127,7 +124,7 @@ def run_presim_grid(
     """Run the (k, b) pre-simulation grid, optionally across processes.
 
     Worker-count policy is the shared
-    :func:`repro.core.parallel_refine.resolve_workers`: ``workers=None``
+    :func:`repro.core.presim.resolve_workers`: ``workers=None``
     consults the ``REPRO_WORKERS`` environment variable (unset means
     serial, capped at ``os.cpu_count()``), an explicit count is honoured
     verbatim.  Serial runs stay in-process (no subprocess overhead);
@@ -135,12 +132,6 @@ def run_presim_grid(
     in grid order regardless of completion order, and every cell is
     seeded identically to the serial path, so results never depend on
     the worker count.
-
-    ``refine_workers`` is forwarded to each cell's
-    :func:`~repro.core.multiway.design_driven_partition` call.  Inside a
-    parallel grid the cells are daemonic workers, so nested refinement
-    pools automatically degrade to serial (see ``docs/parallelism.md``);
-    the default of 1 keeps the serial grid's cells serial too.
 
     ``algorithm`` selects each cell's partition backend — ``"design"``
     (default) or ``"multilevel"``
@@ -156,8 +147,8 @@ def run_presim_grid(
     collect = recorder.enabled
     cells = [(k, b) for k in ks for b in bs]
     args = [
-        (source, top, k, b, n_vectors, seed, pairing, refine_workers,
-         algorithm, collect, refiner)
+        (source, top, k, b, n_vectors, seed, pairing, algorithm, collect,
+         refiner)
         for k, b in cells
     ]
     if resolved <= 1:

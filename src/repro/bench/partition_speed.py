@@ -37,7 +37,7 @@ import numpy as np
 from ..core.balance import BalanceConstraint
 from ..core.fm import refine_pair
 from ..core.pairing import estimate_pair_gain
-from ..core.parallel_refine import tournament_rounds
+from ..core.pairing import tournament_rounds
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph, PartitionState
 
@@ -321,8 +321,8 @@ def run_sweep(
     seed: int = 0,
 ) -> SweepStats:
     """One full exhaustive refinement sweep, mirroring a driver round:
-    per tournament round, take a snapshot (what the parallel engine
-    ships to workers), score **every** pair's estimated gain (the
+    per tournament round, take a snapshot (a full derived-array
+    ``copy()``), score **every** pair's estimated gain (the
     gain-based pairing criterion, computed exhaustively), then run FM
     over the round's pairs serially.
 

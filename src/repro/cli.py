@@ -71,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="refinement engine: heap FM or the data-parallel "
                          "batch refiner (design and multilevel algorithms; "
                          "see docs/refinement.md)")
-    pa.add_argument("--refine-workers", type=int, default=None,
-                    metavar="N",
-                    help="refinement worker processes (design and "
-                         "multilevel algorithms; default: REPRO_WORKERS env "
-                         "or serial); any value yields bit-identical "
-                         "partitions — see docs/parallelism.md")
     pa.add_argument("--assignment-out", type=Path, default=None,
                     help="write '<gate name> <partition>' lines here")
     pa.add_argument("--save", type=Path, default=None,
@@ -114,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="classic aggressive cancellation instead of lazy")
     ps.add_argument("--partition", type=Path, default=None,
                     help="reuse a partition saved with 'partition --save'")
-    ps.add_argument("--refine-workers", type=int, default=None,
-                    metavar="N",
-                    help="refinement worker processes for the partitioning "
-                         "step (default: REPRO_WORKERS env or serial); "
-                         "never changes the partition or the simulation")
     ps.add_argument("--refiner", choices=("fm", "batch"), default="fm",
                     help="refinement engine for the partitioning step "
                          "(see docs/refinement.md)")
@@ -156,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--workers", type=int, default=None,
                     help="grid process count (default: REPRO_WORKERS env "
                          "or serial)")
-    sw.add_argument("--refine-workers", type=int, default=1,
-                    metavar="N",
-                    help="refinement workers inside each grid cell "
-                         "(default: 1; parallel grid cells always refine "
-                         "serially — nested pools are not allowed)")
     sw.add_argument("--algorithm", choices=("design", "multilevel"),
                     default="design",
                     help="partition backend per grid cell "
@@ -192,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--refiner", choices=("fm", "batch"), default="fm",
                     help="refinement engine per candidate partition "
                          "(see docs/refinement.md)")
-    se.add_argument("--refine-workers", type=int, default=None,
-                    metavar="N",
-                    help="refinement worker processes per candidate "
-                         "partition (default: REPRO_WORKERS env or serial)")
     se.add_argument("--presim-workers", type=int, default=None,
                     metavar="N",
                     help="worker processes fanning out the (k, b) "
@@ -402,7 +382,7 @@ def _cmd_partition(args, out) -> int:
 
         r = design_driven_partition(
             netlist, k=args.k, b=args.b, seed=args.seed, pairing=args.pairing,
-            workers=args.refine_workers, refiner=args.refiner,
+            refiner=args.refiner,
             recorder=recorder if recorder is not None else NULL_RECORDER,
         )
         cut, loads = r.cut_size, r.part_weights.tolist()
@@ -420,8 +400,7 @@ def _cmd_partition(args, out) -> int:
         from .obs import NULL_RECORDER
 
         r = multilevel_flat_partition(
-            netlist, args.k, args.b, seed=args.seed,
-            workers=args.refine_workers, refiner=args.refiner,
+            netlist, args.k, args.b, seed=args.seed, refiner=args.refiner,
             recorder=recorder if recorder is not None else NULL_RECORDER,
         )
         cut, loads = r.cut_size, r.part_weights.tolist()
@@ -550,7 +529,6 @@ def _cmd_psim(args, out) -> int:
     else:
         part = design_driven_partition(netlist, k=args.k, b=args.b,
                                        seed=args.seed,
-                                       workers=args.refine_workers,
                                        refiner=args.refiner,
                                        recorder=recorder)
         k = args.k
@@ -622,7 +600,6 @@ def _cmd_sweep(args, out) -> int:
     cells = run_presim_grid(
         source, ks=ks, bs=bs, n_vectors=args.vectors, seed=args.seed,
         top=args.top, workers=args.workers,
-        refine_workers=args.refine_workers,
         algorithm=args.algorithm,
         refiner=args.refiner,
         recorder=recorder,
@@ -673,7 +650,6 @@ def _cmd_search(args, out) -> int:
     if args.heuristic:
         study = heuristic_presim(netlist, events, max_k=args.max_k,
                                  seed=args.seed,
-                                 refine_workers=args.refine_workers,
                                  workers=args.presim_workers,
                                  algorithm=args.algorithm,
                                  refiner=args.refiner,
@@ -681,7 +657,7 @@ def _cmd_search(args, out) -> int:
     else:
         study = brute_force_presim(
             netlist, events, ks=tuple(range(2, args.max_k + 1)),
-            seed=args.seed, refine_workers=args.refine_workers,
+            seed=args.seed,
             workers=args.presim_workers, algorithm=args.algorithm,
             refiner=args.refiner, recorder=recorder,
         )

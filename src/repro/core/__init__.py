@@ -10,9 +10,9 @@ Public surface:
 * :func:`cone_partition` — the concurrency-oriented initial partition.
 * :func:`refine_pair` — pairwise FM with best-prefix rollback.
 * :data:`PAIRING_STRATEGIES` — random / exhaustive / cut / gain.
-* :class:`PairwiseRefiner` / :func:`tournament_rounds` /
-  :func:`resolve_workers` — the deterministic process-parallel
-  refinement engine (see ``docs/parallelism.md``).
+* :func:`tournament_rounds` / :func:`pairing_rounds` — the order
+  pairs are refined in; :func:`resolve_workers` — the worker-count
+  policy of the presim and sweep pools (see ``docs/parallelism.md``).
 * :func:`brute_force_presim` / :func:`heuristic_presim` — the (k, b)
   selection searches driven by short trial simulations.
 * :func:`multilevel_kway_partition` / :func:`direct_kway_partition` /
@@ -33,11 +33,11 @@ from .batch_refine import (
 )
 from .cone import cone_partition, input_cones, build_cluster_dag
 from .fm import FMPassResult, refine_pair, rebalance_pair
-from .pairing import PAIRING_STRATEGIES, pairing_strategy, estimate_pair_gain
-from .parallel_refine import (
-    PairwiseRefiner,
+from .pairing import (
+    PAIRING_STRATEGIES,
+    estimate_pair_gain,
     pairing_rounds,
-    resolve_workers,
+    pairing_strategy,
     schedule_rounds,
     tournament_rounds,
 )
@@ -57,6 +57,7 @@ from .presim import (
     evaluate_partition,
     brute_force_presim,
     heuristic_presim,
+    resolve_workers,
 )
 from .activity import profile_activity, activity_clustering
 from .recursive import recursive_design_driven_partition
@@ -85,7 +86,6 @@ __all__ = [
     "PAIRING_STRATEGIES",
     "pairing_strategy",
     "estimate_pair_gain",
-    "PairwiseRefiner",
     "pairing_rounds",
     "resolve_workers",
     "schedule_rounds",

@@ -58,10 +58,8 @@ keeps the result only when the objective ends strictly better than the
 snapshot, restoring it otherwise.  The cut is therefore monotone
 non-increasing across the whole call, accepted kicks strictly decrease
 the potential, and termination is guaranteed.  The refiner is
-single-process and free of iteration-order ambiguity, so — unlike the
-pairwise engine, which *earns* its determinism with snapshots and
-ordered replay — any worker count trivially produces the identical
-partition.  ``docs/refinement.md`` carries the full taxonomy,
+single-process and free of iteration-order ambiguity.
+``docs/refinement.md`` carries the full taxonomy,
 correctness argument and decision guide.
 
 Observability: ``part.batch.*`` counters under the

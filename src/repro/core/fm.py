@@ -44,21 +44,11 @@ __all__ = ["FMPassResult", "refine_pair", "rebalance_pair"]
 
 @dataclass
 class FMPassResult:
-    """Outcome of :func:`refine_pair`: total realized gain and moves.
-
-    ``moves_log`` is populated only when :func:`refine_pair` was called
-    with ``collect_moves=True``: the retained ``(vertex, target)``
-    moves in execution order — replaying them with
-    :meth:`PartitionState.move` on a copy of the pre-refinement state
-    reproduces the refined state exactly.  This is the slim payload the
-    process-parallel engine (:mod:`repro.core.parallel_refine`) ships
-    back from workers.
-    """
+    """Outcome of :func:`refine_pair`: total realized gain and moves."""
 
     gain: int
     moves: int
     passes: int
-    moves_log: list[tuple[int, int]] | None = None
 
 
 #: the ``PartitionState`` work tallies surfaced as ``part.core.<name>``
@@ -79,7 +69,6 @@ def refine_pair(
     constraint: BalanceConstraint,
     max_passes: int = 8,
     recorder: Recorder = NULL_RECORDER,
-    collect_moves: bool = False,
 ) -> FMPassResult:
     """FM refinement between partitions ``a`` and ``b`` (in place).
 
@@ -90,23 +79,16 @@ def refine_pair(
     ``part.fm.passes`` / ``part.fm.moves`` / ``part.fm.gain`` and this
     call's share of the state's ``part.core.*`` tallies across calls;
     the default no-op recorder keeps this free.
-
-    With ``collect_moves=True`` the result additionally carries the
-    retained move log (see :class:`FMPassResult.moves_log`) so a remote
-    caller can replay the refinement on another copy of the state.
     """
     total_gain = 0
     total_moves = 0
     passes = 0
-    log: list[tuple[int, int]] | None = [] if collect_moves else None
     core_before = [getattr(state, name) for name in _CORE_TALLIES]
     for _ in range(max_passes):
         gain, retained = _one_pass(state, a, b, constraint)
         passes += 1
         total_gain += gain
         total_moves += len(retained)
-        if log is not None:
-            log.extend(retained)
         if gain <= 0:
             break
     if recorder.enabled:
@@ -115,7 +97,7 @@ def refine_pair(
         recorder.incr("part.fm.gain", total_gain)
         for name, before in zip(_CORE_TALLIES, core_before):
             recorder.incr(f"part.core.{name}", getattr(state, name) - before)
-    return FMPassResult(total_gain, total_moves, passes, log)
+    return FMPassResult(total_gain, total_moves, passes)
 
 
 def _one_pass(

@@ -3,10 +3,10 @@
 The hMetis-style baseline (:mod:`repro.baselines.multilevel`) proved
 the multilevel idea on this codebase but predates the vectorized
 substrate: it recursively bisects induced sub-hypergraphs with its own
-two-way FM and never touches :class:`PartitionState`, the obs recorder
-or the parallel refinement engine.  This module is the production
-rewrite — a *direct k-way* multilevel pipeline built entirely from the
-repo's first-class machinery::
+two-way FM and never touches :class:`PartitionState` or the obs
+recorder.  This module is the production rewrite — a *direct k-way*
+multilevel pipeline built entirely from the repo's first-class
+machinery::
 
     coarsen      heavy-edge first-choice matching, weight-aware
                  (no cluster may exceed a balance-implied cap),
@@ -18,13 +18,11 @@ repo's first-class machinery::
                  :func:`repro.hypergraph.build.project_hypergraph`)
                  and refine with tournament-scheduled pairwise FM
 
-Every refinement round — at the coarsest level and at every
-uncoarsening level — runs through
-:class:`repro.core.parallel_refine.PairwiseRefiner`, so the engine
-inherits the PR 3 determinism contract verbatim: any ``workers`` count
-produces a **bit-identical** partition (snapshot + ordered move
-replay over disjoint tournament pairs; see ``docs/parallelism.md``
-and ``docs/multilevel.md`` for the invariance argument).
+Every refinement — at the coarsest level and at every uncoarsening
+level — is the stability loop the design-driven driver runs
+(:func:`repro.core.pairing.improve_until_stable`), serial and in place,
+so a partition is a function of ``(hg, k, b, seed, config, refiner)``
+alone (``docs/multilevel.md``).
 
 Design references (PAPERS.md): weight-aware matching caps follow
 "Multilevel Hypergraph Partitioning with Vertex Weights Revisited";
@@ -51,9 +49,13 @@ from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import Netlist
 from .balance import BalanceConstraint
-from .batch_refine import batch_refine, validate_refiner
-from .fm import rebalance_pair
-from .parallel_refine import PairwiseRefiner, pairing_rounds
+from .batch_refine import validate_refiner
+from .pairing import (
+    improve_until_stable,
+    pairing_rounds,
+    repair_balance,
+    require_serial,
+)
 
 __all__ = [
     "MultilevelConfig",
@@ -449,61 +451,24 @@ def _greedy_fill(vertex_weight: list[int], k: int,
     return np.asarray(assign, dtype=np.int64)
 
 
-def _improve(
+def _refine_level(
     state: PartitionState,
     constraint: BalanceConstraint,
     rounds_fn,
-    engine: PairwiseRefiner,
     rng: np.random.Generator,
     cfg: MultilevelConfig,
-    refiner: str = "fm",
-    recorder: Recorder = NULL_RECORDER,
+    refiner: str,
+    recorder: Recorder,
 ) -> int:
-    """Refine to stability with the selected refiner.
-
-    ``refiner="fm"``: tournament pairing + pairwise-FM rounds until a
-    round yields no gain (the same stability loop as the direct
-    multiway driver).  ``refiner="batch"``: the data-parallel
-    whole-boundary refiner of :mod:`repro.core.batch_refine`, run to
-    its fixpoint.  A batch round is one synchronous gather/select/apply
-    step — far finer-grained than a pairing round — so the FM round cap
-    does not apply; the refiner's own generous default cap backstops
-    the natural fixpoint exit.
-    """
-    if refiner == "batch":
-        kicks = 8 if state.hg.num_vertices <= cfg.batch_kick_vertex_limit \
-            else 0
-        return batch_refine(state, constraint, max_kicks=kicks,
-                            recorder=recorder).rounds
-    rounds = 0
-    for _ in range(cfg.max_rounds):
-        schedule = rounds_fn(state, rng)
-        gain = 0
-        for pair_round in schedule:
-            gain += engine.refine_round(
-                state, pair_round, constraint, max_passes=cfg.max_fm_passes,
-            )
-        rounds += 1
-        if gain <= 0:
-            break
+    """One level's refinement: the shared stability loop under this
+    config's budgets, then the load repair; returns the rounds run."""
+    kicks = 8 if state.hg.num_vertices <= cfg.batch_kick_vertex_limit else 0
+    rounds = improve_until_stable(
+        state, constraint, rounds_fn, rng, cfg.max_fm_passes, cfg.max_rounds,
+        refiner=refiner, max_kicks=kicks, recorder=recorder,
+    )
+    repair_balance(state, constraint, 2 * state.k, recorder)
     return rounds
-
-
-def _repair(state: PartitionState, constraint: BalanceConstraint,
-            recorder: Recorder) -> None:
-    """Greedy heavy→light balance repair (driver-side, worker-count
-    independent)."""
-    lo, hi = constraint.bounds(state.hg.total_weight)
-    for _ in range(2 * state.k):
-        heavy = int(np.argmax(state.part_weight))
-        light = int(np.argmin(state.part_weight))
-        if heavy == light:
-            break
-        if state.part_weight[heavy] <= hi and state.part_weight[light] >= lo:
-            break
-        if rebalance_pair(state, heavy, light, constraint,
-                          recorder=recorder) == 0:
-            break
 
 
 def _initial_partition(
@@ -512,7 +477,6 @@ def _initial_partition(
     constraint: BalanceConstraint,
     cfg: MultilevelConfig,
     rounds_fn,
-    engine: PairwiseRefiner,
     rng: np.random.Generator,
     recorder: Recorder,
     refiner: str = "fm",
@@ -536,10 +500,8 @@ def _initial_partition(
         state = PartitionState(
             coarsest, k, _greedy_fill(vertex_weight, k, order)
         )
-        rounds_total += _improve(state, constraint, rounds_fn, engine,
-                                 rng, cfg, refiner=refiner,
-                                 recorder=recorder)
-        _repair(state, constraint, recorder)
+        rounds_total += _refine_level(state, constraint, rounds_fn, rng,
+                                      cfg, refiner, recorder)
         key = (constraint.violation(state.part_weight), state.cut_size, idx)
         if best is None or key < best:
             best = key
@@ -582,11 +544,10 @@ def multilevel_kway_partition(
         Drives matching order and the random initial fills; fully
         deterministic for a fixed value.
     workers:
-        Refinement worker processes
-        (:mod:`repro.core.parallel_refine`); ``None`` consults
-        ``REPRO_WORKERS``.  **Any** worker count produces a
-        bit-identical partition — parallelism is a wall-time knob only
-        (the determinism contract, ``docs/multilevel.md``).
+        Kept for the pipeline benchmark's call sites; delete with the
+        next ``benchmark`` PR.  ``None`` or ``1``; anything else is a
+        :class:`~repro.errors.ConfigError` — refinement is serial
+        (``docs/parallelism.md``).
     recorder:
         Observability sink: ``part.ml.*`` plus the shared pairing /
         FM / refine counter families and the ``partition.coarsen`` /
@@ -596,14 +557,14 @@ def multilevel_kway_partition(
         :class:`MultilevelConfig` overrides (stop size, matching cap,
         candidate and pass budgets).
     refiner:
-        Per-level refiner: ``"fm"`` (tournament-paired heap FM through
-        the parallel engine) or ``"batch"`` (the data-parallel
-        whole-boundary refiner, :mod:`repro.core.batch_refine`) —
-        see ``docs/refinement.md`` for the decision guide.  Both are
-        deterministic at any ``workers`` count.
+        Per-level refiner: ``"fm"`` (tournament-paired heap FM) or
+        ``"batch"`` (the data-parallel whole-boundary refiner,
+        :mod:`repro.core.batch_refine`) — see ``docs/refinement.md``
+        for the decision guide.
     """
     _validate(hg, k)
     validate_refiner(refiner)
+    require_serial(workers)
     cfg = config if config is not None else MultilevelConfig()
     constraint = BalanceConstraint(k, b)
     rng = np.random.default_rng(seed)
@@ -619,48 +580,38 @@ def multilevel_kway_partition(
     )
 
     rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
-    engine = PairwiseRefiner(workers, recorder=recorder)
-    refine_rounds = 0
     level_cuts: list[int] = []
-    try:
-        with recorder.phase("partition.initial"):
-            state, initial_rounds = _initial_partition(
-                coarsest, k, constraint, cfg, rounds_fn, engine, rng,
-                recorder, refiner=refiner,
-            )
-        refine_rounds += initial_rounds
-        initial_cut = state.cut_size
-        history.append(
-            f"initial: cut={initial_cut}, "
-            f"loads={state.part_weight.tolist()}"
+    with recorder.phase("partition.initial"):
+        state, refine_rounds = _initial_partition(
+            coarsest, k, constraint, cfg, rounds_fn, rng, recorder,
+            refiner=refiner,
         )
-        if recorder.enabled:
-            recorder.incr("part.ml.initial_candidates",
-                          max(1, cfg.num_initial))
-            recorder.incr("part.ml.initial_cut", initial_cut)
-            recorder.observe_max("part.ml.level_cut", initial_cut)
-        with recorder.phase("partition.uncoarsen"):
-            for level in reversed(levels):
-                state = PartitionState(
-                    level.fine, k, state.part[level.mapping]
-                )
-                refine_rounds += _improve(state, constraint, rounds_fn,
-                                          engine, rng, cfg,
-                                          refiner=refiner,
-                                          recorder=recorder)
-                _repair(state, constraint, recorder)
-                level_cuts.append(state.cut_size)
-                if recorder.enabled:
-                    recorder.observe_max("part.ml.level_cut",
-                                         state.cut_size)
-                history.append(
-                    f"level {level.fine.num_vertices}v: "
-                    f"cut={state.cut_size}, "
-                    f"loads={state.part_weight.tolist()}"
-                )
-        engine.record_summary()
-    finally:
-        engine.close()
+    initial_cut = state.cut_size
+    history.append(
+        f"initial: cut={initial_cut}, "
+        f"loads={state.part_weight.tolist()}"
+    )
+    if recorder.enabled:
+        recorder.incr("part.ml.initial_candidates",
+                      max(1, cfg.num_initial))
+        recorder.incr("part.ml.initial_cut", initial_cut)
+        recorder.observe_max("part.ml.level_cut", initial_cut)
+    with recorder.phase("partition.uncoarsen"):
+        for level in reversed(levels):
+            state = PartitionState(
+                level.fine, k, state.part[level.mapping]
+            )
+            refine_rounds += _refine_level(state, constraint, rounds_fn,
+                                           rng, cfg, refiner, recorder)
+            level_cuts.append(state.cut_size)
+            if recorder.enabled:
+                recorder.observe_max("part.ml.level_cut",
+                                     state.cut_size)
+            history.append(
+                f"level {level.fine.num_vertices}v: "
+                f"cut={state.cut_size}, "
+                f"loads={state.part_weight.tolist()}"
+            )
 
     if recorder.enabled:
         recorder.incr("part.ml.refine_rounds", refine_rounds)
@@ -687,7 +638,6 @@ def direct_kway_partition(
     k: int,
     b: float,
     seed: int = 0,
-    workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
     config: MultilevelConfig | None = None,
     refiner: str = "fm",
@@ -716,29 +666,22 @@ def direct_kway_partition(
     order = sorted(range(hg.num_vertices),
                    key=lambda v: (-vertex_weight[v], v))
     rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
-    engine = PairwiseRefiner(workers, recorder=recorder)
-    try:
-        with recorder.phase("partition.initial"):
-            state = PartitionState(
-                hg, k, _greedy_fill(vertex_weight, k, order)
-            )
-        initial_cut = state.cut_size
-        history.append(
-            f"LPT initial: cut={initial_cut}, "
-            f"loads={state.part_weight.tolist()}"
+    with recorder.phase("partition.initial"):
+        state = PartitionState(
+            hg, k, _greedy_fill(vertex_weight, k, order)
         )
-        with recorder.phase("partition.refine"):
-            refine_rounds = _improve(state, constraint, rounds_fn, engine,
-                                     rng, cfg, refiner=refiner,
-                                     recorder=recorder)
-        _repair(state, constraint, recorder)
-        history.append(
-            f"refined: cut={state.cut_size}, "
-            f"loads={state.part_weight.tolist()}"
-        )
-        engine.record_summary()
-    finally:
-        engine.close()
+    initial_cut = state.cut_size
+    history.append(
+        f"LPT initial: cut={initial_cut}, "
+        f"loads={state.part_weight.tolist()}"
+    )
+    with recorder.phase("partition.refine"):
+        refine_rounds = _refine_level(state, constraint, rounds_fn, rng,
+                                      cfg, refiner, recorder)
+    history.append(
+        f"refined: cut={state.cut_size}, "
+        f"loads={state.part_weight.tolist()}"
+    )
     return MultilevelKwayResult(
         assignment=state.part.copy(),
         k=k,
@@ -760,7 +703,6 @@ def multilevel_flat_partition(
     k: int,
     b: float,
     seed: int = 0,
-    workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
     config: MultilevelConfig | None = None,
     refiner: str = "fm",
@@ -774,6 +716,6 @@ def multilevel_flat_partition(
     ``refiner`` passes through to :func:`multilevel_kway_partition`.
     """
     return multilevel_kway_partition(
-        flat_hypergraph(netlist), k, b, seed=seed, workers=workers,
-        recorder=recorder, config=config, refiner=refiner,
+        flat_hypergraph(netlist), k, b, seed=seed, recorder=recorder,
+        config=config, refiner=refiner,
     )

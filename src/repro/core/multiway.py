@@ -28,10 +28,14 @@ from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import Netlist
 from .balance import BalanceConstraint
-from .batch_refine import batch_refine, validate_refiner
+from .batch_refine import validate_refiner
 from .cone import cone_partition
-from .fm import rebalance_pair
-from .parallel_refine import PairwiseRefiner, pairing_rounds
+from .pairing import (
+    improve_until_stable,
+    pairing_rounds,
+    repair_balance,
+    require_serial,
+)
 
 __all__ = ["MultiwayResult", "design_driven_partition"]
 
@@ -116,11 +120,10 @@ def design_driven_partition(
         defense against the local minima iterative partitioners fall
         into; the paper's single-run behaviour is ``restarts=1``.
     workers:
-        Refinement worker processes (:mod:`repro.core.parallel_refine`).
-        ``None`` consults the ``REPRO_WORKERS`` environment variable
-        (unset means serial); any value produces **bit-identical**
-        partitions — parallelism changes wall time only.  See
-        ``docs/parallelism.md``.
+        Kept for the pipeline benchmark's call sites; delete with the
+        next ``benchmark`` PR.  ``None`` or ``1``; anything else is a
+        :class:`~repro.errors.ConfigError` — refinement is serial
+        (``docs/parallelism.md``).
     recorder:
         Observability sink (:mod:`repro.obs`).  Receives the
         ``part.*`` counters (cone stats, pairing rounds, FM moves,
@@ -139,14 +142,14 @@ def design_driven_partition(
         ``docs/refinement.md``.
     """
     validate_refiner(refiner)
+    require_serial(workers)
     if restarts > 1:
         candidates = [
             design_driven_partition(
                 netlist_or_clustering, k, b, seed=seed + i, pairing=pairing,
                 initial=initial, max_fm_passes=max_fm_passes,
                 max_flatten_steps=max_flatten_steps, max_rounds=max_rounds,
-                restarts=1, workers=workers, recorder=recorder,
-                refiner=refiner,
+                restarts=1, recorder=recorder, refiner=refiner,
             )
             for i in range(restarts)
         ]
@@ -155,10 +158,39 @@ def design_driven_partition(
         clustering = netlist_or_clustering
     else:
         clustering = Clustering.top_level(netlist_or_clustering)
+    num_gates = clustering.netlist.num_gates
+    if k > num_gates:
+        raise PartitionError(
+            f"cannot make {k} partitions from {num_gates} gates"
+        )
     constraint = BalanceConstraint(k, b)
     rounds_fn = pairing_rounds(pairing, recorder=recorder)
     rng = np.random.default_rng(seed)
     history: list[str] = []
+    if max_flatten_steps is None:
+        max_flatten_steps = sum(
+            1 for _ in clustering.netlist.hierarchy.walk()
+        ) + len(clustering)
+    fm_rounds = 0
+    flatten_steps = 0
+
+    # fewer visible nodes than partitions: the grains are too coarse
+    # before there is a partition to measure them by, and §3.2's answer
+    # is the same — flatten the largest super-gate
+    if len(clustering) < k:
+        with recorder.phase("partition.flatten"):
+            while len(clustering) < k and flatten_steps < max_flatten_steps:
+                target = clustering.largest_super_gate()
+                if target is None:
+                    break  # hierarchy-less clusters: cone_partition reports it
+                clustering = clustering.flatten(target)
+                flatten_steps += 1
+                history.append(
+                    f"flatten step {flatten_steps}: vertex {target} -> "
+                    f"{len(clustering)} clusters"
+                )
+        if recorder.enabled:
+            recorder.incr("part.flatten.steps", flatten_steps)
 
     with recorder.phase("partition.initial"):
         if initial == "cone":
@@ -176,23 +208,55 @@ def design_driven_partition(
         f"{initial} initial: cut={state.cut_size}, loads={state.part_weight.tolist()}"
     )
 
-    if max_flatten_steps is None:
-        max_flatten_steps = sum(
-            1 for _ in clustering.netlist.hierarchy.walk()
-        ) + len(clustering)
-
-    fm_rounds = 0
-    flatten_steps = 0
-    engine = PairwiseRefiner(workers, recorder=recorder)
-    try:
-        fm_rounds, flatten_steps, clustering, state = _partition_loop(
-            clustering, state, constraint, rounds_fn, engine, rng,
-            max_fm_passes, max_flatten_steps, max_rounds, history, recorder,
-            refiner,
+    # the refine / rebalance / flatten loop of Figure 2
+    while True:
+        with recorder.phase("partition.refine"):
+            rounds = improve_until_stable(
+                state, constraint, rounds_fn, rng, max_fm_passes, max_rounds,
+                refiner=refiner, recorder=recorder,
+            )
+        fm_rounds += rounds
+        history.append(
+            (f"batch refine fixpoint after {rounds} rounds: "
+             if refiner == "batch" else f"fm stable after {rounds} rounds: ")
+            + f"cut={state.cut_size}, loads={state.part_weight.tolist()}"
         )
-        engine.record_summary()
-    finally:
-        engine.close()
+        if constraint.satisfied(state.part_weight):
+            break
+        # first try to repair the load at the current granularity —
+        # flattening is only warranted when the existing grains cannot
+        # be packed into the admissible band
+        with recorder.phase("partition.rebalance"):
+            _redistribute(state, constraint, history, recorder)
+        if constraint.satisfied(state.part_weight):
+            continue  # re-run FM on the repaired partition, then re-check
+        # constraint still violated: flatten the largest super-gate
+        # inside the most overweight partition (paper §3.2)
+        if flatten_steps >= max_flatten_steps:
+            history.append("flatten budget exhausted; returning unbalanced")
+            break
+        with recorder.phase("partition.flatten"):
+            target = _flatten_candidate(clustering, state, constraint)
+            if target is not None:
+                clustering, state = _flatten_and_carry(clustering, state, target)
+        if target is None:
+            # nothing left to flatten: last-resort load repair
+            with recorder.phase("partition.rebalance"):
+                repair_balance(state, constraint, 4 * k, recorder)
+                history.append(
+                    f"final rebalance: loads={state.part_weight.tolist()}, "
+                    f"cut={state.cut_size}"
+                )
+            break
+        flatten_steps += 1
+        if recorder.enabled:
+            recorder.incr("part.flatten.steps")
+        history.append(
+            f"flatten step {flatten_steps}: vertex {target} -> "
+            f"{len(clustering)} clusters; cut={state.cut_size}"
+        )
+        with recorder.phase("partition.rebalance"):
+            _redistribute(state, constraint, history, recorder)
 
     if recorder.enabled:
         recorder.incr("part.rounds", fm_rounds)
@@ -211,121 +275,6 @@ def design_driven_partition(
     )
 
 
-def _partition_loop(
-    clustering: Clustering,
-    state: PartitionState,
-    constraint: BalanceConstraint,
-    rounds_fn,
-    engine: PairwiseRefiner,
-    rng: np.random.Generator,
-    max_fm_passes: int,
-    max_flatten_steps: int,
-    max_rounds: int,
-    history: list[str],
-    recorder: Recorder,
-    refiner: str = "fm",
-) -> tuple[int, int, Clustering, PartitionState]:
-    """The refine / rebalance / flatten loop of Figure 2 (body of
-    :func:`design_driven_partition`, split out so the refinement
-    engine's lifecycle wraps it cleanly)."""
-    fm_rounds = 0
-    flatten_steps = 0
-    while True:
-        with recorder.phase("partition.refine"):
-            fm_rounds += _improve_until_stable(
-                state, constraint, rounds_fn, engine, rng, max_fm_passes,
-                max_rounds, history, refiner=refiner, recorder=recorder,
-            )
-        if constraint.satisfied(state.part_weight):
-            break
-        # first try to repair the load at the current granularity —
-        # flattening is only warranted when the existing grains cannot
-        # be packed into the admissible band
-        with recorder.phase("partition.rebalance"):
-            _redistribute(state, constraint, history, recorder)
-        if constraint.satisfied(state.part_weight):
-            continue  # re-run FM on the repaired partition, then re-check
-        # constraint still violated: flatten the largest super-gate
-        # inside the most overweight partition (paper §3.2)
-        if flatten_steps >= max_flatten_steps:
-            history.append("flatten budget exhausted; returning unbalanced")
-            break
-        with recorder.phase("partition.flatten"):
-            target = _flatten_candidate(clustering, state, constraint)
-            if target is None:
-                target_found = False
-            else:
-                target_found = True
-                clustering, state = _flatten_and_carry(clustering, state, target)
-        if not target_found:
-            # nothing left to flatten: final greedy load repair
-            with recorder.phase("partition.rebalance"):
-                _final_rebalance(state, constraint, history, recorder)
-            break
-        flatten_steps += 1
-        if recorder.enabled:
-            recorder.incr("part.flatten.steps")
-        history.append(
-            f"flatten step {flatten_steps}: vertex {target} -> "
-            f"{len(clustering)} clusters; cut={state.cut_size}"
-        )
-        with recorder.phase("partition.rebalance"):
-            _redistribute(state, constraint, history, recorder)
-
-    return fm_rounds, flatten_steps, clustering, state
-
-
-def _improve_until_stable(
-    state: PartitionState,
-    constraint: BalanceConstraint,
-    rounds_fn,
-    engine: PairwiseRefiner,
-    rng: np.random.Generator,
-    max_fm_passes: int,
-    max_rounds: int,
-    history: list[str],
-    refiner: str = "fm",
-    recorder: Recorder = NULL_RECORDER,
-) -> int:
-    """Refinement until no move yields gain (Figure 2 loop).
-
-    With ``refiner="fm"``, ``rounds_fn`` yields, per improvement round,
-    a list of conflict-free pair rounds; ``engine`` executes each — in
-    place serially, or via its process pool with deterministic move
-    replay (either way the resulting partition is identical).  With
-    ``refiner="batch"``, the data-parallel whole-boundary refiner runs
-    to its fixpoint instead — no pairing, the same round cap.
-    """
-    if refiner == "batch":
-        # a batch round is one synchronous gather/select/apply step —
-        # far finer-grained than a pairing round — so the FM round cap
-        # does not apply; the refiner's own default cap backstops the
-        # natural fixpoint exit
-        rounds = batch_refine(state, constraint,
-                              recorder=recorder).rounds
-        history.append(
-            f"batch refine fixpoint after {rounds} rounds: "
-            f"cut={state.cut_size}, loads={state.part_weight.tolist()}"
-        )
-        return rounds
-    rounds = 0
-    for _ in range(max_rounds):
-        schedule = rounds_fn(state, rng)
-        round_gain = 0
-        for pair_round in schedule:
-            round_gain += engine.refine_round(
-                state, pair_round, constraint, max_passes=max_fm_passes,
-            )
-        rounds += 1
-        if round_gain <= 0:
-            break
-    history.append(
-        f"fm stable after {rounds} rounds: cut={state.cut_size}, "
-        f"loads={state.part_weight.tolist()}"
-    )
-    return rounds
-
-
 def _flatten_candidate(
     clustering: Clustering,
     state: PartitionState,
@@ -338,7 +287,7 @@ def _flatten_candidate(
     for p in order:
         if state.part_weight[p] <= hi:
             break
-        members = [v for v in range(state.hg.num_vertices) if state.part_of(v) == int(p)]
+        members = np.flatnonzero(state.part == p).tolist()
         cand = clustering.largest_super_gate(among=members)
         if cand is not None:
             return cand
@@ -372,46 +321,10 @@ def _redistribute(
     state: PartitionState,
     constraint: BalanceConstraint,
     history: list[str],
-    recorder: Recorder = NULL_RECORDER,
+    recorder: Recorder,
 ) -> None:
-    """Repair over- and under-weight partitions by moving the current
-    granularity's grains from the heaviest toward the lightest."""
+    """Repair over- and under-weight partitions at the current
+    granularity, one ``history`` line per step."""
     if recorder.enabled:
         recorder.incr("part.redistribute.calls")
-    lo, hi = constraint.bounds(state.hg.total_weight)
-    for _ in range(2 * state.k):
-        heavy = int(np.argmax(state.part_weight))
-        light = int(np.argmin(state.part_weight))
-        if heavy == light:
-            break
-        if state.part_weight[heavy] <= hi and state.part_weight[light] >= lo:
-            break
-        moved = rebalance_pair(state, heavy, light, constraint, recorder=recorder)
-        if moved == 0:
-            break
-        history.append(
-            f"redistributed {moved} vertices {heavy}->{light}: "
-            f"loads={state.part_weight.tolist()}"
-        )
-
-
-def _final_rebalance(
-    state: PartitionState,
-    constraint: BalanceConstraint,
-    history: list[str],
-    recorder: Recorder = NULL_RECORDER,
-) -> None:
-    """Last-resort repair when no super-gate remains to flatten."""
-    lo, hi = constraint.bounds(state.hg.total_weight)
-    for _ in range(4 * state.k):
-        weights = state.part_weight
-        heavy = int(np.argmax(weights))
-        light = int(np.argmin(weights))
-        if (weights[heavy] <= hi and weights[light] >= lo) or heavy == light:
-            break
-        if rebalance_pair(state, heavy, light, constraint, recorder=recorder) == 0:
-            break
-    history.append(
-        f"final rebalance: loads={state.part_weight.tolist()}, "
-        f"cut={state.cut_size}"
-    )
+    repair_balance(state, constraint, 2 * state.k, recorder, history)

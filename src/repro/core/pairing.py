@@ -11,22 +11,48 @@ runs FM between them.  The paper lists four selection criteria:
 * **gain-based** — the pair with the maximum estimated cut reduction.
 
 A strategy yields an ordered list of pairs for one improvement round;
-the multiway driver keeps requesting rounds until no pair produces
-gain (the flowchart's "pairing configuration available?" test).
+the drivers keep requesting rounds until no pair produces gain (the
+flowchart's "pairing configuration available?" test).  That loop
+(:func:`improve_until_stable`), the conflict-free pair rounds it
+executes (:func:`refine_round`) and the heaviest→lightest load repair
+that follows it (:func:`repair_balance`) live here, shared by the
+design-driven and the multilevel driver.  Refinement is serial and in
+place; ``docs/parallelism.md`` records why.
+
+``exhaustive`` proposes overlapping pairs (every C(k, 2) combination);
+:func:`tournament_rounds` — a round-robin tournament, circle method —
+fixes the order they execute in: every pair exactly once, in k-1
+(even k) or k (odd k) rounds of disjoint pairs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, PartitionError
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
+from .balance import BalanceConstraint
+from .batch_refine import batch_refine
+from .fm import rebalance_pair, refine_pair
 
-__all__ = ["pairing_strategy", "PAIRING_STRATEGIES", "estimate_pair_gain"]
+__all__ = [
+    "pairing_strategy",
+    "PAIRING_STRATEGIES",
+    "estimate_pair_gain",
+    "tournament_rounds",
+    "schedule_rounds",
+    "pairing_rounds",
+    "refine_round",
+    "improve_until_stable",
+    "repair_balance",
+    "require_serial",
+]
+
+PairRounds = list[list[tuple[int, int]]]
 
 
 def _random_pairs(state: PartitionState, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -146,3 +172,197 @@ def pairing_strategy(
         return pairs
 
     return counted
+
+
+def tournament_rounds(k: int) -> PairRounds:
+    """Round-robin tournament schedule over partitions ``0..k-1``.
+
+    Circle method: every unordered pair appears in exactly one round,
+    pairs within a round are disjoint.  Even k gives k-1 rounds of
+    k/2 pairs; odd k gives k rounds of (k-1)/2 pairs with one
+    partition taking a bye each round (the same "odd partition sits a
+    round out" semantics as the random pairing strategy).
+    """
+    if k < 2:
+        return []
+    players = list(range(k))
+    if k % 2:
+        players.append(-1)  # bye marker
+    n = len(players)
+    rounds: PairRounds = []
+    for _ in range(n - 1):
+        rnd = []
+        for i in range(n // 2):
+            a, b = players[i], players[n - 1 - i]
+            if a != -1 and b != -1:
+                rnd.append((min(a, b), max(a, b)))
+        rounds.append(sorted(rnd))
+        # rotate everyone but the first player
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
+def schedule_rounds(pairs: Sequence[tuple[int, int]]) -> PairRounds:
+    """Pack an ordered pair list into conflict-free rounds (first fit).
+
+    Pairs already disjoint come back as a single round in their
+    original order, so the disjoint strategies (random / cut / gain)
+    execute exactly as proposed.  Overlapping inputs are split
+    greedily, preserving relative order within each round.
+    """
+    rounds: PairRounds = []
+    busy: list[set[int]] = []
+    for a, b in pairs:
+        for rnd, used in zip(rounds, busy):
+            if a not in used and b not in used:
+                rnd.append((a, b))
+                used.update((a, b))
+                break
+        else:
+            rounds.append([(a, b)])
+            busy.append({a, b})
+    return rounds
+
+
+def pairing_rounds(
+    name: str,
+    recorder: Recorder = NULL_RECORDER,
+) -> Callable[[PartitionState, np.random.Generator], PairRounds]:
+    """Round-schedule form of a pairing strategy.
+
+    Returns a callable producing, for one improvement round, a list of
+    conflict-free pair rounds.  ``random`` / ``cut`` / ``gain`` already
+    emit disjoint pairs and become a single round; ``exhaustive`` is
+    decomposed into its round-robin tournament (every C(k, 2) pair
+    exactly once per improvement round).  ``part.pairing.rounds``
+    counts improvement rounds and ``part.pairing.pairs`` the pairs
+    proposed.
+    """
+    if name == "exhaustive":
+
+        def exhaustive_rounds(
+            state: PartitionState, rng: np.random.Generator
+        ) -> PairRounds:
+            rounds = tournament_rounds(state.k)
+            if recorder.enabled:
+                recorder.incr("part.pairing.rounds")
+                recorder.incr("part.pairing.pairs",
+                              sum(len(r) for r in rounds))
+            return rounds
+
+        return exhaustive_rounds
+
+    strategy = pairing_strategy(name, recorder=recorder)
+    return lambda state, rng: schedule_rounds(strategy(state, rng))
+
+
+def refine_round(
+    state: PartitionState,
+    pairs: Sequence[tuple[int, int]],
+    constraint: BalanceConstraint,
+    max_passes: int = 8,
+    recorder: Recorder = NULL_RECORDER,
+) -> int:
+    """Refine one conflict-free round of pairs in place, in pair order;
+    returns the realized cut gain.  Each pair is one ``refine.pair``
+    phase; ``part.refine.rounds`` / ``part.refine.tasks`` count rounds
+    and pairs."""
+    touched: set[int] = set()
+    for a, b in pairs:
+        if a in touched or b in touched or a == b:
+            raise PartitionError(
+                f"refine_round requires disjoint pairs, got {list(pairs)}"
+            )
+        touched.update((a, b))
+    if recorder.enabled and pairs:
+        recorder.incr("part.refine.rounds")
+        recorder.incr("part.refine.tasks", len(pairs))
+    gain = 0
+    for a, b in pairs:
+        with recorder.phase("refine.pair"):
+            gain += refine_pair(state, a, b, constraint,
+                                max_passes=max_passes, recorder=recorder).gain
+    return gain
+
+
+def improve_until_stable(
+    state: PartitionState,
+    constraint: BalanceConstraint,
+    rounds_fn: Callable[[PartitionState, np.random.Generator], PairRounds],
+    rng: np.random.Generator,
+    max_fm_passes: int,
+    max_rounds: int,
+    refiner: str = "fm",
+    max_kicks: int = 8,
+    recorder: Recorder = NULL_RECORDER,
+) -> int:
+    """Refine ``state`` until no move yields gain (the Figure 2 loop);
+    returns the number of rounds run.
+
+    ``refiner="fm"``: ``rounds_fn`` (:func:`pairing_rounds`) proposes
+    conflict-free pair rounds and :func:`refine_round` executes them,
+    until an improvement round realizes no gain or ``max_rounds`` is
+    reached.  ``refiner="batch"``: the whole-boundary refiner of
+    :mod:`repro.core.batch_refine` runs to its fixpoint with
+    ``max_kicks`` perturbations.  A batch round is one synchronous
+    gather/select/apply step — far finer-grained than a pairing round —
+    so ``max_rounds`` does not apply; the refiner's own default cap
+    backstops the natural fixpoint exit.
+    """
+    if refiner == "batch":
+        return batch_refine(state, constraint, max_kicks=max_kicks,
+                            recorder=recorder).rounds
+    rounds = 0
+    for _ in range(max_rounds):
+        gain = 0
+        for pair_round in rounds_fn(state, rng):
+            gain += refine_round(state, pair_round, constraint,
+                                 max_fm_passes, recorder)
+        rounds += 1
+        if gain <= 0:
+            break
+    return rounds
+
+
+def repair_balance(
+    state: PartitionState,
+    constraint: BalanceConstraint,
+    max_steps: int,
+    recorder: Recorder = NULL_RECORDER,
+    history: list[str] | None = None,
+) -> None:
+    """Move grains from the heaviest toward the lightest partition
+    (:func:`repro.core.fm.rebalance_pair`) until both are inside the
+    Formula-1 band, a step moves nothing, or ``max_steps`` is reached.
+    ``history`` receives one line per step that moved something."""
+    lo, hi = constraint.bounds(state.hg.total_weight)
+    for _ in range(max_steps):
+        heavy = int(np.argmax(state.part_weight))
+        light = int(np.argmin(state.part_weight))
+        if heavy == light:
+            break
+        if state.part_weight[heavy] <= hi and state.part_weight[light] >= lo:
+            break
+        moved = rebalance_pair(state, heavy, light, constraint,
+                               recorder=recorder)
+        if moved == 0:
+            break
+        if history is not None:
+            history.append(
+                f"redistributed {moved} vertices {heavy}->{light}: "
+                f"loads={state.part_weight.tolist()}"
+            )
+
+
+def require_serial(workers: int | None, name: str = "workers") -> None:
+    """Check a retained refinement worker-count keyword (``None`` or 1).
+
+    Three entry points keep such a keyword for the pipeline benchmark's
+    call sites (``docs/parallelism.md`` lists them); delete them and
+    this check with the next ``benchmark`` PR.
+    """
+    if workers not in (None, 1):
+        raise ConfigError(
+            f"{name}={workers!r}: pairwise refinement is serial "
+            "(see docs/parallelism.md); pass 1 or omit it"
+        )

@@ -19,6 +19,7 @@ keeps the partition with the best speedup.  Two searches are provided:
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -35,9 +36,11 @@ from ..verilog.netlist import Netlist
 from .balance import PAPER_B_VALUES
 from .batch_refine import validate_refiner
 from .multiway import MultiwayResult, design_driven_partition
-from .parallel_refine import resolve_workers
+from .pairing import require_serial
 
 __all__ = [
+    "REPRO_WORKERS_ENV",
+    "resolve_workers",
     "PresimPoint",
     "PresimStudy",
     "PRESIM_ALGORITHMS",
@@ -136,7 +139,6 @@ PRESIM_ALGORITHMS = ("design", "multilevel")
 def _default_partitioner(
     seed: int,
     pairing: str,
-    refine_workers: int | None = None,
     algorithm: str = "design",
     refiner: str = "fm",
 ) -> PartitionFn:
@@ -151,16 +153,14 @@ def _default_partitioner(
 
         def fn(netlist: Netlist, k: int, b: float):
             return multilevel_flat_partition(
-                netlist, k, b, seed=seed, workers=refine_workers,
-                refiner=refiner,
+                netlist, k, b, seed=seed, refiner=refiner,
             )
 
         return fn
 
     def fn(netlist: Netlist, k: int, b: float) -> MultiwayResult:
         return design_driven_partition(
-            netlist, k, b, seed=seed, pairing=pairing, workers=refine_workers,
-            refiner=refiner,
+            netlist, k, b, seed=seed, pairing=pairing, refiner=refiner,
         )
 
     return fn
@@ -169,17 +169,56 @@ def _default_partitioner(
 # -- parallel (k, b) fan-out ------------------------------------------------
 #
 # Every (k, b) candidate is an independent partition + pre-simulation,
-# so the sweep fans out over a process pool the same way the pairwise
-# refinement engine does (docs/parallelism.md): the expensive read-only
-# inputs — netlist, stimulus, cost model and the *once-computed*
-# sequential baseline — ship to each worker exactly once through the
-# pool initializer, workers return finished PresimPoints, and the
+# so the sweep fans out over a process pool (docs/parallelism.md): the
+# expensive read-only inputs — netlist, stimulus, cost model and the
+# *once-computed* sequential baseline — ship to each worker exactly once
+# through the pool initializer, workers return finished PresimPoints, and the
 # driver consumes them in submission (k, b) order.  Each point is
 # deterministic on its own, so the merged study is bit-identical to the
 # serial sweep at any worker count.
 
+#: environment variable consulted when no explicit worker count is given
+REPRO_WORKERS_ENV = "REPRO_WORKERS"
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Resolve a worker count for the repo's process pools.
+
+    One shared policy (the (k, b) candidate pool here and the
+    :func:`repro.bench.parallel.run_presim_grid` sweep alike):
+
+    * ``workers=None`` — consult the ``REPRO_WORKERS`` environment
+      variable; unset/empty means serial (1).  The env request is
+      capped at ``os.cpu_count()`` — an environment-wide default must
+      not oversubscribe small CI boxes.
+    * an explicit integer is honoured verbatim (>= 1 enforced, no cap):
+      deliberate oversubscription is a caller's choice, and results are
+      merged in submission order, so any worker count produces
+      identical results anyway.
+    """
+    if workers is None:
+        raw = os.environ.get(REPRO_WORKERS_ENV, "").strip()
+        if not raw:
+            return 1
+        try:
+            requested = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{REPRO_WORKERS_ENV}={raw!r} is not an integer"
+            ) from None
+        if requested < 1:
+            raise ConfigError(
+                f"{REPRO_WORKERS_ENV} must be >= 1, got {requested}"
+            )
+        return max(1, min(requested, os.cpu_count() or 1))
+    workers = int(workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 #: per-worker context installed by :func:`_init_presim_worker`
-_WORKER_CTX: dict | None = None
+_PRESIM_CTX: dict | None = None
 
 
 def _evaluate_point(
@@ -228,20 +267,19 @@ def _init_presim_worker(
     config: TimeWarpConfig,
     seed: int,
     pairing: str,
-    refine_workers: int | None,
     algorithm: str,
     sequential: SequentialSimulator,
     collect: bool = False,
     refiner: str = "fm",
 ) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = {
+    global _PRESIM_CTX
+    _PRESIM_CTX = {
         "netlist": netlist,
         "events": events,
         "base_spec": base_spec,
         "config": config,
         "partition_fn": _default_partitioner(
-            seed, pairing, refine_workers, algorithm, refiner
+            seed, pairing, algorithm, refiner
         ),
         "circuit": compile_circuit(netlist),
         "sequential": sequential,
@@ -250,7 +288,7 @@ def _init_presim_worker(
 
 
 def _presim_point_task(kb: tuple[int, float]) -> PresimPoint:
-    ctx = _WORKER_CTX
+    ctx = _PRESIM_CTX
     assert ctx is not None, "presim worker used before initialization"
     k, b = kb
     return _evaluate_point(
@@ -266,9 +304,9 @@ class _PointMapper:
     The pool engages only when it can help *and* the semantics allow:
     more than one worker resolved, a picklable default partitioner (a
     custom ``partitioner`` callable stays in-process), and not inside a
-    daemon worker (nested pools are forbidden; the sweep degrades to
-    serial exactly like the refinement engine).  Results always come
-    back in the order the combos were submitted.
+    daemon worker (nested pools are forbidden; inside a sweep-grid
+    cell the search runs serially).  Results always come back in the
+    order the combos were submitted.
     """
 
     def __init__(
@@ -279,7 +317,6 @@ class _PointMapper:
         config: TimeWarpConfig,
         seed: int,
         pairing: str,
-        refine_workers: int | None,
         partitioner: PartitionFn | None,
         workers: int | None,
         circuit: CompiledCircuit,
@@ -289,7 +326,7 @@ class _PointMapper:
         refiner: str = "fm",
     ) -> None:
         self._serial_fn = partitioner or _default_partitioner(
-            seed, pairing, refine_workers, algorithm, refiner
+            seed, pairing, algorithm, refiner
         )
         self._circuit = circuit
         self._netlist = netlist
@@ -308,8 +345,7 @@ class _PointMapper:
                 max_workers=n,
                 initializer=_init_presim_worker,
                 initargs=(netlist, events, base_spec, config, seed, pairing,
-                          refine_workers, algorithm, sequential, collect,
-                          refiner),
+                          algorithm, sequential, collect, refiner),
             )
 
     @property
@@ -344,18 +380,12 @@ def brute_force_presim(
     seed: int = 0,
     pairing: str = "gain",
     partitioner: PartitionFn | None = None,
-    refine_workers: int | None = None,
     workers: int | None = None,
     algorithm: str = "design",
     refiner: str = "fm",
     recorder: Recorder = NULL_RECORDER,
 ) -> PresimStudy:
     """Evaluate every (k, b) combination; Tables 3 and 4's generator.
-
-    ``refine_workers`` is forwarded to
-    :func:`~repro.core.multiway.design_driven_partition` (ignored when a
-    custom ``partitioner`` is supplied); any worker count yields the
-    same partitions — see ``docs/parallelism.md``.
 
     ``algorithm`` selects the built-in partition backend per candidate:
     ``"design"`` (the paper's Figure-2 flow) or ``"multilevel"``
@@ -367,7 +397,7 @@ def brute_force_presim(
 
     ``workers`` fans the independent (k, b) candidates over a process
     pool (default: the ``REPRO_WORKERS`` policy of
-    :func:`~repro.core.parallel_refine.resolve_workers`).  The
+    :func:`resolve_workers`).  The
     sequential baseline is computed once and shipped to the workers;
     results are merged in (k, b) submission order, so the study —
     points, stats and chosen best — is identical at any worker count.
@@ -382,7 +412,7 @@ def brute_force_presim(
     sequential, _ = run_sequential_baseline(circuit, events, base_spec,
                                             recorder=recorder)
     mapper = _PointMapper(
-        netlist, events, base_spec, config, seed, pairing, refine_workers,
+        netlist, events, base_spec, config, seed, pairing,
         partitioner, workers, circuit, sequential, algorithm,
         collect=recorder.enabled, refiner=refiner,
     )
@@ -429,14 +459,20 @@ def heuristic_presim(
     early-abandon rule; points past the abandon are discarded, so the
     recorded study (points, stats, best) is identical to the serial
     search — only wasted speculative work is traded for wall time.
+
+    ``refine_workers`` is kept for the pipeline benchmark's call site;
+    delete with the next ``benchmark`` PR.  ``None`` or ``1``; anything
+    else is a :class:`~repro.errors.ConfigError` — refinement is serial
+    (``docs/parallelism.md``).
     """
+    require_serial(refine_workers, "refine_workers")
     if max_k < 2:
         raise ConfigError("heuristic presimulation needs max_k >= 2")
     circuit = compile_circuit(netlist)
     sequential, _ = run_sequential_baseline(circuit, events, base_spec,
                                             recorder=recorder)
     mapper = _PointMapper(
-        netlist, events, base_spec, config, seed, pairing, refine_workers,
+        netlist, events, base_spec, config, seed, pairing,
         partitioner, workers, circuit, sequential, algorithm,
         collect=recorder.enabled, refiner=refiner,
     )

@@ -29,7 +29,6 @@ from .batch_refine import batch_refine, validate_refiner
 from .cone import cone_partition
 from .fm import refine_pair
 from .multiway import MultiwayResult
-from .parallel_refine import resolve_workers
 
 __all__ = ["recursive_design_driven_partition"]
 
@@ -40,7 +39,6 @@ def recursive_design_driven_partition(
     b: float,
     seed: int = 0,
     max_fm_passes: int = 8,
-    workers: int | None = None,
     refiner: str = "fm",
 ) -> MultiwayResult:
     """k-way partition by recursive two-way design-driven splits.
@@ -52,14 +50,6 @@ def recursive_design_driven_partition(
     flattening with recursion re-derives the direct algorithm; keeping
     the recursive baseline pure preserves the §3.1.1 contrast).
 
-    ``workers`` is accepted for interface parity with
-    :func:`repro.core.multiway.design_driven_partition` and validated
-    through the shared :func:`repro.core.parallel_refine.resolve_workers`
-    policy, but each recursive level refines a *single* pair — there is
-    no disjoint-pair round to fan out, so the value cannot change the
-    result or the schedule (this limitation is exactly the paper's
-    §3.1.1 argument against the recursive approach).
-
     ``refiner`` selects the per-split improvement engine: ``"fm"`` runs
     heap FM (:func:`repro.core.fm.refine_pair`) and ``"batch"`` the
     data-parallel boundary refiner
@@ -67,7 +57,6 @@ def recursive_design_driven_partition(
     split's two active blocks.
     """
     validate_refiner(refiner)
-    resolve_workers(workers)  # validate; single-pair splits stay serial
     if isinstance(netlist_or_clustering, Clustering):
         clustering = netlist_or_clustering
     else:

@@ -38,10 +38,9 @@ table):
 * :meth:`move_batch` reports which touched edges now contribute
   differently to their pins' gains, so the batch refiner re-scores
   those pins instead of every pin of every touched edge;
-* :meth:`copy` / :meth:`export_arrays` / :meth:`from_arrays` duplicate
-  the derived arrays directly instead of replaying ``recompute`` —
-  O(edges · k) ``memcpy`` instead of an O(pins) scatter, and the cheap
-  path worker processes use to adopt a round-start snapshot.
+* :meth:`copy` duplicates the derived arrays directly instead of
+  replaying ``recompute`` — O(edges · k) ``memcpy`` instead of an
+  O(pins) scatter.
 
 The instance counters ``lambda_hits`` / ``gain_batches`` /
 ``gain_batch_vertices`` / ``boundary_batches`` are deterministic
@@ -232,54 +231,15 @@ class PartitionState:
         start at zero on the copy (they tally work done *through* an
         instance).
         """
-        return PartitionState.from_arrays(
-            self.hg, self.k, self.export_arrays()
-        )
-
-    def export_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Snapshot of the full derived state as plain arrays.
-
-        Returns ``(part, part_weight, edge_part_count, edge_lambda,
-        cut, soed)`` — independent copies, safe to mutate or ship to a
-        worker process; :meth:`from_arrays` adopts them on the other
-        side without recomputation.
-        """
-        return (
-            self.part.copy(),
-            self.part_weight,
-            self.edge_part_count.copy(),
-            self.edge_lambda.copy(),
-            self._cut,
-            self._soed,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        hg: Hypergraph,
-        k: int,
-        arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int],
-    ) -> "PartitionState":
-        """Adopt a snapshot produced by :meth:`export_arrays`.
-
-        The arrays are taken over as-is (no copy — the exporter already
-        copied, and pickling across a process boundary copies again);
-        reconstructing a worker-side state is array adoption only — the
-        scalar mirrors stay unbuilt until a scalar move/gain needs
-        them, far below a ``recompute`` replay.
-        """
-        part, part_weight, edge_part_count, edge_lambda, cut, soed = arrays
-        state = object.__new__(cls)
-        state.hg = hg
-        state.k = k
-        state.part = part
-        state._pw_list = np.asarray(part_weight).tolist()
-        state.edge_part_count = edge_part_count
-        state.edge_lambda = edge_lambda
-        state._cut = int(cut)
-        state._soed = int(soed)
+        state = object.__new__(type(self))
+        state.hg = self.hg
+        state.k = self.k
+        state.part = self.part.copy()
+        state._pw_list = list(self._pw_list)
+        state.edge_part_count = self.edge_part_count.copy()
+        state.edge_lambda = self.edge_lambda.copy()
+        state._cut = self._cut
+        state._soed = self._soed
         state._reset_core_stats()
         return state
 
@@ -288,10 +248,9 @@ class PartitionState:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int, int]:
         """Cheap in-process checkpoint of the derived state.
 
-        Unlike :meth:`export_arrays` this is meant for same-object
-        :meth:`restore` (FM best-prefix rollback), so it captures the
-        part-weight list directly instead of materializing an array.
-        Costs three memcpys plus a length-``k`` list copy.
+        Unlike :meth:`copy` this is meant for same-object
+        :meth:`restore` (the batch refiner's kick rollback): three
+        memcpys plus a length-``k`` list copy, no new instance.
         """
         return (
             self.part.copy(),

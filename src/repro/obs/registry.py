@@ -37,7 +37,7 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.fm.moves": "vertex moves retained after best-prefix rollback",
     "part.fm.gain": "total realized cut gain across all FM passes",
     "part.fm.rebalance_moves": "vertices moved by balance repair (rebalance_pair)",
-    "part.refine.rounds": "conflict-free pair rounds executed by the refinement engine",
+    "part.refine.rounds": "conflict-free pair rounds executed by refine_round",
     "part.refine.tasks": "pair-refinement tasks executed (one FM pair each)",
     "part.core.lambda_hits": "edges examined through the λ cache: per move, per gain query, per critical edge walked by FM's delta update",
     "part.core.gain_batches": "batch move_gains() queries answered by the vectorized core",
@@ -126,7 +126,7 @@ PHASE_REGISTRY: dict[str, str] = {
                               "gather to fixpoint",
     "partition.flatten": "super-gate flattening + assignment carry-over",
     "partition.rebalance": "load redistribution / final balance repair",
-    "refine.pair": "one pairwise-FM task (driver or pool worker lane)",
+    "refine.pair": "one pairwise-FM task (one pair of one round)",
     "presim.point": "one pre-simulation (k, b) grid point, end to end",
     "presim.partition": "the partitioning step of one pre-sim point",
     "presim.simulate": "the Time Warp step of one pre-sim point",
@@ -144,11 +144,6 @@ PHASE_REGISTRY: dict[str, str] = {
 #: *not* accepted by :func:`is_registered`: they must never appear in
 #: the deterministic counter body, and the test suite pins that.
 HOST_VALUE_REGISTRY: dict[str, str] = {
-    "part.refine.workers": "refinement worker processes resolved for the run",
-    "part.refine.ideal_speedup": "structural speedup bound: tasks / "
-                                 "critical-path slots at this worker count",
-    "part.refine.utilization": "fraction of worker slots kept busy across "
-                               "pair rounds",
     "obs.sampler.peak_rss_kb": "peak resident set size (VmHWM) sampled, kB",
     "obs.sampler.cpu_seconds": "user+system CPU of the process and reaped "
                                "children at the last sample",

@@ -3,8 +3,8 @@
 PR 1's :class:`~repro.obs.recorder.MetricsRecorder` keeps *flat* phase
 totals — enough for "how long did refinement take" but blind to
 structure (which phase contained which) and to the worker processes the
-repo now fans work out to (`repro.core.parallel_refine` pair tasks,
-`repro.core.presim` grid cells, `repro.bench.parallel` sweep shards).
+repo fans work out to (`repro.core.presim` (k, b) candidates,
+`repro.bench.parallel` sweep-grid cells).
 This module adds both without touching the flat contract:
 
 * :class:`SpanRecorder` — a drop-in :class:`MetricsRecorder` subclass

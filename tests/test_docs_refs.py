@@ -19,6 +19,23 @@ def test_docs_have_no_dangling_references():
     assert not complaints, "\n".join(complaints)
 
 
+def test_every_registered_name_is_recorded_somewhere():
+    assert check_docs.orphaned_registry_names(REPO_ROOT) == []
+
+
+def test_registry_audit_catches_an_orphaned_name(tmp_path):
+    names, _ = check_docs._registry_names()
+    orphan = "part.refine.tasks"
+    lines = [f'rec.incr("{n}")' for n in sorted(names)
+             if n != orphan and not n.startswith(("part.core.", "obs.span."))]
+    # an f-string family head and a derived-suffix literal count as use
+    lines += ['rec.incr(f"part.core.{name}")', 'out["obs.span.count"] = 1',
+              'out["obs.span.depth.max"] = 2']
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("\n".join(lines))
+    assert check_docs.orphaned_registry_names(tmp_path) == [orphan]
+
+
 def test_linter_catches_bad_module(tmp_path):
     root = tmp_path
     (root / "docs").mkdir()
@@ -38,7 +55,7 @@ def test_linter_catches_unknown_flag(tmp_path):
     (root / "benchmarks").mkdir()
     (root / "tools").mkdir()
     (root / "README.md").write_text(
-        "run with `--refine-workers` or `--no-such-flag`\n"
+        "run with `--presim-workers` or `--no-such-flag`\n"
     )
     complaints = check_docs.check_docs(root)
     assert len(complaints) == 1
@@ -47,7 +64,7 @@ def test_linter_catches_unknown_flag(tmp_path):
 
 def test_attribute_chains_resolve():
     assert check_docs.resolves("repro.obs.registry.METRIC_REGISTRY")
-    assert check_docs.resolves("repro.core.parallel_refine")
+    assert check_docs.resolves("repro.core.pairing")
     assert not check_docs.resolves("repro.obs.registry.NOPE")
     assert not check_docs.resolves("repro.nonexistent")
 
@@ -88,14 +105,12 @@ def test_derived_suffixes_pass():
         "part.ml.level_cut", names, families) is None
     # host-value names (quarantined channel) are documented too
     assert check_docs.metric_complaint(
-        "part.refine.workers", names, families) is None
-    assert check_docs.metric_complaint(
         "obs.sampler.peak_rss_kb", names, families) is None
 
 
 def test_cli_flag_universe_includes_subcommands():
     flags = check_docs.cli_flags()
-    assert "--refine-workers" in flags
+    assert "--presim-workers" in flags
     assert "--fail-on-regression" in flags  # obs diff, nested subparser
     assert "--metrics-out" in flags
 

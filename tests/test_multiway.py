@@ -1,10 +1,14 @@
 """Design-driven multiway partitioning: end-to-end algorithm tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import BalanceConstraint, design_driven_partition
+from repro.errors import PartitionError
 from repro.hypergraph import Clustering, hyperedge_cut
+from repro.obs import MetricsRecorder
 
 
 class TestBasicContracts:
@@ -70,6 +74,42 @@ class TestFlattening:
     def test_all_pairing_strategies_work(self, viterbi_test, pairing):
         r = design_driven_partition(viterbi_test, k=3, b=10.0, seed=1, pairing=pairing)
         assert r.part_weights.sum() == viterbi_test.num_gates
+
+    # viterbi-test has 16 visible nodes and 386 gates; at b=10 Formula 1's
+    # lower bound is 0 from k=10 up, so empty parts are admissible there —
+    # the tighter b of the last three cases makes it positive
+    @pytest.mark.parametrize("k,b", [(17, 10.0), (20, 10.0), (64, 10.0),
+                                     (17, 2.5), (20, 2.5), (64, 1.0)])
+    def test_more_partitions_than_visible_nodes(self, viterbi_test, k, b):
+        assert len(Clustering.top_level(viterbi_test)) == 16
+        rec = MetricsRecorder()
+        r = design_driven_partition(viterbi_test, k=k, b=b, seed=1,
+                                    recorder=rec)
+        assert len(r.clustering) >= k
+        assert r.history[0].startswith("flatten step 1:")
+        assert r.flatten_steps == rec.counters["part.flatten.steps"] >= 1
+        gates = sorted(g for cl in r.clustering.gate_clusters() for g in cl)
+        assert gates == list(range(viterbi_test.num_gates))
+        loads = np.bincount(r.gate_assignment(), minlength=k)
+        assert len(loads) == k and loads.tolist() == r.part_weights.tolist()
+        constraint = BalanceConstraint(k, b)
+        assert r.balanced == constraint.satisfied(loads)
+        if constraint.bounds(viterbi_test.num_gates)[0] > 0:
+            assert r.balanced and (loads > 0).all()
+
+    def test_k_up_to_visible_nodes_unchanged_and_k_past_gates_rejected(
+            self, viterbi_test):
+        r = design_driven_partition(viterbi_test, k=16, b=10.0, seed=1)
+        assert r.history[0].startswith("cone initial")
+        assert hashlib.sha256(r.gate_assignment().tobytes()).hexdigest() == (
+            "45f874b9afbc670105292709d1fb9080"
+            "9277fcb46a8e023757343ff0042e8dce")
+        with pytest.raises(PartitionError, match="387 partitions from 386 gates"):
+            design_driven_partition(viterbi_test, k=387, b=10.0)
+        # an exhausted flatten budget leaves the grains too coarse
+        with pytest.raises(PartitionError, match="17 partitions from 16 vertices"):
+            design_driven_partition(viterbi_test, k=17, b=10.0,
+                                    max_flatten_steps=0)
 
 
 class TestQualityTrends:

@@ -206,16 +206,23 @@ class TestWorkerCountDigests:
     """ISSUE acceptance: merged telemetry is byte-identical at any
     worker count, for every parallel fan-out in the repo."""
 
-    def test_refine_digest_identical_1_2_4(self, viterbi_test):
-        digests = set()
-        for workers in (1, 2, 4):
-            rec = SpanRecorder()
-            design_driven_partition(
-                viterbi_test, k=4, b=10.0, seed=0, pairing="exhaustive",
-                workers=workers, recorder=rec,
-            )
-            digests.add(_digest(rec))
-        assert len(digests) == 1
+    def test_refine_document_digest_is_pinned(self, viterbi_test):
+        # refinement has no fan-out: its document is pinned to the one
+        # the last commit with a refinement pool produced at 1, 2 and 4
+        # workers (counters, phase call counts, refine.pair span count)
+        rec = SpanRecorder()
+        design_driven_partition(
+            viterbi_test, k=4, b=10.0, seed=0, pairing="exhaustive",
+            recorder=rec,
+        )
+        assert _digest(rec) == ("5f9d8a10056d32f5783e9f7ed0c3a345"
+                                "d1648c659d5cfb169bc7a9e9ac751158")
+        pairs = [r for r in rec.span_rows() if r["name"] == "refine.pair"]
+        refines = {r["sid"] for r in rec.span_rows()
+                   if r["name"] == "partition.refine"}
+        assert len(pairs) == 24
+        assert all(r["parent"] in refines and r["lane"] == "main"
+                   for r in pairs)
 
     def test_brute_force_presim_digest_identical(self, viterbi_test):
         events = random_vectors(viterbi_test, 8, seed=2)
@@ -260,8 +267,10 @@ class TestWorkerCountDigests:
 
     def test_parallel_run_has_worker_lanes(self, viterbi_test):
         rec = SpanRecorder()
-        design_driven_partition(
-            viterbi_test, k=4, b=10.0, seed=0, pairing="exhaustive",
+        brute_force_presim(
+            viterbi_test, random_vectors(viterbi_test, 8, seed=2),
+            ks=(2, 3), bs=(7.5,), seed=1,
+            config=TimeWarpConfig(gvt_interval=64),
             workers=2, recorder=rec,
         )
         lanes = {r["lane"] for r in rec.span_rows()}

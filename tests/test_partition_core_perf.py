@@ -119,17 +119,23 @@ def test_move_gains_tiny_batch_matches_vector_path():
         assert got.tolist() == want
 
 
-def test_export_from_arrays_roundtrip_stays_live():
+def test_copy_is_independent_and_stays_live():
     hg = _random_hg(11)
     rng = np.random.default_rng(11)
     state = PartitionState(hg, 4, rng.integers(0, 4, size=hg.num_vertices))
-    clone = PartitionState.from_arrays(hg, 4, state.export_arrays())
+    state.move(5, (state.part_of(5) + 1) % 4)  # scalar mirrors built
+    clone = state.copy()
     _assert_matches_oracle(clone)
-    # the adopted state keeps working incrementally and independently
+    assert clone.lambda_hits == 0
+    # the copy keeps working incrementally, and neither side sees the
+    # other's moves
+    before = state.part.copy()
     clone.move(3, (clone.part_of(3) + 1) % 4)
+    state.move(7, (state.part_of(7) + 1) % 4)
     _assert_matches_oracle(clone)
     _assert_matches_oracle(state)
-    assert state.part_of(3) != clone.part_of(3) or True  # no aliasing crash
+    assert clone.part[7] == before[7] and state.part[3] == before[3]
+    assert clone.part[3] != before[3] and state.part[7] != before[7]
 
 
 def test_snapshot_restore_preserves_views_and_state():
@@ -137,7 +143,7 @@ def test_snapshot_restore_preserves_views_and_state():
     rng = np.random.default_rng(13)
     state = PartitionState(hg, 4, rng.integers(0, 4, size=hg.num_vertices))
     counts_obj = state.edge_part_count
-    before = state.export_arrays()
+    before = state.copy()
     snap = state.snapshot()
     for _ in range(50):
         state.move(int(rng.integers(0, hg.num_vertices)),
@@ -145,13 +151,13 @@ def test_snapshot_restore_preserves_views_and_state():
     state.restore(snap)
     # same array objects (outstanding views stay valid), same values
     assert state.edge_part_count is counts_obj
-    part, pw, counts, lam, cut, soed = before
-    np.testing.assert_array_equal(state.part, part)
-    np.testing.assert_array_equal(state.part_weight, pw)
-    np.testing.assert_array_equal(state.edge_part_count, counts)
-    np.testing.assert_array_equal(state.edge_lambda, lam)
-    assert state.cut_size == cut
-    assert state.connectivity == soed
+    np.testing.assert_array_equal(state.part, before.part)
+    np.testing.assert_array_equal(state.part_weight, before.part_weight)
+    np.testing.assert_array_equal(state.edge_part_count,
+                                  before.edge_part_count)
+    np.testing.assert_array_equal(state.edge_lambda, before.edge_lambda)
+    assert state.cut_size == before.cut_size
+    assert state.connectivity == before.connectivity
     _assert_matches_oracle(state)
     # and the restored state still moves correctly
     state.move(5, (state.part_of(5) + 1) % 4)

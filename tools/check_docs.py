@@ -26,6 +26,15 @@ named in ``docs/*.md`` and ``README.md`` resolves to something real:
   attribute chains and file names (``part.to_simulation()``,
   ``part.json``) never false-positive.
 
+The registries rot the same way from the other side, so one audit runs
+over the code instead of the docs: every key of ``METRIC_REGISTRY``,
+``PHASE_REGISTRY`` and ``HOST_VALUE_REGISTRY`` must occur in a string
+literal of some ``*.py`` file under ``src/``, ``benchmarks/`` or
+``tools/`` other than ``obs/registry.py`` itself — exactly, as the head
+of a longer literal (``"obs.span.depth.max"``), or under an f-string
+family head (``f"part.core.{name}"``).  A name nothing records is a
+stale registry row.
+
 Docs rot silently — a renamed module or dropped flag leaves stale prose
 behind with no test to catch it.  This linter is that test: it runs in
 CI via ``tests/test_docs_refs.py`` and standalone as
@@ -64,6 +73,38 @@ _METRIC_RE = re.compile(
     r"(?<![\w.])(?:part|tw|seq|sim|bench|partition|obs|refine|presim|sweep|circ)"
     r"\.(?:[a-z0-9_]+\.)*(?:[a-z0-9_]+|\*)"
 )
+
+
+#: the start of a quoted metric-like literal, up to the closing quote or
+#: the ``{`` of an f-string field
+_LITERAL_RE = re.compile(
+    r"""["']((?:part|tw|seq|sim|bench|partition|obs|refine|presim|sweep|circ)"""
+    r"""\.[A-Za-z0-9_.]*)"""
+)
+
+
+def orphaned_registry_names(root: Path = REPO_ROOT) -> list[str]:
+    """Registered metric / phase / host-value names no code records.
+
+    A name is in use when some string literal under ``src/``,
+    ``benchmarks/`` or ``tools/`` (``obs/registry.py`` excluded) equals
+    it, continues it with a dotted suffix (``.max``, ``.calls``), or is
+    an f-string head ending in ``.`` that the name extends.
+    """
+    names, _ = _registry_names()
+    registry = root / "src" / "repro" / "obs" / "registry.py"
+    literals: set[str] = set()
+    for directory in ("src", "benchmarks", "tools"):
+        for script in sorted((root / directory).rglob("*.py")):
+            if script != registry:
+                literals.update(_LITERAL_RE.findall(script.read_text()))
+    heads = {lit for lit in literals if lit.endswith(".")}
+    return sorted(
+        name for name in names
+        if name not in literals
+        and not any(lit.startswith(name + ".") for lit in literals)
+        and not any(name.startswith(head) for head in heads)
+    )
 
 
 def doc_paths(root: Path) -> list[Path]:
@@ -242,13 +283,18 @@ def main(argv: list[str] | None = None) -> int:
                              "containing this script)")
     args = parser.parse_args(argv)
     complaints = check_docs(args.root)
+    complaints.extend(
+        f"src/repro/obs/registry.py: `{name}` is registered but no code "
+        f"under src/, benchmarks/ or tools/ records it"
+        for name in orphaned_registry_names(args.root)
+    )
     for complaint in complaints:
         print(complaint)
     if complaints:
         print(f"{len(complaints)} dangling documentation reference(s)")
         return 1
     print("docs clean: every repro.* path, CLI flag and metric name "
-          "resolves")
+          "resolves; every registered name is recorded somewhere")
     return 0
 
 

@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
               f"pins={hg.num_pins} k={args.k} b={args.b}")
         result = prof.runcall(
             design_driven_partition, clustering, args.k, args.b,
-            seed=args.seed, workers=1, recorder=rec,
+            seed=args.seed, recorder=rec,
         )
         summary = (f"cut={result.cut_size} balanced={result.balanced} "
                    f"flatten_steps={result.flatten_steps} "
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
               f"k={args.k} b={args.b} refiner={args.refiner}")
         result = prof.runcall(
             multilevel_kway_partition, hg, args.k, args.b,
-            seed=args.seed, workers=1, recorder=rec, refiner=args.refiner,
+            seed=args.seed, recorder=rec, refiner=args.refiner,
         )
         summary = (f"cut={result.cut_size} balanced={result.balanced} "
                    f"levels={result.levels} rounds={result.refine_rounds}")
