@@ -21,6 +21,7 @@ Two construction paths feed the same structure:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -117,29 +118,12 @@ class CompiledCircuit:
         self.outputs = tuple(netlist.outputs)
 
         # CSR pin/sink arrays + the padded pin matrix for batched eval
-        pin_offsets = np.zeros(self.num_gates + 1, dtype=np.int64)
-        for gid, pins in enumerate(self.gate_inputs):
-            pin_offsets[gid + 1] = pin_offsets[gid] + len(pins)
-        self.pin_offsets = pin_offsets
-        self.pin_net = np.fromiter(
-            (n for pins in self.gate_inputs for n in pins),
-            dtype=np.int64,
-            count=int(pin_offsets[-1]),
-        )
-        sink_offsets = np.zeros(self.num_nets + 1, dtype=np.int64)
-        for net, sinks in enumerate(self.net_sinks):
-            sink_offsets[net + 1] = sink_offsets[net] + len(sinks)
-        self.sink_offsets = sink_offsets
-        self.sink_gate = np.fromiter(
-            (g for sinks in self.net_sinks for g in sinks),
-            dtype=np.int64,
-            count=int(sink_offsets[-1]),
-        )
-        self.max_arity = max(
-            (len(pins) for pins in self.gate_inputs), default=0
-        )
-        self.pin_matrix, self.pin_mask = pad_pin_matrix(
-            self.gate_inputs, self.max_arity
+        self.pin_offsets, self.pin_net = _ragged_csr(self.gate_inputs)
+        self.sink_offsets, self.sink_gate = _ragged_csr(self.net_sinks)
+        arity = np.diff(self.pin_offsets)
+        self.max_arity = int(arity.max()) if self.num_gates else 0
+        self.pin_matrix, self.pin_mask = _pad_csr(
+            arity, self.pin_net, self.max_arity
         )
         # plain-int mirrors of the per-gate arrays: CPython reads a
         # list element an order of magnitude faster than a NumPy
@@ -192,14 +176,9 @@ class CompiledCircuit:
         np.cumsum(counts, dtype=np.int64, out=sink_offsets[1:])
         self.sink_offsets = sink_offsets
         self.max_arity = int(arity.max()) if self.num_gates else 0
-        mask = (
-            np.arange(self.max_arity, dtype=np.int64)[None, :]
-            < arity[:, None]
+        self.pin_matrix, self.pin_mask = _pad_csr(
+            arity, self.pin_net, self.max_arity
         )
-        matrix = np.zeros((self.num_gates, self.max_arity), dtype=np.int64)
-        matrix[mask] = self.pin_net
-        self.pin_matrix = matrix
-        self.pin_mask = mask
 
     def __getattr__(self, name: str):
         # array-native compilation leaves the Python-object mirrors
@@ -243,14 +222,33 @@ def pad_pin_matrix(
     """Pad ragged pin lists to a dense ``(n, max_arity)`` index matrix.
 
     Returns ``(matrix, mask)``: pad cells index 0 and are False in the
-    mask.  Shared by the global circuit and each LP's local pin table.
+    mask.  Each LP pads its local pin table with this; the global
+    circuit already holds its pins as CSR and calls :func:`_pad_csr`.
     """
-    n = len(pin_lists)
-    matrix = np.zeros((n, max_arity), dtype=np.int64)
-    mask = np.zeros((n, max_arity), dtype=bool)
-    for i, pins in enumerate(pin_lists):
-        matrix[i, : len(pins)] = pins
-        mask[i, : len(pins)] = True
+    offsets, flat = _ragged_csr(pin_lists)
+    return _pad_csr(np.diff(offsets), flat, max_arity)
+
+
+def _ragged_csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, flat)`` int64 CSR form of ragged integer rows."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+        out=offsets[1:],
+    )
+    flat = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
+    )
+    return offsets, flat
+
+
+def _pad_csr(
+    arity: np.ndarray, flat: np.ndarray, max_arity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter CSR rows of lengths ``arity`` into a 0-padded matrix + mask."""
+    mask = np.arange(max_arity, dtype=np.int64)[None, :] < arity[:, None]
+    matrix = np.zeros((len(arity), max_arity), dtype=np.int64)
+    matrix[mask] = flat
     return matrix, mask
 
 

@@ -163,8 +163,14 @@ class Netlist:
         """Compute subtree gate counts and run structural checks."""
         for node in self.hierarchy.walk():
             node.gate_ids.clear()
+        # gates of one instance share their path tuple and arrive
+        # consecutively: walk the tree once per distinct path object
+        path = gate_ids = None
         for gate in self.gates:
-            self.hierarchy.find(gate.path).gate_ids.append(gate.gid)
+            if gate.path is not path:
+                path = gate.path
+                gate_ids = self.hierarchy.find(path).gate_ids
+            gate_ids.append(gate.gid)
 
         def _count(node: HierNode) -> int:
             node.total_gates = len(node.gate_ids) + sum(
@@ -211,9 +217,10 @@ class Netlist:
         Checks that every gate input net exists and that no primary
         input is also driven by a gate.
         """
+        num_nets = self.num_nets
         for gate in self.gates:
             for nid in (*gate.inputs, gate.output):
-                if not (0 <= nid < self.num_nets):
+                if not (0 <= nid < num_nets):
                     raise NetlistError(f"gate {gate.name!r} references bad net {nid}")
         for nid in self.inputs:
             if self.net_driver[nid] != -1:
