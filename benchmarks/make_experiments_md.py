@@ -154,19 +154,6 @@ SECTIONS = [
      "identical between the two implementations, so the wall ratio is "
      "a pure like-for-like measurement; walls live in the quarantined "
      "host_timings channel.  Measured: ~5x on the benchmark host."),
-    ("Extension — vectorized simulation-substrate speed study", "sim_speed",
-     "Not in the paper: the vectorized gate-eval kernel plus the "
-     "rewritten Time Warp hot path (list mirrors, inline flip-flop "
-     "sampling, cached checkpoint accounting, memoized machine "
-     "scheduling) against the complete pre-optimization simulation "
-     "stack (kept runnable as LegacyClusterLP / "
-     "LegacySequentialSimulator / LegacyTimeWarpEngine) on an identical "
-     "pre-simulation (k, b) sweep.  Every structural column — per-point "
-     "committed events, messages, rollbacks, modeled walls to the bit, "
-     "the chosen best (k, b) and the sha256 digest over the rows — is "
-     "asserted identical between the stacks, so the wall ratio is a "
-     "pure like-for-like measurement; walls live in the quarantined "
-     "host_timings channel.  Measured: ~4.5-5x on the benchmark host."),
     ("Extension — multilevel vs direct k-way at scale", "multilevel",
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "

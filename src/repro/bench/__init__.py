@@ -23,15 +23,6 @@ from .partition_speed import (
     speed_study,
     synthetic_hypergraph,
 )
-from .sim_speed import (
-    LegacyClusterLP,
-    LegacySequentialSimulator,
-    LegacyTimeWarpEngine,
-    SimSweepStats,
-    run_sim_sweep,
-    sim_speed_study,
-    smoke_sim_study,
-)
 from .report import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -78,11 +69,4 @@ __all__ = [
     "smoke_study",
     "speed_study",
     "synthetic_hypergraph",
-    "LegacyClusterLP",
-    "LegacySequentialSimulator",
-    "LegacyTimeWarpEngine",
-    "SimSweepStats",
-    "run_sim_sweep",
-    "sim_speed_study",
-    "smoke_sim_study",
 ]

@@ -86,6 +86,12 @@ NEUTRAL_METRICS = frozenset({
     "part.ml.match_weight",
     "part.ml.reduction",
     "part.ml.initial_candidates",
+    # which side of the step kernel served the work: a dispatch
+    # outcome, not a quality signal (more scalar gates is the *faster*
+    # split below ~100 updates per batch — docs/performance.md)
+    "sim.kernel.batches",
+    "sim.kernel.batch_gates",
+    "sim.kernel.scalar_gates",
 })
 
 #: default relative-delta gate: a directional metric moving more than

@@ -86,10 +86,10 @@ METRIC_REGISTRY: dict[str, str] = {
     "tw.peak_checkpoint_bytes": "peak total checkpoint memory across LPs",
     "tw.wall_time": "modeled parallel wall time (max machine clock, seconds)",
     "tw.speedup": "modeled sequential wall over modeled parallel wall",
-    # -- vectorized gate-eval kernel (repro.sim.logic) ---------------------
-    "sim.kernel.batches": "affected-gate batches evaluated by the vectorized kernel",
-    "sim.kernel.batch_gates": "combinational gate evals done by the vectorized kernel",
-    "sim.kernel.scalar_gates": "combinational gate evals done on the scalar fast path",
+    # -- step kernel dispatch (repro.sim.kernel) ---------------------------
+    "sim.kernel.batches": "LP batches the step kernel ran as array passes",
+    "sim.kernel.batch_gates": "gate evals done on the step kernel's array side",
+    "sim.kernel.scalar_gates": "gate evals done on the step kernel's scalar side",
     # -- sequential baseline ----------------------------------------------
     "seq.gate_evals": "gate events of the sequential reference run",
     "seq.wall_time": "modeled sequential wall time (seconds)",

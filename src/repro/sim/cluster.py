@@ -291,11 +291,11 @@ class RunStats:
     migrations: int = 0
     peak_checkpoint_bytes: int = 0
     max_straggler_depth: int = 0
-    #: affected-gate batches evaluated through the vectorized kernel
+    #: LP batches the step kernel ran as array passes
     kernel_batches: int = 0
-    #: combinational gate evaluations done by the vectorized kernel
+    #: gate evaluations done on the step kernel's array side
     kernel_batch_gates: int = 0
-    #: combinational gate evaluations done on the scalar fast path
+    #: gate evaluations done on the step kernel's scalar side
     kernel_scalar_gates: int = 0
     machines: list[MachineStats] = field(default_factory=list)
     lps: list[LPStats] = field(default_factory=list)

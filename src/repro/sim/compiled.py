@@ -29,9 +29,10 @@ import numpy as np
 from ..errors import SimulationError
 from ..verilog.netlist import CONST0, CONST1, Netlist
 from ..verilog.netlist_csr import NetlistCSR
+from .kernel import GateTable, fanout_csr
 from .logic import GATE_CODES, SEQ_CODE_MIN, VX, eval_gate_coded
 
-__all__ = ["CompiledCircuit", "compile_circuit", "pad_pin_matrix"]
+__all__ = ["CompiledCircuit", "compile_circuit"]
 
 #: Python-object mirrors of the array state, built together on first
 #: access through :meth:`CompiledCircuit.__getattr__` when the source
@@ -63,10 +64,10 @@ class CompiledCircuit:
     sink_gate / sink_offsets:
         CSR form of ``net_sinks``: net ``n`` feeds gates
         ``sink_gate[sink_offsets[n]:sink_offsets[n + 1]]``.
-    pin_matrix / pin_mask:
-        ``(num_gates, max_arity)`` dense pin-net matrix padded with 0
-        plus its validity mask — the gather index for the batched gate
-        kernel (:func:`repro.sim.logic.eval_gates_batch`).
+    table:
+        The step kernel's :class:`~repro.sim.kernel.GateTable` over
+        global ids, built from the arrays above on first simulation
+        (compiling alone never pays for it).
     """
 
     __slots__ = (
@@ -84,9 +85,8 @@ class CompiledCircuit:
         "pin_offsets",
         "sink_gate",
         "sink_offsets",
-        "pin_matrix",
-        "pin_mask",
         "max_arity",
+        "table",
         "gate_code_list",
         "gate_output_list",
     )
@@ -117,14 +117,9 @@ class CompiledCircuit:
         self.inputs = tuple(netlist.inputs)
         self.outputs = tuple(netlist.outputs)
 
-        # CSR pin/sink arrays + the padded pin matrix for batched eval
         self.pin_offsets, self.pin_net = _ragged_csr(self.gate_inputs)
         self.sink_offsets, self.sink_gate = _ragged_csr(self.net_sinks)
-        arity = np.diff(self.pin_offsets)
-        self.max_arity = int(arity.max()) if self.num_gates else 0
-        self.pin_matrix, self.pin_mask = _pad_csr(
-            arity, self.pin_net, self.max_arity
-        )
+        self.max_arity = int(np.diff(self.pin_offsets).max(initial=0))
         # plain-int mirrors of the per-gate arrays: CPython reads a
         # list element an order of magnitude faster than a NumPy
         # scalar, and every simulator instance (and each cluster LP)
@@ -137,10 +132,9 @@ class CompiledCircuit:
         """Vectorized compilation of an array-native netlist.
 
         No per-gate Python loop: the type table maps through one fancy
-        index, the pin CSR is adopted as-is, the sink CSR falls out of
-        one stable sort of the pins by net, and the padded pin matrix
-        is a single masked scatter.  The tuple/list mirrors are *not*
-        built here — see :meth:`__getattr__`.
+        index, the pin CSR is adopted as-is and the sink CSR falls out
+        of one stable sort of the pins by net.  The tuple/list mirrors
+        are *not* built here — see :meth:`__getattr__`.
         """
         table = np.empty(max(1, len(csr.gate_types)), dtype=np.int8)
         for i, name in enumerate(csr.gate_types):
@@ -163,22 +157,12 @@ class CompiledCircuit:
         self.outputs = tuple(csr.outputs.tolist())
         self.pin_offsets = csr.pin_ptr
         self.pin_net = csr.pin_net
-        arity = np.diff(csr.pin_ptr)
         # sinks per net in (gid, pin position) order — exactly the
         # append order of Netlist.add_gate, duplicates preserved
-        reading = np.repeat(
-            np.arange(self.num_gates, dtype=np.int64), arity
+        self.sink_offsets, self.sink_gate = fanout_csr(
+            csr.pin_ptr, csr.pin_net, self.num_nets
         )
-        order = np.argsort(self.pin_net, kind="stable")
-        self.sink_gate = reading[order]
-        sink_offsets = np.zeros(self.num_nets + 1, dtype=np.int64)
-        counts = np.bincount(self.pin_net, minlength=self.num_nets)
-        np.cumsum(counts, dtype=np.int64, out=sink_offsets[1:])
-        self.sink_offsets = sink_offsets
-        self.max_arity = int(arity.max()) if self.num_gates else 0
-        self.pin_matrix, self.pin_mask = _pad_csr(
-            arity, self.pin_net, self.max_arity
-        )
+        self.max_arity = int(np.diff(csr.pin_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
         # array-native compilation leaves the Python-object mirrors
@@ -187,6 +171,13 @@ class CompiledCircuit:
         if name in _LAZY_MIRRORS:
             self._build_scalar_mirrors()
             return getattr(self, name)
+        if name == "table":
+            self.table = GateTable(
+                self.gate_code, self.pin_offsets, self.pin_net,
+                self.gate_output, self.num_nets,
+                self.sink_offsets, self.sink_gate,
+            )
+            return self.table
         raise AttributeError(
             f"{type(self).__name__!s} object has no attribute {name!r}"
         )
@@ -216,19 +207,6 @@ class CompiledCircuit:
         return eval_gate_coded(int(self.gate_code[gid]), [int(values[p]) for p in pins])
 
 
-def pad_pin_matrix(
-    pin_lists: Sequence[Sequence[int]], max_arity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad ragged pin lists to a dense ``(n, max_arity)`` index matrix.
-
-    Returns ``(matrix, mask)``: pad cells index 0 and are False in the
-    mask.  Each LP pads its local pin table with this; the global
-    circuit already holds its pins as CSR and calls :func:`_pad_csr`.
-    """
-    offsets, flat = _ragged_csr(pin_lists)
-    return _pad_csr(np.diff(offsets), flat, max_arity)
-
-
 def _ragged_csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """``(offsets, flat)`` int64 CSR form of ragged integer rows."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -240,16 +218,6 @@ def _ragged_csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
     )
     return offsets, flat
-
-
-def _pad_csr(
-    arity: np.ndarray, flat: np.ndarray, max_arity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter CSR rows of lengths ``arity`` into a 0-padded matrix + mask."""
-    mask = np.arange(max_arity, dtype=np.int64)[None, :] < arity[:, None]
-    matrix = np.zeros((len(arity), max_arity), dtype=np.int64)
-    matrix[mask] = flat
-    return matrix, mask
 
 
 def compile_circuit(netlist: Netlist) -> CompiledCircuit:

@@ -9,8 +9,11 @@ twins) carrying send/receive metadata for rollback bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
-__all__ = ["InputEvent", "Message"]
+from ..errors import SimulationError
+
+__all__ = ["InputEvent", "Message", "check_stimulus"]
 
 
 @dataclass(frozen=True, order=True)
@@ -20,6 +23,27 @@ class InputEvent:
     time: int
     net: int
     value: int
+
+
+def check_stimulus(time, net, value, num_nets: int) -> None:
+    """Reject a stimulus the simulators cannot take at face value.
+
+    Gate evaluation is table lookups indexed by net values, so a value
+    outside ``{0, 1, X}`` would silently read a neighbouring table row
+    and a negative net id would silently write another net; both
+    simulators therefore check every stimulus once, where it enters.
+    """
+    if not isinstance(time, Integral):
+        problem = "time is not an integer"
+    elif not (isinstance(net, Integral) and 0 <= net < num_nets):
+        problem = f"net is not in 0..{num_nets - 1}"
+    elif not (isinstance(value, Integral) and 0 <= value <= 2):
+        problem = "value is not 0, 1 or 2 (X)"
+    else:
+        return
+    raise SimulationError(
+        f"bad stimulus (time={time!r}, net={net!r}, value={value!r}): {problem}"
+    )
 
 
 @dataclass(frozen=True)

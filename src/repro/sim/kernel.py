@@ -1,0 +1,341 @@
+"""The unit-delay step kernel shared by both simulators.
+
+A unit-delay timestep is a *round*: every net update scheduled for time
+``t`` is applied, every gate reading a net that really changed is
+evaluated against the post-update values (flip-flops sample their data
+pins from the pre-update ones), and every output lands at ``t + 1``.
+All gates of a round read the same frozen state, so the round can be
+executed as whole-array passes in any order and still be deterministic;
+the only order that is observable — which gate is visited first, hence
+the order of the change log and of message uids — is the first-touch
+order of the fanout walk, which :meth:`GateTable.step_arrays` keeps.
+
+Gate and flip-flop semantics are defined once, as lookup tables:
+
+* :data:`FOLD` / :data:`FINAL` — combinational gates are a pairwise fold
+  over their pins through one flat ``(op, acc, v)`` table.  A state is
+  ``op * 16 + acc * 4``; ``acc == 3`` is the empty accumulator and
+  ``v == 3`` (:data:`PAD`) is what a padded pin reads — the fold passes
+  it through, so gates of any arity share one pin matrix.
+* :data:`FF` — ``(kind, clk_before, clk_after, d_before, aux_before)``
+  to ``0 / 1 / X /`` :data:`HOLD`, for ``dff`` / ``dffr`` / ``dffe``
+  (``aux`` is the reset resp. enable pin).
+
+:class:`GateTable` holds the structure of one gate set over a dense net
+id space — global ids for the sequential simulator, LP-local ids for a
+:class:`~repro.sim.lp.ClusterLP` (see :meth:`GateTable.restrict`).  The
+array side and the scalar side read the same tables (the scalar side as
+tuples); :meth:`GateTable.step` picks between them by the number of
+scheduled updates.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..errors import SimulationError
+from .logic import _FOLDS_PY, _NOT, GATE_CODES, SEQ_CODE_MIN, VX
+
+__all__ = ["BATCH_THRESHOLD", "FF", "FINAL", "FOLD", "HOLD", "PAD",
+           "GateTable", "fanout_csr"]
+
+#: value of the pad cell behind every value buffer, and the empty
+#: accumulator of a fold state
+PAD = 3
+#: flip-flop table result: the cell keeps its value, no output event
+HOLD = 3
+
+#: steps applying at least this many scheduled updates run as array
+#: passes, smaller ones through the scalar loop.  A module constant, not
+#: a knob: it is the measured break-even of the two sides on the
+#: reference host (docs/performance.md, "Simulation kernel")
+BATCH_THRESHOLD = 96
+
+_NUM_COMB = SEQ_CODE_MIN
+_UNARY = (GATE_CODES["buf"], GATE_CODES["not"])
+
+
+def _build_fold() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    fold = [0] * (16 * _NUM_COMB)
+    final = [VX] * (16 * _NUM_COMB)
+    for op in range(_NUM_COMB):
+        table, inverted = _FOLDS_PY.get(op, (None, op == GATE_CODES["not"]))
+        for acc in range(4):
+            state = op * 16 + acc * 4
+            for v in range(4):
+                if v == PAD:
+                    nxt = acc
+                elif acc == PAD:
+                    nxt = v  # first real pin seeds the accumulator
+                elif op in _UNARY:
+                    nxt = acc
+                else:
+                    nxt = table[acc][v]
+                fold[state + v] = op * 16 + nxt * 4
+            if acc != PAD:
+                final[state] = _NOT[acc] if inverted else acc
+    return tuple(fold), tuple(final)
+
+
+def _ff_next(kind: int, cb: int, ca: int, d: int, aux: int) -> int:
+    """Next state of flip-flop ``kind`` (0 dff, 1 dffr, 2 dffe) when its
+    clock goes ``cb -> ca``; data and aux are their pre-edge values."""
+    if ca == cb or ca == 0 or cb == 1:
+        return HOLD  # idle clock, falling edge or non-edge
+    if kind == 0:
+        aux = 1  # a plain dff is a dffe with its enable tied high
+    known = cb == 0 and ca == 1  # otherwise X is involved in the edge
+    if kind == 1:
+        if known and aux == 1:
+            return 0  # synchronous reset
+    elif aux == 0:
+        return HOLD  # enable off: holds regardless of the edge
+    return d if known and aux != VX else VX
+
+
+_FOLD_T, _FINAL_T = _build_fold()
+_FF_T = tuple(
+    _ff_next(kind, cb, ca, d, aux)
+    for kind in range(3) for cb in range(3) for ca in range(3)
+    for d in range(3) for aux in range(3)
+)
+FOLD = np.array(_FOLD_T, dtype=np.int64)
+FINAL = np.array(_FINAL_T, dtype=np.int8)
+FF = np.array(_FF_T, dtype=np.int8)
+
+_NEVER = np.iinfo(np.int64).max
+
+
+def fanout_csr(
+    pin_ptr: np.ndarray, pin_net: np.ndarray, num_nets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(fan_ptr, fan_gate)``: per net, the gates reading it in (gate,
+    pin position) order, a gate once per pin that reads the net."""
+    reading = np.repeat(
+        np.arange(len(pin_ptr) - 1, dtype=np.int64), np.diff(pin_ptr)
+    )
+    fan_gate = reading[np.argsort(pin_net, kind="stable")]
+    fan_ptr = np.zeros(num_nets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pin_net, minlength=num_nets), out=fan_ptr[1:])
+    return fan_ptr, fan_gate
+
+
+class GateTable:
+    """Evaluation tables of a gate set over net ids ``0 .. num_nets - 1``.
+
+    ``pins[j]`` is the per-gate index column of pin ``j``; absent pins
+    index ``num_nets``, the pad cell of a buffer from :meth:`new_values`
+    (a plain ``dff`` repeats its data pin as ``aux``, which its
+    :data:`FF` rows ignore).  Values live in the caller's buffer; the
+    table itself only carries one scratch column for the fanout walk.
+    """
+
+    __slots__ = ("num_gates", "num_nets", "codes", "arity", "pins", "out",
+                 "fan_ptr", "fan_cnt", "fan_gate", "_comb_pins", "_ff_pins",
+                 "_state0", "_ff_base", "_is_ff", "_is_clock", "_first",
+                 "_scalar")
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        pin_ptr: np.ndarray,
+        pin_net: np.ndarray,
+        out: np.ndarray,
+        num_nets: int,
+        fan_ptr: np.ndarray,
+        fan_gate: np.ndarray,
+    ) -> None:
+        n = self.num_gates = len(codes)
+        self.num_nets = num_nets
+        self.codes = codes
+        self.out = out
+        self.fan_ptr, self.fan_gate = fan_ptr, fan_gate
+        self.fan_cnt = np.diff(fan_ptr)
+        arity = self.arity = np.diff(pin_ptr)
+        is_ff = codes >= SEQ_CODE_MIN
+        if (arity < np.where(is_ff, 2 + (codes > SEQ_CODE_MIN), 1)).any():
+            raise SimulationError("a gate has fewer pins than its type reads")
+        if np.bincount(out, minlength=1).max(initial=0) > 1:
+            raise SimulationError("a net is driven by more than one gate")
+        comb_width = int(arity[~is_ff].max(initial=0))
+        width = max(int(arity.max(initial=0)), 3 if is_ff.any() else 0)
+        real = np.arange(width, dtype=np.int64)[:, None] < arity[None, :]
+        self.pins = np.full((width, n), num_nets, dtype=np.int64)
+        self.pins.T[real.T] = pin_net
+        if width >= 3:
+            plain = codes == SEQ_CODE_MIN
+            self.pins[2, plain] = self.pins[0, plain]
+        self._comb_pins = self.pins[:comb_width]
+        self._ff_pins = self.pins[:3]  # rows d, clk, aux of a flip-flop
+        state0 = codes.astype(np.int64) * 16 + PAD * 4
+        state0[is_ff] = PAD * 4  # any valid state: the result is discarded
+        self._state0 = state0
+        self._ff_base = (codes.astype(np.int64) - SEQ_CODE_MIN) * 81
+        self._is_ff = is_ff
+        self._is_clock = np.zeros(num_nets, dtype=bool)
+        if is_ff.any():
+            self._is_clock[self.pins[1, is_ff]] = True
+        self._first = np.full(n, _NEVER, dtype=np.int64)
+        self._scalar = None
+
+    def restrict(self, gate_ids: np.ndarray) -> tuple["GateTable", np.ndarray]:
+        """The table of a gate subset over its own dense net ids.
+
+        Returns it with the sorted ids (in this table's space) of the
+        nets the subset touches: local net ``i`` is ``nets[i]``, local
+        gate ``i`` is ``gate_ids[i]``.
+        """
+        arity = self.arity[gate_ids]
+        real = np.arange(len(self.pins), dtype=np.int64)[None, :] < arity[:, None]
+        pin_net = self.pins.T[gate_ids][real]
+        out = self.out[gate_ids]
+        nets = np.union1d(pin_net, out)
+        pin_ptr = np.zeros(len(gate_ids) + 1, dtype=np.int64)
+        np.cumsum(arity, out=pin_ptr[1:])
+        pin_net = np.searchsorted(nets, pin_net)
+        table = GateTable(
+            self.codes[gate_ids], pin_ptr, pin_net, np.searchsorted(nets, out),
+            len(nets), *fanout_csr(pin_ptr, pin_net, len(nets)),
+        )
+        return table, nets
+
+    def new_values(self, initial: np.ndarray) -> np.ndarray:
+        """A value buffer: ``initial`` plus the trailing pad cell."""
+        vbuf = np.empty(self.num_nets + 1, dtype=np.int8)
+        vbuf[:-1] = initial
+        vbuf[-1] = PAD
+        return vbuf
+
+    # -- the array side ------------------------------------------------------
+
+    def step_arrays(self, vbuf: np.ndarray, nets: np.ndarray, vals: np.ndarray):
+        """Apply the scheduled updates ``nets <- vals`` (distinct nets)
+        and evaluate the round.
+
+        Returns ``None`` when no net changed, else ``(changed, new,
+        affected, out_nets, out_vals)``: the nets that changed with
+        their new values (schedule order), the gates evaluated (first-
+        touch order; held flip-flops included) and the outputs to
+        schedule one tick later (affected order, held ones dropped).
+        """
+        cur = vbuf[nets]
+        moved = cur != vals
+        changed = nets[moved]
+        if not changed.size:
+            return None
+        new = vals[moved]
+        # CSR fanout expansion, de-duplicated keeping each gate's first touch
+        cnt = self.fan_cnt[changed]
+        end = np.cumsum(cnt)
+        touch = np.arange(end[-1], dtype=np.int64)
+        hit = self.fan_gate[touch + np.repeat(self.fan_ptr[changed] - end + cnt, cnt)]
+        first = self._first
+        np.minimum.at(first, hit, touch)
+        affected = hit[first[hit] == touch]
+        first[affected] = _NEVER
+        is_ff = self._is_ff[affected]
+        if not is_ff.any():
+            vbuf[changed] = new
+            return changed, new, affected, self.out[affected], self.fold(vbuf, affected)
+        # a flip-flop can only fire when its own clock net moved; with no
+        # clock among the changed nets every affected one holds
+        clocked = self._is_clock[changed].any()
+        if clocked:  # sample before the update lands
+            ff = affected[is_ff]
+            d, clk, aux = self._ff_pins.take(ff, axis=1)
+            index = self._ff_base[ff] + vbuf[clk] * 27 + vbuf[d] * 3 + vbuf[aux]
+        vbuf[changed] = new
+        out_vals = self.fold(vbuf, affected)
+        if clocked:
+            out_vals[is_ff] = FF[index + vbuf[clk] * 9]
+            fired = out_vals != HOLD
+        else:
+            fired = ~is_ff
+        return changed, new, affected, self.out[affected[fired]], out_vals[fired]
+
+    def fold(self, vbuf: np.ndarray, gates: np.ndarray) -> np.ndarray:
+        """Combinational outputs of ``gates`` against ``vbuf`` (rows of
+        flip-flops come back as garbage for the caller to overwrite)."""
+        state = self._state0[gates]
+        for column in vbuf[self._comb_pins.take(gates, axis=1)]:
+            state = FOLD[state + column]
+        return FINAL[state]
+
+    # -- the scalar side -----------------------------------------------------
+
+    def _scalar_tables(self):
+        # a flip-flop reads exactly (d, clk, aux), a gate its real pins
+        take = np.where(self.codes >= SEQ_CODE_MIN, 3, self.arity)
+        flat = self.pins.T[
+            np.arange(len(self.pins), dtype=np.int64)[None, :] < take[:, None]
+        ].tolist()
+        ptr = np.concatenate(([0], np.cumsum(take))).tolist()
+        fan, fptr = self.fan_gate.tolist(), self.fan_ptr.tolist()
+        # a gate's initial fold state, or minus its flip-flop table base
+        start = np.where(self._is_ff, -self._ff_base, self._state0)
+        self._scalar = (
+            start.tolist(),
+            [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
+            self.out.tolist(),
+            [tuple(fan[a:b]) for a, b in zip(fptr, fptr[1:])],
+        )
+        return self._scalar
+
+    def _step_scalar(self, vbuf, vlist: list[int], nets: list[int], vals: list[int]):
+        """:meth:`step_arrays` over Python lists; keeps ``vlist`` (the
+        list mirror of ``vbuf``) in step."""
+        start, pins, out, fan = self._scalar or self._scalar_tables()
+        fold, ff_table = _FOLD_T, _FF_T
+        old: dict[int, int] = {}
+        affected: dict[int, None] = {}
+        for net, value in zip(nets, vals):
+            cur = vlist[net]
+            if cur != value:
+                old[net] = cur
+                vbuf[net] = vlist[net] = value
+                for g in fan[net]:
+                    affected[g] = None
+        if not old:
+            return None
+        out_nets: list[int] = []
+        out_vals: list[int] = []
+        for g in affected:
+            state = start[g]
+            if state > 0:
+                for p in pins[g]:
+                    state = fold[state + vlist[p]]
+                value = _FINAL_T[state]
+            else:
+                d, clk, aux = pins[g]
+                cb = old.get(clk)
+                if cb is None:
+                    continue  # idle clock: every FF row holds
+                value = ff_table[
+                    cb * 27 + vlist[clk] * 9 + old.get(d, vlist[d]) * 3
+                    + old.get(aux, vlist[aux]) - state
+                ]
+                if value == HOLD:
+                    continue
+            out_nets.append(out[g])
+            out_vals.append(value)
+        changed = list(old)
+        return changed, [vlist[n] for n in changed], affected, out_nets, out_vals
+
+    # -- dispatch ------------------------------------------------------------
+
+    def step(self, vbuf: np.ndarray, vlist: list[int], nets, vals):
+        """One round on whichever side suits its size; ``nets`` / ``vals``
+        may be lists or arrays and come back as the side's own kind (a
+        list result means the scalar side ran)."""
+        if len(nets) < BATCH_THRESHOLD:
+            if type(nets) is not list:
+                nets, vals = nets.tolist(), vals.tolist()
+            return self._step_scalar(vbuf, vlist, nets, vals)
+        if type(nets) is list:
+            nets = np.array(nets, dtype=np.int64)
+            vals = np.array(vals, dtype=np.int8)
+        result = self.step_arrays(vbuf, nets, vals)
+        if result is not None:
+            for net, value in zip(result[0].tolist(), result[1].tolist()):
+                vlist[net] = value
+        return result

@@ -7,13 +7,12 @@ propagation is *accurate*, not pessimistic: ``and(0, X) = 0`` and
 regardless of the unknown.
 
 Values are plain ints (``X == 2``) so they pack into ``int8`` NumPy
-arrays; evaluation uses precomputed 3x3 fold tables, giving the
-event-driven simulators a tight inner loop without conditionals.
+arrays.  This module is the scalar reference; the simulators evaluate
+through the lookup tables :mod:`repro.sim.kernel` derives from the
+3x3 fold tables below.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = [
     "V0",
@@ -21,11 +20,8 @@ __all__ = [
     "VX",
     "GATE_CODES",
     "CODE_NAMES",
-    "BATCH_THRESHOLD",
     "eval_gate",
     "eval_gate_coded",
-    "eval_gates_batch",
-    "fold_table",
     "invert",
     "value_name",
 ]
@@ -81,39 +77,15 @@ def _xor2(a: int, b: int) -> int:
 
 _NOT = (V1, V0, VX)
 
-# 3x3 fold tables per associative base op
-_AND_T = np.array([[_and2(a, b) for b in range(3)] for a in range(3)], dtype=np.int8)
-_OR_T = np.array([[_or2(a, b) for b in range(3)] for a in range(3)], dtype=np.int8)
-_XOR_T = np.array([[_xor2(a, b) for b in range(3)] for a in range(3)], dtype=np.int8)
-
-#: ``fold_table(code)`` → (3x3 table, invert_output) for combinational codes
-_FOLDS: dict[int, tuple[np.ndarray, bool]] = {
-    GATE_CODES["and"]: (_AND_T, False),
-    GATE_CODES["nand"]: (_AND_T, True),
-    GATE_CODES["or"]: (_OR_T, False),
-    GATE_CODES["nor"]: (_OR_T, True),
-    GATE_CODES["xor"]: (_XOR_T, False),
-    GATE_CODES["xnor"]: (_XOR_T, True),
-}
-
-#: plain-tuple mirror of :data:`_FOLDS` — the scalar fast path folds
-#: through Python tuples, which beats NumPy scalar indexing ~10x on the
-#: small batches that dominate event-driven workloads
-_FOLDS_PY: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {
-    code: (tuple(tuple(int(v) for v in row) for row in table), inv)
-    for code, (table, inv) in _FOLDS.items()
-}
-
-#: affected-gate batches at or above this size go through the padded
-#: NumPy kernel (:func:`eval_gates_batch`); smaller ones stay on the
-#: scalar tuple-table path, whose per-gate cost is lower than the fixed
-#: NumPy dispatch overhead
-BATCH_THRESHOLD = 24
-
-
-def fold_table(code: int) -> tuple[np.ndarray, bool]:
-    """(3x3 fold table, output-inverted flag) for a variadic gate code."""
-    return _FOLDS[code]
+#: per variadic gate code: (3x3 fold table of its associative base op,
+#: output-inverted flag), as plain tuples
+_FOLDS_PY: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {}
+for _op, _plain, _inverted in (
+    (_and2, "and", "nand"), (_or2, "or", "nor"), (_xor2, "xor", "xnor")
+):
+    _table = tuple(tuple(_op(a, b) for b in range(3)) for a in range(3))
+    _FOLDS_PY[GATE_CODES[_plain]] = (_table, False)
+    _FOLDS_PY[GATE_CODES[_inverted]] = (_table, True)
 
 
 def invert(v: int) -> int:
@@ -132,58 +104,6 @@ def eval_gate_coded(code: int, values: tuple[int, ...] | list[int]) -> int:
     for v in values[1:]:
         acc = table[acc][v]
     return _NOT[acc] if inv else acc
-
-
-# -- vectorized batch kernel ------------------------------------------------
-#
-# Rank trick: under the value order 0 < X < 1 three-valued AND is the
-# minimum and OR is the maximum (a controlling 0/1 dominates, X sits in
-# the middle), so mapping values through _RANK = [0, 2, 1] turns both
-# variadic folds into masked min/max reductions; _RANK is an involution,
-# so it also maps ranks back to values.  XOR is X if any input is X,
-# else the parity of the ones.  buf/not pass pin 0 through (optionally
-# inverted).  nand/nor/xnor invert the base op through _NOT_ARR.
-
-_RANK = np.array([0, 2, 1], dtype=np.int8)
-_NOT_ARR = np.array(_NOT, dtype=np.int8)
-
-#: base reduction per combinational code: 0 = and-fold, 1 = or-fold,
-#: 2 = xor-fold, 3 = unary (pin 0)
-_BASE_OP = np.array([0, 1, 0, 1, 2, 2, 3, 3], dtype=np.int8)
-_INV_OUT = np.array(
-    [False, False, True, True, False, True, False, True], dtype=bool
-)
-
-
-def eval_gates_batch(
-    codes: np.ndarray, pin_values: np.ndarray, pin_mask: np.ndarray
-) -> np.ndarray:
-    """Evaluate a batch of *combinational* gates at once.
-
-    Parameters
-    ----------
-    codes:
-        ``(n,)`` integer gate codes (all ``< SEQ_CODE_MIN``).
-    pin_values:
-        ``(n, max_arity)`` int8 input values, one row per gate, padded
-        to the widest gate; pad cells may hold anything.
-    pin_mask:
-        ``(n, max_arity)`` bool validity mask (True = real pin).
-
-    Returns the ``(n,)`` int8 output values, bit-identical to calling
-    :func:`eval_gate_coded` per row over the unpadded pins.
-    """
-    codes = np.asarray(codes)
-    base = _BASE_OP[codes]
-    rank = _RANK[pin_values]
-    and_out = _RANK[np.where(pin_mask, rank, 2).min(axis=1)]
-    or_out = _RANK[np.where(pin_mask, rank, 0).max(axis=1)]
-    any_x = ((pin_values == VX) & pin_mask).any(axis=1)
-    ones = ((pin_values == V1) & pin_mask).sum(axis=1)
-    xor_out = np.where(any_x, VX, (ones & 1)).astype(np.int8)
-    unary = pin_values[:, 0]
-    out = np.choose(base, (and_out, or_out, xor_out, unary))
-    return np.where(_INV_OUT[codes], _NOT_ARR[out], out)
 
 
 def eval_gate(gtype: str, values: tuple[int, ...] | list[int]) -> int:

@@ -7,7 +7,8 @@ children roll back along with their parent.  Each LP is effectively a
 private unit-delay simulator over its gate subset:
 
 * its **state** is the value array of the nets its gates touch, plus
-  the internal future-event agenda;
+  the outputs of its last batch, due one tick later (under unit delay
+  that single pair is the whole future-event agenda);
 * **input messages** are net-change events for boundary nets driven by
   other LPs (or the vector source);
 * **output messages** are emitted when a locally driven boundary net
@@ -45,7 +46,6 @@ the key-matched buffer handles every interleaving.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,20 +53,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from .compiled import CompiledCircuit, pad_pin_matrix
+from .compiled import CompiledCircuit
 from .events import Message
-from .logic import (
-    BATCH_THRESHOLD,
-    GATE_CODES,
-    VX,
-    eval_gate_coded,
-    eval_gates_batch,
-)
 
 __all__ = ["ClusterLP", "BatchResult", "RollbackResult"]
-
-_DFF = GATE_CODES["dff"]
-_DFFR = GATE_CODES["dffr"]
 
 
 @dataclass
@@ -88,23 +78,15 @@ class RollbackResult:
 
 
 class _Checkpoint:
-    """One saved LP state: array copies of the net values and the
-    last-sent-value filter, plus the future-event agenda."""
+    """One saved LP state: copies of the net values and the last-sent
+    filter, plus the pending output pair (shared, never mutated)."""
 
-    __slots__ = ("vt", "values", "agenda", "heap", "pending", "size")
+    __slots__ = ("vt", "values", "due", "pending", "size")
 
-    def __init__(
-        self,
-        vt: int,
-        values: np.ndarray,
-        agenda: dict[int, dict[int, int]],
-        heap: list[int],
-        pending: np.ndarray,
-    ) -> None:
+    def __init__(self, vt: int, values: np.ndarray, due, pending: np.ndarray) -> None:
         self.vt = vt
         self.values = values
-        self.agenda = agenda
-        self.heap = heap
+        self.due = due
         self.pending = pending
         # snapshots are immutable once taken, so the size is computed
         # exactly once and the LP keeps a running total instead of
@@ -112,14 +94,14 @@ class _Checkpoint:
         self.size = self.nbytes()
 
     def nbytes(self) -> int:
-        # the two arrays report their true buffer sizes; the agenda and
-        # heap are estimated at CPython dict-entry / list-slot cost
-        return (
-            self.values.nbytes
-            + self.pending.nbytes
-            + 32 * sum(len(s) + 1 for s in self.agenda.values())
-            + 8 * len(self.heap)
-        )
+        # the two arrays report their true buffer sizes; the due pair
+        # is charged what the agenda slot it replaced cost (a CPython
+        # dict entry per update, one list slot for its time), which
+        # keeps tw.peak_checkpoint_bytes comparable across versions
+        size = self.values.nbytes + self.pending.nbytes
+        if self.due is not None:
+            size += 32 * (len(self.due[0]) + 1) + 8
+        return size
 
 
 def _msg_sort_key(m: Message) -> tuple[int, int, int]:
@@ -165,80 +147,41 @@ class ClusterLP:
         self.checkpoint_interval = checkpoint_interval
         self.lazy = lazy
 
-        # local net table: every net a local gate reads or drives
-        code_list = circuit.gate_code_list
-        out_list = circuit.gate_output_list
-        local_nets: set[int] = set()
-        for gid in self.gate_ids:
-            local_nets.update(circuit.gate_inputs[gid])
-            local_nets.add(out_list[gid])
-        self._net_list = sorted(local_nets)
+        # the kernel's tables over LP-local ids: local net i is global
+        # net _net_list[i] (every net a local gate reads or drives)
+        self._table, nets = circuit.table.restrict(
+            np.array(self.gate_ids, dtype=np.int64)
+        )
+        self._net_list: list[int] = nets.tolist()
         self._net_loc = {n: i for i, n in enumerate(self._net_list)}
-
-        # per-gate tables indexed by *local gate index* (gate_ids order):
-        # plain-int lists for the scalar path, padded local-loc pin
-        # matrix + code array for the batched kernel
-        gidx = {gid: i for i, gid in enumerate(self.gate_ids)}
-        self._g_code: list[int] = []
-        self._g_pins_loc: list[tuple[int, ...]] = []
-        self._g_pins_glob: list[tuple[int, ...]] = []
-        self._g_out_net: list[int] = []
-        self._g_out_loc: list[int] = []
-        # global clock net per flip-flop (-1 for combinational gates):
-        # every dff variant samples only on clock activity, so a batch
-        # where the clock net did not change skips the state function
-        # outright (its first test would return None anyway)
-        self._g_clk: list[int] = []
-        net_loc = self._net_loc
-        for gid in self.gate_ids:
-            pins = circuit.gate_inputs[gid]
-            out_net = out_list[gid]
-            code = code_list[gid]
-            self._g_code.append(code)
-            self._g_pins_glob.append(pins)
-            self._g_pins_loc.append(tuple(net_loc[p] for p in pins))
-            self._g_out_net.append(out_net)
-            self._g_out_loc.append(net_loc[out_net])
-            self._g_clk.append(pins[1] if code >= _DFF else -1)
-        # batch-kernel tables (code array + padded pin matrix) are
-        # built on first use: many small LPs never see an affected set
-        # reaching BATCH_THRESHOLD, and skipping their construction
-        # keeps per-LP setup cost proportional to what actually runs
-        self._g_codes_arr: np.ndarray | None = None
-        self._pin_mat: np.ndarray | None = None
-        self._pin_msk: np.ndarray | None = None
-
-        # local sink gates (local indices) per local net index
-        sinks: list[list[int]] = [[] for _ in self._net_list]
-        for gid in self.gate_ids:
-            for n in circuit.gate_inputs[gid]:
-                sinks[self._net_loc[n]].append(gidx[gid])
-        self._local_sinks = tuple(tuple(s) for s in sinks)
 
         # locally driven nets back the last-sent-value filter: an int8
         # array (checkpointed by copy) seeded with the nets' initial
-        # values, which is exactly the old dict's .get() default
-        self._driven_list = sorted({n for n in self._g_out_net})
-        driven_idx = {n: i for i, n in enumerate(self._driven_list)}
-        self._g_pend: list[int] = [driven_idx[n] for n in self._g_out_net]
-        self._pending = circuit.initial_values[self._driven_list].copy()
+        # values; _sent_idx maps a driven local net to its cell
+        driven = np.sort(self._table.out)
+        self._sent_idx = dict(zip(driven.tolist(), range(len(driven))))
+        self._pending = circuit.initial_values[nets[driven]]
         self._pending_list: list[int] = self._pending.tolist()
 
         #: populated by the engine: driven global net id -> external
         #: reader LP ids
         self.out_dests: dict[int, tuple[int, ...]] = {}
+        #: the same keyed by local net, built by the first batch
+        self._dests: dict[int, tuple[int, ...]] | None = None
 
-        # dynamic state
-        self.values = circuit.initial_values[self._net_list].copy()
+        # dynamic state: the kernel's value buffer with a plain-int
+        # mirror for the scalar side, and the outputs of the last
+        # batch, due at lvt + 1
+        self._vbuf = self._table.new_values(circuit.initial_values[nets])
         self._vlist: list[int] = self.values.tolist()
-        self._agenda: dict[int, dict[int, int]] = {}
-        self._heap: list[int] = []
+        self._due: tuple | None = None
         self.lvt = -1
         #: cached earliest unprocessed virtual time (None = quiescent);
-        #: every queue/heap mutator refreshes it so the engine scheduler
+        #: every queue mutator refreshes it so the engine scheduler
         #: reads an attribute instead of re-deriving the minimum
         self.next_vt: int | None = None
-        # vectorized-kernel counters (aggregated into RunStats)
+        # kernel counters (aggregated into RunStats): rounds run as
+        # array passes, and gate evaluations done on either side
         self.kernel_batches = 0
         self.kernel_batch_gates = 0
         self.kernel_scalar_gates = 0
@@ -273,6 +216,12 @@ class ClusterLP:
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def values(self) -> np.ndarray:
+        """Local net values (the kernel's value buffer without its pad
+        cell; a view)."""
+        return self._vbuf[:-1]
+
     def local_value(self, net: int) -> int:
         """Current local value of a global net id (must be local)."""
         return int(self.values[self._net_loc[net]])
@@ -281,24 +230,16 @@ class ClusterLP:
         """Whether this LP holds a copy of ``net``."""
         return net in self._net_loc
 
-    def next_pending_vt(self) -> int | None:
-        """Virtual time of the earliest unprocessed work, or None."""
-        return self.next_vt
-
     def _recompute_next_vt(self) -> None:
         """Refresh the cached :attr:`next_vt` after a queue mutation."""
-        t_int: int | None = self._heap[0] if self._heap else None
-        t_in: int | None = (
-            self._in_msgs[self._next_idx].recv_time
-            if self._next_idx < len(self._in_msgs)
-            else None
-        )
-        if t_int is None:
-            self.next_vt = t_in
-        elif t_in is None:
-            self.next_vt = t_int
+        if self._due is not None:
+            # unit delay: outputs are due one tick after the batch that
+            # produced them, and nothing can be queued before that
+            self.next_vt = self.lvt + 1
+        elif self._next_idx < len(self._in_msgs):
+            self.next_vt = self._in_msgs[self._next_idx].recv_time
         else:
-            self.next_vt = min(t_int, t_in)
+            self.next_vt = None
 
     def checkpoint_bytes(self) -> int:
         """Approximate memory held by saved states (fossil metric)."""
@@ -388,10 +329,10 @@ class ClusterLP:
     def execute_batch(self) -> BatchResult:
         """Process every pending event at the earliest pending time.
 
-        Mirrors one timestamp step of the sequential simulator over the
-        local gate subset; returns the boundary messages to transmit
-        (re-sends confirmed against the unconfirmed buffer are not
-        among them — nothing needs to travel for those).
+        One round of the step kernel over the local gate subset;
+        returns the boundary messages to transmit (re-sends confirmed
+        against the unconfirmed buffer are not among them — nothing
+        needs to travel for those).
         """
         T = self.next_vt
         if T is None:
@@ -400,152 +341,57 @@ class ClusterLP:
             raise SimulationError(
                 f"{self.name}: batch time {T} not after lvt {self.lvt}"
             )
-        changes: dict[int, int] = {}
-        if self._heap and self._heap[0] == T:
-            heapq.heappop(self._heap)
-            changes.update(self._agenda.pop(T))
-        while (
-            self._next_idx < len(self._in_msgs)
-            and self._in_msgs[self._next_idx].recv_time == T
-        ):
-            msg = self._in_msgs[self._next_idx]
-            changes[self._net_loc[msg.net]] = msg.value
-            self._next_idx += 1
-
-        values = self.values
-        vlist = self._vlist
-        net_list = self._net_list
-        old: dict[int, int] = {}  # keyed by *global* net for _dff_next
-        affected: dict[int, None] = {}  # ordered de-dup of local gate idx
-        for loc, value in changes.items():
-            cur = vlist[loc]
-            if cur == value:
-                continue
-            old[net_list[loc]] = cur
-            values[loc] = value
-            vlist[loc] = value
-            if self.record_changes:
-                self._change_log.append((T, net_list[loc], value))
-            for gi in self._local_sinks[loc]:
-                affected[gi] = None
-
+        nets, vals = self._due or ([], [])
+        msgs = self._in_msgs
+        i = self._next_idx
+        if i < len(msgs) and msgs[i].recv_time == T:
+            # messages land after the local outputs, last write wins
+            if type(nets) is not list:
+                nets, vals = nets.tolist(), vals.tolist()
+            net_loc = self._net_loc
+            merged = dict(zip(nets, vals))
+            while i < len(msgs) and msgs[i].recv_time == T:
+                merged[net_loc[msgs[i].net]] = msgs[i].value
+                i += 1
+            self._next_idx = i
+            nets, vals = list(merged), list(merged.values())
+        result = self._table.step(self._vbuf, self._vlist, nets, vals)
+        self._due = None
         sends: list[Message] = []
         n_evals = 0
-        if old:
-            g_code = self._g_code
-            g_out_net = self._g_out_net
-            g_out_loc = self._g_out_loc
-            g_pend = self._g_pend
-            pending = self._pending
-            pending_list = self._pending_list
-            agenda = self._agenda
-            out_dests = self.out_dests
-            T1 = T + 1
-            comb = [gi for gi in affected if g_code[gi] < _DFF]
-            comb_out = None  # iterator over batched outputs, in order
-            if len(comb) >= BATCH_THRESHOLD:
-                if self._pin_mat is None:
-                    self._g_codes_arr = np.array(self._g_code, dtype=np.int8)
-                    max_arity = max(len(p) for p in self._g_pins_loc)
-                    self._pin_mat, self._pin_msk = pad_pin_matrix(
-                        self._g_pins_loc, max_arity
-                    )
-                g = np.fromiter(comb, dtype=np.int64, count=len(comb))
-                outs = eval_gates_batch(
-                    self._g_codes_arr[g],
-                    values[self._pin_mat[g]],
-                    self._pin_msk[g],
-                )
-                # comb gates appear in `affected` in exactly the order
-                # `comb` was built, so the outputs stream back through
-                # an iterator — no per-gate dict lookups
-                comb_out = iter(outs.tolist())
+        if result is not None:
+            changed, new, affected, out_nets, out_vals = result
+            n_evals = len(affected)
+            if len(out_nets):
+                self._due = (out_nets, out_vals)
+            if type(out_nets) is list:
+                self.kernel_scalar_gates += n_evals
+            else:  # the array side ran; the bookkeeping below wants lists
                 self.kernel_batches += 1
-                self.kernel_batch_gates += len(comb)
-            else:
-                self.kernel_scalar_gates += len(comb)
-            g_pins_loc = self._g_pins_loc
-            # per-batch clock-edge cache, keyed by global clock net:
-            # 0 = no sampling (idle clock, falling or non-edge),
-            # 1 = known rising edge, 2 = X-involved edge
-            clk_state: dict[int, int] = {}
-            for gi in affected:
-                n_evals += 1
-                code = g_code[gi]
-                out_net = g_out_net[gi]
-                if code < _DFF:
-                    if comb_out is not None:
-                        new = next(comb_out)
-                    else:
-                        new = eval_gate_coded(
-                            code, [vlist[p] for p in g_pins_loc[gi]]
-                        )
-                else:
-                    c = self._g_clk[gi]
-                    st = clk_state.get(c)
-                    if st is None:
-                        cb = old.get(c)
-                        if cb is None:
-                            st = 0  # clock idle: the FF holds
-                        else:
-                            ca = vlist[g_pins_loc[gi][1]]
-                            if ca == 0 or cb == 1:
-                                st = 0  # falling or non-edge
-                            elif cb == 0 and ca == 1:
-                                st = 1  # known rising edge
-                            else:
-                                st = 2  # X on the clock: unknown edge
-                        clk_state[c] = st
-                    if st == 0:
-                        continue  # held: no output event (counted)
-                    if code == _DFF:
-                        # plain dff inline: known edge samples D's
-                        # pre-batch value, unknown edge yields X
-                        if st == 1:
-                            d = self._g_pins_glob[gi][0]
-                            dv = old.get(d)
-                            new = vlist[g_pins_loc[gi][0]] if dv is None else dv
-                        else:
-                            new = VX
-                    else:
-                        # dffr/dffe inline, mirroring _dff_next: pin 2
-                        # (reset / enable) sampled at its pre-batch value
-                        pg = self._g_pins_glob[gi]
-                        pl = g_pins_loc[gi]
-                        x = old.get(pg[2])
-                        if x is None:
-                            x = vlist[pl[2]]
-                        if code == _DFFR:
-                            if st == 1 and x == 1:
-                                new = 0  # synchronous reset asserted
-                            elif st == 2 or x == VX:
-                                new = VX
-                            else:
-                                dv = old.get(pg[0])
-                                new = vlist[pl[0]] if dv is None else dv
-                        else:  # _DFFE
-                            if x == 0:
-                                continue  # enable off: holds (counted)
-                            if st == 2 or x == VX:
-                                new = VX
-                            else:
-                                dv = old.get(pg[0])
-                                new = vlist[pl[0]] if dv is None else dv
-                slot = agenda.get(T1)
-                if slot is None:
-                    slot = {}
-                    agenda[T1] = slot
-                    heapq.heappush(self._heap, T1)
-                slot[g_out_loc[gi]] = new
-                dests = out_dests.get(out_net)
-                pidx = g_pend[gi]
-                if dests is not None and new != pending_list[pidx]:
-                    pending[pidx] = new
-                    pending_list[pidx] = new
-                    for dst in dests:
-                        msg = self._emit(T, T1, out_net, new, dst)
-                        if msg is not None:
-                            sends.append(msg)
+                self.kernel_batch_gates += n_evals
+                changed, new = changed.tolist(), new.tolist()
+                out_nets, out_vals = out_nets.tolist(), out_vals.tolist()
+            net_list = self._net_list
+            if self.record_changes:
+                self._change_log.extend(
+                    (T, net_list[n], v) for n, v in zip(changed, new)
+                )
+            dests = self._dests
+            if dests is None:
+                dests = self._dests = {
+                    self._net_loc[n]: d for n, d in self.out_dests.items()
+                }
+            if not dests.keys().isdisjoint(out_nets):
+                pending_list = self._pending_list
+                sent_idx = self._sent_idx
+                for loc, value in zip(out_nets, out_vals):
+                    if loc in dests and value != pending_list[sent_idx[loc]]:
+                        self._pending[sent_idx[loc]] = value
+                        pending_list[sent_idx[loc]] = value
+                        for dst in dests[loc]:
+                            msg = self._emit(T, T + 1, net_list[loc], value, dst)
+                            if msg is not None:
+                                sends.append(msg)
         self.lvt = T
         self._batch_log.append((T, n_evals))
         self._out_log.extend(sends)
@@ -607,11 +453,7 @@ class ClusterLP:
 
     def _save_checkpoint(self) -> None:
         cp = _Checkpoint(
-            self.lvt,
-            self.values.copy(),
-            {t: dict(s) for t, s in self._agenda.items()},
-            list(self._heap),
-            self._pending.copy(),
+            self.lvt, self.values.copy(), self._due, self._pending.copy()
         )
         self._checkpoints.append(cp)
         self._ckpt_bytes += cp.size
@@ -638,10 +480,9 @@ class ClusterLP:
                 f"{self.name}: no checkpoint before t={straggler_vt} "
                 f"(over-aggressive fossil collection)"
             )
-        self.values = cp.values.copy()
-        self._vlist = self.values.tolist()
-        self._agenda = {t: dict(s) for t, s in cp.agenda.items()}
-        self._heap = list(cp.heap)
+        self.values[:] = cp.values
+        self._vlist = cp.values.tolist()
+        self._due = cp.due
         self._pending = cp.pending.copy()
         self._pending_list = self._pending.tolist()
         self.lvt = cp.vt
@@ -700,18 +541,3 @@ class ClusterLP:
         self._out_log = [m for m in self._out_log if m.send_time > floor]
         self._batch_log = [b for b in self._batch_log if b[0] > floor]
         self._recompute_next_vt()
-
-
-class _LPValueView:
-    """Adapter letting :func:`_dff_next` read LP-local values through
-    global net ids (it indexes ``values[net]`` like the sequential
-    simulator's flat list mirror)."""
-
-    __slots__ = ("_values", "_loc")
-
-    def __init__(self, values: list[int], loc: dict[int, int]) -> None:
-        self._values = values
-        self._loc = loc
-
-    def __getitem__(self, net: int) -> int:
-        return self._values[self._loc[net]]

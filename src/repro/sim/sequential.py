@@ -26,26 +26,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
 from ..errors import SimulationError
 from .compiled import CompiledCircuit
-from .events import InputEvent
-from .logic import (
-    BATCH_THRESHOLD,
-    GATE_CODES,
-    VX,
-    eval_gate_coded,
-    eval_gates_batch,
-)
+from .events import InputEvent, check_stimulus
 
 __all__ = ["SequentialSimulator", "SeqStats", "simulate_sequential"]
-
-_DFF = GATE_CODES["dff"]
-_DFFR = GATE_CODES["dffr"]
-_DFFE = GATE_CODES["dffe"]
 
 
 @dataclass
@@ -62,16 +52,14 @@ class SeqStats:
     net_events: int = 0
     end_time: int = 0
     activity: np.ndarray | None = None
-    #: affected-gate batches routed through the vectorized kernel
-    kernel_batches: int = 0
-    #: combinational gate evaluations done by the vectorized kernel
-    kernel_batch_gates: int = 0
-    #: combinational gate evaluations done on the scalar fast path
-    kernel_scalar_gates: int = 0
 
 
 class SequentialSimulator:
     """Unit-delay event-driven simulator over a compiled circuit.
+
+    Every timestep is one array round of the shared step kernel
+    (:meth:`repro.sim.kernel.GateTable.step_arrays`) over the whole
+    circuit; there is no per-gate Python loop.
 
     Parameters
     ----------
@@ -89,15 +77,16 @@ class SequentialSimulator:
         record_changes: bool = False,
     ):
         self.circuit = circuit
-        self.values = circuit.initial_values.copy()
-        # plain-int mirrors beside the authoritative NumPy arrays: the
-        # scalar fast path reads these (NumPy scalar indexing is ~10x a
-        # Python list read); refreshed from self.values at run() entry
-        self._values_list: list[int] = self.values.tolist()
-        self._code_list: list[int] = circuit.gate_code_list
-        self._out_list: list[int] = circuit.gate_output_list
+        self._table = circuit.table
+        self._vbuf = self._table.new_values(circuit.initial_values)
+        # scheduled updates by time; run() carries the gate outputs of
+        # the step it just executed as one array pair instead and only
+        # parks them here when it stops early
         self._agenda: dict[int, dict[int, int]] = {}
         self._heap: list[int] = []
+        #: nets a gate drives (a stimulus on one may collide with an output)
+        self._driven = np.zeros(circuit.num_nets, dtype=bool)
+        self._driven[circuit.gate_output] = True
         self.now = -1
         self.stats = SeqStats(
             activity=np.zeros(circuit.num_gates, dtype=np.int64)
@@ -112,20 +101,30 @@ class SequentialSimulator:
         self.record_changes = record_changes
         self.change_log: list[tuple[int, int, int]] = []
 
+    @property
+    def values(self) -> np.ndarray:
+        """Current value per net (the kernel's value buffer without its
+        pad cell; a view, so writes land in the simulator)."""
+        return self._vbuf[:-1]
+
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, time: int, net: int, value: int) -> None:
-        """Schedule net ``net`` to take ``value`` at ``time``."""
+        """Schedule net ``net`` to take ``value`` at ``time``; a later
+        call for the same ``(time, net)`` replaces the earlier one."""
+        check_stimulus(time, net, value, self.circuit.num_nets)
         if time <= self.now:
             raise SimulationError(
                 f"cannot schedule at time {time}; current time is {self.now}"
             )
+        self._slot(time)[net] = value
+
+    def _slot(self, time: int) -> dict[int, int]:
         slot = self._agenda.get(time)
         if slot is None:
-            slot = {}
-            self._agenda[time] = slot
+            slot = self._agenda[time] = {}
             heapq.heappush(self._heap, time)
-        slot[net] = value
+        return slot
 
     def add_inputs(self, events: Iterable[InputEvent]) -> None:
         """Queue a batch of primary-input stimuli."""
@@ -141,111 +140,56 @@ class SequentialSimulator:
         ``self.stats``); may be called repeatedly with interleaved
         :meth:`add_inputs`.
         """
-        values = self.values
-        vlist = self._values_list = self.values.tolist()
-        code_list = self._code_list
-        out_list = self._out_list
-        circuit = self.circuit
+        step = self._table.step_arrays
+        vbuf = self._vbuf
         stats = self.stats
-        activity = stats.activity
-        while self._heap:
-            t = self._heap[0]
+        heap = self._heap
+        pending = None  # gate outputs of step now, due at now + 1
+        while pending is not None or heap:
+            t = self.now + 1 if pending is not None else heap[0]
             if until is not None and t >= until:
                 break
-            heapq.heappop(self._heap)
-            changes = self._agenda.pop(t)
             self.now = t
-            old: dict[int, int] = {}
-            affected: dict[int, None] = {}  # ordered de-dup of gate ids
-            for net, value in changes.items():
-                cur = vlist[net]
-                if cur == value:
-                    continue
-                old[net] = cur
-                values[net] = value
-                vlist[net] = value
-                stats.net_events += 1
-                for gid in circuit.net_sinks[net]:
-                    affected[gid] = None
-            if not old:
+            if heap and heap[0] == t:
+                heapq.heappop(heap)
+                pending = self._merge(self._agenda.pop(t), pending)
+            result = step(vbuf, *pending)
+            pending = None
+            if result is None:
                 continue
-            if self.record_changes:
-                for net in old:
-                    self.change_log.append((t, net, vlist[net]))
+            changed, new, affected, out_nets, out_vals = result
+            stats.net_events += len(changed)
+            stats.gate_evals += len(affected)
             stats.end_time = t
-            comb = [g for g in affected if code_list[g] < _DFF]
-            comb_out: dict[int, int] | None = None
-            if len(comb) >= BATCH_THRESHOLD:
-                g = np.fromiter(comb, dtype=np.int64, count=len(comb))
-                outs = eval_gates_batch(
-                    circuit.gate_code[g],
-                    values[circuit.pin_matrix[g]],
-                    circuit.pin_mask[g],
+            if stats.activity is not None:
+                stats.activity[affected] += 1
+            if self.record_changes:
+                self.change_log.extend(
+                    zip(repeat(t), changed.tolist(), new.tolist())
                 )
-                # comb gates appear in `affected` in exactly the order
-                # `comb` was built, so the outputs stream back through
-                # an iterator — no per-gate dict lookups
-                comb_out = iter(outs.tolist())
-                stats.kernel_batches += 1
-                stats.kernel_batch_gates += len(comb)
-            else:
-                stats.kernel_scalar_gates += len(comb)
-            # per-batch clock-edge cache (see ClusterLP.execute_batch):
-            # 0 = no sampling, 1 = known rising edge, 2 = X-involved
-            clk_state: dict[int, int] = {}
-            for gid in affected:
-                stats.gate_evals += 1
-                if activity is not None:
-                    activity[gid] += 1
-                code = code_list[gid]
-                out_net = out_list[gid]
-                if code < _DFF:
-                    if comb_out is not None:
-                        new = next(comb_out)
-                    else:
-                        new = eval_gate_coded(
-                            code, [vlist[p] for p in circuit.gate_inputs[gid]]
-                        )
-                    self.schedule(t + 1, out_net, new)
-                else:
-                    # every dff variant samples only on clock activity
-                    # (pin 1): an idle, falling or non-edge clock means
-                    # the FF holds, skipping the state function outright
-                    pins = circuit.gate_inputs[gid]
-                    c = pins[1]
-                    st = clk_state.get(c)
-                    if st is None:
-                        cb = old.get(c)
-                        if cb is None:
-                            st = 0
-                        else:
-                            ca = vlist[c]
-                            if ca == 0 or cb == 1:
-                                st = 0
-                            elif cb == 0 and ca == 1:
-                                st = 1  # known rising edge
-                            else:
-                                st = 2  # X on the clock: unknown edge
-                        clk_state[c] = st
-                    if st == 0:
-                        continue
-                    if code == _DFF:
-                        # plain dff inline: known edge samples D's
-                        # pre-batch value, unknown edge yields X
-                        if st == 1:
-                            d = pins[0]
-                            dv = old.get(d)
-                            new = vlist[d] if dv is None else dv
-                        else:
-                            new = VX
-                        self.schedule(t + 1, out_net, new)
-                    else:
-                        q = _dff_next(code, pins, vlist, old, vlist[out_net])
-                        if q is not None:
-                            self.schedule(t + 1, out_net, q)
+            if len(out_nets):
+                pending = (out_nets, out_vals)
             for observer in self.observers:
                 observer(t)
+        if pending is not None:
+            self._slot(self.now + 1).update(
+                zip(pending[0].tolist(), pending[1].tolist())
+            )
         return stats
+
+    def _merge(self, slot: dict[int, int], pending):
+        """The scheduled updates of ``slot`` followed by the gate outputs
+        ``pending``, a later write to the same net replacing the earlier
+        one in place — as one array pair."""
+        if pending is not None:
+            nets = np.fromiter(slot, np.int64, len(slot))
+            if not self._driven[nets].any():  # no net on both sides
+                vals = np.fromiter(slot.values(), np.int8, len(slot))
+                return (np.concatenate((nets, pending[0])),
+                        np.concatenate((vals, pending[1])))
+            slot.update(zip(pending[0].tolist(), pending[1].tolist()))
+        return (np.fromiter(slot, np.int64, len(slot)),
+                np.fromiter(slot.values(), np.int8, len(slot)))
 
     # -- convenience ---------------------------------------------------------
 
@@ -256,52 +200,6 @@ class SequentialSimulator:
     def output_values(self) -> list[int]:
         """Current values of the primary outputs, port order."""
         return [int(self.values[n]) for n in self.circuit.outputs]
-
-
-def _dff_next(
-    code: int,
-    pins: tuple[int, ...],
-    values,
-    old: Mapping[int, int],
-    current_q: int,
-) -> int | None:
-    """Next-state of a flip-flop given the changes applied at this
-    instant; None means no output event.
-
-    ``old`` carries pre-update values for nets that changed now; pins
-    other than the clock are sampled from it (setup-time semantics).
-    ``values`` is anything indexable by global net id (NumPy array,
-    list mirror, or an LP's value view).
-    """
-
-    def before(net: int) -> int:
-        return old.get(net, int(values[net]))
-
-    clk = pins[1]
-    if clk not in old:
-        return None  # data moved but no clock activity: FF holds
-    clk_before, clk_after = old[clk], int(values[clk])
-    if clk_after == 0 or clk_before == 1:
-        return None  # falling or non-edge
-    known_edge = clk_before == 0 and clk_after == 1
-    if code == _DFFR:
-        rst = before(pins[2])
-        if known_edge and rst == 1:
-            return 0
-        if rst == VX or not known_edge:
-            return VX
-        return before(pins[0])
-    if code == _DFFE:
-        en = before(pins[2])
-        if en == 0:
-            return None  # enable off: holds regardless of the edge
-        if not known_edge or en == VX:
-            return VX
-        return before(pins[0])
-    # plain dff
-    if not known_edge:
-        return VX
-    return before(pins[0])
 
 
 def simulate_sequential(

@@ -22,13 +22,16 @@ two runs with the same inputs produce identical statistics.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 from ..obs.trace import TraceBuffer
 from .cluster import ClusterSpec, LPStats, MachineStats, RunStats, TimeWarpConfig
 from .compiled import CompiledCircuit
-from .events import InputEvent, Message
+from .events import InputEvent, Message, check_stimulus
 from .lp import ClusterLP
 from .sequential import SequentialSimulator
 
@@ -55,8 +58,7 @@ class _Machine:
         self.wall = 0.0
         self.lp_ids: list[int] = []
         #: lazy heap of (next_vt, lid); used when the machine hosts
-        #: many LPs (see SCAN_SCHED_MAX_LPS) and by heap-only engine
-        #: variants (repro.bench.sim_speed)
+        #: many LPs (see SCAN_SCHED_MAX_LPS)
         self.ready: list[tuple[int, int]] = []
         #: heap of (arrival_wall, serial, Message)
         self.arrivals: list[tuple[float, int, Message]] = []
@@ -102,10 +104,6 @@ class TimeWarpEngine:
         never changes simulation results.
     """
 
-    #: LP implementation instantiated per cluster; benchmark variants
-    #: (repro.bench.sim_speed) substitute the pre-optimization LP here
-    lp_class = ClusterLP
-
     def __init__(
         self,
         circuit: CompiledCircuit,
@@ -128,19 +126,31 @@ class TimeWarpEngine:
             if not (0 <= m < spec.num_machines):
                 raise SimulationError(f"machine id {m} out of range")
 
-        seen: set[int] = set()
-        for cl in clusters:
-            for gid in cl:
-                if gid in seen:
-                    raise SimulationError(f"gate {gid} appears in two clusters")
-                seen.add(gid)
-        if len(seen) != circuit.num_gates:
+        sizes = [len(cl) for cl in clusters]
+        gids = np.fromiter(
+            chain.from_iterable(clusters), dtype=np.int64, count=sum(sizes)
+        )
+        if gids.size and not 0 <= gids.min() <= gids.max() < circuit.num_gates:
+            raise SimulationError("clusters name a gate the circuit lacks")
+        seen = np.bincount(gids, minlength=circuit.num_gates)
+        if (seen > 1).any():
             raise SimulationError(
-                f"clusters cover {len(seen)} of {circuit.num_gates} gates"
+                f"gate {int(np.argmax(seen > 1))} appears in two clusters"
             )
+        if not seen.all():
+            raise SimulationError(
+                f"clusters cover {np.count_nonzero(seen)} of "
+                f"{circuit.num_gates} gates"
+            )
+        #: LP id per gate — the one table that message destinations,
+        #: stimulus readers and final values are derived from
+        self._gate_lp = np.empty(circuit.num_gates, dtype=np.int32)
+        self._gate_lp[gids] = np.repeat(
+            np.arange(len(clusters), dtype=np.int32), sizes
+        )
 
         self.lps = [
-            self.lp_class(
+            ClusterLP(
                 lid,
                 circuit,
                 gate_ids,
@@ -164,7 +174,6 @@ class TimeWarpEngine:
         # partitioner's predicted cut speaks about)
         self._lp_partition = tuple(self.lp_machine)
         self._arrival_serial = 0
-        self._gate_lp = self._gate_to_lp(clusters)
         self._gvt_estimate = -1
         self._stalled_rounds = 0
         self._emergency_throttle = False
@@ -194,32 +203,27 @@ class TimeWarpEngine:
         """Static partition of an LP; -1 for the environment LP (-1)."""
         return self._lp_partition[lp_id] if lp_id >= 0 else -1
 
-    def _gate_to_lp(self, clusters: Sequence[Sequence[int]]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for lid, cl in enumerate(clusters):
-            for gid in cl:
-                out[gid] = lid
-        return out
+    def _readers(self, net: int) -> list[int]:
+        """Sorted ids of the LPs holding a gate that reads ``net``."""
+        c = self.circuit
+        sinks = c.sink_gate[c.sink_offsets[net]:c.sink_offsets[net + 1]]
+        return np.unique(self._gate_lp[sinks]).tolist()
 
     def _wire_destinations(self) -> None:
         """Compute, per LP, the external reader LPs of each driven net."""
-        circuit = self.circuit
-        lp_of_gate: dict[int, int] = {}
-        for lp in self.lps:
-            for gid in lp.gate_ids:
-                lp_of_gate[gid] = lp.lid
-        for lp in self.lps:
-            for gid in lp.gate_ids:
-                out_net = int(circuit.gate_output[gid])
-                dests = sorted(
-                    {
-                        lp_of_gate[s]
-                        for s in circuit.net_sinks[out_net]
-                        if lp_of_gate[s] != lp.lid
-                    }
-                )
-                if dests:
-                    lp.out_dests[out_net] = tuple(dests)
+        c = self.circuit
+        num_lps = len(self.lps)
+        reader = np.repeat(self._gate_lp, np.diff(c.pin_offsets))
+        driver = np.full(c.num_nets, -1, dtype=np.int32)
+        driver[c.gate_output] = self._gate_lp
+        pin_driver = driver[c.pin_net]
+        crossing = (pin_driver != -1) & (pin_driver != reader)
+        # distinct (net, reader LP) pairs in (net, LP) order
+        pairs = np.unique(c.pin_net[crossing] * num_lps + reader[crossing])
+        nets, dsts = np.divmod(pairs, num_lps)
+        for net, dst in zip(nets.tolist(), dsts.tolist()):
+            dests = self.lps[driver[net]].out_dests
+            dests[net] = dests.get(net, ()) + (dst,)
 
     # -- stimulus -------------------------------------------------------------
 
@@ -231,16 +235,14 @@ class TimeWarpEngine:
         time zero — it never causes rollbacks because its events are
         strictly in the future when loaded.
         """
-        circuit = self.circuit
+        num_nets = self.circuit.num_nets
         readers: dict[int, list[int]] = {}
         uid = 0
         for ev in events:
+            check_stimulus(ev.time, ev.net, ev.value, num_nets)
             dsts = readers.get(ev.net)
             if dsts is None:
-                dsts = sorted(
-                    {self._gate_lp[s] for s in circuit.net_sinks[ev.net]}
-                )
-                readers[ev.net] = dsts
+                dsts = readers[ev.net] = self._readers(ev.net)
             for dst in dsts:
                 msg = Message(
                     recv_time=ev.time,
@@ -298,11 +300,9 @@ class TimeWarpEngine:
             stats.machines.append(m.stats)
         stats.committed_events = stats.processed_events - stats.rolled_back_events
         for lp in self.lps:
-            # getattr defaults keep heap-era LP variants (bench.sim_speed)
-            # runnable through the same engine loop
-            stats.kernel_batches += getattr(lp, "kernel_batches", 0)
-            stats.kernel_batch_gates += getattr(lp, "kernel_batch_gates", 0)
-            stats.kernel_scalar_gates += getattr(lp, "kernel_scalar_gates", 0)
+            stats.kernel_batches += lp.kernel_batches
+            stats.kernel_batch_gates += lp.kernel_batch_gates
+            stats.kernel_scalar_gates += lp.kernel_scalar_gates
         return stats
 
     # -- machine selection ----------------------------------------------------
@@ -544,14 +544,14 @@ class TimeWarpEngine:
     def _execute_on(self, machine: _Machine, lid: int) -> None:
         spec = self.spec
         lp = self.lps[lid]
-        nxt = lp.next_pending_vt()
+        nxt = lp.next_vt
         for anti in lp.flush_unconfirmed(before_vt=nxt):
             machine.wall += self._route(machine, anti)
         result = lp.execute_batch()
         cost = max(result.gate_evals, 1) * spec.event_cost
         for msg in result.sends:
             cost += self._route(machine, msg)
-        if lp.next_pending_vt() is None:
+        if lp.next_vt is None:
             for anti in lp.flush_unconfirmed():
                 cost += self._route(machine, anti)
         machine.wall += cost
@@ -657,7 +657,7 @@ class TimeWarpEngine:
             if lp.min_unconfirmed_recv_time() is None:
                 continue
             machine = self.machines[self.lp_machine[lp.lid]]
-            for anti in lp.flush_unconfirmed(before_vt=lp.next_pending_vt()):
+            for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
                 machine.wall += self._route(machine, anti)
 
         gvt: int | None = None
@@ -668,7 +668,7 @@ class TimeWarpEngine:
                 gvt = t
 
         for lp in self.lps:
-            consider(lp.next_pending_vt())
+            consider(lp.next_vt)
             consider(lp.min_unconfirmed_recv_time())
         for m in self.machines:
             for _, _, msg in m.arrivals:
@@ -815,14 +815,12 @@ class TimeWarpEngine:
         circuit = self.circuit
         out: dict[int, int] = {}
         for lp in self.lps:
-            for gid in lp.gate_ids:
-                net = int(circuit.gate_output[gid])
+            for net in circuit.gate_output[list(lp.gate_ids)].tolist():
                 out[net] = lp.local_value(net)
         for net in circuit.inputs:
-            for lp in self.lps:
-                if lp.has_net(net):
-                    out[net] = lp.local_value(net)
-                    break
+            readers = self._readers(net)
+            if readers:
+                out[net] = self.lps[readers[0]].local_value(net)
         return out
 
     def committed_changes(self) -> dict[tuple[int, int], int]:
@@ -862,11 +860,10 @@ class TimeWarpEngine:
             raise SimulationError(
                 "the reference simulator was not built with record_changes=True"
             )
-        # nets no LP holds (e.g. a primary input nothing reads) exist
+        # nets no gate touches (e.g. a primary input nothing reads) exist
         # only in the sequential world; exclude them from the oracle
-        observable = set()
-        for lp in self.lps:
-            observable.update(lp._net_list)
+        observable = set(self.circuit.pin_net.tolist())
+        observable.update(self.circuit.gate_output.tolist())
         expected = {
             (t, net): value
             for t, net, value in reference.change_log

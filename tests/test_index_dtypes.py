@@ -103,7 +103,8 @@ class TestFrozenSubstrateIsInt64:
         assert cc.pin_net.dtype == np.int64
         assert cc.sink_offsets.dtype == np.int64
         assert cc.sink_gate.dtype == np.int64
-        assert cc.pin_matrix.dtype == np.int64
+        assert cc.table.pins.dtype == np.int64
+        assert cc.table.fan_ptr.dtype == np.int64
 
     def test_batch_move_gains_stay_int64(self):
         """batch_refine's gather path returns int64 gains — no silent

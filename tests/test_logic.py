@@ -13,10 +13,10 @@ from repro.sim.logic import (
     VX,
     eval_gate,
     eval_gate_coded,
-    eval_gates_batch,
     invert,
     value_name,
 )
+from tests.sim_oracle import private_net_table
 
 
 def known(v):
@@ -107,34 +107,35 @@ def _exhaustive_comb_rows():
     return rows
 
 
+def _fold_rows(rows, garbage):
+    """Evaluate ``rows`` of ``(code, pin values)`` through the kernel's
+    fold tables, every cell no gate reads holding ``garbage``."""
+    table, pin_net = private_net_table([(c, len(pins)) for c, pins in rows])
+    vbuf = table.new_values(np.full(table.num_nets, garbage, dtype=np.int8))
+    vbuf[pin_net] = [v for _, pins in rows for v in pins]
+    return table.fold(vbuf, np.arange(len(rows), dtype=np.int64))
+
+
 class TestBatchKernel:
-    """eval_gates_batch is bit-identical to eval_gate_coded per row."""
+    """The kernel's table fold is bit-identical to eval_gate_coded per row."""
 
     @pytest.mark.parametrize("pad", [V0, V1, VX])
     def test_batch_matches_scalar_exhaustive(self, pad):
+        # rows of arity 1, 2 and 3 share one pin matrix, so the shorter
+        # ones have padded pins; the pad cell, not whatever the
+        # neighbouring nets hold (parametrized over all three values),
+        # must decide what those read
         rows = _exhaustive_comb_rows()
-        max_arity = max(len(pins) for _, pins in rows)
-        n = len(rows)
-        codes = np.array([c for c, _ in rows], dtype=np.int8)
-        # pad cells deliberately hold a garbage value (parametrized over
-        # all three) — the mask, not the pad contents, must decide
-        pin_values = np.full((n, max_arity), pad, dtype=np.int8)
-        pin_mask = np.zeros((n, max_arity), dtype=bool)
-        for i, (_, pins) in enumerate(rows):
-            pin_values[i, : len(pins)] = pins
-            pin_mask[i, : len(pins)] = True
-        outs = eval_gates_batch(codes, pin_values, pin_mask)
+        outs = _fold_rows(rows, pad)
         assert outs.dtype == np.int8
         for i, (code, pins) in enumerate(rows):
             expect = eval_gate_coded(code, list(pins))
             assert outs[i] == expect, (code, pins, pad)
 
     def test_mixed_code_single_rows(self):
-        # one-row batches (the degenerate shape) agree too
+        # one-gate tables (the degenerate shape) agree too
         for code, pins in _exhaustive_comb_rows():
-            vals = np.array([pins], dtype=np.int8)
-            mask = np.ones((1, len(pins)), dtype=bool)
-            out = eval_gates_batch(np.array([code], dtype=np.int8), vals, mask)
+            out = _fold_rows([(code, pins)], VX)
             assert out[0] == eval_gate_coded(code, list(pins))
 
     def test_all_comb_codes_covered(self):

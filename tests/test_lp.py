@@ -55,7 +55,7 @@ class TestBatches:
         lp0.execute_batch()  # t=1: applies m=0 locally
         assert lp0.local_value(m) == 0
         assert lp0.local_value(a) == 1
-        assert lp0.next_pending_vt() is None
+        assert lp0.next_vt is None
 
     def test_swallowed_change_sends_nothing(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
@@ -74,7 +74,7 @@ class TestBatches:
         lp0.insert_positive(env_msg(a, 0, 0, 0))
         lp0.insert_positive(env_msg(a, 1, 4, 1))
         sent = []
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             sent += lp0.execute_batch().sends
         assert [(s.recv_time, s.value) for s in sent] == [(1, 1), (5, 0)]
 
@@ -83,7 +83,7 @@ class TestRollback:
     def test_straggler_triggers_rollback(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         lp0.insert_positive(env_msg(a, 1, 0, 0))
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         assert lp0.lvt == 1
         rb = lp0.insert_positive(env_msg(a, 0, 1, 1))
@@ -99,7 +99,7 @@ class TestRollback:
         assert lp0.local_value(m) == 0
         lp0.insert_positive(env_msg(a, 0, 1, 1))  # straggler at t=1
         # re-execute: now a goes 1 at 0 then 0 at 1
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         assert lp0.local_value(a) == 0
         assert lp0.local_value(m) == 1
@@ -114,7 +114,7 @@ class TestRollback:
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         lp0.insert_positive(env_msg(a, 1, 0, 0))
         sends = []
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             sends += lp0.execute_batch().sends
         assert len(sends) == 1
         # a straggler at t=3 does not affect the batch at t=0;
@@ -125,7 +125,7 @@ class TestRollback:
         rb = lp0.insert_positive(env_msg(a, 1, 1, 2))
         assert rb is not None
         resends = []
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             resends += lp0.execute_batch().sends
         # batch at t=0 re-emits m=0@1 identically: suppressed.
         # later batches emit the genuinely new changes.
@@ -136,21 +136,21 @@ class TestRollback:
         msg = Message(recv_time=3, net=m, value=1, src_lp=0, dst_lp=1,
                       send_time=2, uid=9)
         lp1.insert_positive(msg)
-        assert lp1.next_pending_vt() == 3
+        assert lp1.next_vt == 3
         lp1.insert_anti(msg.anti())
-        assert lp1.next_pending_vt() is None
+        assert lp1.next_vt is None
 
     def test_anti_message_rolls_back_processed(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         msg = Message(recv_time=3, net=m, value=1, src_lp=0, dst_lp=1,
                       send_time=2, uid=9)
         lp1.insert_positive(msg)
-        while lp1.next_pending_vt() is not None:
+        while lp1.next_vt is not None:
             lp1.execute_batch()
         assert lp1.lvt >= 3
         rb = lp1.insert_anti(msg.anti())
         assert rb is not None
-        assert lp1.next_pending_vt() is None  # the event is gone
+        assert lp1.next_vt is None  # the event is gone
 
     def test_anti_before_positive_annihilates_on_arrival(self):
         """Reordered channels (LP migration): the anti parks until its
@@ -159,9 +159,9 @@ class TestRollback:
         pos = Message(recv_time=3, net=m, value=1, src_lp=0, dst_lp=1,
                       send_time=2, uid=77)
         lp1.insert_anti(pos.anti())
-        assert lp1.next_pending_vt() is None
+        assert lp1.next_vt is None
         assert lp1.insert_positive(pos) is None
-        assert lp1.next_pending_vt() is None  # annihilated in flight
+        assert lp1.next_vt is None  # annihilated in flight
 
 
 class TestFossil:
@@ -169,7 +169,7 @@ class TestFossil:
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         for i, t in enumerate(range(0, 40, 4)):
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         bytes_before = lp0.checkpoint_bytes()
         lp0.fossil_collect(gvt=30)
@@ -182,7 +182,7 @@ class TestFossil:
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         for i, t in enumerate(range(0, 20, 4)):
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         n_before = len(lp0._in_msgs)
         lp0.fossil_collect(gvt=100)
@@ -196,12 +196,10 @@ class TestCheckpointAccounting:
 
     @staticmethod
     def _expected(cp):
-        return (
-            cp.values.nbytes
-            + cp.pending.nbytes
-            + 32 * sum(len(s) + 1 for s in cp.agenda.values())
-            + 8 * len(cp.heap)
-        )
+        # the pending output pair is charged like the agenda slot it
+        # replaced: 32 bytes per update and for the slot, 8 for its time
+        slot = 32 * (len(cp.due[0]) + 1) + 8 if cp.due is not None else 0
+        return cp.values.nbytes + cp.pending.nbytes + slot
 
     def _assert_consistent(self, lp):
         for cp in lp._checkpoints:
@@ -215,7 +213,7 @@ class TestCheckpointAccounting:
         self._assert_consistent(lp0)  # the construction-time snapshot
         for i, t in enumerate(range(0, 20, 4)):
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         assert len(lp0._checkpoints) > 1
         self._assert_consistent(lp0)
@@ -229,7 +227,7 @@ class TestCheckpointAccounting:
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         for i, t in enumerate(range(0, 40, 4)):
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         self._assert_consistent(lp0)
         # rollback pops snapshots: the total must shrink in lockstep
@@ -237,7 +235,7 @@ class TestCheckpointAccounting:
         lp0.insert_positive(env_msg(a, 1, 17, 99))
         assert len(lp0._checkpoints) < n_before
         self._assert_consistent(lp0)
-        while lp0.next_pending_vt() is not None:
+        while lp0.next_vt is not None:
             lp0.execute_batch()
         self._assert_consistent(lp0)
         # fossil collection deletes the pre-GVT prefix

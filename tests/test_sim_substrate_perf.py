@@ -1,33 +1,25 @@
-"""The fast simulation substrate vs the pre-PR reference stack.
+"""The simulators' flip-flop paths vs the brute-force reference.
 
-Two layers of evidence that the vectorized kernel and the rewritten
-Time Warp hot path changed *nothing* observable:
-
-* an exhaustive flip-flop transition sweep (every dff/dffr/dffe pin
-  role × every {0, 1, X} before/after combination) comparing the
-  inline sampling code in :class:`SequentialSimulator` and
-  :class:`ClusterLP` against :class:`LegacySequentialSimulator`, whose
-  run loop still routes every sequential cell through the reference
-  ``_dff_next``; and
-* the miniature ``smoke_sim_study`` — the same structural-parity
-  assertions (per-point rows, golden digest, chosen best) the full
-  ``benchmarks/bench_sim_speed.py`` study makes, at tier-1 cost.
+An exhaustive flip-flop transition sweep — every dff/dffr/dffe pin
+role x every {0, 1, X} before/after combination — comparing what
+:class:`SequentialSimulator` and :class:`ClusterLP` get out of the step
+kernel's flip-flop table against :func:`tests.sim_oracle.reference_run`,
+whose loop routes every sequential cell through the explicit next-state
+function ``dff_next``.  With 729 two-step episodes over 3 cells the LP
+runs stay on the kernel's scalar side and the sequential runs on its
+array side, so both readings of the table are covered.
 """
 
 import itertools
 
 import pytest
 
-from repro.bench import (
-    LegacySequentialSimulator,
-    run_sim_sweep,
-    smoke_sim_study,
-)
 from repro.sim import compile_circuit
 from repro.sim.events import InputEvent, Message
 from repro.sim.lp import ClusterLP
 from repro.sim.sequential import SequentialSimulator
 from repro.verilog import NetlistBuilder
+from tests.sim_oracle import reference_run
 
 VALS = (0, 1, 2)
 
@@ -72,22 +64,19 @@ class TestFlipFlopInlinePaths:
         nl, cc, ins, outs = ff_circuit
         for before, after in _episodes():
             events = _events(ins, before, after)
-            ref = LegacySequentialSimulator(cc, record_changes=True)
-            ref.add_inputs(events)
-            ref.run()
+            ref_log, ref_values, ref_evals = reference_run(cc, events)
             fast = SequentialSimulator(cc, record_changes=True)
             fast.add_inputs(events)
             fast.run()
-            assert fast.change_log == ref.change_log, (before, after)
-            assert fast.output_values() == ref.output_values()
+            assert fast.change_log == ref_log, (before, after)
+            assert fast.values.tolist() == ref_values
+            assert fast.stats.gate_evals == ref_evals
 
     def test_cluster_lp_inline_matches_reference(self, ff_circuit):
         nl, cc, ins, outs = ff_circuit
         for before, after in _episodes():
             events = _events(ins, before, after)
-            ref = LegacySequentialSimulator(cc, record_changes=True)
-            ref.add_inputs(events)
-            ref.run()
+            ref_log, ref_values, _ = reference_run(cc, events)
             lp = ClusterLP(0, cc, [0, 1, 2], checkpoint_interval=2,
                            record_changes=True)
             for uid, ev in enumerate(events):
@@ -95,24 +84,9 @@ class TestFlipFlopInlinePaths:
                     recv_time=ev.time, net=ev.net, value=ev.value,
                     src_lp=-1, dst_lp=0, send_time=ev.time - 1, uid=uid,
                 ))
-            while lp.next_pending_vt() is not None:
+            while lp.next_vt is not None:
                 lp.execute_batch()
-            assert lp._change_log == ref.change_log, (before, after)
-            assert [lp.local_value(q) for q in outs] == ref.output_values()
-
-
-class TestSmokeStudy:
-    def test_smoke_parity_and_counters(self):
-        fast, slow = smoke_sim_study()  # asserts structural parity itself
-        assert fast.digest and fast.digest == slow.digest
-        assert (fast.best_k, fast.best_b) == (slow.best_k, slow.best_b)
-        assert fast.committed_events == slow.committed_events > 0
-        # only the vectorized stack touches the batched kernel; the
-        # legacy stack must never report kernel activity
-        assert fast.kernel_scalar_gates > 0
-        assert slow.kernel_batches == 0
-        assert slow.kernel_batch_gates == 0
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError, match="unknown impl"):
-            run_sim_sweep("turbo", circuit_name="viterbi-test", vectors=1)
+            assert lp._change_log == ref_log, (before, after)
+            assert [lp.local_value(q) for q in outs] == [
+                ref_values[q] for q in outs
+            ]

@@ -128,8 +128,8 @@ def test_compiled_circuit_csr_branch_identical(family):
     assert np.array_equal(a.sink_offsets, b.sink_offsets)
     assert np.array_equal(a.sink_gate, b.sink_gate)
     assert np.array_equal(a.initial_values, b.initial_values)
-    assert np.array_equal(a.pin_matrix, b.pin_matrix)
-    assert np.array_equal(a.pin_mask, b.pin_mask)
+    assert np.array_equal(a.table.pins, b.table.pins)
+    assert np.array_equal(a.table.fan_gate, b.table.fan_gate)
     assert a.max_arity == b.max_arity
     assert a.inputs == b.inputs and a.outputs == b.outputs
     # lazy mirrors materialize on demand and carry the same objects

@@ -14,12 +14,25 @@ the before/after evidence harness for kernel work: run it on two
 checkouts and diff where the time goes (docs/performance.md,
 "Simulation kernel", records the numbers this PR moved).
 
+``--batches`` replaces the cProfile listing with the view cProfile
+cannot give — LP batches bucketed by size:
+
+* by gate evaluations per batch (0 / 1-7 / 8-23 / 24-63 / 64-255 /
+  256+): batches, evals, host seconds and microseconds per
+  ``ClusterLP.execute_batch`` call, with the dispatch as shipped;
+* by scheduled updates per batch (the quantity the step kernel
+  dispatches on): microseconds per kernel step with every batch forced
+  onto the scalar side and onto the array side — the break-even row of
+  this table is what ``repro.sim.kernel.BATCH_THRESHOLD`` is set from.
+
 Examples::
 
     PYTHONPATH=src python tools/profile_sim.py
     PYTHONPATH=src python tools/profile_sim.py --circuit viterbi-test \\
         --vectors 20 --top 30
     PYTHONPATH=src python tools/profile_sim.py --skip-full
+    PYTHONPATH=src python tools/profile_sim.py --circuit noc-bench \\
+        --k 4 --b 10 --vectors 25 --skip-presim --batches
 """
 
 from __future__ import annotations
@@ -28,6 +41,8 @@ import argparse
 import cProfile
 import pstats
 import sys
+import time
+from bisect import bisect_right
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,9 +51,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.circuits import circuit_source, random_vectors  # noqa: E402
 from repro.core.multiway import design_driven_partition  # noqa: E402
 from repro.core.presim import evaluate_partition  # noqa: E402
+from repro.sim import kernel  # noqa: E402
 from repro.sim.cluster import ClusterSpec, TimeWarpConfig  # noqa: E402
 from repro.sim.compiled import compile_circuit  # noqa: E402
+from repro.sim.lp import ClusterLP  # noqa: E402
 from repro.verilog import compile_verilog  # noqa: E402
+
+#: lower bucket edges: gate evaluations per batch / scheduled updates
+EVAL_EDGES = (0, 1, 8, 24, 64, 256)
+UPDATE_EDGES = (1, 8, 24, 48, 64, 96, 128, 192, 256)
 
 
 def _profile(label: str, func, top: int, sort: str) -> None:
@@ -51,6 +72,72 @@ def _profile(label: str, func, top: int, sort: str) -> None:
         print(f"[{label}] committed_events={result.committed_events} "
               f"rollbacks={result.rollbacks} "
               f"speedup={result.speedup:.3f}")
+
+
+def _label(edges: tuple[int, ...], i: int) -> str:
+    if i + 1 == len(edges):
+        return f"{edges[i]}+"
+    last = edges[i + 1] - 1
+    return str(last) if last == edges[i] else f"{edges[i]}-{last}"
+
+
+def _timed(owner, name: str, edges, size_of, run):
+    """Run ``run()`` with ``owner.name`` timed per call; returns per
+    bucket ``[calls, evals, seconds]``, bucketed by ``size_of(args,
+    result)`` against ``edges``."""
+    inner = getattr(owner, name)
+    rows = [[0, 0, 0.0] for _ in edges]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        result = inner(*args)
+        dt = time.perf_counter() - t0
+        size, evals = size_of(args, result)
+        row = rows[bisect_right(edges, size) - 1]
+        row[0] += 1
+        row[1] += evals
+        row[2] += dt
+        return result
+
+    setattr(owner, name, timed)
+    try:
+        run()
+    finally:
+        setattr(owner, name, inner)
+    return rows
+
+
+def _batch_tables(label: str, run) -> None:
+    print(f"\n=== {label}: LP batches by gate evaluations ===")
+    rows = _timed(ClusterLP, "execute_batch", EVAL_EDGES,
+                  lambda args, res: (res.gate_evals, res.gate_evals), run)
+    print(f"{'evals/batch':>12} {'batches':>9} {'evals':>10} "
+          f"{'host s':>8} {'us/batch':>9}")
+    for i, (calls, evals, secs) in enumerate(rows):
+        print(f"{_label(EVAL_EDGES, i):>12} {calls:>9} {evals:>10} "
+              f"{secs:>8.3f} {secs / max(calls, 1) * 1e6:>9.1f}")
+
+    def step_size(args, res):
+        return len(args[3]), (len(res[2]) if res is not None else 0)
+
+    sides = {}
+    shipped = kernel.BATCH_THRESHOLD
+    try:
+        for side, threshold in (("scalar", 1 << 62), ("array", 0)):
+            kernel.BATCH_THRESHOLD = threshold
+            sides[side] = _timed(kernel.GateTable, "step", UPDATE_EDGES,
+                                 step_size, run)
+    finally:
+        kernel.BATCH_THRESHOLD = shipped
+    print(f"\n=== {label}: kernel steps by scheduled updates "
+          f"(BATCH_THRESHOLD = {shipped}) ===")
+    print(f"{'updates/step':>12} {'steps':>9} {'evals':>10} "
+          f"{'scalar us':>10} {'array us':>9}")
+    for i, (calls, evals, secs) in enumerate(sides["scalar"]):
+        array_secs = sides["array"][i][2]
+        print(f"{_label(UPDATE_EDGES, i):>12} {calls:>9} {evals:>10} "
+              f"{secs / max(calls, 1) * 1e6:>10.1f} "
+              f"{array_secs / max(calls, 1) * 1e6:>9.1f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile only the full run")
     parser.add_argument("--skip-full", action="store_true",
                         help="profile only the presim point")
+    parser.add_argument("--batches", action="store_true",
+                        help="print per-batch-size tables instead of "
+                             "the cProfile listing")
     args = parser.parse_args(argv)
 
     netlist = compile_verilog(circuit_source(args.circuit))
@@ -88,24 +178,25 @@ def main(argv: list[str] | None = None) -> int:
     print(f"circuit={args.circuit} gates={circuit.num_gates} "
           f"k={args.k} b={args.b} cut={partition.cut_size}")
 
-    if not args.skip_presim:
-        events = random_vectors(netlist, args.vectors, seed=args.seed)
-        _profile(
-            f"presim point ({args.vectors} vectors)",
-            lambda: evaluate_partition(circuit, partition, events, spec,
-                                       config).report,
-            args.top, args.sort,
-        )
-    if not args.skip_full:
-        full = (args.full_vectors if args.full_vectors is not None
-                else args.vectors * 10)
-        events = random_vectors(netlist, full, seed=args.seed)
-        _profile(
-            f"full run ({full} vectors)",
-            lambda: evaluate_partition(circuit, partition, events, spec,
-                                       config).report,
-            args.top, args.sort,
-        )
+    full = (args.full_vectors if args.full_vectors is not None
+            else args.vectors * 10)
+    for skip, label, vectors in (
+        (args.skip_presim, "presim point", args.vectors),
+        (args.skip_full, "full run", full),
+    ):
+        if skip:
+            continue
+        events = random_vectors(netlist, vectors, seed=args.seed)
+
+        def run(events=events):
+            return evaluate_partition(circuit, partition, events, spec,
+                                      config).report
+
+        label = f"{label} ({vectors} vectors)"
+        if args.batches:
+            _batch_tables(label, run)
+        else:
+            _profile(label, run, args.top, args.sort)
     return 0
 
 

@@ -18,7 +18,11 @@ Runs, in order, stopping at the first failure:
 5. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
    --smoke``) — all five workloads at test size, front end through
    verified Time Warp, every output check on, under 30 s; it writes
-   only the git-ignored ``benchmarks/pipeline/out/``.
+   only the git-ignored ``benchmarks/pipeline/out/``;
+6. the same at ``--smoke --verify-determinism`` — every workload twice
+   in fresh processes, result digests must match — which catches a
+   set-ordered or hash-seeded path in the simulators or partitioners
+   at tier-1 cost.
 
 Usage::
 
@@ -58,6 +62,10 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
      ("src",)),
     ("pipeline benchmark smoke",
      [sys.executable, "benchmarks/pipeline/run.py", "--smoke"],
+     ()),
+    ("pipeline benchmark determinism",
+     [sys.executable, "benchmarks/pipeline/run.py", "--smoke",
+      "--verify-determinism"],
      ()),
 ]
 
