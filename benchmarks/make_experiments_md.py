@@ -153,7 +153,10 @@ SECTIONS = [
      "realized gain, moves, passes, pairing estimates — are asserted "
      "identical between the two implementations, so the wall ratio is "
      "a pure like-for-like measurement; walls live in the quarantined "
-     "host_timings channel.  Measured: ~5x on the benchmark host."),
+     "host_timings channel.  Measured: ~50x on the benchmark host "
+     "(~7x before FM passes stopped at the locked-cut bound; the "
+     "legacy pass still runs every heap dry, which makes it a second "
+     "never-stops-early oracle for the bounded one)."),
     ("Extension — multilevel vs direct k-way at scale", "multilevel",
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "

@@ -38,32 +38,31 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
     clusters reading any net driven inside cluster ``c`` (self-loops
     dropped), and ``roots`` are clusters reading a primary-input net.
     """
-    netlist = clustering.netlist
-    gate_cluster = [0] * netlist.num_gates
-    for ci, cluster in enumerate(clustering.clusters):
-        for gid in cluster.gate_ids:
-            gate_cluster[gid] = ci
+    hg = clustering.hypergraph()
     succ: list[set[int]] = [set() for _ in clustering.clusters]
-    roots: set[int] = set()
-    for nid in range(netlist.num_nets):
-        driver = netlist.net_driver[nid]
-        sinks = netlist.net_sinks[nid]
-        if not sinks:
-            continue
-        if driver >= 0:
-            src = gate_cluster[driver]
-            for gid in sinks:
-                dst = gate_cluster[gid]
-                if dst != src:
-                    succ[src].add(dst)
-        elif nid in set(netlist.inputs):
-            for gid in sinks:
-                roots.add(gate_cluster[gid])
-    return [sorted(s) for s in succ], sorted(roots)
+    # a net reaching a second cluster is a hyperedge, and its other pins
+    # are exactly the clusters reading it
+    for pins, src in zip(hg.edge_pins_lists(), clustering.edge_drivers()):
+        if src >= 0:
+            succ[src].update(pins)
+    for c, readers in enumerate(succ):
+        readers.discard(c)  # a cluster reading its own net is no successor
+    netlist = clustering.netlist
+    fed = {
+        gid
+        for nid in netlist.inputs if netlist.net_driver[nid] < 0
+        for gid in netlist.net_sinks[nid]
+    }
+    roots = [
+        c for c, cluster in enumerate(clustering.clusters)
+        if not fed.isdisjoint(cluster.gate_ids)
+    ]
+    return [sorted(s) for s in succ], roots
 
 
-def input_cones(clustering: Clustering) -> list[list[int]]:
-    """Reachable cluster set per root, heaviest cone first."""
+def _cones_and_roots(clustering: Clustering) -> tuple[list[list[int]], list[int]]:
+    """``(cones, roots)``: the reachable cluster set per root, heaviest
+    cone first, and the roots of the one DAG build behind them."""
     succ, roots = build_cluster_dag(clustering)
     weights = [c.weight for c in clustering.clusters]
     cones: list[list[int]] = []
@@ -78,7 +77,12 @@ def input_cones(clustering: Clustering) -> list[list[int]]:
                     frontier.append(nxt)
         cones.append(sorted(seen))
     cones.sort(key=lambda cone: (-sum(weights[c] for c in cone), cone))
-    return cones
+    return cones, roots
+
+
+def input_cones(clustering: Clustering) -> list[list[int]]:
+    """Reachable cluster set per root, heaviest cone first."""
+    return _cones_and_roots(clustering)[0]
 
 
 def cone_partition(
@@ -104,7 +108,7 @@ def cone_partition(
             f"cannot make {k} partitions from {hg.num_vertices} vertices"
         )
     rng = np.random.default_rng(seed)
-    cones = input_cones(clustering)
+    cones, roots = _cones_and_roots(clustering)
     if seed:
         # perturb the visit order of equal-weight cones
         weights = [c.weight for c in clustering.clusters]
@@ -115,7 +119,6 @@ def cone_partition(
         cones = [t[2] for t in keyed]
 
     if recorder.enabled:
-        _, roots = build_cluster_dag(clustering)
         recorder.incr("part.cone.cones", len(cones))
         recorder.incr("part.cone.roots", len(roots))
 

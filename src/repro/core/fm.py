@@ -7,6 +7,20 @@ per pass, weight bounds respected — and the pass is rolled back to its
 best prefix.  Passes repeat until one yields no improvement ("no free
 vertex left or no gain in cut-size can be obtained").
 
+A pass ends at the **locked-cut bound**, not at its last free vertex.
+``pair_cut`` is the weight of the edges spanning exactly the two blocks
+(λ = 2) at pass start — all a pass can ever gain, since an edge reaching
+a third block stays cut whatever the pair does.  A popped vertex is
+decided for the rest of the pass (moved: locked at its target; blocked
+by the weight bounds: locked where it is), so a λ = 2 edge holding a
+decided pin on both sides stays cut: ``dead`` sums those, and no later
+prefix can realize more than ``pair_cut - dead``.  The best prefix is
+replaced only by a strictly better one, so the pass stops as soon as
+``pair_cut - dead <= best`` — the moves it skips are exactly the ones
+the rollback would have undone, and the result is bit-identical to
+running the heap dry (``docs/partitioning.md`` has the argument,
+``tests/test_fm_delta_gain.py`` the never-stops-early reference pass).
+
 Gains are measured against the **global** k-way cut, so refining the
 pair (a, b) never degrades edges that also touch third partitions
 without accounting for them.  A pass seeds every pair vertex's gain
@@ -35,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import PartitionError
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .balance import BalanceConstraint
@@ -57,6 +72,32 @@ _CORE_TALLIES = (
 )
 
 
+@dataclass
+class _PassWork:
+    """What :func:`_one_pass` reports beside its result: two tallies
+    summed over the passes it is handed to, and the locked-cut bound's
+    two terms for the pass in progress."""
+
+    #: moves executed, whether retained or rolled back (``part.fm.executed``)
+    executed: int = 0
+    #: passes the locked-cut bound ended: stopped short of the last free
+    #: vertex, or skipped before the gain fill (``part.fm.bound_stops``)
+    bound_stops: int = 0
+    #: weight of the λ = 2 edges between the pair at pass start
+    pair_cut: int = 0
+    #: weight of those holding a decided pin on both sides by now
+    dead: int = 0
+
+
+def _check_pair(state: PartitionState, a: int, b: int, caller: str) -> None:
+    """Reject a pair that is not two distinct partitions of ``state``."""
+    if a == b or not (0 <= a < state.k and 0 <= b < state.k):
+        raise PartitionError(
+            f"{caller} needs two distinct partitions in [0,{state.k}), "
+            f"got {a} and {b}"
+        )
+
+
 def _pair_vertices(state: PartitionState, a: int, b: int) -> list[int]:
     """Vertices currently in partition a or b (ascending ids)."""
     return state.pair_vertices(a, b).tolist()
@@ -76,16 +117,21 @@ def refine_pair(
     realizes no positive gain.  Returns the total cut improvement.
 
     ``recorder`` (optional, :mod:`repro.obs`) accumulates
-    ``part.fm.passes`` / ``part.fm.moves`` / ``part.fm.gain`` and this
-    call's share of the state's ``part.core.*`` tallies across calls;
-    the default no-op recorder keeps this free.
+    ``part.fm.passes`` / ``part.fm.moves`` / ``part.fm.gain``, the work
+    behind them (``part.fm.executed`` / ``part.fm.bound_stops``) and
+    this call's share of the state's ``part.core.*`` tallies across
+    calls; the default no-op recorder keeps this free.  ``a`` and ``b``
+    must be two distinct partitions of ``state``
+    (:class:`~repro.errors.PartitionError` otherwise).
     """
+    _check_pair(state, a, b, "refine_pair")
     total_gain = 0
     total_moves = 0
     passes = 0
+    work = _PassWork()
     core_before = [getattr(state, name) for name in _CORE_TALLIES]
     for _ in range(max_passes):
-        gain, retained = _one_pass(state, a, b, constraint)
+        gain, retained = _one_pass(state, a, b, constraint, work)
         passes += 1
         total_gain += gain
         total_moves += len(retained)
@@ -95,6 +141,8 @@ def refine_pair(
         recorder.incr("part.fm.passes", passes)
         recorder.incr("part.fm.moves", total_moves)
         recorder.incr("part.fm.gain", total_gain)
+        recorder.incr("part.fm.executed", work.executed)
+        recorder.incr("part.fm.bound_stops", work.bound_stops)
         for name, before in zip(_CORE_TALLIES, core_before):
             recorder.incr(f"part.core.{name}", getattr(state, name) - before)
     return FMPassResult(total_gain, total_moves, passes)
@@ -105,13 +153,24 @@ def _one_pass(
     a: int,
     b: int,
     constraint: BalanceConstraint,
+    work: _PassWork,
 ) -> tuple[int, list[tuple[int, int]]]:
-    """One FM pass; returns (realized gain, retained (v, to) moves)."""
+    """One FM pass; returns (realized gain, retained (v, to) moves).
+
+    ``work`` accumulates the moves the pass executed and whether the
+    locked-cut bound ended it, and holds the bound's terms meanwhile.
+    """
     hg = state.hg
+    # the locked-cut bound (module docstring): no prefix of this pass
+    # can realize more than pair_cut - dead, so a pair with no mutual
+    # λ = 2 cut is decided before a single gain is computed
+    work.pair_cut = pair_cut = state.pair_exclusive_cut(a, b)
+    work.dead = 0
+    if not pair_cut:
+        work.bound_stops += 1
+        return 0, []
     lo, hi = constraint.bounds(hg.total_weight)
     vertices = _pair_vertices(state, a, b)
-    if not vertices:
-        return 0, []
 
     # gain_of[u]: maintained gain of free pair vertex u toward the other
     # side; None once u is locked (moved or blocked) or outside the pair.
@@ -132,6 +191,12 @@ def _one_pass(
     cum = 0
     best = 0
     best_idx = 0
+    # locks[e]: which sides of edge e hold a decided pin (1 = a, 2 = b),
+    # for the edges a decided vertex touches; work.dead: weight of the
+    # λ = 2 edges locked on both sides, which stay cut for the rest of
+    # the pass
+    locks: dict[int, int] = {}
+    decided = 0
 
     # the pair's weights, tracked as plain ints so the admissibility
     # check per pop costs two comparisons instead of NumPy indexing;
@@ -143,6 +208,9 @@ def _one_pass(
     heappush = heapq.heappush
     move = state.move
     part_list = state._part_list
+    lam_list = state._lam_list
+    w_list = state._w_list
+    adj = state._adj
     edge_pins = hg.edge_pins_lists()
     critical: list[tuple[int, int, int]] = []
     walked = 0
@@ -152,6 +220,7 @@ def _one_pass(
         if gain_of[v] != -neg_g:
             continue  # locked, or superseded by a later gain
         gain_of[v] = None  # each vertex is decided once per pass
+        decided += 1
         frm = part_list[v]
         wv = vw[v]
         if frm == a:
@@ -161,21 +230,22 @@ def _one_pass(
             to = a
             blocked = weight_a + wv > hi or weight_b - wv < lo
         if blocked:
-            # bounds only tighten for this direction as the pass
-            # proceeds, so a blocked vertex stays out for the pass
-            continue
-        realized = move(v, to, critical)
-        if frm == a:
-            weight_a -= wv
-            weight_b += wv
+            # a blocked vertex stays out for the pass: locked where it is
+            side = frm
         else:
-            weight_b -= wv
-            weight_a += wv
-        moves.append((v, frm, to))
-        cum += realized
-        if cum > best:
-            best = cum
-            best_idx = len(moves)
+            realized = move(v, to, critical)
+            if frm == a:
+                weight_a -= wv
+                weight_b += wv
+            else:
+                weight_b -= wv
+                weight_a += wv
+            moves.append((v, frm, to))
+            cum += realized
+            if cum > best:
+                best = cum
+                best_idx = len(moves)
+            side = to
         if critical:
             # sum the per-side changes over the critical edges first: a
             # bus of parallel nets moves one neighbour many times, and
@@ -194,8 +264,27 @@ def _one_pass(
                     g = gain_of[u] + d
                     gain_of[u] = g
                     heappush(heap, (-g, u))
+        # v is decided on `side`: lock that side of its edges, reading λ
+        # after the move (both sides locked means pins in a and b, so
+        # λ = 2 exactly when no third block holds one)
+        bit = 1 if side == a else 2
+        incident = adj[v]
+        walked += len(incident)
+        for e in incident:
+            sides = locks.get(e, 0)
+            if not sides & bit:
+                locks[e] = sides = sides | bit
+                if sides == 3 and lam_list[e] == 2:
+                    work.dead += w_list[e]
+        if pair_cut - work.dead <= best:
+            # ties keep the earlier prefix, so <= is enough to stop
+            break
 
     state.lambda_hits += walked
+    work.executed += len(moves)
+    # the heap only runs dry once every vertex is decided (and then the
+    # bound holds too: every remaining cut edge is locked on both sides)
+    work.bound_stops += decided < len(vertices)
     # roll back past the best prefix
     for v, frm, _ in reversed(moves[best_idx:]):
         state.move(v, frm)
@@ -219,6 +308,7 @@ def rebalance_pair(
     cut damage.  Returns the number of vertices moved; ``recorder``
     accumulates it under ``part.fm.rebalance_moves``.
     """
+    _check_pair(state, heavy, light, "rebalance_pair")
     hg = state.hg
     lo, hi = constraint.bounds(hg.total_weight)
     moved = 0

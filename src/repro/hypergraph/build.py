@@ -73,6 +73,7 @@ class Clustering:
         self.clusters = clusters
         self.gate_weights = gate_weights
         self._hypergraph: Hypergraph | None = None
+        self._edge_drivers: list[int] = []
         covered = sum(len(c.gate_ids) for c in clusters)
         if covered != netlist.num_gates:
             raise PartitionError(
@@ -203,6 +204,14 @@ class Clustering:
             self._hypergraph = self._build_hypergraph()
         return self._hypergraph
 
+    def edge_drivers(self) -> list[int]:
+        """Per hyperedge of :meth:`hypergraph`, the cluster holding the
+        net's driver gate, or -1 for an undriven net (a primary input).
+        The hypergraph itself is undirected; cone partitioning reads the
+        signal direction from here."""
+        self.hypergraph()
+        return self._edge_drivers
+
     def _build_hypergraph(self) -> Hypergraph:
         netlist = self.netlist
         gate_cluster = [0] * netlist.num_gates
@@ -211,16 +220,20 @@ class Clustering:
                 gate_cluster[gid] = ci
         edges: list[list[int]] = []
         edge_names: list[str] = []
+        drivers: list[int] = []
         for nid in range(netlist.num_nets):
             touched: set[int] = set()
             driver = netlist.net_driver[nid]
-            if driver >= 0:
-                touched.add(gate_cluster[driver])
+            src = gate_cluster[driver] if driver >= 0 else -1
+            if src >= 0:
+                touched.add(src)
             for gid in netlist.net_sinks[nid]:
                 touched.add(gate_cluster[gid])
             if len(touched) > 1:
                 edges.append(sorted(touched))
                 edge_names.append(netlist.net_name(nid))
+                drivers.append(src)
+        self._edge_drivers = drivers
         weights = [c.weight for c in self.clusters]
         names = [c.name for c in self.clusters]
         return Hypergraph.from_edges(

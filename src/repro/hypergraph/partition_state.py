@@ -296,6 +296,18 @@ class PartitionState:
         mask = (self.edge_part_count[:, a] > 0) & (self.edge_part_count[:, b] > 0)
         return int(self.hg.edge_weight[mask].sum())
 
+    def pair_exclusive_cut(self, a: int, b: int) -> int:
+        """Weighted cut of the edges spanning exactly ``{a, b}`` (λ = 2).
+
+        The part of :meth:`pair_cut` that moves between ``a`` and ``b``
+        can remove: an edge that also reaches a third block stays cut
+        whatever the pair does.  FM's locked-cut bound starts from this
+        value (``docs/partitioning.md``).
+        """
+        counts = self.edge_part_count
+        mask = (self.edge_lambda == 2) & (counts[:, a] > 0) & (counts[:, b] > 0)
+        return int(self.hg.edge_weight[mask].sum())
+
     def pair_cut_matrix(self) -> np.ndarray:
         """Symmetric ``(k, k)`` matrix of pairwise cut weights."""
         occupied = self.edge_part_count > 0

@@ -77,6 +77,10 @@ NEUTRAL_METRICS = frozenset({
     "part.core.gain_batches",
     "part.core.gain_batch_vertices",
     "part.core.boundary_batches",
+    # work behind part.fm.moves: how many moves the passes executed to
+    # retain those, and how many passes the locked-cut bound cut short
+    "part.fm.executed",
+    "part.fm.bound_stops",
     # multilevel hierarchy shape: fixed by the workload + config, not
     # quality signals (part.ml.initial_cut / level_cut / refine_rounds
     # stay directional and gate normally)

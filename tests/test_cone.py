@@ -3,12 +3,53 @@
 import numpy as np
 import pytest
 
+from repro.circuits import available_circuits, load_circuit
 from repro.core import cone_partition, input_cones, build_cluster_dag
 from repro.errors import PartitionError
 from repro.hypergraph import Clustering
+from repro.obs import MetricsRecorder
+
+
+def _net_walk_dag(clustering):
+    """The cluster DAG straight from the netlist, one net at a time —
+    the definition ``build_cluster_dag`` is held to."""
+    netlist = clustering.netlist
+    gate_cluster = {gid: ci for ci, cluster in enumerate(clustering.clusters)
+                    for gid in cluster.gate_ids}
+    inputs = set(netlist.inputs)
+    succ = [set() for _ in clustering.clusters]
+    roots = set()
+    for nid in range(netlist.num_nets):
+        driver = netlist.net_driver[nid]
+        readers = {gate_cluster[gid] for gid in netlist.net_sinks[nid]}
+        if driver >= 0:
+            succ[gate_cluster[driver]] |= readers - {gate_cluster[driver]}
+        elif nid in inputs:
+            roots |= readers
+    return [sorted(s) for s in succ], sorted(roots)
 
 
 class TestClusterDag:
+    @pytest.mark.parametrize("name", available_circuits())
+    def test_equals_net_walk_on_every_registered_circuit(self, name):
+        netlist = load_circuit(name)
+        top = Clustering.top_level(netlist)
+        views = [top]
+        target = top.largest_super_gate()
+        if target is not None:
+            views.append(top.flatten(target))
+        if netlist.num_gates <= 5000:
+            views.append(Clustering.flat(netlist))
+        for view in views:
+            assert build_cluster_dag(view) == _net_walk_dag(view)
+
+    def test_roots_counter_is_the_root_count(self, viterbi_test):
+        c = Clustering.top_level(viterbi_test)
+        rec = MetricsRecorder()
+        cone_partition(c, 3, recorder=rec)
+        _, roots = build_cluster_dag(c)
+        assert rec.as_counters()["part.cone.roots"] == len(roots) > 0
+
     def test_adder_carry_chain(self, adder4):
         c = Clustering.top_level(adder4)
         succ, roots = build_cluster_dag(c)

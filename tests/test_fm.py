@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BalanceConstraint, refine_pair, rebalance_pair
+from repro.errors import PartitionError
 from repro.hypergraph import Hypergraph, PartitionState, hyperedge_cut
 
 
@@ -56,6 +57,32 @@ class TestRefinePair:
         before = state.cut_size
         refine_pair(state, 0, 1, BalanceConstraint(3, 100.0))
         assert state.cut_size <= before
+
+
+class TestDegeneratePairs:
+    """A pair must be two distinct partitions of the state; anything
+    else is rejected before a pass starts, naming both ids."""
+
+    @pytest.mark.parametrize("fn", [refine_pair, rebalance_pair])
+    @pytest.mark.parametrize("a,b", [(0, 9), (9, 0), (0, 0), (-1, 2), (2, -1), (0, 4)])
+    def test_rejected_up_front(self, fn, a, b):
+        state = PartitionState(chain_hg(8), 4, [0, 0, 1, 1, 2, 2, 3, 3])
+        before = state.part.copy()
+        with pytest.raises(PartitionError) as err:
+            fn(state, a, b, BalanceConstraint(4, 50.0))
+        assert str(err.value) == (
+            f"{fn.__name__} needs two distinct partitions in [0,4), "
+            f"got {a} and {b}"
+        )
+        np.testing.assert_array_equal(state.part, before)
+
+    def test_every_valid_pair_is_accepted(self):
+        state = PartitionState(chain_hg(8), 4, [0, 0, 1, 1, 2, 2, 3, 3])
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    refine_pair(state, a, b, BalanceConstraint(4, 50.0))
+                    rebalance_pair(state, a, b, BalanceConstraint(4, 50.0))
 
 
 @st.composite

@@ -6,18 +6,31 @@ These tests hold that to the from-scratch ``move_gain`` after every
 move, to a naive recompute-everything pass, to committed partition
 digests, and to the memory bound the deleted whole-graph neighbour
 adjacency could not meet.
+
+The pass also stops early, on the **locked-cut bound**
+(``docs/partitioning.md``): the second half of this file holds the
+bounded pass to the same never-stops-early reference on families built
+to stress the bound, checks the bound at every decision against the
+reference's whole gain trajectory, kills unsound variants of it, and
+pins the work it saves as exact move counts.
 """
 
+import functools
 import hashlib
+import inspect
+import itertools
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import load_circuit
 from repro.core import BalanceConstraint, design_driven_partition
-from repro.core.fm import _one_pass, refine_pair
+from repro.core import fm
+from repro.core.fm import _one_pass, _PassWork, refine_pair
 from repro.hypergraph import Clustering, Hypergraph, PartitionState
 
 # -- hypergraph families ------------------------------------------------
@@ -110,25 +123,32 @@ def _checked_pass(state, a, b, constraint):
     """Run one real ``_one_pass`` with ``state.move`` wrapped so that,
     before each forward move and before the first rollback move (i.e.
     after every executed move), the pass's maintained ``gain_of`` table
-    is compared with ``move_gain`` for every free pair vertex.  Returns
-    the pass result, the comparisons made and the critical triples seen.
+    is compared with ``move_gain`` for every free pair vertex.  A pass
+    the locked-cut bound ends with nothing to roll back is compared once
+    more on return, so its last move's delta update is held too.
+    Returns the pass result, the comparisons made and the critical
+    triples seen.
     """
     real_move = state.move
-    seen = {"checks": 0, "critical": 0, "rolling_back": False}
+    seen = {"checks": 0, "critical": 0, "rolling_back": False,
+            "gain_of": None}
+
+    def compare(gain_of):
+        for u, g in enumerate(gain_of):
+            if g is None:
+                continue
+            side = state.part_of(u)
+            assert side in (a, b)
+            assert g == state.move_gain(u, b if side == a else a), (
+                f"vertex {u} after {seen['checks']} checks"
+            )
+        seen["checks"] += 1
 
     def move(v, to, critical=None):
         if not seen["rolling_back"]:
             # the pass keeps its gains in a local; read it off the frame
-            gain_of = sys._getframe(1).f_locals["gain_of"]
-            for u, g in enumerate(gain_of):
-                if g is None:
-                    continue
-                side = state.part_of(u)
-                assert side in (a, b)
-                assert g == state.move_gain(u, b if side == a else a), (
-                    f"vertex {u} after {seen['checks']} checks"
-                )
-            seen["checks"] += 1
+            seen["gain_of"] = sys._getframe(1).f_locals["gain_of"]
+            compare(seen["gain_of"])
         seen["rolling_back"] = critical is None
         gain = real_move(v, to, critical)
         if critical is not None:
@@ -137,9 +157,13 @@ def _checked_pass(state, a, b, constraint):
 
     state.move = move
     try:
-        result = _one_pass(state, a, b, constraint)
+        result = _one_pass(state, a, b, constraint, _PassWork())
     finally:
         del state.move
+    if seen["gain_of"] is not None and not seen["rolling_back"]:
+        # every move was retained: the state is still the one the last
+        # delta update left the table for
+        compare(seen["gain_of"])
     return result, seen["checks"], seen["critical"]
 
 
@@ -200,7 +224,7 @@ def test_pass_equals_recompute_everything_pass(family, k):
         constraint = BalanceConstraint(k, 30.0)
         fast = PartitionState(hg, k, assign)
         slow = PartitionState(hg, k, assign)
-        assert _one_pass(fast, 0, 1, constraint) == _reference_pass(
+        assert _one_pass(fast, 0, 1, constraint, _PassWork()) == _reference_pass(
             slow, 0, 1, constraint)
         np.testing.assert_array_equal(fast.part, slow.part)
         assert fast.cut_size == slow.cut_size
@@ -254,3 +278,377 @@ def test_pass_with_20000_pin_edge_stays_small():
     assert peak < 64 * 1024 * 1024
     assert state.cut_size == cut_before - result.gain
     assert state.cut_size == PartitionState(hg, 2, state.part).cut_size
+
+
+# -- the locked-cut bound ------------------------------------------------
+#
+# Families built so the bound decides early, late, or at once.  Each
+# returns (hypergraph, assignment, b); the pair is always (0, 1).
+
+
+def _pair_heavy(k):
+    """Block probabilities with ~80% of the vertices in the pair, the
+    rest spread over the bystander blocks (what ``_case`` draws from)."""
+    return [0.5, 0.5] if k == 2 else [0.4, 0.4] + [0.2 / (k - 2)] * (k - 2)
+
+
+def _no_mutual_cut(rng, k):
+    """Every net is internal to one block or also reaches a third
+    block: nothing between blocks 0 and 1 that a move could uncut."""
+    n = 8 * k
+    assign = np.arange(n) % k
+    members = [np.flatnonzero(assign == p) for p in range(k)]
+    edges = [
+        rng.choice(members[p], size=int(rng.integers(2, 4)),
+                   replace=False).tolist()
+        for p in range(k) for _ in range(6)
+    ]
+    if k > 2:
+        edges += [
+            [int(rng.choice(members[p]))
+             for p in (0, 1, int(rng.integers(2, k)))]
+            for _ in range(10)
+        ]
+    vw = rng.integers(1, 4, size=n).tolist()
+    return Hypergraph.from_edges(vw, edges), assign, 30.0
+
+
+def _all_blocked(rng, k):
+    """Exactly balanced unit weights under b = 0: every pop is a block,
+    so every lock the bound gets comes from a blocked vertex."""
+    n = 6 * k
+    edges = _random_edges(rng, n, 8 * k, 4)
+    weights = rng.integers(1, 4, size=len(edges)).tolist()
+    return Hypergraph.from_edges([1] * n, edges, weights), np.arange(n) % k, 0.0
+
+
+def _spanning_chains(rng, k):
+    """One net over every vertex of every block beside 2-pin chains."""
+    n = 7 * k
+    edges = [list(range(n))] + [[u, u + 1] for u in range(n - 1)]
+    vw = rng.integers(1, 3, size=n).tolist()
+    return (Hypergraph.from_edges(vw, edges),
+            rng.choice(k, size=n, p=_pair_heavy(k)), 25.0)
+
+
+def _weighted_buses(rng, k):
+    """Bundles of weighted parallel nets between small cell groups."""
+    n = 18
+    edges, weights = [], []
+    for _ in range(9):
+        pins = sorted(rng.choice(n, size=int(rng.integers(2, 4)),
+                                 replace=False).tolist())
+        width = int(rng.integers(2, 6))
+        edges += [pins] * width
+        weights += rng.integers(1, 6, size=width).tolist()
+    vw = rng.integers(1, 4, size=n).tolist()
+    return (Hypergraph.from_edges(vw, edges, weights),
+            rng.choice(k, size=n, p=_pair_heavy(k)), 30.0)
+
+
+def _third_block_traps(rng, k):
+    """Light 2-pin nets inside the pair beside heavy nets with two pins
+    in one pair block and one in a third block: a trap net never joins
+    the pair's cut, but a move across gives it pins on both sides."""
+    n = 24
+    assign = rng.choice(k, size=n, p=_pair_heavy(k))
+    members = [np.flatnonzero(assign == p) for p in range(k)]
+    edges = _random_edges(rng, n, 40, 2)
+    weights = [1] * len(edges)
+    outside = [p for p in range(2, k) if len(members[p])]
+    for _ in range(12 if outside else 0):
+        side = members[int(rng.integers(0, 2))]
+        if len(side) < 2:
+            continue
+        edges.append(rng.choice(side, size=2, replace=False).tolist()
+                     + [int(rng.choice(members[int(rng.choice(outside))]))])
+        weights.append(int(rng.integers(5, 10)))
+    vw = rng.integers(1, 3, size=n).tolist()
+    return Hypergraph.from_edges(vw, edges, weights), assign, 20.0
+
+
+BOUND_FAMILIES = {
+    "no-mutual-cut": _no_mutual_cut, "all-blocked": _all_blocked,
+    "spanning-chains": _spanning_chains, "weighted-buses": _weighted_buses,
+    "third-block-traps": _third_block_traps,
+}
+BOUND_KS = (2, 3, 5, 8)
+
+
+def _bound_case(family, k, seed):
+    return BOUND_FAMILIES[family](np.random.default_rng([seed, k, 17]), k)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    """Every (label, hypergraph, k, assignment, b) the bound is held to:
+    the delta-gain families at loose and tight b, then the families
+    above."""
+    cases = []
+    for family, k, seed in itertools.product(sorted(FAMILIES), (2, 3, 5), range(3)):
+        hg, assign = _case(family, k, seed)
+        cases += [(f"{family}-k{k}-s{seed}-b{b}", hg, k, assign, b)
+                  for b in (50.0, 15.0)]
+    for family, k, seed in itertools.product(sorted(BOUND_FAMILIES), BOUND_KS, range(3)):
+        hg, assign, b = _bound_case(family, k, seed)
+        cases.append((f"{family}-k{k}-s{seed}", hg, k, assign, b))
+    return cases
+
+
+def _bounded(one_pass=_one_pass):
+    """``one_pass`` (the real pass or a variant of it) under
+    ``_reference_pass``'s signature."""
+    return lambda state, a, b, constraint: one_pass(
+        state, a, b, constraint, _PassWork())
+
+
+def _pass_outcome(one_pass, hg, k, assign, b, pair=(0, 1)):
+    """Everything a pass leaves behind, as one comparable value."""
+    state = PartitionState(hg, k, assign)
+    gain, retained = one_pass(state, *pair, BalanceConstraint(k, b))
+    return (gain, retained, state.part.tolist(), state.part_weight.tolist(),
+            state.cut_size)
+
+
+@pytest.mark.parametrize("k", BOUND_KS)
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES))
+def test_bounded_pass_equals_reference_on_bound_families(family, k):
+    for seed in range(3):
+        hg, assign, b = _bound_case(family, k, seed)
+        assert _pass_outcome(_bounded(), hg, k, assign, b) == _pass_outcome(
+            _reference_pass, hg, k, assign, b), seed
+
+
+@st.composite
+def weighted_state_and_pair(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, 5))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 5),
+                 unique=True),
+        min_size=1, max_size=16))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(edges),
+                            max_size=len(edges)))
+    vw = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    assign = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    a, b = draw(st.permutations(range(k)))[:2]
+    slack = draw(st.sampled_from([0.0, 2.5, 10.0, 30.0, 100.0]))
+    return Hypergraph.from_edges(vw, edges, weights), k, assign, slack, (a, b)
+
+
+@given(weighted_state_and_pair())
+@settings(max_examples=200, deadline=None)
+def test_bounded_pass_equals_reference_on_random_hypergraphs(data):
+    hg, k, assign, slack, pair = data
+    assert _pass_outcome(_bounded(), hg, k, assign, slack, pair) == _pass_outcome(
+        _reference_pass, hg, k, assign, slack, pair)
+
+
+# -- the bound holds at every decision -----------------------------------
+
+
+def _reference_trajectory(state, a, b, constraint):
+    """Run ``_reference_pass``; returns the forward moves it executed
+    and the cumulative gain after each of them."""
+    real_move = state.move
+    forward, gains, moved = [], [], set()
+
+    def move(v, to, critical=None):
+        gain = real_move(v, to, critical)
+        if v not in moved:  # a vertex's second move is its rollback
+            moved.add(v)
+            forward.append((v, to))
+            gains.append(gain)
+        return gain
+
+    state.move = move
+    try:
+        _reference_pass(state, a, b, constraint)
+    finally:
+        del state.move
+    return forward, list(itertools.accumulate(gains))
+
+
+def _dead_by_definition(state, a, b, locked):
+    """Weight of the nets whose pins all lie in ``a`` or ``b`` and that
+    hold a ``locked`` pin on each side — from the pins, not from λ."""
+    dead = 0
+    for pins, w in zip(state.hg.edge_pins_lists(), state.hg.edge_weight_list):
+        sides = [state.part_of(u) for u in pins]
+        if set(sides) == {a, b} and {
+            p for u, p in zip(pins, sides) if u in locked
+        } == {a, b}:
+            dead += w
+    return dead
+
+
+def _probed_pass(one_pass, state, a, b, constraint):
+    """Run ``one_pass`` (the real ``_one_pass`` or a variant of it);
+    returns its best gain, its work tally, the forward moves it executed
+    and, read off the tally before each of them, (moves executed so far,
+    pair_cut - dead).  ``dead`` is held to its definition on the way."""
+    real_move = state.move
+    pair = set(state.pair_vertices(a, b).tolist())
+    forward, probes = [], []
+    work = _PassWork()
+
+    def move(v, to, critical=None):
+        if critical is not None:  # rollback moves pass no out-list
+            # decided vertices have left the gain table (``_checked_pass``
+            # reads the same local)
+            gain_of = sys._getframe(1).f_locals["gain_of"]
+            locked = {u for u in pair if gain_of[u] is None} - {v}
+            assert work.dead == _dead_by_definition(state, a, b, locked)
+            probes.append((len(forward), work.pair_cut - work.dead))
+            forward.append((v, to))
+        return real_move(v, to, critical)
+
+    state.move = move
+    try:
+        best, _ = one_pass(state, a, b, constraint, work)
+    finally:
+        del state.move
+    assert work.executed == len(forward)
+    return best, work, forward, probes
+
+
+def _check_bound(one_pass, hg, k, assign, b):
+    """Hold one pass to the reference pass's whole gain trajectory;
+    returns (ended by the bound, moves the reference made beyond it)."""
+    constraint = BalanceConstraint(k, b)
+    best, work, forward, probes = _probed_pass(
+        one_pass, PartitionState(hg, k, assign), 0, 1, constraint)
+    ref_forward, cums = _reference_trajectory(
+        PartitionState(hg, k, assign), 0, 1, constraint)
+    # the bounded pass is the reference pass, cut short
+    assert forward == ref_forward[:len(forward)]
+    # before every move, no prefix from here on beats the bound held
+    for executed, bound in probes:
+        assert all(c <= bound for c in cums[max(executed - 1, 0):])
+    # and at the stop no later prefix beats the best one seen
+    assert all(c <= best for c in cums[len(forward):])
+    if not work.bound_stops:
+        assert len(forward) == len(ref_forward)
+    return work.bound_stops, len(ref_forward) - len(forward)
+
+
+def test_bound_holds_at_every_decision_and_stop():
+    stops = saved = 0
+    for label, *case in _corpus():
+        try:
+            stopped, beyond = _check_bound(_one_pass, *case)
+        except AssertionError as err:
+            raise AssertionError(label) from err
+        stops += stopped
+        saved += beyond
+    # the corpus makes the bound bite: most passes stop early
+    assert stops > len(_corpus()) // 2 and saved > 500
+
+
+# -- unsound variants of the bound are caught ----------------------------
+
+#: what the variant gets wrong -> [(token of the pass, replacement), ...]
+MUTANTS = {
+    "count a third-block edge as dead": [
+        (" and lam_list[e] == 2", ""),
+    ],
+    "mark an edge dead when only one side is locked": [
+        ("sides == 3 and ", ""),
+    ],
+    "read lambda before the move's update": [
+        ("frm = part_list[v]", "frm = part_list[v]; lam_at_pop = list(lam_list)"),
+        ("lam_list[e] == 2", "lam_at_pop[e] == 2"),
+    ],
+    "treat an unpopped free vertex as locked": [
+        ("locks.get(e, 0)",
+         "(locks.get(e, 0) | _sides_with_pins(state, e, a, b) & ~bit)"),
+    ],
+}
+
+
+def _sides_with_pins(state, e, a, b):
+    """``locks`` bits of the sides edge ``e`` has any pin on, decided or
+    not: what the last variant takes for locked across from a decided
+    vertex."""
+    counts = state.edge_part_count[e]
+    return (1 if counts[a] else 0) | (2 if counts[b] else 0)
+
+
+def _mutated_one_pass(edits):
+    """``repro.core.fm._one_pass`` recompiled with ``edits`` applied to
+    its source text, in ``fm``'s own namespace."""
+    source = inspect.getsource(_one_pass)
+    for old, new in edits:
+        assert source.count(old) == 1, f"mutation anchor moved: {old!r}"
+        source = source.replace(old, new)
+    namespace = dict(vars(fm), _sides_with_pins=_sides_with_pins)
+    exec(compile(source, "<mutated _one_pass>", "exec"), namespace)
+    return namespace["_one_pass"]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_outcomes():
+    return [_pass_outcome(_reference_pass, *case) for _, *case in _corpus()]
+
+
+def _caught_on(one_pass):
+    """(cases whose outcome differs from the reference pass's, cases
+    failing the per-decision checks), by label."""
+    differs, unsound = [], []
+    for (label, *case), want in zip(_corpus(), _reference_outcomes()):
+        if _pass_outcome(_bounded(one_pass), *case) != want:
+            differs.append(label)
+        try:
+            _check_bound(one_pass, *case)
+        except AssertionError:
+            unsound.append(label)
+    return differs, unsound
+
+
+def test_recompiled_pass_is_the_pass():
+    assert _caught_on(_mutated_one_pass([])) == ([], [])
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_unsound_bound_is_caught(mutant):
+    differs, unsound = _caught_on(_mutated_one_pass(MUTANTS[mutant]))
+    # each variant changes a pass's result somewhere, and the
+    # per-decision checks see it go wrong on many more cases
+    assert differs and len(unsound) >= 10
+
+
+# -- the work the bound saves, as exact counts ---------------------------
+
+
+def _count_moves(monkeypatch):
+    calls = [0]
+    real_move = PartitionState.move
+
+    def move(self, v, to_part, critical=None):
+        calls[0] += 1
+        return real_move(self, v, to_part, critical)
+
+    monkeypatch.setattr(PartitionState, "move", move)
+    return calls
+
+
+@pytest.mark.parametrize("k,budget", [(4, 64), (8, 400)])
+def test_hierarchy_partition_move_budget(viterbi_paper, monkeypatch, k, budget):
+    # run-to-exhaustion passes made 5 398 (k=4) and 5 330 (k=8) move
+    # calls here, forward and rollback, to retain 12 and 20
+    calls = _count_moves(monkeypatch)
+    design_driven_partition(Clustering.top_level(viterbi_paper), k, 5, seed=1)
+    assert 0 < calls[0] <= budget
+
+
+def test_pair_without_mutual_cut_costs_no_move_and_no_gain_query(monkeypatch):
+    calls = _count_moves(monkeypatch)
+    for k in BOUND_KS:
+        hg, assign, b = _bound_case("no-mutual-cut", k, 0)
+        state = PartitionState(hg, k, assign)
+        work = _PassWork()
+        assert _one_pass(state, 0, 1, BalanceConstraint(k, b), work) == (0, [])
+        assert work == _PassWork(executed=0, bound_stops=1)
+        assert (state.gain_batches, state.gain_batch_vertices,
+                state.lambda_hits) == (0, 0, 0)
+    assert calls[0] == 0

@@ -196,8 +196,9 @@ class TestSerialParallelEquivalence:
         assert rec.as_counters() == {
             "part.cone.cones": 10, "part.cone.roots": 10,
             "part.core.boundary_batches": 0,
-            "part.core.gain_batch_vertices": 220,
-            "part.core.gain_batches": 27, "part.core.lambda_hits": 4318,
+            "part.core.gain_batch_vertices": 151,
+            "part.core.gain_batches": 19, "part.core.lambda_hits": 3669,
+            "part.fm.bound_stops": 26, "part.fm.executed": 46,
             "part.fm.gain": 8, "part.fm.moves": 4, "part.fm.passes": 27,
             "part.fm.rebalance_moves": 3, "part.pairing.pairs": 24,
             "part.pairing.rounds": 4, "part.redistribute.calls": 1,

@@ -9,11 +9,11 @@ circuit and profiles ``design_driven_partition`` on its top-level
 hierarchy (the pipeline benchmark's ``hier_93k`` shape: a few hundred
 fat super-gates, heap FM).  Either way it prints the top functions, the
 recorder's per-phase wall breakdown, and — where FM ran — how many
-moves it executed against how many survived best-prefix rollback, or —
-where the batch refiner ran — how many vertices it re-scored per round
-and per applied move.  This
-is the before/after evidence harness for partitioner kernel work — the
-peer of ``tools/profile_sim.py`` on the partitioning side
+moves it executed against how many survived best-prefix rollback and
+how many passes the locked-cut bound ended, or — where the batch
+refiner ran — how many vertices it re-scored per round and per applied
+move.  This is the before/after evidence harness for partitioner kernel
+work — the peer of ``tools/profile_sim.py`` on the partitioning side
 (docs/performance.md records the numbers it moved).
 
 Examples::
@@ -50,17 +50,6 @@ from repro.obs import MetricsRecorder  # noqa: E402
 
 #: default circuit per algorithm (stream registry / text registry)
 DEFAULT_CIRCUIT = {"multilevel": "viterbi-s100k", "multiway": "viterbi-paper"}
-
-
-def _move_calls(stats: pstats.Stats) -> int:
-    """``PartitionState.move`` calls in the profile: every FM move
-    executed plus every one undone by best-prefix rollback (and, at
-    ``workers`` > 1, replayed) — the profile is the counter."""
-    return sum(
-        ncalls
-        for (path, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()
-        if name == "move" and path.endswith("partition_state.py")
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,9 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     print(summary)
     counters = rec.as_counters()
     if counters.get("part.fm.passes"):
-        print(f"fm: {counters['part.fm.passes']} passes, "
-              f"{_move_calls(stats)} move() calls (executed + rolled back), "
-              f"part.fm.moves={counters['part.fm.moves']} retained, "
+        print(f"fm: {counters['part.fm.passes']} passes "
+              f"(part.fm.bound_stops={counters['part.fm.bound_stops']} "
+              f"ended by the locked-cut bound), "
+              f"part.fm.executed={counters['part.fm.executed']} moves "
+              f"executed, part.fm.moves={counters['part.fm.moves']} retained, "
               f"part.core.lambda_hits={counters['part.core.lambda_hits']}")
     if "part.batch.rounds" in counters:
         rounds = counters["part.batch.rounds"]
