@@ -25,8 +25,11 @@ Gate and flip-flop semantics are defined once, as lookup tables:
 id space — global ids for the sequential simulator, LP-local ids for a
 :class:`~repro.sim.lp.ClusterLP` (see :meth:`GateTable.restrict`).  The
 array side and the scalar side read the same tables (the scalar side as
-tuples); :meth:`GateTable.step` picks between them by the number of
-scheduled updates.
+tuples) and the same bytes: an LP's net values are one ``bytearray``,
+indexed directly by the scalar side and seen through a zero-copy
+``np.frombuffer`` view by the array side.  :meth:`GateTable.step` is the
+LP's round — it picks the side by the number of scheduled updates; the
+sequential simulator calls :meth:`GateTable.step_arrays` directly.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ HOLD = 3
 #: passes, smaller ones through the scalar loop.  A module constant, not
 #: a knob: it is the measured break-even of the two sides on the
 #: reference host (docs/performance.md, "Simulation kernel")
-BATCH_THRESHOLD = 96
+BATCH_THRESHOLD = 128
 
 _NUM_COMB = SEQ_CODE_MIN
 _UNARY = (GATE_CODES["buf"], GATE_CODES["not"])
@@ -213,10 +216,11 @@ class GateTable:
         and evaluate the round.
 
         Returns ``None`` when no net changed, else ``(changed, new,
-        affected, out_nets, out_vals)``: the nets that changed with
-        their new values (schedule order), the gates evaluated (first-
-        touch order; held flip-flops included) and the outputs to
-        schedule one tick later (affected order, held ones dropped).
+        affected, out_nets, out_vals, out_gates)``: the nets that
+        changed with their new values (schedule order), the gates
+        evaluated (first-touch order; held flip-flops included) and the
+        outputs to schedule one tick later with the gates that drive
+        them (affected order, held ones dropped).
         """
         cur = vbuf[nets]
         moved = cur != vals
@@ -236,7 +240,8 @@ class GateTable:
         is_ff = self._is_ff[affected]
         if not is_ff.any():
             vbuf[changed] = new
-            return changed, new, affected, self.out[affected], self.fold(vbuf, affected)
+            return (changed, new, affected, self.out[affected],
+                    self.fold(vbuf, affected), affected)
         # a flip-flop can only fire when its own clock net moved; with no
         # clock among the changed nets every affected one holds
         clocked = self._is_clock[changed].any()
@@ -251,7 +256,8 @@ class GateTable:
             fired = out_vals != HOLD
         else:
             fired = ~is_ff
-        return changed, new, affected, self.out[affected[fired]], out_vals[fired]
+        gates = affected[fired]
+        return changed, new, affected, self.out[gates], out_vals[fired], gates
 
     def fold(self, vbuf: np.ndarray, gates: np.ndarray) -> np.ndarray:
         """Combinational outputs of ``gates`` against ``vbuf`` (rows of
@@ -281,29 +287,59 @@ class GateTable:
         )
         return self._scalar
 
-    def _step_scalar(self, vbuf, vlist: list[int], nets: list[int], vals: list[int]):
-        """:meth:`step_arrays` over Python lists; keeps ``vlist`` (the
-        list mirror of ``vbuf``) in step."""
+    # -- the LP's round -------------------------------------------------------
+
+    def step(self, store: bytearray, updates, last: bytearray,
+             watched: bytearray):
+        """One round of an LP, on whichever side suits its size.
+
+        ``store`` holds one byte per net plus the pad cell, ``last`` and
+        ``watched`` one byte per gate: a gate whose ``watched`` cell is
+        set is reported whenever its output differs from ``last``, which
+        is updated on the spot (the LP's boundary filter, applied where
+        the output is computed).  ``updates`` is ``{net: value}`` or an
+        ``(nets, values)`` array pair — the two forms ``due`` takes.
+
+        Returns ``None`` when no net changed, else ``(changed, evals,
+        due, crossed)``: the nets that changed (schedule order; their
+        new values are in ``store``), the number of gates evaluated,
+        the outputs due one tick later (a dict from the scalar side, an
+        array pair from the array side, ``None`` for none) and ``(gate,
+        value)`` per watched output that moved, in first-touch order.
+        """
+        if type(updates) is not dict:
+            nets, vals = updates
+            if len(nets) >= BATCH_THRESHOLD:
+                return self._step_batch(store, nets, vals, last, watched)
+            updates = dict(zip(nets.tolist(), vals.tolist()))
+        elif len(updates) >= BATCH_THRESHOLD:
+            return self._step_batch(
+                store,
+                np.fromiter(updates, np.int64, len(updates)),
+                np.fromiter(updates.values(), np.int8, len(updates)),
+                last, watched,
+            )
+        # the scalar side: step_arrays as one Python loop over the bytes
         start, pins, out, fan = self._scalar or self._scalar_tables()
         fold, ff_table = _FOLD_T, _FF_T
         old: dict[int, int] = {}
         affected: dict[int, None] = {}
-        for net, value in zip(nets, vals):
-            cur = vlist[net]
+        for net, value in updates.items():
+            cur = store[net]
             if cur != value:
                 old[net] = cur
-                vbuf[net] = vlist[net] = value
+                store[net] = value
                 for g in fan[net]:
                     affected[g] = None
         if not old:
             return None
-        out_nets: list[int] = []
-        out_vals: list[int] = []
+        due: dict[int, int] = {}
+        crossed: list[tuple[int, int]] = []
         for g in affected:
             state = start[g]
             if state > 0:
                 for p in pins[g]:
-                    state = fold[state + vlist[p]]
+                    state = fold[state + store[p]]
                 value = _FINAL_T[state]
             else:
                 d, clk, aux = pins[g]
@@ -311,31 +347,30 @@ class GateTable:
                 if cb is None:
                     continue  # idle clock: every FF row holds
                 value = ff_table[
-                    cb * 27 + vlist[clk] * 9 + old.get(d, vlist[d]) * 3
-                    + old.get(aux, vlist[aux]) - state
+                    cb * 27 + store[clk] * 9 + old.get(d, store[d]) * 3
+                    + old.get(aux, store[aux]) - state
                 ]
                 if value == HOLD:
                     continue
-            out_nets.append(out[g])
-            out_vals.append(value)
-        changed = list(old)
-        return changed, [vlist[n] for n in changed], affected, out_nets, out_vals
+            due[out[g]] = value
+            if watched[g] and value != last[g]:
+                last[g] = value
+                crossed.append((g, value))
+        return old, len(affected), due or None, crossed
 
-    # -- dispatch ------------------------------------------------------------
-
-    def step(self, vbuf: np.ndarray, vlist: list[int], nets, vals):
-        """One round on whichever side suits its size; ``nets`` / ``vals``
-        may be lists or arrays and come back as the side's own kind (a
-        list result means the scalar side ran)."""
-        if len(nets) < BATCH_THRESHOLD:
-            if type(nets) is not list:
-                nets, vals = nets.tolist(), vals.tolist()
-            return self._step_scalar(vbuf, vlist, nets, vals)
-        if type(nets) is list:
-            nets = np.array(nets, dtype=np.int64)
-            vals = np.array(vals, dtype=np.int8)
-        result = self.step_arrays(vbuf, nets, vals)
-        if result is not None:
-            for net, value in zip(result[0].tolist(), result[1].tolist()):
-                vlist[net] = value
-        return result
+    def _step_batch(self, store, nets, vals, last, watched):
+        """:meth:`step` on the array side, through zero-copy views."""
+        result = self.step_arrays(np.frombuffer(store, dtype=np.int8), nets, vals)
+        if result is None:
+            return None
+        changed, _, affected, out_nets, out_vals, gates = result
+        sent = np.frombuffer(last, dtype=np.int8)
+        moved = np.frombuffer(watched, dtype=np.bool_)[gates]
+        moved &= sent[gates] != out_vals
+        crossed = []
+        if moved.any():
+            gates, values = gates[moved], out_vals[moved]
+            sent[gates] = values
+            crossed = list(zip(gates.tolist(), values.tolist()))
+        due = (out_nets, out_vals) if len(out_nets) else None
+        return changed, len(affected), due, crossed

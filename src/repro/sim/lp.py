@@ -6,9 +6,11 @@ hypergraph: a top-level gate, or a whole Verilog module instance whose
 children roll back along with their parent.  Each LP is effectively a
 private unit-delay simulator over its gate subset:
 
-* its **state** is the value array of the nets its gates touch, plus
-  the outputs of its last batch, due one tick later (under unit delay
-  that single pair is the whole future-event agenda);
+* its **state** is one byte per net its gates touch — a ``bytearray``
+  the scalar side of the step kernel indexes and the array side views
+  through NumPy, so there is no second copy to keep in step — plus the
+  outputs of its last batch, due one tick later (under unit delay that
+  single pair is the whole future-event agenda);
 * **input messages** are net-change events for boundary nets driven by
   other LPs (or the vector source);
 * **output messages** are emitted when a locally driven boundary net
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -56,16 +59,7 @@ from ..errors import SimulationError
 from .compiled import CompiledCircuit
 from .events import Message
 
-__all__ = ["ClusterLP", "BatchResult", "RollbackResult"]
-
-
-@dataclass
-class BatchResult:
-    """Outcome of executing one timestamp batch."""
-
-    vt: int
-    gate_evals: int
-    sends: list[Message]
+__all__ = ["ClusterLP", "RollbackResult"]
 
 
 @dataclass
@@ -78,38 +72,33 @@ class RollbackResult:
 
 
 class _Checkpoint:
-    """One saved LP state: copies of the net values and the last-sent
-    filter, plus the pending output pair (shared, never mutated)."""
+    """One saved LP state: byte snapshots of the value store and the
+    last-sent filter, the pending outputs (shared, never mutated) and
+    the gate evaluations of the history up to ``vt`` — what a rollback
+    to here subtracts from to count the undone ones."""
 
-    __slots__ = ("vt", "values", "due", "pending", "size")
+    __slots__ = ("vt", "values", "due", "sent", "evals", "size")
 
-    def __init__(self, vt: int, values: np.ndarray, due, pending: np.ndarray) -> None:
+    def __init__(self, vt: int, values: bytes, due, sent: bytes, evals: int) -> None:
         self.vt = vt
         self.values = values
         self.due = due
-        self.pending = pending
-        # snapshots are immutable once taken, so the size is computed
-        # exactly once and the LP keeps a running total instead of
-        # re-summing every checkpoint on each GVT round
-        self.size = self.nbytes()
-
-    def nbytes(self) -> int:
-        # the two arrays report their true buffer sizes; the due pair
-        # is charged what the agenda slot it replaced cost (a CPython
-        # dict entry per update, one list slot for its time), which
-        # keeps tw.peak_checkpoint_bytes comparable across versions
-        size = self.values.nbytes + self.pending.nbytes
-        if self.due is not None:
-            size += 32 * (len(self.due[0]) + 1) + 8
-        return size
+        self.sent = sent
+        self.evals = evals
+        # accounted once (a snapshot is immutable; the LP keeps a
+        # running total): one byte per net — the store's pad cell is
+        # not state — and per gate; pending outputs are charged what
+        # the agenda slot they replaced cost (a CPython dict entry per
+        # update, one list slot for its time), which keeps
+        # tw.peak_checkpoint_bytes comparable across versions
+        self.size = len(values) - 1 + len(sent)
+        if due is not None:
+            n = len(due) if type(due) is dict else len(due[0])
+            self.size += 32 * (n + 1) + 8
 
 
 def _msg_sort_key(m: Message) -> tuple[int, int, int]:
     return (m.recv_time, m.src_lp, m.uid)
-
-
-def _send_key(m: Message) -> tuple[int, int, int]:
-    return (m.send_time, m.net, m.dst_lp)
 
 
 class ClusterLP:
@@ -155,36 +144,33 @@ class ClusterLP:
         self._net_list: list[int] = nets.tolist()
         self._net_loc = {n: i for i, n in enumerate(self._net_list)}
 
-        # locally driven nets back the last-sent-value filter: an int8
-        # array (checkpointed by copy) seeded with the nets' initial
-        # values; _sent_idx maps a driven local net to its cell
-        driven = np.sort(self._table.out)
-        self._sent_idx = dict(zip(driven.tolist(), range(len(driven))))
-        self._pending = circuit.initial_values[nets[driven]]
-        self._pending_list: list[int] = self._pending.tolist()
+        # the boundary, by local gate (a net has one driver): the step
+        # kernel reports a watched gate's output whenever it differs
+        # from the last value sent — one byte each per gate
+        self._sent = bytearray(circuit.initial_values[nets[self._table.out]])
+        self._watched = bytearray(len(self.gate_ids))
+        #: watched local gate -> (driven global net, reader LP ids)
+        self._readers: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-        #: populated by the engine: driven global net id -> external
-        #: reader LP ids
-        self.out_dests: dict[int, tuple[int, ...]] = {}
-        #: the same keyed by local net, built by the first batch
-        self._dests: dict[int, tuple[int, ...]] | None = None
-
-        # dynamic state: the kernel's value buffer with a plain-int
-        # mirror for the scalar side, and the outputs of the last
-        # batch, due at lvt + 1
-        self._vbuf = self._table.new_values(circuit.initial_values[nets])
-        self._vlist: list[int] = self.values.tolist()
-        self._due: tuple | None = None
+        # dynamic state: one byte per local net plus the kernel's pad
+        # cell — indexed as bytes by the scalar side, seen as int8 by
+        # the array side and `values` through a view — and the outputs
+        # of the last batch, due at lvt + 1: {net: value} from a scalar
+        # round, an (nets, values) array pair from an array round
+        self._store = bytearray(
+            self._table.new_values(circuit.initial_values[nets])
+        )
+        self._vbuf = np.frombuffer(self._store, dtype=np.int8)
+        self._due: dict | tuple | None = None
         self.lvt = -1
         #: cached earliest unprocessed virtual time (None = quiescent);
         #: every queue mutator refreshes it so the engine scheduler
         #: reads an attribute instead of re-deriving the minimum
         self.next_vt: int | None = None
-        # kernel counters (aggregated into RunStats): rounds run as
-        # array passes, and gate evaluations done on either side
+        # kernel counters (aggregated into RunStats): array rounds and
+        # their gate evaluations (the scalar side did all the others)
         self.kernel_batches = 0
         self.kernel_batch_gates = 0
-        self.kernel_scalar_gates = 0
 
         # queues and logs
         self._in_msgs: list[Message] = []
@@ -192,7 +178,8 @@ class ClusterLP:
         self._next_idx = 0
         #: live sends confirmed against the current execution history
         self._out_log: list[Message] = []
-        self._batch_log: list[tuple[int, int]] = []  # (vt, gate_evals)
+        #: gate evaluations of the batches not rolled back
+        self._live_evals = 0
         #: optional committed-history oracle: (vt, global net, value)
         #: entries; rolled-back entries are rewound with the batches
         self.record_changes = record_changes
@@ -203,11 +190,12 @@ class ClusterLP:
         self._batches_since_ckpt = 0
         self._uid = 0
         #: live sends awaiting confirmation by re-execution, keyed by
-        #: (send_time, net, dst_lp)
-        self._unconfirmed: dict[tuple[int, int, int], Message] = {}
+        #: (send_time, net, dst_lp); flush_unconfirmed has work only
+        #: while this or deferred_antis holds something
+        self.unconfirmed: dict[tuple[int, int, int], Message] = {}
         #: anti-messages produced when a re-send superseded a buffered
         #: message with a different value; drained by flush_unconfirmed
-        self._deferred_antis: list[Message] = []
+        self.deferred_antis: list[Message] = []
         #: anti-messages that arrived before their positive twin
         #: ((uid, src_lp) -> anti); channels are FIFO per machine pair,
         #: but LP migration re-routes queued traffic and can reorder
@@ -218,13 +206,23 @@ class ClusterLP:
 
     @property
     def values(self) -> np.ndarray:
-        """Local net values (the kernel's value buffer without its pad
-        cell; a view)."""
+        """Local net values (a view of the byte store without its pad
+        cell, so writes land in the LP)."""
         return self._vbuf[:-1]
 
     def local_value(self, net: int) -> int:
         """Current local value of a global net id (must be local)."""
-        return int(self.values[self._net_loc[net]])
+        return self._store[self._net_loc[net]]
+
+    def set_readers(self, readers: dict[int, tuple[int, ...]]) -> None:
+        """Declare the external reader LPs of locally driven nets
+        (global net id -> LP ids); the engine calls this once, after
+        every LP exists."""
+        gate_of = {net: g for g, net in enumerate(self._table.out.tolist())}
+        for net, dsts in readers.items():
+            g = gate_of[self._net_loc[net]]
+            self._watched[g] = 1
+            self._readers[g] = (net, tuple(dsts))
 
     def has_net(self, net: int) -> bool:
         """Whether this LP holds a copy of ``net``."""
@@ -249,11 +247,8 @@ class ClusterLP:
         """Earliest receive time among buffered sends and deferred
         antis — these bound GVT, since their anti-messages may still
         have to be transmitted."""
-        if not self._unconfirmed and not self._deferred_antis:
-            return None  # the common case: checked once per GVT round
-        times = [m.recv_time for m in self._unconfirmed.values()]
-        times.extend(m.recv_time for m in self._deferred_antis)
-        return min(times) if times else None
+        pending = chain(self.unconfirmed.values(), self.deferred_antis)
+        return min((m.recv_time for m in pending), default=None)
 
     # -- message insertion --------------------------------------------------
 
@@ -274,6 +269,25 @@ class ClusterLP:
             rollback = self._rollback_to(msg.recv_time)
         self._insort(msg)
         return rollback
+
+    def preload(self, msgs: list[Message]) -> None:
+        """Enqueue positive messages in one go, before the LP has run.
+
+        What :meth:`insert_positive` does one message at a time, minus
+        the cases that cannot arise yet: with ``lvt == -1`` nothing was
+        processed or sent, so there is no straggler to roll back for and
+        no anti-message waiting for its twin.  Equal queue keys keep
+        their order (earlier calls first), as repeated insertion would.
+        """
+        queue = sorted(self._in_msgs + msgs, key=_msg_sort_key)
+        if self.lvt != -1 or (queue and queue[0].recv_time < 0):
+            raise SimulationError(
+                f"{self.name}: preload needs an LP that has not run "
+                f"(lvt={self.lvt}) and messages from t=0 on"
+            )
+        self._in_msgs = queue
+        self._in_keys = [_msg_sort_key(m) for m in queue]
+        self._recompute_next_vt()
 
     def insert_anti(self, msg: Message) -> RollbackResult | None:
         """Process an anti-message: annihilate its positive twin.
@@ -311,26 +325,20 @@ class ClusterLP:
         self._recompute_next_vt()
 
     def _find_twin(self, anti: Message) -> int | None:
-        key = _msg_sort_key(anti)
-        lo = bisect_left(self._in_keys, key)
-        if lo < len(self._in_msgs):
-            twin = self._in_msgs[lo]
-            if (
-                twin.uid == anti.uid
-                and twin.src_lp == anti.src_lp
-                and twin.recv_time == anti.recv_time
-                and twin.sign == 1
-            ):
-                return lo
+        keys, key = self._in_keys, _msg_sort_key(anti)
+        lo = bisect_left(keys, key)
+        if lo < len(keys) and keys[lo] == key and self._in_msgs[lo].sign == 1:
+            return lo
         return None
 
     # -- execution ---------------------------------------------------------
 
-    def execute_batch(self) -> BatchResult:
+    def execute_batch(self) -> tuple[int, list[Message]]:
         """Process every pending event at the earliest pending time.
 
-        One round of the step kernel over the local gate subset;
-        returns the boundary messages to transmit (re-sends confirmed
+        One round of the step kernel over the local gate subset, at
+        what then is :attr:`lvt`; returns the number of gates evaluated
+        and the boundary messages to transmit (re-sends confirmed
         against the unconfirmed buffer are not among them — nothing
         needs to travel for those).
         """
@@ -341,72 +349,61 @@ class ClusterLP:
             raise SimulationError(
                 f"{self.name}: batch time {T} not after lvt {self.lvt}"
             )
-        nets, vals = self._due or ([], [])
+        updates = self._due
         msgs = self._in_msgs
         i = self._next_idx
-        if i < len(msgs) and msgs[i].recv_time == T:
+        end = len(msgs)
+        if i < end and msgs[i].recv_time == T:
             # messages land after the local outputs, last write wins
-            if type(nets) is not list:
-                nets, vals = nets.tolist(), vals.tolist()
+            # (on a copy: checkpoints share the pending outputs)
+            if updates is None:
+                updates = {}
+            elif type(updates) is dict:
+                updates = updates.copy()
+            else:
+                updates = dict(zip(updates[0].tolist(), updates[1].tolist()))
             net_loc = self._net_loc
-            merged = dict(zip(nets, vals))
-            while i < len(msgs) and msgs[i].recv_time == T:
-                merged[net_loc[msgs[i].net]] = msgs[i].value
+            while i < end and msgs[i].recv_time == T:
+                updates[net_loc[msgs[i].net]] = msgs[i].value
                 i += 1
             self._next_idx = i
-            nets, vals = list(merged), list(merged.values())
-        result = self._table.step(self._vbuf, self._vlist, nets, vals)
+        result = self._table.step(self._store, updates, self._sent, self._watched)
         self._due = None
+        self.next_vt = msgs[i].recv_time if i < end else None
         sends: list[Message] = []
         n_evals = 0
         if result is not None:
-            changed, new, affected, out_nets, out_vals = result
-            n_evals = len(affected)
-            if len(out_nets):
-                self._due = (out_nets, out_vals)
-            if type(out_nets) is list:
-                self.kernel_scalar_gates += n_evals
-            else:  # the array side ran; the bookkeeping below wants lists
+            changed, n_evals, due, crossed = result
+            if due is not None:
+                self._due = due
+                self.next_vt = T + 1  # unit delay: nothing can precede it
+            self._live_evals += n_evals
+            if type(changed) is not dict:  # the array side ran
                 self.kernel_batches += 1
                 self.kernel_batch_gates += n_evals
-                changed, new = changed.tolist(), new.tolist()
-                out_nets, out_vals = out_nets.tolist(), out_vals.tolist()
-            net_list = self._net_list
             if self.record_changes:
+                net_list, store = self._net_list, self._store
                 self._change_log.extend(
-                    (T, net_list[n], v) for n, v in zip(changed, new)
+                    (T, net_list[n], store[n]) for n in changed
                 )
-            dests = self._dests
-            if dests is None:
-                dests = self._dests = {
-                    self._net_loc[n]: d for n, d in self.out_dests.items()
-                }
-            if not dests.keys().isdisjoint(out_nets):
-                pending_list = self._pending_list
-                sent_idx = self._sent_idx
-                for loc, value in zip(out_nets, out_vals):
-                    if loc in dests and value != pending_list[sent_idx[loc]]:
-                        self._pending[sent_idx[loc]] = value
-                        pending_list[sent_idx[loc]] = value
-                        for dst in dests[loc]:
-                            msg = self._emit(T, T + 1, net_list[loc], value, dst)
-                            if msg is not None:
-                                sends.append(msg)
+            for gate, value in crossed:
+                net, dsts = self._readers[gate]
+                for dst in dsts:
+                    msg = self._emit(T, net, value, dst)
+                    if msg is not None:
+                        sends.append(msg)
+            self._out_log.extend(sends)
         self.lvt = T
-        self._batch_log.append((T, n_evals))
-        self._out_log.extend(sends)
         self._batches_since_ckpt += 1
         if self._batches_since_ckpt >= self.checkpoint_interval:
             self._save_checkpoint()
-        self._recompute_next_vt()
-        return BatchResult(T, n_evals, sends)
+        return n_evals, sends
 
-    def _emit(
-        self, send_time: int, recv_time: int, net: int, value: int, dst: int
-    ) -> Message | None:
-        """Create an outgoing message unless an identical live one is
-        already at the receiver (unconfirmed-buffer match)."""
-        prev = self._unconfirmed.pop((send_time, net, dst), None)
+    def _emit(self, send_time: int, net: int, value: int, dst: int) -> Message | None:
+        """Create an outgoing message, due one tick after it is sent,
+        unless an identical live one is already at the receiver
+        (unconfirmed-buffer match)."""
+        prev = self.unconfirmed.pop((send_time, net, dst), None)
         if prev is not None:
             if prev.value == value:
                 # the original is still correct: confirm it back into
@@ -414,16 +411,8 @@ class ClusterLP:
                 self._out_log.append(prev)
                 return None
             # superseded: the original must die before the replacement
-            self._deferred_antis.append(prev.anti())
-        msg = Message(
-            recv_time=recv_time,
-            net=net,
-            value=value,
-            src_lp=self.lid,
-            dst_lp=dst,
-            send_time=send_time,
-            uid=self._uid,
-        )
+            self.deferred_antis.append(prev.anti())
+        msg = Message(send_time + 1, net, value, self.lid, dst, send_time, self._uid)
         self._uid += 1
         return msg
 
@@ -436,24 +425,25 @@ class ClusterLP:
         Deferred supersede-antis are always drained.
         """
         out: list[Message] = []
-        if self._unconfirmed:
+        if self.unconfirmed:
             keep: dict[tuple[int, int, int], Message] = {}
-            for key, msg in self._unconfirmed.items():
+            for key, msg in self.unconfirmed.items():
                 if before_vt is None or msg.send_time < before_vt:
                     out.append(msg.anti())
                 else:
                     keep[key] = msg
-            self._unconfirmed = keep
-        if self._deferred_antis:
-            out.extend(self._deferred_antis)
-            self._deferred_antis = []
+            self.unconfirmed = keep
+        if self.deferred_antis:
+            out.extend(self.deferred_antis)
+            self.deferred_antis = []
         return out
 
     # -- state saving / rollback -------------------------------------------
 
     def _save_checkpoint(self) -> None:
         cp = _Checkpoint(
-            self.lvt, self.values.copy(), self._due, self._pending.copy()
+            self.lvt, bytes(self._store), self._due, bytes(self._sent),
+            self._live_evals,
         )
         self._checkpoints.append(cp)
         self._ckpt_bytes += cp.size
@@ -480,11 +470,11 @@ class ClusterLP:
                 f"{self.name}: no checkpoint before t={straggler_vt} "
                 f"(over-aggressive fossil collection)"
             )
-        self.values[:] = cp.values
-        self._vlist = cp.values.tolist()
+        # slice assignment, never a rebind: the NumPy view must stay
+        # attached to the store
+        self._store[:] = cp.values
+        self._sent[:] = cp.sent
         self._due = cp.due
-        self._pending = cp.pending.copy()
-        self._pending_list = self._pending.tolist()
         self.lvt = cp.vt
         self._batches_since_ckpt = 0
 
@@ -498,14 +488,13 @@ class ClusterLP:
             if msg.send_time <= cp.vt:
                 keep.append(msg)  # below the restore point: untouched
             elif self.lazy or msg.send_time < straggler_vt:
-                self._unconfirmed[_send_key(msg)] = msg
+                self.unconfirmed[msg.send_time, msg.net, msg.dst_lp] = msg
             else:
                 antis.append(msg.anti())
         self._out_log = keep
 
-        undone = 0
-        while self._batch_log and self._batch_log[-1][0] > cp.vt:
-            undone += self._batch_log.pop()[1]
+        undone = self._live_evals - cp.evals
+        self._live_evals = cp.evals
         if self.record_changes:
             while self._change_log and self._change_log[-1][0] > cp.vt:
                 self._change_log.pop()
@@ -539,5 +528,3 @@ class ClusterLP:
             del self._in_keys[:cut]
             self._next_idx -= cut
         self._out_log = [m for m in self._out_log if m.send_time > floor]
-        self._batch_log = [b for b in self._batch_log if b[0] > floor]
-        self._recompute_next_vt()

@@ -157,7 +157,7 @@ class SequentialSimulator:
             pending = None
             if result is None:
                 continue
-            changed, new, affected, out_nets, out_vals = result
+            changed, new, affected, out_nets, out_vals, _ = result
             stats.net_events += len(changed)
             stats.gate_evals += len(affected)
             stats.end_time = t

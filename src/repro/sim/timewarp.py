@@ -22,7 +22,9 @@ two runs with the same inputs produce identical statistics.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,23 +52,29 @@ _STALE = object()
 
 class _Machine:
     __slots__ = (
-        "mid", "wall", "lp_ids", "ready", "arrivals", "stats", "action_cache"
+        "mid", "wall", "lps", "ready", "arrivals", "stats", "action_cache",
+        "pick",
     )
 
     def __init__(self, mid: int) -> None:
         self.mid = mid
         self.wall = 0.0
-        self.lp_ids: list[int] = []
+        #: the hosted LPs, in id order
+        self.lps: list[ClusterLP] = []
         #: lazy heap of (next_vt, lid); used when the machine hosts
         #: many LPs (see SCAN_SCHED_MAX_LPS)
         self.ready: list[tuple[int, int]] = []
         #: heap of (arrival_wall, serial, Message)
         self.arrivals: list[tuple[float, int, Message]] = []
         self.stats = MachineStats()
-        #: memoized _next_action_time result; every event that can
+        #: memoized wall time of the next action (None: nothing to
+        #: do), set by _pick_machine; every event that can
         #: change it (own execution, arrival push, GVT round) stamps
         #: the sentinel so only touched machines are re-derived
         self.action_cache: object = _STALE
+        #: scan scheduling: the ready LP the scan behind action_cache
+        #: found, if any — good until a delivery changes a hosted LP
+        self.pick: ClusterLP | None = None
 
 
 class TimeWarpEngine:
@@ -163,7 +171,7 @@ class TimeWarpEngine:
         self._wire_destinations()
         self.machines = [_Machine(m) for m in range(spec.num_machines)]
         for lid, m in enumerate(self.lp_machine):
-            self.machines[m].lp_ids.append(lid)
+            self.machines[m].lps.append(self.lps[lid])
         self.stats = RunStats(num_machines=spec.num_machines)
         self.stats.lps = [LPStats(lid=lid) for lid in range(len(self.lps))]
         self._trace = trace
@@ -194,6 +202,7 @@ class TimeWarpEngine:
         #: lazy min-heap of in-flight message receive times
         self._inflight_recv: list[int] = []
         self._inflight_removed: dict[int, int] = {}
+        self._finished = False
         if self._conservative:
             for lp in self.lps:
                 # rollback-free execution needs no state saving
@@ -221,9 +230,12 @@ class TimeWarpEngine:
         # distinct (net, reader LP) pairs in (net, LP) order
         pairs = np.unique(c.pin_net[crossing] * num_lps + reader[crossing])
         nets, dsts = np.divmod(pairs, num_lps)
-        for net, dst in zip(nets.tolist(), dsts.tolist()):
-            dests = self.lps[driver[net]].out_dests
+        readers: dict[int, dict[int, tuple[int, ...]]] = {}
+        for net, src, dst in zip(nets.tolist(), driver[nets].tolist(), dsts.tolist()):
+            dests = readers.setdefault(src, {})
             dests[net] = dests.get(net, ()) + (dst,)
+        for src, dests in readers.items():
+            self.lps[src].set_readers(dests)
 
     # -- stimulus -------------------------------------------------------------
 
@@ -235,42 +247,51 @@ class TimeWarpEngine:
         time zero — it never causes rollbacks because its events are
         strictly in the future when loaded.
         """
+        if self._finished:
+            raise SimulationError(
+                "load_inputs() on a finished engine: run() has committed "
+                "and fossil-collected its history; build a new engine"
+            )
         num_nets = self.circuit.num_nets
-        readers: dict[int, list[int]] = {}
+        # per net, its reader LPs each with the list that becomes its queue
+        readers: dict[int, list[tuple[int, list[Message]]]] = {}
+        queues: dict[int, list[Message]] = {}
         uid = 0
         for ev in events:
             check_stimulus(ev.time, ev.net, ev.value, num_nets)
             dsts = readers.get(ev.net)
             if dsts is None:
-                dsts = readers[ev.net] = self._readers(ev.net)
-            for dst in dsts:
-                msg = Message(
-                    recv_time=ev.time,
-                    net=ev.net,
-                    value=ev.value,
-                    src_lp=-1,
-                    dst_lp=dst,
-                    send_time=ev.time - 1,
-                    uid=uid,
+                dsts = readers[ev.net] = [
+                    (dst, queues.setdefault(dst, []))
+                    for dst in self._readers(ev.net)
+                ]
+            for dst, queue in dsts:  # from LP -1, sent the tick before
+                queue.append(
+                    Message(ev.time, ev.net, ev.value, -1, dst, ev.time - 1, uid)
                 )
                 uid += 1
-                res = self.lps[dst].insert_positive(msg)
-                if res is not None:  # pragma: no cover - inputs precede run
-                    raise SimulationError("environment stimulus caused a rollback")
-                self.stats.env_messages += 1
+        for dst, queue in queues.items():
+            self.lps[dst].preload(queue)
+        self.stats.env_messages += uid
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> RunStats:
-        """Execute to completion; returns aggregate statistics."""
+        """Execute to completion; returns aggregate statistics (the
+        same, untouched, when called again on a finished engine)."""
         stats = self.stats
-        for m in self.machines:
-            self._refresh_ready(m)
+        if self._finished:
+            return stats
+        heap_sched = self._heap_sched
+        if heap_sched:  # scan scheduling reads the LPs directly
+            for lp in self.lps:
+                self._mark_ready(lp)
         self._gvt_round()
+        gvt_interval = self.config.gvt_interval
         steps = 0
         while True:
-            target = self._pick_machine()
-            if target is None:
+            machine = self._pick_machine()
+            if machine is None:
                 # Not necessarily done: (a) every LP may be blocked on a
                 # stale GVT estimate (the refresh unblocks whoever holds
                 # the true minimum), or (b) a quiescent LP may still owe
@@ -279,19 +300,24 @@ class TimeWarpEngine:
                 # delivery is new work.  Terminate only when a fresh
                 # round surfaces neither.
                 self._gvt_round()
-                target = self._pick_machine()
-                if target is None:
+                machine = self._pick_machine()
+                if machine is None:
                     break
-            machine, action_time = target
-            if action_time > machine.wall:
-                machine.wall = action_time  # idle until the arrival
-            self._deliver_due(machine)
-            lid = self._pop_ready_lp(machine)
-            if lid is not None:
-                self._execute_on(machine, lid)
+            if machine.action_cache > machine.wall:
+                machine.wall = machine.action_cache  # idle until the arrival
+            arrivals = machine.arrivals
+            if arrivals and arrivals[0][0] <= machine.wall:
+                self._deliver_due(machine)
+                if not heap_sched:
+                    self._has_ready_work(machine)  # LP times moved: rescan
+            # (otherwise the scan that priced this machine's action
+            # already found its LP)
+            lp = self._pop_ready_lp(machine) if heap_sched else machine.pick
+            if lp is not None:
+                self._execute_on(machine, lp)
             machine.action_cache = _STALE  # wall and/or LP state moved
             steps += 1
-            if steps % self.config.gvt_interval == 0:
+            if steps % gvt_interval == 0:
                 self._gvt_round()
         self._gvt_round()  # final fossil sweep & memory sample
         stats.wall_time = max((m.wall for m in self.machines), default=0.0)
@@ -302,39 +328,36 @@ class TimeWarpEngine:
         for lp in self.lps:
             stats.kernel_batches += lp.kernel_batches
             stats.kernel_batch_gates += lp.kernel_batch_gates
-            stats.kernel_scalar_gates += lp.kernel_scalar_gates
+        stats.kernel_scalar_gates = (
+            stats.processed_events - stats.kernel_batch_gates
+        )
+        self._finished = True
         return stats
 
     # -- machine selection ----------------------------------------------------
 
-    def _pick_machine(self) -> tuple[_Machine, float] | None:
+    def _pick_machine(self) -> _Machine | None:
+        """The machine whose next action (a ready batch, or waking up
+        for an arrival) is earliest in modeled wall time, if any."""
         # conservative mode derives eligibility from *global* state, so
         # one machine's progress can change every other machine's
         # answer — the memo is only sound under optimistic execution
-        use_cache = not self._conservative
-        best: tuple[float, int] | None = None
-        for m in self.machines:
-            t = m.action_cache if use_cache else _STALE
-            if t is _STALE:
-                t = self._next_action_time(m)
+        conservative = self._conservative
+        best = best_t = None
+        for m in self.machines:  # in id order: the lowest id wins a tie
+            t = m.action_cache
+            if t is _STALE or conservative:
+                if self._has_ready_work(m):
+                    # deliveries due before/at the wall happen first anyway
+                    t = m.wall
+                elif m.arrivals:
+                    t = max(m.wall, m.arrivals[0][0])
+                else:
+                    t = None
                 m.action_cache = t
-            if t is None:
-                continue
-            cand = (t, m.mid)
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            return None
-        return self.machines[best[1]], best[0]
-
-    def _next_action_time(self, m: _Machine) -> float | None:
-        has_work = self._has_ready_work(m)
-        if has_work:
-            # deliveries due before/at the wall happen first anyway
-            return m.wall
-        if m.arrivals:
-            return max(m.wall, m.arrivals[0][0])
-        return None
+            if t is not None and (best_t is None or t < best_t):
+                best, best_t = m, t
+        return best
 
     def _eligible(self, vt: int) -> bool:
         """Whether a batch at ``vt`` is inside the optimism window."""
@@ -379,12 +402,8 @@ class TimeWarpEngine:
                     continue
                 return vt
             return None
-        best: int | None = None
-        for lp in self.lps:
-            vt = lp.next_vt
-            if vt is not None and (best is None or vt < best):
-                best = vt
-        return best
+        times = (lp.next_vt for lp in self.lps if lp.next_vt is not None)
+        return min(times, default=None)
 
     def _inflight_min(self) -> int | None:
         heap = self._inflight_recv
@@ -402,93 +421,53 @@ class TimeWarpEngine:
 
     def _has_ready_work(self, m: _Machine) -> bool:
         if self._heap_sched:
-            ready = m.ready
-            while ready:
-                vt, lid = ready[0]
-                if self.lp_machine[lid] != m.mid:
-                    heapq.heappop(ready)  # migrated away: stale entry
-                    continue
-                actual = self.lps[lid].next_vt
-                if actual is None or actual != vt:
-                    heapq.heappop(ready)
-                    if actual is not None:
-                        heapq.heappush(ready, (actual, lid))
-                    continue
-                return self._eligible(vt)
-            return False
+            return self._ready_top(m) is not None
         # linear argmin over the machine's LPs' cached next_vt — the
         # (vt, lid) minimum matches what the lazy ready-heap pops,
-        # without the churn of validating stale heap entries
-        lps = self.lps
-        best: int | None = None
-        for lid in m.lp_ids:
-            vt = lps[lid].next_vt
-            if vt is not None and (best is None or vt < best):
-                best = vt
-        if best is None:
-            return False
-        return self._eligible(best)
+        # without the churn of validating stale heap entries.  The LP
+        # found is kept for run(), which would otherwise scan again
+        best = None
+        best_vt = 1 << 62
+        for lp in m.lps:  # in id order: the lowest id wins a tie
+            vt = lp.next_vt
+            if vt is not None and vt < best_vt:
+                best, best_vt = lp, vt
+        if best is not None and not self._eligible(best_vt):
+            best = None  # the earliest batch is beyond the window
+        m.pick = best
+        return best is not None
 
-    def _refresh_ready(self, m: _Machine) -> None:
-        # scan scheduling derives readiness from the LPs directly; the
-        # heap scheduler (re)seeds the machine's ready-heap here
-        if not self._heap_sched:
-            return None
-        conservative = self._conservative
-        for lid in m.lp_ids:
-            vt = self.lps[lid].next_vt
-            if vt is not None:
-                heapq.heappush(m.ready, (vt, lid))
-                if conservative:
-                    heapq.heappush(self._global_ready, (vt, lid))
+    def _ready_top(self, m: _Machine) -> ClusterLP | None:
+        """Heap scheduling: the LP of the machine's earliest valid heap
+        entry (left on the heap), or None when it is beyond the window
+        or there is none; entries found out of date are replaced."""
+        ready = m.ready
+        while ready:
+            vt, lid = ready[0]
+            hosted = self.lp_machine[lid] == m.mid
+            actual = self.lps[lid].next_vt
+            if hosted and actual == vt:
+                return self.lps[lid] if self._eligible(vt) else None
+            heapq.heappop(ready)  # migrated away, or its time moved
+            if hosted and actual is not None:
+                heapq.heappush(ready, (actual, lid))
         return None
 
-    def _pop_ready_lp(self, m: _Machine) -> int | None:
-        if self._heap_sched:
-            ready = m.ready
-            while ready:
-                vt, lid = ready[0]
-                if self.lp_machine[lid] != m.mid:
-                    heapq.heappop(ready)
-                    continue
-                actual = self.lps[lid].next_vt
-                if actual is None:
-                    heapq.heappop(ready)
-                    continue
-                if actual != vt:
-                    heapq.heappop(ready)
-                    heapq.heappush(ready, (actual, lid))
-                    continue
-                if not self._eligible(vt):
-                    return None  # earliest valid batch beyond the window
-                heapq.heappop(ready)
-                return lid
-            return None
-        lps = self.lps
-        best_vt: int | None = None
-        best_lid = -1
-        for lid in m.lp_ids:
-            vt = lps[lid].next_vt
-            if vt is None:
-                continue
-            if (
-                best_vt is None
-                or vt < best_vt
-                or (vt == best_vt and lid < best_lid)
-            ):
-                best_vt = vt
-                best_lid = lid
-        if best_vt is None:
-            return None
-        if not self._eligible(best_vt):
-            return None  # earliest valid batch is beyond the window
-        return best_lid
+    def _pop_ready_lp(self, m: _Machine) -> ClusterLP | None:
+        """Heap scheduling: take the machine's ready LP off its heap."""
+        lp = self._ready_top(m)
+        if lp is not None:
+            heapq.heappop(m.ready)
+        return lp
 
     # -- delivery & execution ---------------------------------------------------
 
     def _deliver_due(self, machine: _Machine) -> None:
-        while machine.arrivals and machine.arrivals[0][0] <= machine.wall:
-            _, _, msg = heapq.heappop(machine.arrivals)
+        """Apply the arrivals due by the machine's wall clock (which a
+        rollback moves: routing its anti-messages costs CPU)."""
+        arrivals = machine.arrivals
+        while arrivals and arrivals[0][0] <= machine.wall:
+            _, _, msg = heapq.heappop(arrivals)
             if self._conservative:
                 removed = self._inflight_removed
                 removed[msg.recv_time] = removed.get(msg.recv_time, 0) + 1
@@ -500,7 +479,8 @@ class TimeWarpEngine:
                 rollback = lp.insert_anti(msg)
             if rollback is not None:
                 self._account_rollback(machine, lp, rollback, msg, depth)
-            self._mark_ready(lp)
+            if self._heap_sched:
+                self._mark_ready(lp)
 
     def _account_rollback(
         self, machine, lp: ClusterLP, rollback, straggler: Message, depth: int
@@ -541,40 +521,41 @@ class TimeWarpEngine:
                 wall=machine.wall,
             )
 
-    def _execute_on(self, machine: _Machine, lid: int) -> None:
-        spec = self.spec
-        lp = self.lps[lid]
-        nxt = lp.next_vt
-        for anti in lp.flush_unconfirmed(before_vt=nxt):
-            machine.wall += self._route(machine, anti)
-        result = lp.execute_batch()
-        cost = max(result.gate_evals, 1) * spec.event_cost
-        for msg in result.sends:
+    def _execute_on(self, machine: _Machine, lp: ClusterLP) -> None:
+        lid = lp.lid
+        if lp.unconfirmed or lp.deferred_antis:
+            for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
+                machine.wall += self._route(machine, anti)
+        evals, sends = lp.execute_batch()
+        cost = (evals or 1) * self.spec.event_cost
+        for msg in sends:
             cost += self._route(machine, msg)
-        if lp.next_vt is None:
+        if lp.next_vt is None and (lp.unconfirmed or lp.deferred_antis):
             for anti in lp.flush_unconfirmed():
                 cost += self._route(machine, anti)
         machine.wall += cost
-        machine.stats.busy_time += cost
-        machine.stats.batches += 1
-        machine.stats.gate_evals += result.gate_evals
-        self.stats.processed_events += result.gate_evals
+        machine_stats = machine.stats
+        machine_stats.busy_time += cost
+        machine_stats.batches += 1
+        machine_stats.gate_evals += evals
+        self.stats.processed_events += evals
         lp_stats = self.stats.lps[lid]
         lp_stats.batches += 1
-        lp_stats.gate_evals += result.gate_evals
-        self._lp_recent_evals[lid] += result.gate_evals
+        lp_stats.gate_evals += evals
+        self._lp_recent_evals[lid] += evals
         if self._trace is not None:
             self._trace.emit(
                 "exec",
                 machine=machine.mid,
                 lp=lid,
                 partition=self._lp_partition[lid],
-                vt=result.vt,
-                evals=result.gate_evals,
-                sends=len(result.sends),
+                vt=lp.lvt,
+                evals=evals,
+                sends=len(sends),
                 wall=machine.wall,
             )
-        self._mark_ready(lp)
+        if self._heap_sched:
+            self._mark_ready(lp)
 
     def _route(self, src_machine: _Machine, msg: Message) -> float:
         """Dispatch one message; returns the CPU cost charged to the sender.
@@ -631,17 +612,14 @@ class TimeWarpEngine:
         return self.spec.msg_cpu_overhead
 
     def _mark_ready(self, lp: ClusterLP) -> None:
-        # scan scheduling reads readiness straight off lp.next_vt; the
-        # heap scheduler records the LP's (possibly new) next time
-        if not self._heap_sched:
-            return None
+        """Heap scheduling: record the LP's (possibly new) next time.
+        Scan scheduling reads readiness straight off ``lp.next_vt``."""
         vt = lp.next_vt
         if vt is not None:
             m = self.machines[self.lp_machine[lp.lid]]
             heapq.heappush(m.ready, (vt, lp.lid))
             if self._conservative:
                 heapq.heappush(self._global_ready, (vt, lp.lid))
-        return None
 
     # -- GVT ----------------------------------------------------------------------
 
@@ -653,29 +631,24 @@ class TimeWarpEngine:
         batch), transmitting their anti-messages — otherwise a blocked
         or quiescent LP would pin GVT forever.
         """
+        gvt = 1 << 62  # stays there when everything is committed
         for lp in self.lps:
-            if lp.min_unconfirmed_recv_time() is None:
-                continue
-            machine = self.machines[self.lp_machine[lp.lid]]
-            for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
-                machine.wall += self._route(machine, anti)
-
-        gvt: int | None = None
-
-        def consider(t: int | None) -> None:
-            nonlocal gvt
-            if t is not None and (gvt is None or t < gvt):
+            if lp.unconfirmed or lp.deferred_antis:
+                # (routing only queues arrivals: no LP's times move)
+                machine = self.machines[self.lp_machine[lp.lid]]
+                for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
+                    machine.wall += self._route(machine, anti)
+                t = lp.min_unconfirmed_recv_time()
+                if t is not None and t < gvt:
+                    gvt = t
+            t = lp.next_vt
+            if t is not None and t < gvt:
                 gvt = t
-
-        for lp in self.lps:
-            consider(lp.next_vt)
-            consider(lp.min_unconfirmed_recv_time())
         for m in self.machines:
             for _, _, msg in m.arrivals:
-                consider(msg.recv_time)
+                if msg.recv_time < gvt:
+                    gvt = msg.recv_time
         self.stats.gvt_rounds += 1
-        if gvt is None:
-            gvt = 1 << 62  # everything is committed
 
         # stall detection: if GVT refuses to advance (aggressive-mode
         # rollback echo), clamp optimism until it moves again
@@ -775,8 +748,8 @@ class TimeWarpEngine:
             return
         dst = self.machines[calmest]
         self.lp_machine[lid] = calmest
-        src.lp_ids.remove(lid)
-        dst.lp_ids.append(lid)
+        src.lps.remove(self.lps[lid])
+        insort(dst.lps, self.lps[lid], key=attrgetter("lid"))  # id order
         # forward queued arrivals addressed to the migrated LP
         kept: list[tuple[float, int, Message]] = []
         moved: list[tuple[float, int, Message]] = []
@@ -795,7 +768,8 @@ class TimeWarpEngine:
         src.stats.busy_time += self.config.migration_cost
         dst.wall += self.config.migration_cost
         dst.stats.busy_time += self.config.migration_cost
-        self._mark_ready(self.lps[lid])
+        if self._heap_sched:
+            self._mark_ready(self.lps[lid])
         self.stats.migrations += 1
         self._migration_cooldown = self.config.migration_cooldown
         if self._trace is not None:

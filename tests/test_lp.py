@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.circuits import load_circuit, random_vectors
 from repro.errors import SimulationError
-from repro.sim import compile_circuit
+from repro.hypergraph import Clustering
+from repro.sim import ClusterSpec, TimeWarpEngine, compile_circuit, kernel
 from repro.sim.events import Message
 from repro.sim.lp import ClusterLP
 from repro.sim.logic import VX
@@ -23,7 +25,7 @@ def two_lp_fixture():
     cc = compile_circuit(nl)
     lp0 = ClusterLP(0, cc, [0], checkpoint_interval=1)
     lp1 = ClusterLP(1, cc, [1], checkpoint_interval=1)
-    lp0.out_dests[m] = (1,)
+    lp0.set_readers({m: (1,)})
     return nl, cc, lp0, lp1, a, m, y
 
 
@@ -41,11 +43,11 @@ class TestBatches:
     def test_batch_produces_boundary_send(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         lp0.insert_positive(env_msg(a, 1, 0, 0))
-        res = lp0.execute_batch()
-        assert res.vt == 0
-        assert res.gate_evals == 1
-        assert len(res.sends) == 1
-        msg = res.sends[0]
+        evals, sends = lp0.execute_batch()
+        assert lp0.lvt == 0
+        assert evals == 1
+        assert len(sends) == 1
+        msg = sends[0]
         assert (msg.net, msg.value, msg.recv_time, msg.dst_lp) == (m, 0, 1, 1)
 
     def test_local_value_tracks(self):
@@ -64,9 +66,7 @@ class TestBatches:
         lp0.execute_batch()
         # drive the same value again: gate output unchanged, no message
         lp0.insert_positive(env_msg(a, 1, 4, 1))
-        res = lp0.execute_batch()
-        assert res.gate_evals == 0
-        assert res.sends == []
+        assert lp0.execute_batch() == (0, [])
 
     def test_message_filter_tracks_committed_change_stream(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
@@ -75,7 +75,7 @@ class TestBatches:
         lp0.insert_positive(env_msg(a, 1, 4, 1))
         sent = []
         while lp0.next_vt is not None:
-            sent += lp0.execute_batch().sends
+            sent += lp0.execute_batch()[1]
         assert [(s.recv_time, s.value) for s in sent] == [(1, 1), (5, 0)]
 
 
@@ -115,7 +115,7 @@ class TestRollback:
         lp0.insert_positive(env_msg(a, 1, 0, 0))
         sends = []
         while lp0.next_vt is not None:
-            sends += lp0.execute_batch().sends
+            sends += lp0.execute_batch()[1]
         assert len(sends) == 1
         # a straggler at t=3 does not affect the batch at t=0;
         # its send moves to the unconfirmed buffer...
@@ -126,7 +126,7 @@ class TestRollback:
         assert rb is not None
         resends = []
         while lp0.next_vt is not None:
-            resends += lp0.execute_batch().sends
+            resends += lp0.execute_batch()[1]
         # batch at t=0 re-emits m=0@1 identically: suppressed.
         # later batches emit the genuinely new changes.
         assert all(s.recv_time != 1 for s in resends)
@@ -190,38 +190,36 @@ class TestFossil:
 
 
 class TestCheckpointAccounting:
-    """The cached per-snapshot ``size`` and the LP's running
-    ``checkpoint_bytes()`` total must pin exactly against the actual
-    array buffers (``ndarray.nbytes``) at every lifecycle stage."""
+    """Checkpoints are ``bytes`` snapshots now; the cached per-snapshot
+    ``size`` and the LP's running ``checkpoint_bytes()`` total are pinned
+    to what the ``ndarray.nbytes`` version reported at every lifecycle
+    stage (recorded on the commit before the byte store): one byte per
+    local net — the store's pad cell is not state — and per local gate,
+    plus ``32 * (n + 1) + 8`` for ``n`` pending outputs."""
 
     @staticmethod
-    def _expected(cp):
-        # the pending output pair is charged like the agenda slot it
-        # replaced: 32 bytes per update and for the slot, 8 for its time
-        slot = 32 * (len(cp.due[0]) + 1) + 8 if cp.due is not None else 0
-        return cp.values.nbytes + cp.pending.nbytes + slot
+    def _expected(lp, cp):
+        slot = 32 * (len(cp.due) + 1) + 8 if cp.due is not None else 0
+        assert len(cp.values) == len(lp.values) + 1  # snapshot keeps the pad
+        return len(lp.values) + len(lp.gate_ids) + slot
 
-    def _assert_consistent(self, lp):
-        for cp in lp._checkpoints:
-            assert cp.size == cp.nbytes() == self._expected(cp)
-        assert lp.checkpoint_bytes() == sum(
-            cp.size for cp in lp._checkpoints
-        )
+    def _sizes(self, lp):
+        sizes = [cp.size for cp in lp._checkpoints]
+        assert sizes == [self._expected(lp, cp) for cp in lp._checkpoints]
+        assert lp.checkpoint_bytes() == sum(sizes)
+        return sizes
 
     def test_size_pins_against_ndarray_nbytes(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
-        self._assert_consistent(lp0)  # the construction-time snapshot
+        # the construction-time snapshot: 2 nets + 1 gate
+        assert self._sizes(lp0) == self._sizes(lp1) == [3]
         for i, t in enumerate(range(0, 20, 4)):
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
         while lp0.next_vt is not None:
             lp0.execute_batch()
-        assert len(lp0._checkpoints) > 1
-        self._assert_consistent(lp0)
-        # array-backed snapshots: the value copy dominates and is
-        # accounted at its true buffer size
-        cp = lp0._checkpoints[-1]
-        assert cp.values.nbytes == lp0.values.nbytes
-        assert cp.size >= cp.values.nbytes + cp.pending.nbytes
+        # a batch at t leaves one output pending, the one at t + 1 none
+        assert self._sizes(lp0) == [3] + [75, 3] * 5
+        assert lp0.checkpoint_bytes() == 393
 
     def test_running_total_tracks_rollback_and_fossil(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
@@ -229,23 +227,73 @@ class TestCheckpointAccounting:
             lp0.insert_positive(env_msg(a, (i % 2), t, i))
         while lp0.next_vt is not None:
             lp0.execute_batch()
-        self._assert_consistent(lp0)
+        assert self._sizes(lp0) == [3] + [75, 3] * 10
         # rollback pops snapshots: the total must shrink in lockstep
-        n_before = len(lp0._checkpoints)
         lp0.insert_positive(env_msg(a, 1, 17, 99))
-        assert len(lp0._checkpoints) < n_before
-        self._assert_consistent(lp0)
+        assert self._sizes(lp0) == [3, 75] * 5
         while lp0.next_vt is not None:
             lp0.execute_batch()
-        self._assert_consistent(lp0)
+        assert self._sizes(lp0) == [3, 75] * 5 + [75, 3] + [3, 75] * 4 + [3]
+        assert lp0.checkpoint_bytes() == 783
         # fossil collection deletes the pre-GVT prefix
         lp0.fossil_collect(gvt=30)
-        self._assert_consistent(lp0)
+        assert self._sizes(lp0) == [3, 75, 3, 75, 3]
         # a repeated round at the same floor is a no-op, not a drift
-        total = lp0.checkpoint_bytes()
         lp0.fossil_collect(gvt=30)
-        assert lp0.checkpoint_bytes() == total
-        self._assert_consistent(lp0)
+        assert lp0.checkpoint_bytes() == 159
+
+    def test_peak_checkpoint_bytes_of_a_run_did_not_move(self):
+        netlist = load_circuit("cpu-test")
+        clusters = Clustering.top_level(netlist).gate_clusters()
+        engine = TimeWarpEngine(
+            compile_circuit(netlist), clusters,
+            [i % 2 for i in range(len(clusters))], ClusterSpec(num_machines=2),
+        )
+        engine.load_inputs(random_vectors(netlist, 12, seed=5))
+        stats = engine.run()
+        assert (stats.rollbacks, stats.processed_events) == (58, 6259)
+        assert stats.peak_checkpoint_bytes == 2466
+
+
+class TestOneStoreTwoViews:
+    """The net values are one ``bytearray``; ``lp.values`` and the array
+    side see it through a NumPy view that no operation may detach."""
+
+    @staticmethod
+    def _assert_aliased(lp):
+        assert lp.values.base is not None and len(lp.values) == len(lp._store) - 1
+        for cell in range(len(lp.values)):
+            for value in (1, 0, lp._store[cell]):  # ends on the original
+                lp._store[cell] = value
+                assert lp.values[cell] == value
+                lp.values[cell] = 2 - value
+                assert lp._store[cell] == 2 - value
+            lp._store[cell] = value
+        assert lp._store[-1] == kernel.PAD
+
+    def test_alias_survives_every_operation(self, monkeypatch):
+        nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
+        self._assert_aliased(lp0)  # construction
+        lp0.insert_positive(env_msg(a, 1, 0, 0))
+        lp0.execute_batch()  # a scalar batch
+        assert lp0.kernel_batches == 0
+        self._assert_aliased(lp0)
+        monkeypatch.setattr(kernel, "BATCH_THRESHOLD", 1)
+        lp0.execute_batch()  # an array batch: m = 0 lands
+        assert lp0.kernel_batches == 1 and lp0.local_value(m) == 0
+        self._assert_aliased(lp0)
+        for i, t in enumerate(range(4, 24, 4)):
+            lp0.insert_positive(env_msg(a, i % 2, t, i + 1))
+        while lp0.next_vt is not None:
+            lp0.execute_batch()
+        assert lp0.insert_positive(env_msg(a, 1, 9, 99)) is not None  # rollback
+        assert bytes(lp0._store) == lp0._checkpoints[-1].values  # restored in place
+        self._assert_aliased(lp0)
+        while lp0.next_vt is not None:
+            lp0.execute_batch()
+        lp0.fossil_collect(gvt=20)
+        self._assert_aliased(lp0)
+        assert [lp0.local_value(n) for n in (a, m)] == lp0.values.tolist()
 
 
 class TestConstruction:

@@ -57,27 +57,38 @@ class TestFoldTable:
         for (code, _), values, got in zip(rows, inputs, outs.tolist()):
             assert got == eval_gate_coded(code, list(values)), (code, values)
 
-    def test_scalar_side_reads_the_same_tables(self):
+    def test_scalar_side_reads_the_same_tables(self, monkeypatch):
         # drive every input of a mixed-arity table from X to each value
-        # on both sides; outputs must agree gate for gate
+        # on both sides, every other gate watched; outputs, the watched
+        # ones reported and the bytes left behind must agree
         rows = [(c, a) for c in range(SEQ_CODE_MIN) for a in (1, 2, 3)]
         for value in (0, 1):
             results = []
             for threshold in (0, 1 << 62):
+                monkeypatch.setattr(kernel, "BATCH_THRESHOLD", threshold)
                 table, pin_net = private_net_table(rows)
-                vbuf = table.new_values(np.full(table.num_nets, 2, np.int8))
-                vlist = vbuf[:-1].tolist()
-                kernel_threshold = kernel.BATCH_THRESHOLD
-                kernel.BATCH_THRESHOLD = threshold
-                try:
-                    res = table.step(vbuf, vlist, pin_net.tolist(),
-                                     [value] * len(pin_net))
-                finally:
-                    kernel.BATCH_THRESHOLD = kernel_threshold
-                results.append([np.asarray(x).tolist() for x in
-                                (res[0], res[1], list(res[2]), res[3], res[4])])
-                assert vlist == vbuf[:-1].tolist()
+                store = bytearray(
+                    table.new_values(np.full(table.num_nets, 2, np.int8)))
+                last = bytearray([2]) * len(rows)
+                watched = bytearray([1, 0]) * (len(rows) // 2)
+                updates = dict.fromkeys(pin_net.tolist(), value)
+                changed, evals, due, crossed = table.step(
+                    store, updates, last, watched)
+                # a dict came back iff the scalar side ran
+                assert (type(due) is dict) == (threshold != 0)
+                if type(due) is not dict:
+                    due = dict(zip(due[0].tolist(), due[1].tolist()))
+                results.append((list(changed), evals, list(due.items()),
+                                crossed, bytes(store), bytes(last)))
             assert results[0] == results[1]
+            changed, evals, due, crossed, _, last = results[0]
+            assert changed == pin_net.tolist() and evals == len(rows)
+            by_net = dict(due)
+            moved = [(g, by_net[table.out[g]]) for g in range(0, len(rows), 2)
+                     if by_net[table.out[g]] != 2]
+            assert crossed == moved and len(moved) > 5
+            assert [last[g] for g, _ in moved] == [v for _, v in moved]
+            assert set(last[1::2]) == {2}  # unwatched cells are never written
 
 
 class TestFlipFlopTable:
@@ -116,7 +127,7 @@ def _single_lp_log(circuit, events):
             uid += 1
     evals = 0
     while lp.next_vt is not None:
-        evals += lp.execute_batch().gate_evals
+        evals += lp.execute_batch()[0]
     return lp, evals
 
 
@@ -247,11 +258,12 @@ class TestPendingPair:
         inner = ClusterLP.execute_batch
 
         def checking(lp):
+            batch_time = lp.next_vt
             if lp._due is not None:
-                assert lp.next_vt == lp.lvt + 1
+                assert batch_time == lp.lvt + 1
                 checked.append(lp.lid)
             result = inner(lp)
-            assert result.vt == lp.lvt
+            assert lp.lvt == batch_time
             return result
 
         monkeypatch.setattr(ClusterLP, "execute_batch", checking)

@@ -14,6 +14,12 @@ the before/after evidence harness for kernel work: run it on two
 checkouts and diff where the time goes (docs/performance.md,
 "Simulation kernel", records the numbers this PR moved).
 
+Every profiled run is first made once without cProfile and summarised
+per engine step — one LP batch on one machine: steps, host microseconds
+of ``TimeWarpEngine.run`` per step (the ``tw.run`` phase), gate
+evaluations per step and inter-LP sends per step, the counts read from
+the run's ``RunStats`` — the cost the Time Warp shell work is judged by.
+
 ``--batches`` replaces the cProfile listing with the view cProfile
 cannot give — LP batches bucketed by size:
 
@@ -51,6 +57,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.circuits import circuit_source, random_vectors  # noqa: E402
 from repro.core.multiway import design_driven_partition  # noqa: E402
 from repro.core.presim import evaluate_partition  # noqa: E402
+from repro.obs import NULL_RECORDER, MetricsRecorder  # noqa: E402
 from repro.sim import kernel  # noqa: E402
 from repro.sim.cluster import ClusterSpec, TimeWarpConfig  # noqa: E402
 from repro.sim.compiled import compile_circuit  # noqa: E402
@@ -60,6 +67,19 @@ from repro.verilog import compile_verilog  # noqa: E402
 #: lower bucket edges: gate evaluations per batch / scheduled updates
 EVAL_EDGES = (0, 1, 8, 24, 64, 256)
 UPDATE_EDGES = (1, 8, 24, 48, 64, 96, 128, 192, 256)
+
+
+def _per_step(label: str, func) -> None:
+    """One plain run: what an engine step costs and carries."""
+    recorder = MetricsRecorder()
+    stats = func(recorder).run_stats
+    host = recorder.phases["tw.run"].host_seconds
+    steps = max(sum(m.batches for m in stats.machines), 1)
+    sends = sum(lp.msgs_sent + lp.antis_sent for lp in stats.lps)
+    print(f"[{label}] engine steps={steps} "
+          f"host us/step={host / steps * 1e6:.2f} "
+          f"evals/step={stats.processed_events / steps:.2f} "
+          f"sends/step={sends / steps:.3f} (tw.run {host:.3f} s)")
 
 
 def _profile(label: str, func, top: int, sort: str) -> None:
@@ -110,7 +130,7 @@ def _timed(owner, name: str, edges, size_of, run):
 def _batch_tables(label: str, run) -> None:
     print(f"\n=== {label}: LP batches by gate evaluations ===")
     rows = _timed(ClusterLP, "execute_batch", EVAL_EDGES,
-                  lambda args, res: (res.gate_evals, res.gate_evals), run)
+                  lambda args, res: (res[0], res[0]), run)
     print(f"{'evals/batch':>12} {'batches':>9} {'evals':>10} "
           f"{'host s':>8} {'us/batch':>9}")
     for i, (calls, evals, secs) in enumerate(rows):
@@ -118,7 +138,9 @@ def _batch_tables(label: str, run) -> None:
               f"{secs:>8.3f} {secs / max(calls, 1) * 1e6:>9.1f}")
 
     def step_size(args, res):
-        return len(args[3]), (len(res[2]) if res is not None else 0)
+        updates = args[2]  # a dict, or an (nets, values) array pair
+        size = len(updates) if type(updates) is dict else len(updates[0])
+        return size, (res[1] if res is not None else 0)
 
     sides = {}
     shipped = kernel.BATCH_THRESHOLD
@@ -188,11 +210,12 @@ def main(argv: list[str] | None = None) -> int:
             continue
         events = random_vectors(netlist, vectors, seed=args.seed)
 
-        def run(events=events):
+        def run(recorder=NULL_RECORDER, events=events):
             return evaluate_partition(circuit, partition, events, spec,
-                                      config).report
+                                      config, recorder=recorder).report
 
         label = f"{label} ({vectors} vectors)"
+        _per_step(label, run)
         if args.batches:
             _batch_tables(label, run)
         else:
