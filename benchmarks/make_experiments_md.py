@@ -145,18 +145,6 @@ SECTIONS = [
      "count exactly (388 top-level instances, ~93k gates).  Partitioning "
      "at that structure — the closest match to the original experiment "
      "this reproduction can run — shows the same multi-x cut advantage."),
-    ("Extension — vectorized partition-core speed study", "partition_speed",
-     "Not in the paper: the λ-cached, batch-gain partition core against "
-     "the pre-optimization bookkeeping (kept runnable as "
-     "LegacyPartitionState) on an identical ~50k-vertex exhaustive "
-     "refinement sweep.  The structural columns — cut trajectory, "
-     "realized gain, moves, passes, pairing estimates — are asserted "
-     "identical between the two implementations, so the wall ratio is "
-     "a pure like-for-like measurement; walls live in the quarantined "
-     "host_timings channel.  Measured: ~50x on the benchmark host "
-     "(~7x before FM passes stopped at the locked-cut bound; the "
-     "legacy pass still runs every heap dry, which makes it a second "
-     "never-stops-early oracle for the bounded one)."),
     ("Extension — multilevel vs direct k-way at scale", "multilevel",
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "

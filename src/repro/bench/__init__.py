@@ -16,13 +16,6 @@ from .experiments import (
     heuristic_vs_brute_force,
 )
 from .parallel import GridCell, run_presim_grid
-from .partition_speed import (
-    SweepStats,
-    run_sweep,
-    smoke_study,
-    speed_study,
-    synthetic_hypergraph,
-)
 from .report import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -64,9 +57,4 @@ __all__ = [
     "shape_check_counters",
     "GridCell",
     "run_presim_grid",
-    "SweepStats",
-    "run_sweep",
-    "smoke_study",
-    "speed_study",
-    "synthetic_hypergraph",
 ]

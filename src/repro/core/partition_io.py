@@ -35,6 +35,7 @@ from ..errors import PartitionError
 from ..hypergraph.build import Cluster, Clustering
 from ..hypergraph.partition_state import PartitionState
 from ..verilog.netlist import Netlist
+from .balance import BalanceConstraint
 from .multiway import MultiwayResult
 
 __all__ = ["save_partition", "load_partition", "dumps_partition", "loads_partition"]
@@ -74,18 +75,33 @@ def save_partition(result: MultiwayResult, path: str | Path) -> None:
     Path(path).write_text(dumps_partition(result))
 
 
+def _field(obj: dict, key: str, kind: type | tuple[type, ...], where: str = ""):
+    """``obj[key]``, required to be a ``kind`` (a JSON boolean is no
+    number); :class:`PartitionError` naming the field otherwise."""
+    value = obj.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise PartitionError(
+            f"partition file: {where}{key!r} must be "
+            f"{' or '.join(t.__name__ for t in kinds)}, got {value!r}"
+        )
+    return value
+
+
 def loads_partition(text: str, netlist: Netlist) -> MultiwayResult:
     """Re-bind a serialized partition to an elaborated netlist.
 
     The netlist must contain exactly the gates the file names (same
     source re-elaborated); mismatches raise :class:`PartitionError`
-    with the offending name.
+    with the offending name, a missing or mistyped field one naming the
+    field.  ``cut_size``, the part weights and ``balanced`` are
+    recomputed from the assignment, never copied from the file.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PartitionError(f"not a partition file: {exc}") from exc
-    if doc.get("format") != _FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise PartitionError("not a repro-partition document")
     if doc.get("version") != _VERSION:
         raise PartitionError(
@@ -96,30 +112,37 @@ def loads_partition(text: str, netlist: Netlist) -> MultiwayResult:
             f"partition was computed for {doc.get('num_gates')} gates; "
             f"this netlist has {netlist.num_gates}"
         )
+    k = _field(doc, "k", int)
+    b = float(_field(doc, "b", (int, float)))
+    if k < 1 or b < 0:
+        raise PartitionError(
+            f"partition file: 'k' must be >= 1 and 'b' >= 0, got {k} and {b}"
+        )
     by_name = {g.name: g.gid for g in netlist.gates}
     clusters: list[Cluster] = []
     assignment: list[int] = []
     seen: set[int] = set()
-    k = int(doc["k"])
-    for entry in doc["clusters"]:
+    for idx, entry in enumerate(_field(doc, "clusters", list)):
+        where = f"clusters[{idx}]."
+        if not isinstance(entry, dict):
+            raise PartitionError(f"partition file: clusters[{idx}] must be an object")
+        cluster_name = _field(entry, "name", str, where)
         gids = []
-        for name in entry["gates"]:
-            gid = by_name.get(name)
+        for name in _field(entry, "gates", list, where):
+            gid = by_name.get(name) if isinstance(name, str) else None
             if gid is None:
                 raise PartitionError(f"netlist has no gate named {name!r}")
             if gid in seen:
                 raise PartitionError(f"gate {name!r} appears in two clusters")
             seen.add(gid)
             gids.append(gid)
-        part = int(entry["partition"])
+        part = _field(entry, "partition", int, where)
         if not (0 <= part < k):
             raise PartitionError(
-                f"cluster {entry['name']!r} assigned to partition {part} "
+                f"cluster {cluster_name!r} assigned to partition {part} "
                 f"outside [0, {k})"
             )
-        clusters.append(
-            Cluster(entry["name"], tuple(sorted(gids)), len(gids))
-        )
+        clusters.append(Cluster(cluster_name, tuple(sorted(gids)), len(gids)))
         assignment.append(part)
     if len(seen) != netlist.num_gates:
         raise PartitionError(
@@ -131,13 +154,15 @@ def loads_partition(text: str, netlist: Netlist) -> MultiwayResult:
         clustering=clustering,
         assignment=np.asarray(assignment, dtype=np.int64),
         k=k,
-        b=float(doc["b"]),
+        b=b,
         cut_size=state.cut_size,
         part_weights=state.part_weight.copy(),
-        balanced=bool(doc.get("balanced", False)),
+        balanced=BalanceConstraint(k, b).satisfied(state.part_weight),
         flatten_steps=0,
         fm_rounds=0,
-        history=[f"loaded from partition file (saved cut {doc['cut_size']})"],
+        history=[
+            f"loaded from partition file (saved cut {doc.get('cut_size')})"
+        ],
     )
 
 

@@ -103,24 +103,19 @@ def _split(
         return
     k0 = k // 2
     frac0 = k0 / k
-    # two-way split of this vertex subset on the FULL hypergraph: build
-    # a temporary 2-way state where everything outside the subset is
-    # parked in a frozen third partition so FM cannot touch it
-    local = PartitionState(hg, 3, np.full(hg.num_vertices, 2, dtype=np.int64))
     # seed: order the subset by the global cone partition's layout so
-    # related cones start on the same side
-    order = sorted(
-        (int(v) for v in vertices),
-        key=lambda v: (seed_state.part_of(v), v),
-    )
-    subset_weight = int(hg.vertex_weight[vertices].sum())
+    # related cones start on the same side, and fill side 0 up to its
+    # weight target
+    order = vertices[np.lexsort((vertices, seed_state.part[vertices]))]
+    weights = hg.vertex_weight[order]
+    subset_weight = int(weights.sum())
     target0 = frac0 * subset_weight
-    acc = 0
-    for v in order:
-        side = 0 if acc < target0 else 1
-        local.move(v, side)
-        if side == 0:
-            acc += int(hg.vertex_weight[v])
+    # two-way split of this vertex subset on the FULL hypergraph: a
+    # 3-way state where everything outside the subset is parked in a
+    # frozen third partition so FM cannot touch it
+    seeded = np.full(hg.num_vertices, 2, dtype=np.int64)
+    seeded[order] = np.cumsum(weights) - weights >= target0
+    local = PartitionState(hg, 3, seeded)
     # FM between the two sides with the subset-scaled balance window
     slack = subset_weight * b / 100.0
     window = _SubsetWindow(target0, subset_weight - target0, slack, subset_weight)
@@ -128,8 +123,8 @@ def _split(
         batch_refine(local, window, blocks=(0, 1))
     else:
         refine_pair(local, 0, 1, window, max_passes=max_fm_passes)
-    left = np.array([v for v in vertices if local.part_of(int(v)) == 0])
-    right = np.array([v for v in vertices if local.part_of(int(v)) == 1])
+    sides = local.part[vertices]
+    left, right = vertices[sides == 0], vertices[sides == 1]
     if len(left) == 0 or len(right) == 0:
         half = len(vertices) // 2
         left, right = vertices[:half], vertices[half:]

@@ -329,19 +329,13 @@ class Hypergraph:
         pins, _ = self.edges_pins(self.vertex_edges(v))
         return set(pins.tolist()) - {v}
 
-    def vertex_edges_list(self, v: int) -> list[int]:
-        """Incident edges of ``v`` as a plain-``int`` list.
-
-        Built for the whole graph on first use (one pass over the CSR
-        arrays); scalar move/gain bookkeeping iterates these lists to
-        avoid per-element NumPy scalar extraction, which dominates at
-        the typical netlist degree of 2–5.
-        """
-        return self.vertex_edges_lists()[v]
-
     def vertex_edges_lists(self) -> list[list[int]]:
         """The whole vertex → incident-edge adjacency as nested plain
-        lists (see :meth:`vertex_edges_list`); built once, cached."""
+        ``int`` lists, built once (one pass over the CSR arrays) and
+        cached on the hypergraph.  FM's pass walks these: per-element
+        NumPy scalar extraction would dominate at the typical netlist
+        degree of 2–5.  Like every list table here it caches frozen
+        data, never partition state."""
         lists = self._vertex_edges_lists
         if lists is None:
             lists = _csr_lists(self._vertex_ptr, self._vertex_pins)
@@ -352,8 +346,7 @@ class Hypergraph:
         """The whole edge → pins incidence as nested plain lists — the
         transpose of :meth:`vertex_edges_lists`, built once, cached on
         the hypergraph (so it dies with it).  FM's delta-gain update
-        walks the pins of *critical* edges only; it wants native ints
-        for the same reason the scalar move/gain paths do."""
+        walks the pins of *critical* edges only."""
         lists = self._edge_pins_lists
         if lists is None:
             lists = _csr_lists(self._edge_ptr, self._edge_pins)
@@ -363,7 +356,7 @@ class Hypergraph:
     @property
     def edge_weight_list(self) -> list[int]:
         """``edge_weight`` as a cached plain-``int`` list (see
-        :meth:`vertex_edges_list` for why the scalar paths want it)."""
+        :meth:`vertex_edges_lists` for why FM's pass wants it)."""
         if self._edge_weight_list is None:
             self._edge_weight_list = self.edge_weight.tolist()
         return self._edge_weight_list

@@ -64,19 +64,35 @@ def write_hgr(hg: Hypergraph, path: str | Path) -> None:
     Path(path).write_text(dumps_hgr(hg))
 
 
+def _ints(lineno: int, line: str) -> list[int]:
+    try:
+        return [int(x) for x in line.split()]
+    except ValueError:
+        raise HypergraphError(
+            f"hgr line {lineno}: expected integers, got {line!r}"
+        ) from None
+
+
 def loads_hgr(text: str) -> Hypergraph:
-    """Parse hMetis text format into a :class:`Hypergraph`."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("%")]
+    """Parse hMetis text format into a :class:`Hypergraph`.
+
+    Anything the format does not allow is a :class:`HypergraphError`
+    naming the offending line of ``text`` (1-based; comment and blank
+    lines are skipped but counted).
+    """
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("%")]
     if not lines:
         raise HypergraphError("empty hgr file")
-    header = lines[0].split()
-    if len(header) not in (2, 3):
-        raise HypergraphError(f"malformed hgr header: {lines[0]!r}")
-    num_edges, num_vertices = int(header[0]), int(header[1])
-    fmt = int(header[2]) if len(header) == 3 else 0
+    header = _ints(*lines[0])
+    if len(header) not in (2, 3) or min(header) < 0:
+        raise HypergraphError(
+            f"hgr line {lines[0][0]}: malformed hgr header {lines[0][1]!r}"
+        )
+    num_edges, num_vertices = header[:2]
+    fmt = header[2] if len(header) == 3 else 0
     if fmt not in (0, 1, 10, 11):
-        raise HypergraphError(f"unsupported hgr fmt {fmt}")
+        raise HypergraphError(f"hgr line {lines[0][0]}: unsupported hgr fmt {fmt}")
     has_ew = fmt in (1, 11)
     has_vw = fmt in (10, 11)
     expected = 1 + num_edges + (num_vertices if has_vw else 0)
@@ -84,20 +100,37 @@ def loads_hgr(text: str) -> Hypergraph:
         raise HypergraphError(
             f"hgr file truncated: expected {expected} lines, got {len(lines)}"
         )
+    if len(lines) > expected:
+        raise HypergraphError(
+            f"hgr line {lines[expected][0]}: {len(lines) - expected} lines "
+            f"past the {num_edges} edges"
+            + (f" and {num_vertices} vertex weights" if has_vw else "")
+            + " the header declares"
+        )
     edges = []
     edge_weights = []
-    for i in range(num_edges):
-        fields = [int(x) for x in lines[1 + i].split()]
+    for i, (no, line) in enumerate(lines[1:1 + num_edges]):
+        fields = _ints(no, line)
         if has_ew:
             edge_weights.append(fields[0])
             fields = fields[1:]
+            if not fields:
+                raise HypergraphError(
+                    f"hgr line {no}: edge {i} has a weight but no pins"
+                )
         if any(p < 1 or p > num_vertices for p in fields):
-            raise HypergraphError(f"hgr edge {i} has pin out of range")
+            raise HypergraphError(f"hgr line {no}: edge {i} has pin out of range")
         edges.append([p - 1 for p in fields])
+    vw = [1] * num_vertices
     if has_vw:
-        vw = [int(lines[1 + num_edges + v]) for v in range(num_vertices)]
-    else:
-        vw = [1] * num_vertices
+        for v, (no, line) in enumerate(lines[1 + num_edges:]):
+            fields = _ints(no, line)
+            if len(fields) != 1:
+                raise HypergraphError(
+                    f"hgr line {no}: expected one weight for vertex {v}, "
+                    f"got {line!r}"
+                )
+            vw[v] = fields[0]
     return Hypergraph.from_edges(vw, edges, edge_weights if has_ew else None)
 
 

@@ -36,12 +36,12 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.fm.passes": "FM passes executed (all pairs, all rounds)",
     "part.fm.moves": "vertex moves retained after best-prefix rollback",
     "part.fm.gain": "total realized cut gain across all FM passes",
-    "part.fm.executed": "vertex moves FM passes executed, retained or rolled back (rollback moves themselves not counted)",
+    "part.fm.executed": "vertex moves FM passes made on their working sets, whether or not the best prefix retained them",
     "part.fm.bound_stops": "FM passes the locked-cut bound ended: stopped before the last free vertex, or skipped before the gain fill",
     "part.fm.rebalance_moves": "vertices moved by balance repair (rebalance_pair)",
     "part.refine.rounds": "conflict-free pair rounds executed by refine_round",
     "part.refine.tasks": "pair-refinement tasks executed (one FM pair each)",
-    "part.core.lambda_hits": "edges examined through the λ cache: per move, per gain query, per critical edge walked by FM's delta update, per edge of a decided vertex locked for FM's bound",
+    "part.core.lambda_hits": "edges examined through the λ cache: per gain query, per edge of a vertex an FM pass decides (one walk moves its pin and locks its side), per critical edge walked by FM's delta update",
     "part.core.gain_batches": "batch move_gains() queries answered by the vectorized core",
     "part.core.gain_batch_vertices": "total vertices evaluated across batch gain queries",
     "part.core.boundary_batches": "vectorized pair-boundary extractions (pairing + FM fills)",

@@ -394,13 +394,11 @@ class TimeWarpEngine:
             heap = self._global_ready
             while heap:
                 vt, lid = heap[0]
-                actual = self.lps[lid].next_vt
-                if actual is None or actual != vt:
-                    heapq.heappop(heap)
-                    if actual is not None:
-                        heapq.heappush(heap, (actual, lid))
-                    continue
-                return vt
+                if self.lps[lid].next_vt == vt:
+                    return vt
+                # out of date: the change that made it so pushed the
+                # LP's new time itself (_mark_ready)
+                heapq.heappop(heap)
             return None
         times = (lp.next_vt for lp in self.lps if lp.next_vt is not None)
         return min(times, default=None)
@@ -440,17 +438,15 @@ class TimeWarpEngine:
     def _ready_top(self, m: _Machine) -> ClusterLP | None:
         """Heap scheduling: the LP of the machine's earliest valid heap
         entry (left on the heap), or None when it is beyond the window
-        or there is none; entries found out of date are replaced."""
+        or there is none.  Entries found out of date are dropped: every
+        change of an LP's time or host pushed a current one already
+        (:meth:`_mark_ready`)."""
         ready = m.ready
         while ready:
             vt, lid = ready[0]
-            hosted = self.lp_machine[lid] == m.mid
-            actual = self.lps[lid].next_vt
-            if hosted and actual == vt:
+            if self.lp_machine[lid] == m.mid and self.lps[lid].next_vt == vt:
                 return self.lps[lid] if self._eligible(vt) else None
             heapq.heappop(ready)  # migrated away, or its time moved
-            if hosted and actual is not None:
-                heapq.heappush(ready, (actual, lid))
         return None
 
     def _pop_ready_lp(self, m: _Machine) -> ClusterLP | None:

@@ -1,11 +1,14 @@
 """FM's delta-gain maintenance (repro.core.fm._one_pass).
 
-After a move, only the pins of *critical* edges get a gain update, from
-the ``(edge, d_from, d_to)`` triples ``PartitionState.move`` reports.
-These tests hold that to the from-scratch ``move_gain`` after every
-move, to a naive recompute-everything pass, to committed partition
-digests, and to the memory bound the deleted whole-graph neighbour
-adjacency could not meet.
+A pass moves vertices on its own working set — per-edge pin counts of
+the pair's two blocks, λ and lock bits — and after a move only the pins
+of *critical* edges get a gain update, from per-side deltas the pass
+derives in the same walk.  ``PartitionState`` sees the retained prefix
+only, as one ``move_batch``.  These tests hold the maintained gains to
+a shadow state replaying the pass's moves, the pass to a naive
+recompute-everything pass, to committed partition digests, and to the
+memory bound the deleted whole-graph neighbour adjacency could not
+meet.
 
 The pass also stops early, on the **locked-cut bound**
 (``docs/partitioning.md``): the second half of this file holds the
@@ -13,10 +16,17 @@ bounded pass to the same never-stops-early reference on families built
 to stress the bound, checks the bound at every decision against the
 reference's whole gain trajectory, kills unsound variants of it, and
 pins the work it saves as exact move counts.
+
+The pass binds ``heapq.heappop`` / ``heappush`` when it starts, so a
+wrapper installed before the call (``_watching``) gets control before
+every decision and reads ``gain_of`` / ``moves`` / ``work`` off the
+pass's frame.
 """
 
+import contextlib
 import functools
 import hashlib
+import heapq
 import inspect
 import itertools
 import sys
@@ -32,6 +42,7 @@ from repro.core import BalanceConstraint, design_driven_partition
 from repro.core import fm
 from repro.core.fm import _one_pass, _PassWork, refine_pair
 from repro.hypergraph import Clustering, Hypergraph, PartitionState
+from repro.obs import MetricsRecorder
 
 # -- hypergraph families ------------------------------------------------
 
@@ -45,13 +56,13 @@ def _random_edges(rng, n, m, max_size):
 
 
 def _thin(rng):
-    """Every degree <= 16: the scalar move kernel."""
+    """Low degrees (every one <= 16): a move touches a few nets."""
     n = 40
     return n, _random_edges(rng, n, 55, 4), None
 
 
 def _fat(rng):
-    """Every degree > 16: the vectorized move kernel."""
+    """Every vertex on more than 16 nets, most shared with every other."""
     n = 12
     return n, _random_edges(rng, n, 150, 5), None
 
@@ -107,94 +118,119 @@ def _case(family, k, seed):
     return hg, assign
 
 
-def _degrees(hg):
-    return [hg.vertex_degree(v) for v in range(hg.num_vertices)]
-
-
-def test_families_cover_both_move_kernels():
-    assert max(_degrees(_case("thin", 2, 0)[0])) <= 16
-    assert min(_degrees(_case("fat", 2, 0)[0])) > 16
-
-
 # -- (a) maintained gains == from-scratch gains, after every move -------
 
 
-def _checked_pass(state, a, b, constraint):
-    """Run one real ``_one_pass`` with ``state.move`` wrapped so that,
-    before each forward move and before the first rollback move (i.e.
-    after every executed move), the pass's maintained ``gain_of`` table
-    is compared with ``move_gain`` for every free pair vertex.  A pass
-    the locked-cut bound ends with nothing to roll back is compared once
-    more on return, so its last move's delta update is held too.
-    Returns the pass result, the comparisons made and the critical
-    triples seen.
-    """
-    real_move = state.move
-    seen = {"checks": 0, "critical": 0, "rolling_back": False,
-            "gain_of": None}
+@contextlib.contextmanager
+def _watching(on_pop, on_push=lambda: None):
+    """Call ``on_pop(locals of the pass)`` before every heap pop a
+    running ``_one_pass`` (or a recompiled variant) makes, ``on_push()``
+    before every push."""
+    real_pop, real_push = heapq.heappop, heapq.heappush
 
-    def compare(gain_of):
-        for u, g in enumerate(gain_of):
-            if g is None:
-                continue
-            side = state.part_of(u)
-            assert side in (a, b)
-            assert g == state.move_gain(u, b if side == a else a), (
-                f"vertex {u} after {seen['checks']} checks"
-            )
+    def heappop(heap):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_one_pass":
+            on_pop(frame.f_locals)
+        return real_pop(heap)
+
+    def heappush(heap, item):
+        if sys._getframe(1).f_code.co_name == "_one_pass":
+            on_push()
+        real_push(heap, item)
+
+    heapq.heappop, heapq.heappush = heappop, heappush
+    try:
+        yield
+    finally:
+        heapq.heappop, heapq.heappush = real_pop, real_push
+
+
+class _Shadow:
+    """A ``PartitionState`` kept in step with a running pass by
+    replaying the pass's ``moves`` log into it."""
+
+    def __init__(self, state):
+        self.state = PartitionState(state.hg, state.k, state.part)
+        self.replayed = 0
+
+    def catch_up(self, moves):
+        """Apply the moves made since the last call; returns how many."""
+        fresh = moves[self.replayed:]
+        for v, to in fresh:
+            self.state.move(v, to)
+        self.replayed = len(moves)
+        return len(fresh)
+
+
+def _checked_pass(state, a, b, constraint):
+    """Run one real ``_one_pass`` and, before every pop that follows a
+    move (and before the first), compare the pass's maintained
+    ``gain_of`` table with the from-scratch gains of a shadow state that
+    has made the same moves, for every free pair vertex.  The table is
+    compared once more on return, so the last move's delta update is
+    held too.  Returns the pass result, the comparisons made and the
+    gain updates the pass pushed.
+    """
+    shadow = _Shadow(state)
+    seen = {"checks": 0, "pushes": 0, "gain_of": None, "moves": None}
+
+    def compare():
+        gain_of = seen["gain_of"]
+        if not shadow.catch_up(seen["moves"]) and seen["checks"]:
+            return  # nothing moved since the last comparison
+        free = [u for u, g in enumerate(gain_of) if g is not None]
+        sides = shadow.state.part[free]
+        assert np.isin(sides, (a, b)).all()
+        want = shadow.state.move_gains(free, np.where(sides == a, b, a))
+        assert [gain_of[u] for u in free] == want.tolist(), (
+            f"after {shadow.replayed} moves")
         seen["checks"] += 1
 
-    def move(v, to, critical=None):
-        if not seen["rolling_back"]:
-            # the pass keeps its gains in a local; read it off the frame
-            seen["gain_of"] = sys._getframe(1).f_locals["gain_of"]
-            compare(seen["gain_of"])
-        seen["rolling_back"] = critical is None
-        gain = real_move(v, to, critical)
-        if critical is not None:
-            seen["critical"] += len(critical)
-        return gain
+    def on_pop(local):
+        seen["gain_of"], seen["moves"] = local["gain_of"], local["moves"]
+        compare()
 
-    state.move = move
-    try:
+    def on_push():
+        seen["pushes"] += 1
+
+    with _watching(on_pop, on_push):
         result = _one_pass(state, a, b, constraint, _PassWork())
-    finally:
-        del state.move
-    if seen["gain_of"] is not None and not seen["rolling_back"]:
-        # every move was retained: the state is still the one the last
-        # delta update left the table for
-        compare(seen["gain_of"])
-    return result, seen["checks"], seen["critical"]
+    if seen["gain_of"] is not None:
+        compare()
+    return result, seen["checks"], seen["pushes"]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_maintained_gains_match_move_gain_after_every_move(family, k):
-    checks_total = critical_total = 0
+    checks_total = pushes_total = 0
     for seed in range(4):
         hg, assign = _case(family, k, seed)
         for b in (50.0, 15.0):  # loose: long passes; tight: blocked vertices
             state = PartitionState(hg, k, assign)
-            _, checks, critical = _checked_pass(
+            _, checks, pushes = _checked_pass(
                 state, 0, 1, BalanceConstraint(k, b))
             checks_total += checks
-            critical_total += critical
+            pushes_total += pushes
             state_check = PartitionState(hg, k, state.part)
             assert state.cut_size == state_check.cut_size
     # moves were executed and the delta kernel actually ran
-    assert checks_total > 8 and critical_total > 0
+    assert checks_total > 8 and pushes_total > 0
 
 
 # -- the pass equals a recompute-everything pass, move for move ---------
 
 
-def _reference_pass(state, a, b, constraint):
-    """FM pass that re-evaluates every free vertex from scratch before
-    every pick — the (-gain, v) order with no maintained state at all."""
+def _reference_forward(state, a, b, constraint):
+    """Move every admissible free vertex of the pair, re-evaluating
+    every free vertex from scratch before every pick — the (-gain, v)
+    order with no maintained state at all.  Returns the (v, frm, to)
+    moves made and the gain each realized."""
     hg = state.hg
     lo, hi = constraint.bounds(hg.total_weight)
     free = set(state.pair_vertices(a, b).tolist())
-    moves, cum, best, best_idx = [], 0, 0, 0
+    moves, gains = [], []
     while free:
         def key(u):
             side = state.part_of(u)
@@ -207,10 +243,19 @@ def _reference_pass(state, a, b, constraint):
         pw = state.part_weight
         if pw[to] + wv > hi or pw[frm] - wv < lo:
             continue
-        cum += state.move(v, to)
+        gains.append(state.move(v, to))
         moves.append((v, frm, to))
+    return moves, gains
+
+
+def _reference_pass(state, a, b, constraint):
+    """FM pass over ``_reference_forward``: run the pair dry, then roll
+    back to the best prefix (the earliest one on ties)."""
+    moves, gains = _reference_forward(state, a, b, constraint)
+    best, best_idx = 0, 0
+    for idx, cum in enumerate(itertools.accumulate(gains), 1):
         if cum > best:
-            best, best_idx = cum, len(moves)
+            best, best_idx = cum, idx
     for v, frm, _ in reversed(moves[best_idx:]):
         state.move(v, frm)
     return best, [(v, to) for v, _, to in moves[:best_idx]]
@@ -448,25 +493,10 @@ def test_bounded_pass_equals_reference_on_random_hypergraphs(data):
 
 
 def _reference_trajectory(state, a, b, constraint):
-    """Run ``_reference_pass``; returns the forward moves it executed
-    and the cumulative gain after each of them."""
-    real_move = state.move
-    forward, gains, moved = [], [], set()
-
-    def move(v, to, critical=None):
-        gain = real_move(v, to, critical)
-        if v not in moved:  # a vertex's second move is its rollback
-            moved.add(v)
-            forward.append((v, to))
-            gains.append(gain)
-        return gain
-
-    state.move = move
-    try:
-        _reference_pass(state, a, b, constraint)
-    finally:
-        del state.move
-    return forward, list(itertools.accumulate(gains))
+    """The forward moves the reference pass executes and the cumulative
+    gain after each of them."""
+    moves, gains = _reference_forward(state, a, b, constraint)
+    return [(v, to) for v, _, to in moves], list(itertools.accumulate(gains))
 
 
 def _dead_by_definition(state, a, b, locked):
@@ -485,29 +515,30 @@ def _dead_by_definition(state, a, b, locked):
 def _probed_pass(one_pass, state, a, b, constraint):
     """Run ``one_pass`` (the real ``_one_pass`` or a variant of it);
     returns its best gain, its work tally, the forward moves it executed
-    and, read off the tally before each of them, (moves executed so far,
-    pair_cut - dead).  ``dead`` is held to its definition on the way."""
-    real_move = state.move
+    and, read off the tally before each pop, (moves executed so far,
+    pair_cut - dead).  ``dead`` is held to its definition on the way,
+    on a shadow state that has made the pass's moves."""
+    shadow = _Shadow(state)
     pair = set(state.pair_vertices(a, b).tolist())
     forward, probes = [], []
     work = _PassWork()
 
-    def move(v, to, critical=None):
-        if critical is not None:  # rollback moves pass no out-list
-            # decided vertices have left the gain table (``_checked_pass``
-            # reads the same local)
-            gain_of = sys._getframe(1).f_locals["gain_of"]
-            locked = {u for u in pair if gain_of[u] is None} - {v}
-            assert work.dead == _dead_by_definition(state, a, b, locked)
-            probes.append((len(forward), work.pair_cut - work.dead))
-            forward.append((v, to))
-        return real_move(v, to, critical)
+    def on_pop(local):
+        nonlocal forward
+        assert local["work"] is work
+        forward = local["moves"]  # the pass's own log: grows in place
+        shadow.catch_up(forward)
+        # decided vertices have left the gain table (``_checked_pass``
+        # reads the same local)
+        gain_of = local["gain_of"]
+        locked = {u for u in pair if gain_of[u] is None}
+        assert work.dead == _dead_by_definition(shadow.state, a, b, locked)
+        probe = (len(forward), work.pair_cut - work.dead)
+        if probe not in probes[-1:]:
+            probes.append(probe)
 
-    state.move = move
-    try:
+    with _watching(on_pop):
         best, _ = one_pass(state, a, b, constraint, work)
-    finally:
-        del state.move
     assert work.executed == len(forward)
     return best, work, forward, probes
 
@@ -550,28 +581,25 @@ def test_bound_holds_at_every_decision_and_stop():
 #: what the variant gets wrong -> [(token of the pass, replacement), ...]
 MUTANTS = {
     "count a third-block edge as dead": [
-        (" and lam_list[e] == 2", ""),
+        (" and t[2] == 2", ""),
     ],
     "mark an edge dead when only one side is locked": [
         ("sides == 3 and ", ""),
     ],
     "read lambda before the move's update": [
-        ("frm = part_list[v]", "frm = part_list[v]; lam_at_pop = list(lam_list)"),
-        ("lam_list[e] == 2", "lam_at_pop[e] == 2"),
+        ("t[2] == 2", "spanned == 2"),
     ],
     "treat an unpopped free vertex as locked": [
-        ("locks.get(e, 0)",
-         "(locks.get(e, 0) | _sides_with_pins(state, e, a, b) & ~bit)"),
+        ("sides = t[3]", "sides = t[3] | _sides_with_pins(t) & ~bit"),
     ],
 }
 
 
-def _sides_with_pins(state, e, a, b):
-    """``locks`` bits of the sides edge ``e`` has any pin on, decided or
-    not: what the last variant takes for locked across from a decided
+def _sides_with_pins(t):
+    """Lock bits of the sides a ``touched`` row has any pin on, decided
+    or not: what the last variant takes for locked across from a decided
     vertex."""
-    counts = state.edge_part_count[e]
-    return (1 if counts[a] else 0) | (2 if counts[b] else 0)
+    return (1 if t[0] else 0) | (2 if t[1] else 0)
 
 
 def _mutated_one_pass(edits):
@@ -620,29 +648,36 @@ def test_unsound_bound_is_caught(mutant):
 # -- the work the bound saves, as exact counts ---------------------------
 
 
-def _count_moves(monkeypatch):
+def _count_batches(monkeypatch):
     calls = [0]
-    real_move = PartitionState.move
+    real = PartitionState.move_batch
 
-    def move(self, v, to_part, critical=None):
+    def move_batch(self, vertices, to_parts):
         calls[0] += 1
-        return real_move(self, v, to_part, critical)
+        return real(self, vertices, to_parts)
 
-    monkeypatch.setattr(PartitionState, "move", move)
+    monkeypatch.setattr(PartitionState, "move_batch", move_batch)
     return calls
 
 
 @pytest.mark.parametrize("k,budget", [(4, 64), (8, 400)])
 def test_hierarchy_partition_move_budget(viterbi_paper, monkeypatch, k, budget):
-    # run-to-exhaustion passes made 5 398 (k=4) and 5 330 (k=8) move
-    # calls here, forward and rollback, to retain 12 and 20
-    calls = _count_moves(monkeypatch)
-    design_driven_partition(Clustering.top_level(viterbi_paper), k, 5, seed=1)
-    assert 0 < calls[0] <= budget
+    # run-to-exhaustion passes executed 2 705 (k=4) and 2 675 (k=8)
+    # moves here to retain 12 and 20
+    batches = _count_batches(monkeypatch)
+    rec = MetricsRecorder()
+    design_driven_partition(Clustering.top_level(viterbi_paper), k, 5, seed=1,
+                            recorder=rec)
+    counters = rec.as_counters()
+    assert 0 < counters["part.fm.moves"] <= counters["part.fm.executed"] <= budget
+    # a pass commits at most once; flattening rebalances through `move`,
+    # one batch of one vertex each
+    fm_batches = batches[0] - counters.get("part.fm.rebalance_moves", 0)
+    assert 0 < fm_batches <= counters["part.fm.passes"]
 
 
 def test_pair_without_mutual_cut_costs_no_move_and_no_gain_query(monkeypatch):
-    calls = _count_moves(monkeypatch)
+    batches = _count_batches(monkeypatch)
     for k in BOUND_KS:
         hg, assign, b = _bound_case("no-mutual-cut", k, 0)
         state = PartitionState(hg, k, assign)
@@ -651,4 +686,33 @@ def test_pair_without_mutual_cut_costs_no_move_and_no_gain_query(monkeypatch):
         assert work == _PassWork(executed=0, bound_stops=1)
         assert (state.gain_batches, state.gain_batch_vertices,
                 state.lambda_hits) == (0, 0, 0)
-    assert calls[0] == 0
+    assert batches[0] == 0
+
+
+def test_state_sees_exactly_the_retained_prefix():
+    # after every pass the state is the start state with the retained
+    # moves applied and nothing else, committed as one batch whose
+    # realized gain is the pass's best
+    committed = 0
+    for label, hg, k, assign, b in _corpus():
+        state = PartitionState(hg, k, assign)
+        realized = []
+        real = state.move_batch
+        state.move_batch = lambda vs, ts: realized.append(real(vs, ts)[0])
+        best, retained = _one_pass(state, 0, 1, BalanceConstraint(k, b),
+                                   _PassWork())
+        del state.move_batch
+        want = np.array(assign, dtype=np.int64)
+        for v, to in retained:
+            assert want[v] == 1 - to, label  # each vertex moves once, across
+            want[v] = to
+        fresh = PartitionState(hg, k, want)
+        for name in ("part", "part_weight", "edge_part_count", "edge_lambda"):
+            np.testing.assert_array_equal(
+                getattr(state, name), getattr(fresh, name), err_msg=label)
+        assert (state.cut_size, state.connectivity) == (
+            fresh.cut_size, fresh.connectivity), label
+        assert realized == ([best] if retained else []), label
+        assert (best > 0) == bool(retained), label
+        committed += bool(retained)
+    assert committed > len(_corpus()) // 4

@@ -71,8 +71,33 @@ class TestErrors:
             loads_hgr("3 4\n1 2\n")
 
     def test_pin_out_of_range(self):
-        with pytest.raises(HypergraphError, match="out of range"):
+        with pytest.raises(HypergraphError, match="line 2.*out of range"):
             loads_hgr("1 2\n1 3\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("a b\n", 1),                       # header
+        ("% c\n\n2 3\n1 2\n2 x\n", 5),      # pin, after a comment and a blank
+        ("1 2 10\n1 2\n1\n1.5\n", 4),       # vertex weight
+        ("1 2 10\n1 2\n1 1\n2\n", 3),       # two numbers on a weight line
+    ])
+    def test_non_integer_field_names_its_line(self, text, line):
+        with pytest.raises(HypergraphError, match=f"hgr line {line}:"):
+            loads_hgr(text)
+
+    @pytest.mark.parametrize("header", ["-1 2", "1 -2", "0 -1 1"])
+    def test_negative_count_is_a_bad_header(self, header):
+        with pytest.raises(HypergraphError, match="line 1.*header"):
+            loads_hgr(header + "\n1 2\n")
+
+    def test_weight_only_edge_line(self):
+        with pytest.raises(HypergraphError, match="line 3.*no pins"):
+            loads_hgr("2 3 1\n4 1 2\n7\n")
+
+    def test_lines_past_the_declared_count(self):
+        with pytest.raises(HypergraphError, match="line 4: 2 lines past"):
+            loads_hgr("2 3\n1 2\n2 3\n1 3\n% c\n1 2\n")
+        with pytest.raises(HypergraphError, match="line 5.*vertex weights"):
+            loads_hgr("1 2 10\n1 2\n3\n4\n5\n")
 
 
 @st.composite

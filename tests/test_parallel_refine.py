@@ -193,11 +193,15 @@ class TestSerialParallelEquivalence:
         )
         # the counter body the serial path recorded through its per-pair
         # mini-recorders, now recorded directly on the driver's recorder
+        # (lambda_hits was 3669 while a pass made its moves on the
+        # shared state: deg(v) in `move` and again in the lock walk per
+        # forward move, deg(v) per rollback move; now one walk per
+        # decided vertex and no rollback)
         assert rec.as_counters() == {
             "part.cone.cones": 10, "part.cone.roots": 10,
             "part.core.boundary_batches": 0,
             "part.core.gain_batch_vertices": 151,
-            "part.core.gain_batches": 19, "part.core.lambda_hits": 3669,
+            "part.core.gain_batches": 19, "part.core.lambda_hits": 3095,
             "part.fm.bound_stops": 26, "part.fm.executed": 46,
             "part.fm.gain": 8, "part.fm.moves": 4, "part.fm.passes": 27,
             "part.fm.rebalance_moves": 3, "part.pairing.pairs": 24,

@@ -103,6 +103,53 @@ class TestValidation:
             loads_partition(json.dumps(doc), viterbi_test)
 
 
+    def test_not_an_object(self, viterbi_test):
+        with pytest.raises(PartitionError, match="not a repro-partition"):
+            loads_partition("[1, 2]", viterbi_test)
+
+    @pytest.mark.parametrize("field", ["k", "b", "clusters"])
+    def test_missing_field_is_named(self, viterbi_test, partition, field):
+        doc = json.loads(dumps_partition(partition))
+        del doc[field]
+        with pytest.raises(PartitionError, match=f"'{field}' must be"):
+            loads_partition(json.dumps(doc), viterbi_test)
+
+    @pytest.mark.parametrize("field", ["name", "gates", "partition"])
+    def test_missing_cluster_field_is_named(self, viterbi_test, partition, field):
+        doc = json.loads(dumps_partition(partition))
+        del doc["clusters"][1][field]
+        with pytest.raises(PartitionError,
+                           match=rf"clusters\[1\]\.'{field}' must be"):
+            loads_partition(json.dumps(doc), viterbi_test)
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", "two"), ("k", True), ("k", 2.5), ("k", 0), ("b", "wide"),
+        ("b", -1), ("clusters", "x"), ("clusters", [7]),
+    ])
+    def test_mistyped_field_is_named(self, viterbi_test, partition, field, value):
+        doc = json.loads(dumps_partition(partition))
+        doc[field] = value
+        with pytest.raises(PartitionError, match=f"'{field}'|{field}\\[0\\]"):
+            loads_partition(json.dumps(doc), viterbi_test)
+
+    def test_unhashable_gate_name(self, viterbi_test, partition):
+        doc = json.loads(dumps_partition(partition))
+        doc["clusters"][0]["gates"][0] = ["nested"]
+        with pytest.raises(PartitionError, match="no gate named"):
+            loads_partition(json.dumps(doc), viterbi_test)
+
+    def test_balanced_is_recomputed_not_copied(self, viterbi_test, partition):
+        doc = json.loads(dumps_partition(partition))
+        assert doc["balanced"] is True
+        for entry in doc["clusters"]:
+            entry["partition"] = 0
+        loaded = loads_partition(json.dumps(doc), viterbi_test)
+        assert loaded.part_weights.tolist()[1:] == [0] * (loaded.k - 1)
+        assert loaded.balanced is False
+        # and an honest file still loads as balanced
+        assert loads_partition(dumps_partition(partition), viterbi_test).balanced
+
+
 class TestCliIntegration:
     def test_save_then_reuse(self, tmp_path):
         from repro.cli import main

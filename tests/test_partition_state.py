@@ -81,19 +81,6 @@ class TestBasics:
         s = PartitionState(hg3(), 2, [0, 1, 0, 1, 0])
         assert s.parts() == [[0, 2, 4], [1, 3]]
 
-    def test_copy_is_independent(self):
-        s = PartitionState(hg3(), 2, [0, 1, 0, 1, 0])
-        c = s.copy()
-        c.move(0, 1)
-        assert s.part_of(0) == 0
-        assert c.part_of(0) == 1
-
-    def test_bulk_assign(self):
-        s = PartitionState(hg3(), 2)
-        s.bulk_assign([0, 1, 2], 1)
-        assert s.part_weight.tolist() == [2, 6]
-        assert s.cut_size == hyperedge_cut(hg3(), s.part)
-
     def test_pair_cut(self):
         s = PartitionState(hg3(), 3, [0, 1, 2, 0, 1])
         m = s.pair_cut_matrix()

@@ -154,6 +154,38 @@ class TestSchedulersAgree:
             assert counters["tw.migrations"] > 0
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_heap_entries_come_from_mark_ready_only(self, mode, monkeypatch):
+        # every change of an LP's time goes through _mark_ready, which
+        # pushes the new time; a scheduler that pushes again whenever it
+        # pops an out-of-date entry only piles up duplicates
+        monkeypatch.setattr(timewarp, "SCAN_SCHED_MAX_LPS", 0)
+        engine, events = _engine(
+            "cpu-test", 3,
+            config=TimeWarpConfig(gvt_interval=30, checkpoint_interval=3,
+                                  **MODES[mode]))
+        heaps_per_mark = 2 if mode == "conservative" else 1
+        recorded = pushed = 0
+        real_mark, real_push = engine._mark_ready, timewarp.heapq.heappush
+
+        def mark_ready(lp):
+            nonlocal recorded
+            recorded += heaps_per_mark * (lp.next_vt is not None)
+            real_mark(lp)
+
+        def heappush(heap, item):
+            nonlocal pushed
+            pushed += heap is engine._global_ready or any(
+                heap is m.ready for m in engine.machines)
+            real_push(heap, item)
+
+        monkeypatch.setattr(engine, "_mark_ready", mark_ready)
+        monkeypatch.setattr(timewarp.heapq, "heappush", heappush)
+        engine.load_inputs(events)
+        engine.run()
+        assert pushed == recorded > 0
+
+
 class TestPathologicalSettings:
     """Every corner of the kernel's tuning space at once — free, nearly
     free and very slow messages; GVT after every step or never; a

@@ -9,8 +9,9 @@ circuit and profiles ``design_driven_partition`` on its top-level
 hierarchy (the pipeline benchmark's ``hier_93k`` shape: a few hundred
 fat super-gates, heap FM).  Either way it prints the top functions, the
 recorder's per-phase wall breakdown, and — where FM ran — how many
-moves it executed against how many survived best-prefix rollback and
-how many passes the locked-cut bound ended, or — where the batch
+moves its passes tried on their working sets against how many the best
+prefixes committed to the state, and how many passes the locked-cut
+bound ended, or — where the batch
 refiner ran — how many vertices it re-scored per round and per applied
 move.  This is the before/after evidence harness for partitioner kernel
 work — the peer of ``tools/profile_sim.py`` on the partitioning side
@@ -120,9 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fm: {counters['part.fm.passes']} passes "
               f"(part.fm.bound_stops={counters['part.fm.bound_stops']} "
               f"ended by the locked-cut bound), "
-              f"part.fm.executed={counters['part.fm.executed']} moves "
-              f"executed, part.fm.moves={counters['part.fm.moves']} retained, "
-              f"part.core.lambda_hits={counters['part.core.lambda_hits']}")
+              f"part.fm.executed={counters['part.fm.executed']} moves tried "
+              f"pass-locally, part.fm.moves={counters['part.fm.moves']} "
+              f"committed, part.core.lambda_hits="
+              f"{counters['part.core.lambda_hits']} (gain fills + one walk "
+              f"per decided vertex + critical edges)")
     if "part.batch.rounds" in counters:
         rounds = counters["part.batch.rounds"]
         moves = counters["part.batch.moves"]

@@ -8,18 +8,23 @@ Runs, in order, stopping at the first failure:
 2. the documentation reference linter (``tools/check_docs.py``) —
    every ``repro.*`` path, CLI flag and metric/phase/host-value name
    in the docs must resolve;
-3. the observability selfcheck (``python -m repro obs selfcheck``) —
+3. the committed-results gate (``benchmarks/make_experiments_md.py
+   --check``, 0.2 s) — rebuilds ``EXPERIMENTS.md`` in memory and
+   schema-validates every ``benchmarks/out/BENCH_*.json``, so a deleted
+   section or a hand-edited document fails here instead of waiting
+   for the minutes-long benchmark run;
+4. the observability selfcheck (``python -m repro obs selfcheck``) —
    analyzers, span-tree invariants, worker-lane merge and the
    Chrome-trace exporter on built-in artifacts;
-4. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
+5. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
    --rungs 1``) — the 10k rung builds, partitions balanced, and its
    per-phase coarsen/refine wall breakdown carries every expected
    recorder phase (the smoke asserts the breakdown keys exist);
-5. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
+6. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
    --smoke``) — all five workloads at test size, front end through
    verified Time Warp, every output check on, under 30 s; it writes
    only the git-ignored ``benchmarks/pipeline/out/``;
-6. the same at ``--smoke --verify-determinism`` — every workload twice
+7. the same at ``--smoke --verify-determinism`` — every workload twice
    in fresh processes, result digests must match — which catches a
    set-ordered or hash-seeded path in the simulators or partitioners
    at tier-1 cost.
@@ -53,6 +58,9 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
      ("src",)),
     ("docs references",
      [sys.executable, "tools/check_docs.py"],
+     ()),
+    ("EXPERIMENTS.md freshness",
+     [sys.executable, "benchmarks/make_experiments_md.py", "--check"],
      ()),
     ("obs selfcheck",
      [sys.executable, "-m", "repro", "obs", "selfcheck"],
