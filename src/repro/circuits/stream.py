@@ -1,10 +1,10 @@
 """Streamed array-native circuit construction (template stamping).
 
 The text path (generator → Verilog → parse → elaborate) allocates one
-AST node per token and one :class:`~repro.verilog.netlist.Gate` object
-per gate — fine at bench scale, prohibitive at the paper's ~1.2 M
-gates.  The streamed path keeps the *generators'* structure but skips
-text entirely:
+AST node per token and a name string per net and per gate — fine at
+bench scale, prohibitive at the paper's ~1.2 M gates.  The streamed
+path keeps the *generators'* structure but skips text and names
+entirely:
 
 1. each leaf/cell module is compiled **once** through the normal
    front end into a :class:`ModuleTemplate` — its gates as arrays with
@@ -105,40 +105,23 @@ class ModuleTemplate:
                 f"cell {netlist.top!r}: a port bit is a constant net; "
                 f"not stampable"
             )
-        enc = np.empty(netlist.num_nets, dtype=np.int64)
-        n_locals = 0
-        port_pos = {nid: pos for pos, nid in enumerate(ports)}
-        for nid in range(netlist.num_nets):
-            if nid < _NUM_CONST_NETS:
-                enc[nid] = nid
-            elif nid in port_pos:
-                enc[nid] = -(port_pos[nid] + 1)
-            else:
-                enc[nid] = _NUM_CONST_NETS + n_locals
-                n_locals += 1
-
-        gtypes: list[str] = []
-        type_code: dict[str, int] = {}
-        codes = np.empty(netlist.num_gates, dtype=np.int16)
-        counts = np.empty(netlist.num_gates, dtype=np.int16)
-        pins: list[int] = []
-        outs = np.empty(netlist.num_gates, dtype=np.int64)
-        for gate in netlist.gates:
-            code = type_code.get(gate.gtype)
-            if code is None:
-                code = type_code[gate.gtype] = len(gtypes)
-                gtypes.append(gate.gtype)
-            codes[gate.gid] = code
-            counts[gate.gid] = len(gate.inputs)
-            pins.extend(int(enc[n]) for n in gate.inputs)
-            outs[gate.gid] = enc[gate.output]
+        csr = netlist.csr
+        # constants keep their ids, port bits count down from -1, the
+        # remaining nets are numbered from 3 in ascending net order
+        local = np.ones(csr.num_nets, dtype=bool)
+        local[:_NUM_CONST_NETS] = False
+        local[ports] = False
+        enc = np.arange(csr.num_nets, dtype=np.int64)
+        enc[ports] = -1 - np.arange(len(ports))
+        n_locals = int(local.sum())
+        enc[local] = _NUM_CONST_NETS + np.arange(n_locals)
         return cls(
             name=netlist.top,
-            gate_types=tuple(gtypes),
-            gate_code=codes,
-            pin_count=counts,
-            pin_enc=np.array(pins, dtype=np.int64),
-            out_enc=outs,
+            gate_types=csr.gate_types,
+            gate_code=csr.gate_code,
+            pin_count=np.diff(csr.pin_ptr).astype(np.int16),
+            pin_enc=enc[csr.pin_net],
+            out_enc=enc[csr.gate_output],
             num_ports=len(ports),
             num_locals=n_locals,
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..sim.events import InputEvent
-from ..sim.logic import SEQ_CODE_MIN
+from ..sim.logic import SEQ_CODE_MIN, gate_code_table
 from ..verilog.netlist import Netlist
 
 __all__ = [
@@ -62,16 +62,11 @@ class VectorSchedule:
 
 def detect_clocks(netlist: Netlist) -> list[int]:
     """Primary-input nets wired to any flip-flop's clock pin."""
-    from ..sim.logic import GATE_CODES
-
-    pi = set(netlist.inputs)
-    clocks: set[int] = set()
-    for gate in netlist.gates:
-        if GATE_CODES.get(gate.gtype, -1) >= SEQ_CODE_MIN and len(gate.inputs) >= 2:
-            clk = gate.inputs[1]
-            if clk in pi:
-                clocks.add(clk)
-    return sorted(clocks)
+    csr = netlist.csr
+    codes = gate_code_table(csr.gate_types)[csr.gate_code]
+    clocked = (codes >= SEQ_CODE_MIN) & (np.diff(csr.pin_ptr) >= 2)
+    clk = csr.pin_net[csr.pin_ptr[:-1][clocked] + 1]  # pin 1 of (d, clk, ...)
+    return np.intersect1d(clk, csr.inputs).tolist()
 
 
 def natural_schedule(netlist: Netlist, margin: int = 4) -> VectorSchedule:

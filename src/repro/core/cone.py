@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph.build import Clustering
+from ..hypergraph.hypergraph import _csr_gather
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 
@@ -47,16 +48,11 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
             succ[src].update(pins)
     for c, readers in enumerate(succ):
         readers.discard(c)  # a cluster reading its own net is no successor
-    netlist = clustering.netlist
-    fed = {
-        gid
-        for nid in netlist.inputs if netlist.net_driver[nid] < 0
-        for gid in netlist.net_sinks[nid]
-    }
-    roots = [
-        c for c, cluster in enumerate(clustering.clusters)
-        if not fed.isdisjoint(cluster.gate_ids)
-    ]
+    csr = clustering.netlist.csr
+    fed, _ = _csr_gather(
+        *csr.fanout(), csr.inputs[csr.net_driver[csr.inputs] < 0]
+    )
+    roots = np.unique(clustering.gate_cluster[fed]).tolist()
     return [sorted(s) for s in succ], roots
 
 

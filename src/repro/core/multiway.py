@@ -65,11 +65,9 @@ class MultiwayResult:
 
     def gate_assignment(self) -> np.ndarray:
         """Partition id per gate of the underlying netlist."""
-        out = np.zeros(self.clustering.netlist.num_gates, dtype=np.int64)
-        for ci, cluster in enumerate(self.clustering.clusters):
-            for gid in cluster.gate_ids:
-                out[gid] = self.assignment[ci]
-        return out
+        return np.asarray(self.assignment, dtype=np.int64)[
+            self.clustering.gate_cluster
+        ]
 
     def to_simulation(self) -> tuple[list[list[int]], list[int]]:
         """(gate clusters, machine per cluster) for the Time Warp engine."""

@@ -11,11 +11,18 @@ Flattening (§3.2) is a Clustering→Clustering operation: one super-gate
 cluster is replaced by its next hierarchy level (its direct gates as
 singletons plus its child instances as smaller super-gates), and the
 hypergraph is rebuilt.
+
+Every circuit hypergraph here — visible-node, partially flattened, flat
+from a parsed netlist, flat from a streamed one — is built by one array
+kernel, :func:`spanning_nets`, over the netlist's ``NetlistCSR``
+columns and a gate → vertex map; a :class:`Clustering` only adds the
+vertex weights and the names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,11 +30,10 @@ from ..errors import PartitionError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import HierNode, Netlist
 from ..verilog.netlist_csr import NetlistCSR
-from .dtypes import index_dtype, require_int64
 from .hypergraph import Hypergraph, _csr_gather
 
 __all__ = ["Cluster", "Clustering", "flat_hypergraph", "hierarchy_hypergraph",
-           "project_hypergraph", "streamed_flat_hypergraph"]
+           "project_hypergraph", "spanning_nets", "streamed_flat_hypergraph"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,7 @@ class Clustering:
         self.gate_weights = gate_weights
         self._hypergraph: Hypergraph | None = None
         self._edge_drivers: list[int] = []
+        self._gate_cluster: np.ndarray | None = None
         covered = sum(len(c.gate_ids) for c in clusters)
         if covered != netlist.num_gates:
             raise PartitionError(
@@ -93,10 +100,12 @@ class Clustering:
         if len(gate_weights) and int(np.min(gate_weights)) < 1:
             raise PartitionError("gate_weights must be >= 1")
 
-    def _cluster_weight(self, gate_ids: tuple[int, ...]) -> int:
-        if self.gate_weights is None:
+    @staticmethod
+    def _weigh(gate_weights: "np.ndarray | None", gate_ids: tuple[int, ...]) -> int:
+        if gate_weights is None:
             return len(gate_ids)
-        return int(sum(int(self.gate_weights[g]) for g in gate_ids))
+        picked = np.asarray(gate_weights)[np.asarray(gate_ids)]
+        return int(picked.astype(np.int64, copy=False).sum())
 
     # -- constructors ------------------------------------------------------
 
@@ -110,22 +119,32 @@ class Clustering:
         module instance becomes one super-gate cluster (paper §3, §4.3).
         """
         cls._check_weights(netlist, gate_weights)
-        clusters: list[Cluster] = []
-        weigh = (
-            (lambda gids: len(gids))
-            if gate_weights is None
-            else (lambda gids: int(sum(int(gate_weights[g]) for g in gids)))
-        )
-        root = netlist.hierarchy
-        for gid in root.gate_ids:
-            gate = netlist.gates[gid]
-            clusters.append(Cluster(gate.name, (gid,), weigh((gid,))))
-        for child in root.children.values():
+        clusters = cls._level_below(netlist, netlist.hierarchy, "", gate_weights)
+        return cls(netlist, clusters, gate_weights)
+
+    @classmethod
+    def _level_below(
+        cls,
+        netlist: Netlist,
+        node: HierNode,
+        prefix: str,
+        gate_weights: "np.ndarray | None",
+    ) -> list[Cluster]:
+        """``node``'s direct gates as singletons, then each non-empty
+        child instance as one super-gate named ``prefix + child``."""
+        clusters = [
+            Cluster(netlist.gate_names[gid], (gid,), cls._weigh(gate_weights, (gid,)))
+            for gid in node.gate_ids
+        ]
+        for child in node.children.values():
             gates = tuple(sorted(child.subtree_gates()))
             if not gates:
                 continue  # empty wrapper module: nothing to simulate
-            clusters.append(Cluster(child.name, gates, weigh(gates), node=child))
-        return cls(netlist, clusters, gate_weights)
+            clusters.append(Cluster(
+                prefix + child.name, gates, cls._weigh(gate_weights, gates),
+                node=child,
+            ))
+        return clusters
 
     @classmethod
     def flat(
@@ -136,13 +155,13 @@ class Clustering:
         This is the input the paper gave hMetis.
         """
         cls._check_weights(netlist, gate_weights)
-        weigh = (
-            (lambda gid: 1)
-            if gate_weights is None
-            else (lambda gid: int(gate_weights[gid]))
+        weights = (
+            [1] * netlist.num_gates if gate_weights is None
+            else np.asarray(gate_weights).tolist()
         )
         clusters = [
-            Cluster(g.name, (g.gid,), weigh(g.gid)) for g in netlist.gates
+            Cluster(name, (gid,), int(weights[gid]))
+            for gid, name in enumerate(netlist.gate_names)
         ]
         return cls(netlist, clusters, gate_weights)
 
@@ -160,23 +179,9 @@ class Clustering:
             raise PartitionError(
                 f"cluster {target.name!r} is a plain gate, cannot flatten"
             )
-        replacement: list[Cluster] = []
-        node = target.node
-        for gid in node.gate_ids:
-            gate = self.netlist.gates[gid]
-            replacement.append(Cluster(gate.name, (gid,), self._cluster_weight((gid,))))
-        for child in node.children.values():
-            gates = tuple(sorted(child.subtree_gates()))
-            if not gates:
-                continue
-            replacement.append(
-                Cluster(
-                    f"{target.name}.{child.name}",
-                    gates,
-                    self._cluster_weight(gates),
-                    node=child,
-                )
-            )
+        replacement = self._level_below(
+            self.netlist, target.node, target.name + ".", self.gate_weights
+        )
         new_clusters = (
             self.clusters[:index] + replacement + self.clusters[index + 1 :]
         )
@@ -212,32 +217,34 @@ class Clustering:
         self.hypergraph()
         return self._edge_drivers
 
+    @property
+    def gate_cluster(self) -> np.ndarray:
+        """``(num_gates,)`` index of the cluster holding each gate (cached)."""
+        if self._gate_cluster is None:
+            sizes = [len(c.gate_ids) for c in self.clusters]
+            gate_ids = np.fromiter(
+                chain.from_iterable(c.gate_ids for c in self.clusters),
+                dtype=np.int64, count=sum(sizes),
+            )
+            self._gate_cluster = np.zeros(self.netlist.num_gates, dtype=np.int64)
+            self._gate_cluster[gate_ids] = np.repeat(
+                np.arange(len(sizes), dtype=np.int64), sizes
+            )
+        return self._gate_cluster
+
     def _build_hypergraph(self) -> Hypergraph:
         netlist = self.netlist
-        gate_cluster = [0] * netlist.num_gates
-        for ci, cluster in enumerate(self.clusters):
-            for gid in cluster.gate_ids:
-                gate_cluster[gid] = ci
-        edges: list[list[int]] = []
-        edge_names: list[str] = []
-        drivers: list[int] = []
-        for nid in range(netlist.num_nets):
-            touched: set[int] = set()
-            driver = netlist.net_driver[nid]
-            src = gate_cluster[driver] if driver >= 0 else -1
-            if src >= 0:
-                touched.add(src)
-            for gid in netlist.net_sinks[nid]:
-                touched.add(gate_cluster[gid])
-            if len(touched) > 1:
-                edges.append(sorted(touched))
-                edge_names.append(netlist.net_name(nid))
-                drivers.append(src)
-        self._edge_drivers = drivers
-        weights = [c.weight for c in self.clusters]
-        names = [c.name for c in self.clusters]
-        return Hypergraph.from_edges(
-            weights, edges, vertex_names=names, edge_names=edge_names
+        nets, edge_ptr, edge_pins, drivers = spanning_nets(
+            netlist.csr, self.gate_cluster
+        )
+        self._edge_drivers = drivers.tolist()
+        return Hypergraph.from_csr(
+            np.array([c.weight for c in self.clusters], dtype=np.int64),
+            np.ones(len(nets), dtype=np.int64),
+            edge_ptr,
+            edge_pins,
+            vertex_names=[c.name for c in self.clusters],
+            edge_names=list(map(netlist.net_names.__getitem__, nets.tolist())),
         )
 
     # -- bridges to the simulator ----------------------------------------------
@@ -257,17 +264,74 @@ class Clustering:
         )
 
 
+def spanning_nets(
+    csr: NetlistCSR, gate_cluster: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nets touching two or more clusters, as hyperedge arrays.
+
+    The one kernel behind every circuit hypergraph in the repo.
+    ``gate_cluster[g]`` is the vertex of gate ``g``; ``None`` is the
+    identity (every gate its own vertex — the flat hypergraph).  A net
+    touches the vertex of its driver gate, when it has one, and of every
+    gate reading it.  Returns ``(nets, edge_ptr, edge_pins, drivers)``:
+    the spanning nets ascending, their distinct vertices ascending per
+    net in CSR form, and per net the driver's vertex (-1 = undriven).
+
+    Pure array work over the net-sorted fanout CSR: one gather rewrites
+    the sink pins to vertices, a per-net min / max ``reduceat`` (the
+    driver folded in) finds the nets whose pins disagree, and only those
+    nets' pins are sorted (one key sort) and deduplicated.
+    """
+    fan_ptr, fan_gate = csr.fanout()
+    pin_vertex = fan_gate if gate_cluster is None else gate_cluster[fan_gate]
+    driver = csr.net_driver
+    if gate_cluster is not None:
+        # no driver is -1: it reads the -1 appended behind the last gate
+        driver = np.append(gate_cluster, -1)[driver]
+    # a net nobody reads touches its driver's vertex at most
+    read = np.flatnonzero(fan_ptr[1:] > fan_ptr[:-1])
+    starts = fan_ptr[read]
+    low = np.minimum.reduceat(pin_vertex, starts)
+    high = np.maximum.reduceat(pin_vertex, starts)
+    read_driver = driver[read]
+    # an absent driver (-1) must not count as a vertex of its own
+    low = np.where(read_driver >= 0, np.minimum(low, read_driver), low)
+    nets = read[low != np.maximum(high, read_driver)]
+    drivers = driver[nets]
+
+    # (edge, vertex) incidences of the spanning nets only — their sink
+    # pins plus one per driven net — as one sortable key each (net and
+    # vertex counts are array lengths, so the product is far from 2^63)
+    width = (
+        csr.num_gates if gate_cluster is None
+        else int(gate_cluster.max(initial=-1)) + 1
+    )
+    sinks, counts = _csr_gather(fan_ptr, pin_vertex, nets)
+    first_key = np.arange(len(nets) + 1, dtype=np.int64) * width
+    driven = drivers >= 0
+    key = np.concatenate((
+        np.repeat(first_key[:-1], counts) + sinks,
+        first_key[:-1][driven] + drivers[driven],
+    ))
+    key.sort()
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    key = key[keep]
+    edge_ptr = np.searchsorted(key, first_key)
+    edge_pins = key - np.repeat(first_key[:-1], np.diff(edge_ptr))
+    return nets, edge_ptr, edge_pins, drivers
+
+
 def flat_hypergraph(netlist: "Netlist | NetlistCSR") -> Hypergraph:
     """Gate-level hypergraph of the flattened netlist (hMetis's input).
 
-    Dispatches on the netlist form: the object model goes through
-    :class:`Clustering` (per-gate Python objects, carries names), an
-    array-native :class:`~repro.verilog.netlist_csr.NetlistCSR` goes
-    through :func:`streamed_flat_hypergraph` (O(pins) arrays, no
-    per-gate Python work).  Both produce the identical hypergraph for
-    the same circuit — ``tests/test_stream_circuits.py`` pins that the
-    streamed build of ``NetlistCSR.from_netlist(nl)`` is bit-identical
-    to the object build of ``nl``.
+    A :class:`~repro.verilog.netlist.Netlist` goes through
+    :class:`Clustering` and so carries gate and net names; an
+    array-native :class:`~repro.verilog.netlist_csr.NetlistCSR` has no
+    names to carry and goes through :func:`streamed_flat_hypergraph`.
+    Both are :func:`spanning_nets` under the identity clustering and
+    produce the identical hypergraph for the same circuit
+    (``tests/test_stream_circuits.py``).
     """
     if isinstance(netlist, NetlistCSR):
         return streamed_flat_hypergraph(netlist)
@@ -277,71 +341,26 @@ def flat_hypergraph(netlist: "Netlist | NetlistCSR") -> Hypergraph:
 def streamed_flat_hypergraph(
     csr: NetlistCSR, recorder: Recorder = NULL_RECORDER
 ) -> Hypergraph:
-    """Chunk-built gate-level hypergraph of an array-native netlist.
+    """Gate-level hypergraph of an array-native netlist.
 
-    Semantics match :meth:`Clustering._build_hypergraph` with singleton
-    clusters exactly: one hyperedge per net touching two or more
-    distinct gates (driver, when one exists, plus sink gates), edges
-    ordered by net id, pins sorted ascending, all weights 1.
-
-    The construction is pure array work sized O(pins): incidence pairs
-    are materialized at the narrow width
-    (:func:`~repro.hypergraph.dtypes.index_dtype`), deduplicated with
-    one lexsort, and counted per net — no per-gate or per-net Python
-    lists at any point, which is what keeps peak build RSS at a small
-    constant times the pin count (asserted by
+    :func:`spanning_nets` with every gate its own vertex: one hyperedge
+    per net touching two or more distinct gates (driver, when one
+    exists, plus sink gates), edges ordered by net id, pins sorted
+    ascending, all weights 1.  Pure array work sized O(pins) — no
+    per-gate or per-net Python lists at any point, which is what keeps
+    peak build RSS at a small constant times the pin count (asserted by
     ``benchmarks/bench_scale_ladder.py``).
     """
-    n_gates = csr.num_gates
-    dt = index_dtype(max(csr.num_nets, n_gates))
-    # incidence pairs: every gate touches its output net (driver) and
-    # each input-pin net (sink)
-    pin_gate = np.repeat(
-        np.arange(n_gates, dtype=dt), np.diff(csr.pin_ptr)
-    )
-    nets = np.concatenate(
-        (csr.gate_output.astype(dt, copy=False),
-         csr.pin_net.astype(dt, copy=False))
-    )
-    gates = np.concatenate((np.arange(n_gates, dtype=dt), pin_gate))
-    del pin_gate
-    order = np.lexsort((gates, nets))
-    nets = nets[order]
-    gates = gates[order]
-    del order
-    # drop duplicate (net, gate) pairs: a gate reading one net through
-    # several pins (or reading its own output) is one incidence
-    keep = np.ones(len(nets), dtype=bool)
-    if len(nets) > 1:
-        keep[1:] = (nets[1:] != nets[:-1]) | (gates[1:] != gates[:-1])
-    nets = nets[keep]
-    gates = gates[keep]
-    del keep
-    # edge per net with >= 2 distinct gates, in ascending net order
-    if len(nets):
-        starts = np.flatnonzero(
-            np.concatenate(([True], nets[1:] != nets[:-1]))
-        )
-        sizes = np.diff(np.concatenate((starts, [len(nets)])))
-    else:
-        starts = np.empty(0, dtype=np.int64)
-        sizes = starts
-    multi = sizes >= 2
-    edge_sizes = sizes[multi]
-    pin_keep = np.repeat(multi, sizes)
-    edge_pins = gates[pin_keep]  # from_csr widens at the freeze boundary
-    num_edges = len(edge_sizes)
-    edge_ptr = np.zeros(num_edges + 1, dtype=np.int64)
-    np.cumsum(edge_sizes, dtype=np.int64, out=edge_ptr[1:])
+    nets, edge_ptr, edge_pins, _ = spanning_nets(csr)
     if recorder.enabled:
-        recorder.incr("part.build.gates", n_gates)
+        recorder.incr("part.build.gates", csr.num_gates)
         recorder.incr("part.build.nets", csr.num_nets)
         recorder.incr("part.build.pins", csr.num_pins)
-        recorder.incr("part.build.edges", num_edges)
+        recorder.incr("part.build.edges", len(nets))
         recorder.incr("part.build.edge_pins", len(edge_pins))
     return Hypergraph.from_csr(
-        vertex_weight=np.ones(n_gates, dtype=np.int64),
-        edge_weight=np.ones(num_edges, dtype=np.int64),
+        vertex_weight=np.ones(csr.num_gates, dtype=np.int64),
+        edge_weight=np.ones(len(nets), dtype=np.int64),
         edge_ptr=edge_ptr,
         edge_pins=edge_pins,
     )

@@ -2,41 +2,37 @@
 
 Both the sequential reference simulator and the Time Warp logical
 processes evaluate gates through this structure, so their results are
-comparable by construction.  Compilation resolves gate types to dense
-codes, freezes pin lists as tuples, and precomputes per-net sink lists.
+comparable by construction.  Compilation resolves gate types to the
+simulator's dense codes and adopts the netlist's arrays.
 
 Sequential cells keep their input pin roles: ``dff`` = (d, clk),
 ``dffr`` = (d, clk, rst), ``dffe`` = (d, clk, en).
 
-Two construction paths feed the same structure:
-
-* the object-model :class:`~repro.verilog.netlist.Netlist` (parsed
-  circuits) — a per-gate Python pass, every mirror built eagerly;
-* the array-native :class:`~repro.verilog.netlist_csr.NetlistCSR`
-  (streamed million-gate circuits) — pure vectorized array work; the
-  Python-object mirrors (``gate_inputs`` / ``net_sinks`` tuples and the
-  plain-int lists) materialize lazily on first access, so array-only
-  consumers never pay the O(gates) tuple construction.
+There is one construction path.  A parsed
+:class:`~repro.verilog.netlist.Netlist` and a streamed
+:class:`~repro.verilog.netlist_csr.NetlistCSR` are the same arrays
+(``netlist.csr``): the type table maps through one fancy index, the pin
+CSR and the net-sorted fanout CSR are adopted as they are, and no
+per-gate Python work happens.  The Python-object mirrors
+(``gate_inputs`` / ``net_sinks`` tuples and the plain-int lists)
+materialize lazily on first access, so array-only consumers never pay
+the O(gates) tuple construction.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..verilog.netlist import CONST0, CONST1, Netlist
 from ..verilog.netlist_csr import NetlistCSR
-from .kernel import GateTable, fanout_csr
-from .logic import GATE_CODES, SEQ_CODE_MIN, VX, eval_gate_coded
+from .kernel import GateTable
+from .logic import SEQ_CODE_MIN, VX, eval_gate_coded, gate_code_table
 
 __all__ = ["CompiledCircuit", "compile_circuit"]
 
 #: Python-object mirrors of the array state, built together on first
-#: access through :meth:`CompiledCircuit.__getattr__` when the source
-#: was a :class:`NetlistCSR` (the object-model path sets them eagerly).
+#: access through :meth:`CompiledCircuit.__getattr__`.
 _LAZY_MIRRORS = frozenset(
     {"gate_inputs", "net_sinks", "gate_code_list", "gate_output_list"}
 )
@@ -93,61 +89,17 @@ class CompiledCircuit:
 
     def __init__(self, netlist: Netlist | NetlistCSR) -> None:
         self.netlist = netlist
-        self.num_gates = netlist.num_gates
-        self.num_nets = netlist.num_nets
-        if isinstance(netlist, NetlistCSR):
-            self._init_from_csr(netlist)
-            return
-        codes = np.zeros(self.num_gates, dtype=np.int8)
-        for g in netlist.gates:
-            code = GATE_CODES.get(g.gtype)
-            if code is None:
-                raise SimulationError(f"gate {g.name!r} has unknown type {g.gtype!r}")
-            codes[g.gid] = code
+        csr = netlist.csr if isinstance(netlist, Netlist) else netlist
+        self.num_gates = csr.num_gates
+        self.num_nets = csr.num_nets
+        codes = gate_code_table(csr.gate_types)[csr.gate_code]
+        if (codes < 0).any():
+            gid = int(np.argmax(codes < 0))
+            raise SimulationError(
+                f"gate {netlist.gate_name(gid)!r} has unknown type "
+                f"{csr.gate_type(gid)!r}"
+            )
         self.gate_code = codes
-        self.gate_inputs = tuple(g.inputs for g in netlist.gates)
-        self.gate_output = np.array(
-            [g.output for g in netlist.gates], dtype=np.int64
-        ) if self.num_gates else np.zeros(0, dtype=np.int64)
-        self.net_sinks = tuple(tuple(s) for s in netlist.net_sinks)
-        init = np.full(self.num_nets, VX, dtype=np.int8)
-        init[CONST0] = 0
-        init[CONST1] = 1
-        self.initial_values = init
-        self.inputs = tuple(netlist.inputs)
-        self.outputs = tuple(netlist.outputs)
-
-        self.pin_offsets, self.pin_net = _ragged_csr(self.gate_inputs)
-        self.sink_offsets, self.sink_gate = _ragged_csr(self.net_sinks)
-        self.max_arity = int(np.diff(self.pin_offsets).max(initial=0))
-        # plain-int mirrors of the per-gate arrays: CPython reads a
-        # list element an order of magnitude faster than a NumPy
-        # scalar, and every simulator instance (and each cluster LP)
-        # indexes these per gate — shared here so they are built once
-        # per compiled circuit, not once per simulator construction
-        self.gate_code_list: list[int] = self.gate_code.tolist()
-        self.gate_output_list: list[int] = self.gate_output.tolist()
-
-    def _init_from_csr(self, csr: NetlistCSR) -> None:
-        """Vectorized compilation of an array-native netlist.
-
-        No per-gate Python loop: the type table maps through one fancy
-        index, the pin CSR is adopted as-is and the sink CSR falls out
-        of one stable sort of the pins by net.  The tuple/list mirrors
-        are *not* built here — see :meth:`__getattr__`.
-        """
-        table = np.empty(max(1, len(csr.gate_types)), dtype=np.int8)
-        for i, name in enumerate(csr.gate_types):
-            code = GATE_CODES.get(name)
-            if code is None:
-                raise SimulationError(
-                    f"gate type {name!r} is unknown to the simulator"
-                )
-            table[i] = code
-        self.gate_code = (
-            table[csr.gate_code] if self.num_gates
-            else np.zeros(0, dtype=np.int8)
-        )
         self.gate_output = csr.gate_output
         init = np.full(self.num_nets, VX, dtype=np.int8)
         init[CONST0] = 0
@@ -157,17 +109,14 @@ class CompiledCircuit:
         self.outputs = tuple(csr.outputs.tolist())
         self.pin_offsets = csr.pin_ptr
         self.pin_net = csr.pin_net
-        # sinks per net in (gid, pin position) order — exactly the
-        # append order of Netlist.add_gate, duplicates preserved
-        self.sink_offsets, self.sink_gate = fanout_csr(
-            csr.pin_ptr, csr.pin_net, self.num_nets
-        )
+        # sinks per net in (gid, pin position) order, duplicates preserved
+        self.sink_offsets, self.sink_gate = csr.fanout()
         self.max_arity = int(np.diff(csr.pin_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
-        # array-native compilation leaves the Python-object mirrors
-        # unset (their __slots__ raise AttributeError); first scalar
-        # access lands here and materializes all of them together
+        # compilation leaves the Python-object mirrors unset (their
+        # __slots__ raise AttributeError); first scalar access lands
+        # here and materializes all of them together
         if name in _LAZY_MIRRORS:
             self._build_scalar_mirrors()
             return getattr(self, name)
@@ -207,20 +156,7 @@ class CompiledCircuit:
         return eval_gate_coded(int(self.gate_code[gid]), [int(values[p]) for p in pins])
 
 
-def _ragged_csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, flat)`` int64 CSR form of ragged integer rows."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-        out=offsets[1:],
-    )
-    flat = np.fromiter(
-        chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
-    )
-    return offsets, flat
-
-
-def compile_circuit(netlist: Netlist) -> CompiledCircuit:
+def compile_circuit(netlist: Netlist | NetlistCSR) -> CompiledCircuit:
     """Lower an elaborated netlist for simulation."""
     return CompiledCircuit(netlist)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
+from ..verilog.netlist_csr import fanout_csr
 from .logic import _FOLDS_PY, _NOT, GATE_CODES, SEQ_CODE_MIN, VX
 
 __all__ = ["BATCH_THRESHOLD", "FF", "FINAL", "FOLD", "HOLD", "PAD",
@@ -107,20 +108,6 @@ FINAL = np.array(_FINAL_T, dtype=np.int8)
 FF = np.array(_FF_T, dtype=np.int8)
 
 _NEVER = np.iinfo(np.int64).max
-
-
-def fanout_csr(
-    pin_ptr: np.ndarray, pin_net: np.ndarray, num_nets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(fan_ptr, fan_gate)``: per net, the gates reading it in (gate,
-    pin position) order, a gate once per pin that reads the net."""
-    reading = np.repeat(
-        np.arange(len(pin_ptr) - 1, dtype=np.int64), np.diff(pin_ptr)
-    )
-    fan_gate = reading[np.argsort(pin_net, kind="stable")]
-    fan_ptr = np.zeros(num_nets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pin_net, minlength=num_nets), out=fan_ptr[1:])
-    return fan_ptr, fan_gate
 
 
 class GateTable:

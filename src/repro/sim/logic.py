@@ -14,6 +14,10 @@ through the lookup tables :mod:`repro.sim.kernel` derives from the
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 __all__ = [
     "V0",
     "V1",
@@ -22,6 +26,7 @@ __all__ = [
     "CODE_NAMES",
     "eval_gate",
     "eval_gate_coded",
+    "gate_code_table",
     "invert",
     "value_name",
 ]
@@ -51,6 +56,13 @@ CODE_NAMES: list[str] = [
 ]
 
 SEQ_CODE_MIN = GATE_CODES["dff"]
+
+
+def gate_code_table(gate_types: Sequence[str]) -> np.ndarray:
+    """The simulator code of each entry of a netlist's ``gate_types``
+    table, -1 for a type the simulators do not know: indexing it with
+    the netlist's ``gate_code`` column recodes every gate at once."""
+    return np.array([GATE_CODES.get(t, -1) for t in gate_types], dtype=np.int8)
 
 
 def _and2(a: int, b: int) -> int:

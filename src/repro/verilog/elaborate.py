@@ -1,14 +1,14 @@
 """Elaboration: hierarchical AST → flat bit-level :class:`Netlist`.
 
 Elaboration walks the instance tree of the top module, allocating one
-*temporary* net id per declared bit in every scope, then merging nets
-that Verilog declares equal — port connections and continuous
-``assign`` aliases — with a union-find.  Once the whole tree is
-processed, net groups are canonicalized (constants win their groups),
-compacted to dense ids, and single-driver rules are enforced while the
-final :class:`~repro.verilog.netlist.Netlist` is assembled.
+*temporary* net id per declared bit in every scope and recording as
+*union pairs* the nets that Verilog declares equal — port connections
+and continuous ``assign`` aliases.  Once the whole tree is walked, the
+pairs are resolved to net groups (:func:`component_min`: every id takes
+the smallest id of its group, so constants win theirs), the groups are
+compacted to dense ids, and the single-driver rules are enforced.
 
-This two-phase approach (allocate + union, then compact) keeps the
+This two-phase approach (allocate + pair, then compact) keeps the
 recursive walk simple: a scope never needs to know whether its local
 wire will eventually be identified with a parent net three levels up.
 
@@ -16,64 +16,66 @@ A synthesized design is a few definitions instantiated many times, so
 everything that depends only on the *definition* — declarations,
 expression resolution, every width / undeclared-net / connection check
 — is done once, into a :class:`_ModulePlan` of instance-relative net
-*slots*, on the definition's first instantiation.  An instance then
-only allocates its block of temp ids, names them ``prefix + suffix``,
-and maps the plan's unions, gates and child bindings through one
-slot → temp-id list.  Temp ids are allocated exactly where a
-per-instance walk of the body would allocate them, and final net ids
-are first-appearance order over temp ids, so the numbering of the
-output does not depend on the plan being shared.
+*slots*, on the definition's first instantiation.  The plan keeps its
+gates, unions and child bindings as integer arrays over those slots, so
+an instance is stamped as **columns, not objects**: it fills one
+slot → temp-id array and appends a handful of gathers through it (pin
+nets, output nets, union pairs) as chunks.  No per-gate or per-net
+Python object exists at any point; the chunks are concatenated once and
+handed to :meth:`Netlist.adopt_columns`.  Temp ids are allocated
+exactly where a per-instance walk of the body would allocate them, and
+final net ids are first-appearance order over temp ids, so the
+numbering of the output does not depend on how it is stamped.
 """
 
 from __future__ import annotations
 
+from operator import add
+
+import numpy as np
+
 from ..errors import ElaborationError
 from . import ast
-from .netlist import CONST0, CONST1, CONSTX, _NUM_CONST_NETS, HierNode, Netlist
+from .netlist import (
+    CONST0,
+    CONST1,
+    CONSTX,
+    _NUM_CONST_NETS,
+    HierNode,
+    Netlist,
+    check_single_driver,
+)
 from .primitives import gate_spec, is_gate_type
 
 __all__ = ["elaborate", "find_top_module", "NetlistBuilder"]
 
 
-class _UnionFind:
-    """Union-find over dense integer ids in which the smaller root wins.
+def component_min(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Smallest member of every id's group, for ids ``0 .. n - 1`` grouped
+    by the undirected pairs ``(a[i], b[i])``; also the rounds taken.
 
-    Hence ``parent[x] <= x`` throughout and a group's root is its
-    smallest member: the constant ids (0..2) win their groups, and
-    :meth:`roots` resolves every id in one ascending pass.
+    Label propagation with hooking and pointer jumping: ``label[x] <= x``
+    always points at a smaller member of ``x``'s group.  A round hooks,
+    for every pair whose ends sit under different roots, the larger root
+    onto the smaller, then jumps every pointer to its root; it ends when
+    every pair agrees.  A pointer chain only ever descends, so the root
+    a group settles on is its smallest id.
     """
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-
-    def extend(self, count: int) -> int:
-        """Allocate ``count`` consecutive fresh ids; returns the first."""
-        base = len(self.parent)
-        self.parent.extend(range(base, base + count))
-        return base
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-    def roots(self) -> list[int]:
-        """Root of every id (fully compresses ``parent`` and returns it)."""
-        parent = self.parent
-        for x, p in enumerate(parent):
-            if p != x:
-                parent[x] = parent[p]  # p < x, so parent[p] is already a root
-        return parent
+    label = np.arange(n, dtype=np.int64)
+    rounds = 0
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label, rounds
+        rounds += 1
+        la, lb = la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def find_top_module(source: ast.Source) -> str:
@@ -114,39 +116,82 @@ def elaborate(source: ast.Source, top: str | None = None) -> Netlist:
     return _Elaborator(source).run(top)
 
 
+_CONST_IDS = (CONST0, CONST1, CONSTX)
+
+
+def _slots(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.intp)
+
+
+def _concat(chunks: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+
+
+class _ChildPlan:
+    """One child instance of a :class:`_ModulePlan`.
+
+    ``first_late`` / ``num_late`` locate the slots of the implicit wires
+    first seen in this child's connection list; ``bindings`` pairs each
+    connected port with its parent slots and ``bind_slots`` is their
+    concatenation.  ``port_slots`` — the child's own slots in the same
+    order — is filled in when the first instance passes the port-name
+    and width checks, which depend on the two definitions only.
+    """
+
+    __slots__ = ("inst", "definition", "first_late", "num_late",
+                 "bindings", "bind_slots", "port_slots")
+
+    def __init__(
+        self,
+        inst: ast.ModuleInst,
+        definition: ast.Module,
+        first_late: int,
+        num_late: int,
+        bindings: tuple[tuple[str, list[int]], ...],
+    ) -> None:
+        self.inst = inst
+        self.definition = definition
+        self.first_late = first_late
+        self.num_late = num_late
+        self.bindings = bindings
+        self.bind_slots = _slots(s for _, slots in bindings for s in slots)
+        self.port_slots: np.ndarray | None = None
+
+
 class _ModulePlan:
-    """What every instance of one module *definition* shares.
+    """What every instance of one module *definition* shares, as arrays.
 
     Nets are instance-relative *slots*.  Slots 0..2 are the constant
     nets, so literals, supplies and unconnected inputs are ordinary
-    slots.  ``local_names`` names slots 3 onward: the declared port and
-    net bits, then the implicit wires first seen in an ``assign`` or a
-    gate terminal.  An implicit wire first seen in child ``i``'s
-    connection list is a *late* name of that child; late names take
-    the following slots in child order, and an instance allocates them
-    just before it enters child ``i`` — which is where a per-instance
-    walk would have met them, so temp-id order is that walk's.
+    slots.  ``names`` names slots 3 onward: first the ``num_local``
+    declared port and net bits and the implicit wires first seen in an
+    ``assign`` or a gate terminal.  An implicit wire first seen in child
+    ``i``'s connection list is a *late* name of that child; late names
+    take the following slots in child order, and an instance allocates
+    them just before it enters child ``i`` — which is where a
+    per-instance walk would have met them, so temp-id order is that
+    walk's.
     """
 
-    __slots__ = ("local_names", "port_slots", "unions", "gates", "children")
+    __slots__ = ("names", "name_base", "num_local", "port_slots",
+                 "union_a", "union_b", "gate_names", "gate_code",
+                 "pin_count", "pin_slots", "out_slots", "children")
 
     def __init__(self) -> None:
         #: name suffix (``w`` / ``v[3]``) of slot ``3 + i``
-        self.local_names: list[str] = []
+        self.names: list[str] = []
+        #: where ``names`` starts in the elaborator's name table
+        self.name_base = 0
+        self.num_local = 0
         self.port_slots: dict[str, list[int]] = {}
         #: slot pairs aliased by ``assign`` and ``supply0/1``
-        self.unions: list[tuple[int, int]] = []
-        #: (gtype, gate name, input slots, output slot)
-        self.gates: list[tuple[str, str, tuple[int, ...], int]] = []
-        #: (instance, child definition, late names, (port, slots) bindings)
-        self.children: list[
-            tuple[
-                ast.ModuleInst,
-                ast.Module,
-                list[str],
-                tuple[tuple[str, list[int]], ...],
-            ]
-        ] = []
+        self.union_a = self.union_b = _slots(())
+        #: per gate: name, type code, input count, output slot; the
+        #: input slots of all gates back to back
+        self.gate_names: list[str] = []
+        self.gate_code = np.zeros(0, dtype=np.int16)
+        self.pin_count = self.pin_slots = self.out_slots = _slots(())
+        self.children: list[_ChildPlan] = []
 
 
 class _Elaborator:
@@ -154,45 +199,62 @@ class _Elaborator:
 
     def __init__(self, source: ast.Source) -> None:
         self.source = source
-        self.uf = _UnionFind()
-        self.net_name: list[str] = []
-        # temp gates: (gtype, hier name, path, input temp ids, output temp id)
-        self.gates: list[tuple[str, str, tuple[str, ...], tuple[int, ...], int]] = []
-        self.top_inputs: list[int] = []
-        self.top_outputs: list[int] = []
         self.plans: dict[str, _ModulePlan] = {}
+        #: every plan's slot names back to back, after the constants'
+        self.names: list[str] = ["const0", "const1", "constx"]
+        self.gate_types: dict[str, int] = {}
+        # per instance (= hierarchy node, in walk order): dotted prefix
+        self.prefixes: list[str] = []
+        # temp nets: allocated count and the runs that name them,
+        # (first temp id, instance, first name-table index, length)
+        self.num_temp = _NUM_CONST_NETS
+        self.name_runs: list[tuple[int, int, int, int]] = [
+            (0, 0, 0, _NUM_CONST_NETS)
+        ]
+        # chunks, one entry per stamped instance that has any
+        self.union_a: list[np.ndarray] = []
+        self.union_b: list[np.ndarray] = []
+        self.gate_names: list[str] = []
+        self.gate_code: list[np.ndarray] = []
+        self.pin_count: list[np.ndarray] = []
+        self.pin_temp: list[np.ndarray] = []
+        self.out_temp: list[np.ndarray] = []
+        self.gate_runs: list[tuple[int, int]] = []  # (instance, gates)
         # work counters, printed by tools/profile_frontend.py:
         # instances_stamped grows per instance, len(plans) and
-        # exprs_resolved per definition
+        # exprs_resolved per definition; the rest are set by _compact
         self.instances_stamped = 0
         self.exprs_resolved = 0
+        self.union_pairs = 0
+        self.propagation_rounds = 0
+        self.name_ties = 0
 
     def run(self, top: str) -> Netlist:
-        # constants occupy temp ids 0..2 so union-find roots favour them
-        self.uf.extend(_NUM_CONST_NETS)
-        self.net_name.extend(("const0", "const1", "constx"))
         netlist = Netlist(top)
         module = self.source.modules[top]
         root = netlist.hierarchy
         root.module = top
-        ids = self._instantiate(module, (), root, bindings=None, depth=0)
+        ids = self._instantiate(module, (), root, None, None, depth=0)
         port_slots = self.plans[top].port_slots
+        top_inputs: list[int] = []
+        top_outputs: list[int] = []
         for pname in module.port_order:
             decl = module.port_decls.get(pname)
             if decl is None:
                 raise ElaborationError(
                     f"top module port {pname!r} has no direction declaration"
                 )
-            bits = [ids[s] for s in port_slots[pname]]
             if decl.direction == "input":
-                self.top_inputs.extend(bits)
+                top_inputs.extend(port_slots[pname])
             elif decl.direction == "output":
-                self.top_outputs.extend(bits)
+                top_outputs.extend(port_slots[pname])
             else:
                 raise ElaborationError(
                     f"top-level inout port {pname!r} is not supported"
                 )
-        return self._compact(netlist)
+        return self._compact(
+            netlist, ids[_slots(top_inputs)], ids[_slots(top_outputs)]
+        )
 
     # -- per instance: stamp the definition's plan --------------------------
 
@@ -201,13 +263,15 @@ class _Elaborator:
         module: ast.Module,
         path: tuple[str, ...],
         hier: HierNode,
-        bindings: list[tuple[str, list[int]]] | None,
+        child: _ChildPlan | None,
+        bound: np.ndarray | None,
         depth: int,
-    ) -> list[int]:
-        """Elaborate one module instance; returns its slot → temp id list.
+    ) -> np.ndarray:
+        """Elaborate one module instance; returns its slot → temp id array.
 
-        ``bindings`` pairs port names with parent net bit lists (None
-        for the top module, whose ports become primary I/O).
+        ``child`` is the parent plan's entry for this instance and
+        ``bound`` the parent temp ids behind ``child.bind_slots`` (both
+        None for the top module, whose ports become primary I/O).
         """
         if depth > self._MAX_DEPTH:
             raise ElaborationError(
@@ -215,62 +279,78 @@ class _Elaborator:
                 f"(recursive instantiation of {module.name!r}?)"
             )
         prefix = ".".join(path)
-        if bindings is not None:
-            for pname, parent_bits in bindings:
+        unchecked = child is not None and child.port_slots is None
+        if unchecked:
+            for pname, parent_slots in child.bindings:
                 if pname not in module.port_decls:
                     raise ElaborationError(
                         f"module {module.name!r} has no port {pname!r} "
                         f"(instance {prefix or module.name})"
                     )
                 width = module.width_of(pname)
-                if len(parent_bits) != width:
+                if len(parent_slots) != width:
                     raise ElaborationError(
                         f"width mismatch on port {pname!r} of {prefix or module.name}: "
-                        f"connected {len(parent_bits)} bits to {width}-bit port"
+                        f"connected {len(parent_slots)} bits to {width}-bit port"
                     )
         plan = self.plans.get(module.name)
         if plan is None:
             plan = self.plans[module.name] = self._plan(module, prefix)
+        if unchecked:
+            child.port_slots = _slots(
+                s for pname, _ in child.bindings for s in plan.port_slots[pname]
+            )
+        inst = self.instances_stamped  # also hier's index in walk order
         self.instances_stamped += 1
-
         dotted = prefix + "." if prefix else ""
-        n_local = len(plan.local_names)
-        base = self.uf.extend(n_local)
-        self.net_name.extend([dotted + name for name in plan.local_names])
-        ids = [CONST0, CONST1, CONSTX, *range(base, base + n_local)]
+        self.prefixes.append(dotted)
 
-        union = self.uf.union
-        if bindings is not None:
-            port_slots = plan.port_slots
-            for pname, parent_bits in bindings:
-                for slot, pb in zip(port_slots[pname], parent_bits):
-                    union(ids[slot], pb)
-        for a, b in plan.unions:
-            union(ids[a], ids[b])
+        ids = np.empty(_NUM_CONST_NETS + len(plan.names), dtype=np.int64)
+        ids[:_NUM_CONST_NETS] = _CONST_IDS
+        ids[_NUM_CONST_NETS:_NUM_CONST_NETS + plan.num_local] = \
+            self._allocate(inst, plan.name_base, plan.num_local)
 
-        gates = self.gates
-        for gtype, gname, ins, out in plan.gates:
-            gates.append(
-                (gtype, dotted + gname, path, tuple([ids[s] for s in ins]), ids[out])
-            )
+        if child is not None and len(bound):
+            self.union_a.append(ids[child.port_slots])
+            self.union_b.append(bound)
+        if len(plan.union_a):
+            self.union_a.append(ids[plan.union_a])
+            self.union_b.append(ids[plan.union_b])
+        if plan.gate_names:
+            self.gate_names.extend([dotted + name for name in plan.gate_names])
+            self.gate_code.append(plan.gate_code)
+            self.pin_count.append(plan.pin_count)
+            self.pin_temp.append(ids[plan.pin_slots])
+            self.out_temp.append(ids[plan.out_slots])
+            self.gate_runs.append((inst, len(plan.gate_names)))
 
-        for inst, child_def, late_names, child_bindings in plan.children:
-            for name in late_names:
-                ids.append(self.uf.extend(1))
-                self.net_name.append(dotted + name)
-            child_path = path + (inst.instance_name,)
+        for sub in plan.children:
+            if sub.num_late:
+                ids[sub.first_late:sub.first_late + sub.num_late] = self._allocate(
+                    inst,
+                    plan.name_base + sub.first_late - _NUM_CONST_NETS,
+                    sub.num_late,
+                )
+            name = sub.inst.instance_name
+            child_path = path + (name,)
             child_node = HierNode(
-                name=inst.instance_name, module=inst.module_name, path=child_path
+                name=name, module=sub.inst.module_name, path=child_path
             )
-            hier.children[inst.instance_name] = child_node
+            hier.children[name] = child_node
             self._instantiate(
-                child_def,
-                child_path,
-                child_node,
-                [(p, [ids[s] for s in slots]) for p, slots in child_bindings],
-                depth + 1,
+                sub.definition, child_path, child_node, sub,
+                ids[sub.bind_slots], depth + 1,
             )
         return ids
+
+    def _allocate(self, inst: int, first_name: int, count: int) -> np.ndarray:
+        """``count`` fresh temp ids for instance ``inst``, named by the
+        name table from ``first_name`` on."""
+        base = self.num_temp
+        self.num_temp = base + count
+        if count:
+            self.name_runs.append((base, inst, first_name, count))
+        return np.arange(base, base + count, dtype=np.int64)
 
     # -- per definition: resolve the module body to slots -------------------
 
@@ -282,8 +362,9 @@ class _Elaborator:
         """
         plan = _ModulePlan()
         # names of slots 3.. in allocation order: locals, then late names
-        names: list[str] = []
+        names = plan.names
         scope: dict[str, list[int]] = {}
+        unions: list[tuple[int, int]] = []
 
         def declare(name: str, rng: ast.Range | None) -> list[int]:
             first = _NUM_CONST_NETS + len(names)
@@ -302,9 +383,9 @@ class _Elaborator:
                 continue  # `wire` redeclaration of a port
             bits = declare(nname, ndecl.range)
             if ndecl.kind == "supply0":
-                plan.unions.extend((b, CONST0) for b in bits)
+                unions.extend((b, CONST0) for b in bits)
             elif ndecl.kind == "supply1":
-                plan.unions.extend((b, CONST1) for b in bits)
+                unions.extend((b, CONST1) for b in bits)
 
         # continuous assigns are aliases
         for assign in module.assigns:
@@ -315,10 +396,16 @@ class _Elaborator:
                     f"assign width mismatch in {module.name} line {assign.line}: "
                     f"{len(lhs)} vs {len(rhs)} bits"
                 )
-            plan.unions.extend(zip(lhs, rhs))
+            unions.extend(zip(lhs, rhs))
+        plan.union_a = _slots(a for a, _ in unions)
+        plan.union_b = _slots(b for _, b in unions)
 
         # primitive gates
         unnamed = 0
+        codes: list[int] = []
+        pin_count: list[int] = []
+        pin_slots: list[int] = []
+        out_slots: list[int] = []
         for gate in module.gates:
             if gate.name is None:
                 gname = f"_g{unnamed}"
@@ -336,10 +423,18 @@ class _Elaborator:
                         f"terminal {i} of gate {hier_name!r} is "
                         f"{len(bits)} bits wide; gate pins are scalar"
                     )
-            plan.gates.append(
-                (gate.gtype, gname, tuple(t[0] for t in terms[1:]), terms[0][0])
+            plan.gate_names.append(gname)
+            codes.append(
+                self.gate_types.setdefault(gate.gtype, len(self.gate_types))
             )
-        plan.local_names = names[:]
+            out_slots.append(terms[0][0])
+            pin_count.append(len(terms) - 1)
+            pin_slots.extend(t[0] for t in terms[1:])
+        plan.gate_code = np.array(codes, dtype=np.int16)
+        plan.pin_count = _slots(pin_count)
+        plan.pin_slots = _slots(pin_slots)
+        plan.out_slots = _slots(out_slots)
+        plan.num_local = len(names)
 
         # child instances
         instance_names: set[str] = set()
@@ -365,8 +460,13 @@ class _Elaborator:
                 )
             instance_names.add(inst.instance_name)
             plan.children.append(
-                (inst, child_def, names[n_before:], tuple(child_bindings.items()))
+                _ChildPlan(
+                    inst, child_def, _NUM_CONST_NETS + n_before,
+                    len(names) - n_before, tuple(child_bindings.items()),
+                )
             )
+        plan.name_base = len(self.names)
+        self.names.extend(names)
         return plan
 
     def _connection_bindings(
@@ -492,54 +592,94 @@ class _Elaborator:
 
     # -- compaction ----------------------------------------------------------
 
-    def _compact(self, netlist: Netlist) -> Netlist:
-        """Canonicalize net groups, build the final dense netlist."""
-        roots = self.uf.roots()
-        for cid in (CONST0, CONST1, CONSTX):
-            if roots[cid] != cid:
-                raise ElaborationError("constant nets were merged together")
+    def _compact(
+        self, netlist: Netlist, top_inputs: np.ndarray, top_outputs: np.ndarray
+    ) -> Netlist:
+        """Canonicalize net groups, hand the final dense columns over."""
+        num_temp = self.num_temp
+        pair_a, pair_b = _concat(self.union_a), _concat(self.union_b)
+        self.union_pairs = len(pair_a)
+        roots, self.propagation_rounds = component_min(num_temp, pair_a, pair_b)
+        if (roots[:_NUM_CONST_NETS] != _CONST_IDS).any():
+            raise ElaborationError("constant nets were merged together")
+        # a root is its group's smallest temp id, so ascending roots are
+        # the groups in first-appearance order: the final numbering
+        is_root = roots == np.arange(num_temp)
+        final_of = (np.cumsum(is_root) - 1)[roots]
+        num_nets = int(is_root.sum())
 
-        # representative name per root: shortest, tie-break lexical.  A
-        # root is its group's smallest id, hence the first of its group
-        # this loop meets: the dict fills in ascending root order, which
-        # is the groups' first-appearance order and their final numbering.
-        best_name: dict[int, str] = {}
-        for root, name in zip(roots, self.net_name):
-            if root < _NUM_CONST_NETS:
-                continue
-            cur = best_name.get(root)
-            if cur is None or (len(name), name) < (len(cur), cur):
-                best_name[root] = name
-        final_of_root = {CONST0: CONST0, CONST1: CONST1, CONSTX: CONSTX}
-        for root, name in best_name.items():
-            final_of_root[root] = netlist.add_net(name)
-        final_of = [final_of_root[root] for root in roots]
+        # name of temp net t: prefixes[temp_inst[t]] + names[temp_name[t]]
+        runs = np.array(self.name_runs, dtype=np.int64)
+        start, inst, first_name, count = runs.T
+        temp_inst = np.repeat(inst, count)
+        temp_name = np.repeat(first_name - start, count) + np.arange(num_temp)
+        prefixes = np.array(self.prefixes, dtype=object)
+        names = np.array(self.names, dtype=object)
 
-        for gtype, name, path, ins, out in self.gates:
-            netlist.add_gate(
-                gtype,
-                name,
-                path,
-                tuple([final_of[i] for i in ins]),
-                final_of[out],
-            )
+        def temp_names(temps: np.ndarray) -> list[str]:
+            return list(map(add, prefixes[temp_inst[temps]].tolist(),
+                            names[temp_name[temps]].tolist()))
 
-        input_bit: dict[int, str] = {}
-        for t in self.top_inputs:
-            nid = final_of[t]
-            if nid < _NUM_CONST_NETS:
-                raise ElaborationError(
-                    "a primary input is tied to a constant net"
-                )
-            if nid in input_bit:
-                raise ElaborationError(
-                    f"primary inputs {input_bit[nid]!r} and "
-                    f"{self.net_name[t]!r} are aliased to one net"
-                )
-            input_bit[nid] = self.net_name[t]
-            netlist.inputs.append(nid)
-        netlist.outputs.extend(final_of[t] for t in self.top_outputs)
-        netlist.finalize()
+        # representative name per group: shortest, tie-break lexical,
+        # then first.  Lengths are arithmetic; only groups whose
+        # shortest length is shared build candidate strings to compare
+        length = (
+            np.fromiter(map(len, self.prefixes), np.int64, len(prefixes))[temp_inst]
+            + np.fromiter(map(len, self.names), np.int64, len(names))[temp_name]
+        )
+        shortest = np.full(num_nets, np.iinfo(np.int64).max)
+        np.minimum.at(shortest, final_of, length)
+        cand = np.flatnonzero(length == shortest[final_of])
+        cand_net = final_of[cand]
+        best = np.full(num_nets, num_temp)
+        np.minimum.at(best, cand_net, cand)
+        tied = np.bincount(cand_net, minlength=num_nets)[cand_net] > 1
+        tied[cand_net < _NUM_CONST_NETS] = False  # constants keep their names
+        pick: dict[int, tuple[str, int]] = {}
+        for net, temp, name in zip(
+            cand_net[tied].tolist(), cand[tied].tolist(), temp_names(cand[tied])
+        ):
+            if net not in pick or name < pick[net][0]:
+                pick[net] = (name, temp)
+        self.name_ties = len(pick)
+        if pick:
+            best[list(pick)] = [temp for _, temp in pick.values()]
+        net_names = temp_names(best)
+        net_names[:_NUM_CONST_NETS] = self.names[:_NUM_CONST_NETS]
+
+        gate_output = final_of[_concat(self.out_temp)]
+        pin_ptr = np.zeros(len(gate_output) + 1, dtype=np.int64)
+        np.cumsum(_concat(self.pin_count), out=pin_ptr[1:])
+        check_single_driver(gate_output, self.gate_names, net_names)
+
+        inputs = final_of[top_inputs].tolist()
+        if (inputs and min(inputs) < _NUM_CONST_NETS) \
+                or len(set(inputs)) != len(inputs):
+            first: dict[int, int] = {}
+            for nid, temp in zip(inputs, top_inputs):
+                if nid < _NUM_CONST_NETS:
+                    raise ElaborationError(
+                        "a primary input is tied to a constant net"
+                    )
+                if nid in first:
+                    a, b = temp_names(np.array([first[nid], temp]))
+                    raise ElaborationError(
+                        f"primary inputs {a!r} and {b!r} are aliased to one net"
+                    )
+                first[nid] = temp
+        netlist.inputs = inputs
+        netlist.outputs = final_of[top_outputs].tolist()
+        gate_runs = np.array(self.gate_runs, dtype=np.int64).reshape(-1, 2)
+        netlist.adopt_columns(
+            net_names,
+            self.gate_names,
+            np.repeat(gate_runs[:, 0], gate_runs[:, 1]),
+            tuple(self.gate_types),
+            _concat(self.gate_code, np.int16),
+            gate_output,
+            pin_ptr,
+            final_of[_concat(self.pin_temp)],
+        )
         return netlist
 
 

@@ -12,6 +12,21 @@ and primitive gates, but **retains the hierarchy** in two places:
 Net ids and gate ids are dense integers.  Three distinguished constant
 nets (``const0``, ``const1``, ``constx``) are always present at ids
 0..2 so constant connections never need special-casing downstream.
+
+A :class:`Netlist` is **names and hierarchy over one**
+:class:`~repro.verilog.netlist_csr.NetlistCSR`: the structure — gate
+types, pins, outputs, drivers, fanout — lives in ``netlist.csr`` as
+arrays, and the netlist adds what arrays cannot carry: net names, gate
+names, the gate → hierarchy-node index and the :class:`HierNode` tree.
+The elaborator hands those columns over directly; the hot consumers
+(hypergraph build, compilation, clock detection) read them and never
+touch a per-gate object.  ``gates``, ``net_driver`` and ``net_sinks``
+are *views*: the same plain lists of :class:`Gate` records, ints and
+sink lists as ever, materialised from the columns on first access for
+the code that wants objects (writer, optimizer, diagnostics, tests).
+:meth:`Netlist.add_net` / :meth:`Netlist.add_gate` remain the
+small-scale incremental route: they grow the list views and
+:meth:`Netlist.finalize` lowers them to the columns once.
 """
 
 from __future__ import annotations
@@ -19,7 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from ..errors import NetlistError
+from .netlist_csr import CONST0, CONST1, CONSTX, _NUM_CONST_NETS, NetlistCSR
 
 __all__ = [
     "CONST0",
@@ -29,11 +47,6 @@ __all__ = [
     "HierNode",
     "Netlist",
 ]
-
-CONST0 = 0
-CONST1 = 1
-CONSTX = 2
-_NUM_CONST_NETS = 3
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,35 @@ class HierNode:
         return node
 
 
+def check_single_driver(
+    gate_output: np.ndarray, gate_names: list[str], net_names: list[str]
+) -> None:
+    """Raise the single-driver / constant-driver error of the first
+    offending gate in gate order — what wiring the gates one by one
+    through :meth:`Netlist.add_gate` would have raised."""
+    n = len(gate_output)
+    gate_ids = np.arange(n, dtype=np.int64)
+    # last writer per net; any gate that does not read itself back
+    # shares its output with a later one
+    driver = np.full(len(net_names), -1, dtype=np.int64)
+    driver[gate_output] = gate_ids
+    if not ((driver[gate_output] != gate_ids).any()
+            or (gate_output < _NUM_CONST_NETS).any()):
+        return
+    order = np.argsort(gate_output, kind="stable")
+    again = np.zeros(n, dtype=bool)  # gates whose net an earlier gate drives
+    again[order[1:]] = gate_output[order[1:]] == gate_output[order[:-1]]
+    gid = int(np.argmax(again | (gate_output < _NUM_CONST_NETS)))
+    if again[gid]:
+        nid = int(gate_output[gid])
+        first = int(np.argmax(gate_output == nid))
+        raise NetlistError(
+            f"net {net_names[nid]!r} driven by both gate "
+            f"{gate_names[first]!r} and {gate_names[gid]!r}"
+        )
+    raise NetlistError(f"gate {gate_names[gid]!r} drives a constant net")
+
+
 class Netlist:
     """Flat, bit-level elaborated netlist with hierarchy annotations.
 
@@ -114,25 +156,167 @@ class Netlist:
     def __init__(self, top: str) -> None:
         self.top = top
         self.net_names: list[str] = ["const0", "const1", "constx"]
-        self.gates: list[Gate] = []
+        #: full hierarchical name per gate
+        self.gate_names: list[str] = []
         #: primary input net ids (bit-level), in port declaration order
+        #: (``csr`` holds a snapshot of both lists, taken by finalize())
         self.inputs: list[int] = []
         #: primary output net ids (bit-level), in port declaration order
         self.outputs: list[int] = []
-        #: driver gate id per net (-1 = undriven / primary input / constant)
-        self.net_driver: list[int] = [-1, -1, -1]
-        #: sink gate ids per net
-        self.net_sinks: list[list[int]] = [[], [], []]
         self.hierarchy = HierNode(name=top, module=top, path=())
+        #: per gate, the index of its node in ``hierarchy.walk()`` order
+        #: (arrives with the columns)
+        self.gate_node = np.zeros(0, dtype=np.int64)
+        self._csr: NetlistCSR | None = None
+        # the list views; None = not materialised from the columns yet
+        self._gates: list[Gate] | None = []
+        self._net_driver: list[int] | None = [-1, -1, -1]
+        self._net_sinks: list[list[int]] | None = [[], [], []]
 
-    # -- construction (used by the elaborator) ---------------------------
+    # -- columns -----------------------------------------------------------
+
+    @property
+    def csr(self) -> NetlistCSR:
+        """The structure as arrays (lowered on demand if the netlist was
+        grown through :meth:`add_gate` and not finalized yet)."""
+        if self._csr is None:
+            self._lower()
+        return self._csr
+
+    def adopt_columns(
+        self,
+        net_names: list[str],
+        gate_names: list[str],
+        gate_node: np.ndarray,
+        gate_types: tuple[str, ...],
+        gate_code: np.ndarray,
+        gate_output: np.ndarray,
+        pin_ptr: np.ndarray,
+        pin_net: np.ndarray,
+    ) -> None:
+        """Take a whole circuit as columns — the elaborator's route, and
+        where :meth:`finalize` ends up.
+
+        ``inputs`` / ``outputs`` and the hierarchy tree must be in
+        place.  Runs the structural checks, indexes the hierarchy
+        (per-node gate lists, subtree gate counts) and drops the list
+        views, to be rebuilt from the columns if anyone asks.
+        """
+        inputs = np.array(self.inputs, dtype=np.int64)
+        self.net_names = net_names
+        self.gate_names = gate_names
+        self._check_inputs_undriven(gate_output, inputs)
+        self._csr = NetlistCSR(
+            top=self.top,
+            gate_types=gate_types,
+            gate_code=gate_code,
+            gate_output=gate_output,
+            pin_ptr=pin_ptr,
+            pin_net=pin_net,
+            inputs=inputs,
+            outputs=np.array(self.outputs, dtype=np.int64),
+            num_nets=len(net_names),
+        )
+        self.gate_node = gate_node
+        self._gates = self._net_driver = self._net_sinks = None
+
+        order = np.argsort(gate_node, kind="stable").tolist()
+        nodes = list(self.hierarchy.walk())
+        counts = np.bincount(gate_node, minlength=len(nodes)).tolist()
+        pos = 0
+        for node, count in zip(nodes, counts):
+            node.gate_ids = order[pos:pos + count]
+            pos += count
+        for node in reversed(nodes):  # children before their parent
+            node.total_gates = len(node.gate_ids) + sum(
+                c.total_gates for c in node.children.values()
+            )
+
+    def _lower(self) -> None:
+        """Lower the list views to columns: one pass over the gates."""
+        node_index = {
+            node.path: i for i, node in enumerate(self.hierarchy.walk())
+        }
+        gates = self._gates
+        n = len(gates)
+        gate_node = np.empty(n, dtype=np.int64)
+        code = np.empty(n, dtype=np.int16)
+        out = np.empty(n, dtype=np.int64)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        pins: list[int] = []
+        type_code: dict[str, int] = {}
+        # gates of one instance share their path tuple and arrive
+        # consecutively: look the node up once per distinct path object
+        path = index = None
+        for gid, gate in enumerate(gates):
+            if gate.path is not path:
+                path = gate.path
+                index = node_index.get(path)
+                if index is None:
+                    raise NetlistError(
+                        f"gate {gate.name!r} has path {path!r}, which "
+                        f"names no hierarchy node"
+                    )
+            gate_node[gid] = index
+            code[gid] = type_code.setdefault(gate.gtype, len(type_code))
+            out[gid] = gate.output
+            pins.extend(gate.inputs)
+            ptr[gid + 1] = len(pins)
+        self.adopt_columns(
+            self.net_names, self.gate_names, gate_node, tuple(type_code),
+            code, out, ptr, np.array(pins, dtype=np.int64),
+        )
+
+    # -- list views ----------------------------------------------------------
+
+    @property
+    def gates(self) -> list[Gate]:
+        """Every gate as a :class:`Gate` record (materialised on first use)."""
+        if self._gates is None:
+            csr = self._csr
+            types = csr.gate_types
+            codes = csr.gate_code.tolist()
+            outs = csr.gate_output.tolist()
+            ptr = csr.pin_ptr.tolist()
+            pins = csr.pin_net.tolist()
+            paths = [node.path for node in self.hierarchy.walk()]
+            nodes = self.gate_node.tolist()
+            self._gates = [
+                Gate(gid, types[codes[gid]], name, paths[nodes[gid]],
+                     tuple(pins[ptr[gid]:ptr[gid + 1]]), outs[gid])
+                for gid, name in enumerate(self.gate_names)
+            ]
+        return self._gates
+
+    @property
+    def net_driver(self) -> list[int]:
+        """Driver gate id per net (-1 = undriven / primary input /
+        constant), as a plain list (materialised on first use)."""
+        if self._net_driver is None:
+            self._net_driver = self._csr.net_driver.tolist()
+        return self._net_driver
+
+    @property
+    def net_sinks(self) -> list[list[int]]:
+        """Sink gate ids per net (materialised on first use)."""
+        if self._net_sinks is None:
+            fan_ptr, fan_gate = self._csr.fanout()
+            flat = fan_gate.tolist()
+            bounds = fan_ptr.tolist()
+            self._net_sinks = [
+                flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+            ]
+        return self._net_sinks
+
+    # -- incremental construction ------------------------------------------
 
     def add_net(self, name: str) -> int:
         """Register a new bit-level net; returns its dense id."""
         nid = len(self.net_names)
-        self.net_names.append(name)
         self.net_driver.append(-1)
         self.net_sinks.append([])
+        self.net_names.append(name)
+        self._csr = None
         return nid
 
     def add_gate(
@@ -144,42 +328,41 @@ class Netlist:
         output: int,
     ) -> int:
         """Register a gate, wiring driver/sink indices; returns gate id."""
-        gid = len(self.gates)
-        if self.net_driver[output] != -1:
+        gates, net_driver, net_sinks = self.gates, self.net_driver, self.net_sinks
+        num_nets = len(self.net_names)
+        for nid in (*inputs, output):
+            if not 0 <= nid < num_nets:
+                raise NetlistError(f"gate {name!r} references bad net {nid}")
+        gid = len(gates)
+        if net_driver[output] != -1:
             raise NetlistError(
                 f"net {self.net_names[output]!r} driven by both gate "
-                f"{self.gates[self.net_driver[output]].name!r} and {name!r}"
+                f"{self.gate_names[net_driver[output]]!r} and {name!r}"
             )
         if output < _NUM_CONST_NETS:
             raise NetlistError(f"gate {name!r} drives a constant net")
-        gate = Gate(gid, gtype, name, path, tuple(inputs), output)
-        self.gates.append(gate)
-        self.net_driver[output] = gid
+        gates.append(Gate(gid, gtype, name, path, tuple(inputs), output))
+        self.gate_names.append(name)
+        net_driver[output] = gid
         for i in inputs:
-            self.net_sinks[i].append(gid)
+            net_sinks[i].append(gid)
+        self._csr = None
         return gid
 
     def finalize(self) -> None:
-        """Compute subtree gate counts and run structural checks."""
-        for node in self.hierarchy.walk():
-            node.gate_ids.clear()
-        # gates of one instance share their path tuple and arrive
-        # consecutively: walk the tree once per distinct path object
-        path = gate_ids = None
-        for gate in self.gates:
-            if gate.path is not path:
-                path = gate.path
-                gate_ids = self.hierarchy.find(path).gate_ids
-            gate_ids.append(gate.gid)
-
-        def _count(node: HierNode) -> int:
-            node.total_gates = len(node.gate_ids) + sum(
-                _count(c) for c in node.children.values()
+        """Bring the columns up to date with everything done through the
+        lists — :meth:`add_net` / :meth:`add_gate`, ``inputs`` /
+        ``outputs`` — and run the structural checks.  ``csr`` is a
+        snapshot: call this again after changing any of them."""
+        if self._gates is not None:
+            self._lower()
+        else:  # only inputs / outputs can have changed
+            csr = self._csr
+            self.adopt_columns(
+                self.net_names, self.gate_names, self.gate_node,
+                csr.gate_types, csr.gate_code, csr.gate_output,
+                csr.pin_ptr, csr.pin_net,
             )
-            return node.total_gates
-
-        _count(self.hierarchy)
-        self.validate()
 
     # -- queries -----------------------------------------------------------
 
@@ -191,11 +374,15 @@ class Netlist:
     @property
     def num_gates(self) -> int:
         """Number of primitive gates/cells."""
-        return len(self.gates)
+        return len(self.gate_names)
 
     def net_name(self, nid: int) -> str:
         """Full hierarchical name of net ``nid``."""
         return self.net_names[nid]
+
+    def gate_name(self, gid: int) -> str:
+        """Full hierarchical name of gate ``gid``."""
+        return self.gate_names[gid]
 
     def driver_of(self, nid: int) -> int:
         """Gate id driving net ``nid`` (-1 if input/constant/undriven)."""
@@ -217,27 +404,34 @@ class Netlist:
         Checks that every gate input net exists and that no primary
         input is also driven by a gate.
         """
-        num_nets = self.num_nets
-        for gate in self.gates:
-            for nid in (*gate.inputs, gate.output):
-                if not (0 <= nid < num_nets):
-                    raise NetlistError(f"gate {gate.name!r} references bad net {nid}")
-        for nid in self.inputs:
-            if self.net_driver[nid] != -1:
-                raise NetlistError(
-                    f"primary input {self.net_names[nid]!r} is also driven by gate "
-                    f"{self.gates[self.net_driver[nid]].name!r}"
-                )
+        csr = self.csr
+        self._check_inputs_undriven(csr.gate_output, csr.inputs)
+        csr.validate()
+
+    def _check_inputs_undriven(
+        self, gate_output: np.ndarray, inputs: np.ndarray
+    ) -> None:
+        """The named form of :class:`NetlistCSR`'s driven-input test
+        (which words it by net id): one array test, the message built
+        on the error path only."""
+        driven = np.isin(inputs, gate_output)
+        if driven.any():
+            nid = int(inputs[np.argmax(driven)])
+            gid = int(np.argmax(gate_output == nid))
+            raise NetlistError(
+                f"primary input {self.net_names[nid]!r} is also driven by gate "
+                f"{self.gate_names[gid]!r}"
+            )
 
     def undriven_nets(self) -> list[int]:
         """Net ids with no driver that are read by some gate and are not
         primary inputs or constants (these simulate as X forever)."""
-        pi = set(self.inputs)
-        out = []
-        for nid in range(_NUM_CONST_NETS, self.num_nets):
-            if self.net_driver[nid] == -1 and nid not in pi and self.net_sinks[nid]:
-                out.append(nid)
-        return out
+        csr = self.csr
+        floating = csr.net_driver < 0
+        floating[:_NUM_CONST_NETS] = False
+        floating[csr.inputs] = False
+        floating &= np.bincount(csr.pin_net, minlength=csr.num_nets) > 0
+        return np.flatnonzero(floating).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,24 +1,28 @@
-"""Array-native elaborated netlist (the streamed construction target).
+"""The elaborated circuit as arrays — the one structural store.
 
-:class:`~repro.verilog.netlist.Netlist` models every gate as a frozen
-dataclass and every net's sink list as a Python list — the right shape
-for hierarchy-aware partitioning and named diagnostics, but at the
-paper's true ~1.2 M-gate scale the per-gate objects alone cost
-gigabytes and minutes.  :class:`NetlistCSR` is the flat alternative:
-the same elaborated circuit as five arrays (gate type codes, gate
-output nets, a CSR input-pin list, primary I/O id vectors) with **no
-per-gate Python objects at all**.  The streamed circuit generators
-(:mod:`repro.circuits.stream`) emit it directly, and the hypergraph
-and simulation substrates consume it without ever materializing the
-object model; a small-config equivalence test proves the two paths
-describe the same circuit gate-for-gate
-(``tests/test_stream_circuits.py``).
+:class:`NetlistCSR` holds an elaborated circuit as five arrays (gate
+type codes, gate output nets, a CSR input-pin list, primary I/O id
+vectors) with **no per-gate Python objects at all**.  Both front ends
+produce it: the streamed circuit generators
+(:mod:`repro.circuits.stream`) emit it directly, and the Verilog
+elaborator stamps module plans into the same arrays, which a
+:class:`~repro.verilog.netlist.Netlist` then carries as ``netlist.csr``
+beside its names and instance tree.  Every hot consumer — hypergraph
+build, cone roots, clock detection, compilation — reads these columns;
+a small-config equivalence test proves the two front ends describe the
+same circuit gate-for-gate (``tests/test_stream_circuits.py``).
 
-Net and gate ids are dense integers exactly as in :class:`Netlist`,
-with the three constant nets pinned at ids 0..2.  Construction-side
-arrays may arrive int32 (:func:`repro.hypergraph.dtypes.index_dtype`);
-the frozen object widens them once so every downstream vectorized
-kernel sees the int64 it expects.
+The object also owns the two derived indices every consumer wants:
+the ``net_driver`` array (built by validation, which needs it for the
+single-driver rule) and the net-sorted fanout CSR (:meth:`fanout`,
+built on first use and shared by the hypergraph build and the
+simulators).
+
+Net and gate ids are dense integers, with the three constant nets
+pinned at ids 0..2.  Construction-side arrays may arrive int32
+(:func:`repro.hypergraph.dtypes.index_dtype`); the frozen object widens
+them once so every downstream vectorized kernel sees the int64 it
+expects.
 """
 
 from __future__ import annotations
@@ -26,9 +30,28 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NetlistError
-from .netlist import CONST0, CONST1, CONSTX, _NUM_CONST_NETS
 
-__all__ = ["ChunkedIntArray", "NetlistCSR"]
+__all__ = ["CONST0", "CONST1", "CONSTX", "ChunkedIntArray", "NetlistCSR",
+           "fanout_csr"]
+
+CONST0 = 0
+CONST1 = 1
+CONSTX = 2
+_NUM_CONST_NETS = 3
+
+
+def fanout_csr(
+    pin_ptr: np.ndarray, pin_net: np.ndarray, num_nets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(fan_ptr, fan_gate)``: per net, the gates reading it in (gate,
+    pin position) order, a gate once per pin that reads the net."""
+    reading = np.repeat(
+        np.arange(len(pin_ptr) - 1, dtype=np.int64), np.diff(pin_ptr)
+    )
+    fan_gate = reading[np.argsort(pin_net, kind="stable")]
+    fan_ptr = np.zeros(num_nets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pin_net, minlength=num_nets), out=fan_ptr[1:])
+    return fan_ptr, fan_gate
 
 
 class ChunkedIntArray:
@@ -118,11 +141,15 @@ class NetlistCSR:
         Primary I/O net ids in port declaration order (int64).
     num_nets:
         Total net count including the three constants.
+    net_driver:
+        ``(num_nets,)`` int64 driver gate id per net, -1 for an
+        undriven net (primary input, constant, dangling).
     """
 
     __slots__ = (
         "top", "gate_types", "gate_code", "gate_output",
         "pin_ptr", "pin_net", "inputs", "outputs", "num_nets",
+        "net_driver", "_fanout",
     )
 
     def __init__(
@@ -146,46 +173,13 @@ class NetlistCSR:
         self.inputs = np.ascontiguousarray(inputs, dtype=np.int64)
         self.outputs = np.ascontiguousarray(outputs, dtype=np.int64)
         self.num_nets = int(num_nets)
+        self._fanout: tuple[np.ndarray, np.ndarray] | None = None
         self.validate()
 
     @classmethod
     def from_netlist(cls, netlist) -> "NetlistCSR":
-        """Lower an object-model :class:`Netlist` to arrays.
-
-        One Python pass over the gates — meant for tests and for
-        feeding mid-scale parsed circuits into the array-native
-        consumers, not for the million-gate path (which never builds
-        the object model in the first place).
-        """
-        gtypes: list[str] = []
-        type_code: dict[str, int] = {}
-        n = netlist.num_gates
-        code = np.empty(n, dtype=np.int16)
-        out = np.empty(n, dtype=np.int64)
-        counts = np.empty(n, dtype=np.int64)
-        pins: list[int] = []
-        for gate in netlist.gates:
-            c = type_code.get(gate.gtype)
-            if c is None:
-                c = type_code[gate.gtype] = len(gtypes)
-                gtypes.append(gate.gtype)
-            code[gate.gid] = c
-            out[gate.gid] = gate.output
-            counts[gate.gid] = len(gate.inputs)
-            pins.extend(gate.inputs)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, dtype=np.int64, out=ptr[1:])
-        return cls(
-            top=netlist.top,
-            gate_types=tuple(gtypes),
-            gate_code=code,
-            gate_output=out,
-            pin_ptr=ptr,
-            pin_net=np.array(pins, dtype=np.int64),
-            inputs=np.array(netlist.inputs, dtype=np.int64),
-            outputs=np.array(netlist.outputs, dtype=np.int64),
-            num_nets=netlist.num_nets,
-        )
+        """The array form of a :class:`Netlist`: its own ``netlist.csr``."""
+        return netlist.csr
 
     # -- queries ---------------------------------------------------------
 
@@ -208,16 +202,28 @@ class NetlistCSR:
         return self.pin_net[self.pin_ptr[gid]:self.pin_ptr[gid + 1]]
 
     def gate_name(self, gid: int) -> str:
-        """Synthetic stable gate name (the streamed path carries no
-        hierarchical name strings — that is the point)."""
+        """Synthetic stable gate name (the arrays carry no name strings;
+        a :class:`Netlist` keeps the real ones beside its ``csr``)."""
         return f"g{gid}"
+
+    def fanout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(fan_ptr, fan_gate)``: the net-sorted sink CSR (cached).
+
+        Net ``n`` feeds gates ``fan_gate[fan_ptr[n]:fan_ptr[n + 1]]``,
+        in (gate, pin position) order, a gate once per pin reading the
+        net.
+        """
+        if self._fanout is None:
+            self._fanout = fanout_csr(self.pin_ptr, self.pin_net, self.num_nets)
+        return self._fanout
 
     def validate(self) -> None:
         """Structural sanity checks; raises :class:`NetlistError`.
 
         The array analogue of :meth:`Netlist.validate` plus the
-        single-driver rule (cheap here: one ``np.unique`` over the
-        output array instead of a per-gate wiring pass).
+        single-driver rule (cheap here: one scatter of gate ids into
+        ``net_driver`` that every gate must read back, instead of a
+        per-gate wiring pass).
         """
         n_gates = self.num_gates
         if len(self.gate_output) != n_gates:
@@ -237,8 +243,11 @@ class NetlistCSR:
                 raise NetlistError(f"gate {bad} drives a constant net")
             if int(self.gate_output.max()) >= self.num_nets:
                 raise NetlistError("gate output net id out of range")
-            if len(np.unique(self.gate_output)) != n_gates:
-                raise NetlistError("two gates drive the same net")
+        gate_ids = np.arange(n_gates, dtype=np.int64)
+        self.net_driver = np.full(self.num_nets, -1, dtype=np.int64)
+        self.net_driver[self.gate_output] = gate_ids
+        if (self.net_driver[self.gate_output] != gate_ids).any():
+            raise NetlistError("two gates drive the same net")
         if len(self.pin_net) and (
             int(self.pin_net.min()) < 0
             or int(self.pin_net.max()) >= self.num_nets
@@ -249,16 +258,14 @@ class NetlistCSR:
                 int(ids.min()) < 0 or int(ids.max()) >= self.num_nets
             ):
                 raise NetlistError(f"primary {label} net id out of range")
-        if len(self.inputs):
-            driven = np.isin(self.inputs, self.gate_output)
-            if driven.any():
-                bad = int(self.inputs[np.argmax(driven)])
-                raise NetlistError(
-                    f"primary input net {bad} is also driven by a gate"
-                )
-            if np.isin(self.inputs,
-                       (CONST0, CONST1, CONSTX)).any():
-                raise NetlistError("a primary input is a constant net")
+        driven = self.net_driver[self.inputs] >= 0
+        if driven.any():
+            bad = int(self.inputs[np.argmax(driven)])
+            raise NetlistError(
+                f"primary input net {bad} is also driven by a gate"
+            )
+        if (self.inputs < _NUM_CONST_NETS).any():
+            raise NetlistError("a primary input is a constant net")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

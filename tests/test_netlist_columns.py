@@ -1,0 +1,233 @@
+"""The columnar netlist: lazy views, shared array kernels, label propagation.
+
+A :class:`Netlist` stores arrays (``netlist.csr``) plus names and the
+instance tree; ``gates`` / ``net_driver`` / ``net_sinks`` are views
+built on first access.  These tests pin (a) that the views are exactly
+what wiring the same circuit gate by gate produces, (b) that the hot
+path never builds them, (c) the cluster-hypergraph kernel against a
+set-per-net oracle, (d) the elaborator's label propagation against a
+plain union-find, and (e) that a netlist survives pickling.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+import numpy as np
+import pytest
+
+from repro.circuits import CIRCUITS, circuit_source, load_circuit, random_vectors
+from repro.core import design_driven_partition
+from repro.errors import ElaborationError
+from repro.hypergraph import Clustering
+from repro.sim.compiled import compile_circuit
+from repro.verilog import NetlistBuilder, compile_verilog, elaborate, parse_source
+from repro.verilog.elaborate import component_min
+from repro.verilog.netlist import HierNode, Netlist
+from tests.test_elaborate import _netlist_digest
+
+
+def _replay(nl: Netlist) -> Netlist:
+    """The same circuit wired one net and one gate at a time, read from
+    the columns only."""
+    out = Netlist(nl.top)
+    for name in nl.net_names[3:]:
+        out.add_net(name)
+
+    def clone(src: HierNode, dst: HierNode) -> None:
+        dst.module = src.module
+        for name, child in src.children.items():
+            dst.children[name] = HierNode(name, child.module, child.path)
+            clone(child, dst.children[name])
+
+    clone(nl.hierarchy, out.hierarchy)
+    csr = nl.csr
+    paths = [node.path for node in nl.hierarchy.walk()]
+    for gid in range(csr.num_gates):
+        out.add_gate(
+            csr.gate_type(gid),
+            nl.gate_names[gid],
+            paths[nl.gate_node[gid]],
+            tuple(csr.gate_inputs(gid).tolist()),
+            int(csr.gate_output[gid]),
+        )
+    out.inputs.extend(nl.inputs)
+    out.outputs.extend(nl.outputs)
+    out.finalize()
+    return out
+
+
+class TestViewsEqualReplay:
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_views_and_lowered_columns(self, name):
+        nl = load_circuit(name)
+        assert nl._gates is None and nl._net_driver is None and nl._net_sinks is None
+        replay = _replay(nl)
+        assert nl.gates == replay.gates
+        assert nl.net_driver == replay.net_driver
+        assert nl.net_sinks == replay.net_sinks
+        assert _netlist_digest(nl) == _netlist_digest(replay)
+        # finalize() lowered the replay to the elaborator's columns
+        a, b = nl.csr, replay.csr
+        assert a.gate_types == b.gate_types
+        for column in ("gate_code", "gate_output", "pin_ptr", "pin_net",
+                       "inputs", "outputs", "net_driver"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        assert np.array_equal(nl.gate_node, replay.gate_node)
+
+
+def test_hot_path_builds_no_gate_objects_or_sink_lists():
+    nl = elaborate(parse_source(circuit_source("viterbi-paper")))
+    clustering = Clustering.top_level(nl)
+    clustering.hypergraph()
+    clustering.edge_drivers()
+    part = design_driven_partition(clustering, 4, 5.0, seed=1)
+    assert len(part.gate_assignment()) == nl.num_gates
+    Clustering.top_level(nl, gate_weights=np.ones(nl.num_gates, dtype=np.int64))
+    random_vectors(nl, 2)
+    compile_circuit(nl)
+    assert nl._gates is None and nl._net_driver is None and nl._net_sinks is None
+
+
+def _oracle(clustering: Clustering):
+    """One set per net: (pins per edge, edge names, driver cluster per edge)."""
+    nl = clustering.netlist
+    where = {g: ci for ci, c in enumerate(clustering.clusters) for g in c.gate_ids}
+    touched = [set() for _ in range(nl.num_nets)]
+    drivers = [-1] * nl.num_nets
+    for gate in nl.gates:
+        drivers[gate.output] = where[gate.gid]
+        touched[gate.output].add(where[gate.gid])
+        for nid in gate.inputs:
+            touched[nid].add(where[gate.gid])
+    spanning = [n for n in range(nl.num_nets) if len(touched[n]) > 1]
+    return (
+        [sorted(touched[n]) for n in spanning],
+        [nl.net_names[n] for n in spanning],
+        [drivers[n] for n in spanning],
+    )
+
+
+def _corner_netlist() -> Netlist:
+    nb = NetlistBuilder("corner")
+    a, b = nb.input("a"), nb.input("b")
+    loop, twice, y = nb.net("loop"), nb.net("twice"), nb.net("y")
+    floating = nb.net("floating")
+    nb.gate("nand", (a, loop), loop, name="self")       # reads its own output
+    nb.gate("and", (b, b), twice, name="dup", path=("u",))  # one net on two pins
+    nb.gate("or", (loop, twice, floating), y, name="g", path=("u", "v"))
+    nb.gate("buf", (floating,), nb.net("z"), name="h")  # undriven net, two readers
+    nb.output_net(y)
+    return nb.build()
+
+
+class TestClusterHypergraphOracle:
+    @pytest.fixture(
+        scope="class", params=["cpu8", "noc-bench", "viterbi-single", "corner"]
+    )
+    def netlist(self, request):
+        if request.param == "corner":
+            return _corner_netlist()
+        return load_circuit(request.param)
+
+    def _check(self, clustering: Clustering):
+        hg = clustering.hypergraph()
+        pins, names, drivers = _oracle(clustering)
+        assert hg.edge_pins_lists() == pins
+        assert hg.edge_names == names
+        assert clustering.edge_drivers() == drivers
+        assert hg.vertex_names == [c.name for c in clustering.clusters]
+        assert hg.vertex_weight.tolist() == [c.weight for c in clustering.clusters]
+
+    def test_top_level(self, netlist):
+        self._check(Clustering.top_level(netlist))
+
+    def test_flat(self, netlist):
+        self._check(Clustering.flat(netlist))
+
+    def test_flattened_once(self, netlist):
+        top = Clustering.top_level(netlist)
+        self._check(top.flatten(top.largest_super_gate()))
+
+
+def test_gateless_netlist_goes_through_every_array_consumer():
+    nb = NetlistBuilder("empty")
+    nb.input("a")
+    nl = nb.build()
+    for clustering in (Clustering.top_level(nl), Clustering.flat(nl)):
+        assert clustering.hypergraph().num_edges == 0
+        assert clustering.edge_drivers() == []
+    assert compile_circuit(nl).num_gates == 0
+    assert random_vectors(nl, 1)[0].net == nl.inputs[0]
+    assert (nl.gates, nl.net_driver, nl.net_sinks) == ([], [-1] * 4, [[]] * 4)
+
+
+def _union_find_min(n, pairs):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+class TestLabelPropagation:
+    def _check(self, n, pairs):
+        a = np.array([p[0] for p in pairs], dtype=np.int64)
+        b = np.array([p[1] for p in pairs], dtype=np.int64)
+        labels, _ = component_min(n, a, b)
+        assert labels.tolist() == _union_find_min(n, pairs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pairs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 400)
+        pairs = [
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randrange(0, 2 * n))
+        ]
+        self._check(n, pairs)
+
+    @pytest.mark.parametrize(
+        "order", ["ascending", "descending", "shuffled", "permuted ids"]
+    )
+    def test_long_chain(self, order):
+        n = 3000
+        ids = list(range(n))
+        if order == "permuted ids":
+            random.Random(1).shuffle(ids)
+        pairs = [(ids[i + 1], ids[i]) for i in range(n - 1)]
+        if order == "descending":
+            pairs.reverse()
+        elif order == "shuffled":
+            random.Random(0).shuffle(pairs)
+        self._check(n, pairs)
+
+    def test_chain_of_stars_and_no_pairs(self):
+        hubs = list(range(0, 900, 30))
+        pairs = [(h + j, h) for h in hubs for j in range(1, 30)]
+        pairs += [(b, a) for a, b in zip(hubs, hubs[1:])][::-1]
+        self._check(900, pairs)
+        self._check(5, [])
+
+    def test_merged_constants_are_rejected(self):
+        with pytest.raises(ElaborationError) as exc:
+            compile_verilog(
+                "module t (); supply0 a; supply1 b; assign a = b; endmodule"
+            )
+        assert str(exc.value) == "constant nets were merged together"
+
+
+@pytest.mark.parametrize("name", ["adder8", "cpu-test", "viterbi-test"])
+def test_pickle_round_trip_keeps_the_netlist(name):
+    nl = load_circuit(name)
+    clone = pickle.loads(pickle.dumps(nl))
+    assert _netlist_digest(clone) == _netlist_digest(nl)
+    assert np.array_equal(clone.csr.pin_net, nl.csr.pin_net)

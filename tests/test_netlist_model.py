@@ -14,6 +14,25 @@ class TestNetlistChecks:
         with pytest.raises(NetlistError, match="constant"):
             nl.add_gate("buf", "g", (), (a,), CONST0)
 
+    def test_gate_on_missing_net_is_a_netlist_error(self):
+        nl = Netlist("t")
+        a, y = nl.add_net("a"), nl.add_net("y")
+        with pytest.raises(NetlistError, match=r"gate 'g' references bad net 99"):
+            nl.add_gate("and", "g", (), (a, 99), y)
+        with pytest.raises(NetlistError, match=r"gate 'h' references bad net -1"):
+            nl.add_gate("buf", "h", (), (a,), -1)
+        assert nl.num_gates == 0 and nl.net_sinks[a] == []
+
+    def test_gate_on_missing_hierarchy_path_is_a_netlist_error(self):
+        nl = Netlist("t")
+        a, y = nl.add_net("a"), nl.add_net("y")
+        nl.add_gate("buf", "u.g", ("u",), (a,), y)
+        with pytest.raises(
+            NetlistError,
+            match=r"gate 'u\.g' has path \('u',\), which names no hierarchy node",
+        ):
+            nl.finalize()
+
     def test_driver_and_sinks_indexed(self, adder4):
         for gate in adder4.gates:
             assert adder4.driver_of(gate.output) == gate.gid

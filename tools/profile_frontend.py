@@ -2,15 +2,21 @@
 """Profile the Verilog front end: parse → elaborate → compile.
 
 Builds a named text circuit's Verilog, then times and cProfiles the
-three stages every object-netlist run starts with — ``parse_source``,
+three stages every text-circuit run starts with — ``parse_source``,
 ``elaborate`` and ``compile_circuit`` — and prints the elaborator's
-plan counters: how many module *definitions* were planned, how many
-*instances* were stamped from those plans, and how many connection
-expressions were resolved.  The last number is the point: it depends on
-the definitions, not on the instance count (``viterbi-paper``: 6
-definitions, 853 instances, a few thousand expressions for 93 096
-gates).  This is the before/after evidence harness for front-end work —
-the peer of ``tools/profile_partition.py`` and ``tools/profile_sim.py``
+work counters.  ``plan:`` — how many module *definitions* were planned,
+how many *instances* were stamped from those plans, and how many
+connection expressions were resolved; the last number is the point: it
+depends on the definitions, not on the instance count
+(``viterbi-paper``: 6 definitions, 853 instances, a few thousand
+expressions for 93 096 gates).  ``compact:`` — temp nets allocated,
+union pairs recorded, label-propagation rounds taken, and how many net
+groups needed their shortest-name tie broken by comparing strings in
+Python.  ``views:`` — which of the netlist's lazy list views (``gates``
+/ ``net_driver`` / ``net_sinks``) the run materialised; the array
+front end is expected to build none.  This is the before/after
+evidence harness for front-end work — the peer of
+``tools/profile_partition.py`` and ``tools/profile_sim.py``
 (docs/performance.md, "Front end", records the numbers it moved).
 
 Examples::
@@ -78,8 +84,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"plan: definitions={len(elab.plans)} "
           f"instances={elab.instances_stamped} "
           f"expressions_resolved={elab.exprs_resolved} "
-          f"temp_nets={len(elab.net_name)} "
           f"nets={netlist.num_nets} gates={netlist.num_gates}")
+    print(f"compact: temp_nets={elab.num_temp} "
+          f"union_pairs={elab.union_pairs} "
+          f"propagation_rounds={elab.propagation_rounds} "
+          f"name_ties_in_python={elab.name_ties}")
+    built = [view for view in ("gates", "net_driver", "net_sinks")
+             if getattr(netlist, "_" + view) is not None]
+    print(f"views: materialised={','.join(built) or 'none'}")
     return 0
 
 
