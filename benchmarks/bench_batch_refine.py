@@ -7,12 +7,18 @@ This benchmark makes its two claims load-bearing on the same
 refiners driven through the multilevel engine with identical config:
 
 * **quality gate** — the batch refiner's cut must land within 5% of
-  heap FM's at equal Formula-1 balance, asserted;
+  heap FM's at equal Formula-1 balance, asserted on the *medians over
+  seeds 1-3*: one seed's ratio is a chaotic draw (2% to 11% on this
+  graph), so all three pairs are printed and the medians gate.  The
+  emitted text states the verdict, and the assert comes last so a miss
+  does not hide the gates below.  It is a miss today (~6%): ROADMAP,
+  "Batch refiner's gap to heap FM" — the 5% is the claim under test
+  and is not this file's to move;
 * **structural speedup gate** — the batch refiner's synchronous step
   count (``part.batch.rounds``, its critical path) must be at least an
   order of magnitude below FM's sequential move count
-  (``part.fm.moves``), asserted — vector width replaces move-by-move
-  dependency.
+  (``part.fm.moves``), asserted at every seed — vector width replaces
+  move-by-move dependency.
 
 The sha256 of each assignment is printed, so the partitions themselves
 gate byte-for-byte with the rows.
@@ -24,6 +30,7 @@ table row is deterministic and gates byte-for-byte under
 
 import hashlib
 import os
+import statistics
 
 from _shared import CFG, emit, table_rows
 
@@ -35,63 +42,81 @@ from repro.obs import MetricsRecorder
 
 K = 4
 B = 10.0
+#: the quality gate compares median cuts over these seeds; the emitted
+#: counters are the first seed's (``CFG.seed``)
+SEEDS = (1, 2, 3)
 #: the quality gate: batch cut <= QUALITY_MARGIN * fm cut
 QUALITY_MARGIN = 1.05
 #: the structural gate: fm moves >= STRUCTURAL_FACTOR * batch rounds
 STRUCTURAL_FACTOR = 10
 
 
+#: each refiner's step counter: its critical path
+STEPS = {"batch": "part.batch.rounds", "fm": "part.fm.moves"}
+
+
 def test_batch_refine_vs_fm_at_scale(benchmark):
     hg = build_hypergraph()
+    assert SEEDS[0] == CFG.seed
 
     def sweep():
-        batch_rec = MetricsRecorder()
-        batch = multilevel_kway_partition(hg, K, B, seed=CFG.seed,
-                                          refiner="batch",
-                                          recorder=batch_rec)
-        fm_rec = MetricsRecorder()
-        fm = multilevel_kway_partition(hg, K, B, seed=CFG.seed,
-                                       refiner="fm", recorder=fm_rec)
-        return batch, batch_rec, fm, fm_rec
+        """``{refiner: [(result, recorder) per seed]}``."""
+        runs = {refiner: [] for refiner in STEPS}
+        for seed in SEEDS:
+            for refiner, out in runs.items():
+                rec = MetricsRecorder()
+                out.append((multilevel_kway_partition(
+                    hg, K, B, seed=seed, refiner=refiner, recorder=rec), rec))
+        return runs
 
-    batch, batch_rec, fm, fm_rec = benchmark.pedantic(sweep, rounds=1,
-                                                      iterations=1)
+    runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    batch_counters = batch_rec.as_counters()
-    batch_rounds = batch_counters["part.batch.rounds"]
-    fm_moves = fm_rec.as_counters()["part.fm.moves"]
-    rows = [
-        [name, r.cut_size, r.balanced, steps,
-         hashlib.sha256(r.assignment.tobytes()).hexdigest()[:12]]
-        for name, r, steps in (("batch", batch, batch_rounds),
-                               ("fm", fm, fm_moves))
-    ]
+    steps = {refiner: [rec.as_counters()[STEPS[refiner]] for _, rec in out]
+             for refiner, out in runs.items()}
+    median_cut = {refiner: statistics.median(r.cut_size for r, _ in out)
+                  for refiner, out in runs.items()}
+    rows = []
+    for i, seed in enumerate(SEEDS):
+        for refiner, out in runs.items():
+            r = out[i][0]
+            rows.append([
+                refiner, seed, r.cut_size, r.balanced, steps[refiner][i],
+                hashlib.sha256(r.assignment.tobytes()).hexdigest()[:12]])
     host_timings = {
-        "batch": sum(batch_rec.host_timings().values()),
-        "fm": sum(fm_rec.host_timings().values()),
+        refiner: sum(sum(rec.host_timings().values()) for _, rec in out)
+        for refiner, out in runs.items()
     }
+    batch, batch_rec = runs["batch"][0]
+    batch_counters = batch_rec.as_counters()
 
-    headers = ["refiner", "cut", "balanced", "steps (rounds/moves)",
+    headers = ["refiner", "seed", "cut", "balanced", "steps (rounds/moves)",
                "sha256[:12]"]
+    text = format_table(
+        headers, rows,
+        title=(
+            f"Batch refinement vs heap FM under multilevel "
+            f"({hg.num_vertices} vertices, {hg.num_edges} edges; "
+            f"k={K}, b={B}; host cores: {os.cpu_count()})"
+        ),
+    )
+    quality_met = median_cut["batch"] <= int(QUALITY_MARGIN * median_cut["fm"])
+    text += (f"\nmedian cut over seeds {SEEDS}: "
+             f"batch {median_cut['batch']}, fm {median_cut['fm']} "
+             f"(gate: batch <= {QUALITY_MARGIN} x fm: "
+             f"{'met' if quality_met else 'NOT MET'})")
     emit(
         "batch_refine",
-        format_table(
-            headers, rows,
-            title=(
-                f"Batch refinement vs heap FM under multilevel "
-                f"({hg.num_vertices} vertices, {hg.num_edges} edges; "
-                f"k={K}, b={B}; host cores: {os.cpu_count()})"
-            ),
-        ),
+        text,
         rows=table_rows(headers, rows),
         params={"circuit": "synthetic-100k", "vertices": hg.num_vertices,
                 "edges": hg.num_edges, "k": K, "b": B,
                 "quality_margin": QUALITY_MARGIN,
+                "seeds": ",".join(map(str, SEEDS)),
                 "host_cpus": os.cpu_count() or 1},
         counters={
             "part.cut_size": batch.cut_size,
             "part.balanced": int(batch.balanced),
-            "part.batch.rounds": batch_rounds,
+            "part.batch.rounds": batch_counters["part.batch.rounds"],
             "part.batch.moves": batch_counters["part.batch.moves"],
             "part.batch.gain": batch_counters["part.batch.gain"],
             "part.batch.kicks": batch_counters["part.batch.kicks"],
@@ -102,25 +127,30 @@ def test_batch_refine_vs_fm_at_scale(benchmark):
             "part.batch.boundary.max":
                 batch_counters["part.batch.boundary.max"],
             "part.batch.gathered": batch_counters["part.batch.gathered"],
-            "part.fm.moves": fm_moves,
+            "part.fm.moves": steps["fm"][0],
         },
         host_timings=host_timings,
     )
 
-    # oracle: the reported cuts are the recomputed cuts
-    assert batch.cut_size == hyperedge_cut(hg, batch.assignment)
-    assert fm.cut_size == hyperedge_cut(hg, fm.assignment)
-
-    # quality gate: within 5% of heap FM's cut at equal balance
-    assert batch.balanced and fm.balanced
-    assert batch.cut_size <= int(QUALITY_MARGIN * fm.cut_size), (
-        f"batch cut {batch.cut_size} more than "
-        f"{QUALITY_MARGIN:.0%} of fm cut {fm.cut_size}"
-    )
+    for refiner, out in runs.items():
+        for seed, (r, _) in zip(SEEDS, out):
+            # oracle: the reported cuts are the recomputed cuts
+            assert r.cut_size == hyperedge_cut(hg, r.assignment)
+            assert r.balanced, (
+                f"{refiner} seed {seed} missed Formula 1 balance")
 
     # structural speedup gate: the batch critical path (synchronous
     # rounds) is an order of magnitude below FM's sequential move count
-    assert fm_moves >= STRUCTURAL_FACTOR * batch_rounds, (
-        f"no structural speedup: fm moves {fm_moves} vs "
-        f"batch rounds {batch_rounds}"
+    for seed, batch_rounds, fm_moves in zip(SEEDS, steps["batch"],
+                                            steps["fm"]):
+        assert fm_moves >= STRUCTURAL_FACTOR * batch_rounds, (
+            f"no structural speedup at seed {seed}: fm moves {fm_moves} "
+            f"vs batch rounds {batch_rounds}"
+        )
+
+    # quality gate, last: median cut within 5% of heap FM's at equal
+    # balance
+    assert quality_met, (
+        f"batch median cut {median_cut['batch']} more than "
+        f"{QUALITY_MARGIN:.0%} of fm median cut {median_cut['fm']}"
     )

@@ -21,9 +21,13 @@ asserted:
 * **ladder completes** — every rung partitions to a balanced k-way
   assignment.
 
-Deterministic columns (gates/nets/pins/edges/cut/balanced) land in the
-metrics rows and gate byte-for-byte under ``make_experiments_md.py
---check --baseline``, and so do each rung's batch-refiner round and
+Deterministic columns (gates/nets/pins/edges/cut/cut med8/balanced)
+land in the metrics rows and gate byte-for-byte under
+``make_experiments_md.py --check --baseline``.  One seed's cut is a
+chaotic draw (the same rung spans 471-727 over twelve seeds), so ``cut
+med8`` — the median over seeds 1-8, partitioned in the rung's child
+after its RSS sample, ``-`` on the XL rung — is the column to compare
+across revisions.  So do each rung's batch-refiner round and
 re-scored-vertex counts (``rung.<name>.part.batch.*`` counters: a
 regression of the refiner's invalidation rule is a count diff, whatever
 the host); walls and RSS are host facts and live in the
@@ -52,6 +56,18 @@ RUNGS: list[tuple[str, int]] = [
 
 B = 5.0
 SEED = 1
+#: seeds of the ``cut med8`` column
+MEDIAN_SEEDS = range(1, 9)
+#: the one rung too large to partition eight more times
+NO_MEDIAN = {"viterbi-xl"}
+#: printed under the XL rung's host line.  A record, not re-measured
+#: here: "off" needs the vertex-count gate on kick perturbation that
+#: PR 21 deleted (``MultilevelConfig`` lost the field) patched back in
+XL_KICKS_RECORD = (
+    "viterbi-xl, kick perturbation on / off above 200k vertices (PR 21, "
+    "back to back on one host, off = the deleted gate patched back): "
+    "partition 11.1s / 8.5s, peak RSS 995 / 771 MB, cut 1742 / 1744"
+)
 
 #: build-phase RSS growth per pin (bytes), asserted per rung.  The CSR
 #: itself is ~28 B/pin (int64 pin + amortized ptr/output/code), the
@@ -93,6 +109,7 @@ def run_rung(name: str, k: int) -> dict:
 
 def child(name: str, k: int) -> None:
     """Build, hypergraph, partition; print one JSON result line."""
+    import statistics
     import time
 
     from repro.circuits import load_stream_circuit
@@ -116,6 +133,14 @@ def child(name: str, k: int) -> None:
         )
         t3 = time.perf_counter()
     phase_walls = rec.host_timings()
+    # outside the sampler: the seed sweep must not touch the rung's RSS
+    cut_median = None
+    if name not in NO_MEDIAN:
+        cut_median = statistics.median([result.cut_size] + [
+            multilevel_kway_partition(
+                hg, k, B, seed=seed, refiner="batch").cut_size
+            for seed in MEDIAN_SEEDS if seed != SEED
+        ])
     print(json.dumps({
         "rung": name,
         "k": k,
@@ -124,6 +149,7 @@ def child(name: str, k: int) -> None:
         "pins": int(csr.num_pins),
         "edges": int(hg.num_edges),
         "cut": int(result.cut_size),
+        "cut_med8": cut_median,
         "balanced": bool(result.balanced),
         "build_s": t1 - t0,
         "hypergraph_s": t2 - t1,
@@ -186,10 +212,12 @@ def main(argv: list[str] | None = None) -> int:
     assert_gates(results)
 
     headers = ["rung", "gates", "nets", "pins", "edges", "k", "cut",
-               "balanced"]
+               "cut med8", "balanced"]
     rows = [
         [r["rung"], r["gates"], r["nets"], r["pins"], r["edges"],
-         r["k"], r["cut"], r["balanced"]]
+         r["k"], r["cut"],
+         "-" if r["cut_med8"] is None else format(r["cut_med8"], "g"),
+         r["balanced"]]
         for r in results
     ]
     text = format_table(
@@ -207,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         for r in results
     )
     text += f"\nhost walls (quarantined):\n{walls}"
+    if any(r["rung"] == "viterbi-xl" for r in results):
+        text += f"\n  {XL_KICKS_RECORD}"
 
     if len(selected) < len(RUNGS):
         # smoke mode: print + gate only — never overwrite the

@@ -161,10 +161,12 @@ SECTIONS = [
      "driven by the multilevel engine on the same 100k-vertex "
      "hypergraph as the multilevel extension.  Two gates are "
      "asserted: the batch cut lands within 5% of FM's at equal "
-     "Formula-1 balance, and the batch refiner's synchronous round "
-     "count stays an order of magnitude below FM's sequential move "
-     "count (the structural speedup — vector width replaces "
-     "move-by-move dependency); the sha256 column pins both "
+     "Formula-1 balance — on the medians over seeds 1-3, because one "
+     "seed's ratio is a chaotic draw; the table's last line states "
+     "the verdict — and the batch refiner's synchronous round count "
+     "stays an order of magnitude below FM's sequential move count at "
+     "every seed (the structural speedup — vector width replaces "
+     "move-by-move dependency); the sha256 column pins all six "
      "partitions.  Walls live in the quarantined host_timings "
      "channel."),
     ("Extension — million-gate scale ladder", "scale_ladder",
@@ -178,8 +180,11 @@ SECTIONS = [
      "every million-pin rung (the O(pins) claim), and every rung "
      "reaches a balanced k=8 partition.  Deterministic columns gate "
      "byte-for-byte; walls and RSS live in the quarantined "
-     "host_timings channel.  See docs/performance.md, section 'Scale "
-     "ladder'."),
+     "host_timings channel.  One seed's cut is a chaotic draw, so "
+     "`cut med8`, the median over seeds 1-8, is the column to compare "
+     "across revisions (`-` on the XL rung, too large to partition "
+     "eight more times).  See docs/performance.md, sections "
+     "'Coarsening' and 'Scale ladder'."),
     ("Ablation — direct pairwise vs recursive bipartitioning (§3.1.1)",
      "ablation_direct_vs_recursive",
      "The paper chose the direct algorithm over recursion.  Measured: "

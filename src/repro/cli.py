@@ -405,7 +405,8 @@ def _cmd_partition(args, out) -> int:
         )
         cut, loads = r.cut_size, r.part_weights.tolist()
         gate_assignment = r.gate_assignment()
-        out.write("algorithm : multilevel (coarsen + k-way FM uncoarsening)\n")
+        out.write(f"algorithm : multilevel (coarsen + k-way uncoarsening, "
+                  f"refiner={args.refiner})\n")
         out.write(f"balanced  : {r.balanced} "
                   f"(levels: {r.levels}, coarsest: {r.coarse_vertices})\n")
     else:

@@ -8,9 +8,11 @@ recorder.  This module is the production rewrite — a *direct k-way*
 multilevel pipeline built entirely from the repo's first-class
 machinery::
 
-    coarsen      heavy-edge first-choice matching, weight-aware
-                 (no cluster may exceed a balance-implied cap),
-                 repeated until the stop size or the reduction stalls
+    coarsen      synchronous sub-round clustering on heavy-edge
+                 ratings, weight-aware (no cluster may exceed a
+                 balance-implied cap): a level is a handful of
+                 whole-level array passes, repeated until the stop
+                 size or the reduction stalls
     initial      greedy k-way candidates on the coarsest hypergraph
                  (LPT + seeded random fills), each refined, best kept
     uncoarsen    project the assignment through each level
@@ -24,13 +26,14 @@ level — is the stability loop the design-driven driver runs
 so a partition is a function of ``(hg, k, b, seed, config, refiner)``
 alone (``docs/multilevel.md``).
 
-Design references (PAPERS.md): weight-aware matching caps follow
+Design references (PAPERS.md): the weight-aware cluster cap follows
 "Multilevel Hypergraph Partitioning with Vertex Weights Revisited";
-the synchronous deterministic refinement rounds follow "Deterministic
-Parallel Hypergraph Partitioning".
+the synchronous deterministic sub-rounds — of clustering and of
+refinement alike — follow "Deterministic Parallel Hypergraph
+Partitioning".
 
 Observability: the engine reports ``part.ml.*`` counters (levels,
-coarsest size, match totals, per-level cut maxima, refinement rounds,
+coarsest size, join totals, per-level cut maxima, refinement rounds,
 uncoarsening gain) plus the shared ``part.pairing.*`` / ``part.fm.*``
 / ``part.refine.*`` families, under the phases ``partition.coarsen``,
 ``partition.initial`` and ``partition.uncoarsen``.
@@ -77,7 +80,7 @@ class MultilevelConfig:
     vertices.  ``min_reduction`` is the stall guard — a level that
     shrinks the vertex count by less than ``1 - min_reduction`` ends
     the hierarchy.  ``match_weight_fraction`` caps cluster growth:
-    no match may create a vertex heavier than that fraction of the
+    no join may create a vertex heavier than that fraction of the
     Formula-1 upper load bound, so the coarsest hypergraph always
     remains packable into a balanced k-way partition.
     """
@@ -91,14 +94,6 @@ class MultilevelConfig:
     num_initial: int = 4
     max_fm_passes: int = 4
     max_rounds: int = 8
-    #: batch refiner only: levels larger than this run the greedy
-    #: descent without kick perturbation.  A kick re-runs the whole
-    #: descent up to 8 times for a marginal cut polish — affordable at
-    #: 100k vertices, minutes of wall at a million.  The threshold sits
-    #: above every committed benchmark size, so results at or below
-    #: 100k vertices are unchanged; the scale-ladder rungs above it
-    #: trade that polish for a bounded wall.
-    batch_kick_vertex_limit: int = 200_000
 
     def stop_size(self, k: int) -> int:
         return max(self.coarsest_vertices, self.coarsest_per_part * k)
@@ -115,17 +110,31 @@ class MultilevelLevel:
 
     ``mapping[v]`` is the coarse vertex of fine vertex ``v``;
     projecting a coarse assignment down is ``assignment[mapping]``.
-    ``max_cluster_weight`` records the matching cap in force, so the
+    ``max_cluster_weight`` records the cluster cap in force, so the
     coarsening invariants are checkable per level (total vertex weight
-    preserved, no *merged* cluster past the cap).
+    preserved, no *merged* cluster past the cap).  ``rating`` sums the
+    ratings of the admitted joins; ``sub_rounds`` ran, in which
+    ``proposed`` joins lost ``conflict_dropped`` to the conflict rule
+    and ``cap_dropped`` to the cap.
     """
 
     fine: Hypergraph
     coarse: Hypergraph
     mapping: np.ndarray
     max_cluster_weight: int
-    matched_pairs: int
-    match_score: float
+    rating: float
+    sub_rounds: int
+    proposed: int
+    conflict_dropped: int
+    cap_dropped: int
+
+    @property
+    def joins(self) -> tuple[int, int, int, int, int, int]:
+        """``(vertices, clusters, sub_rounds, proposed, conflict_dropped,
+        cap_dropped)`` — the level without its hypergraphs."""
+        return (self.fine.num_vertices, self.coarse.num_vertices,
+                self.sub_rounds, self.proposed, self.conflict_dropped,
+                self.cap_dropped)
 
 
 @dataclass
@@ -135,7 +144,10 @@ class MultilevelKwayResult:
     ``levels`` is the hierarchy depth (0 for the direct engine),
     ``level_cuts`` the cut after refining each uncoarsening level
     (finest last — its entry equals ``cut_size`` before any final
-    repair).  ``gate_assignment``/``to_simulation`` make the result a
+    repair), ``level_joins`` the :attr:`MultilevelLevel.joins` of each
+    coarsening level that ran (finest first;
+    ``tools/profile_partition.py`` prints them).
+    ``gate_assignment``/``to_simulation`` make the result a
     drop-in partition backend wherever
     :class:`repro.core.multiway.MultiwayResult` is consumed, provided
     the hypergraph's vertices are gates (``flat_hypergraph``).
@@ -152,6 +164,8 @@ class MultilevelKwayResult:
     initial_cut: int
     refine_rounds: int
     level_cuts: list[int] = field(default_factory=list)
+    level_joins: list[tuple[int, int, int, int, int, int]] = field(
+        default_factory=list)
     history: list[str] = field(default_factory=list)
 
     def gate_assignment(self) -> np.ndarray:
@@ -177,208 +191,168 @@ class MultilevelKwayResult:
 # -- coarsening -------------------------------------------------------------
 
 
-def _matching_candidates(
-    hg: Hypergraph, large_edge_limit: int
-) -> tuple[list[int], list[int], list[float]]:
-    """Per-vertex heavy-edge candidate CSR: ``(ptr, neighbour, score)``.
+#: a level's seeded vertex permutation is cut into this many sub-rounds
+SUB_ROUNDS = 16
 
-    One vectorized pass over the whole level precomputes, for every
-    vertex ``v``, its candidate neighbours (ascending ids) and their
-    connectivity scores ``sum(w_e / (|e| - 1))`` over shared scoring
-    edges — the quantities the matching loop's per-vertex dict used to
-    rebuild from scratch at every visit.  Scores are independent of
-    the visit order and of who is already matched (matched candidates
-    are *filtered*, never re-scored), so hoisting them out of the loop
-    is exact.
+#: sub-rounds of a level stop once ``clusters * bound <= vertices``.
+#: Cut quality under the batch refiner tracks the *number* of levels, a
+#: level's cost its size: levels above ``FINE_LEVEL_VERTICES`` (where the
+#: time goes) may halve, the ones below (where the partition's shape is
+#: decided, at no cost) shrink slowly.  The one result that needs two
+#: bounds instead of a uniform 1.7: 24-seed median cut on
+#: ``memctrl-scale`` 471.5 uniform against 425 forked (pair matching
+#: 396.5: uniform is 1.19x of it, past the 1.10x quality bound), at
+#: 0.71 s against 0.65 s per 100k partition.  Inside the forked family
+#: the three values are flat to within seed noise — nothing to re-tune.
+#: Sweep: docs/performance.md, "Coarsening".
+FINE_LEVEL_VERTICES = 20_000
+FINE_SHRINK = 2.0
+COARSE_SHRINK = 1.4
 
-    Bit-identity of the float scores: the (owner, candidate) pair
-    expansion enumerates incidences in the scalar loop's exact
-    encounter order (incident edges ascending, pins ascending within
-    each edge), the grouping ``lexsort`` is stable, and ``np.add.at``
-    accumulates sequentially in index order — so every score is the
-    same left-to-right float sum the dict accumulation produced.
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``keys``."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
+def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs that begin at ``starts`` and end at ``total``."""
+    return np.diff(np.append(starts, total))
+
+
+def _cluster_level(
+    hg: Hypergraph,
+    rng: np.random.Generator,
+    max_weight: int,
+    large_edge_limit: int,
+) -> tuple[np.ndarray, float, tuple[int, int, int, int]]:
+    """One coarsening level by synchronous sub-round clustering.
+
+    A seeded permutation of the vertices is cut into :data:`SUB_ROUNDS`
+    slices.  In sub-round ``r`` every vertex of slice ``r`` that is still
+    a singleton rates the clusters around it — heavy-edge
+    ``sum(w_e / (|e| - 1))`` over the scoring edges (``2 <= |e| <=
+    large_edge_limit``; wider ones are clock/reset nets with no locality
+    signal, they still project and still count toward cuts) it shares
+    with the cluster's members — from the clustering frozen at the start
+    of the sub-round, skips clusters it would push past ``max_weight``
+    and proposes to join the best (lowest cluster id on ties).
+    Proposals are resolved by a fixed rule: of a mutual pair the higher
+    id joins the lower; any other vertex that some proposal targets
+    stays put; a proposal whose target moves is dropped (the vertex may
+    retry in a later level).  The survivors of each target are admitted
+    lightest first (id on ties) while the cluster stays within
+    ``max_weight``.  So a cluster only ever grows around a vertex that
+    never moves, every join goes along a positive rating, and the
+    result is a function of ``(hg, rng state)`` alone.  Sub-rounds end
+    early at the level's shrink bound (:data:`FINE_SHRINK` /
+    :data:`COARSE_SHRINK`).
+
+    Whole-slice array passes only; the sub-round loop is the one Python
+    iteration.  Returns ``(mapping, rating, (sub_rounds, proposed,
+    conflict_dropped, cap_dropped))`` — ``mapping`` numbers clusters by
+    smallest member, ``rating`` sums the ratings of the admitted joins.
     """
     n = hg.num_vertices
+    vw = hg.vertex_weight
     sizes = np.diff(hg._edge_ptr)
     scoring = (sizes >= 2) & (sizes <= large_edge_limit)
-    # same IEEE double as the scalar `edge_weight[e] / (size - 1)`
     edge_score = hg.edge_weight / np.maximum(sizes - 1, 1)
 
-    # expand each (vertex, scoring edge) incidence to the edge's pins —
-    # vertex-major, edges ascending per vertex, pins ascending per edge
-    deg = np.diff(hg._vertex_ptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    inc_e = hg._vertex_pins
-    keep = scoring[inc_e]
-    owner = owner[keep]
-    inc_e = inc_e[keep]
-    cand, cnt = hg.edges_pins(inc_e)
-    owner = np.repeat(owner, cnt)
-    w = np.repeat(edge_score[inc_e], cnt)
-    sel = cand != owner
-    owner, cand, w = owner[sel], cand[sel], w[sel]
+    cluster = np.arange(n, dtype=np.int64)  # id = the member that stayed
+    weight = vw.copy()                      # per cluster id
+    single = np.ones(n, dtype=bool)         # nobody joined, never moved
+    proposal = np.full(n, -1, dtype=np.int64)
+    targeted = np.zeros(n, dtype=bool)
+    moving = np.zeros(n, dtype=bool)
+    perm = rng.permutation(n)
+    bounds = (np.arange(SUB_ROUNDS + 1) * n // SUB_ROUNDS).tolist()
+    shrink = FINE_SHRINK if n > FINE_LEVEL_VERTICES else COARSE_SHRINK
+    clusters = n
+    rating = 0.0
+    sub_rounds = proposed = conflict_dropped = cap_dropped = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if clusters * shrink <= n:
+            break
+        sub_rounds += 1
+        verts = perm[lo:hi]
+        verts = verts[single[verts]]
 
-    # group by (owner, candidate): stable sort keeps encounter order
-    # within each pair, np.add.at sums in that exact order
-    order = np.lexsort((cand, owner))
-    owner, cand, w = owner[order], cand[order], w[order]
-    new = np.ones(len(owner), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (cand[1:] != cand[:-1])
-    gid = np.cumsum(new) - 1
-    ngroups = int(gid[-1]) + 1 if len(gid) else 0
-    score = np.zeros(ngroups, dtype=np.float64)
-    np.add.at(score, gid, w)
-    g_owner = owner[new]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g_owner, minlength=n), out=ptr[1:])
-    return ptr.tolist(), cand[new].tolist(), score.tolist()
-
-
-def _heavy_edge_matching(
-    hg: Hypergraph,
-    rng: np.random.Generator,
-    max_weight: int,
-    large_edge_limit: int,
-) -> tuple[np.ndarray, int, float]:
-    """One first-choice heavy-edge matching pass.
-
-    Vertices are visited in a seeded random order; each unmatched
-    vertex merges with the unmatched neighbour of strongest
-    connectivity ``sum(w_e / (|e| - 1))`` over shared edges, lowest id
-    on ties, skipping candidates whose merged weight would exceed
-    ``max_weight``.  Edges wider than ``large_edge_limit`` carry no
-    locality signal (clock/reset nets) and are ignored for *scoring*
-    only — they still project and still count toward cuts.
-
-    Candidate neighbours and scores are precomputed for the whole
-    level in one vectorized pass (:func:`_matching_candidates`); the
-    sequential visit loop only filters matched/over-weight candidates
-    and takes the first maximum — ascending candidate ids and strict
-    ``>`` keep the lowest id on ties, exactly the retained reference
-    (:func:`_heavy_edge_matching_reference`, pinned bit-identical by
-    ``tests/test_coarsen_vectorized.py``).
-
-    Returns ``(mapping, matched_pairs, match_score)`` where ``mapping``
-    numbers coarse vertices in fine-id order (deterministic).
-    """
-    n = hg.num_vertices
-    vw = hg.vertex_weight_list
-    cand_ptr, cand_u, cand_s = _matching_candidates(hg, large_edge_limit)
-
-    match = [-1] * n
-    matched_pairs = 0
-    match_score = 0.0
-    for v in rng.permutation(n).tolist():
-        if match[v] != -1:
+        # (vertex, neighbour cluster, edge score) over scoring edges
+        inc_e, deg = hg.vertices_edges(verts)
+        slot = np.repeat(np.arange(len(verts), dtype=np.int64), deg)
+        keep = scoring[inc_e]
+        slot, inc_e = slot[keep], inc_e[keep]
+        pins, cnt = hg.edges_pins(inc_e)
+        slot = np.repeat(slot, cnt)
+        score = np.repeat(edge_score[inc_e], cnt)
+        target = cluster[pins]
+        own = verts[slot]
+        keep = (pins != own) & (weight[target] + vw[own] <= max_weight)
+        slot, target, score = slot[keep], target[keep], score[keep]
+        if not len(slot):
             continue
-        best_u = -1
-        best_score = 0.0
-        wv = vw[v]
-        for i in range(cand_ptr[v], cand_ptr[v + 1]):
-            u = cand_u[i]
-            if match[u] != -1 or wv + vw[u] > max_weight:
-                continue
-            s = cand_s[i]
-            if s > best_score:
-                best_score = s
-                best_u = u
-        if best_u != -1:
-            match[v] = best_u
-            match[best_u] = v
-            matched_pairs += 1
-            match_score += best_score
-        else:
-            match[v] = v
 
-    # number clusters in fine-id order: each cluster's id is the rank
-    # of its smallest member, which np.unique's sorted inverse yields
-    # directly (rep[v] = min(v, partner))
-    match_arr = np.asarray(match, dtype=np.int64)
-    rep = np.minimum(np.arange(n, dtype=np.int64), match_arr)
-    _, mapping = np.unique(rep, return_inverse=True)
-    return mapping.astype(np.int64, copy=False), matched_pairs, match_score
+        # rating per (vertex, cluster) — the stable sort fixes the order
+        # of every float sum — then each vertex's best cluster
+        key = slot * n + target
+        order = np.argsort(key, kind="stable")
+        starts = _run_starts(key[order])
+        rate = np.add.reduceat(score[order], starts)
+        first = order[starts]
+        slot, target = slot[first], target[first]
+        starts = _run_starts(slot)
+        best = np.maximum.reduceat(rate, starts)
+        at = np.flatnonzero(
+            rate == np.repeat(best, _run_lengths(starts, len(slot))))
+        at = at[_run_starts(slot[at])]  # clusters ascend: lowest id on ties
+        mover, target, rate = verts[slot[at]], target[at], rate[at]
+        proposed += len(mover)
 
+        # conflicts: of a mutual pair the higher id moves; otherwise a
+        # targeted vertex stays and a join onto a mover is dropped
+        proposal[mover] = target
+        mutual = proposal[target] == mover
+        go = mutual & (mover > target)
+        targeted[target] = True
+        moving[mover[go]] = True
+        go |= ~mutual & ~targeted[mover] & ~moving[target]
+        proposal[mover] = -1
+        targeted[target] = False
+        moving[mover] = False
+        conflict_dropped += len(mover) - int(go.sum())
+        mover, target, rate = mover[go], target[go], rate[go]
 
-def _edge_pin_lists(hg: Hypergraph) -> list[list[int]]:
-    """Per-edge pin lists as plain Python ints (one bulk CSR gather).
+        # cap: each target admits its joiners lightest first
+        w = vw[mover]
+        order = np.lexsort((mover, w, target))
+        mover, target, rate, w = (
+            mover[order], target[order], rate[order], w[order])
+        starts = _run_starts(target)
+        total = np.cumsum(w)
+        prefix = total - np.repeat(
+            total[starts] - w[starts], _run_lengths(starts, len(w)))
+        fits = weight[target] + prefix <= max_weight
+        cap_dropped += len(mover) - int(fits.sum())
+        mover, target, rate, w = mover[fits], target[fits], rate[fits], w[fits]
 
-    Reference-path utility only: the production matcher reads CSR
-    slices directly, this feeds the retained scalar oracle below.
-    """
-    flat, counts = hg.edges_pins(np.arange(hg.num_edges, dtype=np.int64))
-    flat_list = flat.tolist()
-    out: list[list[int]] = []
-    pos = 0
-    for c in counts.tolist():
-        out.append(flat_list[pos:pos + c])
-        pos += c
-    return out
+        cluster[mover] = target
+        np.add.at(weight, target, w)
+        single[mover] = False
+        single[target] = False
+        clusters -= len(mover)
+        rating += float(rate.sum())
 
-
-def _heavy_edge_matching_reference(
-    hg: Hypergraph,
-    rng: np.random.Generator,
-    max_weight: int,
-    large_edge_limit: int,
-) -> tuple[np.ndarray, int, float]:
-    """Scalar dict-accumulation matching — the retained oracle.
-
-    The pre-vectorization implementation, kept verbatim so the
-    randomized bit-identity test can pin :func:`_heavy_edge_matching`
-    (mapping, pair count and float score all exactly equal) against
-    the original semantics across seeds and adversarial edge shapes.
-    """
-    n = hg.num_vertices
-    vertex_weight = hg.vertex_weight_list
-    edge_weight = hg.edge_weight_list
-    vertex_edges = hg.vertex_edges_lists()
-    pins_of = _edge_pin_lists(hg)
-
-    match = [-1] * n
-    matched_pairs = 0
-    match_score = 0.0
-    for v in rng.permutation(n).tolist():
-        if match[v] != -1:
-            continue
-        scores: dict[int, float] = {}
-        for e in vertex_edges[v]:
-            pins = pins_of[e]
-            size = len(pins)
-            if size < 2 or size > large_edge_limit:
-                continue
-            w = edge_weight[e] / (size - 1)
-            for u in pins:
-                if u != v and match[u] == -1:
-                    scores[u] = scores.get(u, 0.0) + w
-        best_u = -1
-        best_score = 0.0
-        wv = vertex_weight[v]
-        for u in sorted(scores):  # ascending ids: strict > keeps lowest tie
-            if wv + vertex_weight[u] > max_weight:
-                continue
-            s = scores[u]
-            if s > best_score:
-                best_score = s
-                best_u = u
-        if best_u != -1:
-            match[v] = best_u
-            match[best_u] = v
-            matched_pairs += 1
-            match_score += best_score
-        else:
-            match[v] = v
-
-    mapping = [-1] * n
-    next_id = 0
-    for v in range(n):
-        if mapping[v] != -1:
-            continue
-        mapping[v] = next_id
-        partner = match[v]
-        if partner != v and mapping[partner] == -1:
-            mapping[partner] = next_id
-        next_id += 1
-    return np.asarray(mapping, dtype=np.int64), matched_pairs, match_score
+    # number clusters by smallest member (np.unique's sorted inverse)
+    smallest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(smallest, cluster, np.arange(n, dtype=np.int64))
+    _, mapping = np.unique(smallest[cluster], return_inverse=True)
+    return (
+        mapping.astype(np.int64, copy=False), rating,
+        (sub_rounds, proposed, conflict_dropped, cap_dropped),
+    )
 
 
 def coarsen_hypergraph(
@@ -392,7 +366,7 @@ def coarsen_hypergraph(
 
     Returns ``(coarsest hypergraph, levels finest-first)``.  Stops at
     the config's stop size, after ``max_levels``, or when a level
-    shrinks less than the ``min_reduction`` stall guard.  The matching
+    shrinks less than the ``min_reduction`` stall guard.  The cluster
     cap is fixed across levels at
     :meth:`MultilevelConfig.max_cluster_weight` — a fraction of the
     Formula-1 upper bound, so packability survives contraction.
@@ -403,30 +377,28 @@ def coarsen_hypergraph(
     rng = np.random.default_rng(seed)
     levels: list[MultilevelLevel] = []
     current = hg
-    matched_pairs = 0
-    match_score = 0.0
     for _ in range(cfg.max_levels):
         if current.num_vertices <= target:
             break
-        mapping, pairs, score = _heavy_edge_matching(
+        mapping, rating, joins = _cluster_level(
             current, rng, max_w, cfg.large_edge_limit
         )
         coarse = project_hypergraph(current, mapping)
         if coarse.num_vertices >= current.num_vertices * cfg.min_reduction:
             break  # diminishing returns: stop the hierarchy here
         levels.append(MultilevelLevel(
-            fine=current, coarse=coarse, mapping=mapping,
-            max_cluster_weight=max_w, matched_pairs=pairs,
-            match_score=score,
+            current, coarse, mapping, max_w, rating, *joins
         ))
-        matched_pairs += pairs
-        match_score += score
         current = coarse
     if recorder.enabled:
         recorder.incr("part.ml.levels", len(levels))
         recorder.incr("part.ml.coarse_vertices", current.num_vertices)
-        recorder.incr("part.ml.matched_pairs", matched_pairs)
-        recorder.incr("part.ml.match_weight", round(match_score, 3))
+        # names kept for the pipeline benchmark: vertices merged into
+        # another cluster, and the summed rating of those joins
+        recorder.incr("part.ml.matched_pairs",
+                      hg.num_vertices - current.num_vertices)
+        recorder.incr("part.ml.match_weight",
+                      round(sum(lv.rating for lv in levels), 3))
         if current.num_vertices:
             recorder.observe_max(
                 "part.ml.reduction",
@@ -462,10 +434,9 @@ def _refine_level(
 ) -> int:
     """One level's refinement: the shared stability loop under this
     config's budgets, then the load repair; returns the rounds run."""
-    kicks = 8 if state.hg.num_vertices <= cfg.batch_kick_vertex_limit else 0
     rounds = improve_until_stable(
         state, constraint, rounds_fn, rng, cfg.max_fm_passes, cfg.max_rounds,
-        refiner=refiner, max_kicks=kicks, recorder=recorder,
+        refiner=refiner, recorder=recorder,
     )
     repair_balance(state, constraint, 2 * state.k, recorder)
     return rounds
@@ -541,7 +512,7 @@ def multilevel_kway_partition(
     k, b:
         Partition count and Formula-1 balance factor (percent).
     seed:
-        Drives matching order and the random initial fills; fully
+        Drives the sub-round order and the random initial fills; fully
         deterministic for a fixed value.
     workers:
         Kept for the pipeline benchmark's call sites; delete with the
@@ -554,7 +525,7 @@ def multilevel_kway_partition(
         ``partition.initial`` / ``partition.uncoarsen`` phases.  A
         recorder never changes the result.
     config:
-        :class:`MultilevelConfig` overrides (stop size, matching cap,
+        :class:`MultilevelConfig` overrides (stop size, cluster cap,
         candidate and pass budgets).
     refiner:
         Per-level refiner: ``"fm"`` (tournament-paired heap FM) or
@@ -629,6 +600,7 @@ def multilevel_kway_partition(
         initial_cut=initial_cut,
         refine_rounds=refine_rounds,
         level_cuts=level_cuts,
+        level_joins=[level.joins for level in levels],
         history=history,
     )
 

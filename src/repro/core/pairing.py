@@ -293,7 +293,6 @@ def improve_until_stable(
     max_fm_passes: int,
     max_rounds: int,
     refiner: str = "fm",
-    max_kicks: int = 8,
     recorder: Recorder = NULL_RECORDER,
 ) -> int:
     """Refine ``state`` until no move yields gain (the Figure 2 loop);
@@ -303,15 +302,14 @@ def improve_until_stable(
     conflict-free pair rounds and :func:`refine_round` executes them,
     until an improvement round realizes no gain or ``max_rounds`` is
     reached.  ``refiner="batch"``: the whole-boundary refiner of
-    :mod:`repro.core.batch_refine` runs to its fixpoint with
-    ``max_kicks`` perturbations.  A batch round is one synchronous
+    :mod:`repro.core.batch_refine` runs to its fixpoint under its
+    default kick budget.  A batch round is one synchronous
     gather/select/apply step — far finer-grained than a pairing round —
     so ``max_rounds`` does not apply; the refiner's own default cap
     backstops the natural fixpoint exit.
     """
     if refiner == "batch":
-        return batch_refine(state, constraint, max_kicks=max_kicks,
-                            recorder=recorder).rounds
+        return batch_refine(state, constraint, recorder=recorder).rounds
     rounds = 0
     for _ in range(max_rounds):
         gain = 0

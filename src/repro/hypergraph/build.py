@@ -419,9 +419,9 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     exact per-run regroup — see :func:`_edge_fingerprints`), weights
     merge with a segmented scatter-add, and the coarse CSR freezes
     through :meth:`Hypergraph.from_csr` with no per-edge Python lists.
-    Output is byte-identical to the retained reference
-    (:func:`_project_hypergraph_reference`): coarse edges ordered by
-    first fine occurrence, pins ascending.
+    Coarse edges are ordered by first fine occurrence, pins ascending
+    (pinned against a set-per-edge oracle in
+    ``tests/test_coarsen_vectorized.py``).
     """
     mapping = np.asarray(mapping, dtype=np.int64)
     if mapping.shape != (hg.num_vertices,):
@@ -502,8 +502,8 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
                 key = tuple(pins[eptr[e]:eptr[e + 1]].tolist())
                 leader[i] = first.setdefault(key, i)
 
-    # one coarse edge per group, ordered by first fine occurrence (the
-    # reference dict's insertion order), weights summed over members
+    # one coarse edge per group, ordered by first fine occurrence,
+    # weights summed over members
     min_orig = np.full(m, m, dtype=np.int64)
     np.minimum.at(min_orig, leader, sort_order)
     wsum = np.zeros(m, dtype=np.int64)
@@ -515,55 +515,6 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     g_ptr = np.zeros(len(g_order) + 1, dtype=np.int64)
     np.cumsum(g_sizes, dtype=np.int64, out=g_ptr[1:])
     return Hypergraph.from_csr(coarse_weights, wsum[g_order], g_ptr, g_pins)
-
-
-def _project_hypergraph_reference(
-    hg: Hypergraph, mapping: np.ndarray
-) -> Hypergraph:
-    """Reference contraction with tuple-dict parallel-edge dedup.
-
-    The pre-vectorization implementation, retained verbatim as the
-    byte-identity oracle for :func:`project_hypergraph`
-    (``tests/test_coarsen_vectorized.py``).  Semantics are the spec:
-    coarse edges appear in first-fine-occurrence order, keyed by their
-    sorted coarse pin tuple, weights accumulated over parallel edges.
-    """
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if mapping.shape != (hg.num_vertices,):
-        raise PartitionError(
-            f"mapping must have one entry per vertex "
-            f"({hg.num_vertices}), got shape {mapping.shape}"
-        )
-    num_coarse = int(mapping.max()) + 1 if mapping.size else 0
-    coarse_weights = np.zeros(num_coarse, dtype=np.int64)
-    np.add.at(coarse_weights, mapping, hg.vertex_weight)
-
-    pin_edge = hg.pin_edges
-    pin_coarse = mapping[hg.pin_vertices]
-    order = np.lexsort((pin_coarse, pin_edge))
-    e_sorted = pin_edge[order]
-    v_sorted = pin_coarse[order]
-    keep = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        keep[1:] = (e_sorted[1:] != e_sorted[:-1]) | (v_sorted[1:] != v_sorted[:-1])
-    e_kept = e_sorted[keep]
-    v_kept = v_sorted[keep].tolist()
-    starts = np.flatnonzero(
-        np.concatenate(([True], e_kept[1:] != e_kept[:-1]))
-    ) if len(e_kept) else np.empty(0, dtype=np.int64)
-    ends = np.concatenate((starts[1:], [len(e_kept)])) if len(starts) else starts
-    edge_ids = e_kept[starts].tolist() if len(starts) else []
-    edge_weight = hg.edge_weight.tolist()
-
-    acc: dict[tuple[int, ...], int] = {}
-    for e, s, t in zip(edge_ids, starts.tolist(), ends.tolist()):
-        if t - s < 2:
-            continue  # internal to one cluster: never cut again
-        key = tuple(v_kept[s:t])  # already sorted by the lexsort
-        acc[key] = acc.get(key, 0) + edge_weight[e]
-    return Hypergraph.from_edges(
-        coarse_weights.tolist(), list(acc.keys()), list(acc.values())
-    )
 
 
 def hierarchy_hypergraph(netlist: Netlist) -> Hypergraph:

@@ -56,8 +56,8 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.batch.kicks": "perturbation attempts at the greedy fixpoint (rollback on no gain)",
     "part.ml.levels": "coarsening levels built by the multilevel engine",
     "part.ml.coarse_vertices": "vertex count of the coarsest hypergraph",
-    "part.ml.matched_pairs": "heavy-edge matches accepted across all coarsening levels",
-    "part.ml.match_weight": "summed heavy-edge connectivity absorbed by accepted matches",
+    "part.ml.matched_pairs": "vertices merged into another cluster across all coarsening levels (fine - coarse; name kept from pair matching)",
+    "part.ml.match_weight": "summed heavy-edge rating of the accepted cluster joins",
     "part.ml.reduction": "finest/coarsest vertex-count ratio of the hierarchy (use .max)",
     "part.ml.initial_candidates": "coarsest-level initial k-way candidates evaluated",
     "part.ml.initial_cut": "cut of the winning coarsest-level initial partition",
@@ -119,7 +119,7 @@ METRIC_REGISTRY: dict[str, str] = {
 #: phase names (recorded as "<name>.calls" in counter views and as host
 #: wall seconds in the opt-in host_timings channel)
 PHASE_REGISTRY: dict[str, str] = {
-    "partition.coarsen": "multilevel heavy-edge coarsening (all levels)",
+    "partition.coarsen": "multilevel sub-round clustering + projection (all levels)",
     "partition.initial": "initial partition construction (cone, random, "
                          "or coarsest-level greedy candidates)",
     "partition.uncoarsen": "multilevel projection + per-level refinement",

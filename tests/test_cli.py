@@ -65,6 +65,14 @@ class TestPartitionCommand:
         assert code == 0
         assert "multilevel" in text
 
+    @pytest.mark.parametrize("refiner", ["fm", "batch"])
+    def test_multilevel_names_the_refiner_that_ran(self, vfile, refiner):
+        code, text = run("partition", str(vfile), "--algorithm",
+                         "multilevel", "--refiner", refiner)
+        assert code == 0
+        assert (f"algorithm : multilevel (coarsen + k-way uncoarsening, "
+                f"refiner={refiner})\n") in text
+
     def test_random(self, vfile):
         code, text = run("partition", str(vfile), "--algorithm", "random")
         assert code == 0

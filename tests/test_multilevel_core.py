@@ -68,12 +68,17 @@ class TestCoarsening:
                 range(level.coarse.num_vertices))
             # strictly shrinking hierarchy
             assert level.coarse.num_vertices < level.fine.num_vertices
-            # no *merged* cluster exceeds the matching weight cap
+            # no *merged* cluster exceeds the cluster weight cap
             counts = np.bincount(level.mapping,
                                  minlength=level.coarse.num_vertices)
             merged = np.flatnonzero(counts >= 2)
             cw = np.asarray(level.coarse.vertex_weight_list)
             assert (cw[merged] <= level.max_cluster_weight).all()
+            # the join tallies account for every merged vertex
+            assert (level.proposed - level.conflict_dropped
+                    - level.cap_dropped
+                    == level.fine.num_vertices - level.coarse.num_vertices)
+            assert level.sub_rounds >= 1 and level.rating > 0
             current = level.coarse
         assert coarsest is current
 
@@ -87,7 +92,7 @@ class TestCoarsening:
     def test_projection_is_cut_exact(self, hg):
         """Randomized oracle: for any assignment, the coarse cut equals
         the fine cut of the projected assignment — per level and for
-        arbitrary (non-matching) contractions."""
+        arbitrary contractions no clustering produced."""
         constraint = BalanceConstraint(3, 10.0)
         _, levels = coarsen_hypergraph(hg, constraint, seed=2)
         rng = np.random.default_rng(11)
@@ -96,7 +101,7 @@ class TestCoarsening:
             fine_assign = coarse_assign[level.mapping]
             assert (hyperedge_cut(level.coarse, coarse_assign)
                     == hyperedge_cut(level.fine, fine_assign))
-        # arbitrary random mapping, not produced by matching
+        # arbitrary random mapping, not produced by clustering
         mapping = rng.integers(0, 100, hg.num_vertices)
         mapping[np.arange(100)] = np.arange(100)  # keep it surjective
         coarse = project_hypergraph(hg, mapping)
@@ -122,12 +127,16 @@ class TestMultilevelKway:
         assert all(lo <= w <= hi for w in r.part_weights.tolist())
 
     def test_assignment_digest_is_pinned(self, hg):
-        """sha256(assignment) as computed (at 1, 2 and 4 refinement
-        workers alike) by the last commit that had a refinement pool."""
+        """sha256(assignment) of one seeded run.  Re-pinned when
+        synchronous sub-round clustering replaced the heavy-edge pair
+        matching loop: the hierarchy under the partition is a different
+        one (6 levels of clusters, was 4 of pairs), so every
+        ``core.multilevel`` digest moved with it (cut 74)."""
         r = multilevel_kway_partition(hg, 4, 10.0, seed=5)
+        assert (r.cut_size, r.levels) == (74, 6)
         assert hashlib.sha256(r.assignment.tobytes()).hexdigest() == (
-            "b18da8f90520fd146a5a129d75688a12"
-            "021fcad62deebb6eb3d9a139ea85f99f")
+            "109638cc557a51934509e654f05f8c0c"
+            "6dc441ea13fbb868c95fed9feb34fc7b")
 
     def test_beats_or_matches_direct(self, hg):
         ml = multilevel_kway_partition(hg, 4, 10.0, seed=1)
@@ -143,6 +152,11 @@ class TestMultilevelKway:
         assert not unregistered, unregistered
         assert counters["part.ml.levels"] == r.levels > 0
         assert counters["part.ml.coarse_vertices"] == r.coarse_vertices
+        # the counter keeps its pair-matching name; it counts vertices
+        # merged into another cluster, fine - coarse over all levels
+        assert (counters["part.ml.matched_pairs"]
+                == hg.num_vertices - r.coarse_vertices)
+        assert counters["part.ml.match_weight"] > 0
         assert counters["part.ml.initial_cut"] == r.initial_cut
         assert counters["part.ml.uncoarsen_gain"] >= 0
         assert counters["partition.coarsen.calls"] == 1
@@ -157,6 +171,18 @@ class TestMultilevelKway:
         assert r.level_cuts[-1] == r.cut_size
         assert r.history  # provenance lines present
 
+    def test_level_joins_are_the_hierarchy_that_ran(self, hg):
+        r = multilevel_kway_partition(hg, 4, 10.0, seed=1)
+        _, levels = coarsen_hypergraph(hg, BalanceConstraint(4, 10.0), seed=1)
+        assert r.level_joins == [lv.joins for lv in levels]
+        assert len(r.level_joins) == r.levels
+        assert r.level_joins[0][0] == hg.num_vertices
+        assert r.level_joins[-1][1] == r.coarse_vertices
+        for fine, coarse, sub_rounds, proposed, conflict, cap in r.level_joins:
+            # every merge is an admitted join
+            assert fine - coarse == proposed - conflict - cap
+            assert 1 <= sub_rounds
+
     def test_validation(self, hg):
         with pytest.raises(PartitionError):
             multilevel_kway_partition(hg, 0, 10.0)
@@ -168,33 +194,6 @@ class TestMultilevelKway:
         assert r.levels == 0
         assert r.coarse_vertices == hg.num_vertices
         assert r.cut_size == hyperedge_cut(hg, r.assignment)
-
-    def test_batch_kick_gate_by_level_size(self, hg, monkeypatch):
-        """Levels above ``batch_kick_vertex_limit`` refine without kick
-        perturbation (the million-vertex wall guard); levels at or
-        below it keep the refiner's full default budget."""
-        import repro.core.pairing as ml
-
-        seen = []
-        real = ml.batch_refine
-
-        def spy(state, constraint, **kw):
-            seen.append((state.hg.num_vertices, kw.get("max_kicks")))
-            return real(state, constraint, **kw)
-
-        monkeypatch.setattr(ml, "batch_refine", spy)
-        cfg = MultilevelConfig(batch_kick_vertex_limit=600)
-        r = multilevel_kway_partition(hg, 3, 10.0, seed=1,
-                                      refiner="batch", config=cfg)
-        assert r.balanced
-        assert seen, "batch refiner never invoked"
-        for n, kicks in seen:
-            assert kicks == (8 if n <= 600 else 0), (n, kicks)
-        assert any(n > 600 for n, _ in seen)
-        assert any(n <= 600 for n, _ in seen)
-        # the default limit sits above every committed benchmark size,
-        # so existing results are unchanged by the gate
-        assert MultilevelConfig().batch_kick_vertex_limit == 200_000
 
     def test_to_simulation_partitions_every_gate(self):
         netlist = load_circuit("cpu-test")

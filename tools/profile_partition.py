@@ -8,7 +8,11 @@ refiner); ``--algorithm multiway`` parses and elaborates a named text
 circuit and profiles ``design_driven_partition`` on its top-level
 hierarchy (the pipeline benchmark's ``hier_93k`` shape: a few hundred
 fat super-gates, heap FM).  Either way it prints the top functions, the
-recorder's per-phase wall breakdown, and — where FM ran — how many
+recorder's per-phase wall breakdown, for multilevel one line per
+coarsening level (vertices -> clusters, sub-rounds run, joins proposed /
+dropped by the conflict rule / dropped by the cap — the result's
+``level_joins``, i.e. the hierarchy the profiled call built), and —
+where FM ran — how many
 moves its passes tried on their working sets against how many the best
 prefixes committed to the state, and how many passes the locked-cut
 bound ended, or — where the batch
@@ -72,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="Formula-1 balance factor "
                              "(default: %(default)s)")
     parser.add_argument("--seed", type=int, default=1,
-                        help="matching / initial-fill seed")
+                        help="sub-round order / initial-fill seed")
     parser.add_argument("--refiner", default="batch", choices=REFINERS,
                         help="multilevel's per-level refiner; multiway "
                              "always runs heap FM (default: %(default)s)")
@@ -116,6 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
 
     print(summary)
+    if args.algorithm == "multilevel":
+        for i, (fine, coarse, sub_rounds, proposed, conflict, cap) in \
+                enumerate(result.level_joins):
+            print(f"level {i:2d}: {fine:8d} -> {coarse:8d} clusters, "
+                  f"{sub_rounds} sub-rounds, {proposed} joins proposed, "
+                  f"{conflict} dropped by conflict, {cap} by the cap")
     counters = rec.as_counters()
     if counters.get("part.fm.passes"):
         print(f"fm: {counters['part.fm.passes']} passes "
