@@ -140,11 +140,21 @@ SECTIONS = [
      "Not in the paper: on a deterministic cluster, lazy cancellation "
      "suppresses identical re-sends; committed work is identical by "
      "construction."),
-    ("Paper-scale partitioning (388 instances)", "paper_scale",
+    ("Paper-scale partitioning (388 instances; 1.2 M gates)", "paper_scale",
      "The viterbi-paper generator reproduces the RPI netlist's module "
      "count exactly (388 top-level instances, ~93k gates).  Partitioning "
-     "at that structure — the closest match to the original experiment "
-     "this reproduction can run — shows the same multi-x cut advantage."),
+     "at that structure shows the same multi-x cut advantage.  The "
+     "second table is the paper's headline at the paper's *gate* count: "
+     "viterbi-xl (1.2 M gates, 984 instances) parsed as Verilog text so "
+     "the hierarchy survives, partitioned design-driven as ~1 000 "
+     "weighted visible nodes, beside the cut the flat multilevel engine "
+     "reached on the same gates as anonymous vertices (read from the "
+     "committed scale-ladder document, not re-run).  Asserted: every "
+     "row balanced, and design below flat at the ladder's k.  Both "
+     "circuits have four independent channels, so their k=2 / k=4 rows "
+     "are cut 4 by construction; k=3 and k=8 are the rows that test "
+     "the algorithm.  Walls and RSS are host facts (quarantined "
+     "channel)."),
     ("Extension — multilevel vs direct k-way at scale", "multilevel",
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "

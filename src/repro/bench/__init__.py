@@ -15,7 +15,6 @@ from .experiments import (
     fig6_fig7_messages_rollbacks,
     heuristic_vs_brute_force,
 )
-from .parallel import GridCell, run_presim_grid
 from .report import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -55,6 +54,4 @@ __all__ = [
     "shape_checks_cutsize",
     "shape_checks_speedup",
     "shape_check_counters",
-    "GridCell",
-    "run_presim_grid",
 ]

@@ -12,9 +12,11 @@ Public surface:
 * :data:`PAIRING_STRATEGIES` — random / exhaustive / cut / gain.
 * :func:`tournament_rounds` / :func:`pairing_rounds` — the order
   pairs are refined in; :func:`resolve_workers` — the worker-count
-  policy of the presim and sweep pools (see ``docs/parallelism.md``).
+  policy of the presim pool (see ``docs/parallelism.md``).
 * :func:`brute_force_presim` / :func:`heuristic_presim` — the (k, b)
-  selection searches driven by short trial simulations.
+  selection searches driven by short trial simulations;
+  :func:`partition_netlist` — the one ``design`` / ``multilevel``
+  dispatch they and the CLI share.
 * :func:`multilevel_kway_partition` / :func:`direct_kway_partition` /
   :func:`multilevel_flat_partition` — the production multilevel k-way
   engine and its flat comparator (see ``docs/multilevel.md``).
@@ -57,6 +59,7 @@ from .presim import (
     evaluate_partition,
     brute_force_presim,
     heuristic_presim,
+    partition_netlist,
     resolve_workers,
 )
 from .activity import profile_activity, activity_clustering
@@ -104,6 +107,7 @@ __all__ = [
     "evaluate_partition",
     "brute_force_presim",
     "heuristic_presim",
+    "partition_netlist",
     "profile_activity",
     "activity_clustering",
     "recursive_design_driven_partition",

@@ -73,27 +73,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultilevelConfig:
-    """Tuning knobs of the multilevel pipeline (all deterministic).
+    """The coarsening bounds tests vary (every other bound is a module
+    constant: :data:`SUB_ROUNDS` and its neighbours, :data:`NUM_INITIAL`).
 
     ``coarsest_vertices`` / ``coarsest_per_part`` set the stop size:
     coarsening halts at ``max(coarsest_vertices, coarsest_per_part*k)``
-    vertices.  ``min_reduction`` is the stall guard — a level that
-    shrinks the vertex count by less than ``1 - min_reduction`` ends
-    the hierarchy.  ``match_weight_fraction`` caps cluster growth:
-    no join may create a vertex heavier than that fraction of the
-    Formula-1 upper load bound, so the coarsest hypergraph always
-    remains packable into a balanced k-way partition.
+    vertices.  Hyperedges wider than ``large_edge_limit`` pins carry no
+    locality signal and do not rate joins.
     """
 
     coarsest_vertices: int = 160
     coarsest_per_part: int = 24
-    min_reduction: float = 0.95
-    max_levels: int = 48
-    match_weight_fraction: float = 0.5
     large_edge_limit: int = 48
-    num_initial: int = 4
-    max_fm_passes: int = 4
-    max_rounds: int = 8
 
     def stop_size(self, k: int) -> int:
         return max(self.coarsest_vertices, self.coarsest_per_part * k)
@@ -101,7 +92,7 @@ class MultilevelConfig:
     def max_cluster_weight(self, constraint: BalanceConstraint,
                            total_weight: int) -> int:
         _, hi = constraint.bounds(total_weight)
-        return max(1, int(hi * self.match_weight_fraction))
+        return max(1, int(hi * MATCH_WEIGHT_FRACTION))
 
 
 @dataclass(frozen=True)
@@ -208,6 +199,16 @@ SUB_ROUNDS = 16
 FINE_LEVEL_VERTICES = 20_000
 FINE_SHRINK = 2.0
 COARSE_SHRINK = 1.4
+
+#: stall guard: a level that keeps more than this share of its vertices
+#: ends the hierarchy, as does reaching ``MAX_LEVELS``
+MIN_REDUCTION = 0.95
+MAX_LEVELS = 48
+
+#: no join may create a vertex heavier than this fraction of the
+#: Formula-1 upper load bound, so the coarsest hypergraph always
+#: remains packable into a balanced k-way partition
+MATCH_WEIGHT_FRACTION = 0.5
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -365,8 +366,8 @@ def coarsen_hypergraph(
     """Build the coarsening hierarchy for a k-way run.
 
     Returns ``(coarsest hypergraph, levels finest-first)``.  Stops at
-    the config's stop size, after ``max_levels``, or when a level
-    shrinks less than the ``min_reduction`` stall guard.  The cluster
+    the config's stop size, after :data:`MAX_LEVELS`, or when a level
+    shrinks less than the :data:`MIN_REDUCTION` stall guard.  The cluster
     cap is fixed across levels at
     :meth:`MultilevelConfig.max_cluster_weight` — a fraction of the
     Formula-1 upper bound, so packability survives contraction.
@@ -377,14 +378,14 @@ def coarsen_hypergraph(
     rng = np.random.default_rng(seed)
     levels: list[MultilevelLevel] = []
     current = hg
-    for _ in range(cfg.max_levels):
+    for _ in range(MAX_LEVELS):
         if current.num_vertices <= target:
             break
         mapping, rating, joins = _cluster_level(
             current, rng, max_w, cfg.large_edge_limit
         )
         coarse = project_hypergraph(current, mapping)
-        if coarse.num_vertices >= current.num_vertices * cfg.min_reduction:
+        if coarse.num_vertices >= current.num_vertices * MIN_REDUCTION:
             break  # diminishing returns: stop the hierarchy here
         levels.append(MultilevelLevel(
             current, coarse, mapping, max_w, rating, *joins
@@ -409,6 +410,13 @@ def coarsen_hypergraph(
 
 # -- initial partition ------------------------------------------------------
 
+#: greedy candidates refined on the coarsest level (LPT + random fills)
+NUM_INITIAL = 4
+
+#: every level's budgets for the shared stability loop
+MAX_FM_PASSES = 4
+MAX_ROUNDS = 8
+
 
 def _greedy_fill(vertex_weight: list[int], k: int,
                  order: list[int]) -> np.ndarray:
@@ -428,14 +436,13 @@ def _refine_level(
     constraint: BalanceConstraint,
     rounds_fn,
     rng: np.random.Generator,
-    cfg: MultilevelConfig,
     refiner: str,
     recorder: Recorder,
 ) -> int:
-    """One level's refinement: the shared stability loop under this
-    config's budgets, then the load repair; returns the rounds run."""
+    """One level's refinement: the shared stability loop under the
+    module's budgets, then the load repair; returns the rounds run."""
     rounds = improve_until_stable(
-        state, constraint, rounds_fn, rng, cfg.max_fm_passes, cfg.max_rounds,
+        state, constraint, rounds_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
         refiner=refiner, recorder=recorder,
     )
     repair_balance(state, constraint, 2 * state.k, recorder)
@@ -446,51 +453,140 @@ def _initial_partition(
     coarsest: Hypergraph,
     k: int,
     constraint: BalanceConstraint,
-    cfg: MultilevelConfig,
+    candidates: int,
     rounds_fn,
     rng: np.random.Generator,
     recorder: Recorder,
     refiner: str = "fm",
-) -> tuple[PartitionState, int]:
-    """Best of ``num_initial`` greedy candidates on the coarsest level.
+) -> tuple[PartitionState, int, int]:
+    """Best of ``candidates`` greedy fills of the coarsest level.
 
     Candidate 0 is the LPT fill (heaviest vertex first, lightest
     partition); the rest are greedy fills in seeded random orders.
     Every candidate is refined through the shared refiner (so the
     choice is made between *locally optimal* candidates) and the winner
     is the lexicographically best (balance violation, cut, index).
+    Returns ``(winner, rounds run over all candidates, the winner's cut
+    before its refinement)``.
     """
     vertex_weight = coarsest.vertex_weight_list
     n = coarsest.num_vertices
     lpt = sorted(range(n), key=lambda v: (-vertex_weight[v], v))
     best: tuple[float, int, int] | None = None
     best_state: PartitionState | None = None
+    best_fill_cut = 0
     rounds_total = 0
-    for idx in range(max(1, cfg.num_initial)):
+    for idx in range(candidates):
         order = lpt if idx == 0 else rng.permutation(n).tolist()
         state = PartitionState(
             coarsest, k, _greedy_fill(vertex_weight, k, order)
         )
+        fill_cut = state.cut_size
         rounds_total += _refine_level(state, constraint, rounds_fn, rng,
-                                      cfg, refiner, recorder)
+                                      refiner, recorder)
         key = (constraint.violation(state.part_weight), state.cut_size, idx)
         if best is None or key < best:
-            best = key
-            best_state = state
+            best, best_state, best_fill_cut = key, state, fill_cut
     assert best_state is not None
-    return best_state, rounds_total
+    return best_state, rounds_total, best_fill_cut
 
 
 # -- the drivers ------------------------------------------------------------
 
 
-def _validate(hg: Hypergraph, k: int) -> None:
+def _kway_partition(
+    hg: Hypergraph,
+    k: int,
+    b: float,
+    seed: int,
+    recorder: Recorder,
+    config: MultilevelConfig | None,
+    refiner: str,
+    coarsen: bool,
+) -> MultilevelKwayResult:
+    """The one k-way body: build a level stack, pick and refine the
+    initial partition on its top, project and refine down to ``hg``.
+
+    ``coarsen=False`` is the direct engine: an empty level stack (the
+    "coarsest" hypergraph is ``hg`` itself) under the single LPT
+    candidate, whose ``initial_cut`` is the fill's cut *before*
+    refinement — with no level below, that refinement is the whole run.
+    """
     if k < 1:
         raise PartitionError(f"k must be >= 1, got {k}")
     if k > hg.num_vertices:
         raise PartitionError(
             f"cannot make {k} partitions from {hg.num_vertices} vertices"
         )
+    validate_refiner(refiner)
+    constraint = BalanceConstraint(k, b)
+    rng = np.random.default_rng(seed)
+    history: list[str] = []
+
+    coarsest, levels = hg, []
+    if coarsen:
+        with recorder.phase("partition.coarsen"):
+            coarsest, levels = coarsen_hypergraph(
+                hg, constraint, seed=seed, config=config, recorder=recorder
+            )
+        history.append(
+            f"coarsen: {hg.num_vertices} -> {coarsest.num_vertices} "
+            f"vertices over {len(levels)} levels"
+        )
+
+    candidates = NUM_INITIAL if coarsen else 1
+    rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
+    level_cuts: list[int] = []
+    with recorder.phase("partition.initial"):
+        state, refine_rounds, fill_cut = _initial_partition(
+            coarsest, k, constraint, candidates, rounds_fn, rng, recorder,
+            refiner=refiner,
+        )
+    initial_cut = state.cut_size if coarsen else fill_cut
+    history.append(
+        f"initial: cut={state.cut_size}, "
+        f"loads={state.part_weight.tolist()}"
+    )
+    if recorder.enabled:
+        recorder.incr("part.ml.initial_candidates", candidates)
+        recorder.incr("part.ml.initial_cut", initial_cut)
+        recorder.observe_max("part.ml.level_cut", state.cut_size)
+    with recorder.phase("partition.uncoarsen"):
+        for level in reversed(levels):
+            state = PartitionState(
+                level.fine, k, state.part[level.mapping]
+            )
+            refine_rounds += _refine_level(state, constraint, rounds_fn,
+                                           rng, refiner, recorder)
+            level_cuts.append(state.cut_size)
+            if recorder.enabled:
+                recorder.observe_max("part.ml.level_cut",
+                                     state.cut_size)
+            history.append(
+                f"level {level.fine.num_vertices}v: "
+                f"cut={state.cut_size}, "
+                f"loads={state.part_weight.tolist()}"
+            )
+
+    if recorder.enabled:
+        recorder.incr("part.ml.refine_rounds", refine_rounds)
+        recorder.incr("part.ml.uncoarsen_gain",
+                      max(0, initial_cut - state.cut_size))
+    return MultilevelKwayResult(
+        assignment=state.part.copy(),
+        k=k,
+        b=b,
+        cut_size=state.cut_size,
+        part_weights=state.part_weight.copy(),
+        balanced=constraint.satisfied(state.part_weight),
+        levels=len(levels),
+        coarse_vertices=coarsest.num_vertices,
+        initial_cut=initial_cut,
+        refine_rounds=refine_rounds,
+        level_cuts=level_cuts,
+        level_joins=[level.joins for level in levels],
+        history=history,
+    )
 
 
 def multilevel_kway_partition(
@@ -525,84 +621,17 @@ def multilevel_kway_partition(
         ``partition.initial`` / ``partition.uncoarsen`` phases.  A
         recorder never changes the result.
     config:
-        :class:`MultilevelConfig` overrides (stop size, cluster cap,
-        candidate and pass budgets).
+        :class:`MultilevelConfig` overrides (stop size, wide-edge
+        limit).
     refiner:
         Per-level refiner: ``"fm"`` (tournament-paired heap FM) or
         ``"batch"`` (the data-parallel whole-boundary refiner,
         :mod:`repro.core.batch_refine`) — see ``docs/refinement.md``
         for the decision guide.
     """
-    _validate(hg, k)
-    validate_refiner(refiner)
     require_serial(workers)
-    cfg = config if config is not None else MultilevelConfig()
-    constraint = BalanceConstraint(k, b)
-    rng = np.random.default_rng(seed)
-    history: list[str] = []
-
-    with recorder.phase("partition.coarsen"):
-        coarsest, levels = coarsen_hypergraph(
-            hg, constraint, seed=seed, config=cfg, recorder=recorder
-        )
-    history.append(
-        f"coarsen: {hg.num_vertices} -> {coarsest.num_vertices} vertices "
-        f"over {len(levels)} levels"
-    )
-
-    rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
-    level_cuts: list[int] = []
-    with recorder.phase("partition.initial"):
-        state, refine_rounds = _initial_partition(
-            coarsest, k, constraint, cfg, rounds_fn, rng, recorder,
-            refiner=refiner,
-        )
-    initial_cut = state.cut_size
-    history.append(
-        f"initial: cut={initial_cut}, "
-        f"loads={state.part_weight.tolist()}"
-    )
-    if recorder.enabled:
-        recorder.incr("part.ml.initial_candidates",
-                      max(1, cfg.num_initial))
-        recorder.incr("part.ml.initial_cut", initial_cut)
-        recorder.observe_max("part.ml.level_cut", initial_cut)
-    with recorder.phase("partition.uncoarsen"):
-        for level in reversed(levels):
-            state = PartitionState(
-                level.fine, k, state.part[level.mapping]
-            )
-            refine_rounds += _refine_level(state, constraint, rounds_fn,
-                                           rng, cfg, refiner, recorder)
-            level_cuts.append(state.cut_size)
-            if recorder.enabled:
-                recorder.observe_max("part.ml.level_cut",
-                                     state.cut_size)
-            history.append(
-                f"level {level.fine.num_vertices}v: "
-                f"cut={state.cut_size}, "
-                f"loads={state.part_weight.tolist()}"
-            )
-
-    if recorder.enabled:
-        recorder.incr("part.ml.refine_rounds", refine_rounds)
-        recorder.incr("part.ml.uncoarsen_gain",
-                      max(0, initial_cut - state.cut_size))
-    return MultilevelKwayResult(
-        assignment=state.part.copy(),
-        k=k,
-        b=b,
-        cut_size=state.cut_size,
-        part_weights=state.part_weight.copy(),
-        balanced=constraint.satisfied(state.part_weight),
-        levels=len(levels),
-        coarse_vertices=coarsest.num_vertices,
-        initial_cut=initial_cut,
-        refine_rounds=refine_rounds,
-        level_cuts=level_cuts,
-        level_joins=[level.joins for level in levels],
-        history=history,
-    )
+    return _kway_partition(hg, k, b, seed, recorder, config, refiner,
+                           coarsen=True)
 
 
 def direct_kway_partition(
@@ -611,63 +640,21 @@ def direct_kway_partition(
     b: float,
     seed: int = 0,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Flat direct k-way partitioning — the no-hierarchy comparator.
 
-    The same greedy LPT seeding and stability loop as the multilevel
-    engine, applied once to the full hypergraph with no coarsening.
-    This is what "direct multiway on a flat hypergraph" means in the
-    decision guide (``docs/multilevel.md``) and in
-    ``benchmarks/bench_multilevel.py``'s cut-at-equal-balance gate;
-    the seeded move budget is identical, so any cut difference is
-    attributable to the hierarchy alone.  ``refiner`` selects heap FM
-    (``"fm"``) or the data-parallel batch refiner (``"batch"``) —
-    ``benchmarks/bench_batch_refine.py`` uses exactly this switch to
-    isolate the refiner as the only variable.
+    The multilevel engine's own body run on an empty level stack: the
+    LPT fill of the full hypergraph, refined once by the same stability
+    loop under the same budgets.  This is what "direct multiway on a
+    flat hypergraph" means in the decision guide
+    (``docs/multilevel.md``) and in ``benchmarks/bench_multilevel.py``'s
+    cut-at-equal-balance gate, so any cut difference is attributable to
+    the hierarchy alone.  ``refiner`` selects heap FM (``"fm"``) or the
+    data-parallel batch refiner (``"batch"``).
     """
-    _validate(hg, k)
-    validate_refiner(refiner)
-    cfg = config if config is not None else MultilevelConfig()
-    constraint = BalanceConstraint(k, b)
-    rng = np.random.default_rng(seed)
-    history: list[str] = []
-
-    vertex_weight = hg.vertex_weight_list
-    order = sorted(range(hg.num_vertices),
-                   key=lambda v: (-vertex_weight[v], v))
-    rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
-    with recorder.phase("partition.initial"):
-        state = PartitionState(
-            hg, k, _greedy_fill(vertex_weight, k, order)
-        )
-    initial_cut = state.cut_size
-    history.append(
-        f"LPT initial: cut={initial_cut}, "
-        f"loads={state.part_weight.tolist()}"
-    )
-    with recorder.phase("partition.refine"):
-        refine_rounds = _refine_level(state, constraint, rounds_fn, rng,
-                                      cfg, refiner, recorder)
-    history.append(
-        f"refined: cut={state.cut_size}, "
-        f"loads={state.part_weight.tolist()}"
-    )
-    return MultilevelKwayResult(
-        assignment=state.part.copy(),
-        k=k,
-        b=b,
-        cut_size=state.cut_size,
-        part_weights=state.part_weight.copy(),
-        balanced=constraint.satisfied(state.part_weight),
-        levels=0,
-        coarse_vertices=hg.num_vertices,
-        initial_cut=initial_cut,
-        refine_rounds=refine_rounds,
-        level_cuts=[state.cut_size],
-        history=history,
-    )
+    return _kway_partition(hg, k, b, seed, recorder, None, refiner,
+                           coarsen=False)
 
 
 def multilevel_flat_partition(

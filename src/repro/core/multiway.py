@@ -39,6 +39,11 @@ from .pairing import (
 
 __all__ = ["MultiwayResult", "design_driven_partition"]
 
+#: budgets of one improvement cycle (``improve_until_stable``): FM
+#: passes per pair, pairing/FM rounds per granularity level
+MAX_FM_PASSES = 8
+MAX_ROUNDS = 64
+
 
 @dataclass
 class MultiwayResult:
@@ -81,9 +86,7 @@ def design_driven_partition(
     seed: int = 0,
     pairing: str = "gain",
     initial: str = "cone",
-    max_fm_passes: int = 8,
     max_flatten_steps: int | None = None,
-    max_rounds: int = 64,
     restarts: int = 1,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
@@ -110,8 +113,6 @@ def design_driven_partition(
     max_flatten_steps:
         Safety cap on flattening operations (default: number of
         instances in the design — enough to flatten everything).
-    max_rounds:
-        Cap on pairing/FM improvement rounds per granularity level.
     restarts:
         Independent runs with consecutive seeds; the best result wins
         (balance first, then cut).  Multi-start is the standard cheap
@@ -145,8 +146,7 @@ def design_driven_partition(
         candidates = [
             design_driven_partition(
                 netlist_or_clustering, k, b, seed=seed + i, pairing=pairing,
-                initial=initial, max_fm_passes=max_fm_passes,
-                max_flatten_steps=max_flatten_steps, max_rounds=max_rounds,
+                initial=initial, max_flatten_steps=max_flatten_steps,
                 restarts=1, recorder=recorder, refiner=refiner,
             )
             for i in range(restarts)
@@ -210,7 +210,7 @@ def design_driven_partition(
     while True:
         with recorder.phase("partition.refine"):
             rounds = improve_until_stable(
-                state, constraint, rounds_fn, rng, max_fm_passes, max_rounds,
+                state, constraint, rounds_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
                 refiner=refiner, recorder=recorder,
             )
         fm_rounds += rounds

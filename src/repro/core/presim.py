@@ -18,11 +18,10 @@ keeps the partition with the best speedup.  Two searches are provided:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -35,6 +34,7 @@ from ..sim.sequential import SequentialSimulator
 from ..verilog.netlist import Netlist
 from .balance import PAPER_B_VALUES
 from .batch_refine import validate_refiner
+from .multilevel import MultilevelKwayResult, multilevel_flat_partition
 from .multiway import MultiwayResult, design_driven_partition
 from .pairing import require_serial
 
@@ -44,6 +44,7 @@ __all__ = [
     "PresimPoint",
     "PresimStudy",
     "PRESIM_ALGORITHMS",
+    "partition_netlist",
     "evaluate_partition",
     "brute_force_presim",
     "heuristic_presim",
@@ -69,9 +70,22 @@ class PresimPoint:
     speedup: float
     messages: int
     rollbacks: int
-    partition: MultiwayResult
+    partition: MultiwayResult | MultilevelKwayResult
     report: SimulationReport
     telemetry: dict | None = None
+
+    def to_row(self) -> dict:
+        """Scalar dict form for a metrics document ``rows`` entry."""
+        return {
+            "k": self.k,
+            "b": self.b,
+            "cut_size": self.cut_size,
+            "balanced": self.balanced,
+            "sim_time": self.sim_time,
+            "speedup": self.speedup,
+            "messages": self.messages,
+            "rollbacks": self.rollbacks,
+        }
 
 
 @dataclass
@@ -128,42 +142,49 @@ def evaluate_partition(
     )
 
 
-PartitionFn = Callable[[Netlist, int, float], MultiwayResult]
-
 #: built-in partition backends selectable by name (``algorithm=``);
 #: anything with .k/.b/.cut_size/.balanced/.to_simulation() works, so
 #: the multilevel engine's result slots straight in
 PRESIM_ALGORITHMS = ("design", "multilevel")
 
 
-def _default_partitioner(
-    seed: int,
-    pairing: str,
-    algorithm: str = "design",
-    refiner: str = "fm",
-) -> PartitionFn:
+def _validate_algorithm(algorithm: str) -> None:
     if algorithm not in PRESIM_ALGORITHMS:
         raise ConfigError(
-            f"unknown presim algorithm {algorithm!r}; "
+            f"unknown partition algorithm {algorithm!r}; "
             f"expected one of {PRESIM_ALGORITHMS}"
         )
-    validate_refiner(refiner)
-    if algorithm == "multilevel":
-        from .multilevel import multilevel_flat_partition
 
-        def fn(netlist: Netlist, k: int, b: float):
-            return multilevel_flat_partition(
-                netlist, k, b, seed=seed, refiner=refiner,
-            )
 
-        return fn
+def partition_netlist(
+    netlist: Netlist,
+    k: int,
+    b: float,
+    algorithm: str = "design",
+    seed: int = 0,
+    pairing: str = "gain",
+    refiner: str = "fm",
+    recorder: Recorder = NULL_RECORDER,
+) -> MultiwayResult | MultilevelKwayResult:
+    """Partition a netlist with the backend named by ``algorithm``.
 
-    def fn(netlist: Netlist, k: int, b: float) -> MultiwayResult:
+    The one place the ``"design"`` / ``"multilevel"`` choice is made:
+    :func:`~repro.core.multiway.design_driven_partition` at visible-node
+    granularity (``pairing`` applies) or
+    :func:`~repro.core.multilevel.multilevel_flat_partition` on the
+    flat gate hypergraph.  Every pre-simulation point and the CLI's
+    ``partition`` / ``psim`` verbs come through here; ``recorder``
+    receives the backend's ``part.*`` counters and phases.
+    """
+    _validate_algorithm(algorithm)
+    if algorithm == "design":
         return design_driven_partition(
             netlist, k, b, seed=seed, pairing=pairing, refiner=refiner,
+            recorder=recorder,
         )
-
-    return fn
+    return multilevel_flat_partition(
+        netlist, k, b, seed=seed, refiner=refiner, recorder=recorder,
+    )
 
 
 # -- parallel (k, b) fan-out ------------------------------------------------
@@ -182,10 +203,7 @@ REPRO_WORKERS_ENV = "REPRO_WORKERS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Resolve a worker count for the repo's process pools.
-
-    One shared policy (the (k, b) candidate pool here and the
-    :func:`repro.bench.parallel.run_presim_grid` sweep alike):
+    """Resolve a worker count for the (k, b) candidate pool.
 
     * ``workers=None`` — consult the ``REPRO_WORKERS`` environment
       variable; unset/empty means serial (1).  The env request is
@@ -217,96 +235,74 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-#: per-worker context installed by :func:`_init_presim_worker`
-_PRESIM_CTX: dict | None = None
+@dataclass(frozen=True)
+class _PointJob:
+    """Everything the (k, b) evaluations of one search read; a pool
+    worker receives it once, through the pool initializer."""
+
+    netlist: Netlist
+    events: Sequence[InputEvent]
+    base_spec: ClusterSpec
+    config: TimeWarpConfig
+    seed: int
+    pairing: str
+    algorithm: str
+    refiner: str
+    sequential: SequentialSimulator
+    collect: bool
+
+    def evaluate(self, circuit: CompiledCircuit, k: int, b: float) -> PresimPoint:
+        """Partition + pre-simulate one (k, b) candidate.
+
+        The single evaluation path of the serial mapper and the pool
+        workers: when ``collect`` is on, the point runs under its own
+        mini-recorder — a ``presim.point`` span wrapping
+        ``presim.partition`` and ``presim.simulate`` child spans, with
+        the Time Warp counters of the trial run recorded inside — and
+        the export rides back on ``PresimPoint.telemetry``.  Because
+        the same mini-recorder is built wherever the point runs, merged
+        telemetry cannot depend on the worker count.
+        """
+        wrec = worker_telemetry() if self.collect else NULL_RECORDER
+        with wrec.phase("presim.point"):
+            with wrec.phase("presim.partition"):
+                part = partition_netlist(
+                    self.netlist, k, b, self.algorithm, seed=self.seed,
+                    pairing=self.pairing, refiner=self.refiner,
+                )
+            with wrec.phase("presim.simulate"):
+                point = evaluate_partition(
+                    circuit, part, self.events, self.base_spec, self.config,
+                    sequential=self.sequential, recorder=wrec,
+                )
+        if self.collect:
+            point.telemetry = export_telemetry(wrec)
+        return point
 
 
-def _evaluate_point(
-    circuit: CompiledCircuit,
-    partition_fn: "PartitionFn",
-    netlist: Netlist,
-    events: Sequence[InputEvent],
-    base_spec: ClusterSpec,
-    config: TimeWarpConfig,
-    sequential,
-    k: int,
-    b: float,
-    collect: bool,
-) -> PresimPoint:
-    """Partition + pre-simulate one (k, b) candidate.
-
-    The single evaluation path for both the serial mapper and the pool
-    workers: when ``collect`` is on, the point runs under its own
-    mini-recorder — a ``presim.point`` span wrapping
-    ``presim.partition`` and ``presim.simulate`` child spans, with the
-    Time Warp counters of the trial run recorded inside — and the
-    export rides back on ``PresimPoint.telemetry``.  Because the same
-    mini-recorder is built wherever the point runs, merged telemetry
-    cannot depend on the worker count.
-    """
-    if not collect:
-        part = partition_fn(netlist, k, b)
-        return evaluate_partition(circuit, part, events, base_spec, config,
-                                  sequential=sequential)
-    wrec = worker_telemetry()
-    with wrec.phase("presim.point"):
-        with wrec.phase("presim.partition"):
-            part = partition_fn(netlist, k, b)
-        with wrec.phase("presim.simulate"):
-            point = evaluate_partition(circuit, part, events, base_spec,
-                                       config, sequential=sequential,
-                                       recorder=wrec)
-    point.telemetry = export_telemetry(wrec)
-    return point
+#: (job, its compiled circuit) installed by :func:`_init_presim_worker`
+_WORKER_JOB: tuple[_PointJob, CompiledCircuit] | None = None
 
 
-def _init_presim_worker(
-    netlist: Netlist,
-    events: Sequence[InputEvent],
-    base_spec: ClusterSpec,
-    config: TimeWarpConfig,
-    seed: int,
-    pairing: str,
-    algorithm: str,
-    sequential: SequentialSimulator,
-    collect: bool = False,
-    refiner: str = "fm",
-) -> None:
-    global _PRESIM_CTX
-    _PRESIM_CTX = {
-        "netlist": netlist,
-        "events": events,
-        "base_spec": base_spec,
-        "config": config,
-        "partition_fn": _default_partitioner(
-            seed, pairing, algorithm, refiner
-        ),
-        "circuit": compile_circuit(netlist),
-        "sequential": sequential,
-        "collect": collect,
-    }
+def _init_presim_worker(job: _PointJob) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = (job, compile_circuit(job.netlist))
 
 
 def _presim_point_task(kb: tuple[int, float]) -> PresimPoint:
-    ctx = _PRESIM_CTX
-    assert ctx is not None, "presim worker used before initialization"
-    k, b = kb
-    return _evaluate_point(
-        ctx["circuit"], ctx["partition_fn"], ctx["netlist"], ctx["events"],
-        ctx["base_spec"], ctx["config"], ctx["sequential"], k, b,
-        ctx["collect"],
-    )
+    assert _WORKER_JOB is not None, "presim worker used before initialization"
+    job, circuit = _WORKER_JOB
+    return job.evaluate(circuit, *kb)
 
 
 class _PointMapper:
-    """Maps (k, b) combos to PresimPoints, serially or over a pool.
+    """Maps (k, b) combos to PresimPoints, serially or over the pool.
 
-    The pool engages only when it can help *and* the semantics allow:
-    more than one worker resolved, a picklable default partitioner (a
-    custom ``partitioner`` callable stays in-process), and not inside a
-    daemon worker (nested pools are forbidden; inside a sweep-grid
-    cell the search runs serially).  Results always come back in the
-    order the combos were submitted.
+    Construction is the shared front of both searches: validate the
+    backend names, compile the circuit, run the sequential baseline
+    once (on the driver's ``recorder``) and, when more than one worker
+    is resolved, start the repo's one process pool.  Results always
+    come back in the order the combos were submitted.
     """
 
     def __init__(
@@ -317,35 +313,27 @@ class _PointMapper:
         config: TimeWarpConfig,
         seed: int,
         pairing: str,
-        partitioner: PartitionFn | None,
         workers: int | None,
-        circuit: CompiledCircuit,
-        sequential: SequentialSimulator,
-        algorithm: str = "design",
-        collect: bool = False,
-        refiner: str = "fm",
+        algorithm: str,
+        refiner: str,
+        recorder: Recorder,
     ) -> None:
-        self._serial_fn = partitioner or _default_partitioner(
-            seed, pairing, algorithm, refiner
-        )
-        self._circuit = circuit
-        self._netlist = netlist
-        self._events = events
-        self._base_spec = base_spec
-        self._config = config
-        self._sequential = sequential
-        self._collect = collect
+        _validate_algorithm(algorithm)
+        validate_refiner(refiner)
         n = resolve_workers(workers)
-        if partitioner is not None or multiprocessing.current_process().daemon:
-            n = 1
-        self.workers = n
+        self._circuit = compile_circuit(netlist)
+        sequential, _ = run_sequential_baseline(
+            self._circuit, events, base_spec, recorder=recorder)
+        self._job = _PointJob(
+            netlist, events, base_spec, config, seed, pairing, algorithm,
+            refiner, sequential, collect=recorder.enabled,
+        )
         self._pool: ProcessPoolExecutor | None = None
         if n > 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=n,
                 initializer=_init_presim_worker,
-                initargs=(netlist, events, base_spec, config, seed, pairing,
-                          algorithm, sequential, collect, refiner),
+                initargs=(self._job,),
             )
 
     @property
@@ -353,11 +341,7 @@ class _PointMapper:
         return self._pool is not None
 
     def one(self, k: int, b: float) -> PresimPoint:
-        return _evaluate_point(
-            self._circuit, self._serial_fn, self._netlist, self._events,
-            self._base_spec, self._config, self._sequential, k, b,
-            self._collect,
-        )
+        return self._job.evaluate(self._circuit, k, b)
 
     def map(self, combos: Sequence[tuple[int, float]]) -> list[PresimPoint]:
         if self._pool is not None and len(combos) > 1:
@@ -379,21 +363,19 @@ def brute_force_presim(
     config: TimeWarpConfig = TimeWarpConfig(),
     seed: int = 0,
     pairing: str = "gain",
-    partitioner: PartitionFn | None = None,
     workers: int | None = None,
     algorithm: str = "design",
     refiner: str = "fm",
     recorder: Recorder = NULL_RECORDER,
 ) -> PresimStudy:
-    """Evaluate every (k, b) combination; Tables 3 and 4's generator.
+    """Evaluate every (k, b) combination; Tables 3 and 4's generator
+    and the ``repro sweep`` / ``repro search`` grid.
 
-    ``algorithm`` selects the built-in partition backend per candidate:
-    ``"design"`` (the paper's Figure-2 flow) or ``"multilevel"``
-    (:func:`~repro.core.multilevel.multilevel_flat_partition`); ignored
-    when a custom ``partitioner`` is supplied.  ``refiner`` picks the
-    backend's per-level improvement engine (``"fm"`` or ``"batch"``,
-    see ``docs/refinement.md``), likewise ignored with a custom
-    ``partitioner``.
+    ``algorithm`` selects the partition backend per candidate
+    (:func:`partition_netlist`): ``"design"`` (the paper's Figure-2
+    flow) or ``"multilevel"``.  ``refiner`` picks the backend's
+    per-level improvement engine (``"fm"`` or ``"batch"``, see
+    ``docs/refinement.md``).
 
     ``workers`` fans the independent (k, b) candidates over a process
     pool (default: the ``REPRO_WORKERS`` policy of
@@ -408,14 +390,8 @@ def brute_force_presim(
     """
     if not ks or not bs:
         raise ConfigError("ks and bs must be non-empty")
-    circuit = compile_circuit(netlist)
-    sequential, _ = run_sequential_baseline(circuit, events, base_spec,
-                                            recorder=recorder)
-    mapper = _PointMapper(
-        netlist, events, base_spec, config, seed, pairing,
-        partitioner, workers, circuit, sequential, algorithm,
-        collect=recorder.enabled, refiner=refiner,
-    )
+    mapper = _PointMapper(netlist, events, base_spec, config, seed, pairing,
+                          workers, algorithm, refiner, recorder)
     try:
         points = mapper.map([(k, b) for k in ks for b in bs])
     finally:
@@ -434,7 +410,6 @@ def heuristic_presim(
     config: TimeWarpConfig = TimeWarpConfig(),
     seed: int = 0,
     pairing: str = "gain",
-    partitioner: PartitionFn | None = None,
     refine_workers: int | None = None,
     b_start: float = 7.5,
     b_stop: float = 15.0,
@@ -451,8 +426,8 @@ def heuristic_presim(
     upward, abandons the b sweep on the first non-improving speedup,
     then decrements k.  Saves pre-simulation runs at the cost of
     possible local-minimum capture.  ``algorithm`` and ``refiner`` pick
-    the built-in partition backend and its improvement engine per
-    candidate exactly as in :func:`brute_force_presim`.
+    the partition backend and its improvement engine per candidate
+    exactly as in :func:`brute_force_presim`.
 
     With ``workers`` > 1 each k's whole b-row is evaluated
     speculatively in parallel, then walked in order applying the serial
@@ -468,14 +443,8 @@ def heuristic_presim(
     require_serial(refine_workers, "refine_workers")
     if max_k < 2:
         raise ConfigError("heuristic presimulation needs max_k >= 2")
-    circuit = compile_circuit(netlist)
-    sequential, _ = run_sequential_baseline(circuit, events, base_spec,
-                                            recorder=recorder)
-    mapper = _PointMapper(
-        netlist, events, base_spec, config, seed, pairing,
-        partitioner, workers, circuit, sequential, algorithm,
-        collect=recorder.enabled, refiner=refiner,
-    )
+    mapper = _PointMapper(netlist, events, base_spec, config, seed, pairing,
+                          workers, algorithm, refiner, recorder)
     points: list[PresimPoint] = []
     max_speedup = 1.0
     best: PresimPoint | None = None

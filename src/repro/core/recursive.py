@@ -38,7 +38,6 @@ def recursive_design_driven_partition(
     k: int,
     b: float,
     seed: int = 0,
-    max_fm_passes: int = 8,
     refiner: str = "fm",
 ) -> MultiwayResult:
     """k-way partition by recursive two-way design-driven splits.
@@ -67,8 +66,8 @@ def recursive_design_driven_partition(
     assignment = np.zeros(hg.num_vertices, dtype=np.int64)
     seed_state = cone_partition(clustering, max(k, 1), seed=seed)
     _split(
-        hg, np.arange(hg.num_vertices), k, 0, b, seed, max_fm_passes,
-        assignment, seed_state, refiner,
+        hg, np.arange(hg.num_vertices), k, 0, b, seed, assignment,
+        seed_state, refiner,
     )
     state = PartitionState(hg, k, assignment)
     constraint = BalanceConstraint(k, b)
@@ -93,7 +92,6 @@ def _split(
     first_part: int,
     b: float,
     seed: int,
-    max_fm_passes: int,
     assignment: np.ndarray,
     seed_state: PartitionState,
     refiner: str = "fm",
@@ -122,16 +120,16 @@ def _split(
     if refiner == "batch":
         batch_refine(local, window, blocks=(0, 1))
     else:
-        refine_pair(local, 0, 1, window, max_passes=max_fm_passes)
+        refine_pair(local, 0, 1, window)
     sides = local.part[vertices]
     left, right = vertices[sides == 0], vertices[sides == 1]
     if len(left) == 0 or len(right) == 0:
         half = len(vertices) // 2
         left, right = vertices[:half], vertices[half:]
-    _split(hg, left, k0, first_part, b, seed * 31 + 1, max_fm_passes,
-           assignment, seed_state, refiner)
-    _split(hg, right, k - k0, first_part + k0, b, seed * 31 + 2, max_fm_passes,
-           assignment, seed_state, refiner)
+    _split(hg, left, k0, first_part, b, seed * 31 + 1, assignment,
+           seed_state, refiner)
+    _split(hg, right, k - k0, first_part + k0, b, seed * 31 + 2, assignment,
+           seed_state, refiner)
 
 
 class _SubsetWindow:

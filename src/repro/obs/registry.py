@@ -132,7 +132,6 @@ PHASE_REGISTRY: dict[str, str] = {
     "presim.point": "one pre-simulation (k, b) grid point, end to end",
     "presim.partition": "the partitioning step of one pre-sim point",
     "presim.simulate": "the Time Warp step of one pre-sim point",
-    "sweep.cell": "one bench-grid cell (parse, partition, simulate)",
     "tw.load": "stimulus/event loading before the Time Warp main loop",
     "tw.run": "the Time Warp main loop, load to termination",
     "tw.verify": "committed-state verification against the oracle",

@@ -3,9 +3,8 @@
 PR 1's :class:`~repro.obs.recorder.MetricsRecorder` keeps *flat* phase
 totals — enough for "how long did refinement take" but blind to
 structure (which phase contained which) and to the worker processes the
-repo fans work out to (`repro.core.presim` (k, b) candidates,
-`repro.bench.parallel` sweep-grid cells).
-This module adds both without touching the flat contract:
+repo fans work out to (the (k, b) candidates of `repro.core.presim`, the
+repo's one process pool).  This module adds both without touching the flat contract:
 
 * :class:`SpanRecorder` — a drop-in :class:`MetricsRecorder` subclass
   whose :meth:`~SpanRecorder.phase` context manager *additionally*
@@ -22,8 +21,9 @@ This module adds both without touching the flat contract:
   attaching worker roots under the driver's innermost open span.
 * :func:`validate_spans` — the span-tree invariants (ids strictly
   increasing, parents resolve to earlier spans, child intervals inside
-  their parent within a clock-skew tolerance) enforced by
-  ``repro obs selfcheck`` and the test suite.
+  their parent within a clock-skew tolerance) enforced by the
+  timeline exporter (:func:`repro.obs.timeline.chrome_trace`) on every
+  document it renders, and by the test suite.
 
 Determinism contract
 --------------------

@@ -153,6 +153,84 @@ class TestSimulateCommands:
         assert text_p == text_s
 
 
+class TestSweepIsBruteForcePresim:
+    """``sweep`` and brute-force ``search`` are two views of one
+    ``brute_force_presim`` study."""
+
+    GRID = ("--vectors", "8", "--seed", "1")
+
+    def test_same_values_as_search(self, vfile):
+        import re
+
+        code_w, sweep = run("sweep", str(vfile), "--ks", "2,3", *self.GRID)
+        code_s, search = run("search", str(vfile), "--max-k", "3", *self.GRID)
+        assert code_w == code_s == 0
+        table = [line.split() for line in sweep.splitlines()
+                 if re.match(r"\d", line)]
+        # k, b, cut, time, speedup of every point, in grid order
+        assert [(k, float(b), cut, t, sp)
+                for k, b, cut, _, t, sp, _, _ in table] == [
+            (k, float(b), cut, t, sp) for k, b, cut, t, sp in re.findall(
+                r"k=(\d+) b=(\S+) +cut=(\d+) +time=(\S+)s speedup=(\S+)",
+                search)]
+        assert len(table) == 2 * 6
+
+    def test_documents_share_rows(self, vfile, tmp_path):
+        from repro.obs import read_metrics
+
+        sweep, search = tmp_path / "sweep.json", tmp_path / "search.json"
+        run("sweep", str(vfile), "--ks", "2", "--bs", "7.5,10", *self.GRID,
+            "--metrics-out", str(sweep))
+        run("search", str(vfile), "--max-k", "2", *self.GRID,
+            "--metrics", str(search))
+        doc = read_metrics(sweep)  # validates against schema v1
+        assert doc["kind"] == "sweep" and doc["name"] == "sweep"
+        assert doc["counters"]["bench.rows"] == len(doc["rows"]) == 2
+        assert {"k", "b", "cut_size", "balanced", "sim_time", "speedup",
+                "messages", "rollbacks"} == set(doc["rows"][0])
+        names = {span["name"] for span in doc["spans"]}
+        assert "presim.point" in names and "sweep.cell" not in names
+        assert sum(s["name"] == "presim.point" for s in doc["spans"]) == 2
+        # msgs / rollbacks too: same row dicts for the shared points
+        rows = {(r["k"], r["b"]): r for r in read_metrics(search)["rows"]}
+        assert all(rows[r["k"], r["b"]] == r for r in doc["rows"])
+
+    def test_workers_do_not_change_stdout(self, vfile):
+        base = ("sweep", str(vfile), "--ks", "2,3", "--bs", "7.5,15",
+                *self.GRID)
+        code_1, text_1 = run(*base, "--workers", "1")
+        code_2, text_2 = run(*base, "--workers", "2")
+        assert code_1 == code_2 == 0
+        assert text_2 == text_1
+
+
+class TestCircuitSpellings:
+    """``circuit:NAME`` / ``stream:NAME`` go through the one loader."""
+
+    def test_sweep_accepts_circuit_spelling(self):
+        code, text = run("sweep", "circuit:viterbi-test", "--ks", "2",
+                         "--bs", "10", "--vectors", "6")
+        assert code == 0
+        assert "(k, b) sweep: circuit:viterbi-test (6 vectors)" in text
+
+    @pytest.mark.parametrize("verb", ["psim", "search", "simulate"])
+    def test_stream_circuit_is_refused_by_name(self, verb, capsys):
+        code, text = run(verb, "stream:viterbi-test", "--vectors", "4")
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: {verb}: stream: circuits carry no hierarchy / names; "
+            "use circuit:NAME or a Verilog file\n")
+
+    def test_design_partition_of_stream_circuit_is_refused(self, capsys):
+        code, _ = run("partition", "stream:viterbi-test")
+        assert code == 1
+        assert "partition --algorithm design: stream: circuits carry no " \
+            "hierarchy / names" in capsys.readouterr().err
+        code, text = run("partition", "stream:viterbi-test",
+                         "--algorithm", "multilevel")
+        assert code == 0 and "cut size" in text
+
+
 class TestObsCommands:
     @pytest.fixture()
     def run_artifacts(self, vfile, tmp_path):
@@ -165,11 +243,6 @@ class TestObsCommands:
         )
         assert code == 0 and "verified        : True" in text
         return metrics, trace
-
-    def test_selfcheck(self):
-        code, text = run("obs", "selfcheck")
-        assert code == 0
-        assert "obs selfcheck: ok (18 checks)" in text
 
     def test_psim_progress_keeps_results(self, vfile):
         code, text = run(

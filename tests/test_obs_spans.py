@@ -8,7 +8,7 @@ The load-bearing claims:
 * worker mini-recorder payloads merge back losslessly and in
   deterministic order, so the volatile-stripped metrics document is
   **sha256-identical at any worker count** for every parallel fan-out
-  (refine rounds, presim searches, sweep grids);
+  (refine rounds, presim searches);
 * ``chrome_trace`` turns a spans-bearing document into valid
   Chrome-trace JSON with one lane per worker process.
 """
@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.circuits import circuit_source, random_vectors
+from repro.circuits import random_vectors
 from repro.core import (
     brute_force_presim,
     design_driven_partition,
@@ -254,21 +254,6 @@ class TestWorkerCountDigests:
                 workers=workers, recorder=rec,
             )
             digests.add(_digest(rec))
-        assert len(digests) == 1
-
-    def test_sweep_grid_digest_identical(self):
-        from repro.bench import run_presim_grid
-
-        source = circuit_source("viterbi-test")
-        digests = set()
-        for workers in (1, 2):
-            rec = SpanRecorder()
-            cells = run_presim_grid(
-                source, ks=(2,), bs=(7.5, 15.0), n_vectors=8, seed=1,
-                workers=workers, recorder=rec,
-            )
-            digests.add(_digest(
-                rec, counters={"bench.rows": len(cells)}))
         assert len(digests) == 1
 
     def test_parallel_run_has_worker_lanes(self, viterbi_test):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import random_vectors
 from repro.core import brute_force_presim, evaluate_partition, heuristic_presim
-from repro.core import design_driven_partition
+from repro.core import design_driven_partition, partition_netlist
 from repro.errors import ConfigError
 from repro.sim import ClusterSpec, TimeWarpConfig, compile_circuit
 
@@ -82,6 +82,24 @@ class TestBruteForce:
         with pytest.raises(ConfigError):
             brute_force_presim(viterbi_test, [], ks=(), bs=(7.5,))
 
+    def test_seed_changes_results(self, viterbi_test, study):
+        events = random_vectors(viterbi_test, 10, seed=2)
+        other = brute_force_presim(
+            viterbi_test, events, ks=KS, bs=BS, seed=2,
+            config=TimeWarpConfig(gvt_interval=64),
+        )
+        assert [_point_row(p) for p in other.points] != \
+            [_point_row(p) for p in study.points]
+
+    def test_rows_are_the_point_scalars(self, study):
+        p = study.points[0]
+        assert p.to_row() == {
+            "k": p.k, "b": p.b, "cut_size": p.cut_size,
+            "balanced": p.balanced, "sim_time": p.sim_time,
+            "speedup": p.speedup, "messages": p.messages,
+            "rollbacks": p.rollbacks,
+        }
+
 
 class TestHeuristic:
     def test_runs_at_most_brute_force(self, viterbi_test, study):
@@ -106,6 +124,36 @@ class TestHeuristic:
             config=TimeWarpConfig(gvt_interval=64),
         )
         assert heur.best in heur.points
+
+
+class TestPartitionNetlist:
+    """The one design / multilevel dispatch of presim points and CLI."""
+
+    def test_backends_match_their_entry_points(self, viterbi_test):
+        from repro.core import multilevel_flat_partition
+
+        design = partition_netlist(viterbi_test, 3, 10.0, seed=1,
+                                   pairing="cut", refiner="batch")
+        direct = design_driven_partition(viterbi_test, 3, 10.0, seed=1,
+                                         pairing="cut", refiner="batch")
+        assert design.gate_assignment().tolist() == \
+            direct.gate_assignment().tolist()
+        ml = partition_netlist(viterbi_test, 3, 10.0, "multilevel", seed=1)
+        assert ml.assignment.tolist() == multilevel_flat_partition(
+            viterbi_test, 3, 10.0, seed=1).assignment.tolist()
+
+    def test_recorder_reaches_the_backend(self, viterbi_test):
+        from repro.obs import MetricsRecorder
+
+        for algorithm, counter in (("design", "part.cone.cones"),
+                                   ("multilevel", "part.ml.levels")):
+            rec = MetricsRecorder()
+            partition_netlist(viterbi_test, 2, 10.0, algorithm, recorder=rec)
+            assert counter in rec.as_counters()
+
+    def test_unknown_algorithm(self, viterbi_test):
+        with pytest.raises(ConfigError, match="metis"):
+            partition_netlist(viterbi_test, 2, 10.0, "metis")
 
 
 class TestEvaluatePartition:

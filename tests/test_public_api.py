@@ -31,6 +31,38 @@ class TestTopLevel:
         assert issubclass(repro.ParseError, repro.ReproError)
 
 
+class TestOneGridEvaluator:
+    def test_second_grid_runner_is_gone(self):
+        import repro.bench
+        import repro.core
+
+        for name in ("run_presim_grid", "GridCell"):
+            assert name not in repro.bench.__all__
+            assert not hasattr(repro.bench, name)
+        with pytest.raises(ImportError):
+            import repro.bench.parallel  # noqa: F401
+        assert "partition_netlist" in repro.core.__all__
+
+    def test_unset_knobs_are_not_parameters(self):
+        import inspect
+
+        from repro.core import (
+            MultilevelConfig,
+            brute_force_presim,
+            design_driven_partition,
+            heuristic_presim,
+            recursive_design_driven_partition,
+        )
+
+        assert set(MultilevelConfig.__dataclass_fields__) == {
+            "coarsest_vertices", "coarsest_per_part", "large_edge_limit"}
+        for fn in (brute_force_presim, heuristic_presim,
+                   design_driven_partition,
+                   recursive_design_driven_partition):
+            assert not {"partitioner", "max_fm_passes", "max_rounds"} & set(
+                inspect.signature(fn).parameters)
+
+
 class TestObservabilitySurface:
     def test_all_exports_resolve_and_are_documented(self):
         import repro.obs as obs

@@ -70,7 +70,7 @@ _INVOCATION_RE = re.compile(
 )
 _ADD_ARGUMENT_RE = re.compile(r"add_argument\(\s*['\"](--[a-z][a-z0-9-]*)['\"]")
 _METRIC_RE = re.compile(
-    r"(?<![\w.])(?:part|tw|seq|sim|bench|partition|obs|refine|presim|sweep|circ)"
+    r"(?<![\w.])(?:part|tw|seq|sim|bench|partition|obs|refine|presim|circ)"
     r"\.(?:[a-z0-9_]+\.)*(?:[a-z0-9_]+|\*)"
 )
 
@@ -78,7 +78,7 @@ _METRIC_RE = re.compile(
 #: the start of a quoted metric-like literal, up to the closing quote or
 #: the ``{`` of an f-string field
 _LITERAL_RE = re.compile(
-    r"""["']((?:part|tw|seq|sim|bench|partition|obs|refine|presim|sweep|circ)"""
+    r"""["']((?:part|tw|seq|sim|bench|partition|obs|refine|presim|circ)"""
     r"""\.[A-Za-z0-9_.]*)"""
 )
 

@@ -13,18 +13,15 @@ Runs, in order, stopping at the first failure:
    schema-validates every ``benchmarks/out/BENCH_*.json``, so a deleted
    section or a hand-edited document fails here instead of waiting
    for the minutes-long benchmark run;
-4. the observability selfcheck (``python -m repro obs selfcheck``) —
-   analyzers, span-tree invariants, worker-lane merge and the
-   Chrome-trace exporter on built-in artifacts;
-5. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
+4. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
    --rungs 1``) — the 10k rung builds, partitions balanced, and its
    per-phase coarsen/refine wall breakdown carries every expected
    recorder phase (the smoke asserts the breakdown keys exist);
-6. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
+5. the pipeline benchmark's smoke size (``benchmarks/pipeline/run.py
    --smoke``) — all five workloads at test size, front end through
    verified Time Warp, every output check on, under 30 s; it writes
    only the git-ignored ``benchmarks/pipeline/out/``;
-7. the same at ``--smoke --verify-determinism`` — every workload twice
+6. the same at ``--smoke --verify-determinism`` — every workload twice
    in fresh processes, result digests must match — which catches a
    set-ordered or hash-seeded path in the simulators or partitioners
    at tier-1 cost.
@@ -62,9 +59,6 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("EXPERIMENTS.md freshness",
      [sys.executable, "benchmarks/make_experiments_md.py", "--check"],
      ()),
-    ("obs selfcheck",
-     [sys.executable, "-m", "repro", "obs", "selfcheck"],
-     ("src",)),
     ("scale-ladder smoke rung",
      [sys.executable, "benchmarks/bench_scale_ladder.py", "--rungs", "1"],
      ("src",)),
