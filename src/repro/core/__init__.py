@@ -10,9 +10,9 @@ Public surface:
 * :func:`cone_partition` — the concurrency-oriented initial partition.
 * :func:`refine_pair` — pairwise FM with best-prefix rollback.
 * :data:`PAIRING_STRATEGIES` — random / exhaustive / cut / gain.
-* :func:`tournament_rounds` / :func:`pairing_rounds` — the order
-  pairs are refined in; :func:`resolve_workers` — the worker-count
-  policy of the presim pool (see ``docs/parallelism.md``).
+* :func:`tournament_rounds` — the order ``exhaustive`` refines its
+  pairs in; :func:`resolve_workers` — the worker-count policy of the
+  presim pool (see ``docs/parallelism.md``).
 * :func:`brute_force_presim` / :func:`heuristic_presim` — the (k, b)
   selection searches driven by short trial simulations;
   :func:`partition_netlist` — the one ``design`` / ``multilevel``
@@ -38,9 +38,7 @@ from .fm import FMPassResult, refine_pair, rebalance_pair
 from .pairing import (
     PAIRING_STRATEGIES,
     estimate_pair_gain,
-    pairing_rounds,
     pairing_strategy,
-    schedule_rounds,
     tournament_rounds,
 )
 from .multiway import MultiwayResult, design_driven_partition
@@ -89,9 +87,7 @@ __all__ = [
     "PAIRING_STRATEGIES",
     "pairing_strategy",
     "estimate_pair_gain",
-    "pairing_rounds",
     "resolve_workers",
-    "schedule_rounds",
     "tournament_rounds",
     "MultiwayResult",
     "design_driven_partition",

@@ -40,7 +40,7 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
     dropped), and ``roots`` are clusters reading a primary-input net.
     """
     hg = clustering.hypergraph()
-    succ: list[set[int]] = [set() for _ in clustering.clusters]
+    succ: list[set[int]] = [set() for _ in range(len(clustering))]
     # a net reaching a second cluster is a hyperedge, and its other pins
     # are exactly the clusters reading it
     for pins, src in zip(hg.edge_pins_lists(), clustering.edge_drivers()):
@@ -60,7 +60,7 @@ def _cones_and_roots(clustering: Clustering) -> tuple[list[list[int]], list[int]
     """``(cones, roots)``: the reachable cluster set per root, heaviest
     cone first, and the roots of the one DAG build behind them."""
     succ, roots = build_cluster_dag(clustering)
-    weights = [c.weight for c in clustering.clusters]
+    weights = clustering.weights.tolist()
     cones: list[list[int]] = []
     for root in roots:
         seen = {root}
@@ -107,7 +107,7 @@ def cone_partition(
     cones, roots = _cones_and_roots(clustering)
     if seed:
         # perturb the visit order of equal-weight cones
-        weights = [c.weight for c in clustering.clusters]
+        weights = clustering.weights.tolist()
         keyed = [
             (-sum(weights[c] for c in cone), rng.random(), cone) for cone in cones
         ]

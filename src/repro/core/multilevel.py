@@ -35,7 +35,7 @@ Partitioning".
 Observability: the engine reports ``part.ml.*`` counters (levels,
 coarsest size, join totals, per-level cut maxima, refinement rounds,
 uncoarsening gain) plus the shared ``part.pairing.*`` / ``part.fm.*``
-/ ``part.refine.*`` families, under the phases ``partition.coarsen``,
+families, under the phases ``partition.coarsen``,
 ``partition.initial`` and ``partition.uncoarsen``.
 """
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PartitionError
-from ..hypergraph.build import flat_hypergraph, project_hypergraph
+from ..hypergraph.build import flat_hypergraph, group_members, project_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -55,7 +55,7 @@ from .balance import BalanceConstraint
 from .batch_refine import validate_refiner
 from .pairing import (
     improve_until_stable,
-    pairing_rounds,
+    pairing_strategy,
     repair_balance,
     require_serial,
 )
@@ -163,20 +163,15 @@ class MultilevelKwayResult:
         """Partition id per vertex (= per gate on a flat hypergraph)."""
         return self.assignment
 
-    def to_simulation(self) -> tuple[list[list[int]], list[int]]:
+    def to_simulation(self) -> tuple[list[np.ndarray], list[int]]:
         """(gate clusters, machine per cluster) for the Time Warp engine.
 
         One cluster per non-empty partition — the clustered Time Warp
         granularity a flat partition induces.
         """
-        clusters: list[list[int]] = []
-        machines: list[int] = []
-        for p in range(self.k):
-            members = np.flatnonzero(self.assignment == p)
-            if members.size:
-                clusters.append([int(g) for g in members])
-                machines.append(p)
-        return clusters, machines
+        members = group_members(self.assignment, self.k)
+        machines = [p for p in range(self.k) if members[p].size]
+        return [members[p] for p in machines], machines
 
 
 # -- coarsening -------------------------------------------------------------
@@ -434,7 +429,7 @@ def _greedy_fill(vertex_weight: list[int], k: int,
 def _refine_level(
     state: PartitionState,
     constraint: BalanceConstraint,
-    rounds_fn,
+    pairs_fn,
     rng: np.random.Generator,
     refiner: str,
     recorder: Recorder,
@@ -442,7 +437,7 @@ def _refine_level(
     """One level's refinement: the shared stability loop under the
     module's budgets, then the load repair; returns the rounds run."""
     rounds = improve_until_stable(
-        state, constraint, rounds_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
+        state, constraint, pairs_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
         refiner=refiner, recorder=recorder,
     )
     repair_balance(state, constraint, 2 * state.k, recorder)
@@ -454,7 +449,7 @@ def _initial_partition(
     k: int,
     constraint: BalanceConstraint,
     candidates: int,
-    rounds_fn,
+    pairs_fn,
     rng: np.random.Generator,
     recorder: Recorder,
     refiner: str = "fm",
@@ -482,7 +477,7 @@ def _initial_partition(
             coarsest, k, _greedy_fill(vertex_weight, k, order)
         )
         fill_cut = state.cut_size
-        rounds_total += _refine_level(state, constraint, rounds_fn, rng,
+        rounds_total += _refine_level(state, constraint, pairs_fn, rng,
                                       refiner, recorder)
         key = (constraint.violation(state.part_weight), state.cut_size, idx)
         if best is None or key < best:
@@ -535,11 +530,11 @@ def _kway_partition(
         )
 
     candidates = NUM_INITIAL if coarsen else 1
-    rounds_fn = pairing_rounds("exhaustive", recorder=recorder)
+    pairs_fn = pairing_strategy("exhaustive", recorder=recorder)
     level_cuts: list[int] = []
     with recorder.phase("partition.initial"):
         state, refine_rounds, fill_cut = _initial_partition(
-            coarsest, k, constraint, candidates, rounds_fn, rng, recorder,
+            coarsest, k, constraint, candidates, pairs_fn, rng, recorder,
             refiner=refiner,
         )
     initial_cut = state.cut_size if coarsen else fill_cut
@@ -556,7 +551,7 @@ def _kway_partition(
             state = PartitionState(
                 level.fine, k, state.part[level.mapping]
             )
-            refine_rounds += _refine_level(state, constraint, rounds_fn,
+            refine_rounds += _refine_level(state, constraint, pairs_fn,
                                            rng, refiner, recorder)
             level_cuts.append(state.cut_size)
             if recorder.enabled:

@@ -32,7 +32,7 @@ from .batch_refine import validate_refiner
 from .cone import cone_partition
 from .pairing import (
     improve_until_stable,
-    pairing_rounds,
+    pairing_strategy,
     repair_balance,
     require_serial,
 )
@@ -50,7 +50,7 @@ class MultiwayResult:
     """Final partition plus provenance.
 
     ``clustering`` is the (possibly partially flattened) visible-node
-    set; ``assignment[i]`` is the partition of ``clustering.clusters[i]``.
+    set; ``assignment[i]`` is the partition of its vertex ``i``.
     ``balanced`` records whether Formula 1 was ultimately met —
     partitions that exhausted every flattening opportunity without
     meeting a very tight b are returned with ``balanced=False`` rather
@@ -74,9 +74,9 @@ class MultiwayResult:
             self.clustering.gate_cluster
         ]
 
-    def to_simulation(self) -> tuple[list[list[int]], list[int]]:
+    def to_simulation(self) -> tuple[list[np.ndarray], list[int]]:
         """(gate clusters, machine per cluster) for the Time Warp engine."""
-        return self.clustering.gate_clusters(), [int(p) for p in self.assignment]
+        return self.clustering.gate_clusters(), self.assignment.tolist()
 
 
 def design_driven_partition(
@@ -162,7 +162,7 @@ def design_driven_partition(
             f"cannot make {k} partitions from {num_gates} gates"
         )
     constraint = BalanceConstraint(k, b)
-    rounds_fn = pairing_rounds(pairing, recorder=recorder)
+    pairs_fn = pairing_strategy(pairing, recorder=recorder)
     rng = np.random.default_rng(seed)
     history: list[str] = []
     if max_flatten_steps is None:
@@ -210,7 +210,7 @@ def design_driven_partition(
     while True:
         with recorder.phase("partition.refine"):
             rounds = improve_until_stable(
-                state, constraint, rounds_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
+                state, constraint, pairs_fn, rng, MAX_FM_PASSES, MAX_ROUNDS,
                 refiner=refiner, recorder=recorder,
             )
         fm_rounds += rounds
@@ -236,7 +236,11 @@ def design_driven_partition(
         with recorder.phase("partition.flatten"):
             target = _flatten_candidate(clustering, state, constraint)
             if target is not None:
-                clustering, state = _flatten_and_carry(clustering, state, target)
+                # every piece stays in its super-gate's partition
+                clustering = clustering.flatten(target)
+                state = PartitionState(
+                    clustering.hypergraph(), k, state.part[clustering.parent]
+                )
         if target is None:
             # nothing left to flatten: last-resort load repair
             with recorder.phase("partition.rebalance"):
@@ -285,34 +289,14 @@ def _flatten_candidate(
     for p in order:
         if state.part_weight[p] <= hi:
             break
-        members = np.flatnonzero(state.part == p).tolist()
-        cand = clustering.largest_super_gate(among=members)
+        cand = clustering.largest_super_gate(
+            among=np.flatnonzero(state.part == p)
+        )
         if cand is not None:
             return cand
     # underweight-only violations: flatten the largest super-gate anywhere
     # so finer grains can migrate into the starved partition
     return clustering.largest_super_gate()
-
-
-def _flatten_and_carry(
-    clustering: Clustering,
-    state: PartitionState,
-    index: int,
-) -> tuple[Clustering, PartitionState]:
-    """Flatten one super-gate, carrying the assignment onto its pieces."""
-    owner = state.part_of(index)
-    before = len(clustering)
-    new_clustering = clustering.flatten(index)
-    grown = len(new_clustering) - before + 1  # replacement cluster count
-    assignment = np.concatenate(
-        [
-            state.part[:index],
-            np.full(grown, owner, dtype=np.int64),
-            state.part[index + 1 :],
-        ]
-    )
-    new_state = PartitionState(new_clustering.hypergraph(), state.k, assignment)
-    return new_clustering, new_state
 
 
 def _redistribute(

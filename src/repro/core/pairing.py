@@ -13,26 +13,26 @@ runs FM between them.  The paper lists four selection criteria:
 A strategy yields an ordered list of pairs for one improvement round;
 the drivers keep requesting rounds until no pair produces gain (the
 flowchart's "pairing configuration available?" test).  That loop
-(:func:`improve_until_stable`), the conflict-free pair rounds it
-executes (:func:`refine_round`) and the heaviest→lightest load repair
-that follows it (:func:`repair_balance`) live here, shared by the
-design-driven and the multilevel driver.  Refinement is serial and in
-place; ``docs/parallelism.md`` records why.
+(:func:`improve_until_stable`, which refines the pairs of a round in
+the order proposed) and the heaviest→lightest load repair that follows
+it (:func:`repair_balance`) live here, shared by the design-driven and
+the multilevel driver.  Refinement is serial and in place;
+``docs/parallelism.md`` records why.
 
-``exhaustive`` proposes overlapping pairs (every C(k, 2) combination);
-:func:`tournament_rounds` — a round-robin tournament, circle method —
-fixes the order they execute in: every pair exactly once, in k-1
-(even k) or k (odd k) rounds of disjoint pairs.
+``exhaustive`` proposes every C(k, 2) combination, in the order of
+:func:`tournament_rounds` — a round-robin tournament, circle method:
+every pair exactly once, k-1 (even k) or k (odd k) rounds of disjoint
+pairs, one round after the other.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, PartitionError
+from ..errors import ConfigError
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .balance import BalanceConstraint
@@ -44,16 +44,10 @@ __all__ = [
     "PAIRING_STRATEGIES",
     "estimate_pair_gain",
     "tournament_rounds",
-    "schedule_rounds",
-    "pairing_rounds",
-    "refine_round",
     "improve_until_stable",
     "repair_balance",
     "require_serial",
 ]
-
-PairRounds = list[list[tuple[int, int]]]
-
 
 def _random_pairs(state: PartitionState, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Disjoint random pairs (odd partition sits a round out)."""
@@ -66,8 +60,8 @@ def _random_pairs(state: PartitionState, rng: np.random.Generator) -> list[tuple
 
 
 def _exhaustive_pairs(state: PartitionState, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Every unordered pair."""
-    return list(combinations(range(state.k), 2))
+    """Every unordered pair, tournament round by tournament round."""
+    return [pair for rnd in tournament_rounds(state.k) for pair in rnd]
 
 
 def _cut_based_pairs(state: PartitionState, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -174,7 +168,7 @@ def pairing_strategy(
     return counted
 
 
-def tournament_rounds(k: int) -> PairRounds:
+def tournament_rounds(k: int) -> list[list[tuple[int, int]]]:
     """Round-robin tournament schedule over partitions ``0..k-1``.
 
     Circle method: every unordered pair appears in exactly one round,
@@ -189,7 +183,7 @@ def tournament_rounds(k: int) -> PairRounds:
     if k % 2:
         players.append(-1)  # bye marker
     n = len(players)
-    rounds: PairRounds = []
+    rounds: list[list[tuple[int, int]]] = []
     for _ in range(n - 1):
         rnd = []
         for i in range(n // 2):
@@ -202,93 +196,10 @@ def tournament_rounds(k: int) -> PairRounds:
     return rounds
 
 
-def schedule_rounds(pairs: Sequence[tuple[int, int]]) -> PairRounds:
-    """Pack an ordered pair list into conflict-free rounds (first fit).
-
-    Pairs already disjoint come back as a single round in their
-    original order, so the disjoint strategies (random / cut / gain)
-    execute exactly as proposed.  Overlapping inputs are split
-    greedily, preserving relative order within each round.
-    """
-    rounds: PairRounds = []
-    busy: list[set[int]] = []
-    for a, b in pairs:
-        for rnd, used in zip(rounds, busy):
-            if a not in used and b not in used:
-                rnd.append((a, b))
-                used.update((a, b))
-                break
-        else:
-            rounds.append([(a, b)])
-            busy.append({a, b})
-    return rounds
-
-
-def pairing_rounds(
-    name: str,
-    recorder: Recorder = NULL_RECORDER,
-) -> Callable[[PartitionState, np.random.Generator], PairRounds]:
-    """Round-schedule form of a pairing strategy.
-
-    Returns a callable producing, for one improvement round, a list of
-    conflict-free pair rounds.  ``random`` / ``cut`` / ``gain`` already
-    emit disjoint pairs and become a single round; ``exhaustive`` is
-    decomposed into its round-robin tournament (every C(k, 2) pair
-    exactly once per improvement round).  ``part.pairing.rounds``
-    counts improvement rounds and ``part.pairing.pairs`` the pairs
-    proposed.
-    """
-    if name == "exhaustive":
-
-        def exhaustive_rounds(
-            state: PartitionState, rng: np.random.Generator
-        ) -> PairRounds:
-            rounds = tournament_rounds(state.k)
-            if recorder.enabled:
-                recorder.incr("part.pairing.rounds")
-                recorder.incr("part.pairing.pairs",
-                              sum(len(r) for r in rounds))
-            return rounds
-
-        return exhaustive_rounds
-
-    strategy = pairing_strategy(name, recorder=recorder)
-    return lambda state, rng: schedule_rounds(strategy(state, rng))
-
-
-def refine_round(
-    state: PartitionState,
-    pairs: Sequence[tuple[int, int]],
-    constraint: BalanceConstraint,
-    max_passes: int = 8,
-    recorder: Recorder = NULL_RECORDER,
-) -> int:
-    """Refine one conflict-free round of pairs in place, in pair order;
-    returns the realized cut gain.  Each pair is one ``refine.pair``
-    phase; ``part.refine.rounds`` / ``part.refine.tasks`` count rounds
-    and pairs."""
-    touched: set[int] = set()
-    for a, b in pairs:
-        if a in touched or b in touched or a == b:
-            raise PartitionError(
-                f"refine_round requires disjoint pairs, got {list(pairs)}"
-            )
-        touched.update((a, b))
-    if recorder.enabled and pairs:
-        recorder.incr("part.refine.rounds")
-        recorder.incr("part.refine.tasks", len(pairs))
-    gain = 0
-    for a, b in pairs:
-        with recorder.phase("refine.pair"):
-            gain += refine_pair(state, a, b, constraint,
-                                max_passes=max_passes, recorder=recorder).gain
-    return gain
-
-
 def improve_until_stable(
     state: PartitionState,
     constraint: BalanceConstraint,
-    rounds_fn: Callable[[PartitionState, np.random.Generator], PairRounds],
+    pairs_fn: Callable[[PartitionState, np.random.Generator], list[tuple[int, int]]],
     rng: np.random.Generator,
     max_fm_passes: int,
     max_rounds: int,
@@ -298,9 +209,10 @@ def improve_until_stable(
     """Refine ``state`` until no move yields gain (the Figure 2 loop);
     returns the number of rounds run.
 
-    ``refiner="fm"``: ``rounds_fn`` (:func:`pairing_rounds`) proposes
-    conflict-free pair rounds and :func:`refine_round` executes them,
-    until an improvement round realizes no gain or ``max_rounds`` is
+    ``refiner="fm"``: ``pairs_fn`` (:func:`pairing_strategy`) proposes
+    an ordered pair list per round and each pair is refined in place
+    (:func:`repro.core.fm.refine_pair`, one ``refine.pair`` phase), in
+    that order, until a round realizes no gain or ``max_rounds`` is
     reached.  ``refiner="batch"``: the whole-boundary refiner of
     :mod:`repro.core.batch_refine` runs to its fixpoint under its
     default kick budget.  A batch round is one synchronous
@@ -313,9 +225,11 @@ def improve_until_stable(
     rounds = 0
     for _ in range(max_rounds):
         gain = 0
-        for pair_round in rounds_fn(state, rng):
-            gain += refine_round(state, pair_round, constraint,
-                                 max_fm_passes, recorder)
+        for a, b in pairs_fn(state, rng):
+            with recorder.phase("refine.pair"):
+                gain += refine_pair(state, a, b, constraint,
+                                    max_passes=max_fm_passes,
+                                    recorder=recorder).gain
         rounds += 1
         if gain <= 0:
             break

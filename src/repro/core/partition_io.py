@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import PartitionError
-from ..hypergraph.build import Cluster, Clustering
+from ..hypergraph.build import Clustering
 from ..hypergraph.partition_state import PartitionState
 from ..verilog.netlist import Netlist
 from .balance import BalanceConstraint
@@ -46,16 +46,19 @@ _VERSION = 1
 
 def dumps_partition(result: MultiwayResult) -> str:
     """Serialize a partition to a JSON string."""
-    netlist = result.clustering.netlist
-    clusters = []
-    for cluster, part in zip(result.clustering.clusters, result.assignment):
-        clusters.append(
-            {
-                "name": cluster.name,
-                "partition": int(part),
-                "gates": [netlist.gates[g].name for g in cluster.gate_ids],
-            }
+    clustering = result.clustering
+    netlist = clustering.netlist
+    gate_names = netlist.gate_names
+    clusters = [
+        {
+            "name": name,
+            "partition": int(part),
+            "gates": [gate_names[g] for g in gate_ids.tolist()],
+        }
+        for name, part, gate_ids in zip(
+            clustering.names, result.assignment, clustering.gate_clusters()
         )
+    ]
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -118,37 +121,39 @@ def loads_partition(text: str, netlist: Netlist) -> MultiwayResult:
         raise PartitionError(
             f"partition file: 'k' must be >= 1 and 'b' >= 0, got {k} and {b}"
         )
-    by_name = {g.name: g.gid for g in netlist.gates}
-    clusters: list[Cluster] = []
+    by_name = {name: gid for gid, name in enumerate(netlist.gate_names)}
+    names: list[str] = []
     assignment: list[int] = []
-    seen: set[int] = set()
+    gate_cluster = [-1] * netlist.num_gates
     for idx, entry in enumerate(_field(doc, "clusters", list)):
         where = f"clusters[{idx}]."
         if not isinstance(entry, dict):
             raise PartitionError(f"partition file: clusters[{idx}] must be an object")
         cluster_name = _field(entry, "name", str, where)
-        gids = []
-        for name in _field(entry, "gates", list, where):
+        gates = _field(entry, "gates", list, where)
+        if not gates:
+            raise PartitionError(f"partition file: {where}'gates' names no gate")
+        for name in gates:
             gid = by_name.get(name) if isinstance(name, str) else None
             if gid is None:
                 raise PartitionError(f"netlist has no gate named {name!r}")
-            if gid in seen:
+            if gate_cluster[gid] >= 0:
                 raise PartitionError(f"gate {name!r} appears in two clusters")
-            seen.add(gid)
-            gids.append(gid)
+            gate_cluster[gid] = idx
         part = _field(entry, "partition", int, where)
         if not (0 <= part < k):
             raise PartitionError(
                 f"cluster {cluster_name!r} assigned to partition {part} "
                 f"outside [0, {k})"
             )
-        clusters.append(Cluster(cluster_name, tuple(sorted(gids)), len(gids)))
+        names.append(cluster_name)
         assignment.append(part)
-    if len(seen) != netlist.num_gates:
+    covered = netlist.num_gates - gate_cluster.count(-1)
+    if covered != netlist.num_gates:
         raise PartitionError(
-            f"partition covers {len(seen)} of {netlist.num_gates} gates"
+            f"partition covers {covered} of {netlist.num_gates} gates"
         )
-    clustering = Clustering(netlist, clusters)
+    clustering = Clustering(netlist, np.array(gate_cluster, dtype=np.int64), names)
     state = PartitionState(clustering.hypergraph(), k, assignment)
     return MultiwayResult(
         clustering=clustering,

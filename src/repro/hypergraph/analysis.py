@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..verilog.netlist import Netlist
-from .build import Clustering
+from .build import hierarchy_hypergraph
 
 __all__ = [
     "CircuitStats",
@@ -79,28 +79,16 @@ class CircuitStats:
 
 def locality_fraction(netlist: Netlist) -> tuple[int, int]:
     """(internal, boundary) counts of multi-pin nets at visible-node
-    granularity — the design locality the paper's algorithm preserves."""
-    clustering = Clustering.top_level(netlist)
-    gate_cluster = [0] * netlist.num_gates
-    for ci, cluster in enumerate(clustering.clusters):
-        for gid in cluster.gate_ids:
-            gate_cluster[gid] = ci
-    local = boundary = 0
-    for nid in range(netlist.num_nets):
-        touched: set[int] = set()
-        driver = netlist.net_driver[nid]
-        if driver >= 0:
-            touched.add(gate_cluster[driver])
-        for gid in netlist.net_sinks[nid]:
-            touched.add(gate_cluster[gid])
-        pins = (1 if driver >= 0 else 0) + len(netlist.net_sinks[nid])
-        if pins < 2:
-            continue
-        if len(touched) <= 1:
-            local += 1
-        else:
-            boundary += 1
-    return local, boundary
+    granularity — the design locality the paper's algorithm preserves.
+
+    A boundary net is a hyperedge of the visible-node hypergraph
+    (one per net :func:`~repro.hypergraph.build.spanning_nets` finds);
+    every other net with two or more pins, its driver included, is
+    internal."""
+    csr = netlist.csr
+    boundary = hierarchy_hypergraph(netlist).num_edges
+    pins = np.diff(csr.fanout()[0]) + (csr.net_driver >= 0)
+    return int(np.count_nonzero(pins >= 2)) - boundary, boundary
 
 
 @dataclass

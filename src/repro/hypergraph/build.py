@@ -2,15 +2,21 @@
 
 The paper's hypergraph (§3) has two kinds of vertices: ordinary gates
 and *super-gates* — Verilog module instances treated as one vertex
-weighted by their internal gate count.  A :class:`Clustering` captures
-exactly that: an ordered list of clusters, each either a single gate or
-a whole instance subtree, together with the mapping back to gate ids
-(which the Time Warp engine consumes as its LP list).
+weighted by their internal gate count.  A :class:`Clustering` is
+exactly that as **one array**: ``gate_cluster[g]`` is the vertex of
+gate ``g``.  Everything else — vertex names, weights, the hierarchy
+node behind a super-gate — is a per-vertex column beside it, and the
+same array is what the partition result indexes
+(``assignment[gate_cluster]``) and what the Time Warp engine turns
+into its LP table.
 
 Flattening (§3.2) is a Clustering→Clustering operation: one super-gate
-cluster is replaced by its next hierarchy level (its direct gates as
+is replaced by its next hierarchy level (its direct gates as
 singletons plus its child instances as smaller super-gates), and the
-hypergraph is rebuilt.
+hypergraph is rebuilt.  The design hierarchy is a *given* coarsening:
+``Netlist.nodes`` is a preorder, so "the gates of instance ``i``" is
+the range test ``i <= gate_node[g] < subtree_end[i]`` and a hierarchy
+level is a lookup through ``gate_node`` — no per-node gate lists.
 
 Every circuit hypergraph here — visible-node, partially flattened, flat
 from a parsed netlist, flat from a streamed one — is built by one array
@@ -22,7 +28,7 @@ vertex weights and the names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -32,21 +38,35 @@ from ..verilog.netlist import HierNode, Netlist
 from ..verilog.netlist_csr import NetlistCSR
 from .hypergraph import Hypergraph, _csr_gather
 
-__all__ = ["Cluster", "Clustering", "flat_hypergraph", "hierarchy_hypergraph",
-           "project_hypergraph", "spanning_nets", "streamed_flat_hypergraph"]
+__all__ = ["Cluster", "Clustering", "flat_hypergraph", "group_members",
+           "hierarchy_hypergraph", "project_hypergraph", "spanning_nets",
+           "streamed_flat_hypergraph"]
 
 
-@dataclass(frozen=True)
+def group_members(mapping: np.ndarray, count: int) -> list[np.ndarray]:
+    """Invert an element → group map: per group ``0..count-1`` the
+    ascending indices ``i`` with ``mapping[i] == group``, as views of
+    one array (stable argsort, split at the bincount bounds)."""
+    if count == 0:
+        return []
+    order = np.argsort(mapping, kind="stable")
+    bounds = np.cumsum(np.bincount(mapping, minlength=count))
+    return np.split(order, bounds[:-1])
+
+
+@dataclass(frozen=True, eq=False)
 class Cluster:
-    """One hypergraph vertex: a gate or a super-gate.
+    """One hypergraph vertex as a record: a gate or a super-gate.
 
-    ``node`` is the backing instance-tree node for super-gates (used by
-    flattening); plain gates have ``node=None``.  ``weight`` is the
-    gate count (the paper's load unit).
+    A row of the :attr:`Clustering.clusters` view.  ``gate_ids`` is the
+    vertex's gates ascending (an array); ``node`` is the backing
+    instance-tree node for super-gates, ``None`` for plain gates;
+    ``weight`` is the gate count (the paper's load unit) unless the
+    clustering carries ``gate_weights``.
     """
 
     name: str
-    gate_ids: tuple[int, ...]
+    gate_ids: np.ndarray
     weight: int
     node: HierNode | None = None
 
@@ -57,55 +77,90 @@ class Cluster:
 
 
 class Clustering:
-    """An ordered set of clusters covering every gate exactly once.
+    """A gate → vertex map covering every gate, plus per-vertex columns.
+
+    ``gate_cluster`` (``(num_gates,)`` int64) *is* the clustering.
+    Beside it, one entry per vertex: ``names``, ``weights`` (int64),
+    ``node`` (index into ``netlist.nodes`` of the instance behind a
+    super-gate, -1 for a plain gate) and ``is_super_gate`` (bool).
+    :attr:`parent`, set on the result of :meth:`flatten`, maps each of
+    its vertices to the vertex of the clustering it was flattened from.
 
     ``gate_weights`` optionally replaces the paper's gate-count load
     metric with per-gate weights — the activity-based metric the paper
     names as future work ("our load metric is the number of gates,
-    which is not entirely adequate").  Pass a per-gate array (e.g.
-    ``1 + activity`` from a profiling run of
-    :class:`~repro.sim.sequential.SequentialSimulator`); cluster and
-    hypergraph vertex weights then measure expected simulation load
-    instead of area.
+    which is not entirely adequate").  Pass a per-gate integer array
+    (e.g. ``1 + activity`` from a profiling run of
+    :class:`~repro.sim.sequential.SequentialSimulator`); vertex weights
+    then measure expected simulation load instead of area.
     """
 
     def __init__(
         self,
         netlist: Netlist,
-        clusters: list[Cluster],
+        gate_cluster: np.ndarray,
+        names: list[str],
         gate_weights: "np.ndarray | None" = None,
+        node: "np.ndarray | None" = None,
     ) -> None:
         self.netlist = netlist
-        self.clusters = clusters
-        self.gate_weights = gate_weights
+        self.gate_cluster = np.asarray(gate_cluster, dtype=np.int64)
+        self.names = names
+        self.gate_weights = self._check_weights(netlist, gate_weights)
+        self.node = np.full(len(names), -1, dtype=np.int64) if node is None else node
+        #: new vertex → vertex of the clustering this one was flattened from
+        self.parent: np.ndarray | None = None
         self._hypergraph: Hypergraph | None = None
         self._edge_drivers: list[int] = []
-        self._gate_cluster: np.ndarray | None = None
-        covered = sum(len(c.gate_ids) for c in clusters)
-        if covered != netlist.num_gates:
+        self._clusters: tuple[Cluster, ...] | None = None
+        if self.gate_cluster.shape != (netlist.num_gates,):
             raise PartitionError(
-                f"clustering covers {covered} of {netlist.num_gates} gates"
-            )
-        self._check_weights(netlist, gate_weights)
-
-    @staticmethod
-    def _check_weights(netlist: Netlist, gate_weights: np.ndarray | None) -> None:
-        if gate_weights is None:
-            return
-        if len(gate_weights) != netlist.num_gates:
-            raise PartitionError(
-                f"gate_weights has {len(gate_weights)} entries for "
+                f"clustering covers {self.gate_cluster.size} of "
                 f"{netlist.num_gates} gates"
             )
-        if len(gate_weights) and int(np.min(gate_weights)) < 1:
-            raise PartitionError("gate_weights must be >= 1")
+        self._check_vertices(self.gate_cluster)
+        sizes = np.bincount(self.gate_cluster, minlength=len(names))
+        if not sizes.all():
+            empty = int(np.argmin(sizes))
+            raise PartitionError(f"vertex {empty} ({names[empty]!r}) holds no gate")
+        self.weights = sizes if self.gate_weights is None else np.bincount(
+            self.gate_cluster, weights=self.gate_weights, minlength=len(names)
+        ).astype(np.int64)
+        self.is_super_gate = (self.node >= 0) & (
+            (netlist.subtree_end[self.node] > self.node + 1) | (sizes > 1)
+        )
 
     @staticmethod
-    def _weigh(gate_weights: "np.ndarray | None", gate_ids: tuple[int, ...]) -> int:
+    def _check_weights(
+        netlist: Netlist, gate_weights: "np.ndarray | None"
+    ) -> np.ndarray | None:
+        """``gate_weights`` as an int64 array (itself, if it is one)."""
         if gate_weights is None:
-            return len(gate_ids)
-        picked = np.asarray(gate_weights)[np.asarray(gate_ids)]
-        return int(picked.astype(np.int64, copy=False).sum())
+            return None
+        given = np.asarray(gate_weights)
+        if len(given) != netlist.num_gates:
+            raise PartitionError(
+                f"gate_weights has {len(given)} entries for "
+                f"{netlist.num_gates} gates"
+            )
+        with np.errstate(invalid="ignore"):
+            weights = given.astype(np.int64, copy=False)
+        if (weights != given).any():
+            gid = int(np.argmax(weights != given))
+            raise PartitionError(
+                f"gate_weights must be integers, got {given[gid]} for gate {gid}"
+            )
+        if len(weights) and int(weights.min()) < 1:
+            raise PartitionError("gate_weights must be >= 1")
+        return weights
+
+    def _check_vertices(self, vertices: np.ndarray) -> None:
+        bad = (vertices < 0) | (vertices >= len(self))
+        if bad.any():
+            raise PartitionError(
+                f"vertex {int(vertices[np.argmax(bad)])} out of range: the "
+                f"clustering has {len(self)} vertices"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -118,33 +173,44 @@ class Clustering:
         Top-level gates become singleton clusters; each first-level
         module instance becomes one super-gate cluster (paper §3, §4.3).
         """
-        cls._check_weights(netlist, gate_weights)
-        clusters = cls._level_below(netlist, netlist.hierarchy, "", gate_weights)
-        return cls(netlist, clusters, gate_weights)
+        gates = np.arange(netlist.num_gates, dtype=np.int64)
+        gate_cluster, names, node = cls._open(netlist, 0, gates, "")
+        return cls(netlist, gate_cluster, names, gate_weights, node)
 
-    @classmethod
-    def _level_below(
-        cls,
-        netlist: Netlist,
-        node: HierNode,
-        prefix: str,
-        gate_weights: "np.ndarray | None",
-    ) -> list[Cluster]:
-        """``node``'s direct gates as singletons, then each non-empty
-        child instance as one super-gate named ``prefix + child``."""
-        clusters = [
-            Cluster(netlist.gate_names[gid], (gid,), cls._weigh(gate_weights, (gid,)))
-            for gid in node.gate_ids
+    @staticmethod
+    def _open(
+        netlist: Netlist, node: int, gates: np.ndarray, prefix: str
+    ) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """One hierarchy level of instance ``node`` over its ``gates``
+        (ascending): the direct gates as singletons in gate order, then
+        each non-empty child instance, in declaration order, as one
+        super-gate named ``prefix + child``.  Returns the level's vertex
+        per gate of ``gates``, the vertex names and the ``node`` column.
+        """
+        end = netlist.subtree_end
+        # the node, then its children: each starts where the last ended
+        heads = [node]
+        child = node + 1
+        while child < end[node]:
+            heads.append(child)
+            child = int(end[child])
+        heads = np.array(heads, dtype=np.int64)
+        head = heads[
+            np.searchsorted(heads, netlist.gate_node[gates], side="right") - 1
         ]
-        for child in node.children.values():
-            gates = tuple(sorted(child.subtree_gates()))
-            if not gates:
-                continue  # empty wrapper module: nothing to simulate
-            clusters.append(Cluster(
-                prefix + child.name, gates, cls._weigh(gate_weights, gates),
-                node=child,
-            ))
-        return clusters
+        # one sort key per new vertex: a direct gate is itself, a gate
+        # further down is its child instance, ordered behind every gate
+        num_gates = netlist.num_gates
+        keys, vertex = np.unique(
+            np.where(head == node, gates, num_gates + head), return_inverse=True
+        )
+        gate_names, nodes = netlist.gate_names, netlist.nodes
+        names = [
+            gate_names[key] if key < num_gates
+            else prefix + nodes[key - num_gates].name
+            for key in keys.tolist()
+        ]
+        return vertex, names, np.where(keys < num_gates, -1, keys - num_gates)
 
     @classmethod
     def flat(
@@ -154,16 +220,10 @@ class Clustering:
 
         This is the input the paper gave hMetis.
         """
-        cls._check_weights(netlist, gate_weights)
-        weights = (
-            [1] * netlist.num_gates if gate_weights is None
-            else np.asarray(gate_weights).tolist()
+        return cls(
+            netlist, np.arange(netlist.num_gates, dtype=np.int64),
+            netlist.gate_names, gate_weights,
         )
-        clusters = [
-            Cluster(name, (gid,), int(weights[gid]))
-            for gid, name in enumerate(netlist.gate_names)
-        ]
-        return cls(netlist, clusters, gate_weights)
 
     # -- flattening ----------------------------------------------------------
 
@@ -171,34 +231,51 @@ class Clustering:
         """Replace super-gate ``index`` by its next hierarchy level.
 
         Its direct gates become singleton clusters and each child
-        instance becomes a (smaller) super-gate; other clusters keep
-        their order.  Raises :class:`PartitionError` for plain gates.
+        instance becomes a (smaller) super-gate, spliced in at
+        ``index``; other clusters keep their order.  The result's
+        :attr:`parent` maps its vertices back to this clustering's, so
+        an assignment carries over as ``part[new.parent]``.  Raises
+        :class:`PartitionError` for plain gates.
         """
-        target = self.clusters[index]
-        if target.node is None:
+        self._check_vertices(np.array([index]))
+        if self.node[index] < 0:
             raise PartitionError(
-                f"cluster {target.name!r} is a plain gate, cannot flatten"
+                f"cluster {self.names[index]!r} is a plain gate, cannot flatten"
             )
-        replacement = self._level_below(
-            self.netlist, target.node, target.name + ".", self.gate_weights
+        gates = np.flatnonzero(self.gate_cluster == index)
+        vertex, names, node = self._open(
+            self.netlist, int(self.node[index]), gates, self.names[index] + "."
         )
-        new_clusters = (
-            self.clusters[:index] + replacement + self.clusters[index + 1 :]
+        pieces = np.ones(len(self), dtype=np.int64)
+        pieces[index] = len(names)
+        parent = np.repeat(np.arange(len(self), dtype=np.int64), pieces)
+        # vertices behind `index` shift by the pieces it grew into
+        gate_cluster = self.gate_cluster + (len(names) - 1) * (self.gate_cluster > index)
+        gate_cluster[gates] = index + vertex
+        new_node = self.node[parent]
+        new_node[index:index + len(names)] = node
+        new = Clustering(
+            self.netlist, gate_cluster,
+            self.names[:index] + names + self.names[index + 1:],
+            self.gate_weights, new_node,
         )
-        return Clustering(self.netlist, new_clusters, self.gate_weights)
+        new.parent = parent
+        return new
 
-    def largest_super_gate(self, among: list[int] | None = None) -> int | None:
+    def largest_super_gate(self, among: "Sequence[int] | None" = None) -> int | None:
         """Index of the heaviest flattenable cluster (optionally within
-        a vertex subset), or None if everything is a plain gate."""
-        best: tuple[int, int] | None = None
-        indices = range(len(self.clusters)) if among is None else among
-        for i in indices:
-            c = self.clusters[i]
-            if c.is_super_gate:
-                cand = (c.weight, -i)
-                if best is None or cand > (best[0], -best[1]):
-                    best = (c.weight, i)
-        return None if best is None else best[1]
+        a vertex subset; the lowest index on ties), or None if
+        everything is a plain gate."""
+        if among is None:
+            among = np.arange(len(self), dtype=np.int64)
+        else:
+            among = np.asarray(among, dtype=np.int64)
+            self._check_vertices(among)
+        among = among[self.is_super_gate[among]]
+        if not among.size:
+            return None
+        weight = self.weights[among]
+        return int(among[weight == weight.max()].min())
 
     # -- hypergraph ------------------------------------------------------------
 
@@ -217,21 +294,6 @@ class Clustering:
         self.hypergraph()
         return self._edge_drivers
 
-    @property
-    def gate_cluster(self) -> np.ndarray:
-        """``(num_gates,)`` index of the cluster holding each gate (cached)."""
-        if self._gate_cluster is None:
-            sizes = [len(c.gate_ids) for c in self.clusters]
-            gate_ids = np.fromiter(
-                chain.from_iterable(c.gate_ids for c in self.clusters),
-                dtype=np.int64, count=sum(sizes),
-            )
-            self._gate_cluster = np.zeros(self.netlist.num_gates, dtype=np.int64)
-            self._gate_cluster[gate_ids] = np.repeat(
-                np.arange(len(sizes), dtype=np.int64), sizes
-            )
-        return self._gate_cluster
-
     def _build_hypergraph(self) -> Hypergraph:
         netlist = self.netlist
         nets, edge_ptr, edge_pins, drivers = spanning_nets(
@@ -239,27 +301,43 @@ class Clustering:
         )
         self._edge_drivers = drivers.tolist()
         return Hypergraph.from_csr(
-            np.array([c.weight for c in self.clusters], dtype=np.int64),
+            self.weights,
             np.ones(len(nets), dtype=np.int64),
             edge_ptr,
             edge_pins,
-            vertex_names=[c.name for c in self.clusters],
+            vertex_names=self.names,
             edge_names=list(map(netlist.net_names.__getitem__, nets.tolist())),
         )
 
-    # -- bridges to the simulator ----------------------------------------------
+    # -- views -------------------------------------------------------------------
 
-    def gate_clusters(self) -> list[list[int]]:
-        """Gate-id lists per cluster (the Time Warp engine's LP list)."""
-        return [list(c.gate_ids) for c in self.clusters]
+    def gate_clusters(self) -> list[np.ndarray]:
+        """Gate ids per cluster, ascending (the Time Warp engine's LP list)."""
+        return group_members(self.gate_cluster, len(self))
+
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """The vertices as :class:`Cluster` records — a read-only view
+        for code that wants objects (partition files, diagnostics,
+        tests), materialised from the columns on first access."""
+        if self._clusters is None:
+            nodes = self.netlist.nodes
+            self._clusters = tuple(
+                Cluster(name, gate_ids, weight, nodes[node] if node >= 0 else None)
+                for name, gate_ids, weight, node in zip(
+                    self.names, self.gate_clusters(),
+                    self.weights.tolist(), self.node.tolist(),
+                )
+            )
+        return self._clusters
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.names)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        supers = sum(1 for c in self.clusters if c.is_super_gate)
         return (
-            f"Clustering({len(self.clusters)} clusters, {supers} super-gates, "
+            f"Clustering({len(self)} clusters, "
+            f"{np.count_nonzero(self.is_super_gate)} super-gates, "
             f"{self.netlist.num_gates} gates)"
         )
 

@@ -39,8 +39,6 @@ METRIC_REGISTRY: dict[str, str] = {
     "part.fm.executed": "vertex moves FM passes made on their working sets, whether or not the best prefix retained them",
     "part.fm.bound_stops": "FM passes the locked-cut bound ended: stopped before the last free vertex, or skipped before the gain fill",
     "part.fm.rebalance_moves": "vertices moved by balance repair (rebalance_pair)",
-    "part.refine.rounds": "conflict-free pair rounds executed by refine_round",
-    "part.refine.tasks": "pair-refinement tasks executed (one FM pair each)",
     "part.core.lambda_hits": "edges examined through the λ cache: per gain query, per edge of a vertex an FM pass decides (one walk moves its pin and locks its side), per critical edge walked by FM's delta update",
     "part.core.gain_batches": "batch move_gains() queries answered by the vectorized core",
     "part.core.gain_batch_vertices": "total vertices evaluated across batch gain queries",

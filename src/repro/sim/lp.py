@@ -132,15 +132,13 @@ class ClusterLP:
         self.lid = lid
         self.name = name or f"lp{lid}"
         self.circuit = circuit
-        self.gate_ids = tuple(sorted(gate_ids))
+        self.gate_ids = np.sort(np.asarray(gate_ids, dtype=np.int64))
         self.checkpoint_interval = checkpoint_interval
         self.lazy = lazy
 
         # the kernel's tables over LP-local ids: local net i is global
         # net _net_list[i] (every net a local gate reads or drives)
-        self._table, nets = circuit.table.restrict(
-            np.array(self.gate_ids, dtype=np.int64)
-        )
+        self._table, nets = circuit.table.restrict(self.gate_ids)
         self._net_list: list[int] = nets.tolist()
         self._net_loc = {n: i for i, n in enumerate(self._net_list)}
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -135,9 +134,10 @@ class TimeWarpEngine:
                 raise SimulationError(f"machine id {m} out of range")
 
         sizes = [len(cl) for cl in clusters]
-        gids = np.fromiter(
-            chain.from_iterable(clusters), dtype=np.int64, count=sum(sizes)
-        )
+        gids = np.concatenate([
+            np.empty(0, dtype=np.int64),  # no cluster at all is no gate
+            *(np.asarray(cl, dtype=np.int64) for cl in clusters),
+        ])
         if gids.size and not 0 <= gids.min() <= gids.max() < circuit.num_gates:
             raise SimulationError("clusters name a gate the circuit lacks")
         seen = np.bincount(gids, minlength=circuit.num_gates)
@@ -785,7 +785,7 @@ class TimeWarpEngine:
         circuit = self.circuit
         out: dict[int, int] = {}
         for lp in self.lps:
-            for net in circuit.gate_output[list(lp.gate_ids)].tolist():
+            for net in circuit.gate_output[lp.gate_ids].tolist():
                 out[net] = lp.local_value(net)
         for net in circuit.inputs:
             readers = self._readers(net)

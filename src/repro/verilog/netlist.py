@@ -17,7 +17,8 @@ A :class:`Netlist` is **names and hierarchy over one**
 :class:`~repro.verilog.netlist_csr.NetlistCSR`: the structure — gate
 types, pins, outputs, drivers, fanout — lives in ``netlist.csr`` as
 arrays, and the netlist adds what arrays cannot carry: net names, gate
-names, the gate → hierarchy-node index and the :class:`HierNode` tree.
+names, the :class:`HierNode` tree and the hierarchy index
+(``gate_node`` / ``subtree_end``, below).
 The elaborator hands those columns over directly; the hot consumers
 (hypergraph build, compilation, clock detection) read them and never
 touch a per-gate object.  ``gates``, ``net_driver`` and ``net_sinks``
@@ -83,24 +84,17 @@ class HierNode:
     """One node of the elaborated instance tree.
 
     The root represents the top module; each child represents one
-    module instance.  ``gate_ids`` holds only the gates *directly*
-    inside this node (not in sub-instances); ``total_gates`` counts the
-    whole subtree and is the super-gate weight used by the partitioner.
+    module instance.  ``total_gates`` counts the whole subtree and is
+    the super-gate weight used by the partitioner.  Which gates sit
+    where is not stored on the nodes: it is the netlist's
+    ``gate_node`` array over the :meth:`walk` order.
     """
 
     name: str
     module: str
     path: tuple[str, ...]
     children: dict[str, "HierNode"] = field(default_factory=dict)
-    gate_ids: list[int] = field(default_factory=list)
     total_gates: int = 0
-
-    def subtree_gates(self) -> list[int]:
-        """All gate ids in this subtree (own + descendants)."""
-        out = list(self.gate_ids)
-        for child in self.children.values():
-            out.extend(child.subtree_gates())
-        return out
 
     def walk(self) -> Iterator["HierNode"]:
         """Depth-first iterator over this subtree, self first."""
@@ -164,9 +158,15 @@ class Netlist:
         #: primary output net ids (bit-level), in port declaration order
         self.outputs: list[int] = []
         self.hierarchy = HierNode(name=top, module=top, path=())
-        #: per gate, the index of its node in ``hierarchy.walk()`` order
-        #: (arrives with the columns)
+        #: the hierarchy index (arrives with the columns).  ``nodes`` is
+        #: ``hierarchy.walk()`` — a preorder, so the subtree of node
+        #: ``i`` is the contiguous range ``[i, subtree_end[i])`` — and
+        #: ``gate_node[g]`` the index of the node gate ``g`` sits
+        #: directly in: gate ``g`` is inside instance ``i`` iff
+        #: ``i <= gate_node[g] < subtree_end[i]``
+        self.nodes: list[HierNode] = [self.hierarchy]
         self.gate_node = np.zeros(0, dtype=np.int64)
+        self.subtree_end = np.ones(1, dtype=np.int64)
         self._csr: NetlistCSR | None = None
         # the list views; None = not materialised from the columns yet
         self._gates: list[Gate] | None = []
@@ -199,8 +199,8 @@ class Netlist:
 
         ``inputs`` / ``outputs`` and the hierarchy tree must be in
         place.  Runs the structural checks, indexes the hierarchy
-        (per-node gate lists, subtree gate counts) and drops the list
-        views, to be rebuilt from the columns if anyone asks.
+        (``nodes``, ``subtree_end``, subtree gate counts) and drops the
+        list views, to be rebuilt from the columns if anyone asks.
         """
         inputs = np.array(self.inputs, dtype=np.int64)
         self.net_names = net_names
@@ -220,17 +220,20 @@ class Netlist:
         self.gate_node = gate_node
         self._gates = self._net_driver = self._net_sinks = None
 
-        order = np.argsort(gate_node, kind="stable").tolist()
-        nodes = list(self.hierarchy.walk())
-        counts = np.bincount(gate_node, minlength=len(nodes)).tolist()
-        pos = 0
-        for node, count in zip(nodes, counts):
-            node.gate_ids = order[pos:pos + count]
-            pos += count
-        for node in reversed(nodes):  # children before their parent
-            node.total_gates = len(node.gate_ids) + sum(
-                c.total_gates for c in node.children.values()
-            )
+        self.nodes = nodes = list(self.hierarchy.walk())
+        size = [1] * len(nodes)
+        for i in reversed(range(len(nodes))):  # children before their parent
+            end = i + 1  # a node's children follow it, subtree by subtree
+            for _ in nodes[i].children:
+                end += size[end]
+            size[i] = end - i
+        start = np.arange(len(nodes), dtype=np.int64)
+        self.subtree_end = start + np.array(size, dtype=np.int64)
+        below = np.zeros(len(nodes) + 1, dtype=np.int64)  # gates in nodes < i
+        np.cumsum(np.bincount(gate_node, minlength=len(nodes)), out=below[1:])
+        totals = below[self.subtree_end] - below[start]
+        for node, total in zip(nodes, totals.tolist()):
+            node.total_gates = total
 
     def _lower(self) -> None:
         """Lower the list views to columns: one pass over the gates."""
@@ -279,7 +282,7 @@ class Netlist:
             outs = csr.gate_output.tolist()
             ptr = csr.pin_ptr.tolist()
             pins = csr.pin_net.tolist()
-            paths = [node.path for node in self.hierarchy.walk()]
+            paths = [node.path for node in self.nodes]
             nodes = self.gate_node.tolist()
             self._gates = [
                 Gate(gid, types[codes[gid]], name, paths[nodes[gid]],

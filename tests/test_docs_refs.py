@@ -25,7 +25,7 @@ def test_every_registered_name_is_recorded_somewhere():
 
 def test_registry_audit_catches_an_orphaned_name(tmp_path):
     names, _ = check_docs._registry_names()
-    orphan = "part.refine.tasks"
+    orphan = "part.pairing.pairs"
     lines = [f'rec.incr("{n}")' for n in sorted(names)
              if n != orphan and not n.startswith(("part.core.", "obs.span."))]
     # an f-string family head and a derived-suffix literal count as use

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.circuits import CIRCUITS, load_circuit
@@ -223,18 +224,22 @@ class TestHierarchyTree:
         assert root.total_gates == 20
 
     def test_subtree_gates_cover(self, adder4):
-        all_gates = sorted(adder4.hierarchy.subtree_gates())
+        # the root's subtree is every node, and every gate sits in one
+        assert adder4.subtree_end[0] == len(adder4.nodes)
+        all_gates = sorted(
+            g for i in range(len(adder4.nodes)) for g in _direct_gates(adder4, i)
+        )
         assert all_gates == list(range(adder4.num_gates))
 
     def test_find(self, adder4):
         node = adder4.hierarchy.find(("f1", "u2"))
         assert node.module == "ha"
-        assert len(node.gate_ids) == 2
+        assert len(_direct_gates(adder4, adder4.nodes.index(node))) == 2
 
     def test_gate_paths_match_tree(self, adder4):
         for gate in adder4.gates:
             node = adder4.hierarchy.find(gate.path)
-            assert gate.gid in node.gate_ids
+            assert gate.gid in _direct_gates(adder4, adder4.nodes.index(node))
 
 
 class TestNetlistBuilder:
@@ -311,6 +316,11 @@ class TestNetNames:
         assert nl.net_name(undriven[0]) == "dangling"
 
 
+def _direct_gates(nl, i):
+    """Gate ids directly inside hierarchy node ``i`` (walk order), ascending."""
+    return np.flatnonzero(nl.gate_node == i).tolist()
+
+
 def _netlist_digest(nl):
     doc = (
         nl.net_names,
@@ -320,8 +330,9 @@ def _netlist_digest(nl):
         nl.net_driver,
         nl.net_sinks,
         [
-            (n.name, n.module, n.path, n.gate_ids, n.total_gates, list(n.children))
-            for n in nl.hierarchy.walk()
+            (n.name, n.module, n.path, _direct_gates(nl, i), n.total_gates,
+             list(n.children))
+            for i, n in enumerate(nl.hierarchy.walk())
         ],
     )
     return hashlib.sha256(repr(doc).encode()).hexdigest()
@@ -371,9 +382,11 @@ def _gates(nl):
     return [(g.gtype, g.name, g.path, g.inputs, g.output) for g in nl.gates]
 
 
-def _tree(node):
-    return (node.name, node.module, node.path, node.gate_ids,
-            [_tree(c) for c in node.children.values()])
+def _tree(nl, node=None):
+    node = nl.hierarchy if node is None else node
+    return (node.name, node.module, node.path,
+            _direct_gates(nl, nl.nodes.index(node)),
+            [_tree(nl, c) for c in node.children.values()])
 
 
 class TestExactNetlists:
@@ -423,7 +436,7 @@ class TestExactNetlists:
             ("not", "u.i2.n", ("u", "i2"), (6,), 5),
             ("not", "v.n", ("v",), (5,), 3),
         ]
-        assert _tree(nl.hierarchy) == (
+        assert _tree(nl) == (
             "top", "top", (), [], [
                 ("u", "mid", ("u",), [], [
                     ("i1", "inv", ("u", "i1"), [0], []),

@@ -25,6 +25,7 @@ from repro.sim.compiled import compile_circuit
 from repro.verilog import NetlistBuilder, compile_verilog, elaborate, parse_source
 from repro.verilog.elaborate import component_min
 from repro.verilog.netlist import HierNode, Netlist
+from tests.clustering_oracle import flatten_sequence
 from tests.test_elaborate import _netlist_digest
 
 
@@ -149,6 +150,12 @@ class TestClusterHypergraphOracle:
     def test_flattened_once(self, netlist):
         top = Clustering.top_level(netlist)
         self._check(top.flatten(top.largest_super_gate()))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_flatten_sequences(self, netlist, seed):
+        # the sequences tests/test_clustering.py holds to the tree oracle
+        for clustering, _ in flatten_sequence(netlist, seed, 6):
+            self._check(clustering)
 
 
 def test_gateless_netlist_goes_through_every_array_consumer():

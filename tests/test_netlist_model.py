@@ -1,5 +1,6 @@
 """Netlist model internals not covered elsewhere."""
 
+import numpy as np
 import pytest
 
 from repro.errors import NetlistError
@@ -65,7 +66,7 @@ class TestNetlistChecks:
         outer = nl.hierarchy.children["outer"]
         assert outer.total_gates == 2
         assert outer.children["inner"].total_gates == 1
-        assert len(outer.gate_ids) == 1
+        assert np.flatnonzero(nl.gate_node == nl.nodes.index(outer)).tolist() == [1]
 
 
 class TestGateRecord:

@@ -103,7 +103,7 @@ class TestFolding:
         assert set(opt.hierarchy.children) <= set(pipeadd.hierarchy.children)
         for gate in opt.gates:
             node = opt.hierarchy.find(gate.path)
-            assert gate.gid in node.gate_ids
+            assert opt.gate_node[gate.gid] == opt.nodes.index(node)
 
     def test_stats_summary(self, pipeadd):
         _, stats = optimize_netlist(pipeadd)

@@ -1,13 +1,15 @@
-"""Pair rounds and the worker-count policy.
+"""Pair order and the worker-count policy.
 
-Covers the round scheduler (tournament pairing, greedy packing) and
-``refine_round`` of ``repro.core.pairing``, ``resolve_workers`` (the
-presim / sweep pools' policy, ``repro.core.presim``), the rejection of
-a refinement worker count on the three entry points that still accept
-the keyword, and — where this file used to compare the serial path
-with the process pool that refinement no longer has — the serial
-results pinned to what the last commit with both paths produced
-(every pairing strategy x 3 seeds x k in {4, 8}).
+Covers the tournament order ``exhaustive`` refines its pairs in and the
+ordered-pair loop of ``repro.core.pairing.improve_until_stable``,
+``resolve_workers`` (the presim / sweep pools' policy,
+``repro.core.presim``), the rejection of a refinement worker count on
+the three entry points that still accept the keyword, and — where this
+file used to compare the serial path with the process pool that
+refinement no longer has — the serial results pinned to what the last
+commit with both paths produced (every pairing strategy x 3 seeds x k
+in {4, 8}).  The file keeps the name of that pool so the ~70 test ids
+pinned to it stay where they are.
 """
 
 import hashlib
@@ -27,12 +29,11 @@ from repro.core import (
     heuristic_presim,
     multilevel_kway_partition,
     resolve_workers,
-    schedule_rounds,
     tournament_rounds,
 )
-from repro.core.pairing import refine_round
+from repro.core.pairing import improve_until_stable, pairing_strategy
 from repro.core.presim import REPRO_WORKERS_ENV
-from repro.errors import ConfigError, PartitionError
+from repro.errors import ConfigError
 from repro.hypergraph import flat_hypergraph
 from repro.hypergraph.build import Clustering
 from repro.hypergraph.partition_state import PartitionState
@@ -83,23 +84,6 @@ class TestTournamentRounds:
         for rnd in tournament_rounds(9):
             for a, b in rnd:
                 assert a < b
-
-
-class TestScheduleRounds:
-    def test_disjoint_input_is_one_round_in_order(self):
-        pairs = [(2, 5), (0, 1), (3, 4)]
-        assert schedule_rounds(pairs) == [pairs]
-
-    def test_overlapping_pairs_split_greedily(self):
-        rounds = schedule_rounds([(0, 1), (1, 2), (0, 2)])
-        assert rounds == [[(0, 1)], [(1, 2)], [(0, 2)]]
-
-    def test_first_fit_packs_into_existing_rounds(self):
-        rounds = schedule_rounds([(0, 1), (1, 2), (3, 4)])
-        assert rounds == [[(0, 1), (3, 4)], [(1, 2)]]
-
-    def test_empty(self):
-        assert schedule_rounds([]) == []
 
 
 class TestResolveWorkers:
@@ -206,7 +190,6 @@ class TestSerialParallelEquivalence:
             "part.fm.gain": 8, "part.fm.moves": 4, "part.fm.passes": 27,
             "part.fm.rebalance_moves": 3, "part.pairing.pairs": 24,
             "part.pairing.rounds": 4, "part.redistribute.calls": 1,
-            "part.refine.rounds": 12, "part.refine.tasks": 24,
             "part.rounds": 4, "partition.initial.calls": 1,
             "partition.rebalance.calls": 1, "partition.refine.calls": 2,
             "refine.pair.calls": 24,
@@ -231,28 +214,34 @@ class TestRefinerEngine:
             hg, 4, np.arange(hg.num_vertices, dtype=np.int64) % 4
         )
 
-    def test_rejects_overlapping_round(self):
-        with pytest.raises(PartitionError):
-            refine_round(
-                self._state(), [(0, 1), (1, 2)], BalanceConstraint(4, 10.0)
-            )
-
     def test_engine_records_structural_metrics(self):
         rec = MetricsRecorder()
         state = self._state()
         cut = state.cut_size
-        gain = refine_round(state, [(0, 1), (2, 3)],
-                            BalanceConstraint(4, 10.0), recorder=rec)
-        assert state.cut_size == cut - gain
+        order = []
+
+        def pairs_fn(state, rng):
+            order.append(state.cut_size)
+            return [(0, 1), (2, 3)]
+
+        rounds = improve_until_stable(
+            state, BalanceConstraint(4, 10.0), pairs_fn,
+            np.random.default_rng(0), 8, 3, recorder=rec,
+        )
+        # one request per round, each pair of a round one FM call
+        assert rounds == len(order) <= 3
+        assert order[0] == cut and state.cut_size < cut
         counters = rec.as_counters()
-        assert counters["part.refine.rounds"] == 1
-        assert counters["part.refine.tasks"] == 2
-        assert counters["refine.pair.calls"] == 2
-        assert counters["part.fm.passes"] >= 2
-        # an empty round is not a round
-        assert refine_round(state, [], BalanceConstraint(4, 10.0),
-                            recorder=rec) == 0
-        assert rec.as_counters()["part.refine.rounds"] == 1
+        assert counters["refine.pair.calls"] == 2 * rounds
+        assert counters["part.fm.passes"] >= 2 * rounds
+        assert counters["part.fm.gain"] == cut - state.cut_size
+        assert not [n for n in counters if n.startswith("part.refine.")]
+
+    def test_exhaustive_is_the_tournament_in_round_order(self):
+        state = self._state()
+        pairs = pairing_strategy("exhaustive")(state, np.random.default_rng(0))
+        assert pairs == [p for rnd in tournament_rounds(4) for p in rnd]
+        assert pairs == [(0, 3), (1, 2), (0, 2), (1, 3), (0, 1), (2, 3)]
 
 
 class TestRetainedWorkerKeywords:

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,22 @@ class TestValidation:
             loads_partition(json.dumps(doc), viterbi_test)
 
 
+    def test_cluster_without_gates_is_located(self, viterbi_test, partition):
+        # was HypergraphError "vertex 16 has non-positive weight"
+        doc = json.loads(dumps_partition(partition))
+        doc["clusters"].insert(16, {"name": "hollow", "partition": 0, "gates": []})
+        with pytest.raises(PartitionError) as exc:
+            loads_partition(json.dumps(doc), viterbi_test)
+        assert str(exc.value) == "partition file: clusters[16].'gates' names no gate"
+
+    def test_dump_reads_names_not_gate_records(self, partition):
+        from repro.circuits import load_circuit
+
+        fresh = load_circuit("viterbi-test")
+        result = loads_partition(dumps_partition(partition), fresh)
+        dumps_partition(result)
+        assert fresh._gates is None
+
     def test_not_an_object(self, viterbi_test):
         with pytest.raises(PartitionError, match="not a repro-partition"):
             loads_partition("[1, 2]", viterbi_test)
@@ -148,6 +165,33 @@ class TestValidation:
         assert loaded.balanced is False
         # and an honest file still loads as balanced
         assert loads_partition(dumps_partition(partition), viterbi_test).balanced
+
+
+GOLDEN = Path(__file__).parent / "goldens" / "viterbi-test.k4.b2_5.partition.json.ok"
+
+
+class TestGoldenFile:
+    """``repro partition circuit:viterbi-test -k 4 -b 2.5 --save`` as
+    written before the clustering became an array: 2 flatten steps, 146
+    clusters, cut 58 — the nested names (``ch0_acs0._g7``) and their
+    positions pin the flatten splice order."""
+
+    def test_save_is_byte_identical(self, tmp_path):
+        from repro.cli import main
+
+        saved = tmp_path / "p.json"
+        assert main(["partition", "circuit:viterbi-test", "-k", "4", "-b", "2.5",
+                     "--save", str(saved)], out=io.StringIO()) == 0
+        assert saved.read_bytes() == GOLDEN.read_bytes()
+
+    def test_golden_reloads_to_the_same_assignment(self, viterbi_test):
+        loaded = load_partition(GOLDEN, viterbi_test)
+        fresh = design_driven_partition(viterbi_test, k=4, b=2.5)
+        assert (loaded.k, loaded.b, loaded.cut_size) == (4, 2.5, 58)
+        assert len(loaded.clustering) == len(fresh.clustering) == 146
+        assert loaded.clustering.names == fresh.clustering.names
+        assert loaded.gate_assignment().tolist() == fresh.gate_assignment().tolist()
+        assert fresh.flatten_steps == 2 and fresh.cut_size == 58
 
 
 class TestCliIntegration:

@@ -1,10 +1,17 @@
 """Public API surface: lazy exports, versioning, depth utility."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.sim.compiled import combinational_depth, compile_circuit
 from repro.verilog import compile_verilog
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import check_docs  # noqa: E402
 
 
 class TestTopLevel:
@@ -61,6 +68,48 @@ class TestOneGridEvaluator:
                    recursive_design_driven_partition):
             assert not {"partitioner", "max_fm_passes", "max_rounds"} & set(
                 inspect.signature(fn).parameters)
+
+
+class TestOneGateVertexArray:
+    #: retired with the pair-round scheduler and the per-node gate lists
+    RETIRED = (
+        "repro.core.schedule_rounds",
+        "repro.core.pairing.schedule_rounds",
+        "repro.core.pairing_rounds",
+        "repro.core.pairing.pairing_rounds",
+        "repro.core.pairing.refine_round",
+        "repro.verilog.netlist.HierNode.subtree_gates",
+        "repro.hypergraph.build.Clustering._level_below",
+    )
+
+    def test_retired_names_do_not_resolve(self):
+        import repro.core
+
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+            assert path.rsplit(".", 1)[1] not in repro.core.__all__
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        # docs/performance.md is the history document: it names what went
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        names = sorted({path.rsplit(".", 1)[1] for path in self.RETIRED})
+        word = re.compile(r"\b(" + "|".join(names) + r")\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+    def test_hierarchy_nodes_hold_no_gate_lists(self):
+        from repro.verilog.netlist import HierNode
+
+        assert "gate_ids" not in HierNode.__dataclass_fields__
 
 
 class TestObservabilitySurface:
