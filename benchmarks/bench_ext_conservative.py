@@ -35,7 +35,8 @@ def _inter_machine_channels(circuit, clusters, machines) -> int:
     for lid, cl in enumerate(clusters):
         for g in cl:
             out = int(circuit.gate_output[g])
-            for s in circuit.net_sinks[out]:
+            lo, hi = circuit.sink_offsets[out], circuit.sink_offsets[out + 1]
+            for s in circuit.sink_gate[lo:hi].tolist():
                 dst = lp_of_gate[s]
                 if machines[dst] != machines[lid]:
                     channels.add((lid, dst))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..sim.events import InputEvent
-from ..sim.logic import SEQ_CODE_MIN, gate_code_table
+from ..sim.logic import flip_flop_mask
 from ..verilog.netlist import Netlist
 
 __all__ = [
@@ -63,8 +63,7 @@ class VectorSchedule:
 def detect_clocks(netlist: Netlist) -> list[int]:
     """Primary-input nets wired to any flip-flop's clock pin."""
     csr = netlist.csr
-    codes = gate_code_table(csr.gate_types)[csr.gate_code]
-    clocked = (codes >= SEQ_CODE_MIN) & (np.diff(csr.pin_ptr) >= 2)
+    clocked = flip_flop_mask(csr) & (np.diff(csr.pin_ptr) >= 2)
     clk = csr.pin_net[csr.pin_ptr[:-1][clocked] + 1]  # pin 1 of (d, clk, ...)
     return np.intersect1d(clk, csr.inputs).tolist()
 

@@ -318,6 +318,7 @@ def _cmd_generate(args, out) -> int:
 
 
 def _cmd_info(args, out) -> int:
+    from .sim.logic import flip_flop_mask
     from .verilog.netlist_csr import NetlistCSR
 
     netlist = _load(args)
@@ -332,7 +333,7 @@ def _cmd_info(args, out) -> int:
     if arrays:
         out.write("form       : array-native (no hierarchy/name strings)\n")
         return 0
-    out.write(f"flip-flops : {len(netlist.sequential_gates())}\n")
+    out.write(f"flip-flops : {int(flip_flop_mask(netlist.csr).sum())}\n")
     out.write(f"instances  : {len(netlist.hierarchy.children)} (top level)\n")
     undriven = netlist.undriven_nets()
     if undriven:

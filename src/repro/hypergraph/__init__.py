@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`Hypergraph`, :class:`HypergraphBuilder` — the immutable
-  weighted hypergraph and its incremental constructor.
+* :class:`Hypergraph` — the immutable weighted hypergraph, built from
+  pin lists by :meth:`Hypergraph.from_edges`.
   :meth:`Hypergraph.from_csr` is the array-native freeze boundary: bulk
   builders hand over finished ``edge_ptr``/``edge_pins`` arrays with no
   per-edge list round-trip.
@@ -21,7 +21,7 @@ Public surface:
   (:mod:`repro.hypergraph.dtypes`).
 """
 
-from .hypergraph import Hypergraph, HypergraphBuilder
+from .hypergraph import Hypergraph
 from .dtypes import INT32_MAX, index_dtype, require_int64
 from .partition_state import PartitionState
 from .metrics import (
@@ -64,7 +64,6 @@ __all__ = [
     "locality_fraction",
     "stuck_x_report",
     "Hypergraph",
-    "HypergraphBuilder",
     "PartitionState",
     "hyperedge_cut",
     "connectivity_cut",

@@ -127,7 +127,7 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
     initialization escapes.
     """
     from ..sim.compiled import compile_circuit
-    from ..sim.logic import VX
+    from ..sim.logic import VX, flip_flop_mask
     from ..sim.sequential import SequentialSimulator
 
     circuit = compile_circuit(netlist)
@@ -135,7 +135,8 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
     sim.add_inputs(events)
     sim.run()
     undriven = set(netlist.undriven_nets())
-    ff_outputs = {g.output for g in netlist.sequential_gates()}
+    csr = netlist.csr
+    ff_outputs = set(csr.gate_output[flip_flop_mask(csr)].tolist())
     report = StuckXReport(total_nets=netlist.num_nets)
     for nid in range(3, netlist.num_nets):
         if int(sim.values[nid]) != VX:
@@ -145,7 +146,7 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
             cause = "undriven net"
         elif nid in ff_outputs:
             cause = "uninitialized flip-flop (no reset reached it)"
-        elif netlist.net_driver[nid] == -1:
+        elif csr.net_driver[nid] == -1:
             cause = "primary input never driven by the stimulus"
         else:
             cause = "derived from another stuck-X net"
@@ -156,10 +157,12 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
 def analyze_netlist(netlist: Netlist) -> CircuitStats:
     """Compute the full structural summary."""
     from ..sim.compiled import combinational_depth, compile_circuit
+    from ..sim.logic import flip_flop_mask
 
     circuit = compile_circuit(netlist)
-    fanouts = [len(s) for s in netlist.net_sinks]
-    nonzero = [f for f in fanouts if f > 0]
+    csr = netlist.csr
+    fanouts = np.diff(csr.fanout()[0])
+    nonzero = fanouts[fanouts > 0]
     local, boundary = locality_fraction(netlist)
     hierarchy_depth = max(
         (len(node.path) for node in netlist.hierarchy.walk()), default=0
@@ -169,15 +172,15 @@ def analyze_netlist(netlist: Netlist) -> CircuitStats:
         nets=netlist.num_nets,
         inputs=len(netlist.inputs),
         outputs=len(netlist.outputs),
-        flip_flops=len(netlist.sequential_gates()),
+        flip_flops=int(np.count_nonzero(flip_flop_mask(csr))),
         logic_depth=combinational_depth(circuit),
         top_instances=len(netlist.hierarchy.children),
         hierarchy_depth=hierarchy_depth,
         instance_sizes=[
             n.total_gates for n in netlist.hierarchy.children.values()
         ],
-        fanout_mean=float(np.mean(nonzero)) if nonzero else 0.0,
-        fanout_max=max(nonzero, default=0),
+        fanout_mean=float(np.mean(nonzero)) if len(nonzero) else 0.0,
+        fanout_max=int(nonzero.max(initial=0)),
         local_nets=local,
         boundary_nets=boundary,
     )

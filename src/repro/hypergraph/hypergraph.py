@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import HypergraphError
 
-__all__ = ["Hypergraph", "HypergraphBuilder"]
+__all__ = ["Hypergraph"]
 
 
 def _csr_gather(
@@ -61,8 +61,8 @@ def _csr_lists(ptr: np.ndarray, data: np.ndarray) -> list[list[int]]:
 class Hypergraph:
     """An immutable weighted hypergraph.
 
-    Use :class:`HypergraphBuilder` (or :meth:`from_edges`) to construct
-    one.  All arrays are NumPy ``int64``; the object is hashable by
+    Construct one with :meth:`from_edges` (pin lists) or
+    :meth:`from_csr` (pre-built arrays).  All arrays are NumPy ``int64``; the object is hashable by
     identity and safe to share across partitioning runs.
 
     Attributes
@@ -374,78 +374,3 @@ class Hypergraph:
             f"pins={self.num_pins}, weight={self.total_weight})"
         )
 
-
-class HypergraphBuilder:
-    """Incremental builder that assigns dense ids from string names.
-
-    The Verilog → hypergraph translators accumulate vertices and nets by
-    name; the builder deduplicates names and emits a frozen
-    :class:`Hypergraph` with stable name side-tables.
-    """
-
-    def __init__(self) -> None:
-        self._vertex_ids: dict[str, int] = {}
-        self._weights: list[int] = []
-        self._edges: list[tuple[str, list[int]]] = []
-
-    def add_vertex(self, name: str, weight: int = 1) -> int:
-        """Register a vertex; re-adding an existing name raises."""
-        if name in self._vertex_ids:
-            raise HypergraphError(f"duplicate vertex name {name!r}")
-        vid = len(self._weights)
-        self._vertex_ids[name] = vid
-        self._weights.append(int(weight))
-        return vid
-
-    def vertex_id(self, name: str) -> int:
-        """Dense id previously assigned to ``name``."""
-        return self._vertex_ids[name]
-
-    def has_vertex(self, name: str) -> bool:
-        """Whether ``name`` is already registered."""
-        return name in self._vertex_ids
-
-    def add_edge(self, name: str, pins: Iterable[int | str]) -> int:
-        """Register a hyperedge over vertex ids or names.
-
-        Edges with fewer than two distinct pins are still recorded (they
-        are legal, merely never cut); callers that want to drop them can
-        filter before freezing.
-        """
-        resolved: list[int] = []
-        for p in pins:
-            if isinstance(p, str):
-                resolved.append(self._vertex_ids[p])
-            else:
-                resolved.append(int(p))
-        self._edges.append((name, resolved))
-        return len(self._edges) - 1
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._weights)
-
-    def freeze(self, drop_single_pin_edges: bool = True) -> Hypergraph:
-        """Produce the immutable hypergraph.
-
-        Parameters
-        ----------
-        drop_single_pin_edges:
-            Nets touching fewer than two distinct vertices can never be
-            cut; dropping them (the default) shrinks the edge set that
-            every partitioning pass scans.
-        """
-        names = [""] * len(self._weights)
-        for name, vid in self._vertex_ids.items():
-            names[vid] = name
-        kept_edges: list[list[int]] = []
-        kept_names: list[str] = []
-        for ename, pins in self._edges:
-            distinct = sorted(set(pins))
-            if drop_single_pin_edges and len(distinct) < 2:
-                continue
-            kept_edges.append(distinct)
-            kept_names.append(ename)
-        return Hypergraph.from_edges(
-            self._weights, kept_edges, vertex_names=names, edge_names=kept_names
-        )

@@ -13,10 +13,9 @@ There is one construction path.  A parsed
 :class:`~repro.verilog.netlist_csr.NetlistCSR` are the same arrays
 (``netlist.csr``): the type table maps through one fancy index, the pin
 CSR and the net-sorted fanout CSR are adopted as they are, and no
-per-gate Python work happens.  The Python-object mirrors
-(``gate_inputs`` / ``net_sinks`` tuples and the plain-int lists)
-materialize lazily on first access, so array-only consumers never pay
-the O(gates) tuple construction.
+per-gate Python work happens.  The circuit holds arrays only; the one
+derived structure, the step kernel's
+:class:`~repro.sim.kernel.GateTable`, is built on first simulation.
 """
 
 from __future__ import annotations
@@ -27,15 +26,9 @@ from ..errors import SimulationError
 from ..verilog.netlist import CONST0, CONST1, Netlist
 from ..verilog.netlist_csr import NetlistCSR
 from .kernel import GateTable
-from .logic import SEQ_CODE_MIN, VX, eval_gate_coded, gate_code_table
+from .logic import SEQ_CODE_MIN, VX, gate_code_table
 
 __all__ = ["CompiledCircuit", "compile_circuit"]
-
-#: Python-object mirrors of the array state, built together on first
-#: access through :meth:`CompiledCircuit.__getattr__`.
-_LAZY_MIRRORS = frozenset(
-    {"gate_inputs", "net_sinks", "gate_code_list", "gate_output_list"}
-)
 
 
 class CompiledCircuit:
@@ -45,20 +38,16 @@ class CompiledCircuit:
     ----------
     gate_code:
         ``(num_gates,)`` int8 array of :data:`~repro.sim.logic.GATE_CODES`.
-    gate_inputs:
-        Tuple of input-net tuples per gate.
     gate_output:
         ``(num_gates,)`` output net id per gate.
-    net_sinks:
-        Tuple of sink-gate tuples per net.
     initial_values:
         ``(num_nets,)`` int8 initial value array: constants at their
         value, everything else X.
     pin_net / pin_offsets:
-        CSR form of ``gate_inputs``: gate ``g`` reads nets
+        Input pins: gate ``g`` reads nets
         ``pin_net[pin_offsets[g]:pin_offsets[g + 1]]`` in pin order.
     sink_gate / sink_offsets:
-        CSR form of ``net_sinks``: net ``n`` feeds gates
+        Fanout: net ``n`` feeds gates
         ``sink_gate[sink_offsets[n]:sink_offsets[n + 1]]``.
     table:
         The step kernel's :class:`~repro.sim.kernel.GateTable` over
@@ -69,9 +58,7 @@ class CompiledCircuit:
     __slots__ = (
         "netlist",
         "gate_code",
-        "gate_inputs",
         "gate_output",
-        "net_sinks",
         "initial_values",
         "num_gates",
         "num_nets",
@@ -83,8 +70,6 @@ class CompiledCircuit:
         "sink_offsets",
         "max_arity",
         "table",
-        "gate_code_list",
-        "gate_output_list",
     )
 
     def __init__(self, netlist: Netlist | NetlistCSR) -> None:
@@ -114,12 +99,8 @@ class CompiledCircuit:
         self.max_arity = int(np.diff(csr.pin_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
-        # compilation leaves the Python-object mirrors unset (their
-        # __slots__ raise AttributeError); first scalar access lands
-        # here and materializes all of them together
-        if name in _LAZY_MIRRORS:
-            self._build_scalar_mirrors()
-            return getattr(self, name)
+        # compilation leaves ``table`` unset (its __slots__ entry raises
+        # AttributeError); the first simulation lands here and builds it
         if name == "table":
             self.table = GateTable(
                 self.gate_code, self.pin_offsets, self.pin_net,
@@ -130,30 +111,6 @@ class CompiledCircuit:
         raise AttributeError(
             f"{type(self).__name__!s} object has no attribute {name!r}"
         )
-
-    def _build_scalar_mirrors(self) -> None:
-        """Materialize the tuple/list mirrors from the CSR arrays."""
-        ptr = self.pin_offsets.tolist()
-        flat = self.pin_net.tolist()
-        self.gate_inputs = tuple(
-            tuple(flat[ptr[g]:ptr[g + 1]]) for g in range(self.num_gates)
-        )
-        sptr = self.sink_offsets.tolist()
-        sflat = self.sink_gate.tolist()
-        self.net_sinks = tuple(
-            tuple(sflat[sptr[n]:sptr[n + 1]]) for n in range(self.num_nets)
-        )
-        self.gate_code_list = self.gate_code.tolist()
-        self.gate_output_list = self.gate_output.tolist()
-
-    def is_sequential_gate(self, gid: int) -> bool:
-        """True if gate ``gid`` is a state-holding cell."""
-        return int(self.gate_code[gid]) >= SEQ_CODE_MIN
-
-    def eval_combinational(self, gid: int, values: np.ndarray) -> int:
-        """Evaluate combinational gate ``gid`` against a value array."""
-        pins = self.gate_inputs[gid]
-        return eval_gate_coded(int(self.gate_code[gid]), [int(values[p]) for p in pins])
 
 
 def compile_circuit(netlist: Netlist | NetlistCSR) -> CompiledCircuit:
@@ -170,21 +127,22 @@ def combinational_depth(circuit: CompiledCircuit) -> int:
     meaningful.  Combinational cycles (rare, e.g. latch-like structures)
     are broken by capping relaxation, and the cap is returned.
     """
-    num_gates = circuit.num_gates
+    ptr = circuit.pin_offsets.tolist()
+    pins = circuit.pin_net.tolist()
+    outs = circuit.gate_output.tolist()
+    comb = np.flatnonzero(circuit.gate_code < SEQ_CODE_MIN).tolist()
     depth = [0] * circuit.num_nets
     order_changed = True
     rounds = 0
-    max_rounds = num_gates + 2
+    max_rounds = circuit.num_gates + 2
     while order_changed and rounds < max_rounds:
         order_changed = False
         rounds += 1
-        for gid in range(num_gates):
-            if circuit.is_sequential_gate(gid):
-                continue
+        for gid in comb:
             d = 1 + max(
-                (depth[p] for p in circuit.gate_inputs[gid]), default=0
+                (depth[p] for p in pins[ptr[gid]:ptr[gid + 1]]), default=0
             )
-            out = int(circuit.gate_output[gid])
+            out = outs[gid]
             if d > depth[out]:
                 depth[out] = d
                 order_changed = True

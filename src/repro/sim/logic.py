@@ -26,6 +26,7 @@ __all__ = [
     "CODE_NAMES",
     "eval_gate",
     "eval_gate_coded",
+    "flip_flop_mask",
     "gate_code_table",
     "invert",
     "value_name",
@@ -63,6 +64,12 @@ def gate_code_table(gate_types: Sequence[str]) -> np.ndarray:
     table, -1 for a type the simulators do not know: indexing it with
     the netlist's ``gate_code`` column recodes every gate at once."""
     return np.array([GATE_CODES.get(t, -1) for t in gate_types], dtype=np.int8)
+
+
+def flip_flop_mask(csr) -> np.ndarray:
+    """Per gate of a :class:`~repro.verilog.netlist_csr.NetlistCSR`:
+    is it a state-holding cell."""
+    return gate_code_table(csr.gate_types)[csr.gate_code] >= SEQ_CODE_MIN
 
 
 def _and2(a: int, b: int) -> int:

@@ -19,7 +19,7 @@ from .ast import Source, Module
 from .lexer import tokenize
 from .parser import parse_source, parse_file
 from .elaborate import elaborate, find_top_module, NetlistBuilder
-from .netlist import Netlist, Gate, HierNode, CONST0, CONST1, CONSTX
+from .netlist import Netlist, HierNode, CONST0, CONST1, CONSTX
 from .writer import write_source, write_netlist_verilog
 from .optimize import OptStats, optimize_netlist
 from .primitives import (
@@ -42,7 +42,6 @@ __all__ = [
     "compile_verilog",
     "NetlistBuilder",
     "Netlist",
-    "Gate",
     "HierNode",
     "CONST0",
     "CONST1",

@@ -6,7 +6,8 @@ Elaboration walks the instance tree of the top module, allocating one
 and continuous ``assign`` aliases.  Once the whole tree is walked, the
 pairs are resolved to net groups (:func:`component_min`: every id takes
 the smallest id of its group, so constants win theirs), the groups are
-compacted to dense ids, and the single-driver rules are enforced.
+compacted to dense ids, and :meth:`Netlist.adopt_columns` enforces the
+single-driver rules.
 
 This two-phase approach (allocate + pair, then compact) keeps the
 recursive walk simple: a scope never needs to know whether its local
@@ -34,7 +35,7 @@ from operator import add
 
 import numpy as np
 
-from ..errors import ElaborationError
+from ..errors import ElaborationError, NetlistError
 from . import ast
 from .netlist import (
     CONST0,
@@ -43,7 +44,6 @@ from .netlist import (
     _NUM_CONST_NETS,
     HierNode,
     Netlist,
-    check_single_driver,
 )
 from .primitives import gate_spec, is_gate_type
 
@@ -650,7 +650,6 @@ class _Elaborator:
         gate_output = final_of[_concat(self.out_temp)]
         pin_ptr = np.zeros(len(gate_output) + 1, dtype=np.int64)
         np.cumsum(_concat(self.pin_count), out=pin_ptr[1:])
-        check_single_driver(gate_output, self.gate_names, net_names)
 
         inputs = final_of[top_inputs].tolist()
         if (inputs and min(inputs) < _NUM_CONST_NETS) \
@@ -667,8 +666,6 @@ class _Elaborator:
                         f"primary inputs {a!r} and {b!r} are aliased to one net"
                     )
                 first[nid] = temp
-        netlist.inputs = inputs
-        netlist.outputs = final_of[top_outputs].tolist()
         gate_runs = np.array(self.gate_runs, dtype=np.int64).reshape(-1, 2)
         netlist.adopt_columns(
             net_names,
@@ -679,6 +676,8 @@ class _Elaborator:
             gate_output,
             pin_ptr,
             final_of[_concat(self.pin_temp)],
+            inputs,
+            final_of[top_outputs],
         )
         return netlist
 
@@ -686,9 +685,11 @@ class _Elaborator:
 class NetlistBuilder:
     """Programmatic netlist construction for tests and generators.
 
-    A thin convenience wrapper over :class:`Netlist` that manages net
-    names and optional hierarchy grouping without going through Verilog
-    text.  Example::
+    Accumulates net names, gates, primary I/O and optional hierarchy
+    grouping without going through Verilog text, then hands the whole
+    circuit to :meth:`Netlist.adopt_columns` once, in :meth:`build` —
+    which is where a doubly driven net or a driven constant is
+    reported.  Example::
 
         nb = NetlistBuilder("toy")
         a, b = nb.input("a"), nb.input("b")
@@ -700,6 +701,17 @@ class NetlistBuilder:
 
     def __init__(self, top: str) -> None:
         self._netlist = Netlist(top)
+        self._net_names = list(self._netlist.net_names)
+        self._inputs: list[int] = []
+        self._outputs: list[int] = []
+        # per gate: full name, type name, instance path, output net,
+        # input count; the input nets of all gates back to back
+        self._gate_names: list[str] = []
+        self._gate_types: list[str] = []
+        self._paths: list[tuple[str, ...]] = []
+        self._gate_output: list[int] = []
+        self._pin_count: list[int] = []
+        self._pins: list[int] = []
         self._unnamed = 0
         self._built = False
 
@@ -708,17 +720,18 @@ class NetlistBuilder:
         if name is None:
             name = f"_n{self._unnamed}"
             self._unnamed += 1
-        return self._netlist.add_net(name)
+        self._net_names.append(name)
+        return len(self._net_names) - 1
 
     def input(self, name: str) -> int:
         """Create a primary-input net."""
-        nid = self._netlist.add_net(name)
-        self._netlist.inputs.append(nid)
+        nid = self.net(name)
+        self._inputs.append(nid)
         return nid
 
     def output_net(self, nid: int) -> None:
         """Mark an existing net as a primary output."""
-        self._netlist.outputs.append(nid)
+        self._outputs.append(nid)
 
     def gate(
         self,
@@ -739,10 +752,22 @@ class NetlistBuilder:
                 f"..{spec.max_inputs if spec.max_inputs is not None else 'inf'})"
             )
         if name is None:
-            name = f"_g{len(self._netlist.gates)}"
+            name = f"_g{len(self._gate_names)}"
         hier_name = ".".join((*path, name))
+        num_nets = len(self._net_names)
+        for nid in (*inputs, output):
+            if not 0 <= nid < num_nets:
+                raise NetlistError(
+                    f"gate {hier_name!r} references bad net {nid}"
+                )
         self._ensure_path(path)
-        return self._netlist.add_gate(gtype, hier_name, path, tuple(inputs), output)
+        self._gate_names.append(hier_name)
+        self._gate_types.append(gtype)
+        self._paths.append(path)
+        self._gate_output.append(output)
+        self._pin_count.append(n_in)
+        self._pins.extend(inputs)
+        return len(self._gate_names) - 1
 
     def dff(self, d: int, clk: int, q: int, name: str | None = None,
             path: tuple[str, ...] = ()) -> int:
@@ -759,9 +784,29 @@ class NetlistBuilder:
             node = node.children[name]
 
     def build(self) -> Netlist:
-        """Finalize and return the netlist (single use)."""
+        """Hand the circuit to the netlist and return it (single use)."""
         if self._built:
             raise ElaborationError("NetlistBuilder.build() called twice")
         self._built = True
-        self._netlist.finalize()
-        return self._netlist
+        netlist = self._netlist
+        node_index = {
+            node.path: i for i, node in enumerate(netlist.hierarchy.walk())
+        }
+        type_code: dict[str, int] = {}  # first-appearance order
+        codes = [type_code.setdefault(t, len(type_code))
+                 for t in self._gate_types]
+        pin_ptr = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(self._pin_count, out=pin_ptr[1:])
+        netlist.adopt_columns(
+            self._net_names,
+            self._gate_names,
+            np.array([node_index[p] for p in self._paths], dtype=np.int64),
+            tuple(type_code),
+            np.array(codes, dtype=np.int16),
+            np.array(self._gate_output, dtype=np.int64),
+            pin_ptr,
+            np.array(self._pins, dtype=np.int64),
+            self._inputs,
+            self._outputs,
+        )
+        return netlist

@@ -3,8 +3,8 @@
 Elaboration flattens a hierarchical Verilog design into bit-level nets
 and primitive gates, but **retains the hierarchy** in two places:
 
-* every gate records its *instance path* — the tuple of instance names
-  from the top module down to the gate's enclosing module instance; and
+* every gate sits in one *instance* — the node of the instance tree
+  whose module body declares it (``gate_node``, below); and
 * a :class:`HierNode` tree mirrors the instance hierarchy, letting the
   design-driven partitioner treat any subtree as a *super-gate* and
   later flatten it one level at a time (paper §3.2).
@@ -18,16 +18,11 @@ A :class:`Netlist` is **names and hierarchy over one**
 types, pins, outputs, drivers, fanout — lives in ``netlist.csr`` as
 arrays, and the netlist adds what arrays cannot carry: net names, gate
 names, the :class:`HierNode` tree and the hierarchy index
-(``gate_node`` / ``subtree_end``, below).
-The elaborator hands those columns over directly; the hot consumers
-(hypergraph build, compilation, clock detection) read them and never
-touch a per-gate object.  ``gates``, ``net_driver`` and ``net_sinks``
-are *views*: the same plain lists of :class:`Gate` records, ints and
-sink lists as ever, materialised from the columns on first access for
-the code that wants objects (writer, optimizer, diagnostics, tests).
-:meth:`Netlist.add_net` / :meth:`Netlist.add_gate` remain the
-small-scale incremental route: they grow the list views and
-:meth:`Netlist.finalize` lowers them to the columns once.
+(``gate_node`` / ``subtree_end``, below).  Every consumer reads the
+columns; no per-gate object exists.  There is one way in:
+:meth:`Netlist.adopt_columns`, which the elaborator, the optimizer and
+:class:`~repro.verilog.elaborate.NetlistBuilder` all call once with a
+whole circuit, and which runs the named structural rules.
 """
 
 from __future__ import annotations
@@ -44,39 +39,9 @@ __all__ = [
     "CONST0",
     "CONST1",
     "CONSTX",
-    "Gate",
     "HierNode",
     "Netlist",
 ]
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A primitive gate or sequential cell in the elaborated netlist.
-
-    Attributes
-    ----------
-    gid:
-        Dense gate id.
-    gtype:
-        Primitive name (``"nand"``, ``"dff"``, ...).
-    name:
-        Full hierarchical name, e.g. ``"u_acs3.u_cmp.g7"``.
-    path:
-        Instance path (tuple of instance names, empty for top-level
-        gates); ``name`` always starts with ``".".join(path)``.
-    inputs:
-        Input net ids in primitive pin order (for ``dff``: d, clk).
-    output:
-        Output net id.
-    """
-
-    gid: int
-    gtype: str
-    name: str
-    path: tuple[str, ...]
-    inputs: tuple[int, ...]
-    output: int
 
 
 @dataclass
@@ -110,33 +75,44 @@ class HierNode:
         return node
 
 
-def check_single_driver(
-    gate_output: np.ndarray, gate_names: list[str], net_names: list[str]
+def _check_drivers(
+    gate_output: np.ndarray,
+    inputs: np.ndarray,
+    gate_names: list[str],
+    net_names: list[str],
 ) -> None:
-    """Raise the single-driver / constant-driver error of the first
-    offending gate in gate order — what wiring the gates one by one
-    through :meth:`Netlist.add_gate` would have raised."""
+    """The structural rules, worded by name: every net has at most one
+    driver, no gate drives a constant net, no gate drives a primary
+    input.  Array tests; the message of the first offending gate in
+    gate order is built on the error path only.  (:class:`NetlistCSR`
+    checks the same rules again, worded by id, for streamed arrays.)"""
     n = len(gate_output)
     gate_ids = np.arange(n, dtype=np.int64)
     # last writer per net; any gate that does not read itself back
     # shares its output with a later one
     driver = np.full(len(net_names), -1, dtype=np.int64)
     driver[gate_output] = gate_ids
-    if not ((driver[gate_output] != gate_ids).any()
-            or (gate_output < _NUM_CONST_NETS).any()):
-        return
-    order = np.argsort(gate_output, kind="stable")
-    again = np.zeros(n, dtype=bool)  # gates whose net an earlier gate drives
-    again[order[1:]] = gate_output[order[1:]] == gate_output[order[:-1]]
-    gid = int(np.argmax(again | (gate_output < _NUM_CONST_NETS)))
-    if again[gid]:
-        nid = int(gate_output[gid])
-        first = int(np.argmax(gate_output == nid))
+    if (driver[gate_output] != gate_ids).any() \
+            or (gate_output < _NUM_CONST_NETS).any():
+        order = np.argsort(gate_output, kind="stable")
+        again = np.zeros(n, dtype=bool)  # gates whose net an earlier gate drives
+        again[order[1:]] = gate_output[order[1:]] == gate_output[order[:-1]]
+        gid = int(np.argmax(again | (gate_output < _NUM_CONST_NETS)))
+        if again[gid]:
+            nid = int(gate_output[gid])
+            first = int(np.argmax(gate_output == nid))
+            raise NetlistError(
+                f"net {net_names[nid]!r} driven by both gate "
+                f"{gate_names[first]!r} and {gate_names[gid]!r}"
+            )
+        raise NetlistError(f"gate {gate_names[gid]!r} drives a constant net")
+    driven = driver[inputs] >= 0
+    if driven.any():
+        nid = int(inputs[np.argmax(driven)])
         raise NetlistError(
-            f"net {net_names[nid]!r} driven by both gate "
-            f"{gate_names[first]!r} and {gate_names[gid]!r}"
+            f"primary input {net_names[nid]!r} is also driven by gate "
+            f"{gate_names[driver[nid]]!r}"
         )
-    raise NetlistError(f"gate {gate_names[gid]!r} drives a constant net")
 
 
 class Netlist:
@@ -144,44 +120,20 @@ class Netlist:
 
     Constructed by :func:`repro.verilog.elaborate.elaborate`; circuit
     generators may also build one directly through
-    :class:`repro.verilog.elaborate.NetlistBuilder`.
+    :class:`repro.verilog.elaborate.NetlistBuilder`.  A fresh
+    ``Netlist(top)`` is the empty circuit: the three constant nets and
+    nothing else.
     """
 
     def __init__(self, top: str) -> None:
         self.top = top
-        self.net_names: list[str] = ["const0", "const1", "constx"]
-        #: full hierarchical name per gate
-        self.gate_names: list[str] = []
-        #: primary input net ids (bit-level), in port declaration order
-        #: (``csr`` holds a snapshot of both lists, taken by finalize())
-        self.inputs: list[int] = []
-        #: primary output net ids (bit-level), in port declaration order
-        self.outputs: list[int] = []
         self.hierarchy = HierNode(name=top, module=top, path=())
-        #: the hierarchy index (arrives with the columns).  ``nodes`` is
-        #: ``hierarchy.walk()`` — a preorder, so the subtree of node
-        #: ``i`` is the contiguous range ``[i, subtree_end[i])`` — and
-        #: ``gate_node[g]`` the index of the node gate ``g`` sits
-        #: directly in: gate ``g`` is inside instance ``i`` iff
-        #: ``i <= gate_node[g] < subtree_end[i]``
-        self.nodes: list[HierNode] = [self.hierarchy]
-        self.gate_node = np.zeros(0, dtype=np.int64)
-        self.subtree_end = np.ones(1, dtype=np.int64)
-        self._csr: NetlistCSR | None = None
-        # the list views; None = not materialised from the columns yet
-        self._gates: list[Gate] | None = []
-        self._net_driver: list[int] | None = [-1, -1, -1]
-        self._net_sinks: list[list[int]] | None = [[], [], []]
-
-    # -- columns -----------------------------------------------------------
-
-    @property
-    def csr(self) -> NetlistCSR:
-        """The structure as arrays (lowered on demand if the netlist was
-        grown through :meth:`add_gate` and not finalized yet)."""
-        if self._csr is None:
-            self._lower()
-        return self._csr
+        empty = np.zeros(0, dtype=np.int64)
+        self.adopt_columns(
+            ["const0", "const1", "constx"], [], empty, (),
+            np.zeros(0, dtype=np.int16), empty, np.zeros(1, dtype=np.int64),
+            empty, [], [],
+        )
 
     def adopt_columns(
         self,
@@ -193,20 +145,32 @@ class Netlist:
         gate_output: np.ndarray,
         pin_ptr: np.ndarray,
         pin_net: np.ndarray,
+        inputs: list[int] | np.ndarray,
+        outputs: list[int] | np.ndarray,
     ) -> None:
-        """Take a whole circuit as columns — the elaborator's route, and
-        where :meth:`finalize` ends up.
+        """Take a whole circuit as columns — the one way a netlist gets
+        its structure.
 
-        ``inputs`` / ``outputs`` and the hierarchy tree must be in
-        place.  Runs the structural checks, indexes the hierarchy
-        (``nodes``, ``subtree_end``, subtree gate counts) and drops the
-        list views, to be rebuilt from the columns if anyone asks.
+        ``gate_node[g]`` is the index, in ``hierarchy.walk()`` order, of
+        the instance gate ``g`` sits in; the hierarchy tree must be in
+        place.  Runs the named structural rules, freezes the arrays into
+        ``csr`` (whose own checks are worded by id) and indexes the
+        hierarchy (``nodes``, ``subtree_end``, subtree gate counts).
         """
-        inputs = np.array(self.inputs, dtype=np.int64)
+        gate_output = np.asarray(gate_output, dtype=np.int64)
+        inputs = np.asarray(inputs, dtype=np.int64)
+        outputs = np.asarray(outputs, dtype=np.int64)
+        _check_drivers(gate_output, inputs, gate_names, net_names)
         self.net_names = net_names
+        #: full hierarchical name per gate
         self.gate_names = gate_names
-        self._check_inputs_undriven(gate_output, inputs)
-        self._csr = NetlistCSR(
+        #: primary input / output net ids (bit-level), in port
+        #: declaration order — the lists ``csr.inputs`` / ``csr.outputs``
+        #: hold as arrays
+        self.inputs: list[int] = inputs.tolist()
+        self.outputs: list[int] = outputs.tolist()
+        #: the structure as arrays
+        self.csr = NetlistCSR(
             top=self.top,
             gate_types=gate_types,
             gate_code=gate_code,
@@ -214,12 +178,15 @@ class Netlist:
             pin_ptr=pin_ptr,
             pin_net=pin_net,
             inputs=inputs,
-            outputs=np.array(self.outputs, dtype=np.int64),
+            outputs=outputs,
             num_nets=len(net_names),
         )
-        self.gate_node = gate_node
-        self._gates = self._net_driver = self._net_sinks = None
-
+        #: the hierarchy index.  ``nodes`` is ``hierarchy.walk()`` — a
+        #: preorder, so the subtree of node ``i`` is the contiguous range
+        #: ``[i, subtree_end[i])`` — and ``gate_node[g]`` the index of
+        #: the node gate ``g`` sits directly in: gate ``g`` is inside
+        #: instance ``i`` iff ``i <= gate_node[g] < subtree_end[i]``
+        self.gate_node = np.asarray(gate_node, dtype=np.int64)
         self.nodes = nodes = list(self.hierarchy.walk())
         size = [1] * len(nodes)
         for i in reversed(range(len(nodes))):  # children before their parent
@@ -230,142 +197,11 @@ class Netlist:
         start = np.arange(len(nodes), dtype=np.int64)
         self.subtree_end = start + np.array(size, dtype=np.int64)
         below = np.zeros(len(nodes) + 1, dtype=np.int64)  # gates in nodes < i
-        np.cumsum(np.bincount(gate_node, minlength=len(nodes)), out=below[1:])
+        np.cumsum(np.bincount(self.gate_node, minlength=len(nodes)),
+                  out=below[1:])
         totals = below[self.subtree_end] - below[start]
         for node, total in zip(nodes, totals.tolist()):
             node.total_gates = total
-
-    def _lower(self) -> None:
-        """Lower the list views to columns: one pass over the gates."""
-        node_index = {
-            node.path: i for i, node in enumerate(self.hierarchy.walk())
-        }
-        gates = self._gates
-        n = len(gates)
-        gate_node = np.empty(n, dtype=np.int64)
-        code = np.empty(n, dtype=np.int16)
-        out = np.empty(n, dtype=np.int64)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        pins: list[int] = []
-        type_code: dict[str, int] = {}
-        # gates of one instance share their path tuple and arrive
-        # consecutively: look the node up once per distinct path object
-        path = index = None
-        for gid, gate in enumerate(gates):
-            if gate.path is not path:
-                path = gate.path
-                index = node_index.get(path)
-                if index is None:
-                    raise NetlistError(
-                        f"gate {gate.name!r} has path {path!r}, which "
-                        f"names no hierarchy node"
-                    )
-            gate_node[gid] = index
-            code[gid] = type_code.setdefault(gate.gtype, len(type_code))
-            out[gid] = gate.output
-            pins.extend(gate.inputs)
-            ptr[gid + 1] = len(pins)
-        self.adopt_columns(
-            self.net_names, self.gate_names, gate_node, tuple(type_code),
-            code, out, ptr, np.array(pins, dtype=np.int64),
-        )
-
-    # -- list views ----------------------------------------------------------
-
-    @property
-    def gates(self) -> list[Gate]:
-        """Every gate as a :class:`Gate` record (materialised on first use)."""
-        if self._gates is None:
-            csr = self._csr
-            types = csr.gate_types
-            codes = csr.gate_code.tolist()
-            outs = csr.gate_output.tolist()
-            ptr = csr.pin_ptr.tolist()
-            pins = csr.pin_net.tolist()
-            paths = [node.path for node in self.nodes]
-            nodes = self.gate_node.tolist()
-            self._gates = [
-                Gate(gid, types[codes[gid]], name, paths[nodes[gid]],
-                     tuple(pins[ptr[gid]:ptr[gid + 1]]), outs[gid])
-                for gid, name in enumerate(self.gate_names)
-            ]
-        return self._gates
-
-    @property
-    def net_driver(self) -> list[int]:
-        """Driver gate id per net (-1 = undriven / primary input /
-        constant), as a plain list (materialised on first use)."""
-        if self._net_driver is None:
-            self._net_driver = self._csr.net_driver.tolist()
-        return self._net_driver
-
-    @property
-    def net_sinks(self) -> list[list[int]]:
-        """Sink gate ids per net (materialised on first use)."""
-        if self._net_sinks is None:
-            fan_ptr, fan_gate = self._csr.fanout()
-            flat = fan_gate.tolist()
-            bounds = fan_ptr.tolist()
-            self._net_sinks = [
-                flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])
-            ]
-        return self._net_sinks
-
-    # -- incremental construction ------------------------------------------
-
-    def add_net(self, name: str) -> int:
-        """Register a new bit-level net; returns its dense id."""
-        nid = len(self.net_names)
-        self.net_driver.append(-1)
-        self.net_sinks.append([])
-        self.net_names.append(name)
-        self._csr = None
-        return nid
-
-    def add_gate(
-        self,
-        gtype: str,
-        name: str,
-        path: tuple[str, ...],
-        inputs: tuple[int, ...],
-        output: int,
-    ) -> int:
-        """Register a gate, wiring driver/sink indices; returns gate id."""
-        gates, net_driver, net_sinks = self.gates, self.net_driver, self.net_sinks
-        num_nets = len(self.net_names)
-        for nid in (*inputs, output):
-            if not 0 <= nid < num_nets:
-                raise NetlistError(f"gate {name!r} references bad net {nid}")
-        gid = len(gates)
-        if net_driver[output] != -1:
-            raise NetlistError(
-                f"net {self.net_names[output]!r} driven by both gate "
-                f"{self.gate_names[net_driver[output]]!r} and {name!r}"
-            )
-        if output < _NUM_CONST_NETS:
-            raise NetlistError(f"gate {name!r} drives a constant net")
-        gates.append(Gate(gid, gtype, name, path, tuple(inputs), output))
-        self.gate_names.append(name)
-        net_driver[output] = gid
-        for i in inputs:
-            net_sinks[i].append(gid)
-        self._csr = None
-        return gid
-
-    def finalize(self) -> None:
-        """Bring the columns up to date with everything done through the
-        lists — :meth:`add_net` / :meth:`add_gate`, ``inputs`` /
-        ``outputs`` — and run the structural checks.  ``csr`` is a
-        snapshot: call this again after changing any of them."""
-        if self._gates is not None:
-            self._lower()
-        else:  # only inputs / outputs can have changed
-            csr = self._csr
-            self.adopt_columns(
-                self.net_names, self.gate_names, self.gate_node,
-                csr.gate_types, csr.gate_code, csr.gate_output,
-                csr.pin_ptr, csr.pin_net,
-            )
 
     # -- queries -----------------------------------------------------------
 
@@ -386,45 +222,6 @@ class Netlist:
     def gate_name(self, gid: int) -> str:
         """Full hierarchical name of gate ``gid``."""
         return self.gate_names[gid]
-
-    def driver_of(self, nid: int) -> int:
-        """Gate id driving net ``nid`` (-1 if input/constant/undriven)."""
-        return self.net_driver[nid]
-
-    def sinks_of(self, nid: int) -> list[int]:
-        """Gate ids reading net ``nid``."""
-        return self.net_sinks[nid]
-
-    def sequential_gates(self) -> list[Gate]:
-        """All state-holding cells (dff variants)."""
-        from .primitives import is_sequential
-
-        return [g for g in self.gates if is_sequential(g.gtype)]
-
-    def validate(self) -> None:
-        """Structural sanity checks; raises :class:`NetlistError`.
-
-        Checks that every gate input net exists and that no primary
-        input is also driven by a gate.
-        """
-        csr = self.csr
-        self._check_inputs_undriven(csr.gate_output, csr.inputs)
-        csr.validate()
-
-    def _check_inputs_undriven(
-        self, gate_output: np.ndarray, inputs: np.ndarray
-    ) -> None:
-        """The named form of :class:`NetlistCSR`'s driven-input test
-        (which words it by net id): one array test, the message built
-        on the error path only."""
-        driven = np.isin(inputs, gate_output)
-        if driven.any():
-            nid = int(inputs[np.argmax(driven)])
-            gid = int(np.argmax(gate_output == nid))
-            raise NetlistError(
-                f"primary input {self.net_names[nid]!r} is also driven by gate "
-                f"{self.gate_names[gid]!r}"
-            )
 
     def undriven_nets(self) -> list[int]:
         """Net ids with no driver that are read by some gate and are not

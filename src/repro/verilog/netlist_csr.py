@@ -176,11 +176,6 @@ class NetlistCSR:
         self._fanout: tuple[np.ndarray, np.ndarray] | None = None
         self.validate()
 
-    @classmethod
-    def from_netlist(cls, netlist) -> "NetlistCSR":
-        """The array form of a :class:`Netlist`: its own ``netlist.csr``."""
-        return netlist.csr
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -206,6 +201,10 @@ class NetlistCSR:
         a :class:`Netlist` keeps the real ones beside its ``csr``)."""
         return f"g{gid}"
 
+    def net_name(self, nid: int) -> str:
+        """Synthetic stable net name, the peer of :meth:`gate_name`."""
+        return f"n{nid}"
+
     def fanout(self) -> tuple[np.ndarray, np.ndarray]:
         """``(fan_ptr, fan_gate)``: the net-sorted sink CSR (cached).
 
@@ -220,10 +219,11 @@ class NetlistCSR:
     def validate(self) -> None:
         """Structural sanity checks; raises :class:`NetlistError`.
 
-        The array analogue of :meth:`Netlist.validate` plus the
-        single-driver rule (cheap here: one scatter of gate ids into
-        ``net_driver`` that every gate must read back, instead of a
-        per-gate wiring pass).
+        Worded by id, for arrays that arrive without names (the
+        streamed generators); a :class:`Netlist` runs the same driver
+        rules worded by name before it builds its ``csr``.  The
+        single-driver rule is one scatter of gate ids into
+        ``net_driver`` that every gate must read back.
         """
         n_gates = self.num_gates
         if len(self.gate_output) != n_gates:

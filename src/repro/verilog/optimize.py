@@ -23,8 +23,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import NetlistError
-from .netlist import CONST0, CONST1, CONSTX, HierNode, Netlist
+from .netlist import CONST0, CONST1, _NUM_CONST_NETS, HierNode, Netlist
 from .primitives import is_sequential
 
 __all__ = ["OptStats", "optimize_netlist"]
@@ -71,6 +73,12 @@ _NEUTRAL_FOLD = {  # all-known fold handled generically below
 def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
     """Run all passes; returns (optimized netlist, statistics)."""
     stats = OptStats(gates_before=netlist.num_gates)
+    csr = netlist.csr
+    gtypes = [csr.gate_types[c] for c in csr.gate_code.tolist()]
+    ptr = csr.pin_ptr.tolist()
+    flat = csr.pin_net.tolist()
+    gate_inputs = [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+    gate_output = csr.gate_output.tolist()
 
     # resolution state over the ORIGINAL net ids
     const: dict[int, int] = {CONST0: 0, CONST1: 1}
@@ -89,13 +97,14 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
     folded: set[int] = set()  # gate ids replaced by constants/aliases
     while changed:
         changed = False
-        for gate in netlist.gates:
-            if gate.gid in folded or is_sequential(gate.gtype):
+        for gid, gtype in enumerate(gtypes):
+            if gid in folded or is_sequential(gtype):
                 continue
-            in_vals = [value_of(n) for n in gate.inputs]
-            out = resolve(gate.output)
-            if gate.gtype == "buf":
-                src = resolve(gate.inputs[0])
+            inputs = gate_inputs[gid]
+            in_vals = [value_of(n) for n in inputs]
+            out = resolve(gate_output[gid])
+            if gtype == "buf":
+                src = resolve(inputs[0])
                 v = const.get(src)
                 if v is not None:
                     const[out] = v
@@ -103,27 +112,27 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
                 else:
                     alias[out] = src
                     stats.buffers_collapsed += 1
-                folded.add(gate.gid)
+                folded.add(gid)
                 changed = True
                 continue
             if all(v is not None for v in in_vals):
-                const[out] = _NEUTRAL_FOLD[gate.gtype](in_vals)  # type: ignore[arg-type]
-                folded.add(gate.gid)
+                const[out] = _NEUTRAL_FOLD[gtype](in_vals)  # type: ignore[arg-type]
+                folded.add(gid)
                 stats.const_folded += 1
                 changed = True
                 continue
-            ctrl = _CONTROLLING.get(gate.gtype)
+            ctrl = _CONTROLLING.get(gtype)
             if ctrl is not None and ctrl[0] in in_vals:
                 const[out] = ctrl[1]
-                folded.add(gate.gid)
+                folded.add(gid)
                 stats.const_folded += 1
                 changed = True
 
     # -- pass 2: dead-gate elimination (reverse reachability from POs) ---
     driver_of: dict[int, int] = {}
-    for gate in netlist.gates:
-        if gate.gid not in folded:
-            driver_of[resolve(gate.output)] = gate.gid
+    for gid, out in enumerate(gate_output):
+        if gid not in folded:
+            driver_of[resolve(out)] = gid
     live: set[int] = set()
     frontier: deque[int] = deque()
     for po in netlist.outputs:
@@ -133,28 +142,43 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
             frontier.append(gid)
     while frontier:
         gid = frontier.popleft()
-        for nid in netlist.gates[gid].inputs:
+        for nid in gate_inputs[gid]:
             src = driver_of.get(resolve(nid))
             if src is not None and src not in live:
                 live.add(src)
                 frontier.append(src)
 
     # -- rebuild ------------------------------------------------------------
+    keep = sorted(live)
+    stats.dead_removed = netlist.num_gates - len(folded) - len(keep)
+    stats.gates_after = len(keep)
+    # per original net: its alias representative and constant value
+    # (-1 = not constant)
+    rep = np.array([resolve(n) for n in range(netlist.num_nets)], dtype=np.int64)
+    value = np.array([const.get(r, -1) for r in rep.tolist()], dtype=np.int64)
+    # surviving nets are numbered in first-use order: per kept gate its
+    # inputs then its output, then the primary inputs, then the outputs
+    used = [n for gid in keep for n in (*gate_inputs[gid], gate_output[gid])]
+    used = np.array(used + netlist.inputs + netlist.outputs, dtype=np.int64)
+    used = rep[used[value[used] < 0]]
+    used = used[used >= _NUM_CONST_NETS]  # CONSTX stays itself
+    _, first = np.unique(used, return_index=True)
+    fresh = used[np.sort(first)]
+    new_id = np.arange(netlist.num_nets, dtype=np.int64)  # constants: identity
+    new_id[fresh] = _NUM_CONST_NETS + np.arange(len(fresh))
+    remap = np.where(value == 0, CONST0,
+                     np.where(value == 1, CONST1, new_id[rep]))
+
+    inputs = remap[netlist.inputs]
+    if (inputs < _NUM_CONST_NETS).any():
+        nid = netlist.inputs[int(np.argmax(inputs < _NUM_CONST_NETS))]
+        raise NetlistError(
+            f"primary input {netlist.net_name(nid)!r} folded to a constant"
+        )
+
     out = Netlist(netlist.top)
-    net_map: dict[int, int] = {CONST0: CONST0, CONST1: CONST1, CONSTX: CONSTX}
 
-    def remap(nid: int) -> int:
-        nid = resolve(nid)
-        v = const.get(nid)
-        if v is not None:
-            return CONST0 if v == 0 else CONST1
-        mapped = net_map.get(nid)
-        if mapped is None:
-            mapped = out.add_net(netlist.net_name(nid))
-            net_map[nid] = mapped
-        return mapped
-
-    # hierarchy skeleton first so gate paths can attach
+    # hierarchy skeleton first so gate nodes keep their walk indices
     def clone_tree(src: HierNode, dst: HierNode) -> None:
         for name, child in src.children.items():
             node = HierNode(name=name, module=child.module, path=child.path)
@@ -163,30 +187,23 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
 
     clone_tree(netlist.hierarchy, out.hierarchy)
 
-    kept = 0
-    for gate in netlist.gates:
-        if gate.gid in folded:
-            continue
-        if gate.gid not in live:
-            stats.dead_removed += 1
-            continue
-        out.add_gate(
-            gate.gtype,
-            gate.name,
-            gate.path,
-            tuple(remap(n) for n in gate.inputs),
-            remap(gate.output),
-        )
-        kept += 1
-
-    for po in netlist.inputs:
-        mapped = remap(po)
-        if mapped in (CONST0, CONST1, CONSTX):
-            raise NetlistError(
-                f"primary input {netlist.net_name(po)!r} folded to a constant"
-            )
-        out.inputs.append(mapped)
-    out.outputs.extend(remap(po) for po in netlist.outputs)
-    out.finalize()
-    stats.gates_after = kept
+    kept = np.zeros(netlist.num_gates, dtype=bool)
+    kept[keep] = True
+    type_code: dict[str, int] = {}  # first-appearance order
+    codes = [type_code.setdefault(gtypes[gid], len(type_code)) for gid in keep]
+    arity = np.diff(csr.pin_ptr)[kept]
+    pin_ptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(arity, out=pin_ptr[1:])
+    out.adopt_columns(
+        out.net_names + [netlist.net_names[n] for n in fresh.tolist()],
+        [netlist.gate_names[gid] for gid in keep],
+        netlist.gate_node[kept],
+        tuple(type_code),
+        np.array(codes, dtype=np.int16),
+        remap[csr.gate_output[kept]],
+        pin_ptr,
+        remap[csr.pin_net[np.repeat(kept, np.diff(csr.pin_ptr))]],
+        inputs,
+        remap[netlist.outputs],
+    )
     return out, stats

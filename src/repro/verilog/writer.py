@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
+
 from . import ast
-from .netlist import CONST0, CONST1, CONSTX, Netlist
+from .netlist import CONST0, CONST1, CONSTX, _NUM_CONST_NETS, Netlist
 
 __all__ = ["write_source", "write_module", "write_netlist_verilog", "format_expr"]
 
@@ -30,6 +32,9 @@ _VERILOG_KEYWORDS = {
     "supply0", "supply1", "and", "or", "nand", "nor", "xor", "xnor",
     "not", "buf", "dff", "dffr", "dffe",
 }
+
+#: the literal an ``assign`` drives a constant output port from
+_LITERALS = {CONST0: "1'b0", CONST1: "1'b1", CONSTX: "1'bx"}
 
 
 def _ident(name: str) -> str:
@@ -111,31 +116,56 @@ def write_netlist_verilog(netlist: Netlist) -> str:
 
     Constants are materialized as ``supply0``/``supply1`` nets; CONSTX
     appears as an undriven wire (which simulates as X, matching its
-    semantics).  The output parses back through
-    :func:`repro.verilog.parser.parse_source`.
+    semantics).  An output bit that is a constant, a primary input or
+    an earlier output's net gets a port of its own, driven by an
+    ``assign`` from that net or literal.  The output parses back
+    through :func:`repro.verilog.parser.parse_source`.
     """
+    csr = netlist.csr
     out = io.StringIO()
     names = [_netname(netlist, nid) for nid in range(netlist.num_nets)]
-    ports = [names[n] for n in netlist.inputs] + [names[n] for n in netlist.outputs]
+    taken = set(names)
+    declared = set(netlist.inputs)  # nets that are ports
+    out_ports: list[str] = []
+    assigns: list[tuple[str, str]] = []
+    for i, nid in enumerate(netlist.outputs):
+        if nid >= _NUM_CONST_NETS and nid not in declared:
+            declared.add(nid)
+            out_ports.append(names[nid])
+            continue
+        port = f"_out{i}"
+        while port in taken:
+            port = "_" + port
+        taken.add(port)
+        out_ports.append(port)
+        assigns.append((port, _LITERALS.get(nid) or _ident(names[nid])))
+    ports = [names[n] for n in netlist.inputs] + out_ports
     out.write(f"module {_ident(netlist.top)} ({', '.join(_ident(p) for p in ports)});\n")
     for nid in netlist.inputs:
         out.write(f"  input {_ident(names[nid])};\n")
-    for nid in netlist.outputs:
-        out.write(f"  output {_ident(names[nid])};\n")
-    io_nets = set(netlist.inputs) | set(netlist.outputs)
-    used = _used_nets(netlist)
-    for nid in sorted(used - io_nets):
+    for port in out_ports:
+        out.write(f"  output {_ident(port)};\n")
+    for nid in np.union1d(csr.gate_output, csr.pin_net).tolist():
+        if nid in declared:
+            continue
         if nid == CONST0:
             out.write(f"  supply0 {_ident(names[nid])};\n")
         elif nid == CONST1:
             out.write(f"  supply1 {_ident(names[nid])};\n")
         else:
             out.write(f"  wire {_ident(names[nid])};\n")
-    for gate in netlist.gates:
+    for port, source in assigns:
+        out.write(f"  assign {_ident(port)} = {source};\n")
+    types = csr.gate_types
+    codes = csr.gate_code.tolist()
+    outs = csr.gate_output.tolist()
+    ptr = csr.pin_ptr.tolist()
+    pins = csr.pin_net.tolist()
+    for gid, gname in enumerate(netlist.gate_names):
         terms = ", ".join(
-            _ident(names[n]) for n in (gate.output, *gate.inputs)
+            _ident(names[n]) for n in (outs[gid], *pins[ptr[gid]:ptr[gid + 1]])
         )
-        out.write(f"  {gate.gtype} {_ident(gate.name)} ({terms});\n")
+        out.write(f"  {types[codes[gid]]} {_ident(gname)} ({terms});\n")
     out.write("endmodule\n")
     return out.getvalue()
 
@@ -148,11 +178,3 @@ def _netname(netlist: Netlist, nid: int) -> str:
     if nid == CONSTX:
         return "_constx"
     return netlist.net_names[nid]
-
-
-def _used_nets(netlist: Netlist) -> set[int]:
-    used: set[int] = set()
-    for gate in netlist.gates:
-        used.add(gate.output)
-        used.update(gate.inputs)
-    return used

@@ -26,10 +26,11 @@ def tree_clustering(netlist: Netlist, opened: set[int], gate_weights=None):
     their :class:`HierNode`) flattened — lists, one walk per gate."""
     root = netlist.hierarchy
     assert id(root) in opened
+    paths = [netlist.nodes[i].path for i in netlist.gate_node.tolist()]
 
     def vertex_of(gid: int):
         node = root
-        for name in netlist.gates[gid].path:
+        for name in paths[gid]:
             if id(node) not in opened:
                 break
             node = node.children[name]
@@ -46,10 +47,9 @@ def tree_clustering(netlist: Netlist, opened: set[int], gate_weights=None):
 
     def level(node: HierNode, prefix: str) -> None:
         for gid in range(netlist.num_gates):
-            gate = netlist.gates[gid]
-            if gate.path == node.path and keys[gid] == ("gate", gid):
+            if paths[gid] == node.path and keys[gid] == ("gate", gid):
                 order.append(keys[gid])
-                names.append(gate.name)
+                names.append(netlist.gate_names[gid])
                 nodes.append(None)
         for child in node.children.values():
             if id(child) in opened:

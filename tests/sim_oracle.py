@@ -74,6 +74,8 @@ def reference_run(circuit, events):
     gates are visited in first-touch order of the changed nets' sinks.
     """
     values = circuit.initial_values.tolist()
+    ptr, pin_net = circuit.pin_offsets.tolist(), circuit.pin_net.tolist()
+    sptr, sink_gate = circuit.sink_offsets.tolist(), circuit.sink_gate.tolist()
     agenda: dict[int, dict[int, int]] = {}
     for ev in events:
         agenda.setdefault(ev.time, {})[ev.net] = ev.value
@@ -88,11 +90,11 @@ def reference_run(circuit, events):
                 old[net] = values[net]
                 values[net] = value
                 change_log.append((t, net, value))
-                affected.update(dict.fromkeys(circuit.net_sinks[net]))
+                affected.update(dict.fromkeys(sink_gate[sptr[net]:sptr[net + 1]]))
         for gid in affected:
             gate_evals += 1
             code = int(circuit.gate_code[gid])
-            pins = circuit.gate_inputs[gid]
+            pins = pin_net[ptr[gid]:ptr[gid + 1]]
             if code < _DFF:
                 new = eval_gate_coded(code, [values[p] for p in pins])
             else:

@@ -8,6 +8,7 @@ from repro.core import cone_partition, input_cones, build_cluster_dag
 from repro.errors import PartitionError
 from repro.hypergraph import Clustering
 from repro.obs import MetricsRecorder
+from tests.netlist_rows import net_sinks
 
 
 def _net_walk_dag(clustering):
@@ -17,11 +18,13 @@ def _net_walk_dag(clustering):
     gate_cluster = {gid: ci for ci, cluster in enumerate(clustering.clusters)
                     for gid in cluster.gate_ids}
     inputs = set(netlist.inputs)
+    net_driver = netlist.csr.net_driver.tolist()
+    sinks = net_sinks(netlist.csr)
     succ = [set() for _ in clustering.clusters]
     roots = set()
     for nid in range(netlist.num_nets):
-        driver = netlist.net_driver[nid]
-        readers = {gate_cluster[gid] for gid in netlist.net_sinks[nid]}
+        driver = net_driver[nid]
+        readers = {gate_cluster[gid] for gid in sinks[nid]}
         if driver >= 0:
             succ[gate_cluster[driver]] |= readers - {gate_cluster[driver]}
         elif nid in inputs:

@@ -19,6 +19,7 @@ from repro.verilog import (
     parse_source,
 )
 from repro.verilog.elaborate import _Elaborator
+from tests.netlist_rows import gate_rows, net_sinks
 
 
 class TestTopDetection:
@@ -54,9 +55,9 @@ class TestBinding:
         pos = compile_verilog(base + "module t (o, i); output o; input i; inv u (o, i); endmodule")
         nam = compile_verilog(base + "module t (o, i); output o; input i; inv u (.a(i), .y(o)); endmodule")
         assert pos.num_gates == nam.num_gates == 1
-        g = nam.gates[0]
-        assert g.inputs[0] in nam.inputs
-        assert g.output in nam.outputs
+        _, _, _, _, inputs, output = gate_rows(nam)[0]
+        assert inputs[0] in nam.inputs
+        assert output in nam.outputs
 
     def test_vector_port_binding(self):
         nl = compile_verilog(
@@ -85,10 +86,10 @@ class TestBinding:
             """
         )
         # concat is MSB-first: i[0] <- a, i[1] <- b
-        g_by_out = {g.output: g for g in nl.gates}
+        inputs_by_out = {row[5]: row[4] for row in gate_rows(nl)}
         o0 = nl.outputs[0]
         a = nl.inputs[0]
-        assert g_by_out[o0].inputs[0] == a
+        assert inputs_by_out[o0][0] == a
 
     def test_width_mismatch(self):
         with pytest.raises(ElaborationError, match="width mismatch"):
@@ -133,7 +134,7 @@ class TestBinding:
             module t (o); output o; s u (.o(o), .i()); endmodule
             """
         )
-        assert nl.gates[0].inputs[0] == CONSTX
+        assert nl.csr.gate_inputs(0)[0] == CONSTX
 
     def test_undefined_module(self):
         with pytest.raises(ElaborationError, match="not defined"):
@@ -154,7 +155,7 @@ class TestConstantsAndAliases:
             module t (o); output o; s u (.o(o), .i(1'b1)); endmodule
             """
         )
-        assert nl.gates[0].inputs[0] == CONST1
+        assert nl.csr.gate_inputs(0)[0] == CONST1
 
     def test_supply_nets(self):
         nl = compile_verilog(
@@ -165,7 +166,7 @@ class TestConstantsAndAliases:
             endmodule
             """
         )
-        assert set(nl.gates[0].inputs) == {CONST0, CONST1}
+        assert set(nl.csr.gate_inputs(0).tolist()) == {CONST0, CONST1}
 
     def test_assign_alias_merges_nets(self):
         nl = compile_verilog(
@@ -177,7 +178,7 @@ class TestConstantsAndAliases:
             endmodule
             """
         )
-        assert nl.gates[0].inputs[0] in nl.inputs
+        assert nl.csr.gate_inputs(0)[0] in nl.inputs
 
     def test_assign_width_mismatch(self):
         with pytest.raises(ElaborationError, match="width mismatch"):
@@ -237,9 +238,9 @@ class TestHierarchyTree:
         assert len(_direct_gates(adder4, adder4.nodes.index(node))) == 2
 
     def test_gate_paths_match_tree(self, adder4):
-        for gate in adder4.gates:
-            node = adder4.hierarchy.find(gate.path)
-            assert gate.gid in _direct_gates(adder4, adder4.nodes.index(node))
+        for gid, _, _, path, _, _ in gate_rows(adder4):
+            node = adder4.hierarchy.find(path)
+            assert gid in _direct_gates(adder4, adder4.nodes.index(node))
 
 
 class TestNetlistBuilder:
@@ -290,7 +291,7 @@ class TestNetlistBuilder:
         q = nb.net("q")
         nb.dff(d, clk, q)
         nl = nb.build()
-        assert nl.gates[0].gtype == "dff"
+        assert nl.csr.gate_type(0) == "dff"
 
 
 class TestNetNames:
@@ -324,11 +325,11 @@ def _direct_gates(nl, i):
 def _netlist_digest(nl):
     doc = (
         nl.net_names,
-        [(g.gid, g.gtype, g.name, g.path, g.inputs, g.output) for g in nl.gates],
+        gate_rows(nl),
         nl.inputs,
         nl.outputs,
-        nl.net_driver,
-        nl.net_sinks,
+        nl.csr.net_driver.tolist(),
+        net_sinks(nl.csr),
         [
             (n.name, n.module, n.path, _direct_gates(nl, i), n.total_gates,
              list(n.children))
@@ -379,7 +380,7 @@ def _names(nl):
 
 
 def _gates(nl):
-    return [(g.gtype, g.name, g.path, g.inputs, g.output) for g in nl.gates]
+    return [row[1:] for row in gate_rows(nl)]
 
 
 def _tree(nl, node=None):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HypergraphError
-from repro.hypergraph import Hypergraph, HypergraphBuilder
+from repro.hypergraph import Hypergraph
 
 
 def simple_hg():
@@ -91,51 +91,15 @@ class TestValidation:
 
 
 class TestBuilder:
+    """:meth:`Hypergraph.from_edges` — the constructor from pin lists."""
+
     def test_basic_flow(self):
-        b = HypergraphBuilder()
-        b.add_vertex("g1", weight=2)
-        b.add_vertex("g2")
-        b.add_edge("n1", ["g1", "g2"])
-        hg = b.freeze()
+        hg = Hypergraph.from_edges(
+            [2, 1], [[0, 1]], vertex_names=["g1", "g2"], edge_names=["n1"]
+        )
         assert hg.num_vertices == 2
         assert hg.total_weight == 3
-        assert hg.vertex_name(b.vertex_id("g1")) == "g1"
-
-    def test_duplicate_vertex_rejected(self):
-        b = HypergraphBuilder()
-        b.add_vertex("x")
-        with pytest.raises(HypergraphError, match="duplicate"):
-            b.add_vertex("x")
-
-    def test_single_pin_edges_dropped_by_default(self):
-        b = HypergraphBuilder()
-        b.add_vertex("a")
-        b.add_vertex("b")
-        b.add_edge("loop", ["a", "a"])
-        b.add_edge("real", ["a", "b"])
-        hg = b.freeze()
-        assert hg.num_edges == 1
-
-    def test_single_pin_edges_kept_on_request(self):
-        b = HypergraphBuilder()
-        b.add_vertex("a")
-        b.add_edge("loop", ["a"])
-        hg = b.freeze(drop_single_pin_edges=False)
-        assert hg.num_edges == 1
-
-    def test_mixed_id_and_name_pins(self):
-        b = HypergraphBuilder()
-        a = b.add_vertex("a")
-        b.add_vertex("b")
-        b.add_edge("n", [a, "b"])
-        hg = b.freeze()
-        assert hg.edge_size(0) == 2
-
-    def test_has_vertex(self):
-        b = HypergraphBuilder()
-        b.add_vertex("a")
-        assert b.has_vertex("a")
-        assert not b.has_vertex("z")
+        assert hg.vertex_name(0) == "g1"
 
 
 @st.composite

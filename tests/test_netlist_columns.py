@@ -1,12 +1,14 @@
-"""The columnar netlist: lazy views, shared array kernels, label propagation.
+"""The columnar netlist: one construction route, shared array kernels,
+label propagation.
 
 A :class:`Netlist` stores arrays (``netlist.csr``) plus names and the
-instance tree; ``gates`` / ``net_driver`` / ``net_sinks`` are views
-built on first access.  These tests pin (a) that the views are exactly
-what wiring the same circuit gate by gate produces, (b) that the hot
-path never builds them, (c) the cluster-hypergraph kernel against a
-set-per-net oracle, (d) the elaborator's label propagation against a
-plain union-find, and (e) that a netlist survives pickling.
+instance tree, and gets them through one call,
+:meth:`Netlist.adopt_columns`.  These tests pin (a) that the elaborator's
+columns are exactly what :class:`NetlistBuilder` produces when the same
+circuit is wired through it gate by gate, (b) the cluster-hypergraph
+kernel against a set-per-net oracle, (c) the elaborator's label
+propagation against a plain union-find, and (d) that a netlist survives
+pickling.
 """
 
 from __future__ import annotations
@@ -17,78 +19,52 @@ import random
 import numpy as np
 import pytest
 
-from repro.circuits import CIRCUITS, circuit_source, load_circuit, random_vectors
-from repro.core import design_driven_partition
+from repro.circuits import CIRCUITS, load_circuit, random_vectors
 from repro.errors import ElaborationError
 from repro.hypergraph import Clustering
 from repro.sim.compiled import compile_circuit
-from repro.verilog import NetlistBuilder, compile_verilog, elaborate, parse_source
+from repro.verilog import NetlistBuilder, compile_verilog
 from repro.verilog.elaborate import component_min
-from repro.verilog.netlist import HierNode, Netlist
+from repro.verilog.netlist import Netlist
 from tests.clustering_oracle import flatten_sequence
+from tests.netlist_rows import gate_rows, net_sinks
 from tests.test_elaborate import _netlist_digest
 
 
 def _replay(nl: Netlist) -> Netlist:
-    """The same circuit wired one net and one gate at a time, read from
-    the columns only."""
-    out = Netlist(nl.top)
-    for name in nl.net_names[3:]:
-        out.add_net(name)
-
-    def clone(src: HierNode, dst: HierNode) -> None:
+    """The same circuit wired through :class:`NetlistBuilder` one net and
+    one gate at a time, read from the columns only (module names, which
+    the builder does not take, are copied onto the replayed tree)."""
+    nb = NetlistBuilder(nl.top)
+    inputs = set(nl.inputs)
+    for nid, name in enumerate(nl.net_names[3:], start=3):
+        (nb.input if nid in inputs else nb.net)(name)
+    for _, gtype, name, path, pins, output in gate_rows(nl):
+        local = name[len(".".join(path)) + 1:] if path else name
+        nb.gate(gtype, pins, output, name=local, path=path)
+    for nid in nl.outputs:
+        nb.output_net(nid)
+    out = nb.build()
+    for src, dst in zip(nl.nodes, out.nodes, strict=True):
         dst.module = src.module
-        for name, child in src.children.items():
-            dst.children[name] = HierNode(name, child.module, child.path)
-            clone(child, dst.children[name])
-
-    clone(nl.hierarchy, out.hierarchy)
-    csr = nl.csr
-    paths = [node.path for node in nl.hierarchy.walk()]
-    for gid in range(csr.num_gates):
-        out.add_gate(
-            csr.gate_type(gid),
-            nl.gate_names[gid],
-            paths[nl.gate_node[gid]],
-            tuple(csr.gate_inputs(gid).tolist()),
-            int(csr.gate_output[gid]),
-        )
-    out.inputs.extend(nl.inputs)
-    out.outputs.extend(nl.outputs)
-    out.finalize()
     return out
 
 
 class TestViewsEqualReplay:
+    """The builder route is the oracle of the elaborator's columns."""
+
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_views_and_lowered_columns(self, name):
         nl = load_circuit(name)
-        assert nl._gates is None and nl._net_driver is None and nl._net_sinks is None
         replay = _replay(nl)
-        assert nl.gates == replay.gates
-        assert nl.net_driver == replay.net_driver
-        assert nl.net_sinks == replay.net_sinks
         assert _netlist_digest(nl) == _netlist_digest(replay)
-        # finalize() lowered the replay to the elaborator's columns
         a, b = nl.csr, replay.csr
         assert a.gate_types == b.gate_types
         for column in ("gate_code", "gate_output", "pin_ptr", "pin_net",
                        "inputs", "outputs", "net_driver"):
             assert np.array_equal(getattr(a, column), getattr(b, column)), column
         assert np.array_equal(nl.gate_node, replay.gate_node)
-
-
-def test_hot_path_builds_no_gate_objects_or_sink_lists():
-    nl = elaborate(parse_source(circuit_source("viterbi-paper")))
-    clustering = Clustering.top_level(nl)
-    clustering.hypergraph()
-    clustering.edge_drivers()
-    part = design_driven_partition(clustering, 4, 5.0, seed=1)
-    assert len(part.gate_assignment()) == nl.num_gates
-    Clustering.top_level(nl, gate_weights=np.ones(nl.num_gates, dtype=np.int64))
-    random_vectors(nl, 2)
-    compile_circuit(nl)
-    assert nl._gates is None and nl._net_driver is None and nl._net_sinks is None
+        assert np.array_equal(nl.subtree_end, replay.subtree_end)
 
 
 def _oracle(clustering: Clustering):
@@ -97,11 +73,11 @@ def _oracle(clustering: Clustering):
     where = {g: ci for ci, c in enumerate(clustering.clusters) for g in c.gate_ids}
     touched = [set() for _ in range(nl.num_nets)]
     drivers = [-1] * nl.num_nets
-    for gate in nl.gates:
-        drivers[gate.output] = where[gate.gid]
-        touched[gate.output].add(where[gate.gid])
-        for nid in gate.inputs:
-            touched[nid].add(where[gate.gid])
+    for gid, _, _, _, inputs, output in gate_rows(nl):
+        drivers[output] = where[gid]
+        touched[output].add(where[gid])
+        for nid in inputs:
+            touched[nid].add(where[gid])
     spanning = [n for n in range(nl.num_nets) if len(touched[n]) > 1]
     return (
         [sorted(touched[n]) for n in spanning],
@@ -167,7 +143,8 @@ def test_gateless_netlist_goes_through_every_array_consumer():
         assert clustering.edge_drivers() == []
     assert compile_circuit(nl).num_gates == 0
     assert random_vectors(nl, 1)[0].net == nl.inputs[0]
-    assert (nl.gates, nl.net_driver, nl.net_sinks) == ([], [-1] * 4, [[]] * 4)
+    assert gate_rows(nl) == []
+    assert (nl.csr.net_driver.tolist(), net_sinks(nl.csr)) == ([-1] * 4, [[]] * 4)
 
 
 def _union_find_min(n, pairs):

@@ -4,41 +4,46 @@ import numpy as np
 import pytest
 
 from repro.errors import NetlistError
-from repro.verilog import CONST0, NetlistBuilder, compile_verilog
+from repro.verilog import CONST0, NetlistBuilder
 from repro.verilog.netlist import Netlist
+from tests.netlist_rows import flip_flops, gate_rows, net_sinks
 
 
 class TestNetlistChecks:
     def test_gate_cannot_drive_constant(self):
-        nl = Netlist("t")
-        a = nl.add_net("a")
-        with pytest.raises(NetlistError, match="constant"):
-            nl.add_gate("buf", "g", (), (a,), CONST0)
+        nb = NetlistBuilder("t")
+        a = nb.input("a")
+        nb.gate("buf", (a,), CONST0, name="g")
+        with pytest.raises(NetlistError, match="gate 'g' drives a constant net"):
+            nb.build()
 
     def test_gate_on_missing_net_is_a_netlist_error(self):
-        nl = Netlist("t")
-        a, y = nl.add_net("a"), nl.add_net("y")
+        nb = NetlistBuilder("t")
+        a, y = nb.input("a"), nb.net("y")
         with pytest.raises(NetlistError, match=r"gate 'g' references bad net 99"):
-            nl.add_gate("and", "g", (), (a, 99), y)
+            nb.gate("and", (a, 99), y, name="g")
         with pytest.raises(NetlistError, match=r"gate 'h' references bad net -1"):
-            nl.add_gate("buf", "h", (), (a,), -1)
-        assert nl.num_gates == 0 and nl.net_sinks[a] == []
+            nb.gate("buf", (a,), -1, name="h")
+        nl = nb.build()
+        assert nl.num_gates == 0 and nl.csr.fanout()[0][a + 1] == 0
 
-    def test_gate_on_missing_hierarchy_path_is_a_netlist_error(self):
-        nl = Netlist("t")
-        a, y = nl.add_net("a"), nl.add_net("y")
-        nl.add_gate("buf", "u.g", ("u",), (a,), y)
+    def test_double_driver_is_reported_by_build(self):
+        nb = NetlistBuilder("t")
+        a, y = nb.input("a"), nb.net("y")
+        nb.gate("buf", (a,), y, name="g")
+        nb.gate("not", (a,), y, name="h", path=("u",))
         with pytest.raises(
-            NetlistError,
-            match=r"gate 'u\.g' has path \('u',\), which names no hierarchy node",
+            NetlistError, match=r"^net 'y' driven by both gate 'g' and 'u\.h'$"
         ):
-            nl.finalize()
+            nb.build()
 
     def test_driver_and_sinks_indexed(self, adder4):
-        for gate in adder4.gates:
-            assert adder4.driver_of(gate.output) == gate.gid
-            for nid in gate.inputs:
-                assert gate.gid in adder4.sinks_of(nid)
+        csr = adder4.csr
+        sinks = net_sinks(csr)
+        for gid, _, _, _, inputs, output in gate_rows(adder4):
+            assert csr.net_driver[output] == gid
+            for nid in inputs:
+                assert gid in sinks[nid]
 
     def test_walk_is_depth_first_self_first(self, adder4):
         names = [n.name for n in adder4.hierarchy.walk()]
@@ -48,9 +53,9 @@ class TestNetlistChecks:
         assert set(names[i + 1 : i + 3]) == {"u1", "u2"}
 
     def test_sequential_gates_listing(self, pipeadd):
-        seq = pipeadd.sequential_gates()
-        assert len(seq) == 14
-        assert all(g.gtype == "dffr" for g in seq)
+        assert flip_flops(pipeadd) == 14
+        assert {row[1] for row in gate_rows(pipeadd)
+                if row[1].startswith("dff")} == {"dffr"}
 
     def test_repr_contains_counts(self, adder4):
         text = repr(adder4)
@@ -68,13 +73,14 @@ class TestNetlistChecks:
         assert outer.children["inner"].total_gates == 1
         assert np.flatnonzero(nl.gate_node == nl.nodes.index(outer)).tolist() == [1]
 
+    def test_empty_netlist_is_the_constants(self):
+        nl = Netlist("t")
+        assert (nl.num_nets, nl.num_gates, nl.inputs, nl.outputs) == (3, 0, [], [])
+        assert nl.csr.num_nets == 3 and nl.hierarchy.total_gates == 0
+
 
 class TestGateRecord:
     def test_paths_prefix_names(self, adder4):
-        for gate in adder4.gates:
-            if gate.path:
-                assert gate.name.startswith(".".join(gate.path))
-
-    def test_gate_is_frozen(self, adder4):
-        with pytest.raises(AttributeError):
-            adder4.gates[0].gtype = "or"  # type: ignore[misc]
+        for _, _, name, path, _, _ in gate_rows(adder4):
+            if path:
+                assert name.startswith(".".join(path))

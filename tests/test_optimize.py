@@ -9,6 +9,7 @@ from repro.circuits import random_logic_verilog, random_vectors
 from repro.sim import InputEvent, SequentialSimulator, compile_circuit
 from repro.verilog import compile_verilog
 from repro.verilog.optimize import optimize_netlist
+from tests.netlist_rows import flip_flops, gate_rows
 
 
 def outputs_after(netlist, events):
@@ -96,14 +97,14 @@ class TestFolding:
 
     def test_live_flipflop_kept(self, pipeadd):
         opt, stats = optimize_netlist(pipeadd)
-        assert len(opt.sequential_gates()) == len(pipeadd.sequential_gates())
+        assert flip_flops(opt) == flip_flops(pipeadd)
 
     def test_hierarchy_preserved(self, pipeadd):
         opt, _ = optimize_netlist(pipeadd)
         assert set(opt.hierarchy.children) <= set(pipeadd.hierarchy.children)
-        for gate in opt.gates:
-            node = opt.hierarchy.find(gate.path)
-            assert opt.gate_node[gate.gid] == opt.nodes.index(node)
+        for gid, _, _, path, _, _ in gate_rows(opt):
+            node = opt.hierarchy.find(path)
+            assert opt.gate_node[gid] == opt.nodes.index(node)
 
     def test_stats_summary(self, pipeadd):
         _, stats = optimize_netlist(pipeadd)

@@ -112,6 +112,45 @@ class TestOneGateVertexArray:
         assert "gate_ids" not in HierNode.__dataclass_fields__
 
 
+class TestNetlistIsItsColumns:
+    #: retired with the gate records, the netlist's list views, its
+    #: incremental construction route and the compiled circuit's mirrors
+    RETIRED = (
+        "repro.verilog.Gate",
+        *(f"repro.verilog.netlist.Netlist.{name}" for name in (
+            "gates", "net_driver", "net_sinks", "add_net", "add_gate",
+            "finalize", "driver_of", "sinks_of", "sequential_gates")),
+        "repro.verilog.netlist_csr.NetlistCSR.from_netlist",
+        *(f"repro.sim.compiled.CompiledCircuit.{name}" for name in (
+            "gate_inputs", "net_sinks", "gate_code_list", "gate_output_list",
+            "eval_combinational")),
+        "repro.hypergraph.HypergraphBuilder",
+    )
+    #: the retired names no live code or doc could mean anything else by
+    UNAMBIGUOUS = ("add_gate", "add_net", "sequential_gates", "sinks_of",
+                   "HypergraphBuilder", "gate_code_list", "gate_output_list",
+                   "eval_combinational")
+
+    def test_retired_names_do_not_resolve(self):
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
 class TestObservabilitySurface:
     def test_all_exports_resolve_and_are_documented(self):
         import repro.obs as obs

@@ -31,6 +31,7 @@ from repro.sim.compiled import compile_circuit
 from repro.verilog import compile_verilog
 from repro.verilog.netlist import _NUM_CONST_NETS
 from repro.verilog.netlist_csr import NetlistCSR
+from tests.netlist_rows import gate_rows
 
 #: small configs of the three streamed families — cheap enough that the
 #: full bijection check runs in tier-1 time
@@ -72,12 +73,12 @@ def assert_stream_equivalent(netlist, csr) -> None:
 
     for c in range(_NUM_CONST_NETS):
         bind(c, c)
-    for gid, gate in enumerate(netlist.gates):
-        assert gate.gtype == csr.gate_type(gid), f"gate {gid} type differs"
+    for gid, gtype, _, _, inputs, output in gate_rows(netlist):
+        assert gtype == csr.gate_type(gid), f"gate {gid} type differs"
         spins = csr.gate_inputs(gid)
-        assert len(gate.inputs) == len(spins), f"gate {gid} arity differs"
-        bind(gate.output, int(csr.gate_output[gid]))
-        for a, b in zip(gate.inputs, spins.tolist()):
+        assert len(inputs) == len(spins), f"gate {gid} arity differs"
+        bind(output, int(csr.gate_output[gid]))
+        for a, b in zip(inputs, spins.tolist()):
             bind(a, b)
     assert len(netlist.inputs) == len(csr.inputs)
     assert len(netlist.outputs) == len(csr.outputs)
@@ -103,24 +104,24 @@ def test_streamed_hypergraph_bit_identical(family):
     text_fn, stream_fn, cfg = SMALL[family]
     netlist = compile_verilog(text_fn(cfg))
     a = flat_hypergraph(netlist)
-    b = streamed_flat_hypergraph(NetlistCSR.from_netlist(netlist))
+    b = streamed_flat_hypergraph(netlist.csr)
     assert np.array_equal(a._edge_ptr, b._edge_ptr)
     assert np.array_equal(a._edge_pins, b._edge_pins)
     assert np.array_equal(a.vertex_weight, b.vertex_weight)
     assert np.array_equal(a.edge_weight, b.edge_weight)
     # the public dispatch takes the streamed path for a NetlistCSR
-    c = flat_hypergraph(NetlistCSR.from_netlist(netlist))
+    c = flat_hypergraph(netlist.csr)
     assert np.array_equal(a._edge_ptr, c._edge_ptr)
     assert np.array_equal(a._edge_pins, c._edge_pins)
 
 
 @pytest.mark.parametrize("family", sorted(SMALL))
 def test_compiled_circuit_csr_branch_identical(family):
-    """compile_circuit(NetlistCSR.from_netlist(nl)) == compile_circuit(nl)."""
+    """compile_circuit(nl.csr) == compile_circuit(nl)."""
     text_fn, _, cfg = SMALL[family]
     netlist = compile_verilog(text_fn(cfg))
     a = compile_circuit(netlist)
-    b = compile_circuit(NetlistCSR.from_netlist(netlist))
+    b = compile_circuit(netlist.csr)
     assert np.array_equal(a.gate_code, b.gate_code)
     assert np.array_equal(a.gate_output, b.gate_output)
     assert np.array_equal(a.pin_offsets, b.pin_offsets)
@@ -132,11 +133,6 @@ def test_compiled_circuit_csr_branch_identical(family):
     assert np.array_equal(a.table.fan_gate, b.table.fan_gate)
     assert a.max_arity == b.max_arity
     assert a.inputs == b.inputs and a.outputs == b.outputs
-    # lazy mirrors materialize on demand and carry the same objects
-    assert a.gate_inputs == b.gate_inputs
-    assert a.net_sinks == b.net_sinks
-    assert a.gate_code_list == b.gate_code_list
-    assert a.gate_output_list == b.gate_output_list
 
 
 def test_stream_registry_names_resolve():
@@ -160,22 +156,19 @@ def test_unknown_stream_circuit_raises():
 
 
 def test_template_rejects_unstampable_ports():
-    from repro.verilog.netlist import Netlist
+    from repro.verilog import NetlistBuilder
 
     # a port bit aliased to a constant net cannot stamp positionally
-    nl = Netlist("bad")
-    a = nl.add_net("a")
-    nl.inputs.append(a)
-    nl.outputs.append(0)  # CONST0 as an "output port"
+    nb = NetlistBuilder("bad")
+    nb.input("a")
+    nb.output_net(0)  # CONST0 as an "output port"
     with pytest.raises(ElaborationError, match="not stampable"):
-        ModuleTemplate.from_netlist(nl)
+        ModuleTemplate.from_netlist(nb.build())
     # two port bits sharing one net is equally unstampable
-    nl2 = Netlist("bad2")
-    x = nl2.add_net("x")
-    nl2.inputs.append(x)
-    nl2.outputs.append(x)
+    nb2 = NetlistBuilder("bad2")
+    nb2.output_net(nb2.input("x"))
     with pytest.raises(ElaborationError, match="not stampable"):
-        ModuleTemplate.from_netlist(nl2)
+        ModuleTemplate.from_netlist(nb2.build())
 
 
 def test_builder_double_build_rejected():

@@ -234,3 +234,56 @@ class TestPropertyEquivalence:
             checkpoint_interval=ci, gvt_interval=20, lazy_cancellation=lazy
         )
         run_both(nl, cc, clusters, lp_machine, events, config=config)
+
+
+class TestStreamedCircuitDivergence:
+    """A streamed circuit carries no name strings; a divergence report on
+    it names nets ``n<id>`` and is a :class:`SimulationError`, not an
+    ``AttributeError`` from the missing name table."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        from repro.circuits import load_stream_circuit
+        from repro.sim.events import InputEvent
+
+        csr = load_stream_circuit("memctrl-bench")
+        circuit = compile_circuit(csr)
+        events = [
+            InputEvent(t, net, (t + i) % 2)
+            for t in range(0, 40, 8)
+            for i, net in enumerate(csr.inputs.tolist())
+        ]
+        seq = SequentialSimulator(circuit, record_changes=True)
+        seq.add_inputs(events)
+        seq.run()
+        half = csr.num_gates // 2
+        eng = TimeWarpEngine(
+            circuit, [range(half), range(half, csr.num_gates)], [0, 1],
+            ClusterSpec(num_machines=2), TimeWarpConfig(record_changes=True),
+        )
+        eng.load_inputs(events)
+        eng.run()
+        eng.verify_change_stream(seq)
+        return seq, eng
+
+    def test_final_values(self, engines):
+        seq, eng = engines
+        values = eng.lps[0].values
+        saved = values.copy()
+        values[:] = (values + 1) % 3
+        try:
+            with pytest.raises(SimulationError, match=r"divergence on net 'n\d+'"):
+                eng.verify_against_sequential(seq)
+        finally:
+            values[:] = saved
+
+    def test_change_stream(self, engines):
+        seq, eng = engines
+        log = eng.lps[0]._change_log
+        t, net, value = log[-1]
+        log[-1] = (t, net, (value + 1) % 3)
+        try:
+            with pytest.raises(SimulationError, match=r"n\d+"):
+                eng.verify_change_stream(seq)
+        finally:
+            log[-1] = (t, net, value)

@@ -1,12 +1,25 @@
 """Writer round-trip tests, including a property-based AST round trip."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.verilog import compile_verilog, parse_source, write_netlist_verilog, write_source
+from repro.circuits import load_circuit, random_vectors
+from repro.sim import InputEvent, SequentialSimulator, compile_circuit
+from repro.verilog import (
+    compile_verilog,
+    optimize_netlist,
+    parse_source,
+    write_netlist_verilog,
+    write_source,
+)
 from repro.verilog import ast
 from repro.verilog.writer import format_expr
+from tests.netlist_rows import flip_flops
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 class TestFormatExpr:
@@ -72,7 +85,84 @@ class TestSourceRoundTrip:
         text = write_netlist_verilog(pipeadd)
         nl2 = compile_verilog(text)
         assert nl2.num_gates == pipeadd.num_gates
-        assert len(nl2.sequential_gates()) == len(pipeadd.sequential_gates())
+        assert flip_flops(nl2) == flip_flops(pipeadd)
+
+
+def _outputs_after(netlist, events):
+    sim = SequentialSimulator(compile_circuit(netlist))
+    sim.add_inputs(events)
+    sim.run()
+    return sim.output_values()
+
+
+def _assert_round_trip(nl):
+    """The written text re-parses to a netlist with the same ports that
+    simulates equal on random vectors."""
+    back = compile_verilog(write_netlist_verilog(nl))
+    assert back.num_gates == nl.num_gates
+    assert (len(back.inputs), len(back.outputs)) == (len(nl.inputs), len(nl.outputs))
+    for seed in range(3):
+        events = random_vectors(nl, 8, seed=seed)
+        # inputs are matched by position: the port order is the netlist's
+        where = {n: m for n, m in zip(nl.inputs, back.inputs)}
+        moved = [InputEvent(e.time, where[e.net], e.value) for e in events]
+        assert _outputs_after(back, moved) == _outputs_after(nl, events)
+
+
+class TestSpecialOutputs:
+    """Output bits that are an input, a repeat or a constant get ports of
+    their own (each once read back as ``duplicate port declaration`` or
+    as X)."""
+
+    def test_output_aliased_to_input(self):
+        nl = compile_verilog(
+            "module t (a, y, z); input a; output y, z;"
+            " assign y = a; not (z, a); endmodule"
+        )
+        assert nl.outputs[0] == nl.inputs[0]
+        _assert_round_trip(nl)
+
+    def test_two_outputs_on_one_net(self):
+        nl = compile_verilog(
+            "module t (a, b, y, z); input a, b; output y, z;"
+            " and (y, a, b); assign z = y; endmodule"
+        )
+        assert nl.outputs[0] == nl.outputs[1]
+        _assert_round_trip(nl)
+
+    def test_output_folded_to_a_constant(self):
+        nl = compile_verilog(
+            "module t (a, y, z, w); input a; output y, z, w;"
+            " and (y, a, 1'b0); or (z, a, 1'b1); xor (w, a, y); endmodule"
+        )
+        opt, _ = optimize_netlist(nl)
+        assert opt.outputs[:2] == [0, 1]  # CONST0, CONST1
+        _assert_round_trip(opt)
+        text = write_netlist_verilog(opt)
+        assert "assign _out0 = 1'b0;" in text and "assign _out1 = 1'b1;" in text
+
+    def test_port_names_avoid_net_names(self):
+        nl = compile_verilog(
+            "module t (a, y, z); input a; output y, z; wire _out1;"
+            " not (_out1, a); and (y, _out1, a); assign z = y; endmodule"
+        )
+        assert nl.net_names[nl.outputs[1]] == "y"
+        text = write_netlist_verilog(nl)
+        assert "output __out1;" in text
+        _assert_round_trip(nl)
+
+
+class TestOptimizedGolden:
+    """``repro optimize circuit:viterbi-test -o`` output, diffed byte for
+    byte and re-elaborated."""
+
+    def test_matches_committed_file(self):
+        opt, _ = optimize_netlist(load_circuit("viterbi-test"))
+        text = write_netlist_verilog(opt)
+        assert text == (GOLDENS / "viterbi-test.opt.v.ok").read_text()
+        back = compile_verilog(text)
+        assert (back.num_gates, len(back.inputs), len(back.outputs)) == (
+            opt.num_gates, len(opt.inputs), len(opt.outputs))
 
 
 def open_text():

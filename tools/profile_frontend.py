@@ -12,9 +12,7 @@ depends on the definitions, not on the instance count
 expressions for 93 096 gates).  ``compact:`` — temp nets allocated,
 union pairs recorded, label-propagation rounds taken, and how many net
 groups needed their shortest-name tie broken by comparing strings in
-Python.  ``views:`` — which of the netlist's lazy list views (``gates``
-/ ``net_driver`` / ``net_sinks``) the run materialised; the array
-front end is expected to build none.  This is the before/after
+Python.  This is the before/after
 evidence harness for front-end work — the peer of
 ``tools/profile_partition.py`` and ``tools/profile_sim.py``
 (docs/performance.md, "Front end", records the numbers it moved).
@@ -89,9 +87,6 @@ def main(argv: list[str] | None = None) -> int:
           f"union_pairs={elab.union_pairs} "
           f"propagation_rounds={elab.propagation_rounds} "
           f"name_ties_in_python={elab.name_ties}")
-    built = [view for view in ("gates", "net_driver", "net_sinks")
-             if getattr(netlist, "_" + view) is not None]
-    print(f"views: materialised={','.join(built) or 'none'}")
     return 0
 
 
