@@ -3,7 +3,7 @@
 A unit-delay timestep is a *round*: every net update scheduled for time
 ``t`` is applied, every gate reading a net that really changed is
 evaluated against the post-update values (flip-flops sample their data
-pins from the pre-update ones), and every output lands at ``t + 1``.
+pins from the pre-update ones), and its output is due at ``t + 1``.
 All gates of a round read the same frozen state, so the round can be
 executed as whole-array passes in any order and still be deterministic;
 the only order that is observable — which gate is visited first, hence
@@ -25,11 +25,21 @@ Gate and flip-flop semantics are defined once, as lookup tables:
 id space — global ids for the sequential simulator, LP-local ids for a
 :class:`~repro.sim.lp.ClusterLP` (see :meth:`GateTable.restrict`).  The
 array side and the scalar side read the same tables (the scalar side as
-tuples) and the same bytes: an LP's net values are one ``bytearray``,
+tuples, plus two shortcuts composed from them: the fold of a gate with
+one or two pins as one ``(op, v0, v1)`` lookup, and the
+``(clk_before, clk_after)`` edges on which every :data:`FF` row holds)
+and the same bytes: an LP's net values are one ``bytearray``,
 indexed directly by the scalar side and seen through a zero-copy
-``np.frombuffer`` view by the array side.  :meth:`GateTable.step` is the
-LP's round — it picks the side by the number of scheduled updates; the
-sequential simulator calls :meth:`GateTable.step_arrays` directly.
+``np.frombuffer`` view by the array side.
+
+:meth:`GateTable.step_arrays` schedules every output it computes — the
+sequential simulator's round, whose ``now`` and observers rely on it.
+:meth:`GateTable.step` is the LP's round: it picks the side by the
+number of scheduled updates and is event-driven — of the outputs it
+*produces* (fired flip-flops and combinational gates) it schedules only
+those that differ from their net's post-update value, since the rest
+would be dropped as no-ops one tick later.  The produced count comes
+back beside them: the LP's batch timing and checkpoint charge read it.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ HOLD = 3
 #: passes, smaller ones through the scalar loop.  A module constant, not
 #: a knob: it is the measured break-even of the two sides on the
 #: reference host (docs/performance.md, "Simulation kernel")
-BATCH_THRESHOLD = 128
+BATCH_THRESHOLD = 64
 
 _NUM_COMB = SEQ_CODE_MIN
 _UNARY = (GATE_CODES["buf"], GATE_CODES["not"])
@@ -81,11 +91,17 @@ def _build_fold() -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(fold), tuple(final)
 
 
+def _idle_edge(cb: int, ca: int) -> bool:
+    """Whether no flip-flop fires when its clock goes ``cb -> ca``: an
+    idle clock, a falling edge or a non-edge."""
+    return ca == cb or ca == 0 or cb == 1
+
+
 def _ff_next(kind: int, cb: int, ca: int, d: int, aux: int) -> int:
     """Next state of flip-flop ``kind`` (0 dff, 1 dffr, 2 dffe) when its
     clock goes ``cb -> ca``; data and aux are their pre-edge values."""
-    if ca == cb or ca == 0 or cb == 1:
-        return HOLD  # idle clock, falling edge or non-edge
+    if _idle_edge(cb, ca):
+        return HOLD
     if kind == 0:
         aux = 1  # a plain dff is a dffe with its enable tied high
     known = cb == 0 and ca == 1  # otherwise X is involved in the edge
@@ -106,6 +122,17 @@ _FF_T = tuple(
 FOLD = np.array(_FOLD_T, dtype=np.int64)
 FINAL = np.array(_FINAL_T, dtype=np.int8)
 FF = np.array(_FF_T, dtype=np.int8)
+
+# the scalar side's shortcuts: a gate of one or two pins reads
+# _PAIR_T[1 + op * 16 + v0 * 4 + v1], FOLD twice then FINAL (cell 0 is
+# filler, so that a gate's row base is never 0: see _scalar_tables);
+# a flip-flop holds on every clock edge cb -> ca that _IDLE_T[cb * 3 + ca]
+# marks
+_PAIR_T = (VX,) + tuple(
+    _FINAL_T[_FOLD_T[_FOLD_T[op * 16 + PAD * 4 + v0] + v1]]
+    for op in range(_NUM_COMB) for v0 in range(4) for v1 in range(4)
+)
+_IDLE_T = tuple(_idle_edge(cb, ca) for cb in range(3) for ca in range(3))
 
 _NEVER = np.iinfo(np.int64).max
 
@@ -257,20 +284,34 @@ class GateTable:
     # -- the scalar side -----------------------------------------------------
 
     def _scalar_tables(self):
-        # a flip-flop reads exactly (d, clk, aux), a gate its real pins
-        take = np.where(self.codes >= SEQ_CODE_MIN, 3, self.arity)
-        flat = self.pins.T[
-            np.arange(len(self.pins), dtype=np.int64)[None, :] < take[:, None]
+        # a flip-flop reads exactly (d, clk, aux), a gate of one or two
+        # pins two (the pad cell stands in for an absent second pin), a
+        # wider gate its real pins
+        is_ff, arity = self._is_ff, self.arity
+        take = np.where(is_ff, 3, np.maximum(arity, 2))
+        width = max(len(self.pins), 2)
+        pins = np.full((width, self.num_gates), self.num_nets, dtype=np.int64)
+        pins[:len(self.pins)] = self.pins
+        flat = pins.T[
+            np.arange(width, dtype=np.int64)[None, :] < take[:, None]
         ].tolist()
         ptr = np.concatenate(([0], np.cumsum(take))).tolist()
         fan, fptr = self.fan_gate.tolist(), self.fan_ptr.tolist()
-        # a gate's initial fold state, or minus its flip-flop table base
-        start = np.where(self._is_ff, -self._ff_base, self._state0)
+        # one int per gate picks its path in step(): its _PAIR_T row base
+        # (> 0, one past op * 16 for the filler cell), the complement
+        # ~base of its FF row base (< 0), or 0 for a gate of three or
+        # more pins, which folds from the initial state a dict holds for
+        # the few such gates
+        pair_base = self.codes.astype(np.int64) * 16 + 1
+        wide = ~is_ff & (arity > 2)
+        start = np.where(is_ff, ~self._ff_base, np.where(wide, 0, pair_base))
         self._scalar = (
             start.tolist(),
             [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
             self.out.tolist(),
             [tuple(fan[a:b]) for a, b in zip(fptr, fptr[1:])],
+            dict(zip(np.flatnonzero(wide).tolist(),
+                     self._state0[wide].tolist())),
         )
         return self._scalar
 
@@ -288,11 +329,14 @@ class GateTable:
         ``(nets, values)`` array pair — the two forms ``due`` takes.
 
         Returns ``None`` when no net changed, else ``(changed, evals,
-        due, crossed)``: the nets that changed (schedule order; their
-        new values are in ``store``), the number of gates evaluated,
-        the outputs due one tick later (a dict from the scalar side, an
-        array pair from the array side, ``None`` for none) and ``(gate,
-        value)`` per watched output that moved, in first-touch order.
+        produced, due, crossed)``: the nets that changed (schedule
+        order; their new values are in ``store``), the number of gates
+        evaluated, the number of outputs the round produced (held
+        flip-flops are not among them), the produced outputs that
+        differ from their net's post-update value, due one tick later
+        (a dict from the scalar side, an array pair from the array side,
+        ``None`` for none) and ``(gate, value)`` per watched output that
+        moved, in first-touch order.
         """
         if type(updates) is not dict:
             nets, vals = updates
@@ -307,8 +351,8 @@ class GateTable:
                 last, watched,
             )
         # the scalar side: step_arrays as one Python loop over the bytes
-        start, pins, out, fan = self._scalar or self._scalar_tables()
-        fold, ff_table = _FOLD_T, _FF_T
+        start, pins, out, fan, wide = self._scalar or self._scalar_tables()
+        pair, fold, ff_table, idle = _PAIR_T, _FOLD_T, _FF_T, _IDLE_T
         old: dict[int, int] = {}
         affected: dict[int, None] = {}
         for net, value in updates.items():
@@ -322,32 +366,42 @@ class GateTable:
             return None
         due: dict[int, int] = {}
         crossed: list[tuple[int, int]] = []
+        held = 0
         for g in affected:
-            state = start[g]
-            if state > 0:
+            base = start[g]
+            if base > 0:  # one or two pins: one lookup
+                a, b = pins[g]
+                value = pair[base + store[a] * 4 + store[b]]
+            elif base:  # a flip-flop
+                d, clk, aux = pins[g]
+                cb = old.get(clk)
+                if cb is None or idle[edge := cb * 3 + store[clk]]:
+                    held += 1
+                    continue  # idle clock or idle edge: every FF row holds
+                value = ff_table[
+                    edge * 9 + old.get(d, store[d]) * 3
+                    + old.get(aux, store[aux]) + ~base
+                ]
+                if value == HOLD:
+                    held += 1
+                    continue
+            else:  # three or more pins: the pairwise fold
+                state = wide[g]
                 for p in pins[g]:
                     state = fold[state + store[p]]
                 value = _FINAL_T[state]
-            else:
-                d, clk, aux = pins[g]
-                cb = old.get(clk)
-                if cb is None:
-                    continue  # idle clock: every FF row holds
-                value = ff_table[
-                    cb * 27 + store[clk] * 9 + old.get(d, store[d]) * 3
-                    + old.get(aux, store[aux]) - state
-                ]
-                if value == HOLD:
-                    continue
-            due[out[g]] = value
+            net = out[g]
+            if value != store[net]:
+                due[net] = value
             if watched[g] and value != last[g]:
                 last[g] = value
                 crossed.append((g, value))
-        return old, len(affected), due or None, crossed
+        return old, len(affected), len(affected) - held, due or None, crossed
 
     def _step_batch(self, store, nets, vals, last, watched):
         """:meth:`step` on the array side, through zero-copy views."""
-        result = self.step_arrays(np.frombuffer(store, dtype=np.int8), nets, vals)
+        vbuf = np.frombuffer(store, dtype=np.int8)
+        result = self.step_arrays(vbuf, nets, vals)
         if result is None:
             return None
         changed, _, affected, out_nets, out_vals, gates = result
@@ -359,5 +413,6 @@ class GateTable:
             gates, values = gates[moved], out_vals[moved]
             sent[gates] = values
             crossed = list(zip(gates.tolist(), values.tolist()))
-        due = (out_nets, out_vals) if len(out_nets) else None
-        return changed, len(affected), due, crossed
+        live = vbuf[out_nets] != out_vals  # step_arrays scheduled them all
+        due = (out_nets[live], out_vals[live]) if live.any() else None
+        return changed, len(affected), len(out_nets), due, crossed

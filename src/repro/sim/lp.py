@@ -9,8 +9,9 @@ private unit-delay simulator over its gate subset:
 * its **state** is one byte per net its gates touch — a ``bytearray``
   the scalar side of the step kernel indexes and the array side views
   through NumPy, so there is no second copy to keep in step — plus the
-  outputs of its last batch, due one tick later (under unit delay that
-  single pair is the whole future-event agenda);
+  outputs of its last batch that change their net, due one tick later,
+  and how many outputs that batch produced (under unit delay that
+  single slot is the whole future-event agenda);
 * **input messages** are net-change events for boundary nets driven by
   other LPs (or the vector source);
 * **output messages** are emitted when a locally driven boundary net
@@ -73,28 +74,30 @@ class RollbackResult:
 
 class _Checkpoint:
     """One saved LP state: byte snapshots of the value store and the
-    last-sent filter, the pending outputs (shared, never mutated) and
-    the gate evaluations of the history up to ``vt`` — what a rollback
-    to here subtracts from to count the undone ones."""
+    last-sent filter, the pending outputs (shared, never mutated) with
+    the number of outputs their batch produced, and the gate
+    evaluations of the history up to ``vt`` — what a rollback to here
+    subtracts from to count the undone ones."""
 
-    __slots__ = ("vt", "values", "due", "sent", "evals", "size")
+    __slots__ = ("vt", "values", "due", "produced", "sent", "evals", "size")
 
-    def __init__(self, vt: int, values: bytes, due, sent: bytes, evals: int) -> None:
+    def __init__(self, vt: int, values: bytes, due, produced: int,
+                 sent: bytes, evals: int) -> None:
         self.vt = vt
         self.values = values
         self.due = due
+        self.produced = produced
         self.sent = sent
         self.evals = evals
         # accounted once (a snapshot is immutable; the LP keeps a
         # running total): one byte per net — the store's pad cell is
-        # not state — and per gate; pending outputs are charged what
-        # the agenda slot they replaced cost (a CPython dict entry per
-        # update, one list slot for its time), which keeps
-        # tw.peak_checkpoint_bytes comparable across versions
+        # not state — and per gate; the produced outputs are charged
+        # what the agenda slot that once held them all cost (a CPython
+        # dict entry per update, one list slot for its time), which
+        # keeps tw.peak_checkpoint_bytes comparable across versions
         self.size = len(values) - 1 + len(sent)
-        if due is not None:
-            n = len(due) if type(due) is dict else len(due[0])
-            self.size += 32 * (n + 1) + 8
+        if produced:
+            self.size += 32 * (produced + 1) + 8
 
 
 def _msg_sort_key(m: Message) -> tuple[int, int, int]:
@@ -153,13 +156,18 @@ class ClusterLP:
         # dynamic state: one byte per local net plus the kernel's pad
         # cell — indexed as bytes by the scalar side, seen as int8 by
         # the array side and `values` through a view — and the outputs
-        # of the last batch, due at lvt + 1: {net: value} from a scalar
-        # round, an (nets, values) array pair from an array round
+        # of the last batch that change their net, due at lvt + 1:
+        # {net: value} from a scalar round, an (nets, values) array pair
+        # from an array round.  A batch that produced outputs is
+        # followed by one at lvt + 1 even when none of them changes
+        # anything (then with no work): the schedule and the cost model
+        # count produced outputs, not changes
         self._store = bytearray(
             self._table.new_values(circuit.initial_values[nets])
         )
         self._vbuf = np.frombuffer(self._store, dtype=np.int8)
         self._due: dict | tuple | None = None
+        self._produced = 0
         self.lvt = -1
         #: cached earliest unprocessed virtual time (None = quiescent);
         #: every queue mutator refreshes it so the engine scheduler
@@ -228,7 +236,7 @@ class ClusterLP:
 
     def _recompute_next_vt(self) -> None:
         """Refresh the cached :attr:`next_vt` after a queue mutation."""
-        if self._due is not None:
+        if self._produced:
             # unit delay: outputs are due one tick after the batch that
             # produced them, and nothing can be queued before that
             self.next_vt = self.lvt + 1
@@ -365,15 +373,20 @@ class ClusterLP:
                 updates[net_loc[msgs[i].net]] = msgs[i].value
                 i += 1
             self._next_idx = i
-        result = self._table.step(self._store, updates, self._sent, self._watched)
+        result = None
+        if updates is not None:  # else outputs were produced, none changes
+            result = self._table.step(self._store, updates, self._sent,
+                                      self._watched)
         self._due = None
+        self._produced = 0
         self.next_vt = msgs[i].recv_time if i < end else None
         sends: list[Message] = []
         n_evals = 0
         if result is not None:
-            changed, n_evals, due, crossed = result
-            if due is not None:
+            changed, n_evals, produced, due, crossed = result
+            if produced:
                 self._due = due
+                self._produced = produced
                 self.next_vt = T + 1  # unit delay: nothing can precede it
             self._live_evals += n_evals
             if type(changed) is not dict:  # the array side ran
@@ -440,8 +453,8 @@ class ClusterLP:
 
     def _save_checkpoint(self) -> None:
         cp = _Checkpoint(
-            self.lvt, bytes(self._store), self._due, bytes(self._sent),
-            self._live_evals,
+            self.lvt, bytes(self._store), self._due, self._produced,
+            bytes(self._sent), self._live_evals,
         )
         self._checkpoints.append(cp)
         self._ckpt_bytes += cp.size
@@ -473,6 +486,7 @@ class ClusterLP:
         self._store[:] = cp.values
         self._sent[:] = cp.sent
         self._due = cp.due
+        self._produced = cp.produced
         self.lvt = cp.vt
         self._batches_since_ckpt = 0
 

@@ -195,11 +195,12 @@ class TestCheckpointAccounting:
     to what the ``ndarray.nbytes`` version reported at every lifecycle
     stage (recorded on the commit before the byte store): one byte per
     local net — the store's pad cell is not state — and per local gate,
-    plus ``32 * (n + 1) + 8`` for ``n`` pending outputs."""
+    plus ``32 * (n + 1) + 8`` for the ``n`` outputs the batch before it
+    produced (the pending ones and the no-ops the kernel dropped)."""
 
     @staticmethod
     def _expected(lp, cp):
-        slot = 32 * (len(cp.due) + 1) + 8 if cp.due is not None else 0
+        slot = 32 * (cp.produced + 1) + 8 if cp.produced else 0
         assert len(cp.values) == len(lp.values) + 1  # snapshot keeps the pad
         return len(lp.values) + len(lp.gate_ids) + slot
 

@@ -26,7 +26,7 @@ from repro.sim import (
     kernel,
 )
 from repro.sim.events import Message
-from repro.sim.kernel import FF, HOLD
+from repro.sim.kernel import FF, FINAL, FOLD, HOLD, PAD, GateTable, fanout_csr
 from repro.sim.logic import GATE_CODES, SEQ_CODE_MIN, eval_gate_coded
 from repro.sim.lp import ClusterLP
 from repro.verilog import NetlistBuilder
@@ -72,26 +72,67 @@ class TestFoldTable:
                 last = bytearray([2]) * len(rows)
                 watched = bytearray([1, 0]) * (len(rows) // 2)
                 updates = dict.fromkeys(pin_net.tolist(), value)
-                changed, evals, due, crossed = table.step(
+                changed, evals, produced, due, crossed = table.step(
                     store, updates, last, watched)
                 # a dict came back iff the scalar side ran
                 assert (type(due) is dict) == (threshold != 0)
                 if type(due) is not dict:
                     due = dict(zip(due[0].tolist(), due[1].tolist()))
-                results.append((list(changed), evals, list(due.items()),
-                                crossed, bytes(store), bytes(last)))
+                results.append((list(changed), evals, produced,
+                                list(due.items()), crossed, bytes(store),
+                                bytes(last)))
             assert results[0] == results[1]
-            changed, evals, due, crossed, _, last = results[0]
-            assert changed == pin_net.tolist() and evals == len(rows)
+            changed, evals, produced, due, crossed, _, last = results[0]
+            assert changed == pin_net.tolist()
+            assert evals == produced == len(rows)
+            # every output net still reads X, so only the non-X outputs
+            # are pending
             by_net = dict(due)
+            assert set(by_net.values()) <= {0, 1}
             moved = [(g, by_net[table.out[g]]) for g in range(0, len(rows), 2)
-                     if by_net[table.out[g]] != 2]
+                     if table.out[g] in by_net]
             assert crossed == moved and len(moved) > 5
             assert [last[g] for g, _ in moved] == [v for _, v in moved]
             assert set(last[1::2]) == {2}  # unwatched cells are never written
 
+    def test_pair_table_is_the_composed_fold(self):
+        # every combinational code x (v0, v1), the pad cell included: the
+        # scalar side's one lookup for a gate of one or two pins is FOLD
+        # twice from the empty accumulator, then FINAL (cell 0 is filler)
+        pair = kernel._PAIR_T
+        assert len(pair) == 1 + 8 * 16
+        checked = 0
+        for code in range(SEQ_CODE_MIN):
+            for v0, v1 in itertools.product(range(4), repeat=2):
+                state = FOLD[FOLD[code * 16 + PAD * 4 + v0] + v1]
+                got = pair[1 + code * 16 + v0 * 4 + v1]
+                assert got == FINAL[state], (code, v0, v1)
+                real = [v for v in (v0, v1) if v != PAD]
+                if real:  # a one-pin gate reads its second pin on the pad
+                    assert got == eval_gate_coded(code, real), (code, v0, v1)
+                checked += 1
+        assert checked == 8 * 16
+
 
 class TestFlipFlopTable:
+    def test_idle_edges_hold_on_every_row(self):
+        # the scalar side's idle-edge table marks exactly the clock edges
+        # on which no FF row fires, over all 3 kinds x 3^4 states
+        idle = kernel._IDLE_T
+        checked = 0
+        for kind, cb, ca in itertools.product(range(3), VALS, VALS):
+            rows = [FF[(((kind * 3 + cb) * 3 + ca) * 3 + dv) * 3 + av]
+                    for dv, av in itertools.product(VALS, repeat=2)]
+            if idle[cb * 3 + ca]:
+                assert set(rows) == {HOLD}, (kind, cb, ca)
+            else:
+                assert set(rows) != {HOLD}, (kind, cb, ca)
+            checked += len(rows)
+        assert checked == 3 * 3 ** 4
+        # the rising, the X-involved and nothing else
+        assert [e for e in range(9) if not idle[e]] == [0 * 3 + 1, 0 * 3 + 2,
+                                                        2 * 3 + 1]
+
     def test_every_kind_and_state_matches_the_oracle(self):
         d, clk, aux = 0, 1, 2
         checked = 0
@@ -252,14 +293,16 @@ class TestPendingPair:
         assert lp.values.tolist() == [values[net] for net in lp._net_list]
 
     def test_pending_time_is_lvt_plus_one_on_every_batch(self, monkeypatch):
-        # the single-slot invariant of unit delay: whenever outputs are
-        # pending, they are the LP's next batch and it is one tick away
+        # the single-slot invariant of unit delay: whenever the last
+        # batch produced outputs — pending changes or only no-ops — the
+        # LP's next batch is one tick away
         checked = []
         inner = ClusterLP.execute_batch
 
         def checking(lp):
             batch_time = lp.next_vt
-            if lp._due is not None:
+            assert lp._due is None or lp._produced
+            if lp._produced:
                 assert batch_time == lp.lvt + 1
                 checked.append(lp.lid)
             result = inner(lp)
@@ -270,6 +313,171 @@ class TestPendingPair:
         _, stats, _ = _traced_run("cpu-test", kernel.BATCH_THRESHOLD,
                                   monkeypatch, interval=2)
         assert stats.rollbacks > 0 and len(checked) > 500
+
+    @staticmethod
+    def _and_lp():
+        # y = and(a, b) in one LP, a checkpoint after every batch
+        nb = NetlistBuilder("and")
+        a, b = nb.input("a"), nb.input("b")
+        y = nb.net("y")
+        nb.gate("and", (a, b), y)
+        nb.output_net(y)
+        circuit = compile_circuit(nb.build())
+        lp = ClusterLP(0, circuit, [0], checkpoint_interval=1)
+        return lp, a, b, y
+
+    @pytest.mark.parametrize("threshold", [1, 10 ** 9])
+    def test_a_round_of_no_ops_still_takes_its_batch(self, threshold,
+                                                     monkeypatch):
+        monkeypatch.setattr(kernel, "BATCH_THRESHOLD", threshold)
+        lp, a, b, y = self._and_lp()
+        for uid, (t, net, value) in enumerate([(0, a, 0), (0, b, 1), (5, b, 0)]):
+            lp.insert_positive(Message(t, net, value, -1, 0, t - 1, uid))
+        nets_and_gates = len(lp.values) + 1
+        assert lp.execute_batch() == (1, []) and lp._due is not None  # y: X -> 0
+        assert lp.execute_batch() == (0, [])  # t = 1: y lands, reads nothing
+        assert (lp.lvt, lp.next_vt) == (1, 5)
+        # t = 5: b falls, y recomputes to the 0 it holds — produced, no change
+        assert lp.execute_batch() == (1, [])
+        assert lp._due is None and lp._produced == 1
+        assert lp.next_vt == 6  # the batch the produced output is due in
+        charged = lp._checkpoints[-1]
+        assert charged.vt == 5 and charged.due is None
+        assert charged.size == nets_and_gates + 32 * (1 + 1) + 8
+        assert lp.execute_batch() == (0, [])  # zero evaluations at lvt + 1
+        assert (lp.lvt, lp.next_vt, lp._produced) == (6, None, 0)
+        assert lp._checkpoints[-1].size == nets_and_gates
+        assert lp.local_value(y) == 0
+
+    def test_rollback_restores_the_produced_count(self):
+        lp, a, b, y = self._and_lp()
+        for uid, (t, net, value) in enumerate([(0, a, 0), (0, b, 1), (5, b, 0)]):
+            lp.insert_positive(Message(t, net, value, -1, 0, t - 1, uid))
+        while lp.next_vt is not None:
+            lp.execute_batch()
+        assert (lp.lvt, lp._produced) == (6, 0)
+        # a straggler at t = 6 restores the checkpoint of t = 5, whose
+        # batch produced one output and changed nothing
+        rollback = lp.insert_positive(Message(6, a, 0, -1, 0, 5, 9))
+        assert rollback.restored_to == 5
+        assert lp._due is None and lp._produced == 1
+        assert lp.next_vt == 6
+        assert lp.execute_batch() == (0, [])
+        assert lp.next_vt is None and lp.local_value(y) == 0
+
+    def test_stimulus_on_a_locally_driven_net_after_a_dropped_no_op(self):
+        # the one input whose within-tick order the event-driven round
+        # moves: y = and(a, b) recomputes to the 0 it holds at t = 5 (a
+        # dropped no-op) while q = buf(c) changes, and a stimulus drives
+        # y at t = 6.  The stimulus lands after the pending q, so the
+        # change log and the first-touch order of y's and q's readers
+        # follow it; a round that scheduled every output would have kept
+        # the no-op's slot, ahead of q.  The committed values are the same
+        nb = NetlistBuilder("driven")
+        a, b, c = nb.input("a"), nb.input("b"), nb.input("c")
+        y, q, r, s = nb.net("y"), nb.net("q"), nb.net("r"), nb.net("s")
+        nb.gate("and", (a, b), y)
+        nb.gate("buf", (c,), q)
+        nb.gate("buf", (y,), r)
+        nb.gate("buf", (q,), s)
+        nb.output_net(r)
+        nb.output_net(s)
+        circuit = compile_circuit(nb.build())
+        lp = ClusterLP(0, circuit, [0, 1, 2, 3], record_changes=True)
+        stimuli = [(0, a, 0), (0, b, 1), (0, c, 0), (5, b, 0), (5, c, 1),
+                   (6, y, 1)]
+        for uid, (t, net, value) in enumerate(stimuli):
+            lp.insert_positive(Message(t, net, value, -1, 0, t - 1, uid))
+        while lp.next_vt is not None:
+            lp.execute_batch()
+        assert [e for e in lp._change_log if e[0] >= 6] == [
+            (6, q, 1), (6, y, 1), (7, s, 1), (7, r, 1)]
+        assert [lp.local_value(n) for n in (y, q, r, s)] == [1, 1, 1, 1]
+
+
+def _random_table(rng, num_nets=64, num_gates=60, clocks=(0, 1)):
+    """A gate set with every path of the scalar side: gates of one to
+    four pins, all three flip-flop kinds on two shared clock nets, and
+    feedback (pins read any net, outputs drive distinct ones)."""
+    comb = [c for c in GATE_CODES.values() if c < SEQ_CODE_MIN]
+    out = rng.choice(np.arange(len(clocks), num_nets), num_gates,
+                     replace=False)
+    codes, pins = [], []
+    for _ in range(num_gates):
+        code = int(rng.choice(comb + [SEQ_CODE_MIN + k for k in range(3)]))
+        if code >= SEQ_CODE_MIN:
+            arity = 2 if code == SEQ_CODE_MIN else 3
+            row = rng.integers(0, num_nets, arity).tolist()
+            row[1] = int(rng.choice(clocks))
+        else:
+            row = rng.integers(0, num_nets, int(rng.integers(1, 5))).tolist()
+        codes.append(code)
+        pins.append(row)
+    pin_ptr = np.zeros(num_gates + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pins], out=pin_ptr[1:])
+    pin_net = np.array([n for p in pins for n in p], dtype=np.int64)
+    return GateTable(np.array(codes, dtype=np.int8), pin_ptr, pin_net, out,
+                     num_nets, *fanout_csr(pin_ptr, pin_net, num_nets))
+
+
+class TestEventDrivenRound:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_sides_schedule_exactly_the_changes(self, seed, monkeypatch):
+        # chained random rounds: each applies the last round's pending
+        # set plus random stimuli (clock nets included).  Forced onto
+        # either side, a round leaves the same store and last-sent
+        # bytes, reports the same crossings and pends exactly the
+        # outputs step_arrays schedules that differ from the store
+        rng = np.random.default_rng(seed)
+        table = _random_table(rng)
+        store = bytearray(table.new_values(
+            rng.integers(0, 3, table.num_nets).astype(np.int8)))
+        last = bytearray(rng.integers(0, 3, table.num_gates).astype(np.int8))
+        watched = bytearray(rng.integers(0, 2, table.num_gates).astype(np.int8))
+        pending: dict[int, int] = {}
+        rounds = dropped = 0
+        for _ in range(60):
+            updates = dict(pending)
+            for net in rng.choice(table.num_nets, int(rng.integers(0, 6)),
+                                  replace=False).tolist():
+                updates[net] = int(rng.integers(0, 3))
+            results = []
+            for threshold in (1, 10 ** 9):
+                monkeypatch.setattr(kernel, "BATCH_THRESHOLD", threshold)
+                s, l = bytearray(store), bytearray(last)
+                got = table.step(s, dict(updates), l, watched)
+                if got is not None:
+                    changed, evals, produced, due, crossed = got
+                    assert (type(changed) is dict) == (threshold > 1)
+                    if due is not None and type(due) is not dict:
+                        due = dict(zip(due[0].tolist(), due[1].tolist()))
+                    got = (list(changed), evals, produced, due, crossed)
+                results.append((got, bytes(s), bytes(l)))
+            assert results[0] == results[1]
+            # the reference: every output step_arrays schedules, less
+            # the ones that equal their net's post-update value
+            ref = table.new_values(np.frombuffer(store, np.int8)[:-1])
+            arrays = table.step_arrays(
+                ref, np.fromiter(updates, np.int64, len(updates)),
+                np.fromiter(updates.values(), np.int8, len(updates)))
+            got, store_after, last_after = results[0]
+            if arrays is None:
+                assert got is None
+                pending = {}
+                continue
+            _, _, affected, out_nets, out_vals, _ = arrays
+            expect = {n: v for n, v in zip(out_nets.tolist(), out_vals.tolist())
+                      if ref[n] != v}
+            changed, evals, produced, due, crossed = got
+            assert (evals, produced) == (len(affected), len(out_nets))
+            assert list((due or {}).items()) == list(expect.items())
+            assert store_after == ref.tobytes()
+            store, last = bytearray(store_after), bytearray(last_after)
+            pending = due or {}
+            rounds += 1
+            dropped += produced - len(pending)
+        # the filter was exercised: produced no-ops were dropped
+        assert rounds > 30 and dropped > 0
 
 
 def _interleave_circuit():

@@ -19,6 +19,11 @@ per engine step — one LP batch on one machine: steps, host microseconds
 of ``TimeWarpEngine.run`` per step (the ``tw.run`` phase), gate
 evaluations per step and inter-LP sends per step, the counts read from
 the run's ``RunStats`` — the cost the Time Warp shell work is judged by.
+A second line, from one more run with ``GateTable.step`` wrapped (so
+the timing above stays unwrapped), counts the outputs the kernel rounds
+produced against the ones they scheduled because they change their
+net: the share of no-ops a round drops instead of carrying to the next
+tick.
 
 ``--batches`` replaces the cProfile listing with the view cProfile
 cannot give — LP batches bucketed by size:
@@ -80,6 +85,32 @@ def _per_step(label: str, func) -> None:
           f"host us/step={host / steps * 1e6:.2f} "
           f"evals/step={stats.processed_events / steps:.2f} "
           f"sends/step={sends / steps:.3f} (tw.run {host:.3f} s)")
+
+
+def _no_ops(label: str, func) -> None:
+    """One more run, untimed: how many of the outputs its kernel rounds
+    produced change their net (and so are scheduled)."""
+    produced = changed = 0
+    inner = kernel.GateTable.step
+
+    def counting(*args):
+        nonlocal produced, changed
+        result = inner(*args)
+        if result is not None:
+            produced += result[2]
+            due = result[3]  # a dict, an (nets, values) array pair or None
+            if due is not None:
+                changed += len(due) if type(due) is dict else len(due[0])
+        return result
+
+    kernel.GateTable.step = counting
+    try:
+        func()
+    finally:
+        kernel.GateTable.step = inner
+    print(f"[{label}] outputs produced={produced} scheduled (changed)="
+          f"{changed} no-ops={1 - changed / max(produced, 1):.1%} "
+          f"(rolled-back rounds included)")
 
 
 def _profile(label: str, func, top: int, sort: str) -> None:
@@ -216,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
 
         label = f"{label} ({vectors} vectors)"
         _per_step(label, run)
+        _no_ops(label, run)
         if args.batches:
             _batch_tables(label, run)
         else:
