@@ -466,11 +466,11 @@ def _edge_fingerprints(
     Each fingerprint is a sum (mod 2^64) of a mixed pin id over the
     edge's segment — associative, so the segmented ``reduceat`` is
     exact.  Equal pin sets always collide by construction; unequal
-    sets collide with probability ~2^-128 per pair, and the projection
-    verifies every adjacent fingerprint match against the actual pin
-    content anyway, so a collision costs a rare exact-regroup fallback,
-    never correctness (stress-tested by forcing this function to a
-    constant).
+    sets collide with probability ~2^-64 per pair on the first.  The
+    projection sorts by the first and checks every adjacent match
+    against the size, the second and the actual pin content, so a
+    collision costs a rare exact-regroup fallback, never correctness
+    (stress-tested by forcing this function to a constant).
     """
     x = pins.astype(np.uint64, copy=False)
     return (
@@ -491,108 +491,155 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     assignment ``A``, the weighted cut of ``A`` on the coarse
     hypergraph equals the weighted cut of ``A[mapping]`` on ``hg``.
 
-    Fully array-native: one lexsort rewrites and dedupes pins within
-    each edge, parallel edges are grouped by a fingerprint sort with
-    exact adjacent-content verification (collisions fall back to an
-    exact per-run regroup — see :func:`_edge_fingerprints`), weights
-    merge with a segmented scatter-add, and the coarse CSR freezes
-    through :meth:`Hypergraph.from_csr` with no per-edge Python lists.
-    Coarse edges are ordered by first fine occurrence, pins ascending
-    (pinned against a set-per-edge oracle in
+    Fully array-native, in contraction order:
+
+    1. a per-edge min / max ``reduceat`` of the coarse pin ids drops
+       every edge that collapses into one cluster, before any sort;
+    2. one sort of the int64 key ``edge * num_coarse + cluster`` over
+       the surviving edges' pins dedupes each edge's clusters;
+    3. parallel edges are grouped by a fingerprint sort with exact
+       adjacent-content verification (a collision falls back to an exact
+       regroup — see :func:`_edge_fingerprints`), so each group is one
+       contiguous run, whose first fine occurrence and summed weight
+       are one ``minimum.reduceat`` and one ``add.reduceat``.
+
+    The coarse CSR freezes through :meth:`Hypergraph.from_csr` with no
+    per-edge Python lists.  Coarse edges are ordered by first fine
+    occurrence, pins ascending (pinned against a set-per-edge oracle in
     ``tests/test_coarsen_vectorized.py``).
+
+    ``mapping`` must number its clusters ``0..c-1`` with integers and
+    leave none empty; anything else is a :class:`PartitionError`.
     """
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if mapping.shape != (hg.num_vertices,):
+    given = np.asarray(mapping)
+    if given.shape != (hg.num_vertices,):
         raise PartitionError(
             f"mapping must have one entry per vertex "
-            f"({hg.num_vertices}), got shape {mapping.shape}"
+            f"({hg.num_vertices}), got shape {given.shape}"
         )
-    num_coarse = int(mapping.max()) + 1 if mapping.size else 0
-    coarse_weights = np.zeros(num_coarse, dtype=np.int64)
-    np.add.at(coarse_weights, mapping, hg.vertex_weight)
+    with np.errstate(invalid="ignore"):
+        mapping = given.astype(np.int64, copy=False)
+    if mapping is not given and (mapping != given).any():
+        v = int(np.argmax(mapping != given))
+        raise PartitionError(
+            f"mapping must hold integer cluster ids, got {given[v]} "
+            f"for vertex {v}"
+        )
+    # n vertices fill at most clusters 0..n-1
+    n = len(mapping)
+    if n and (int(mapping.min()) < 0 or int(mapping.max()) >= n):
+        v = int(np.argmax((mapping < 0) | (mapping >= n)))
+        raise PartitionError(
+            f"vertex {v} maps to cluster {int(mapping[v])}, outside 0..{n - 1}"
+        )
+    # float sums of positive integer weights, exact below 2^53; a zero
+    # is a cluster id no vertex maps to
+    coarse_weights = np.bincount(
+        mapping, weights=hg.vertex_weight
+    ).astype(np.int64)
+    if not coarse_weights.all():
+        raise PartitionError(
+            f"cluster {int(np.argmin(coarse_weights))} holds no vertex"
+        )
+    num_coarse = len(coarse_weights)
 
-    # rewrite every pin to its cluster, then dedupe within each edge:
-    # sort (edge, coarse pin) pairs once and drop repeated rows
-    pin_edge = hg.pin_edges
+    # 1. an edge whose smallest and largest cluster agree vanishes
+    # (reduceat misreads empty segments, so only non-empty edges go in)
+    edge_ptr = hg._edge_ptr
     pin_coarse = mapping[hg.pin_vertices]
-    order = np.lexsort((pin_coarse, pin_edge))
-    e_sorted = pin_edge[order]
-    v_sorted = pin_coarse[order]
-    keep = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        keep[1:] = (e_sorted[1:] != e_sorted[:-1]) | (v_sorted[1:] != v_sorted[:-1])
-    e_kept = e_sorted[keep]
-    v_kept = v_sorted[keep]
-
-    # surviving edges (>= 2 coarse pins), pins contiguous and ascending
-    if len(e_kept):
-        starts_all = np.flatnonzero(
-            np.concatenate(([True], e_kept[1:] != e_kept[:-1]))
-        )
-        sizes_all = np.diff(np.concatenate((starts_all, [len(e_kept)])))
-    else:
-        starts_all = np.empty(0, dtype=np.int64)
-        sizes_all = starts_all
-    multi = sizes_all >= 2
-    pins = v_kept[np.repeat(multi, sizes_all)]
-    esz = sizes_all[multi]
-    w_fine = hg.edge_weight[e_kept[starts_all[multi]]]
-    m = len(esz)
+    filled = np.flatnonzero(edge_ptr[1:] > edge_ptr[:-1])
+    starts = edge_ptr[filled]
+    alive = filled[
+        np.minimum.reduceat(pin_coarse, starts)
+        != np.maximum.reduceat(pin_coarse, starts)
+    ]
+    m = len(alive)
     if m == 0:
         return Hypergraph.from_csr(
             coarse_weights, np.empty(0, dtype=np.int64),
             np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
         )
+
+    # 2. one key per surviving pin, (edge rank, cluster), sorted once
+    # (edge-major already, which the stable sort's runs exploit);
+    # repeated keys are pins of one edge in one cluster
+    clusters, sizes = _csr_gather(edge_ptr, pin_coarse, alive)
+    key = np.repeat(np.arange(m, dtype=np.int64) * num_coarse, sizes)
+    key += clusters
+    key.sort(kind="stable")
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    edge, pins = np.divmod(key[fresh], num_coarse)
     eptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(esz, dtype=np.int64, out=eptr[1:])
+    np.cumsum(np.bincount(edge, minlength=m), out=eptr[1:])
+    esz = np.diff(eptr)
 
-    # group parallel edges: sort by (size, fingerprint), verify every
-    # adjacent fingerprint match against the actual pins, and chain
-    # verified matches into groups via a running leader index
+    # 3. group parallel edges: sort by the first fingerprint, then check
+    # every adjacent match against the size, the second fingerprint and
+    # the actual pins.  The order inside a run is free: all the output
+    # reads of a run is its minimum and its integer sum
     h1, h2 = _edge_fingerprints(pins, eptr[:-1])
-    sort_order = np.lexsort((h2, h1, esz))
-    esz_s = esz[sort_order]
+    sort_order = np.argsort(h1)
     h1_s = h1[sort_order]
-    h2_s = h2[sort_order]
     same_fp = np.zeros(m, dtype=bool)
-    same_fp[1:] = (esz_s[1:] == esz_s[:-1]) & (h1_s[1:] == h1_s[:-1]) \
-        & (h2_s[1:] == h2_s[:-1])
-    same = np.zeros(m, dtype=bool)
+    same_fp[1:] = h1_s[1:] == h1_s[:-1]
+    run_starts = np.flatnonzero(~same_fp)
     cand = np.flatnonzero(same_fp)  # positions whose predecessor matches
-    bad = np.empty(0, dtype=np.int64)
     if len(cand):
-        pa, ca = _csr_gather(eptr, pins, sort_order[cand - 1])
-        pb, _ = _csr_gather(eptr, pins, sort_order[cand])
-        neq = (pa != pb).astype(np.int64)
-        seg = np.concatenate(([0], np.cumsum(ca)[:-1]))
-        mismatch = np.add.reduceat(neq, seg) > 0
-        same[cand] = ~mismatch
-        bad = cand[mismatch]
-    leader = np.maximum.accumulate(np.where(same, -1, np.arange(m)))
-    if len(bad):
-        # true fingerprint collision (~2^-128 per pair): regroup the
-        # enclosing fingerprint runs exactly, by pin-content identity
-        fp_run = np.cumsum(~same_fp)
-        for r in np.unique(fp_run[bad]):
-            first: dict[tuple[int, ...], int] = {}
-            for i in np.flatnonzero(fp_run == r).tolist():
-                e = sort_order[i]
-                key = tuple(pins[eptr[e]:eptr[e + 1]].tolist())
-                leader[i] = first.setdefault(key, i)
+        a, b = sort_order[cand - 1], sort_order[cand]
+        equal = (esz[a] == esz[b]) & (h2[a] == h2[b])
+        pa, ca = _csr_gather(eptr, pins, a[equal])
+        pb, _ = _csr_gather(eptr, pins, b[equal])
+        if len(pa):
+            seg = np.zeros(len(ca), dtype=np.int64)
+            np.cumsum(ca[:-1], out=seg[1:])
+            equal[equal] = ~np.logical_or.reduceat(pa != pb, seg)
+        if not equal.all():
+            sort_order, run_starts = _regroup_collisions(
+                eptr, pins, sort_order, same_fp, cand[~equal])
 
-    # one coarse edge per group, ordered by first fine occurrence,
-    # weights summed over members
-    min_orig = np.full(m, m, dtype=np.int64)
-    np.minimum.at(min_orig, leader, sort_order)
-    wsum = np.zeros(m, dtype=np.int64)
-    np.add.at(wsum, leader, w_fine[sort_order])
-    leaders = np.flatnonzero(min_orig < m)
-    g_order = leaders[np.argsort(min_orig[leaders], kind="stable")]
-    lead_e = sort_order[g_order]
-    g_pins, g_sizes = _csr_gather(eptr, pins, lead_e)
-    g_ptr = np.zeros(len(g_order) + 1, dtype=np.int64)
-    np.cumsum(g_sizes, dtype=np.int64, out=g_ptr[1:])
-    return Hypergraph.from_csr(coarse_weights, wsum[g_order], g_ptr, g_pins)
+    # one coarse edge per run, at the run's first fine occurrence, its
+    # weight the run's sum
+    first = np.minimum.reduceat(sort_order, run_starts)
+    lead = np.zeros(m, dtype=bool)
+    lead[first] = True
+    weight = np.zeros(m, dtype=np.int64)
+    weight[first] = np.add.reduceat(
+        hg.edge_weight[alive[sort_order]], run_starts)
+    g_ptr = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(esz[lead], out=g_ptr[1:])
+    return Hypergraph.from_csr(
+        coarse_weights, weight[lead], g_ptr, pins[np.repeat(lead, esz)])
+
+
+def _regroup_collisions(
+    eptr: np.ndarray,
+    pins: np.ndarray,
+    sort_order: np.ndarray,
+    same_fp: np.ndarray,
+    bad: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact regroup of the fingerprint runs holding a true collision
+    (~2^-64 per pair): within each such run, edges with equal pin
+    content are moved together, in order of first position, and every
+    run boundary is recomputed.  Returns ``(sort_order, run_starts)``
+    with each group of equal edges one contiguous run."""
+    m = len(sort_order)
+    # group label per position: the run start outside the bad runs,
+    # the first position with equal content inside them
+    leader = np.maximum.accumulate(np.where(same_fp, -1, np.arange(m)))
+    fp_run = np.cumsum(~same_fp)
+    for r in np.unique(fp_run[bad]).tolist():
+        first: dict[tuple[int, ...], int] = {}
+        for i in np.flatnonzero(fp_run == r).tolist():
+            e = sort_order[i]
+            key = tuple(pins[eptr[e]:eptr[e + 1]].tolist())
+            leader[i] = first.setdefault(key, i)
+    regroup = np.argsort(leader, kind="stable")
+    leader = leader[regroup]
+    new = np.ones(m, dtype=bool)
+    new[1:] = leader[1:] != leader[:-1]
+    return sort_order[regroup], np.flatnonzero(new)
 
 
 def hierarchy_hypergraph(netlist: Netlist) -> Hypergraph:

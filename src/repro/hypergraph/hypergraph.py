@@ -191,33 +191,31 @@ class Hypergraph:
     def _build_vertex_index(self) -> None:
         """Construct the transposed (vertex → edges) CSR arrays.
 
-        Vectorized: a stable argsort of the pin array groups each
-        vertex's incidences; the matching edge ids come from repeating
-        edge ids by edge size.  O(pins log pins), no Python-level loop.
-        Also retains ``_pin_edge`` — the owning edge of every entry of
-        the edge-major pin array — which the vectorized
+        Vectorized: ``np.bincount`` counts the degrees, and one sort of
+        the int64 key ``pin * num_edges + edge`` lists each vertex's
+        incident edges ascending.  O(pins log pins), no Python-level
+        loop.  Also retains ``_pin_edge`` — the owning edge of every
+        entry of the edge-major pin array — which the vectorized
         :meth:`~repro.hypergraph.partition_state.PartitionState.recompute`
         scatters through, and seeds the lazy plain-list caches.
         """
         n = len(self.vertex_weight)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        if len(self._edge_pins):
-            np.add.at(counts, self._edge_pins + 1, 1)
-        self._vertex_ptr = np.cumsum(counts)
+        degree = np.bincount(self._edge_pins, minlength=n)
+        self._vertex_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=self._vertex_ptr[1:])
         self._vertex_edges_lists: list[list[int]] | None = None
         self._edge_pins_lists: list[list[int]] | None = None
         self._edge_weight_list: list[int] | None = None
         self._vertex_weight_list: list[int] | None = None
-        if len(self._edge_pins) == 0:
-            self._pin_edge = np.empty(0, dtype=np.int64)
-            self._vertex_pins = np.empty(0, dtype=np.int64)
-            return
-        sizes = np.diff(self._edge_ptr)
+        m = self.num_edges
         self._pin_edge = np.repeat(
-            np.arange(self.num_edges, dtype=np.int64), sizes
+            np.arange(m, dtype=np.int64), np.diff(self._edge_ptr)
         )
-        order = np.argsort(self._edge_pins, kind="stable")
-        self._vertex_pins = self._pin_edge[order]
+        key = self._edge_pins * m
+        key += self._pin_edge
+        key.sort()
+        key -= np.repeat(np.arange(n, dtype=np.int64) * m, degree)
+        self._vertex_pins = key
 
     def _validate(self) -> None:
         n = self.num_vertices

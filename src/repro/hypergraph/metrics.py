@@ -27,26 +27,27 @@ def hyperedge_cut(hg: Hypergraph, assignment: Sequence[int]) -> int:
     """Weighted count of hyperedges whose pins span >1 partition.
 
     This is the paper's cut metric (Tables 1 and 2): "the number of
-    hyperedges that span multiple partitions".
+    hyperedges that span multiple partitions".  A zero-pin edge spans
+    none.
     """
     part = np.asarray(assignment)
     cut = 0
     for e in range(hg.num_edges):
         pins = hg.edge_vertices(e)
-        p0 = part[pins[0]]
-        if (part[pins] != p0).any():
+        if len(pins) and (part[pins] != part[pins[0]]).any():
             cut += int(hg.edge_weight[e])
     return cut
 
 
 def connectivity_cut(hg: Hypergraph, assignment: Sequence[int]) -> int:
-    """``sum_e w_e * (lambda_e - 1)``, lambda = #partitions edge spans."""
+    """``sum_e w_e * max(lambda_e - 1, 0)``, lambda = #partitions edge
+    spans (0 for a zero-pin edge)."""
     part = np.asarray(assignment)
     total = 0
     for e in range(hg.num_edges):
         pins = hg.edge_vertices(e)
         lam = len(set(int(part[v]) for v in pins))
-        total += int(hg.edge_weight[e]) * (lam - 1)
+        total += int(hg.edge_weight[e]) * max(lam - 1, 0)
     return total
 
 

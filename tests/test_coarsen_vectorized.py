@@ -4,8 +4,9 @@ Neither kernel keeps a second implementation in ``src/``: what each must
 do is stated here as a small brute-force oracle.  For
 :func:`repro.hypergraph.build.project_hypergraph` that is a set-per-edge
 contraction (cut-exactness for random coarse assignments, parallel-edge
-weight sums, first-fine-occurrence edge order, a forced
-fingerprint-collision stress of the dedup fallback); for the sub-round
+weight sums, first-fine-occurrence edge order, zero- and one-pin edges
+beside isolated vertices, a forced fingerprint-collision stress of the
+dedup fallback with a spy that it ran); for the sub-round
 clustering level kernel (:func:`repro.core.multilevel._cluster_level`) a
 checker of the invariants any legal clustering has — no merged cluster
 past the cap, every cluster connected through scoring edges, ids
@@ -35,7 +36,7 @@ from repro.core.multilevel import (
     MultilevelConfig,
     _cluster_level,
 )
-from repro.errors import HypergraphError
+from repro.errors import HypergraphError, PartitionError
 from repro.hypergraph import Hypergraph, PartitionState, hyperedge_cut
 from repro.hypergraph.build import project_hypergraph
 
@@ -57,6 +58,25 @@ def random_hypergraph(rng, n_max=48, e_max=70, adversarial=0, isolated=0):
     weights = rng.integers(1, 6, n + isolated).tolist()
     edge_weights = rng.integers(1, 4, len(edges)).tolist()
     return Hypergraph.from_edges(weights, edges, edge_weights)
+
+
+def degenerate_hypergraph(rng):
+    """Random hypergraph frozen through ``from_csr`` with the shapes
+    ``from_edges`` input rarely makes: zero-pin edges, one-pin edges,
+    parallel copies, and vertices past ``used`` that no edge touches."""
+    n = int(rng.integers(2, 36))
+    used = int(rng.integers(1, n + 1))
+    edges = [
+        np.sort(rng.choice(used, min(int(size), used), replace=False))
+        for size in rng.choice([0, 0, 1, 2, 2, 3, 5], int(rng.integers(1, 40)))
+    ]
+    edges += edges[:int(rng.integers(0, 4))]
+    ptr = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in edges], out=ptr[1:])
+    return Hypergraph.from_csr(
+        rng.integers(1, 6, n), rng.integers(1, 4, len(edges)), ptr,
+        np.concatenate(edges).astype(np.int64),
+    )
 
 
 def surjective_mapping(rng, n):
@@ -326,6 +346,63 @@ class TestProjectionOracle:
             got = project_hypergraph(hg, mapping)
             assert graphs_equal(got, oracle_projection(hg, mapping)), \
                 f"collision trial {trial}"
+
+    def test_degenerate_edges_byte_identity(self):
+        # zero-pin edges are where a per-edge reduceat misreads its
+        # segment; one-pin edges and isolated vertices ride along
+        rng = np.random.default_rng(404)
+        seen = np.zeros(3, dtype=np.int64)
+        for trial in range(150):
+            hg = degenerate_hypergraph(rng)
+            sizes = np.diff(hg._edge_ptr)
+            seen += [(sizes == 0).any(), (sizes == 1).any(),
+                     (np.bincount(hg.pin_vertices,
+                                  minlength=hg.num_vertices) == 0).any()]
+            mapping = surjective_mapping(rng, hg.num_vertices)
+            got = project_hypergraph(hg, mapping)
+            assert graphs_equal(got, oracle_projection(hg, mapping)), \
+                f"trial {trial}"
+            coarse = rng.integers(0, 3, got.num_vertices)
+            assert hyperedge_cut(got, coarse) \
+                == hyperedge_cut(hg, coarse[mapping])
+        assert (seen > 50).all(), seen
+
+    def test_collision_fallback_runs(self, monkeypatch):
+        # under forced collisions every surviving edge lands in one
+        # fingerprint run, so the exact regroup must run whenever two
+        # coarse edges differ — and still match the oracle
+        monkeypatch.setattr(
+            build_mod, "_edge_fingerprints",
+            lambda pins, starts: (
+                np.zeros(len(starts), dtype=np.uint64),
+                np.zeros(len(starts), dtype=np.uint64),
+            ),
+        )
+        calls = []
+        regroup = build_mod._regroup_collisions
+        monkeypatch.setattr(build_mod, "_regroup_collisions",
+                            lambda *args: calls.append(1) or regroup(*args))
+        rng = np.random.default_rng(6160)
+        expected = 0
+        for trial in range(60):
+            hg = degenerate_hypergraph(rng)
+            mapping = surjective_mapping(rng, hg.num_vertices)
+            want = oracle_projection(hg, mapping)
+            expected += want.num_edges >= 2
+            assert graphs_equal(project_hypergraph(hg, mapping), want), \
+                f"collision trial {trial}"
+        assert len(calls) == expected > 20
+
+    @pytest.mark.parametrize("mapping, named", [
+        ([0, 1, 1, -1], "vertex 3"),    # an id below 0
+        ([0, 1, 1, 7], "vertex 3"),     # an id no 4 vertices can reach
+        ([0, 0, 1, 2.7], "vertex 3"),   # not an integer
+        ([0, 1, 1, 3], "cluster 2"),    # id 2 unused
+    ])
+    def test_bad_mapping_named(self, mapping, named):
+        hg = Hypergraph.from_edges([1, 2, 3, 4], [[0, 1], [1, 2]])
+        with pytest.raises(PartitionError, match=named):
+            project_hypergraph(hg, mapping)
 
 
 class TestFromCsr:

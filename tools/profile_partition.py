@@ -11,7 +11,10 @@ fat super-gates, heap FM).  Either way it prints the top functions, the
 recorder's per-phase wall breakdown, for multilevel one line per
 coarsening level (vertices -> clusters, sub-rounds run, joins proposed /
 dropped by the conflict rule / dropped by the cap — the result's
-``level_joins``, i.e. the hierarchy the profiled call built), and —
+``level_joins``, i.e. the hierarchy the profiled call built — then the
+host milliseconds of that level's ``_cluster_level`` and
+``project_hypergraph`` calls, taken from a second run with the two
+wrapped so the cProfile numbers stay unwrapped), and —
 where FM ran — how many
 moves its passes tried on their working sets against how many the best
 prefixes committed to the state, and how many passes the locked-cut
@@ -38,11 +41,13 @@ import argparse
 import cProfile
 import pstats
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.core.multilevel as multilevel_mod  # noqa: E402
 from repro.circuits import load_circuit, load_stream_circuit  # noqa: E402
 from repro.core import (  # noqa: E402
     design_driven_partition,
@@ -51,10 +56,39 @@ from repro.core import (  # noqa: E402
 from repro.core.batch_refine import REFINERS  # noqa: E402
 from repro.hypergraph import Clustering  # noqa: E402
 from repro.hypergraph.build import streamed_flat_hypergraph  # noqa: E402
-from repro.obs import MetricsRecorder  # noqa: E402
+from repro.obs import NULL_RECORDER, MetricsRecorder  # noqa: E402
 
 #: default circuit per algorithm (stream registry / text registry)
 DEFAULT_CIRCUIT = {"multilevel": "viterbi-s100k", "multiway": "viterbi-paper"}
+
+#: the coarsening kernels timed per level, as ``repro.core.multilevel``
+#: calls them
+LEVEL_KERNELS = ("_cluster_level", "project_hypergraph")
+
+
+def _level_host_ms(run) -> dict[str, list[float]]:
+    """One more run, with :data:`LEVEL_KERNELS` wrapped: host
+    milliseconds per call of each, finest level first (a last call past
+    the hierarchy's levels is the one the stall guard rejected)."""
+    times: dict[str, list[float]] = {name: [] for name in LEVEL_KERNELS}
+    inner = {name: getattr(multilevel_mod, name) for name in LEVEL_KERNELS}
+
+    def timed(name):
+        def call(*args):
+            t0 = time.perf_counter()
+            result = inner[name](*args)
+            times[name].append((time.perf_counter() - t0) * 1e3)
+            return result
+        return call
+
+    for name in LEVEL_KERNELS:
+        setattr(multilevel_mod, name, timed(name))
+    try:
+        run()
+    finally:
+        for name, func in inner.items():
+            setattr(multilevel_mod, name, func)
+    return times
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,10 +144,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"circuit={circuit} gates={csr.num_gates} "
               f"edges={hg.num_edges} pins={hg.num_pins} "
               f"k={args.k} b={args.b} refiner={args.refiner}")
-        result = prof.runcall(
-            multilevel_kway_partition, hg, args.k, args.b,
-            seed=args.seed, recorder=rec, refiner=args.refiner,
-        )
+
+        def run(recorder=NULL_RECORDER):
+            return multilevel_kway_partition(
+                hg, args.k, args.b, seed=args.seed, recorder=recorder,
+                refiner=args.refiner,
+            )
+
+        result = prof.runcall(run, rec)
         summary = (f"cut={result.cut_size} balanced={result.balanced} "
                    f"levels={result.levels} rounds={result.refine_rounds}")
     stats = pstats.Stats(prof, stream=sys.stdout)
@@ -121,11 +159,20 @@ def main(argv: list[str] | None = None) -> int:
 
     print(summary)
     if args.algorithm == "multilevel":
+        host = _level_host_ms(run)
+        cluster_ms, project_ms = (host[name] for name in LEVEL_KERNELS)
         for i, (fine, coarse, sub_rounds, proposed, conflict, cap) in \
                 enumerate(result.level_joins):
             print(f"level {i:2d}: {fine:8d} -> {coarse:8d} clusters, "
                   f"{sub_rounds} sub-rounds, {proposed} joins proposed, "
-                  f"{conflict} dropped by conflict, {cap} by the cap")
+                  f"{conflict} dropped by conflict, {cap} by the cap; "
+                  f"host ms: clustering {cluster_ms[i]:.1f}, "
+                  f"projection {project_ms[i]:.1f}")
+        if len(cluster_ms) > result.levels:
+            print(f"level the stall guard rejected: host ms: clustering "
+                  f"{cluster_ms[-1]:.1f}, projection {project_ms[-1]:.1f}")
+        print(f"coarsening host ms, all calls: clustering "
+              f"{sum(cluster_ms):.1f}, projection {sum(project_ms):.1f}")
     counters = rec.as_counters()
     if counters.get("part.fm.passes"):
         print(f"fm: {counters['part.fm.passes']} passes "
