@@ -16,8 +16,8 @@ PAPERS.md).  Each round is three vectorized steps:
    :meth:`~repro.hypergraph.partition_state.PartitionState.move_gains_matrix`
    CSR kernel into exact integer cut-gain and SOED rows, one per
    destination, with no per-vertex Python work — *incrementally*
-   (:class:`BoundaryGains`): rows and each vertex's best destination
-   are cached, and an applied batch stales only the vertices it moved
+   (:class:`BoundaryGains`): each vertex's best block other than its
+   own is cached, and an applied batch stales only the vertices it moved
    and the pins of the edges whose pattern of empty / single-pin
    blocks it changed — the only way an edge enters a pin's gains — so
    a clock net cut across every block costs nothing when one of its
@@ -123,6 +123,19 @@ class BatchRefineResult:
     cut_size: int
 
 
+def _lex_argmax(gain: np.ndarray, soed: np.ndarray) -> np.ndarray:
+    """Per column, the row of the lexicographic (gain, soed) maximum,
+    lowest row on ties: the largest soed among the rows that reach the
+    column's top gain.  Comparisons only, so the choice is exact at
+    any edge weight (a folded ``gain·B + soed`` key wraps int64)."""
+    top = np.where(gain == gain.max(axis=0), soed, np.iinfo(np.int64).min)
+    hit = top == top.max(axis=0)
+    # the lowest hit row: rows ranked T, T-1, ..., 1 and the top rank
+    # taken by an elementwise max (an argmax over axis 0 is slower)
+    rank = np.arange(len(gain), 0, -1)[:, None]
+    return len(gain) - (hit * rank).max(axis=0)
+
+
 def cut_degrees(state: PartitionState) -> np.ndarray:
     """Per-vertex count of incident cut (λ>1) hyperedges.
 
@@ -142,16 +155,18 @@ def cut_degrees(state: PartitionState) -> np.ndarray:
 
 class BoundaryGains:
     """What one :func:`batch_refine` call keeps incrementally about its
-    state: the boundary's cut-edge degrees and exact move gains.
+    state: the boundary's cut-edge degrees and each vertex's best move.
 
-    ``gain`` / ``soed`` are ``(T, n)`` caches of
+    ``best_target`` / ``best_gain`` / ``best_soed`` hold, per vertex,
+    the block other than its own with the lexicographically best
+    (cut gain, SOED gain) among the targets — lowest target index on
+    ties — and that block's two gains, as
     :meth:`~repro.hypergraph.partition_state.PartitionState.move_gains_matrix`
-    rows (every target, own block 0); ``best_target`` / ``best_gain`` /
-    ``best_soed`` hold each vertex's lexicographically best
-    (cut gain, SOED gain) entry — lowest target index on ties — which
-    is all a greedy round reads.  A vertex's entries are exact unless
+    scores them.  That is all a round reads: a greedy round moves the
+    vertices whose best is strictly above the own block's (0, 0), a
+    kick the best of the rest.  A vertex's entries are exact unless
     ``stale[v]``: :meth:`applied` marks stale precisely the vertices
-    whose rows the batch can have changed, and :meth:`refresh`
+    whose gain rows the batch can have changed, and :meth:`refresh`
     re-scores the stale part of whatever the caller is about to read,
     so every decision sees the numbers a full re-gather would produce.
     """
@@ -161,8 +176,6 @@ class BoundaryGains:
         self.state = state
         self.targets = targets
         self.cut_deg = cut_degrees(state)
-        self.gain = np.zeros((len(targets), n), dtype=np.int64)
-        self.soed = np.zeros((len(targets), n), dtype=np.int64)
         self.best_target = np.zeros(n, dtype=np.int64)
         self.best_gain = np.zeros(n, dtype=np.int64)
         self.best_soed = np.zeros(n, dtype=np.int64)
@@ -174,20 +187,27 @@ class BoundaryGains:
         for s in range(0, len(need), _GATHER_CHUNK):
             chunk = need[s:s + _GATHER_CHUNK]
             g, so = self.state.move_gains_matrix(chunk, self.targets)
-            self.gain[:, chunk] = g
-            self.soed[:, chunk] = so
-            # scale cut gains past the soed range so one argmax
-            # resolves the lexicographic (cut, soed) order; the winner
-            # is the same for any scale > 2·max|soed|, so a per-chunk
-            # scale picks what a whole-boundary one would
-            big = 2 * int(np.abs(so).max(initial=0)) + 1
-            best = np.argmax(g * big + so, axis=0)
+            g[self.targets[:, None] == self.state.part[chunk][None, :]] = \
+                np.iinfo(np.int64).min
+            best = _lex_argmax(g, so)
             ar = np.arange(len(chunk))
-            self.best_target[chunk] = best
+            self.best_target[chunk] = self.targets[best]
             self.best_gain[chunk] = g[best, ar]
             self.best_soed[chunk] = so[best, ar]
         self.stale[need] = False
         return len(need)
+
+    def ranked(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``vertices`` with their cached best moves as ``(vertex,
+        block, cut gain, soed gain)``, highest cut gain first, then
+        highest soed gain, lowest vertex id on ties — the deterministic
+        priority the edge race resolves by."""
+        gain, soed = self.best_gain[vertices], self.best_soed[vertices]
+        order = np.lexsort((vertices, -soed, -gain))
+        ranked = vertices[order]
+        return ranked, self.best_target[ranked], gain[order], soed[order]
 
     def applied(self, moved: np.ndarray, touched: np.ndarray,
                 old_lam: np.ndarray, changed: np.ndarray) -> None:
@@ -223,6 +243,29 @@ class BoundaryGains:
         longer exist, so everything goes stale."""
         self.cut_deg = cut_deg
         self.stale[:] = True
+
+
+def _kick(cache: BoundaryGains, boundary: np.ndarray, select,
+          apply_batch) -> np.ndarray | None:
+    """Perturbation: force the least-damaging non-improving batch —
+    each of the scored ``boundary``'s cached best other block, the best
+    ``1/_KICK_FRACTION`` of them by (cut, soed) — through ``select``
+    (the race and balance filters) into ``apply_batch``.  Returns the
+    moved vertices as a mask, or ``None`` when nothing moved.  The
+    greedy descent that follows decides whether the valley led
+    anywhere; :func:`batch_refine` rolls back when it did not."""
+    if not len(boundary):
+        return None
+    keep = max(1, len(boundary) // _KICK_FRACTION)
+    cand_v, cand_t, cand_g, cand_s = (
+        a[:keep] for a in cache.ranked(boundary))
+    sel, _, _ = select(cand_v, cand_t)
+    if not len(sel):
+        return None
+    apply_batch(cand_v[sel], cand_t[sel], cand_g[sel], cand_s[sel])
+    frozen = np.zeros(len(cache.stale), dtype=bool)
+    frozen[cand_v[sel]] = True
+    return frozen
 
 
 def batch_refine(
@@ -404,8 +447,8 @@ def _batch_refine(
     def greedy(frozen: np.ndarray | None = None) -> None:
         # improving rounds (positive cut gain, or zero cut gain with
         # positive SOED gain) to a fixpoint.  Each vertex proposes its
-        # cached best destination (own block scores (0, 0), so it can
-        # never be strictly improving).
+        # cached best other block when that beats staying, i.e. the own
+        # block's (0, 0).
         while rounds < max_rounds:
             boundary = scored_boundary(frozen)
             if not len(boundary):
@@ -415,19 +458,11 @@ def _batch_refine(
             best_gain = cache.best_gain[boundary]
             best_soed = cache.best_soed[boundary]
             pos = (best_gain > 0) | ((best_gain == 0) & (best_soed > 0))
-            cand_v, cand_g, cand_s = \
-                boundary[pos], best_gain[pos], best_soed[pos]
             if recorder.enabled:
-                recorder.incr("part.batch.candidates", len(cand_v))
-            if not len(cand_v):
+                recorder.incr("part.batch.candidates", int(pos.sum()))
+            if not pos.any():
                 return  # fixpoint: no improving move exists
-            # rank candidates: highest cut gain first, then highest
-            # soed gain, lowest vertex id on ties — the deterministic
-            # priority the edge race resolves by
-            order = np.lexsort((cand_v, -cand_s, -cand_g))
-            cand_v, cand_g, cand_s = \
-                cand_v[order], cand_g[order], cand_s[order]
-            cand_t = targets_arr[cache.best_target[cand_v]]
+            cand_v, cand_t, cand_g, cand_s = cache.ranked(boundary[pos])
             sel, conflicts, dropped = select(cand_v, cand_t)
             if recorder.enabled:
                 recorder.incr("part.batch.conflicts", conflicts)
@@ -435,40 +470,6 @@ def _batch_refine(
             if not len(sel):
                 return  # no balance-admissible improving batch
             apply_batch(cand_v[sel], cand_t[sel], cand_g[sel], cand_s[sel])
-
-    def kick() -> np.ndarray | None:
-        # perturbation: force the least-damaging non-improving batch —
-        # each boundary vertex's best *other* block (own block masked
-        # out of the full cached rows), best `1/_KICK_FRACTION` of them
-        # by (cut, soed) score — through the same race and balance
-        # filters.  The subsequent greedy descent decides whether the
-        # valley led anywhere; the caller rolls back when it did not.
-        boundary = scored_boundary()
-        if not len(boundary):
-            return None
-        gain_mat = cache.gain[:, boundary]
-        soed_mat = cache.soed[:, boundary]
-        big = 2 * int(np.abs(soed_mat).max(initial=0)) + 1
-        score = gain_mat * big + soed_mat
-        floor = np.iinfo(np.int64).min // 4
-        own = state.part[boundary]
-        score[targets_arr[:, None] == own[None, :]] = floor
-        best_idx = np.argmax(score, axis=0)
-        ar = np.arange(len(boundary))
-        cand_t = targets_arr[best_idx]
-        cand_g = gain_mat[best_idx, ar]
-        cand_s = soed_mat[best_idx, ar]
-        order = np.lexsort((boundary, -cand_s, -cand_g))
-        order = order[:max(1, len(boundary) // _KICK_FRACTION)]
-        cand_v, cand_t = boundary[order], cand_t[order]
-        sel, _, _ = select(cand_v, cand_t)
-        if not len(sel):
-            return None
-        apply_batch(cand_v[sel], cand_t[sel],
-                    cand_g[order][sel], cand_s[order][sel])
-        frozen = np.zeros(hg.num_vertices, dtype=bool)
-        frozen[cand_v[sel]] = True
-        return frozen
 
     greedy()
     # perturbation loop: snapshot the fixpoint, kick the boundary into
@@ -488,7 +489,7 @@ def _batch_refine(
         snap_rounds, snap_moves = rounds, moves
         if recorder.enabled:
             recorder.incr("part.batch.kicks")
-        frozen = kick()
+        frozen = _kick(cache, scored_boundary(), select, apply_batch)
         if frozen is None:
             break
         greedy(frozen)

@@ -47,6 +47,16 @@ __all__ = ["PartitionState"]
 _Snapshot = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]
 
 
+def _owner_sums(owner: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add up the ``rows`` that share an ``owner`` (sorted): the distinct
+    owners and one summed row each."""
+    first = np.ones(len(owner), dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    run = first.nonzero()[0]
+    return owner[run], np.add.reduceat(rows, run, axis=0)
+
+
 class PartitionState:
     """k-way partition of a hypergraph with incremental cut tracking."""
 
@@ -258,47 +268,6 @@ class PartitionState:
         gains[self.part[vertices] == to_arr] = 0
         return gains
 
-    def move_soed_gains(
-        self, vertices: Sequence[int] | np.ndarray, to_parts: Sequence[int] | np.ndarray | int
-    ) -> np.ndarray:
-        """Batch connectivity (SOED/λ-sum) deltas for the same moves
-        :meth:`move_gains` scores by hyperedge cut.
-
-        ``gains[i]`` is the weighted decrease of Σ w·λ if ``vertices[i]``
-        moved to its target: an edge loses λ when the vertex is its
-        source block's last pin, and gains λ when the target block is
-        not yet present.  The batch refiner uses this as the secondary
-        objective — a zero-cut-gain move with positive SOED gain peels
-        an edge one block closer to uncut, escaping cut plateaus while
-        the lexicographic (cut, SOED) potential still strictly
-        decreases.  Vertices already in their target get gain 0.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        to_arr = np.broadcast_to(
-            np.asarray(to_parts, dtype=np.int64), vertices.shape
-        )
-        self.gain_batches += 1
-        self.gain_batch_vertices += len(vertices)
-        gains = np.zeros(len(vertices), dtype=np.int64)
-        if not len(vertices):
-            return gains
-        hg = self.hg
-        edges, deg = hg.vertices_edges(vertices)
-        if not len(edges):
-            return gains
-        self.lambda_hits += len(edges)
-        owner = np.repeat(np.arange(len(vertices), dtype=np.int64), deg)
-        frm = np.repeat(self.part[vertices], deg)
-        to = np.repeat(to_arr, deg)
-        counts = self.edge_part_count
-        w = hg.edge_weight[edges]
-        delta = np.where(counts[edges, frm] == 1, w, 0) - np.where(
-            counts[edges, to] == 0, w, 0
-        )
-        np.add.at(gains, owner, delta)
-        gains[self.part[vertices] == to_arr] = 0
-        return gains
-
     def move_gains_matrix(
         self,
         vertices: Sequence[int] | np.ndarray,
@@ -308,13 +277,17 @@ class PartitionState:
         gain matrices for moving each of ``vertices`` into each of
         ``to_parts``.
 
-        Entry ``[t, i]`` equals :meth:`move_gains` (resp.
-        :meth:`move_soed_gains`) of ``vertices[i]`` toward
+        Entry ``[t, i]`` is the decrease of the weighted cut (resp. of
+        the connectivity Σ w·(λ − 1)) if ``vertices[i]`` moved to
         ``to_parts[t]`` — exact integers, 0 when the vertex already
-        sits in that block — but the incidence CSR gather, λ lookup
-        and source-block analysis run **once** for the whole matrix
-        instead of once per destination per objective.  This is the
-        batch refiner's scoring kernel.
+        sits in that block; the cut row equals :meth:`move_gains`.  The
+        incidence CSR gather, λ lookup and source-block analysis run
+        **once** for the whole matrix instead of once per destination
+        per objective.  This is the batch refiner's scoring kernel; the
+        SOED gain is its secondary objective — a zero-cut-gain move
+        with positive SOED gain peels an edge one block closer to
+        uncut, escaping cut plateaus while the lexicographic
+        (cut, SOED) potential still strictly decreases.
 
         With ``last`` = "the vertex is the edge's only pin in its
         block" and ``z[t]`` = "block ``t`` holds no pin of the edge",
@@ -323,47 +296,69 @@ class PartitionState:
         ``w·last − w·z[t]`` to the SOED gain, where ``a = (λ = 2) ∧
         last`` (the move uncuts the edge unless it opens ``t``) and
         ``b = (λ = 1) ∧ ¬last`` (the move cuts an internal edge when it
-        opens ``t``).  Only the ``z`` factor depends on the
-        destination, so each objective is one per-vertex segment sum
-        minus one ``(pins, T)`` product.  An edge's contribution to a
-        pin's rows is thus a function of which blocks hold none of its
-        pins, and of whether the pin's own block holds exactly one —
-        the invalidation rule :meth:`move_batch` reports.
+        opens ``t``).  An edge's contribution to a pin's rows is thus a
+        function of which blocks hold none of its pins, and of whether
+        the pin's own block holds exactly one — the invalidation rule
+        :meth:`move_batch` reports.
+
+        Only the ``z`` factor depends on the destination, and only on
+        an edge with ``1 < λ < k``: a λ = 1 edge is empty in every
+        block but the pin's own (whose row is zeroed), so it adds the
+        constants ``−w·¬last`` / ``w·last − w``; a λ = k edge is empty
+        nowhere, so it adds ``w·a`` / ``w·last``.  Every edge's
+        target-independent part is one int64 per-vertex segment sum;
+        only the edges in between build the ``(edges, T)`` empty-block
+        test, and of those only the ones with ``a`` set (λ = 2, the pin
+        alone in its block) reach the cut rows.  On a flat netlist the
+        bulk of a boundary's incidences are edges inside one block and
+        wide nets over every block, so the per-target work shrinks to a
+        fraction of the incidences (``docs/refinement.md``).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.asarray(to_parts, dtype=np.int64)
-        tcount = len(targets)
         self.gain_batches += 1
         self.gain_batch_vertices += len(vertices)
-        gains = np.zeros((tcount, len(vertices)), dtype=np.int64)
-        soeds = np.zeros((tcount, len(vertices)), dtype=np.int64)
-        if not len(vertices) or not tcount:
-            return gains, soeds
-        hg = self.hg
-        edges, deg = hg.vertices_edges(vertices)
+        n, tcount = len(vertices), len(targets)
+        own = self.part[vertices]
+        edges, deg = self.hg.vertices_edges(vertices)
+        cut_c = np.zeros(n, dtype=np.int64)
+        soed_c = np.zeros(n, dtype=np.int64)
+        # the z terms of the 1 < λ < k edges: (vertex positions, (·, T) sums)
+        cut_z = soed_z = (np.empty(0, dtype=np.int64),
+                          np.empty((0, tcount), dtype=np.int64))
         if len(edges):
             self.lambda_hits += len(edges)
-            rows = self.edge_part_count[edges]                      # (E, k)
-            frm = np.repeat(self.part[vertices], deg)
-            last = rows[np.arange(len(edges)), frm] == 1
-            to_empty = (rows == 0)[:, targets]                      # (E, T)
             lam = self.edge_lambda[edges]
-            w = hg.edge_weight[edges]
-            uncut = w * ((lam == 2) & last)
-            flips = uncut + w * ((lam == 1) & ~last)
+            w = self.hg.edge_weight[edges]
+            w_last = w * (
+                self.edge_part_count[edges, np.repeat(own, deg)] == 1)
+            uncut = np.where(lam == 2, w_last, 0)                   # w·a
+            inside = lam == 1
+            soed_slot = w_last - np.where(inside, w, 0)
+            # per vertex, every edge's constant term; on a λ = 1 edge
+            # the cut's z term −w·¬last is a constant too, and equals
+            # the edge's SOED term
+            first = np.cumsum(deg) - deg
             nz = np.flatnonzero(deg)
-            starts = (np.cumsum(deg) - deg)[nz]
-            gains[:, nz] = (
-                np.add.reduceat(uncut, starts)[:, None]
-                - np.add.reduceat(flips[:, None] * to_empty, starts, axis=0)
-            ).T
-            soeds[:, nz] = (
-                np.add.reduceat(w * last, starts)[:, None]
-                - np.add.reduceat(w[:, None] * to_empty, starts, axis=0)
-            ).T
-        own = targets[:, None] == self.part[vertices][None, :]
-        gains[own] = 0
-        soeds[own] = 0
+            cut_c[nz] = np.add.reduceat(np.where(inside, soed_slot, uncut),
+                                        first[nz])
+            soed_c[nz] = np.add.reduceat(soed_slot, first[nz])
+            mid = np.flatnonzero((lam > 1) & (lam < self.k))
+            if len(mid):
+                owner = np.repeat(np.arange(n), deg)[mid]
+                empty = self.edge_part_count[
+                    edges[mid][:, None], targets[None, :]] == 0   # (M, T)
+                soed_z = _owner_sums(owner, w[mid][:, None] * empty)
+                sole = uncut[mid] != 0
+                cut_z = _owner_sums(owner[sole],
+                                    uncut[mid][sole][:, None] * empty[sole])
+        gains = np.repeat(cut_c[None, :], tcount, axis=0)
+        soeds = np.repeat(soed_c[None, :], tcount, axis=0)
+        gains[:, cut_z[0]] -= cut_z[1].T
+        soeds[:, soed_z[0]] -= soed_z[1].T
+        home = targets[:, None] == own[None, :]
+        gains[home] = 0
+        soeds[home] = 0
         return gains, soeds
 
     # -- mutation -------------------------------------------------------------

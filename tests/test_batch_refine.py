@@ -259,21 +259,22 @@ class TestMoveBatchOracle:
 
 
 def assert_cache_exact(cache: BoundaryGains) -> int:
-    """Every non-stale vertex's cached rows, cached best destination
-    and the cut-edge degrees equal a from-scratch computation on the
-    current state; returns how many vertices were compared."""
+    """Every non-stale vertex's cached best other block and the
+    cut-edge degrees equal a from-scratch computation on the current
+    state; returns how many vertices were compared."""
     state = cache.state
     assert np.array_equal(cache.cut_deg, cut_degrees(state))
     fresh = np.flatnonzero(~cache.stale)
     gain, soed = state.move_gains_matrix(fresh, cache.targets)
-    assert np.array_equal(cache.gain[:, fresh], gain)
-    assert np.array_equal(cache.soed[:, fresh], soed)
     for i, v in enumerate(fresh.tolist()):
-        # lexicographic (cut, soed) argmax, lowest target index on ties
-        pairs = list(zip(gain[:, i].tolist(), soed[:, i].tolist()))
-        best = pairs.index(max(pairs))
-        assert cache.best_target[v] == best, v
-        assert (cache.best_gain[v], cache.best_soed[v]) == pairs[best], v
+        # lexicographic (cut, soed) argmax over the blocks other than
+        # v's own, lowest target index on ties
+        pairs = [(g, s, -j, int(t)) for j, (g, s, t) in enumerate(zip(
+            gain[:, i].tolist(), soed[:, i].tolist(), cache.targets))
+            if t != state.part[v]]
+        g, s, _, t = max(pairs)
+        assert cache.best_target[v] == t, v
+        assert (cache.best_gain[v], cache.best_soed[v]) == (g, s), v
     return len(fresh)
 
 
@@ -376,6 +377,8 @@ class TestGainCacheOracle:
         cache = BoundaryGains(state, np.arange(3))
         cache.refresh(np.arange(9))
         assert not cache.stale.any()
+        others = np.array([u for u in range(6) if u != v])
+        rows_before = state.move_gains_matrix(others, cache.targets)
         moved = np.array([v])
         _, touched, old_lam, changed = state.move_batch(moved, [to])
         assert touched.tolist() == [0]
@@ -387,10 +390,9 @@ class TestGainCacheOracle:
         # ... and the rule is tight where it says "changed": some
         # other pin's rows really did move
         if expect_changed:
-            others = np.array([u for u in range(6) if u != v])
             gain, soed = state.move_gains_matrix(others, cache.targets)
-            assert not (np.array_equal(cache.gain[:, others], gain)
-                        and np.array_equal(cache.soed[:, others], soed))
+            assert not (np.array_equal(rows_before[0], gain)
+                        and np.array_equal(rows_before[1], soed))
 
     def test_moved_vertex_is_stale_without_any_signature_change(self):
         # every edge of the mover keeps >= 2 pins in both blocks, so no

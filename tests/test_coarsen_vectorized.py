@@ -39,6 +39,7 @@ from repro.core.multilevel import (
 from repro.errors import HypergraphError, PartitionError
 from repro.hypergraph import Hypergraph, PartitionState, hyperedge_cut
 from repro.hypergraph.build import project_hypergraph
+from tests.gain_oracle import exact_move_gains
 
 
 def random_hypergraph(rng, n_max=48, e_max=70, adversarial=0, isolated=0):
@@ -470,8 +471,7 @@ class TestGainMatrixKernel:
                 gains, np.stack([state.move_gains(verts, int(p))
                                  for p in targets]))
             assert np.array_equal(
-                soeds, np.stack([state.move_soed_gains(verts, int(p))
-                                 for p in targets]))
+                soeds, exact_move_gains(state, verts, targets)[1])
         assert lambdas_seen == {1, 2, 3}
 
     def test_target_subset_and_empty(self):

@@ -113,6 +113,7 @@ class TestFrozenSubstrateIsInt64:
         state = PartitionState(hg, 3)
         boundary = np.arange(hg.num_vertices, dtype=np.int64)
         gains = state.move_gains(boundary, 1)
-        soed = state.move_soed_gains(boundary, 2)
+        matrix, soed = state.move_gains_matrix(boundary, np.arange(3))
         assert gains.dtype == np.int64
+        assert matrix.dtype == np.int64
         assert soed.dtype == np.int64

@@ -1,17 +1,25 @@
 """Hostile and degenerate inputs: each ends in a correct result or a
 typed :mod:`repro.errors` exception, never a bare traceback.
 
-This slice covers degenerate hypergraphs in the multilevel driver
-(:func:`repro.core.multilevel_kway_partition`) under both refiners:
+This slice covers degenerate hypergraphs in the multilevel and direct
+k-way engines (:func:`repro.core.multilevel_kway_partition`,
+:func:`repro.core.direct_kway_partition`) under both refiners:
 zero-pin nets, one net spanning every vertex, nets that are all
 parallel copies of one, no nets at all, ``k == |V|`` and ``k > |V|``;
-and the from-scratch cut metrics on zero-pin nets.
+the batch refiner restricted to two blocks of a 3-way state (the
+recursive splitter's call); and the from-scratch cut metrics on
+zero-pin nets.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BalanceConstraint, multilevel_kway_partition
+from repro.core import (
+    BalanceConstraint,
+    batch_refine,
+    direct_kway_partition,
+    multilevel_kway_partition,
+)
 from repro.core.batch_refine import REFINERS
 from repro.errors import PartitionError
 from repro.hypergraph import (
@@ -96,6 +104,57 @@ def test_k_above_vertices_is_rejected(shape, refiner):
     hg = DEGENERATE[shape](N)
     with pytest.raises(PartitionError, match="partitions from"):
         multilevel_kway_partition(hg, N + 1, 10.0, seed=1, refiner=refiner)
+
+
+@pytest.mark.parametrize("refiner", REFINERS)
+@pytest.mark.parametrize("shape", sorted(DEGENERATE))
+@pytest.mark.parametrize("k", [2, 5, "|V|", "|V|+1"])
+def test_direct_kway_on_degenerate_hypergraphs(shape, refiner, k):
+    # the flat engine: no coarsening, the LPT fill refined once; at
+    # k == |V| (b = 5, unit weights) only an exact cover is balanced
+    n = 12 if isinstance(k, str) else N
+    hg = DEGENERATE[shape](n)
+    parts = {"|V|": n, "|V|+1": n + 1}.get(k, k)
+    b = 5.0 if isinstance(k, str) else 10.0
+    if parts > n:
+        with pytest.raises(PartitionError, match="partitions from"):
+            direct_kway_partition(hg, parts, b, seed=1, refiner=refiner)
+        return
+    result = direct_kway_partition(hg, parts, b, seed=1, refiner=refiner)
+    check_result(hg, result, parts, b)
+    if parts == n:
+        assert sorted(result.assignment.tolist()) == list(range(n))
+    if shape == "no nets":
+        assert result.cut_size == 0
+
+
+@pytest.mark.parametrize("shape", sorted(DEGENERATE) + ["random"])
+def test_batch_refine_two_blocks_of_three(shape):
+    # blocks=(0, 1) of a 3-way state whose block 2 is frozen: block 2
+    # keeps exactly its vertices, Formula 1 still holds, the cut does
+    # not rise and the incremental state matches a recompute
+    rng = np.random.default_rng(4)
+    if shape == "random":
+        hg = Hypergraph.from_edges([1] * N, [
+            rng.choice(N, int(size), replace=False).tolist()
+            for size in rng.integers(2, 6, 2 * N)])
+    else:
+        hg = DEGENERATE[shape](N)
+    part = rng.permutation(np.arange(N) % 3)
+    state = PartitionState(hg, 3, part)
+    constraint = BalanceConstraint(3, 10.0)
+    cut = state.cut_size
+    result = batch_refine(state, constraint, blocks=(0, 1))
+    assert np.array_equal(state.part == 2, part == 2)
+    assert constraint.satisfied(state.part_weight)
+    assert result.cut_size == state.cut_size <= cut
+    assert result.gain == cut - state.cut_size
+    got = (state.cut_size, state.connectivity, state.part_weight.tolist())
+    state.recompute()
+    assert got == (state.cut_size, state.connectivity,
+                   state.part_weight.tolist())
+    if shape == "random":
+        assert result.moves > 0
 
 
 def test_cut_oracles_skip_zero_pin_nets():

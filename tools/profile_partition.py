@@ -13,15 +13,20 @@ coarsening level (vertices -> clusters, sub-rounds run, joins proposed /
 dropped by the conflict rule / dropped by the cap — the result's
 ``level_joins``, i.e. the hierarchy the profiled call built — then the
 host milliseconds of that level's ``_cluster_level`` and
-``project_hypergraph`` calls, taken from a second run with the two
-wrapped so the cProfile numbers stay unwrapped), and —
-where FM ran — how many
+``project_hypergraph`` calls, and, where the batch refiner ran, a
+refinement line: the boundary at the level's first scoring, how many of
+its vertices lie on a net with 1 < λ < k (the only ones the gain
+kernel's per-target product reaches), and the host milliseconds in
+``PartitionState.move_gains_matrix`` and in the kicks
+(``repro.core.batch_refine._kick``, the re-scoring it triggers
+excluded) — all taken from a second run with those kernels wrapped, so
+the cProfile numbers stay unwrapped), and — where FM ran — how many
 moves its passes tried on their working sets against how many the best
 prefixes committed to the state, and how many passes the locked-cut
-bound ended, or — where the batch
-refiner ran — how many vertices it re-scored per round and per applied
-move.  This is the before/after evidence harness for partitioner kernel
-work — the peer of ``tools/profile_sim.py`` on the partitioning side
+bound ended, or — where the batch refiner ran — how many vertices it
+re-scored per round and per applied move.  This is the before/after
+evidence harness for partitioner kernel work — the peer of
+``tools/profile_sim.py`` on the partitioning side
 (docs/performance.md records the numbers it moved).
 
 Examples::
@@ -39,10 +44,14 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib
 import pstats
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -53,42 +62,108 @@ from repro.core import (  # noqa: E402
     design_driven_partition,
     multilevel_kway_partition,
 )
-from repro.core.batch_refine import REFINERS  # noqa: E402
-from repro.hypergraph import Clustering  # noqa: E402
+from repro.core.batch_refine import REFINERS, BoundaryGains  # noqa: E402
+from repro.hypergraph import Clustering, PartitionState  # noqa: E402
 from repro.hypergraph.build import streamed_flat_hypergraph  # noqa: E402
 from repro.obs import NULL_RECORDER, MetricsRecorder  # noqa: E402
+
+#: (``repro.core`` re-exports the function under the module's own name)
+batch_refine_mod = importlib.import_module("repro.core.batch_refine")
 
 #: default circuit per algorithm (stream registry / text registry)
 DEFAULT_CIRCUIT = {"multilevel": "viterbi-s100k", "multiway": "viterbi-paper"}
 
-#: the coarsening kernels timed per level, as ``repro.core.multilevel``
+#: the coarsening kernels timed per call, as ``repro.core.multilevel``
 #: calls them
 LEVEL_KERNELS = ("_cluster_level", "project_hypergraph")
 
+#: the batch refiner's kernels timed per level: (owner, function, the
+#: hypergraph its first argument scores — its vertex count names the
+#: level)
+REFINE_KERNELS = (
+    (PartitionState, "move_gains_matrix", lambda state: state.hg),
+    (batch_refine_mod, "_kick", lambda cache: cache.state.hg),
+)
 
-def _level_host_ms(run) -> dict[str, list[float]]:
-    """One more run, with :data:`LEVEL_KERNELS` wrapped: host
-    milliseconds per call of each, finest level first (a last call past
-    the hierarchy's levels is the one the stall guard rejected)."""
-    times: dict[str, list[float]] = {name: [] for name in LEVEL_KERNELS}
-    inner = {name: getattr(multilevel_mod, name) for name in LEVEL_KERNELS}
 
-    def timed(name):
+def _mid_lambda_vertices(state: PartitionState, vertices: np.ndarray) -> int:
+    """How many of ``vertices`` lie on a net with 1 < λ < k."""
+    edges, deg = state.hg.vertices_edges(vertices)
+    lam = state.edge_lambda[edges]
+    mid = (lam > 1) & (lam < state.k)
+    return len(np.unique(np.repeat(vertices, deg)[mid]))
+
+
+def _wrapped_run(run):
+    """One more run with :data:`LEVEL_KERNELS` and
+    :data:`REFINE_KERNELS` wrapped.  Returns ``(calls, by_size,
+    boundary)``: host milliseconds per call of each coarsening kernel,
+    finest level first (a last call past the hierarchy's levels is the
+    one the stall guard rejected); host milliseconds of each refinement
+    kernel summed per hypergraph vertex count; and per vertex count the
+    boundary that the first :meth:`BoundaryGains.refresh` scored, with
+    how many of its vertices lie on a 1 < λ < k net."""
+    calls: dict[str, list[float]] = {name: [] for name in LEVEL_KERNELS}
+    by_size: dict[str, dict[int, float]] = {
+        name: defaultdict(float) for _, name, _ in REFINE_KERNELS}
+    boundary: dict[int, tuple[int, int]] = {}
+    saved = [(multilevel_mod, name, getattr(multilevel_mod, name))
+             for name in LEVEL_KERNELS]
+    saved += [(owner, name, getattr(owner, name))
+              for owner, name, _ in REFINE_KERNELS]
+    saved.append((BoundaryGains, "refresh", BoundaryGains.refresh))
+
+    def per_call(name, inner):
         def call(*args):
             t0 = time.perf_counter()
-            result = inner[name](*args)
-            times[name].append((time.perf_counter() - t0) * 1e3)
+            result = inner(*args)
+            calls[name].append((time.perf_counter() - t0) * 1e3)
             return result
         return call
 
+    def per_size(name, inner, graph):
+        def call(first, *args):
+            t0 = time.perf_counter()
+            result = inner(first, *args)
+            by_size[name][graph(first).num_vertices] += \
+                (time.perf_counter() - t0) * 1e3
+            return result
+        return call
+
+    def first_scoring(inner):
+        def call(self, vertices):
+            n = self.state.hg.num_vertices
+            if n not in boundary:
+                boundary[n] = (len(vertices),
+                               _mid_lambda_vertices(self.state, vertices))
+            return inner(self, vertices)
+        return call
+
     for name in LEVEL_KERNELS:
-        setattr(multilevel_mod, name, timed(name))
+        setattr(multilevel_mod, name,
+                per_call(name, getattr(multilevel_mod, name)))
+    for owner, name, graph in REFINE_KERNELS:
+        setattr(owner, name, per_size(name, getattr(owner, name), graph))
+    BoundaryGains.refresh = first_scoring(BoundaryGains.refresh)
     try:
         run()
     finally:
-        for name, func in inner.items():
-            setattr(multilevel_mod, name, func)
-    return times
+        for owner, name, func in saved:
+            setattr(owner, name, func)
+    return calls, by_size, boundary
+
+
+def _refine_line(n: int, by_size, boundary) -> str:
+    """The refinement summary of the level whose hypergraph has ``n``
+    vertices ("" where the batch refiner never scored it)."""
+    if n not in boundary:
+        return ""
+    size, mid = boundary[n]
+    gains_ms, kick_ms = (by_size[name].get(n, 0.0)
+                         for _, name, _ in REFINE_KERNELS)
+    return (f"refinement: boundary {size} at first scoring, {mid} on a "
+            f"1<λ<k net; host ms: gain kernel {gains_ms:.1f}, "
+            f"kicks {kick_ms:.1f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(summary)
     if args.algorithm == "multilevel":
-        host = _level_host_ms(run)
-        cluster_ms, project_ms = (host[name] for name in LEVEL_KERNELS)
+        calls, by_size, boundary = _wrapped_run(run)
+        cluster_ms, project_ms = (calls[name] for name in LEVEL_KERNELS)
         for i, (fine, coarse, sub_rounds, proposed, conflict, cap) in \
                 enumerate(result.level_joins):
             print(f"level {i:2d}: {fine:8d} -> {coarse:8d} clusters, "
@@ -168,11 +243,21 @@ def main(argv: list[str] | None = None) -> int:
                   f"{conflict} dropped by conflict, {cap} by the cap; "
                   f"host ms: clustering {cluster_ms[i]:.1f}, "
                   f"projection {project_ms[i]:.1f}")
+            if line := _refine_line(fine, by_size, boundary):
+                print(f"          {line}")
         if len(cluster_ms) > result.levels:
             print(f"level the stall guard rejected: host ms: clustering "
                   f"{cluster_ms[-1]:.1f}, projection {project_ms[-1]:.1f}")
+        if line := _refine_line(result.coarse_vertices, by_size, boundary):
+            print(f"coarsest ({result.coarse_vertices} vertices, every "
+                  f"initial candidate): {line}")
         print(f"coarsening host ms, all calls: clustering "
               f"{sum(cluster_ms):.1f}, projection {sum(project_ms):.1f}")
+        if boundary:
+            gains_ms, kick_ms = (sum(by_size[name].values())
+                                 for _, name, _ in REFINE_KERNELS)
+            print(f"refinement host ms, all calls: gain kernel "
+                  f"{gains_ms:.1f}, kicks {kick_ms:.1f}")
     counters = rec.as_counters()
     if counters.get("part.fm.passes"):
         print(f"fm: {counters['part.fm.passes']} passes "
