@@ -17,7 +17,6 @@ from pathlib import Path
 from repro.bench import (
     ExperimentConfig,
     table1_cutsize_design,
-    table2_cutsize_multilevel,
     table3_presim,
     table5_full_sim,
 )
@@ -140,11 +139,6 @@ def table_rows(headers: list[str], rows: list[list]) -> list[dict]:
 @functools.lru_cache(maxsize=1)
 def design_rows():
     return table1_cutsize_design(CFG)
-
-
-@functools.lru_cache(maxsize=1)
-def multilevel_rows():
-    return table2_cutsize_multilevel(CFG)
 
 
 @functools.lru_cache(maxsize=1)

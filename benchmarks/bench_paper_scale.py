@@ -1,18 +1,15 @@
-"""Paper-scale partitioning study: the 388-instance decoder.
+"""Paper-scale partitioning study: design-driven at the paper's gate count.
 
-`viterbi-paper` reproduces the RPI netlist's *module structure* exactly
-(388 top-level instances; ~93k gates vs the paper's 1.2M — gate count
-only stretches wall clock).  This benchmark runs Table 1 vs Table 2 at
-the paper's module count, the closest structural match to the original
-experiment in this reproduction.  A second block runs the design-driven
-algorithm at the paper's *gate* count as well: `viterbi-xl` (1.2 M
-gates, 984 instances) through the text front end, k in {2, 3, 4, 8} x
-b in {5, 10}, beside the flat multilevel cut the scale ladder committed
-for the same gates.  It stops at partitioning by choice,
-not by budget: a 388-instance decoder simulates 10 vectors over 390
-LPs, verified, in ~6 s (ROADMAP.md, "Simulation at the paper's shape"
-— which is also why the simulation tables belong on a single-channel
-config and not on this four-channel one).
+`viterbi-xl` (1.2 M gates, 984 instances) goes through the text front
+end, so the hierarchy survives, and is partitioned design-driven over
+k in {2, 3, 4, 8} x b in {5, 10}, beside the flat multilevel cut the
+scale ladder committed for the same gates.  It stops at partitioning by
+choice, not by budget (ROADMAP.md, "Simulation at the paper's shape").
+
+Table 1 against Table 2 at the paper's module count (388 instances) is
+`bench_table2_cutsize_hmetis`, on the single-channel
+`viterbi-paper-single`.  It used to run here on the four-channel
+`viterbi-paper`, whose k=2 and k=4 rows are cut 4 by construction.
 """
 
 import json
@@ -20,11 +17,10 @@ import time
 
 from _shared import CFG, OUT_DIR, emit, table_rows
 
-from repro.baselines import multilevel_partition
 from repro.bench import format_table
-from repro.circuits import XL_CONFIG, load_circuit, viterbi_verilog
+from repro.circuits import XL_CONFIG, viterbi_verilog
 from repro.core import design_driven_partition
-from repro.hypergraph import Clustering, flat_hypergraph
+from repro.hypergraph import Clustering
 from repro.obs.sampler import ResourceSampler
 from repro.verilog import compile_verilog
 
@@ -34,7 +30,8 @@ XL_BS = (5.0, 10.0)
 
 def _flat_xl_rung() -> tuple[dict, dict]:
     """The committed flat-multilevel XL row of the scale ladder and its
-    host channel — read, never re-run (13.8 s, 1 GB)."""
+    host channel — read, never re-run (the ladder's child peaks near
+    1 GB)."""
     doc = json.loads((OUT_DIR / "BENCH_scale_ladder.json").read_text())
     row = next(r for r in doc["rows"] if r["rung"] == "viterbi-xl")
     return {**row, "b": doc["params"]["b"]}, doc["host_timings"]
@@ -79,40 +76,8 @@ def xl_design_driven():
 
 
 def test_paper_scale_partitioning(benchmark):
-    netlist = load_circuit("viterbi-paper")
-    flat = flat_hypergraph(netlist)
-
-    def sweep():
-        rows = []
-        for k in (2, 3, 4):
-            for b in (2.5, 10.0):
-                d = design_driven_partition(netlist, k=k, b=b, seed=CFG.seed)
-                ml = multilevel_partition(flat, k, b, seed=CFG.seed)
-                rows.append(
-                    [k, b, d.cut_size, d.balanced, d.flatten_steps,
-                     ml.cut_size,
-                     f"{ml.cut_size / max(d.cut_size, 1):.1f}x"]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    headers = ["k", "b", "design cut", "balanced", "flattened",
-               "multilevel cut", "ratio"]
-    paper_table = format_table(
-        headers,
-        rows,
-        title=(
-            f"Paper-scale study ({netlist.num_gates} gates, "
-            f"{len(netlist.hierarchy.children)} instances — the RPI "
-            f"netlist's module count)"
-        ),
-    )
-    params = {"circuit": "viterbi-paper",
-              "num_gates": netlist.num_gates,
-              "num_instances": len(netlist.hierarchy.children)}
-    del netlist, flat  # the XL block below peaks at ~0.5 GB on its own
-
-    xl_title, xl_headers, xl_rows, walls = xl_design_driven()
+    xl_title, xl_headers, xl_rows, walls = benchmark.pedantic(
+        xl_design_driven, rounds=1, iterations=1)
     flat_xl, ladder_walls = _flat_xl_rung()
     partition_walls = [v for name, v in walls.items()
                        if name.startswith("xl.partition.")]
@@ -137,24 +102,17 @@ def test_paper_scale_partitioning(benchmark):
     ])
     emit(
         "paper_scale",
-        paper_table + "\n\n" + xl_text,
-        rows=table_rows(headers, rows) + [
-            {"circuit": "viterbi-xl", **row}
-            for row in table_rows(xl_headers, xl_rows)
-        ],
-        params={**params, "xl_flat_cut": flat_xl["cut"],
+        xl_text,
+        rows=[{"circuit": "viterbi-xl", **row}
+              for row in table_rows(xl_headers, xl_rows)],
+        params={"circuit": "viterbi-xl", "num_gates": flat_xl["gates"],
+                "num_instances": XL_CONFIG.instances,
+                "xl_flat_cut": flat_xl["cut"],
                 "xl_flat_k": flat_xl["k"], "xl_flat_b": flat_xl["b"]},
         host_timings=walls,
     )
-    # the paper's headline at the paper's module count: the design
-    # algorithm is never worse (ties happen where the channel structure
-    # hands both the natural split) and wins by a wide factor at k=4
-    assert all(r[2] <= r[5] for r in rows)
-    assert all(r[3] for r in rows), "design-driven must meet Formula 1"
-    ratios = [r[5] / max(r[2], 1) for r in rows]
-    assert max(ratios) >= 3.0, f"expected a multi-x gap somewhere: {ratios}"
-    # ... and at the paper's gate count: balanced without flattening a
-    # single super-gate, and below the flat engine where k does not
-    # divide the channel count
+    # at the paper's gate count: balanced without flattening a single
+    # super-gate, and below the flat engine where k does not divide the
+    # channel count
     assert all(r[3] for r in xl_rows), "XL design-driven must meet Formula 1"
     assert all(r[2] < flat_xl["cut"] for r in xl_rows if r[0] == flat_xl["k"])

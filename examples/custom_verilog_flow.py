@@ -11,8 +11,7 @@ Run:  python examples/custom_verilog_flow.py
 import tempfile
 from pathlib import Path
 
-from repro.baselines import multilevel_partition
-from repro.core import design_driven_partition
+from repro.core import design_driven_partition, multilevel_kway_partition
 from repro.circuits import detect_clocks
 from repro.hypergraph import (
     Clustering,
@@ -86,7 +85,7 @@ def main() -> None:
 
     # partition both ways
     design = design_driven_partition(netlist, k=2, b=10.0, seed=0)
-    ml = multilevel_partition(flat, 2, 10.0, seed=0)
+    ml = multilevel_kway_partition(flat, 2, 10.0, seed=0, refiner="fm")
     print(f"\ndesign-driven cut: {design.cut_size}  "
           f"(loads {design.part_weights.tolist()})")
     print(f"multilevel (flat) cut: {ml.cut_size}  "

@@ -1,31 +1,35 @@
 """The paper's Table 1 / Table 2 comparison in miniature.
 
 Partitions the synthetic Viterbi decoder with (a) the design-driven
-hierarchy-aware algorithm and (b) the hMetis-style multilevel
-partitioner on the flattened netlist, across the paper's (k, b) grid,
-and prints both cut tables side by side.
+hierarchy-aware algorithm and (b) the multilevel k-way engine on the
+flattened netlist, across the paper's (k, b) grid, and prints both cut
+tables side by side.
 
 Run:  python examples/viterbi_partition_study.py [--full]
-      --full uses the paper-shaped 388-instance decoder (slower).
+      --full uses the paper-shaped 388-instance single decoder (~1 min).
 """
 
 import argparse
 
-from repro.baselines import multilevel_partition
 from repro.bench import format_table
 from repro.circuits import load_circuit
-from repro.core import PAPER_B_VALUES, PAPER_K_VALUES, design_driven_partition
+from repro.core import (
+    PAPER_B_VALUES,
+    PAPER_K_VALUES,
+    design_driven_partition,
+    multilevel_kway_partition,
+)
 from repro.hypergraph import flat_hypergraph
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--full", action="store_true",
-                    help="use the 388-instance paper-shaped decoder")
+                    help="use the 388-instance paper-shaped single decoder")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    name = "viterbi-paper" if args.full else "viterbi-single"
+    name = "viterbi-paper-single" if args.full else "viterbi-single"
     netlist = load_circuit(name)
     print(f"workload: {name} -> {netlist.num_gates} gates, "
           f"{len(netlist.hierarchy.children)} top-level instances\n")
@@ -35,7 +39,8 @@ def main() -> None:
     for k in PAPER_K_VALUES:
         for b in PAPER_B_VALUES:
             design = design_driven_partition(netlist, k=k, b=b, seed=args.seed)
-            ml = multilevel_partition(flat, k, b, seed=args.seed)
+            ml = multilevel_kway_partition(flat, k, b, seed=args.seed,
+                                           refiner="fm")
             rows.append([
                 k, b, design.cut_size,
                 "yes" if design.balanced else "NO",

@@ -11,9 +11,8 @@ including every substrate the paper depends on:
   incremental partition state and hMetis file interchange.
 * :mod:`repro.core` — the paper's contribution: cone-seeded, pairwise
   FM-refined, hierarchy-aware (super-gate) multiway partitioning with
-  load-balance flattening and pre-simulation-driven (k, b) selection.
-* :mod:`repro.baselines` — a from-scratch multilevel (hMetis-style)
-  partitioner and other comparators, run on the flattened netlist.
+  load-balance flattening and pre-simulation-driven (k, b) selection,
+  plus the flat multilevel k-way engine it is compared against.
 * :mod:`repro.sim` — sequential reference simulator and a Clustered
   Time Warp kernel on a deterministic virtual cluster (the DVS/OOCTW
   substitute).
@@ -77,8 +76,4 @@ def __getattr__(name: str):
         from .core import design_driven_partition
 
         return design_driven_partition
-    if name == "multilevel_partition":
-        from .baselines import multilevel_partition
-
-        return multilevel_partition
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -81,6 +81,12 @@ CIRCUITS: dict[str, Callable[[], str]] = {
         ViterbiConfig(channels=1, states=16, traceback=32, width=6)
     ),
     "viterbi-paper": lambda: viterbi_verilog(PAPER_CONFIG),
+    # the paper's module count as one decoder (388 instances, ~91k
+    # gates): no independent channels, so every k tests the algorithm
+    "viterbi-paper-single": lambda: viterbi_verilog(
+        ViterbiConfig(channels=1, states=64, traceback=256, width=8,
+                      smu_cols=1)
+    ),
     # the paper's planned second workload: a CPU-shaped design
     "cpu-test": lambda: cpu_verilog(CPU_TEST_CONFIG),
     "cpu8": lambda: cpu_verilog(CPU_BENCH_CONFIG),

@@ -359,7 +359,7 @@ def _cmd_partition(args, out) -> int:
     counters = {}
     with _sampling(args, recorder, out):
         if args.algorithm == "random":  # the CLI-only floor: no result object
-            from .baselines import random_partition
+            from .core import random_partition
             from .hypergraph import flat_hypergraph
             from .hypergraph.metrics import hyperedge_cut, part_weights
 

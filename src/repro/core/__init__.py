@@ -23,6 +23,8 @@ Public surface:
 * :func:`batch_refine` / :data:`REFINERS` — the data-parallel boundary
   refiner selectable as ``refiner="batch"`` on every partition entry
   point (see ``docs/refinement.md``).
+* :func:`random_partition` — the seeded, weight-balanced random floor
+  (``initial="random"``, ``repro partition --algorithm random``).
 """
 
 from .balance import BalanceConstraint, PAPER_B_VALUES, PAPER_K_VALUES
@@ -61,6 +63,7 @@ from .presim import (
     resolve_workers,
 )
 from .activity import profile_activity, activity_clustering
+from .random_partition import random_partition
 from .recursive import recursive_design_driven_partition
 from .partition_io import (
     save_partition,
@@ -106,6 +109,7 @@ __all__ = [
     "partition_netlist",
     "profile_activity",
     "activity_clustering",
+    "random_partition",
     "recursive_design_driven_partition",
     "save_partition",
     "load_partition",

@@ -34,7 +34,7 @@ class BalanceConstraint:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.b < 0:
+        if not self.b >= 0:  # also rejects NaN, which compares False
             raise ConfigError(f"b must be >= 0, got {self.b}")
 
     def bounds(self, total_load: int) -> tuple[float, float]:

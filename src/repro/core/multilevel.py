@@ -1,12 +1,10 @@
 """Production multilevel k-way partitioner on the vectorized core.
 
-The hMetis-style baseline (:mod:`repro.baselines.multilevel`) proved
-the multilevel idea on this codebase but predates the vectorized
-substrate: it recursively bisects induced sub-hypergraphs with its own
-two-way FM and never touches :class:`PartitionState` or the obs
-recorder.  This module is the production rewrite — a *direct k-way*
-multilevel pipeline built entirely from the repo's first-class
-machinery::
+A *direct k-way* multilevel pipeline (no recursive bisection) built
+entirely from the repo's first-class machinery.  It is the flat
+partition driver everywhere: ``--algorithm multilevel``, the scale
+ladder, and Table 2's comparator on the flattened netlist, in the role
+the paper gave hMetis::
 
     coarsen      synchronous sub-round clustering on heavy-edge
                  ratings, weight-aware (no cluster may exceed a

@@ -36,6 +36,7 @@ from .pairing import (
     repair_balance,
     require_serial,
 )
+from .random_partition import random_partition
 
 __all__ = ["MultiwayResult", "design_driven_partition"]
 
@@ -194,8 +195,6 @@ def design_driven_partition(
         if initial == "cone":
             state = cone_partition(clustering, k, seed=seed, recorder=recorder)
         elif initial == "random":
-            from ..baselines.random_partition import random_partition
-
             state = PartitionState(
                 clustering.hypergraph(), k,
                 random_partition(clustering.hypergraph(), k, seed=seed),

@@ -63,6 +63,7 @@ def recursive_design_driven_partition(
     hg = clustering.hypergraph()
     if k < 1 or k > hg.num_vertices:
         raise PartitionError(f"invalid k={k} for {hg.num_vertices} vertices")
+    constraint = BalanceConstraint(k, b)
     assignment = np.zeros(hg.num_vertices, dtype=np.int64)
     seed_state = cone_partition(clustering, max(k, 1), seed=seed)
     _split(
@@ -70,7 +71,6 @@ def recursive_design_driven_partition(
         seed_state, refiner,
     )
     state = PartitionState(hg, k, assignment)
-    constraint = BalanceConstraint(k, b)
     return MultiwayResult(
         clustering=clustering,
         assignment=assignment,

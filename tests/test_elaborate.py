@@ -340,7 +340,8 @@ def _netlist_digest(nl):
 
 
 #: sha256 of every registered text circuit's elaborated netlist, computed
-#: with the per-instance elaborator this PR's parent shipped (PR 14)
+#: with the per-instance elaborator this PR's parent shipped (PR 14);
+#: ``viterbi-paper-single`` was pinned when it was registered
 GOLDEN_NETLISTS = {
     "adder16": "6d0e0911a59e5864f30565d6f7ab3d639e0e647f314ff97404933b280c881150",
     "adder8": "7b04ab1a0e402167fd24c5d42262e73ecef3b2f4dba1b49e7759459f111c2ed1",
@@ -361,6 +362,7 @@ GOLDEN_NETLISTS = {
     "randlogic": "650a39574f456dd97ef15b1a9ea7ac952ab1b4a6aacf7a8e60cba70d3bc829b4",
     "viterbi-bench": "0528b7b85cd2d8215c1236ac98088b222f051f6768392182c69dafbd9a939d30",
     "viterbi-paper": "e5c41c455a86efdd5cb57ed3189878d08762c510d960d9c24a5b271857ac10a0",
+    "viterbi-paper-single": "132593dd5beec10d9589a2278d2c1b41f1a93cda9379fab129281fd7ac71fa16",
     "viterbi-single": "0528b7b85cd2d8215c1236ac98088b222f051f6768392182c69dafbd9a939d30",
     "viterbi-test": "2f4034a9474e5ca178e3c32d8c464d142a913d8ccbe10a3081d6b35ba8d965c1",
 }

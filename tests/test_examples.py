@@ -7,6 +7,7 @@ tests run the quick scripts exactly as a user would.
 
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,15 @@ def run_example(name: str, argv: list[str], capsys) -> str:
 def test_quickstart(capsys):
     out = run_example("quickstart.py", [], capsys)
     assert "compiled:" in out
+    assert "verified=True" in out
+
+
+def test_custom_verilog_flow(tmp_path, monkeypatch, capsys):
+    # the script writes its .hgr file under tempfile.mkdtemp()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = run_example("custom_verilog_flow.py", [], capsys)
+    assert "design-driven cut:" in out
+    assert "multilevel (flat) cut:" in out
     assert "verified=True" in out
 
 

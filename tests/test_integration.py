@@ -2,15 +2,18 @@
 
 Each scenario walks the complete paper flow: Verilog text → parse →
 elaborate → hierarchy clustering → design-driven partition → Time Warp
-simulation verified against the sequential oracle — plus the baseline
-path (flat hypergraph → multilevel partition).
+simulation verified against the sequential oracle — plus the flat
+comparator path (flat hypergraph → multilevel k-way partition).
 """
 
 import pytest
 
-from repro.baselines import multilevel_partition
 from repro.circuits import load_circuit, random_vectors
-from repro.core import design_driven_partition, BalanceConstraint
+from repro.core import (
+    BalanceConstraint,
+    design_driven_partition,
+    multilevel_kway_partition,
+)
 from repro.hypergraph import flat_hypergraph, hyperedge_cut
 from repro.sim import ClusterSpec, compile_circuit, run_partitioned
 
@@ -44,7 +47,7 @@ def test_full_flow(circuit, k, b):
 def test_baseline_flow_matches_metrics():
     netlist = load_circuit("mesh3x3")
     hg = flat_hypergraph(netlist)
-    r = multilevel_partition(hg, 3, 10.0, seed=0)
+    r = multilevel_kway_partition(hg, 3, 10.0, seed=0, refiner="fm")
     assert r.cut_size == hyperedge_cut(hg, r.assignment)
 
 

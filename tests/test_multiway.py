@@ -130,7 +130,7 @@ class TestQualityTrends:
         assert c4 >= c2
 
     def test_beats_random_assignment(self, viterbi_test):
-        from repro.baselines import random_partition
+        from repro.core import random_partition
         from repro.hypergraph import hierarchy_hypergraph
 
         hg = hierarchy_hypergraph(viterbi_test)

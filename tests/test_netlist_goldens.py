@@ -4,7 +4,8 @@ schedule on every registered circuit.
 The digests were computed before the netlist lost its per-gate records
 and list views, from the columns alone (:func:`column_digest`), so they
 hold the column-based optimizer, writer and ``combinational_depth`` to
-exactly what the object-based ones produced.
+exactly what the object-based ones produced.  ``viterbi-paper-single``
+was registered later; its rows were computed when it was added.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ GOLDEN_OPTIMIZED = {
     "randlogic": "d50fb4b405b84ae9494c5df2b181dc9fc3c517007f30be0c9a95fb93be1f70ee",
     "viterbi-bench": "517d0af47ccd7c8205d9ddae2665edf681db758fe3047effe6dade58f0aac052",
     "viterbi-paper": "d44cca8cee9a9271320b4336663a94fa539d38e4d13e3255a308c0211b7f4cc0",
+    "viterbi-paper-single": "806e4490f9c0c61b93df105435de80dd275bef36cd770f07e1b5afcfc629a280",
     "viterbi-single": "517d0af47ccd7c8205d9ddae2665edf681db758fe3047effe6dade58f0aac052",
     "viterbi-test": "0879afc37f7f71ee431e7794b91a442c86ee3d8aa2a4339fd99211b2b99052b8",
 }
@@ -62,6 +64,7 @@ GOLDEN_WRITTEN = {
     "randlogic": "9604a143385519a472ac907aeb2de86f4b4ac7a23d0beafff8f754383e72cee4",
     "viterbi-bench": "9d2cd8662e06f44279864f4feed9e05d43d3f9c2a4e1ef187cd2b677d3957a5e",
     "viterbi-paper": "4b65c509f540c1b014eb6dcf32705e45146ef6a52df67765b77c544cd5640853",
+    "viterbi-paper-single": "a504811d5c73345fa5429381c2ec07eac0eeb312f0a85d6243e38ef4827ba4b4",
     "viterbi-single": "9d2cd8662e06f44279864f4feed9e05d43d3f9c2a4e1ef187cd2b677d3957a5e",
     "viterbi-test": "869d59f0a9fb968d109a89ed005d218d4e2145709d902535b362b4a34fff88c7",
 }
@@ -86,6 +89,7 @@ GOLDEN_WRITTEN_OPTIMIZED = {
     "randlogic": "a55d220db484da60a702217e8b0ca1cf0400acc9360db67c829d631408de78ad",
     "viterbi-bench": "7f25aae3e6166640cdd1cb474d521949ba3b44f16796c79b865da1d436a1f8e4",
     "viterbi-paper": "61ad0dae9b41735386575f37810478dee03619e7cc35ebaeddefba9aa4bf12e3",
+    "viterbi-paper-single": "14ad4f03964abe28f9f0657c469f5e95c30bcbec039af6cf62c823f6adf14bda",
     "viterbi-single": "7f25aae3e6166640cdd1cb474d521949ba3b44f16796c79b865da1d436a1f8e4",
     "viterbi-test": "57b4d3735244664dd72bedafcb1ad907d3abb0ed816ccf7bab0ae0209fc921d6",
 }
@@ -110,6 +114,7 @@ GOLDEN_SCHEDULES = {
     "randlogic": (40, 20, 30),
     "viterbi-bench": (64, 32, 48),
     "viterbi-paper": (80, 40, 60),
+    "viterbi-paper-single": (80, 40, 60),
     "viterbi-single": (64, 32, 48),
     "viterbi-test": (48, 24, 36),
 }

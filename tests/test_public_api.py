@@ -24,12 +24,6 @@ class TestTopLevel:
 
         assert fn is design_driven_partition
 
-    def test_lazy_multilevel_export(self):
-        fn = repro.multilevel_partition
-        from repro.baselines import multilevel_partition
-
-        assert fn is multilevel_partition
-
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError):
             repro.no_such_symbol
@@ -148,6 +142,35 @@ class TestNetlistIsItsColumns:
         word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
         hits = [f"{p.relative_to(root)}: {m.group(1)}"
                 for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
+class TestOneFlatDriver:
+    """The hMetis-style second partitioner is gone; Table 2's flat side
+    is ``repro.core.multilevel_kway_partition``."""
+
+    def test_baselines_package_is_gone(self):
+        import repro.core
+
+        with pytest.raises(ImportError):
+            import repro.baselines  # noqa: F401
+        with pytest.raises(AttributeError):
+            repro.multilevel_partition
+        assert "random_partition" in repro.core.__all__
+
+    def test_nothing_live_mentions_it(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools", "tests"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile(r"\b(repro\.baselines|multilevel_partition)\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live if p != Path(__file__).resolve()
+                for m in word.finditer(p.read_text())]
         assert not hits, hits
 
 

@@ -8,24 +8,37 @@ zero-pin nets, one net spanning every vertex, nets that are all
 parallel copies of one, no nets at all, ``k == |V|`` and ``k > |V|``;
 the batch refiner restricted to two blocks of a 3-way state (the
 recursive splitter's call); and the from-scratch cut metrics on
-zero-pin nets.
+zero-pin nets.  The design-driven drivers
+(:func:`repro.core.design_driven_partition` with cone and random
+initial partitions, :func:`repro.core.recursive_design_driven_partition`)
+run a small netlist at degenerate k; and a balance factor that is not
+``>= 0`` (NaN included) is a :class:`~repro.errors.ConfigError` on every
+partition entry point and the CLI.
 """
+
+import io
 
 import numpy as np
 import pytest
 
+from repro.circuits import load_circuit
+from repro.cli import main
 from repro.core import (
     BalanceConstraint,
     batch_refine,
+    design_driven_partition,
     direct_kway_partition,
     multilevel_kway_partition,
+    recursive_design_driven_partition,
 )
 from repro.core.batch_refine import REFINERS
-from repro.errors import PartitionError
+from repro.errors import ConfigError, PartitionError
 from repro.hypergraph import (
+    Clustering,
     Hypergraph,
     PartitionState,
     connectivity_cut,
+    flat_hypergraph,
     hyperedge_cut,
 )
 
@@ -165,3 +178,87 @@ def test_cut_oracles_skip_zero_pin_nets():
     state = PartitionState(hg, 3, part)
     assert hyperedge_cut(hg, part) == state.cut_size == 2
     assert connectivity_cut(hg, part) == state.connectivity == 2
+
+
+# -- the design-driven drivers at degenerate k --------------------------------
+
+#: the design-driven drivers, all at b = 10
+DESIGN_DRIVERS = {
+    "cone": lambda nl, k: design_driven_partition(nl, k=k, b=10.0, seed=1),
+    "random": lambda nl, k: design_driven_partition(
+        nl, k=k, b=10.0, seed=1, initial="random"),
+    "recursive": lambda nl, k: recursive_design_driven_partition(
+        nl, k=k, b=10.0, seed=1),
+}
+
+#: (k, driver) -> the PartitionError it raises on ``adder8`` (41 gates
+#: behind 9 visible nodes); every other pair must return a balanced
+#: result.  The recursive driver never flattens a super-gate, so it
+#: stops at the visible-node count where the direct driver flattens on.
+REJECTED = {
+    ("gates", "recursive"): "invalid k=41 for 9 vertices",
+    ("gates+1", "cone"): "cannot make 42 partitions from 41 gates",
+    ("gates+1", "random"): "cannot make 42 partitions from 41 gates",
+    ("gates+1", "recursive"): "invalid k=42 for 9 vertices",
+}
+
+
+@pytest.fixture(scope="module")
+def adder8():
+    return load_circuit("adder8")
+
+
+@pytest.mark.parametrize("driver", sorted(DESIGN_DRIVERS))
+@pytest.mark.parametrize("k", [1, 2, "visible", "gates", "gates+1"])
+def test_design_drivers_on_degenerate_k(adder8, driver, k):
+    visible = len(Clustering.top_level(adder8))
+    assert (visible, adder8.num_gates) == (9, 41)
+    parts = {"visible": visible, "gates": adder8.num_gates,
+             "gates+1": adder8.num_gates + 1}.get(k, k)
+    if (k, driver) in REJECTED:
+        with pytest.raises(PartitionError, match=REJECTED[(k, driver)]):
+            DESIGN_DRIVERS[driver](adder8, parts)
+        return
+    result = DESIGN_DRIVERS[driver](adder8, parts)
+    gates = result.gate_assignment()
+    assert gates.shape == (adder8.num_gates,)
+    assert ((gates >= 0) & (gates < parts)).all()
+    assert result.part_weights.tolist() == np.bincount(
+        gates, minlength=parts).tolist()
+    assert result.cut_size == hyperedge_cut(result.clustering.hypergraph(),
+                                            result.assignment)
+    assert result.balanced
+    assert BalanceConstraint(parts, 10.0).satisfied(result.part_weights)
+
+
+# -- balance factors that are not >= 0 ----------------------------------------
+
+#: every partition entry point, called at k = 2 with balance factor b
+ENTRY_POINTS = {
+    "design": lambda nl, b: design_driven_partition(nl, k=2, b=b),
+    "recursive": lambda nl, b: recursive_design_driven_partition(
+        nl, k=2, b=b),
+    "multilevel": lambda nl, b: multilevel_kway_partition(
+        flat_hypergraph(nl), 2, b),
+    "direct": lambda nl, b: direct_kway_partition(flat_hypergraph(nl), 2, b),
+}
+
+
+@pytest.mark.parametrize("b", [float("nan"), -1.0])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_balance_factor_is_a_config_error(adder8, entry, b):
+    # NaN compares False against everything, so `b < 0` let it through:
+    # loads [41, 0] and cut 0 from the design drivers, a bare ValueError
+    # from the multilevel engine
+    with pytest.raises(ConfigError, match="b must be >= 0"):
+        ENTRY_POINTS[entry](adder8, b)
+
+
+@pytest.mark.parametrize("algorithm", ["design", "multilevel"])
+def test_cli_rejects_a_nan_balance_factor(algorithm, capsys):
+    out = io.StringIO()
+    code = main(["partition", "circuit:adder8", "-k", "2", "-b", "nan",
+                 "--algorithm", algorithm], out=out)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert "error: b must be >= 0, got nan" in capsys.readouterr().err

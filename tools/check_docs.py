@@ -2,7 +2,8 @@
 """Documentation reference linter.
 
 Verifies that every ``repro.*`` dotted path and every ``--long-flag``
-named in ``docs/*.md`` and ``README.md`` resolves to something real:
+named in ``docs/*.md``, ``README.md`` and ``DESIGN.md`` resolves to
+something real:
 
 * dotted paths must import as a module or resolve as an attribute chain
   on an importable module (``repro.obs.registry.METRIC_REGISTRY`` is a
@@ -53,7 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: documentation files the linter covers
-DOC_FILES = ("README.md", "docs")
+DOC_FILES = ("README.md", "DESIGN.md", "docs")
 
 #: flags that belong to external tools invoked verbatim in the docs
 EXTERNAL_FLAGS = {
@@ -108,7 +109,7 @@ def orphaned_registry_names(root: Path = REPO_ROOT) -> list[str]:
 
 
 def doc_paths(root: Path) -> list[Path]:
-    out = [root / "README.md"]
+    out = [root / "README.md", root / "DESIGN.md"]
     out.extend(sorted((root / "docs").glob("*.md")))
     return [p for p in out if p.exists()]
 
