@@ -19,7 +19,10 @@ asserted:
   ``BUILD_BYTES_PER_PIN`` on every rung large enough for the ratio to
   be meaningful (the O(pins) claim, made load-bearing);
 * **ladder completes** — every rung partitions to a balanced k-way
-  assignment.
+  assignment;
+* **XL fits the paper's node** — the ``viterbi-xl`` rung's peak RSS
+  (build and flat partition, one process) stays under
+  ``XL_PEAK_RSS_MB``.
 
 Deterministic columns (gates/nets/pins/edges/cut/cut med8/balanced)
 land in the metrics rows and gate byte-for-byte under
@@ -78,6 +81,9 @@ BUILD_BYTES_PER_PIN = 160
 #: rungs below this many pins are interpreter-noise dominated — the
 #: budget gate applies above it
 MIN_PINS_FOR_BUDGET = 1_000_000
+
+#: the paper's node memory: the XL rung's peak RSS must stay below it
+XL_PEAK_RSS_MB = 512
 
 #: recorder phases reported per rung as the partition wall breakdown
 #: (quarantined with the other host walls; asserted present in smoke
@@ -188,6 +194,12 @@ def assert_gates(results: list[dict]) -> None:
             assert bpp <= BUILD_BYTES_PER_PIN, (
                 f"rung {r['rung']} build overhead {bpp:.0f} B/pin exceeds "
                 f"the {BUILD_BYTES_PER_PIN} B/pin budget"
+            )
+        if r["rung"] == "viterbi-xl":
+            peak_mb = r["peak_rss_kb"] / 1024
+            assert peak_mb < XL_PEAK_RSS_MB, (
+                f"rung viterbi-xl peaks at {peak_mb:.0f} MB, not under "
+                f"the paper's {XL_PEAK_RSS_MB} MB node"
             )
 
 

@@ -93,9 +93,10 @@ REFINERS = ("fm", "batch")
 #: non-improving candidates (at least one vertex)
 _KICK_FRACTION = 16
 
-#: vertices scored per ``move_gains_matrix`` call (bounds the
-#: ``(pins, T)`` transients at XL scale)
-_GATHER_CHUNK = 1 << 16
+#: vertices scored per ``move_gains_matrix`` call: bounds its ``(pins,
+#: T)`` transients at XL scale, and at 100k vertices scores the finest
+#: level no slower than a 4x larger chunk (docs/refinement.md)
+_GATHER_CHUNK = 1 << 14
 
 
 def validate_refiner(name: str) -> str:
@@ -499,5 +500,7 @@ def _batch_refine(
             cache.rollback(snap_cut_deg)
             rounds, moves = snap_rounds, snap_moves
             break
+        # accepted: free this snapshot before the next kick takes its own
+        del snap, snap_cut_deg
     return BatchRefineResult(rounds, moves, cut_before - state.cut_size,
                              state.cut_size)

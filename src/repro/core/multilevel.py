@@ -544,11 +544,20 @@ def _kway_partition(
         recorder.incr("part.ml.initial_candidates", candidates)
         recorder.incr("part.ml.initial_cut", initial_cut)
         recorder.observe_max("part.ml.level_cut", state.cut_size)
+    # uncoarsening reads each level once, coarsest first: what survives
+    # a level is its fine hypergraph and the projected assignment, so
+    # the coarse hypergraph and its state go before the next state is
+    # built and the finest refine runs beside no coarser level
+    level_joins = [level.joins for level in levels]
+    num_levels, coarse_vertices = len(levels), coarsest.num_vertices
+    del coarsest
     with recorder.phase("partition.uncoarsen"):
-        for level in reversed(levels):
-            state = PartitionState(
-                level.fine, k, state.part[level.mapping]
-            )
+        while levels:
+            level = levels.pop()
+            fine, part = level.fine, state.part[level.mapping]
+            del level, state
+            state = PartitionState(fine, k, part)
+            del part
             refine_rounds += _refine_level(state, constraint, pairs_fn,
                                            rng, refiner, recorder)
             level_cuts.append(state.cut_size)
@@ -556,7 +565,7 @@ def _kway_partition(
                 recorder.observe_max("part.ml.level_cut",
                                      state.cut_size)
             history.append(
-                f"level {level.fine.num_vertices}v: "
+                f"level {fine.num_vertices}v: "
                 f"cut={state.cut_size}, "
                 f"loads={state.part_weight.tolist()}"
             )
@@ -572,12 +581,12 @@ def _kway_partition(
         cut_size=state.cut_size,
         part_weights=state.part_weight.copy(),
         balanced=constraint.satisfied(state.part_weight),
-        levels=len(levels),
-        coarse_vertices=coarsest.num_vertices,
+        levels=num_levels,
+        coarse_vertices=coarse_vertices,
         initial_cut=initial_cut,
         refine_rounds=refine_rounds,
         level_cuts=level_cuts,
-        level_joins=[level.joins for level in levels],
+        level_joins=level_joins,
         history=history,
     )
 

@@ -479,6 +479,25 @@ def _edge_fingerprints(
     )
 
 
+#: bits per word of :func:`_exact_sums`: float64 sums of up to 2^32
+#: values below 2^21 are exact, and three words cover any int64 >= 0
+_SUM_WORD_BITS = 21
+
+
+def _exact_sums(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-group int64 sums of non-negative int64 ``values`` over group
+    ids ``0..groups.max()``, exact at any magnitude.  A float
+    ``bincount`` rounds once a sum passes 2^53, so each
+    :data:`_SUM_WORD_BITS`-bit word of the values is summed on its own
+    and the word sums recombine in integers."""
+    mask = (1 << _SUM_WORD_BITS) - 1
+    return sum(
+        np.bincount(groups, weights=(values >> shift) & mask)
+        .astype(np.int64) << shift
+        for shift in range(0, 63, _SUM_WORD_BITS)
+    )
+
+
 def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     """Contract ``hg`` along a vertex→cluster ``mapping``.
 
@@ -532,11 +551,8 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
         raise PartitionError(
             f"vertex {v} maps to cluster {int(mapping[v])}, outside 0..{n - 1}"
         )
-    # float sums of positive integer weights, exact below 2^53; a zero
-    # is a cluster id no vertex maps to
-    coarse_weights = np.bincount(
-        mapping, weights=hg.vertex_weight
-    ).astype(np.int64)
+    # sums of positive weights: a zero is a cluster id no vertex maps to
+    coarse_weights = _exact_sums(mapping, hg.vertex_weight)
     if not coarse_weights.all():
         raise PartitionError(
             f"cluster {int(np.argmin(coarse_weights))} holds no vertex"
@@ -563,15 +579,21 @@ def project_hypergraph(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     # 2. one key per surviving pin, (edge rank, cluster), sorted once
     # (edge-major already, which the stable sort's runs exploit);
     # repeated keys are pins of one edge in one cluster
+    # (each transient is freed once read: at the finest level they are
+    # pin-sized, and the next one is allocated beside them)
     clusters, sizes = _csr_gather(edge_ptr, pin_coarse, alive)
+    del pin_coarse
     key = np.repeat(np.arange(m, dtype=np.int64) * num_coarse, sizes)
     key += clusters
+    del clusters
     key.sort(kind="stable")
     fresh = np.ones(len(key), dtype=bool)
     fresh[1:] = key[1:] != key[:-1]
     edge, pins = np.divmod(key[fresh], num_coarse)
+    del key, fresh
     eptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge, minlength=m), out=eptr[1:])
+    del edge
     esz = np.diff(eptr)
 
     # 3. group parallel edges: sort by the first fingerprint, then check

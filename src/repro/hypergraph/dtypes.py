@@ -13,10 +13,16 @@ widen exactly once at the freeze boundary:
   index arrays with ``np.arange``/``np.repeat`` products and weight
   sums, and a single int64 array in a binary op silently upcasts the
   int32 operand *per call* — the churn costs more than the memory
-  saved.
+  saved;
+* except ``PartitionState.edge_part_count``, which is a count, not an
+  id: no entry exceeds the pins of one net, so it takes
+  ``index_dtype(largest edge size)`` — int32 in practice, half the
+  ``E x k`` array and of every kick snapshot.  Its kernels only compare
+  it, and build and update it with ``bincount`` (a ``ufunc.at`` into
+  int32 is several times slower than into int64).
 
-:func:`index_dtype` is the one decision point; both rules above and
-the regression test for the 2^31 boundary go through it, so a future
+:func:`index_dtype` is the one decision point; the rules above and
+the regression tests for the 2^31 boundary go through it, so a future
 width change happens in exactly one place.
 """
 

@@ -81,7 +81,6 @@ class Hypergraph:
         "edge_weight",
         "_edge_ptr",
         "_edge_pins",
-        "_pin_edge",
         "_vertex_ptr",
         "_vertex_pins",
         "_vertex_edges_lists",
@@ -90,6 +89,7 @@ class Hypergraph:
         "_vertex_weight_list",
         "vertex_names",
         "edge_names",
+        "__weakref__",
     )
 
     def __init__(
@@ -194,10 +194,7 @@ class Hypergraph:
         Vectorized: ``np.bincount`` counts the degrees, and one sort of
         the int64 key ``pin * num_edges + edge`` lists each vertex's
         incident edges ascending.  O(pins log pins), no Python-level
-        loop.  Also retains ``_pin_edge`` — the owning edge of every
-        entry of the edge-major pin array — which the vectorized
-        :meth:`~repro.hypergraph.partition_state.PartitionState.recompute`
-        scatters through, and seeds the lazy plain-list caches.
+        loop.  Also seeds the lazy plain-list caches.
         """
         n = len(self.vertex_weight)
         degree = np.bincount(self._edge_pins, minlength=n)
@@ -208,11 +205,8 @@ class Hypergraph:
         self._edge_weight_list: list[int] | None = None
         self._vertex_weight_list: list[int] | None = None
         m = self.num_edges
-        self._pin_edge = np.repeat(
-            np.arange(m, dtype=np.int64), np.diff(self._edge_ptr)
-        )
         key = self._edge_pins * m
-        key += self._pin_edge
+        key += self.pin_edges
         key.sort()
         key -= np.repeat(np.arange(n, dtype=np.int64) * m, degree)
         self._vertex_pins = key
@@ -266,8 +260,11 @@ class Hypergraph:
     @property
     def pin_edges(self) -> np.ndarray:
         """Flat edge-major owner array: the edge of every incidence
-        (aligned with :attr:`pin_vertices`)."""
-        return self._pin_edge
+        (aligned with :attr:`pin_vertices`), derived on each access —
+        an O(pins) array that no kernel keeps."""
+        return np.repeat(
+            np.arange(self.num_edges, dtype=np.int64), np.diff(self._edge_ptr)
+        )
 
     def edge_vertices(self, e: int) -> np.ndarray:
         """Vertices on hyperedge ``e`` (read-only view, sorted)."""

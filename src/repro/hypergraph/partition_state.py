@@ -5,7 +5,10 @@ The state holds one representation — NumPy arrays — of:
 * ``part[v]`` — the partition of each vertex,
 * ``part_weight[p]`` — the total vertex weight per partition,
 * ``edge_part_count[e, p]`` — how many pins of hyperedge ``e`` lie in
-  partition ``p``,
+  partition ``p``; no count exceeds the pins of one net, so the array
+  is int32 whenever :func:`~repro.hypergraph.dtypes.index_dtype` of
+  the largest edge size allows it (half the ``E x k`` footprint, and
+  half of every kick snapshot),
 * ``edge_lambda[e]`` — how many partitions hyperedge ``e`` spans (the
   λ connectivity of the multilevel-partitioning literature), kept as a
   dense array so no gain query scans the ``k`` per-edge counts to
@@ -39,9 +42,18 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import PartitionError
+from .dtypes import index_dtype
 from .hypergraph import Hypergraph
 
 __all__ = ["PartitionState"]
+
+#: (edge, block) cells per ``bincount`` in :meth:`PartitionState.recompute`:
+#: its int64 transient stays at 128 KB, glibc's default mmap threshold.
+#: Freeing a larger block raises that threshold, after which the heap
+#: keeps more of the later allocations (at 2^16 edges per chunk the
+#: ``hier_93k`` peak RSS read 0.8 MB higher), and the small chunks are
+#: no slower
+_RECOMPUTE_CELLS = 1 << 14
 
 #: what :meth:`PartitionState.snapshot` hands to :meth:`~PartitionState.restore`
 _Snapshot = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]
@@ -93,17 +105,29 @@ class PartitionState:
     def recompute(self) -> None:
         """Rebuild all derived quantities from ``self.part``.
 
-        Vectorized over the CSR incidence arrays: one ``np.add.at``
-        scatter over the pins builds ``edge_part_count``, one reduction
-        derives λ.  O(pins + edges·k), no Python-level loop; used after
-        bulk reassignment and by tests to validate the incremental path.
+        Vectorized over the CSR incidence arrays: ``edge_part_count`` is
+        a ``bincount`` of ``edge·k + block`` over the pins, one chunk of
+        :data:`_RECOMPUTE_CELLS` counts at a time, and one reduction
+        derives λ.  O(pins + edges·k), no Python loop per edge; used
+        after bulk reassignment and by tests to validate the incremental
+        path.
         """
         hg = self.hg
-        self.part_weight = np.zeros(self.k, dtype=np.int64)
+        k = self.k
+        self.part_weight = np.zeros(k, dtype=np.int64)
         np.add.at(self.part_weight, self.part, hg.vertex_weight)
-        counts = np.zeros((hg.num_edges, self.k), dtype=np.int64)
-        if hg.num_pins:
-            np.add.at(counts, (hg.pin_edges, self.part[hg.pin_vertices]), 1)
+        ptr = hg._edge_ptr
+        sizes = np.diff(ptr)
+        m = hg.num_edges
+        counts = np.empty(
+            (m, k), dtype=index_dtype(int(sizes.max()) if m else 0))
+        chunk = max(1, _RECOMPUTE_CELLS // k)
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            key = np.repeat(np.arange(0, (hi - lo) * k, k), sizes[lo:hi])
+            key += self.part[hg.pin_vertices[ptr[lo]:ptr[hi]]]
+            counts[lo:hi] = np.bincount(
+                key, minlength=(hi - lo) * k).reshape(hi - lo, k)
         self.edge_part_count = counts
         self.edge_lambda = np.count_nonzero(counts, axis=1).astype(np.int64)
         cut_mask = self.edge_lambda > 1
@@ -380,8 +404,10 @@ class PartitionState:
 
         ``vertices`` must be distinct; ``to_parts[i]`` is the target of
         ``vertices[i]`` (entries already in their target are skipped).
-        The per-edge partition counts are updated with two scatter-adds
-        over the batch's gathered incidence slices, λ is re-derived only
+        The per-edge partition counts are updated by two ``bincount``
+        calls over the batch's incidences, keyed by touched-edge rank and
+        block (a ``ufunc.at`` into the int32 counts is several times
+        slower than into int64), λ is re-derived only
         on the touched edges, and cut/connectivity/part weights follow
         from the λ transitions — O(batch pins + touched·k) total,
         independent of how many untouched edges the hypergraph has.
@@ -424,13 +450,17 @@ class PartitionState:
             empty = np.empty(0, dtype=np.int64)
             return 0, empty, empty.copy(), np.empty(0, dtype=bool)
         hg = self.hg
+        k = self.k
         edges, deg = hg.vertices_edges(vertices)
         counts = self.edge_part_count
-        touched = np.unique(edges)
+        touched, rank = np.unique(edges, return_inverse=True)
         before = counts[touched]
-        np.subtract.at(counts, (edges, np.repeat(frm, deg)), 1)
-        np.add.at(counts, (edges, np.repeat(to_arr, deg)), 1)
-        after = counts[touched]
+        rank *= k
+        size = len(touched) * k
+        delta = np.bincount(rank + np.repeat(to_arr, deg), minlength=size)
+        delta -= np.bincount(rank + np.repeat(frm, deg), minlength=size)
+        after = before + delta.reshape(len(touched), k)
+        counts[touched] = after
         old_lam = self.edge_lambda[touched]
         new_lam = np.count_nonzero(after, axis=1).astype(np.int64)
         self.edge_lambda[touched] = new_lam

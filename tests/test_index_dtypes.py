@@ -3,9 +3,10 @@
 One helper (:mod:`repro.hypergraph.dtypes`) decides index widths for
 the whole repo; construction paths may run int32, the frozen substrate
 (:class:`Hypergraph`, :class:`PartitionState`, :class:`CompiledCircuit`,
-:class:`NetlistCSR`) is int64-only.  Allocating 2^31 real ids is not an
-option in a test, so the boundary itself is exercised with synthetic
-``max_id`` values and the overflow guards with mocked bounds.
+:class:`NetlistCSR`) is int64-only, except ``edge_part_count``, whose
+counts are bounded by the largest net's pins.  Allocating 2^31 real ids
+is not an option in a test, so the boundary itself is exercised with
+synthetic ``max_id`` values and the overflow guards with mocked bounds.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 
 import repro.circuits.stream as stream_mod
+import repro.hypergraph.dtypes as dtypes_mod
+import repro.hypergraph.partition_state as state_mod
 from repro.circuits.noc import NocConfig, noc_stream
 from repro.circuits.stream import StreamBuilder
 from repro.errors import ConfigError
-from repro.hypergraph import INT32_MAX, index_dtype, require_int64
+from repro.hypergraph import Hypergraph, INT32_MAX, index_dtype, require_int64
 from repro.hypergraph.build import flat_hypergraph
 from repro.hypergraph.partition_state import PartitionState
 from repro.sim.compiled import compile_circuit
@@ -91,10 +94,42 @@ class TestFrozenSubstrateIsInt64:
         state = PartitionState(hg, 3)
         assert state.part.dtype == np.int64
         assert state.edge_lambda.dtype == np.int64
-        assert state.edge_part_count.dtype == np.int64
         assert state.part_weight.dtype == np.int64
         assert hg._edge_ptr.dtype == np.int64
         assert hg._edge_pins.dtype == np.int64
+        # a count never exceeds the pins of one net
+        widest = int(np.diff(hg._edge_ptr).max())
+        assert state.edge_part_count.dtype == index_dtype(widest) == np.int32
+
+    def test_counts_widen_past_the_int32_boundary(self, monkeypatch):
+        """A net wider than the (mocked) int32 range gets int64 counts,
+        and nothing the state reports depends on the width."""
+        hg = flat_hypergraph(noc_stream(_NOC))
+        rng = np.random.default_rng(31)
+        assign = rng.integers(0, 3, hg.num_vertices)
+        narrow = PartitionState(hg, 3, assign)
+        monkeypatch.setattr(dtypes_mod, "INT32_MAX", 2)
+        wide = PartitionState(hg, 3, assign)
+        assert int(np.diff(hg._edge_ptr).max()) > 2
+        assert narrow.edge_part_count.dtype == np.int32
+        assert wide.edge_part_count.dtype == np.int64
+        targets = np.arange(3)
+        for _ in range(4):
+            assert (wide.cut_size, wide.connectivity) == (
+                narrow.cut_size, narrow.connectivity)
+            np.testing.assert_array_equal(wide.edge_lambda,
+                                          narrow.edge_lambda)
+            np.testing.assert_array_equal(wide.edge_part_count,
+                                          narrow.edge_part_count)
+            verts = np.arange(hg.num_vertices)
+            for got, want in zip(wide.move_gains_matrix(verts, targets),
+                                 narrow.move_gains_matrix(verts, targets)):
+                np.testing.assert_array_equal(got, want)
+            batch = rng.choice(hg.num_vertices, 40, replace=False)
+            to = rng.integers(0, 3, 40)
+            assert wide.move_batch(batch, to)[0] == \
+                narrow.move_batch(batch, to)[0]
+        assert wide.edge_part_count.dtype == np.int64
 
     def test_compiled_circuit_arrays(self):
         cc = compile_circuit(noc_stream(_NOC))
@@ -117,3 +152,67 @@ class TestFrozenSubstrateIsInt64:
         assert gains.dtype == np.int64
         assert matrix.dtype == np.int64
         assert soed.dtype == np.int64
+
+
+def _add_at_counts(hg: Hypergraph, part: np.ndarray, k: int) -> np.ndarray:
+    """The pre-bincount construction: one int64 ``np.add.at`` over the
+    pins."""
+    counts = np.zeros((hg.num_edges, k), dtype=np.int64)
+    np.add.at(counts, (hg.pin_edges, part[hg.pin_vertices]), 1)
+    return counts
+
+
+def _oracle_hypergraph(rng, k: int) -> Hypergraph:
+    """Random hypergraph with zero-pin nets, one-pin nets and one net on
+    every vertex (it spans every block of the assignments below)."""
+    n = int(rng.integers(k, k + 40))
+    sizes = rng.choice([0, 0, 1, 2, 3, 5, 8], int(rng.integers(1, 60)))
+    edges = [np.sort(rng.choice(n, min(int(s), n), replace=False))
+             for s in sizes]
+    edges.append(np.arange(n))
+    ptr = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in edges], out=ptr[1:])
+    return Hypergraph.from_csr(
+        rng.integers(1, 5, n), rng.integers(1, 4, len(edges)), ptr,
+        np.concatenate(edges).astype(np.int64))
+
+
+class TestEdgePartCountOracle:
+    """``recompute``'s chunked bincount and ``move_batch``'s rank-keyed
+    bincounts against the ``np.add.at`` construction they replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_recompute_and_move_batches(self, k, monkeypatch):
+        monkeypatch.setattr(state_mod, "_RECOMPUTE_CELLS", 4)
+        rng = np.random.default_rng(100 + k)
+        zero_pin = 0
+        for _ in range(40):
+            hg = _oracle_hypergraph(rng, k)
+            n = hg.num_vertices
+            part = rng.integers(0, k, n)
+            part[:k] = np.arange(k)  # the all-vertex net spans every block
+            state = PartitionState(hg, k, part)
+            zero_pin += bool((np.diff(hg._edge_ptr) == 0).any())
+            np.testing.assert_array_equal(
+                state.edge_part_count, _add_at_counts(hg, part, k))
+            assert state.edge_lambda[-1] == k
+            oracle = state.edge_part_count.astype(np.int64)
+            for _ in range(6):
+                size = int(rng.integers(1, n + 1))
+                verts = rng.choice(n, size, replace=False)
+                to = rng.integers(0, k, size)
+                frm = state.part[verts]
+                edges, deg = hg.vertices_edges(verts)
+                np.subtract.at(oracle, (edges, np.repeat(frm, deg)), 1)
+                np.add.at(oracle, (edges, np.repeat(to, deg)), 1)
+                state.move_batch(verts, to)
+                np.testing.assert_array_equal(state.edge_part_count, oracle)
+                np.testing.assert_array_equal(
+                    oracle, _add_at_counts(hg, state.part, k))
+                np.testing.assert_array_equal(
+                    state.edge_lambda, np.count_nonzero(oracle, axis=1))
+                fresh = PartitionState(hg, k, state.part)
+                assert (state.cut_size, state.connectivity) == (
+                    fresh.cut_size, fresh.connectivity)
+            assert state.edge_part_count.dtype == np.int32
+        assert zero_pin > 20

@@ -6,14 +6,17 @@ the randomized projection oracle (the projected assignment's cut equals
 a from-scratch recount at every level), and the CLI / presim plumbing.
 """
 
+import gc
 import hashlib
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.circuits import circuit_source, load_circuit, random_vectors
+import repro.core.multilevel as multilevel_mod
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
@@ -114,6 +117,29 @@ class TestCoarsening:
         with pytest.raises(PartitionError):
             project_hypergraph(hg, np.zeros(3, dtype=np.int64))
 
+    def test_cluster_weights_are_exact_above_2_53(self):
+        """Cluster weights are integer sums at any magnitude: two
+        vertices of weight 2^53 + 1 make a cluster of 2^54 + 2, which a
+        float sum rounds to 2^54."""
+        big = 2**53 + 1
+        hg = Hypergraph.from_edges([big, big, 3], [[0, 1], [1, 2]])
+        coarse = project_hypergraph(hg, np.array([0, 0, 1]))
+        assert coarse.vertex_weight.tolist() == [2 * big, 3]
+        assert coarse.total_weight == hg.total_weight
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            weights = rng.integers(1, 2**57, n).tolist()
+            hg = Hypergraph.from_edges(
+                weights, [rng.integers(0, n, 3).tolist() for _ in range(n)])
+            mapping = rng.integers(0, n // 2 + 1, n)
+            _, mapping = np.unique(mapping, return_inverse=True)
+            want = [0] * (int(mapping.max()) + 1)
+            for w, c in zip(weights, mapping.tolist()):
+                want[c] += w
+            assert project_hypergraph(
+                hg, mapping).vertex_weight.tolist() == want
+
 
 class TestMultilevelKway:
     @pytest.mark.parametrize("k,b", [(2, 10.0), (4, 10.0), (3, 5.0)])
@@ -182,6 +208,40 @@ class TestMultilevelKway:
             # every merge is an admitted join
             assert fine - coarse == proposed - conflict - cap
             assert 1 <= sub_rounds
+
+    @pytest.mark.parametrize("refiner", ["fm", "batch"])
+    def test_uncoarsening_releases_coarse_levels(self, hg, refiner,
+                                                 monkeypatch):
+        """When the finest level is refined, no coarser hypergraph is
+        still alive: uncoarsening keeps only the level it refines and
+        the mappings above it."""
+        plain = multilevel_kway_partition(hg, 4, 10.0, seed=1,
+                                          refiner=refiner)
+        coarse: list[weakref.ref] = []
+        project = multilevel_mod.project_hypergraph
+
+        def tracked(fine, mapping):
+            graph = project(fine, mapping)
+            coarse.append(weakref.ref(graph))
+            return graph
+
+        alive_at_finest: list[int] = []
+        refine = multilevel_mod._refine_level
+
+        def spy(state, *args):
+            if state.hg is hg:
+                gc.collect()
+                alive_at_finest.append(
+                    sum(ref() is not None for ref in coarse))
+            return refine(state, *args)
+
+        monkeypatch.setattr(multilevel_mod, "project_hypergraph", tracked)
+        monkeypatch.setattr(multilevel_mod, "_refine_level", spy)
+        r = multilevel_kway_partition(hg, 4, 10.0, seed=1, refiner=refiner)
+        assert len(coarse) >= r.levels > 0
+        assert alive_at_finest == [0]
+        assert (r.levels, r.level_joins) == (plain.levels, plain.level_joins)
+        assert np.array_equal(r.assignment, plain.assignment)
 
     def test_validation(self, hg):
         with pytest.raises(PartitionError):

@@ -20,7 +20,12 @@ kernel's per-target product reaches), and the host milliseconds in
 ``PartitionState.move_gains_matrix`` and in the kicks
 (``repro.core.batch_refine._kick``, the re-scoring it triggers
 excluded) — all taken from a second run with those kernels wrapped, so
-the cProfile numbers stay unwrapped), and — where FM ran — how many
+the cProfile numbers stay unwrapped; that run also traces allocations
+with :mod:`tracemalloc` and ends each level line with the MB live
+before the level's refine and the peak MB during it, counted from the
+run's start, so the input hypergraph is not in them — the tracing
+slows allocation-heavy kernels, so the gain kernel's and the kicks'
+host ms read higher than untraced), and — where FM ran — how many
 moves its passes tried on their working sets against how many the best
 prefixes committed to the state, and how many passes the locked-cut
 bound ended, or — where the batch refiner ran — how many vertices it
@@ -48,6 +53,7 @@ import importlib
 import pstats
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -96,19 +102,23 @@ def _mid_lambda_vertices(state: PartitionState, vertices: np.ndarray) -> int:
 
 def _wrapped_run(run):
     """One more run with :data:`LEVEL_KERNELS` and
-    :data:`REFINE_KERNELS` wrapped.  Returns ``(calls, by_size,
-    boundary)``: host milliseconds per call of each coarsening kernel,
-    finest level first (a last call past the hierarchy's levels is the
-    one the stall guard rejected); host milliseconds of each refinement
-    kernel summed per hypergraph vertex count; and per vertex count the
-    boundary that the first :meth:`BoundaryGains.refresh` scored, with
-    how many of its vertices lie on a 1 < λ < k net."""
+    :data:`REFINE_KERNELS` wrapped, under :mod:`tracemalloc`.  Returns
+    ``(calls, by_size, boundary, memory)``: host milliseconds per call
+    of each coarsening kernel, finest level first (a last call past the
+    hierarchy's levels is the one the stall guard rejected); host
+    milliseconds of each refinement kernel summed per hypergraph vertex
+    count; per vertex count the boundary that the first
+    :meth:`BoundaryGains.refresh` scored, with how many of its vertices
+    lie on a 1 < λ < k net; and per vertex count the traced MB live
+    when its first ``_refine_level`` began and the highest traced MB
+    during any of its refines."""
     calls: dict[str, list[float]] = {name: [] for name in LEVEL_KERNELS}
     by_size: dict[str, dict[int, float]] = {
         name: defaultdict(float) for _, name, _ in REFINE_KERNELS}
     boundary: dict[int, tuple[int, int]] = {}
+    memory: dict[int, tuple[float, float]] = {}
     saved = [(multilevel_mod, name, getattr(multilevel_mod, name))
-             for name in LEVEL_KERNELS]
+             for name in LEVEL_KERNELS + ("_refine_level",)]
     saved += [(owner, name, getattr(owner, name))
               for owner, name, _ in REFINE_KERNELS]
     saved.append((BoundaryGains, "refresh", BoundaryGains.refresh))
@@ -139,18 +149,33 @@ def _wrapped_run(run):
             return inner(self, vertices)
         return call
 
+    def traced(inner):
+        def call(state, *args):
+            live = tracemalloc.get_traced_memory()[0] / 2**20
+            tracemalloc.reset_peak()
+            result = inner(state, *args)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+            n = state.hg.num_vertices
+            first_live, top = memory.get(n, (live, 0.0))
+            memory[n] = (first_live, max(top, peak))
+            return result
+        return call
+
     for name in LEVEL_KERNELS:
         setattr(multilevel_mod, name,
                 per_call(name, getattr(multilevel_mod, name)))
     for owner, name, graph in REFINE_KERNELS:
         setattr(owner, name, per_size(name, getattr(owner, name), graph))
     BoundaryGains.refresh = first_scoring(BoundaryGains.refresh)
+    multilevel_mod._refine_level = traced(multilevel_mod._refine_level)
+    tracemalloc.start()
     try:
         run()
     finally:
+        tracemalloc.stop()
         for owner, name, func in saved:
             setattr(owner, name, func)
-    return calls, by_size, boundary
+    return calls, by_size, boundary, memory
 
 
 def _refine_line(n: int, by_size, boundary) -> str:
@@ -234,15 +259,17 @@ def main(argv: list[str] | None = None) -> int:
 
     print(summary)
     if args.algorithm == "multilevel":
-        calls, by_size, boundary = _wrapped_run(run)
+        calls, by_size, boundary, memory = _wrapped_run(run)
         cluster_ms, project_ms = (calls[name] for name in LEVEL_KERNELS)
         for i, (fine, coarse, sub_rounds, proposed, conflict, cap) in \
                 enumerate(result.level_joins):
+            live, peak = memory[fine]
             print(f"level {i:2d}: {fine:8d} -> {coarse:8d} clusters, "
                   f"{sub_rounds} sub-rounds, {proposed} joins proposed, "
                   f"{conflict} dropped by conflict, {cap} by the cap; "
                   f"host ms: clustering {cluster_ms[i]:.1f}, "
-                  f"projection {project_ms[i]:.1f}")
+                  f"projection {project_ms[i]:.1f}; traced MB: "
+                  f"{live:.1f} live before refine, {peak:.1f} peak during")
             if line := _refine_line(fine, by_size, boundary):
                 print(f"          {line}")
         if len(cluster_ms) > result.levels:
