@@ -74,9 +74,8 @@ def emit(
     quarantined channel ``strip_volatile`` removes before comparison —
     never in ``counters`` or ``rows``.
 
-    A ``recorder`` (``MetricsRecorder`` or span-capable
-    ``SpanRecorder``) folds its counters/maxima/phase calls into the
-    document's deterministic counters; a span recorder additionally
+    A ``recorder`` (``MetricsRecorder``) folds its counters/maxima/
+    phase calls into the document's deterministic counters and
     contributes the volatile ``spans`` timeline, which ``repro obs
     timeline BENCH_<name>.json`` exports for Perfetto.  Its host phase
     walls merge into ``host_timings`` (explicit keys win).

@@ -14,7 +14,7 @@ without writing Python:
 * ``obs`` — trace analysis & regression gates: ``report`` / ``diff`` /
   ``hotspots`` / ``timeline`` over ``--trace`` / ``--metrics`` artifacts
 
-``--metrics`` runs record under a span-capable recorder, so their
+``--metrics`` runs record every phase as a span, so their
 documents carry a ``spans`` timeline (one lane per worker process) that
 ``obs timeline`` exports as Chrome-trace JSON for Perfetto; add
 ``--sample-resources`` to quarantine peak RSS / CPU readings in the
@@ -246,11 +246,11 @@ def _load(args, needs_names_for: str | None = None) -> "object":
 
 
 def _recorder_for(args):
-    """A span-capable recorder when the verb was asked for a metrics
+    """A recording recorder when the verb was asked for a metrics
     document, the shared no-op otherwise."""
-    from .obs import NULL_RECORDER, SpanRecorder
+    from .obs import NULL_RECORDER, MetricsRecorder
 
-    return SpanRecorder() if args.metrics is not None else NULL_RECORDER
+    return MetricsRecorder() if args.metrics is not None else NULL_RECORDER
 
 
 @contextmanager

@@ -55,10 +55,11 @@ __all__ = [
 class PresimPoint:
     """One evaluated (k, b) combination.
 
-    ``telemetry`` is the point's mini-recorder export (see
-    :func:`repro.obs.spans.export_telemetry`) when the search ran with
-    a recorder; the searches merge it into the driver's recorder only
-    for points they actually *consume*, so the merged document is
+    ``telemetry`` is the point's mini-recorder export — counters,
+    maxima and spans (see :func:`repro.obs.spans.export_telemetry`) —
+    when the search ran with a recorder; the searches merge it into
+    the driver's recorder only for points they actually *consume*, so
+    the merged document is
     identical whether speculative parallel evaluation happened or not.
     """
 

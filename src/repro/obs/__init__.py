@@ -2,9 +2,11 @@
 
 One subsystem owns every measurement concern of the reproduction:
 
-* :mod:`repro.obs.recorder` — counters, maxima and phase timers behind
-  a :class:`Recorder` interface; :data:`NULL_RECORDER` makes all
-  instrumentation zero-cost when off.
+* :mod:`repro.obs.recorder` — counters, maxima and phases behind a
+  :class:`Recorder` interface; :data:`NULL_RECORDER` makes all
+  instrumentation zero-cost when off.  :class:`MetricsRecorder`, the
+  one recording class, keeps every phase as a :class:`Span` and
+  derives the flat per-phase totals from the closed spans.
 * :mod:`repro.obs.trace` — a bounded, deterministic event ring buffer
   (:class:`TraceBuffer`) the Time Warp kernel can dump as JSONL to
   debug rollback cascades.
@@ -23,9 +25,9 @@ One subsystem owns every measurement concern of the reproduction:
   the CI regression gate (thresholds per registry name).
 * :mod:`repro.obs.progress` — :class:`ProgressHeartbeat`, the
   throttled live status line for long Time Warp runs (off by default).
-* :mod:`repro.obs.spans` — hierarchical span trees over the phase API
-  (:class:`SpanRecorder`) and the worker-telemetry export/merge
-  protocol that keeps parallel runs byte-identical to serial ones.
+* :mod:`repro.obs.spans` — the worker-telemetry export/merge protocol
+  that keeps parallel runs byte-identical to serial ones, and the
+  span-tree invariants (:func:`validate_spans`).
 * :mod:`repro.obs.timeline` — Chrome-trace/Perfetto export of a
   document's span tree (``repro obs timeline``), one track per lane.
 * :mod:`repro.obs.sampler` — :class:`ResourceSampler`, a background
@@ -54,7 +56,6 @@ Quickstart::
 
 from .recorder import (
     Recorder,
-    NullRecorder,
     MetricsRecorder,
     PhaseStats,
     NULL_RECORDER,
@@ -83,7 +84,6 @@ from .registry import (
 )
 from .spans import (
     Span,
-    SpanRecorder,
     worker_lane,
     worker_telemetry,
     export_telemetry,
@@ -95,7 +95,6 @@ from .timeline import chrome_trace, write_chrome_trace
 from .sampler import ResourceSampler
 from .analyze import (
     GVT_DONE,
-    REFERENCED_METRICS,
     Cascade,
     GvtProgress,
     Hotspot,
@@ -122,9 +121,12 @@ from .diffing import (
 )
 from .progress import ProgressHeartbeat
 
+#: former name of :class:`MetricsRecorder`, kept for the pipeline
+#: benchmark runner (``benchmarks/pipeline/run.py``), which imports it
+SpanRecorder = MetricsRecorder
+
 __all__ = [
     "Recorder",
-    "NullRecorder",
     "MetricsRecorder",
     "PhaseStats",
     "NULL_RECORDER",
@@ -162,7 +164,6 @@ __all__ = [
     "ResourceSampler",
     # analysis
     "GVT_DONE",
-    "REFERENCED_METRICS",
     "TraceError",
     "load_trace",
     "parse_trace",

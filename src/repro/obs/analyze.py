@@ -9,10 +9,7 @@ predicted, and did GVT actually make progress.
 All analyzers are pure functions over a list of trace-event dicts (one
 per JSONL line, as parsed by :func:`load_trace` / :func:`parse_trace`)
 and return frozen dataclasses, so analysing the same trace twice gives
-identical — and, downstream, byte-identical — results.  Every metric
-name an analyzer cross-references is listed in
-:data:`REFERENCED_METRICS` and must exist in
-:mod:`repro.obs.registry` (enforced by the test suite).
+identical — and, downstream, byte-identical — results.
 
 Cascade reconstruction exploits two kernel invariants
 (``repro.sim.timewarp``):
@@ -55,29 +52,11 @@ __all__ = [
     "StallInterval",
     "GvtProgress",
     "gvt_progress",
-    "REFERENCED_METRICS",
     "GVT_DONE",
 ]
 
 #: the kernel's "everything committed" GVT sentinel (see ``_gvt_round``)
 GVT_DONE = 1 << 62
-
-#: registry metric names the analyzers and reports cross-reference;
-#: the test suite asserts each is registered (no docs/analyzer drift)
-REFERENCED_METRICS = (
-    "obs.trace.dropped",
-    "part.cut_size",
-    "tw.anti_messages_sent",
-    "tw.committed_events",
-    "tw.gvt_rounds",
-    "tw.messages_sent",
-    "tw.processed_events",
-    "tw.rollbacks",
-    "tw.rolled_back_events",
-    "tw.speedup",
-    "tw.straggler_depth.max",
-    "tw.wall_time",
-)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from pathlib import Path
 
 from ..errors import MetricsError
 from .recorder import MetricsRecorder
+from .spans import span_depths
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
@@ -103,10 +104,12 @@ def metrics_document(
         A :class:`~repro.obs.recorder.MetricsRecorder` whose counters,
         maxima and phase call counts are folded into ``counters`` (and,
         when ``include_host_timings``, its host wall times into
-        ``host_timings``).  A span-capable recorder
-        (:class:`~repro.obs.spans.SpanRecorder`) additionally
-        contributes its completed span tree as the volatile ``spans``
-        field — the :mod:`repro.obs.timeline` exporter's input.
+        ``host_timings``).  Its completed span tree becomes the
+        volatile ``spans`` field — the :mod:`repro.obs.timeline`
+        exporter's input — and, when it is non-empty, the structural
+        counters ``obs.span.count`` (embedded spans) and
+        ``obs.span.depth.max`` (deepest nesting), both functions of
+        control flow only, identical at any worker count.
     generated_at:
         Timestamp string stamped by the caller *outside* the
         deterministic core; ``None`` omits wall-clock provenance.
@@ -115,8 +118,13 @@ def metrics_document(
     :func:`write_metrics`).
     """
     merged: dict[str, int | float] = {}
+    spans: list[dict] = []
     if recorder is not None:
         merged.update(recorder.as_counters())
+        spans = recorder.span_rows()
+    if spans:
+        merged["obs.span.count"] = len(spans)
+        merged["obs.span.depth.max"] = max(span_depths(spans).values())
     if counters:
         merged.update(counters)
     doc: dict = {
@@ -133,11 +141,8 @@ def metrics_document(
         doc["series"] = {k: list(v) for k, v in sorted(series.items())}
     if include_host_timings and recorder is not None:
         doc["host_timings"] = recorder.host_timings()
-    span_rows = getattr(recorder, "span_rows", None)
-    if span_rows is not None:
-        spans = span_rows()
-        if spans:
-            doc["spans"] = spans
+    if spans:
+        doc["spans"] = spans
     validate_metrics(doc)
     return doc
 

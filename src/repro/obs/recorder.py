@@ -5,7 +5,10 @@ harness) talks to a :class:`Recorder` and never decides *whether*
 anything is recorded — that choice belongs to the caller, who passes
 either the shared :data:`NULL_RECORDER` (every method is a ``pass``;
 instrumentation costs one attribute call) or a :class:`MetricsRecorder`
-that accumulates counters, maxima and phase statistics for export via
+that accumulates counters and maxima and keeps every phase as a
+:class:`Span` — the one store of phase data: flat per-phase totals
+(:attr:`MetricsRecorder.phases`) are derived from the closed spans, so
+they cannot disagree with the tree.  Export goes through
 :mod:`repro.obs.metrics`.
 
 Determinism contract
@@ -13,9 +16,10 @@ Determinism contract
 Counters, maxima and phase *call counts* may only be fed modeled or
 structural quantities (event counts, cut sizes, modeled seconds), so
 two runs with identical inputs produce identical values — the property
-the determinism tests pin.  Host wall-clock durations are quarantined
-in a separate ``host_seconds`` channel that the canonical JSON dump
-excludes by default (see :func:`repro.obs.metrics.metrics_document`).
+the determinism tests pin.  Span timestamps and the phase durations
+derived from them are host wall clock, quarantined in the volatile
+``spans`` / ``host_timings`` channels that the canonical JSON dump
+excludes (see :func:`repro.obs.metrics.metrics_document`).
 
 Metric names are dotted lowercase paths (``tw.rollbacks``,
 ``part.fm.moves``); the well-known ones are listed in
@@ -26,15 +30,15 @@ Metric names are dotted lowercase paths (``tw.rollbacks``,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Recorder", "NullRecorder", "MetricsRecorder", "PhaseStats",
+__all__ = ["Recorder", "MetricsRecorder", "PhaseStats", "Span",
            "NULL_RECORDER"]
 
 
 @dataclass
 class PhaseStats:
-    """Accumulated statistics of one named phase.
+    """Totals of one named phase, derived from its closed spans.
 
     ``calls`` is deterministic (it counts phase entries); ``host_seconds``
     is host wall time and therefore excluded from deterministic dumps.
@@ -44,17 +48,42 @@ class PhaseStats:
     host_seconds: float = 0.0
 
 
+@dataclass
+class Span:
+    """One bracketed interval of the span tree.
+
+    ``sid`` is the open-order index (list position in the recorder),
+    ``parent`` the sid of the enclosing span (``None`` for roots),
+    ``lane`` the process lane that executed it (``"main"`` for the
+    driver, ``"worker-N"`` for pool processes), and ``t0``/``t1`` are
+    host wall-clock seconds (``t1`` is ``None`` while the span is
+    open).
+    """
+
+    sid: int
+    parent: int | None
+    name: str
+    lane: str
+    t0: float
+    t1: float | None = None
+
+    def to_row(self) -> dict:
+        """The metrics-document ``spans`` entry (scalar dict)."""
+        return {"sid": self.sid, "parent": self.parent, "name": self.name,
+                "lane": self.lane, "t0": self.t0, "t1": self.t1}
+
+
 class Recorder:
     """Base interface; every method is a no-op.
 
-    Subclasses override what they care about.  The interface is
-    deliberately tiny — three verbs cover the whole codebase:
+    The interface is deliberately tiny — three verbs cover the whole
+    codebase, plus one for host-dependent values:
 
     * :meth:`incr` — add to a monotone counter;
     * :meth:`observe_max` — track the maximum of a quantity;
     * :meth:`phase` — context manager bracketing one named phase
-      (counts entries; a :class:`MetricsRecorder` also accumulates
-      host wall time for profiling, outside the deterministic core).
+      (a :class:`MetricsRecorder` opens a :class:`Span` for it);
+    * :meth:`record_host` — one quarantined host value (RSS, CPU).
     """
 
     __slots__ = ()
@@ -73,6 +102,9 @@ class Recorder:
         """Context manager entering phase ``name``."""
         return _NULL_PHASE
 
+    def record_host(self, name: str, value: float) -> None:
+        """Record one host-dependent value under ``name``."""
+
 
 class _PhaseContext:
     """Null phase context (shared singleton)."""
@@ -88,67 +120,79 @@ class _PhaseContext:
 
 _NULL_PHASE = _PhaseContext()
 
-
-class NullRecorder(Recorder):
-    """The zero-cost-when-off recorder: every method inherited, all no-ops.
-
-    Use the module-level :data:`NULL_RECORDER` singleton rather than
-    constructing new instances.
-    """
-
-    __slots__ = ()
-
-
 #: Shared no-op recorder — the default for every instrumented function.
-NULL_RECORDER = NullRecorder()
+NULL_RECORDER = Recorder()
 
 
-class _TimedPhase:
-    __slots__ = ("_recorder", "_name", "_t0")
+class _Phase:
+    """Phase context: opens a span on entry, closes it on exit."""
+
+    __slots__ = ("_recorder", "_name", "_span")
 
     def __init__(self, recorder: "MetricsRecorder", name: str) -> None:
         self._recorder = recorder
         self._name = name
-        self._t0 = 0.0
+        self._span: Span | None = None
 
     def __enter__(self):
-        self._t0 = self._recorder._clock()
+        rec = self._recorder
+        stack = rec._stack
+        self._span = span = Span(
+            sid=len(rec.spans), parent=stack[-1].sid if stack else None,
+            name=self._name, lane=rec.lane, t0=rec._clock())
+        rec.spans.append(span)
+        stack.append(span)
         return self
 
     def __exit__(self, *exc):
-        dt = self._recorder._clock() - self._t0
-        stats = self._recorder.phases.setdefault(self._name, PhaseStats())
-        stats.calls += 1
-        stats.host_seconds += dt
+        rec, span = self._recorder, self._span
+        span.t1 = rec._clock()
+        if rec._stack and rec._stack[-1] is span:
+            rec._stack.pop()
+        else:  # pragma: no cover - phases are context managers, so
+            # mismatched exits only happen on generator abuse
+            rec._stack = [s for s in rec._stack if s is not span]
         return False
 
 
 class MetricsRecorder(Recorder):
     """Accumulating recorder backing the metrics JSON export.
 
+    Every :meth:`phase` opens a :class:`Span` whose parent is the
+    innermost open span, so nested ``recorder.phase()`` calls become
+    parent links; :attr:`phases` derives the flat per-name totals from
+    the closed spans.
+
     Parameters
     ----------
     clock:
-        Callable returning seconds, used only for the non-deterministic
-        ``host_seconds`` of phases; defaults to
-        :func:`time.perf_counter`.  Tests inject a fake clock.
+        Seconds source for span timestamps.  Defaults to
+        :func:`time.time` — an epoch clock shared by every process on
+        the host, so driver and worker spans land on one comparable
+        timeline.  Tests inject a fake clock for exact trees.
+    lane:
+        This recorder's lane label; the driver uses ``"main"``, pool
+        tasks use :func:`repro.obs.spans.worker_lane`.
     """
 
-    __slots__ = ("counters", "maxima", "phases", "host_values", "_clock")
+    __slots__ = ("counters", "maxima", "host_values", "spans", "lane",
+                 "_stack", "_clock")
 
     enabled = True
 
-    def __init__(self, clock=time.perf_counter) -> None:
+    def __init__(self, clock=time.time, lane: str = "main") -> None:
         #: monotone counters, name -> value
         self.counters: dict[str, int | float] = {}
         #: running maxima, name -> value
         self.maxima: dict[str, int | float] = {}
-        #: phase statistics, name -> PhaseStats
-        self.phases: dict[str, PhaseStats] = {}
         #: free-form host-dependent values (resource-sampler output,
         #: worker wall seconds) — quarantined with phase host seconds
         #: in the ``host_timings`` channel, never in counters
         self.host_values: dict[str, float] = {}
+        #: every span ever opened, in open order (sid == list index)
+        self.spans: list[Span] = []
+        self.lane = lane
+        self._stack: list[Span] = []
         self._clock = clock
 
     def incr(self, name: str, value: int | float = 1) -> None:
@@ -159,8 +203,8 @@ class MetricsRecorder(Recorder):
         if cur is None or value > cur:
             self.maxima[name] = value
 
-    def phase(self, name: str) -> _TimedPhase:
-        return _TimedPhase(self, name)
+    def phase(self, name: str) -> _Phase:
+        return _Phase(self, name)
 
     def record_host(self, name: str, value: float) -> None:
         """Record one host-dependent value (RSS, CPU seconds, worker
@@ -169,15 +213,50 @@ class MetricsRecorder(Recorder):
         never part of the deterministic counter view."""
         self.host_values[name] = float(value)
 
-    def absorb_phase(self, name: str, calls: int, host_seconds: float) -> None:
-        """Fold externally-accumulated phase statistics (a worker
-        mini-recorder's) into this recorder — the merge primitive
-        :func:`repro.obs.spans.merge_telemetry` uses."""
-        stats = self.phases.setdefault(name, PhaseStats())
-        stats.calls += calls
-        stats.host_seconds += host_seconds
+    @property
+    def phases(self) -> dict[str, PhaseStats]:
+        """Per-name totals of the closed spans: entry count and summed
+        wall seconds (``t1 - t0``)."""
+        out: dict[str, PhaseStats] = {}
+        for span in self.spans:
+            if span.t1 is not None:
+                stats = out.setdefault(span.name, PhaseStats())
+                stats.calls += 1
+                stats.host_seconds += span.t1 - span.t0
+        return out
+
+    def adopt_spans(self, rows: list[dict]) -> None:
+        """Graft exported span rows (a worker payload's) into this
+        tree: ids are re-based to fresh sids in row order and worker
+        roots become children of the innermost open span, so the merged
+        tree has no orphans.  Caller guarantees deterministic call
+        order (task-index order)."""
+        attach = self._stack[-1].sid if self._stack else None
+        remap: dict[int, int] = {}
+        for row in rows:
+            parent = row["parent"]
+            span = Span(
+                sid=len(self.spans),
+                parent=remap[parent] if parent is not None else attach,
+                name=row["name"], lane=row["lane"], t0=row["t0"],
+                t1=row["t1"])
+            self.spans.append(span)
+            remap[row["sid"]] = span.sid
 
     # -- export -----------------------------------------------------------
+
+    def span_rows(self) -> list[dict]:
+        """Spans that are closed and whose every ancestor is closed, as
+        metrics-document rows — at export time, after the instrumented
+        run, that is every span."""
+        exported: set[int] = set()
+        rows = []
+        for span in self.spans:  # parents precede children
+            if span.t1 is not None and (span.parent is None
+                                        or span.parent in exported):
+                exported.add(span.sid)
+                rows.append(span.to_row())
+        return rows
 
     def as_counters(self) -> dict[str, int | float]:
         """Deterministic flat view: counters, maxima (suffixed

@@ -32,7 +32,8 @@ from .metrics import counters_view, strip_volatile
 
 __all__ = ["RunReport", "analyze_run"]
 
-#: counters surfaced in the report's summary table, in render order
+#: counters surfaced in the report's summary table, in render order;
+#: the test suite asserts each is registered (no docs/report drift)
 _SUMMARY_COUNTERS = (
     "tw.processed_events",
     "tw.committed_events",

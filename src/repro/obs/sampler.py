@@ -138,8 +138,5 @@ class ResourceSampler:
     def record_into(self, recorder) -> None:
         """Deposit aggregates into ``recorder``'s host-value channel
         (no-op for the null recorder)."""
-        record = getattr(recorder, "record_host", None)
-        if record is None:
-            return
         for name, value in self.as_host_values().items():
-            record(name, value)
+            recorder.record_host(name, value)

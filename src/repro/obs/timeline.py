@@ -1,7 +1,7 @@
 """Chrome-trace / Perfetto timeline export for span trees.
 
 Converts the ``spans`` channel of a metrics document (built by
-:class:`repro.obs.spans.SpanRecorder`) into the Chrome Trace Event JSON
+:class:`repro.obs.recorder.MetricsRecorder`) into the Chrome Trace Event JSON
 object format — loadable in https://ui.perfetto.dev or
 ``chrome://tracing``.  Each span becomes one complete (``"X"``) event;
 lanes (the driver's ``main`` plus one ``worker-N`` per pool process)
@@ -50,8 +50,8 @@ def chrome_trace(doc: dict) -> dict:
     complete (``"X"``) event per span with ``ts``/``dur`` in
     microseconds relative to the earliest span start.  Raises
     :class:`~repro.errors.MetricsError` when the document carries no
-    spans (run the producing command with ``--metrics`` on a
-    span-capable build, e.g. ``repro psim``/``partition``/``sweep``).
+    spans (run the producing command with ``--metrics``, e.g.
+    ``repro psim``/``partition``/``sweep``).
     """
     rows = doc.get("spans")
     if not rows:

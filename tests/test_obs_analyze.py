@@ -23,7 +23,6 @@ from repro.obs import (
     GVT_DONE,
     HIGHER_IS_BETTER,
     NEUTRAL_METRICS,
-    REFERENCED_METRICS,
     TRACE_EVENT_KINDS,
     TRACE_FIELD_REGISTRY,
     ProgressHeartbeat,
@@ -42,6 +41,7 @@ from repro.obs import (
     trace_fields,
     write_metrics,
 )
+from repro.obs.report import _SUMMARY_COUNTERS
 from repro.sim import (
     ClusterSpec,
     SequentialSimulator,
@@ -467,7 +467,7 @@ class TestRunReport:
 
 class TestRegistryEnforcement:
     @pytest.mark.parametrize("table", [
-        REFERENCED_METRICS,
+        _SUMMARY_COUNTERS,
         sorted(HIGHER_IS_BETTER),
         sorted(NEUTRAL_METRICS),
         sorted(DEFAULT_THRESHOLDS),

@@ -17,6 +17,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import random_vectors
 from repro.core import (
@@ -42,16 +44,14 @@ from repro.obs import (
 from repro.sim import TimeWarpConfig
 
 
-def fake_clocks():
-    """Deterministic (flat clock, span clock) pair for exact trees."""
-    flat = iter(x * 0.5 for x in range(1000))
+def fake_clock():
+    """Deterministic whole-second clock for exact trees and sums."""
     wall = iter(float(x) for x in range(1000))
-    return (lambda: next(flat)), (lambda: next(wall))
+    return lambda: next(wall)
 
 
-def nested_recorder() -> SpanRecorder:
-    clock, span_clock = fake_clocks()
-    rec = SpanRecorder(clock=clock, span_clock=span_clock)
+def nested_recorder() -> MetricsRecorder:
+    rec = MetricsRecorder(clock=fake_clock())
     with rec.phase("sweep.cell"):
         with rec.phase("presim.partition"):
             pass
@@ -75,21 +75,36 @@ class TestSpanTree:
         assert max(span_depths(rows).values()) == 2
 
     def test_structural_counters(self):
-        counters = nested_recorder().as_counters()
+        rec = nested_recorder()
+        counters = metrics_document("t", kind="custom",
+                                    recorder=rec)["counters"]
         assert counters["obs.span.count"] == 3
         assert counters["obs.span.depth.max"] == 2
-        # flat phase accounting is untouched by the span layer
+        # phase call counts are the closed spans per name
         assert counters["sweep.cell.calls"] == 1
         assert counters["presim.partition.calls"] == 1
+        assert "obs.span.count" not in rec.as_counters()
 
     def test_open_spans_not_exported(self):
-        clock, span_clock = fake_clocks()
-        rec = SpanRecorder(clock=clock, span_clock=span_clock)
+        rec = MetricsRecorder(clock=fake_clock())
         with rec.phase("sweep.cell"):
             with rec.phase("presim.partition"):
                 pass
             assert [r["name"] for r in rec.span_rows()] == []
         assert len(rec.span_rows()) == 2
+
+    def test_closed_spans_under_an_open_ancestor_not_exported(self):
+        rec = MetricsRecorder(clock=fake_clock())
+        with rec.phase("root"):
+            with rec.phase("child"):
+                with rec.phase("grand"):
+                    pass
+            # grand's parent is closed but its grandparent is not
+            assert rec.span_rows() == []
+            assert set(rec.phases) == {"child", "grand"}
+        rows = rec.span_rows()
+        assert [r["name"] for r in rows] == ["root", "child", "grand"]
+        assert validate_spans(rows) is rows
 
     def test_driver_lane_is_main(self):
         assert worker_lane() == "main"
@@ -100,8 +115,7 @@ class TestSpanTree:
 class TestMerge:
     def worker_payload(self, lane="worker-1", t0=10.5, t1=10.6):
         wall = iter([t0, t1])
-        wrec = SpanRecorder(clock=lambda: 0.25,
-                            span_clock=lambda: next(wall), lane=lane)
+        wrec = MetricsRecorder(clock=lambda: next(wall), lane=lane)
         with wrec.phase("refine.pair"):
             wrec.incr("part.fm.moves", 3)
             wrec.observe_max("part.fm.gain", 7)
@@ -111,12 +125,12 @@ class TestMerge:
         payload = self.worker_payload()
         assert payload["counters"]["part.fm.moves"] == 3
         assert payload["maxima"]["part.fm.gain"] == 7
-        assert payload["phases"]["refine.pair"][0] == 1
-        assert len(payload["spans"]) == 1
+        # the spans carry the phase data; there is no second channel
+        assert set(payload) == {"counters", "maxima", "spans"}
+        assert [r["name"] for r in payload["spans"]] == ["refine.pair"]
 
     def test_merge_grafts_under_open_span(self):
-        clock, span_clock = fake_clocks()
-        rec = SpanRecorder(clock=clock, span_clock=span_clock)
+        rec = MetricsRecorder(clock=fake_clock())
         with rec.phase("sweep.cell"):
             merge_telemetry(rec, self.worker_payload())
         rows = rec.span_rows()
@@ -129,8 +143,7 @@ class TestMerge:
         assert counters["refine.pair.calls"] == 1
 
     def test_merge_order_gives_stable_sids(self):
-        clock, span_clock = fake_clocks()
-        rec = SpanRecorder(clock=clock, span_clock=span_clock)
+        rec = MetricsRecorder(clock=fake_clock())
         with rec.phase("sweep.cell"):
             merge_telemetry(rec, self.worker_payload("worker-1"))
             merge_telemetry(rec, self.worker_payload("worker-2"))
@@ -138,20 +151,90 @@ class TestMerge:
         assert lanes.count("worker-1") == 1 and lanes.count("worker-2") == 1
         assert validate_spans(rec.span_rows(), tolerance=1e9)
 
-    def test_plain_recorder_merges_flat_channels_only(self):
-        rec = MetricsRecorder(clock=lambda: 0.0)
-        merge_telemetry(rec, self.worker_payload())
-        counters = rec.as_counters()
-        assert counters["part.fm.moves"] == 3
-        assert "obs.span.count" not in counters
-
     def test_noop_payloads(self):
-        rec = SpanRecorder()
+        rec = MetricsRecorder()
         merge_telemetry(rec, None)
         assert rec.span_rows() == []
         from repro.obs import NULL_RECORDER
 
         merge_telemetry(NULL_RECORDER, self.worker_payload())  # no raise
+
+
+#: a phase program: nested (name, children) nodes; a WORKER node runs
+#: its children on a worker mini-recorder and merges the payload there
+WORKER = "@worker"
+programs = st.recursive(
+    st.just([]),
+    lambda kids: st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", WORKER]), kids),
+        max_size=3),
+    max_leaves=16)
+
+
+def run_program(rec, program, clock):
+    for name, kids in program:
+        if name == WORKER:
+            wrec = MetricsRecorder(clock=clock, lane="worker-1")
+            run_program(wrec, kids, clock)
+            merge_telemetry(rec, export_telemetry(wrec))
+        else:
+            with rec.phase(name):
+                rec.incr("ops")
+                run_program(rec, kids, clock)
+
+
+def recorded(program) -> MetricsRecorder:
+    """Run ``program`` on a driver recorder; driver and workers share
+    one fake clock, so worker spans nest inside driver spans."""
+    clock = fake_clock()
+    rec = MetricsRecorder(clock=clock)
+    run_program(rec, program, clock)
+    return rec
+
+
+def phase_names(program):
+    for name, kids in program:
+        if name != WORKER:
+            yield name
+        yield from phase_names(kids)
+
+
+class TestOneStore:
+    """Phase totals are derived from the span list, so the two cannot
+    disagree — also after worker payloads merge in task order."""
+
+    @given(programs)
+    @settings(max_examples=150, deadline=None)
+    def test_phases_are_the_closed_spans(self, program):
+        rec = recorded(program)
+        rows = rec.span_rows()
+        assert len(rows) == len(rec.spans)  # everything closed
+        validate_spans(rows)
+        names = list(phase_names(program))
+        assert {n: s.calls for n, s in rec.phases.items()} == {
+            n: names.count(n) for n in set(names)}
+        for name, stats in rec.phases.items():
+            durations = [r["t1"] - r["t0"] for r in rows
+                         if r["name"] == name]
+            assert stats.calls == len(durations)
+            assert stats.host_seconds == sum(durations)
+        assert rec.host_timings() == {
+            n: s.host_seconds for n, s in sorted(rec.phases.items())}
+
+    @given(programs)
+    @settings(max_examples=80, deadline=None)
+    def test_document_adds_span_counters_iff_it_embeds_spans(self, program):
+        rec = recorded(program)
+        assert not any(k.startswith("obs.span.")
+                       for k in rec.as_counters())
+        doc = metrics_document("t", kind="custom", recorder=rec)
+        spans = doc.get("spans", [])
+        assert ("obs.span.count" in doc["counters"]) == bool(spans)
+        assert ("obs.span.depth.max" in doc["counters"]) == bool(spans)
+        if spans:
+            assert doc["counters"]["obs.span.count"] == len(spans)
+            assert doc["counters"]["obs.span.depth.max"] == max(
+                span_depths(spans).values())
 
 
 class TestValidateSpans:
@@ -289,12 +372,9 @@ class TestTimeline:
         json.dumps(trace)  # serializable as-is
 
     def test_lanes_get_distinct_tids_main_first(self):
-        clock, span_clock = fake_clocks()
-        rec = SpanRecorder(clock=clock, span_clock=span_clock)
+        rec = MetricsRecorder(clock=fake_clock())
         wall = iter([0.3, 0.6])
-        wrec = SpanRecorder(clock=lambda: 0.0,
-                            span_clock=lambda: next(wall),
-                            lane="worker-7")
+        wrec = MetricsRecorder(clock=lambda: next(wall), lane="worker-7")
         with wrec.phase("refine.pair"):
             pass
         with rec.phase("sweep.cell"):

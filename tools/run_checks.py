@@ -24,7 +24,12 @@ Runs, in order, stopping at the first failure:
 6. the same at ``--smoke --verify-determinism`` — every workload twice
    in fresh processes, result digests must match — which catches a
    set-ordered or hash-seeded path in the simulators or partitioners
-   at tier-1 cost.
+   at tier-1 cost;
+7. the pipeline benchmark's own tests (``pytest
+   benchmarks/pipeline/test_pipeline_bench.py``, ~20 s) — the only
+   test of the traced pass (``run.py --trace 1``), the runner's one use
+   of the recorder (spans, phase totals, counters); tier-1 does not
+   collect them (``testpaths = ["tests"]``).
 
 Usage::
 
@@ -68,6 +73,10 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("pipeline benchmark determinism",
      [sys.executable, "benchmarks/pipeline/run.py", "--smoke",
       "--verify-determinism"],
+     ()),
+    ("pipeline benchmark tests",
+     [sys.executable, "-m", "pytest",
+      "benchmarks/pipeline/test_pipeline_bench.py", "-q"],
      ()),
 ]
 
