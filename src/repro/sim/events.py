@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from ..errors import SimulationError
 
@@ -46,8 +47,7 @@ def check_stimulus(time, net, value, num_nets: int) -> None:
     )
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A Time Warp message: a net-change event sent between LPs.
 
     ``sign`` is +1 for a positive message, -1 for its anti-message;
@@ -57,6 +57,9 @@ class Message:
     ``uid`` is a sender-assigned serial making each positive/anti pair
     unique even when the same (net, value, time) is re-sent after a
     rollback and re-execution.
+
+    A plain tuple underneath: the kernel builds one per boundary send,
+    and a tuple costs a fraction of a frozen dataclass to construct.
     """
 
     recv_time: int
@@ -70,17 +73,4 @@ class Message:
 
     def anti(self) -> "Message":
         """The annihilating twin of a positive message."""
-        return Message(
-            self.recv_time,
-            self.net,
-            self.value,
-            self.src_lp,
-            self.dst_lp,
-            self.send_time,
-            self.uid,
-            sign=-self.sign,
-        )
-
-    def key(self) -> tuple[int, int, int, int]:
-        """Identity key used for annihilation matching."""
-        return (self.uid, self.src_lp, self.dst_lp, self.recv_time)
+        return Message(*self[:7], -self.sign)

@@ -177,6 +177,10 @@ class ClusterLP:
         # their gate evaluations (the scalar side did all the others)
         self.kernel_batches = 0
         self.kernel_batch_gates = 0
+        #: batches and gate evaluations since the engine last folded
+        #: them into its statistics (it zeroes both at every GVT round)
+        self.new_batches = 0
+        self.new_evals = 0
 
         # queues and logs
         self._in_msgs: list[Message] = []
@@ -267,13 +271,26 @@ class ClusterLP:
         arrived (channel reordering under LP migration) annihilates on
         the spot without entering the queue.
         """
-        orphan = self._orphan_antis.pop((msg.uid, msg.src_lp), None)
-        if orphan is not None:
+        orphans = self._orphan_antis
+        if orphans and orphans.pop((msg.uid, msg.src_lp), None) is not None:
             return None  # annihilated in flight
         rollback = None
-        if msg.recv_time <= self.lvt:
-            rollback = self._rollback_to(msg.recv_time)
-        self._insort(msg)
+        t = msg.recv_time
+        if t <= self.lvt:
+            rollback = self._rollback_to(t)
+        key = _msg_sort_key(msg)
+        idx = bisect_right(self._in_keys, key)
+        if idx < self._next_idx:  # pragma: no cover - defensive
+            raise SimulationError(
+                f"{self.name}: message inserted into processed region "
+                f"without rollback (recv_time={t}, lvt={self.lvt})"
+            )
+        self._in_msgs.insert(idx, msg)
+        self._in_keys.insert(idx, key)
+        # after a rollback lvt < t, so pending outputs (due lvt + 1)
+        # still come first: the new earliest time is a plain minimum
+        if self.next_vt is None or t < self.next_vt:
+            self.next_vt = t
         return rollback
 
     def preload(self, msgs: list[Message]) -> None:
@@ -318,18 +335,6 @@ class ClusterLP:
         self._recompute_next_vt()
         return rollback
 
-    def _insort(self, msg: Message) -> None:
-        key = _msg_sort_key(msg)
-        idx = bisect_right(self._in_keys, key)
-        self._in_msgs.insert(idx, msg)
-        self._in_keys.insert(idx, key)
-        if idx < self._next_idx:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"{self.name}: message inserted into processed region "
-                f"without rollback (recv_time={msg.recv_time}, lvt={self.lvt})"
-            )
-        self._recompute_next_vt()
-
     def _find_twin(self, anti: Message) -> int | None:
         keys, key = self._in_keys, _msg_sort_key(anti)
         lo = bisect_left(keys, key)
@@ -351,10 +356,6 @@ class ClusterLP:
         T = self.next_vt
         if T is None:
             raise SimulationError(f"{self.name}: execute_batch with no work")
-        if T <= self.lvt:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"{self.name}: batch time {T} not after lvt {self.lvt}"
-            )
         updates = self._due
         msgs = self._in_msgs
         i = self._next_idx
@@ -377,18 +378,14 @@ class ClusterLP:
         if updates is not None:  # else outputs were produced, none changes
             result = self._table.step(self._store, updates, self._sent,
                                       self._watched)
-        self._due = None
-        self._produced = 0
-        self.next_vt = msgs[i].recv_time if i < end else None
         sends: list[Message] = []
-        n_evals = 0
-        if result is not None:
+        if result is None:
+            n_evals = produced = 0
+            due = None
+        else:
             changed, n_evals, produced, due, crossed = result
-            if produced:
-                self._due = due
-                self._produced = produced
-                self.next_vt = T + 1  # unit delay: nothing can precede it
             self._live_evals += n_evals
+            self.new_evals += n_evals
             if type(changed) is not dict:  # the array side ran
                 self.kernel_batches += 1
                 self.kernel_batch_gates += n_evals
@@ -404,7 +401,14 @@ class ClusterLP:
                     if msg is not None:
                         sends.append(msg)
             self._out_log.extend(sends)
+        self._due = due
+        self._produced = produced
+        # unit delay: produced outputs are due at T + 1, before any message
+        self.next_vt = T + 1 if produced else (
+            msgs[i].recv_time if i < end else None
+        )
         self.lvt = T
+        self.new_batches += 1
         self._batches_since_ckpt += 1
         if self._batches_since_ckpt >= self.checkpoint_interval:
             self._save_checkpoint()

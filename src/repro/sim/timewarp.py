@@ -13,7 +13,9 @@ Driver loop: repeatedly pick the machine whose next action (processing
 a ready event batch, or waking up for a message arrival) happens
 earliest in modeled wall time, deliver its due messages (possibly
 triggering rollbacks), then let it execute the lowest-virtual-time LP
-it hosts — the standard Time Warp scheduling discipline.
+it hosts — the standard Time Warp scheduling discipline — provided the
+batch is within the optimism horizon (``gvt + optimism_window``, set
+once per GVT round) or, in conservative mode, at the global safe time.
 
 Determinism: ties are broken by machine id, LP id, and message serials;
 two runs with the same inputs produce identical statistics.
@@ -22,6 +24,7 @@ two runs with the same inputs produce identical statistics.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -47,6 +50,10 @@ SCAN_SCHED_MAX_LPS = 48
 
 #: sentinel marking a machine's cached next-action time as stale
 _STALE = object()
+#: a machine's next-action time when it has nothing to do
+_IDLE = math.inf
+#: above every virtual time (also GVT once everything is committed)
+_NEVER = 1 << 62
 
 
 class _Machine:
@@ -66,13 +73,13 @@ class _Machine:
         #: heap of (arrival_wall, serial, Message)
         self.arrivals: list[tuple[float, int, Message]] = []
         self.stats = MachineStats()
-        #: memoized wall time of the next action (None: nothing to
-        #: do), set by _pick_machine; every event that can
+        #: memoized wall time of the next action (_IDLE: nothing to
+        #: do), set by the pricing pass of run(); every event that can
         #: change it (own execution, arrival push, GVT round) stamps
         #: the sentinel so only touched machines are re-derived
         self.action_cache: object = _STALE
-        #: scan scheduling: the ready LP the scan behind action_cache
-        #: found, if any — good until a delivery changes a hosted LP
+        #: the eligible ready LP the pricing behind action_cache found,
+        #: if any — good until a delivery changes a hosted LP
         self.pick: ClusterLP | None = None
 
 
@@ -185,8 +192,12 @@ class TimeWarpEngine:
         self._gvt_estimate = -1
         self._stalled_rounds = 0
         self._emergency_throttle = False
+        #: latest virtual time an optimistic batch may run at; every
+        #: GVT round sets it from the estimate, window and throttle
+        self._horizon: int | float = -1
         # per-LP activity since the last GVT round (adaptive
-        # checkpointing and migration use these)
+        # checkpointing and migration use these); the evaluations are
+        # the LPs' own counters, read when the round folds them
         self._lp_recent_evals = [0] * len(self.lps)
         self._lp_recent_rollbacks = [0] * len(self.lps)
         self._machine_busy_prev = [0.0] * spec.num_machines
@@ -278,54 +289,148 @@ class TimeWarpEngine:
 
     def run(self) -> RunStats:
         """Execute to completion; returns aggregate statistics (the
-        same, untouched, when called again on a finished engine)."""
+        same, untouched, when called again on a finished engine).
+
+        One loop, one engine step per pass: price the machines whose
+        next action may have moved, take the earliest (lowest id on a
+        tie), advance its wall clock to that action, deliver its due
+        arrivals — re-pricing it when they moved its LPs' times — and
+        run its earliest eligible LP's batch.  Scan or heap scheduling,
+        optimistic or conservative eligibility and tracing are branches
+        on local flags.
+        """
         stats = self.stats
         if self._finished:
             return stats
+        machines = self.machines
+        lps = self.lps
+        lp_machine = self.lp_machine
         heap_sched = self._heap_sched
+        conservative = self._conservative
+        trace = self._trace
+        event_cost = self.spec.event_cost
+        route = self._route
+        mark_ready = self._mark_ready
+        heappop = heapq.heappop
         if heap_sched:  # scan scheduling reads the LPs directly
-            for lp in self.lps:
-                self._mark_ready(lp)
+            for lp in lps:
+                mark_ready(lp)
         self._gvt_round()
+        horizon = self._horizon
         gvt_interval = self.config.gvt_interval
-        steps = 0
+        until_gvt = gvt_interval
+        settled = False  # the last GVT round was taken for want of work
+        repriced = None  # the machine whose deliveries just moved LP times
         while True:
-            machine = self._pick_machine()
-            if machine is None:
-                # Not necessarily done: (a) every LP may be blocked on a
-                # stale GVT estimate (the refresh unblocks whoever holds
-                # the true minimum), or (b) a quiescent LP may still owe
-                # anti-messages for unconfirmed sends it will never
-                # re-issue — the GVT round retires those, and their
-                # delivery is new work.  Terminate only when a fresh
-                # round surfaces neither.
-                self._gvt_round()
-                machine = self._pick_machine()
-                if machine is None:
-                    break
-            if machine.action_cache > machine.wall:
-                machine.wall = machine.action_cache  # idle until the arrival
-            arrivals = machine.arrivals
-            if arrivals and arrivals[0][0] <= machine.wall:
-                self._deliver_due(machine)
-                if not heap_sched:
-                    self._has_ready_work(machine)  # LP times moved: rescan
-            # (otherwise the scan that priced this machine's action
-            # already found its LP)
-            lp = self._pop_ready_lp(machine) if heap_sched else machine.pick
+            best, best_t = repriced, _IDLE
+            for m in machines if repriced is None else (repriced,):
+                t = m.action_cache
+                # conservative eligibility reads global state, so one
+                # machine's progress can change every other machine's
+                # answer: the memo is only sound under optimism
+                if t is _STALE or conservative:
+                    pick = None
+                    if heap_sched:
+                        ready = m.ready
+                        while ready:
+                            vt, lid = ready[0]
+                            if lp_machine[lid] == m.mid and lps[lid].next_vt == vt:
+                                pick = lps[lid]
+                                break
+                            # migrated away, or its time moved (the change
+                            # pushed a current entry: _mark_ready)
+                            heappop(ready)
+                    else:
+                        # linear (vt, lid) argmin — what the heap pops,
+                        # without validating stale entries
+                        vt = _NEVER
+                        for lp in m.lps:  # in id order: the lowest id wins a tie
+                            lp_vt = lp.next_vt
+                            if lp_vt is not None and lp_vt < vt:
+                                pick, vt = lp, lp_vt
+                    if pick is not None and (
+                        self._safe_time(vt) < vt if conservative else vt > horizon
+                    ):
+                        pick = None  # its earliest batch may not run yet
+                    m.pick = pick
+                    if pick is not None:
+                        # deliveries due before/at the wall happen first anyway
+                        t = m.wall
+                    elif m.arrivals:
+                        t = max(m.wall, m.arrivals[0][0])
+                    else:
+                        t = _IDLE
+                    m.action_cache = t
+                if t < best_t:
+                    best, best_t = m, t
+            if repriced is None:
+                if best is None:
+                    # Not necessarily done: (a) every LP may be blocked on
+                    # a stale GVT estimate (the refresh unblocks whoever
+                    # holds the true minimum), or (b) a quiescent LP may
+                    # still owe anti-messages for unconfirmed sends it
+                    # will never re-issue — the GVT round retires those,
+                    # and their delivery is new work.  Terminate only when
+                    # a fresh round surfaces neither.
+                    if settled:
+                        break
+                    self._gvt_round()
+                    horizon = self._horizon
+                    settled = True
+                    continue
+                settled = False
+                m = best
+                if best_t > m.wall:
+                    m.wall = best_t  # idle until the arrival
+                arrivals = m.arrivals
+                if arrivals and arrivals[0][0] <= m.wall:
+                    self._deliver_due(m)
+                    m.action_cache = _STALE
+                    repriced = m
+                    continue
+            else:
+                m, repriced = repriced, None
+            lp = m.pick
             if lp is not None:
-                self._execute_on(machine, lp)
-            machine.action_cache = _STALE  # wall and/or LP state moved
-            steps += 1
-            if steps % gvt_interval == 0:
+                if heap_sched:
+                    heappop(m.ready)  # the pick's entry is the top
+                if lp.unconfirmed or lp.deferred_antis:
+                    for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
+                        m.wall += route(m, (anti,))
+                evals, sends = lp.execute_batch()
+                cost = (evals or 1) * event_cost
+                if sends:
+                    cost = route(m, sends, cost)
+                if lp.next_vt is None and (lp.unconfirmed or lp.deferred_antis):
+                    cost = route(m, lp.flush_unconfirmed(), cost)
+                m.wall += cost
+                m.stats.busy_time += cost
+                if trace is not None:
+                    trace.emit(
+                        "exec",
+                        machine=m.mid,
+                        lp=lp.lid,
+                        partition=self._lp_partition[lp.lid],
+                        vt=lp.lvt,
+                        evals=evals,
+                        sends=len(sends),
+                        wall=m.wall,
+                    )
+                if heap_sched:
+                    mark_ready(lp)
+            m.action_cache = _STALE  # wall and/or LP state moved
+            until_gvt -= 1
+            if not until_gvt:
                 self._gvt_round()
-        self._gvt_round()  # final fossil sweep & memory sample
-        stats.wall_time = max((m.wall for m in self.machines), default=0.0)
-        for m in self.machines:
+                horizon = self._horizon
+                until_gvt = gvt_interval
+        self._gvt_round()  # last counter fold, fossil sweep & memory sample
+        stats.wall_time = max((m.wall for m in machines), default=0.0)
+        for m in machines:
             m.stats.wall_time = m.wall
             stats.machines.append(m.stats)
         stats.committed_events = stats.processed_events - stats.rolled_back_events
-        for lp in self.lps:
+        for lp in lps:
             stats.kernel_batches += lp.kernel_batches
             stats.kernel_batch_gates += lp.kernel_batch_gates
         stats.kernel_scalar_gates = (
@@ -333,42 +438,6 @@ class TimeWarpEngine:
         )
         self._finished = True
         return stats
-
-    # -- machine selection ----------------------------------------------------
-
-    def _pick_machine(self) -> _Machine | None:
-        """The machine whose next action (a ready batch, or waking up
-        for an arrival) is earliest in modeled wall time, if any."""
-        # conservative mode derives eligibility from *global* state, so
-        # one machine's progress can change every other machine's
-        # answer — the memo is only sound under optimistic execution
-        conservative = self._conservative
-        best = best_t = None
-        for m in self.machines:  # in id order: the lowest id wins a tie
-            t = m.action_cache
-            if t is _STALE or conservative:
-                if self._has_ready_work(m):
-                    # deliveries due before/at the wall happen first anyway
-                    t = m.wall
-                elif m.arrivals:
-                    t = max(m.wall, m.arrivals[0][0])
-                else:
-                    t = None
-                m.action_cache = t
-            if t is not None and (best_t is None or t < best_t):
-                best, best_t = m, t
-        return best
-
-    def _eligible(self, vt: int) -> bool:
-        """Whether a batch at ``vt`` is inside the optimism window."""
-        if self._conservative:
-            return vt <= self._safe_time(vt)
-        if self._emergency_throttle:
-            return vt <= self._gvt_estimate + 1
-        window = self.config.optimism_window
-        if window is None:
-            return True
-        return vt <= self._gvt_estimate + window
 
     # -- conservative safe time -------------------------------------------
 
@@ -417,66 +486,30 @@ class TimeWarpEngine:
             return top
         return None
 
-    def _has_ready_work(self, m: _Machine) -> bool:
-        if self._heap_sched:
-            return self._ready_top(m) is not None
-        # linear argmin over the machine's LPs' cached next_vt — the
-        # (vt, lid) minimum matches what the lazy ready-heap pops,
-        # without the churn of validating stale heap entries.  The LP
-        # found is kept for run(), which would otherwise scan again
-        best = None
-        best_vt = 1 << 62
-        for lp in m.lps:  # in id order: the lowest id wins a tie
-            vt = lp.next_vt
-            if vt is not None and vt < best_vt:
-                best, best_vt = lp, vt
-        if best is not None and not self._eligible(best_vt):
-            best = None  # the earliest batch is beyond the window
-        m.pick = best
-        return best is not None
-
-    def _ready_top(self, m: _Machine) -> ClusterLP | None:
-        """Heap scheduling: the LP of the machine's earliest valid heap
-        entry (left on the heap), or None when it is beyond the window
-        or there is none.  Entries found out of date are dropped: every
-        change of an LP's time or host pushed a current one already
-        (:meth:`_mark_ready`)."""
-        ready = m.ready
-        while ready:
-            vt, lid = ready[0]
-            if self.lp_machine[lid] == m.mid and self.lps[lid].next_vt == vt:
-                return self.lps[lid] if self._eligible(vt) else None
-            heapq.heappop(ready)  # migrated away, or its time moved
-        return None
-
-    def _pop_ready_lp(self, m: _Machine) -> ClusterLP | None:
-        """Heap scheduling: take the machine's ready LP off its heap."""
-        lp = self._ready_top(m)
-        if lp is not None:
-            heapq.heappop(m.ready)
-        return lp
-
-    # -- delivery & execution ---------------------------------------------------
+    # -- delivery & routing ------------------------------------------------------
 
     def _deliver_due(self, machine: _Machine) -> None:
         """Apply the arrivals due by the machine's wall clock (which a
         rollback moves: routing its anti-messages costs CPU)."""
         arrivals = machine.arrivals
+        lps = self.lps
+        removed = self._inflight_removed if self._conservative else None
+        mark_ready = self._mark_ready if self._heap_sched else None
         while arrivals and arrivals[0][0] <= machine.wall:
-            _, _, msg = heapq.heappop(arrivals)
-            if self._conservative:
-                removed = self._inflight_removed
-                removed[msg.recv_time] = removed.get(msg.recv_time, 0) + 1
-            lp = self.lps[msg.dst_lp]
-            depth = lp.lvt - msg.recv_time  # >= 0 iff msg is a straggler
+            msg = heapq.heappop(arrivals)[2]
+            t = msg.recv_time
+            if removed is not None:
+                removed[t] = removed.get(t, 0) + 1
+            lp = lps[msg.dst_lp]
+            depth = lp.lvt - t  # >= 0 iff msg is a straggler
             if msg.sign > 0:
                 rollback = lp.insert_positive(msg)
             else:
                 rollback = lp.insert_anti(msg)
             if rollback is not None:
                 self._account_rollback(machine, lp, rollback, msg, depth)
-            if self._heap_sched:
-                self._mark_ready(lp)
+            if mark_ready is not None:
+                mark_ready(lp)
 
     def _account_rollback(
         self, machine, lp: ClusterLP, rollback, straggler: Message, depth: int
@@ -494,8 +527,8 @@ class TimeWarpEngine:
         if depth > stats.max_straggler_depth:
             stats.max_straggler_depth = depth
         cost = spec.rollback_overhead + rollback.undone_events * spec.undo_cost
-        for anti in rollback.anti_messages:
-            cost += self._route(machine, anti)
+        if rollback.anti_messages:
+            cost = self._route(machine, rollback.anti_messages, cost)
         machine.wall += cost
         machine.stats.busy_time += cost
         self._lp_recent_rollbacks[lp.lid] += 1
@@ -517,44 +550,12 @@ class TimeWarpEngine:
                 wall=machine.wall,
             )
 
-    def _execute_on(self, machine: _Machine, lp: ClusterLP) -> None:
-        lid = lp.lid
-        if lp.unconfirmed or lp.deferred_antis:
-            for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
-                machine.wall += self._route(machine, anti)
-        evals, sends = lp.execute_batch()
-        cost = (evals or 1) * self.spec.event_cost
-        for msg in sends:
-            cost += self._route(machine, msg)
-        if lp.next_vt is None and (lp.unconfirmed or lp.deferred_antis):
-            for anti in lp.flush_unconfirmed():
-                cost += self._route(machine, anti)
-        machine.wall += cost
-        machine_stats = machine.stats
-        machine_stats.busy_time += cost
-        machine_stats.batches += 1
-        machine_stats.gate_evals += evals
-        self.stats.processed_events += evals
-        lp_stats = self.stats.lps[lid]
-        lp_stats.batches += 1
-        lp_stats.gate_evals += evals
-        self._lp_recent_evals[lid] += evals
-        if self._trace is not None:
-            self._trace.emit(
-                "exec",
-                machine=machine.mid,
-                lp=lid,
-                partition=self._lp_partition[lid],
-                vt=lp.lvt,
-                evals=evals,
-                sends=len(sends),
-                wall=machine.wall,
-            )
-        if self._heap_sched:
-            self._mark_ready(lp)
-
-    def _route(self, src_machine: _Machine, msg: Message) -> float:
-        """Dispatch one message; returns the CPU cost charged to the sender.
+    def _route(
+        self, src_machine: _Machine, msgs: Sequence[Message], cost: float = 0.0
+    ) -> float:
+        """Dispatch messages in order, all sent at the machine's current
+        wall clock; returns ``cost`` plus the CPU cost charged to the
+        sender for each, added one message at a time.
 
         Every message — including an intra-machine one — goes through
         the destination machine's arrival queue and is applied at the
@@ -562,50 +563,60 @@ class TimeWarpEngine:
         keeps the kernel non-reentrant: a send can't recursively roll
         back the LP whose batch produced it.
         """
-        dst_machine = self.machines[self.lp_machine[msg.dst_lp]]
-        dst_machine.action_cache = _STALE  # a new arrival is pending
-        self._arrival_serial += 1
-        if self._conservative:
-            heapq.heappush(self._inflight_recv, msg.recv_time)
-        if msg.src_lp >= 0:
-            # per-LP send accounting is placement-independent: every
-            # inter-LP message counts, local or remote
-            lp_stats = self.stats.lps[msg.src_lp]
-            if msg.sign > 0:
-                lp_stats.msgs_sent += 1
+        machines, lp_machine = self.machines, self.lp_machine
+        stats = self.stats
+        lp_stats = stats.lps
+        inflight = self._inflight_recv if self._conservative else None
+        trace = self._trace
+        heappush = heapq.heappush
+        wall = src_machine.wall
+        arrival = wall + self.spec.msg_latency
+        overhead = self.spec.msg_cpu_overhead
+        serial = self._arrival_serial
+        for msg in msgs:
+            dst_machine = machines[lp_machine[msg.dst_lp]]
+            dst_machine.action_cache = _STALE  # a new arrival is pending
+            serial += 1
+            if inflight is not None:
+                heappush(inflight, msg.recv_time)
+            positive = msg.sign > 0
+            if msg.src_lp >= 0:
+                # per-LP send accounting is placement-independent: every
+                # inter-LP message counts, local or remote
+                if positive:
+                    lp_stats[msg.src_lp].msgs_sent += 1
+                else:
+                    lp_stats[msg.src_lp].antis_sent += 1
+            local = dst_machine is src_machine
+            if trace is not None:
+                trace.emit(
+                    "send",
+                    src_machine=src_machine.mid,
+                    dst_machine=dst_machine.mid,
+                    src_lp=msg.src_lp,
+                    dst_lp=msg.dst_lp,
+                    src_partition=self._partition_of(msg.src_lp),
+                    dst_partition=self._partition_of(msg.dst_lp),
+                    net=msg.net,
+                    recv_time=msg.recv_time,
+                    sign=msg.sign,
+                    uid=msg.uid,
+                    local=local,
+                    wall=wall,
+                )
+            if local:
+                # intra-machine: a queue insert, no network, no CPU charge
+                heappush(dst_machine.arrivals, (wall, serial, msg))
+                continue
+            if positive:
+                stats.messages += 1
             else:
-                lp_stats.antis_sent += 1
-        local = dst_machine is src_machine
-        if self._trace is not None:
-            self._trace.emit(
-                "send",
-                src_machine=src_machine.mid,
-                dst_machine=dst_machine.mid,
-                src_lp=msg.src_lp,
-                dst_lp=msg.dst_lp,
-                src_partition=self._partition_of(msg.src_lp),
-                dst_partition=self._partition_of(msg.dst_lp),
-                net=msg.net,
-                recv_time=msg.recv_time,
-                sign=msg.sign,
-                uid=msg.uid,
-                local=local,
-                wall=src_machine.wall,
-            )
-        if local:
-            # intra-machine: a queue insert, no network, no CPU charge
-            heapq.heappush(
-                dst_machine.arrivals, (src_machine.wall, self._arrival_serial, msg)
-            )
-            return 0.0
-        if msg.sign > 0:
-            self.stats.messages += 1
-        else:
-            self.stats.anti_messages += 1
-        src_machine.stats.msgs_sent += 1
-        arrival = src_machine.wall + self.spec.msg_latency
-        heapq.heappush(dst_machine.arrivals, (arrival, self._arrival_serial, msg))
-        return self.spec.msg_cpu_overhead
+                stats.anti_messages += 1
+            src_machine.stats.msgs_sent += 1
+            heappush(dst_machine.arrivals, (arrival, serial, msg))
+            cost += overhead
+        self._arrival_serial = serial
+        return cost
 
     def _mark_ready(self, lp: ClusterLP) -> None:
         """Heap scheduling: record the LP's (possibly new) next time.
@@ -627,13 +638,32 @@ class TimeWarpEngine:
         batch), transmitting their anti-messages — otherwise a blocked
         or quiescent LP would pin GVT forever.
         """
-        gvt = 1 << 62  # stays there when everything is committed
+        stats = self.stats
+        # fold the LPs' batch counters first — progress, adaptive
+        # checkpointing and migration read them.  No LP has moved since
+        # the last round (migration happens only below), so each
+        # batch is charged to the machine that ran it
+        recent = []
+        for lp, lp_stats, mid in zip(self.lps, stats.lps, self.lp_machine):
+            batches, evals = lp.new_batches, lp.new_evals
+            recent.append(evals)
+            if batches:
+                machine_stats = self.machines[mid].stats
+                lp_stats.batches += batches
+                lp_stats.gate_evals += evals
+                machine_stats.batches += batches
+                machine_stats.gate_evals += evals
+                stats.processed_events += evals
+                lp.new_batches = lp.new_evals = 0
+        self._lp_recent_evals = recent
+
+        gvt = _NEVER  # stays there when everything is committed
         for lp in self.lps:
             if lp.unconfirmed or lp.deferred_antis:
                 # (routing only queues arrivals: no LP's times move)
                 machine = self.machines[self.lp_machine[lp.lid]]
                 for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
-                    machine.wall += self._route(machine, anti)
+                    machine.wall += self._route(machine, (anti,))
                 t = lp.min_unconfirmed_recv_time()
                 if t is not None and t < gvt:
                     gvt = t
@@ -644,12 +674,12 @@ class TimeWarpEngine:
             for _, _, msg in m.arrivals:
                 if msg.recv_time < gvt:
                     gvt = msg.recv_time
-        self.stats.gvt_rounds += 1
+        stats.gvt_rounds += 1
 
         # stall detection: if GVT refuses to advance (aggressive-mode
         # rollback echo), clamp optimism until it moves again
         throttle_before = self._emergency_throttle
-        if gvt <= self._gvt_estimate and gvt < (1 << 62):
+        if gvt <= self._gvt_estimate and gvt < _NEVER:
             self._stalled_rounds += 1
             if self._stalled_rounds >= self.config.stall_threshold:
                 self._emergency_throttle = True
@@ -660,22 +690,29 @@ class TimeWarpEngine:
             self._trace.emit(
                 "throttle",
                 engaged=self._emergency_throttle,
-                gvt=min(gvt, 1 << 62),
+                gvt=min(gvt, _NEVER),
                 stalled_rounds=self._stalled_rounds,
             )
         if gvt > self._gvt_estimate:
             self._gvt_estimate = gvt
+        window = self.config.optimism_window
+        if self._emergency_throttle:
+            self._horizon = self._gvt_estimate + 1
+        elif window is None:
+            self._horizon = math.inf
+        else:
+            self._horizon = self._gvt_estimate + window
 
         total_bytes = 0
         for lp in self.lps:
             lp.fossil_collect(gvt)
             total_bytes += lp.checkpoint_bytes()
-        if total_bytes > self.stats.peak_checkpoint_bytes:
-            self.stats.peak_checkpoint_bytes = total_bytes
+        if total_bytes > stats.peak_checkpoint_bytes:
+            stats.peak_checkpoint_bytes = total_bytes
         if self._trace is not None:
             self._trace.emit(
                 "gvt",
-                round=self.stats.gvt_rounds,
+                round=stats.gvt_rounds,
                 gvt=gvt,
                 checkpoint_bytes=total_bytes,
             )
@@ -683,9 +720,9 @@ class TimeWarpEngine:
         if self._progress is not None:
             self._progress.update(
                 gvt=self._gvt_estimate,
-                rounds=self.stats.gvt_rounds,
-                processed=self.stats.processed_events,
-                rollbacks=self.stats.rollbacks,
+                rounds=stats.gvt_rounds,
+                processed=stats.processed_events,
+                rollbacks=stats.rollbacks,
                 wall=max((m.wall for m in self.machines), default=0.0),
             )
 
@@ -694,14 +731,12 @@ class TimeWarpEngine:
         if self.config.migration and self.spec.num_machines > 1:
             self._maybe_migrate()
         if self.config.adaptive_checkpointing or self.config.migration:
-            self._lp_recent_evals = [0] * len(self.lps)
             self._lp_recent_rollbacks = [0] * len(self.lps)
             self._machine_busy_prev = [
                 m.stats.busy_time for m in self.machines
             ]
         # the round may have flushed sends, migrated LPs, or moved the
-        # GVT estimate (which gates the optimism window): every cached
-        # next-action time is suspect now
+        # optimism horizon: every cached next-action time is suspect now
         for m in self.machines:
             m.action_cache = _STALE
 

@@ -9,8 +9,8 @@ are irrelevant to a unit-delay model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -30,28 +30,33 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = (
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ";",
-    ":",
-    "=",
-    ".",
-    "#",
+#: one alternative per token class, tried in order at each position;
+#: ``skip`` takes a whole run of whitespace, comments and directives
+#: (backtick lines); ``open`` and ``bad_base`` only match what the
+#: earlier alternatives rejected, to name the error
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)+)
+    |(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+    |(?P<based>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_$?]*)
+    |(?P<number>[0-9][0-9_]*(?!['0-9_]))
+    |(?P<punct>[()\[\]{},;:=.\#])
+    |\\(?P<escaped>[^ \t\r\n]+)
+    |(?P<open>/\*)
+    |(?P<empty_escape>\\)
+    |(?P<bad_base>(?:[0-9][0-9_]*)?')
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_ERRORS = {
+    "open": "unterminated block comment",
+    "empty_escape": "empty escaped identifier",
+    "bad_base": "malformed based literal",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is one of ``"ident"``, ``"keyword"``, ``"number"``,
@@ -69,91 +74,45 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize Verilog source text; raises :class:`LexError` on
-    unrecognized characters."""
-    return list(_tokens(text))
+    unrecognized characters.
 
-
-def _tokens(text: str) -> Iterator[Token]:
-    i = 0
-    n = len(text)
-    line = 1
-    col = 1
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            advance((j - i) if j != -1 else (n - i))
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j == -1:
-                raise LexError("unterminated block comment", line, col)
-            advance(j + 2 - i)
-            continue
-        if c == "`":
-            # compiler directive: skip to end of line
-            j = text.find("\n", i)
-            advance((j - i) if j != -1 else (n - i))
-            continue
-        if c == "\\":
-            # escaped identifier: up to the next whitespace
-            j = i + 1
-            while j < n and text[j] not in " \t\r\n":
-                j += 1
-            if j == i + 1:
-                raise LexError("empty escaped identifier", line, col)
-            tok = Token("ident", text[i + 1 : j], line, col)
-            advance(j - i)
-            yield tok
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tok = Token(kind, word, line, col)
-            advance(j - i)
-            yield tok
-            continue
-        if c in _DIGITS or c == "'":
-            # number: [size]'[base]digits  or plain decimal
-            j = i
-            while j < n and (text[j] in _DIGITS or text[j] == "_"):
-                j += 1
-            if j < n and text[j] == "'":
-                j += 1
-                if j < n and text[j] in "sS":
-                    j += 1
-                if j >= n or text[j] not in "bBoOdDhH":
-                    raise LexError("malformed based literal", line, col)
-                j += 1
-                while j < n and (text[j] in _IDENT_CONT or text[j] == "?"):
-                    j += 1
-                tok = Token("sized_number", text[i:j], line, col)
-            else:
-                tok = Token("number", text[i:j].replace("_", ""), line, col)
-            advance(j - i)
-            yield tok
-            continue
-        if c in _PUNCT:
-            tok = Token(c, c, line, col)
-            advance(1)
-            yield tok
-            continue
-        raise LexError(f"unexpected character {c!r}", line, col)
-    yield Token("eof", "", line, col)
+    One compiled pattern matched at each position; columns count
+    characters from the last newline, which only skipped whitespace,
+    comments and directives can contain.
+    """
+    match = _TOKEN.match
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, pos, n = 1, 0, 0, len(text)
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise LexError(f"unexpected character {text[pos]!r}",
+                           line, pos - line_start + 1)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "skip":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "word":
+            word = m.group()
+            append(Token("keyword" if word in KEYWORDS else "ident", word,
+                         line, pos - line_start + 1))
+        elif kind == "punct":
+            c = text[pos]
+            append(Token(c, c, line, pos - line_start + 1))
+        elif kind == "number":
+            append(Token("number", m.group().replace("_", ""),
+                         line, pos - line_start + 1))
+        elif kind == "based":
+            append(Token("sized_number", m.group(),
+                         line, pos - line_start + 1))
+        elif kind == "escaped":
+            append(Token("ident", m.group(kind), line, pos - line_start + 1))
+        else:
+            raise LexError(_ERRORS[kind], line, pos - line_start + 1)
+        pos = end
+    append(Token("eof", "", line, n - line_start + 1))
+    return tokens

@@ -57,35 +57,34 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
     """Decode a Verilog literal into LSB-first bits (0/1/2 for x/z).
 
     ``raw`` may be sized+based (``4'b10x1``), based without size
-    (``'hff``), or plain decimal (``13`` → minimal width).
+    (``'hff``), or plain decimal (``13`` → minimal width).  Anything
+    else — a digit the base does not have, a zero or non-decimal size —
+    is a :class:`ParseError` at ``line``/``col``.
     """
     text = raw.replace("_", "")
     if "'" not in text:
-        value = int(text)
-        if value == 0:
-            return (0,)
-        bits = []
-        while value:
-            bits.append(value & 1)
-            value >>= 1
-        return tuple(bits)
+        if not _is_decimal(text):
+            raise ParseError(f"malformed literal {raw!r}", line, col)
+        return _bits_of(int(text))
     size_txt, rest = text.split("'", 1)
+    if size_txt and not _is_decimal(size_txt):
+        raise ParseError(f"malformed size in literal {raw!r}", line, col)
+    if size_txt and int(size_txt) == 0:
+        raise ParseError(f"literal {raw!r} has zero width", line, col)
     rest = rest.lstrip("sS")
-    if not rest:
+    per_digit = {"b": 1, "o": 3, "h": 4, "d": 0}.get(rest[:1].lower())
+    if per_digit is None:
         raise ParseError(f"malformed literal {raw!r}", line, col)
     base_ch = rest[0].lower()
     digits = rest[1:]
     if not digits:
         raise ParseError(f"literal {raw!r} has no digits", line, col)
-    per_digit = {"b": 1, "o": 3, "h": 4, "d": 0}[base_ch]
     bits: list[int] = []
     if base_ch == "d":
-        value = int(digits)
-        while value:
-            bits.append(value & 1)
-            value >>= 1
-        if not bits:
-            bits = [0]
+        if not _is_decimal(digits):
+            bad = next(ch for ch in digits if ch not in "0123456789")
+            raise ParseError(f"bad digit {bad!r} in literal {raw!r}", line, col)
+        bits = list(_bits_of(int(digits)))
     else:
         for ch in reversed(digits.lower()):
             if ch in "xz?":
@@ -105,6 +104,20 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
             bits.extend([pad] * (size - len(bits)))
         bits = bits[:size]
     return tuple(bits)
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII decimal digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _bits_of(value: int) -> tuple[int, ...]:
+    """LSB-first bits of a non-negative integer, at least one."""
+    bits = []
+    while value:
+        bits.append(value & 1)
+        value >>= 1
+    return tuple(bits) or (0,)
 
 
 class _Parser:

@@ -1,6 +1,11 @@
 """Lexer unit tests."""
 
+import hashlib
+import json
+
 import pytest
+
+from repro.circuits import circuit_source
 
 from repro.errors import LexError
 from repro.verilog.lexer import Token, tokenize
@@ -98,3 +103,39 @@ class TestLexErrors:
             assert e.column == 3
         else:  # pragma: no cover
             pytest.fail("expected LexError")
+
+    @pytest.mark.parametrize("text,message,line,column", [
+        ("x /* a\n\n*/ y\n  /* open", "unterminated block comment", 4, 3),
+        ("a\r\n\t\\ b", "empty escaped identifier", 2, 2),
+        ("w = 12'q;", "malformed based literal", 1, 5),
+        ("9'", "malformed based literal", 1, 1),
+        ("a_1 4'sx", "malformed based literal", 1, 5),
+        ("b /**/ '\n", "malformed based literal", 1, 8),
+        ("// c\n`define X\n  ~", "unexpected character '~'", 3, 3),
+    ])
+    def test_error_text_and_position(self, text, message, line, column):
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert str(info.value) == f"{message} (line {line}, column {column})"
+        assert (info.value.line, info.value.column) == (line, column)
+
+
+#: sha256 of every (kind, value, line, column) of a registered circuit's
+#: text, computed with the per-character lexer the compiled pattern
+#: replaced
+TOKEN_STREAM_SHA = {
+    "cpu-test": (
+        6676, "848c604f71b9cd9ba5b7018ca08a79d0e5e8620be8e8cf076aad7153e1bbeb00"),
+    "memctrl-test": (
+        1089, "4caa58b93d49883298677a33b017f2873e6ae56b30d473446ecd6f733c1c0502"),
+    "viterbi-test": (
+        2512, "b31151e0223a4513b7d8e97090c76691e31e089b1eb2a9e3dabb2372af695e0c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_STREAM_SHA))
+def test_registered_circuit_tokens_are_pinned(name):
+    toks = [[t.kind, t.value, t.line, t.column]
+            for t in tokenize(circuit_source(name))]
+    digest = hashlib.sha256(json.dumps(toks).encode()).hexdigest()
+    assert (len(toks), digest) == TOKEN_STREAM_SHA[name]

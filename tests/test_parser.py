@@ -181,6 +181,21 @@ class TestLiterals:
         with pytest.raises(ParseError, match="digits"):
             parse_literal_bits("4'b")
 
+    @pytest.mark.parametrize("raw", ["4'dx", "4'd1a", "'d9z"])
+    def test_non_decimal_digit_in_decimal_base(self, raw):
+        with pytest.raises(ParseError, match="bad digit"):
+            parse_literal_bits(raw, 3, 7)
+
+    @pytest.mark.parametrize("raw", ["0'b1", "0'd0", "0_0'hf"])
+    def test_zero_width(self, raw):
+        with pytest.raises(ParseError, match="zero width"):
+            parse_literal_bits(raw)
+
+    @pytest.mark.parametrize("raw", ["", "1a", "x'b1", "4'q1", "4's"])
+    def test_malformed_is_a_parse_error(self, raw):
+        with pytest.raises(ParseError, match="malformed"):
+            parse_literal_bits(raw)
+
 
 class TestParseErrors:
     def test_missing_semicolon(self):
@@ -202,6 +217,20 @@ class TestParseErrors:
     def test_garbage_item(self):
         with pytest.raises(ParseError, match="unexpected token"):
             parse_source("module m (); = ; endmodule")
+
+    @pytest.mark.parametrize("literal,match", [
+        ("4'dx", "bad digit"),
+        ("4'd1a", "bad digit"),
+        ("{0'b1, 2'b10}", "zero width"),
+    ])
+    def test_bad_literal_is_located(self, literal, match):
+        # the bad literal starts at line 3, column 14 in each case
+        text = ("module m (y);\n  output [3:0] y;\n"
+                f"  assign y = {literal};\nendmodule\n")
+        column = 14 + (literal[0] == "{")
+        with pytest.raises(ParseError, match=match) as info:
+            parse_source(text)
+        assert (info.value.line, info.value.column) == (3, column)
 
     def test_error_position(self):
         try:

@@ -31,6 +31,7 @@ from repro.sim import (
     TimeWarpConfig,
     TimeWarpEngine,
     compile_circuit,
+    timewarp,
 )
 
 STIMULUS_SEED = 5
@@ -147,3 +148,94 @@ def test_rollback_heavy_message_trail_is_pinned(interval):
     assert _sha([trail, stats.rollbacks, stats.anti_messages]) == (
         MESSAGE_TRAIL_SHA[interval]
     )
+
+
+def _float_repr(obj):
+    """``obj`` with every float replaced by its ``repr``."""
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _float_repr(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_float_repr(v) for v in obj]
+    return obj
+
+
+#: untraced runs, one per engine path the batch counters go through;
+#: each runs under scan and under heap scheduling, which must agree
+RUN_STATS_CONFIGS = {
+    "default": {},
+    "conservative": {"conservative": True},
+    "migration": {"migration": True, "adaptive_checkpointing": True,
+                  "migration_threshold": 0.1},
+    "aggressive": {"lazy_cancellation": False},
+    # the optimism horizon: a binding window, the emergency throttle
+    # (it engages and releases dozens of times here), no window at all
+    "window": {"optimism_window": 2},
+    "throttle": {"optimism_window": 4, "stall_threshold": 1,
+                 "gvt_interval": 5},
+    "unbounded": {"optimism_window": None},
+}
+
+RUN_STATS_SHA = {
+    ("cpu-test", "default"):
+        "29fd816898dac964cbb2d3b7b5a6ec1aa40b11ab15b084094452b566b3473f42",
+    ("cpu-test", "conservative"):
+        "4a967e573c60eb7ddd2a61e629e14499a9af858bf1aefbf324f373936fd8d371",
+    ("cpu-test", "migration"):
+        "3e8d4c9b69eddac21402efccc511723e79da2b6fe0da5b0a22764dc85eba5668",
+    ("cpu-test", "aggressive"):
+        "7e650ebacfeb274dc627b412e2bddc270bc58ef66281e062def8e3293bf3b1fe",
+    ("cpu-test", "window"):
+        "0ab90f79b0eb7a0d716052aa59705a408c08adc653f5c0601ca1495cd746bc60",
+    ("cpu-test", "throttle"):
+        "6bd1aff61ecba5a9e2f90ef171c4aa681b64f976b0c155911ba02fd0239d2570",
+    ("cpu-test", "unbounded"):
+        "cb535c77cbb48a62940de812ef8f22411b29ac85146717f3b7138768fcf0aa7e",
+    ("noc-test", "default"):
+        "00d2e029aa4e6d40e07652992a9e2016e72b7f5b9cf1e11ea76df04cf4d193e8",
+    ("noc-test", "conservative"):
+        "e14b3ecb35f8955238c16da073c293ac7f418669e9eacc54e968fa38a86c65ac",
+    ("noc-test", "migration"):
+        "7245fb5353b27a4d32b7d47eb37fe7c2a41afb1372320cfcc2a6c238b0f57962",
+    ("noc-test", "aggressive"):
+        "a0ca769e700c1a175d5fa6732cb01efeda4675cc51d965cbb1caf69bda62247b",
+    ("noc-test", "window"):
+        "eefc39191d414e4184cd89688da1100349d37ee2adbb19875bb0c3686b23cc2a",
+    ("noc-test", "throttle"):
+        "48cdeb878d131fe12a1eeb55a8415d109f10845b9d0ea6c2ca2b3ce2f9a25553",
+    ("noc-test", "unbounded"):  # the default window never binds on it
+        "00d2e029aa4e6d40e07652992a9e2016e72b7f5b9cf1e11ea76df04cf4d193e8",
+}
+
+
+@pytest.mark.parametrize("heap", [False, True], ids=["scan", "heap"])
+@pytest.mark.parametrize("config", sorted(RUN_STATS_CONFIGS))
+@pytest.mark.parametrize("name", ["cpu-test", "noc-test"])
+def test_run_stats_are_pinned(name, config, heap, monkeypatch):
+    """Every per-machine and per-LP counter of an untraced run — the
+    batch counters included, whichever way the engine keeps them."""
+    if heap:  # the way tests/test_timewarp_shell.py forces the heaps
+        monkeypatch.setattr(timewarp, "SCAN_SCHED_MAX_LPS", 0)
+    overrides = RUN_STATS_CONFIGS[config]
+    netlist = load_circuit(name)
+    circuit = compile_circuit(netlist)
+    clusters = Clustering.top_level(netlist).gate_clusters()
+    engine = TimeWarpEngine(
+        circuit, clusters, [i % 3 for i in range(len(clusters))],
+        ClusterSpec(num_machines=3),
+        TimeWarpConfig(**{"gvt_interval": 30, "checkpoint_interval": 3,
+                          **overrides}),
+    )
+    assert engine._heap_sched == heap
+    engine.load_inputs(random_vectors(netlist, VECTORS, seed=STIMULUS_SEED))
+    stats = engine.run()
+    assert sum(m.batches for m in stats.machines) \
+        == sum(lp.batches for lp in stats.lps) > 0
+    assert sum(m.gate_evals for m in stats.machines) \
+        == sum(lp.gate_evals for lp in stats.lps) == stats.processed_events
+    if overrides.get("migration"):
+        assert stats.migrations > 0
+    if overrides.get("conservative"):
+        assert stats.rollbacks == 0
+    assert _sha(_float_repr(stats.to_dict())) == RUN_STATS_SHA[name, config]

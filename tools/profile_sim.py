@@ -12,18 +12,28 @@ Runs cProfile over the two workloads the selection loop is made of —
 and prints the top cumulative functions of each (default 20).  This is
 the before/after evidence harness for kernel work: run it on two
 checkouts and diff where the time goes (docs/performance.md,
-"Simulation kernel", records the numbers this PR moved).
+"Simulation kernel" and "Time Warp shell", record the numbers).
 
 Every profiled run is first made once without cProfile and summarised
 per engine step — one LP batch on one machine: steps, host microseconds
 of ``TimeWarpEngine.run`` per step (the ``tw.run`` phase), gate
 evaluations per step and inter-LP sends per step, the counts read from
 the run's ``RunStats`` — the cost the Time Warp shell work is judged by.
-A second line, from one more run with ``GateTable.step`` wrapped (so
-the timing above stays unwrapped), counts the outputs the kernel rounds
-produced against the ones they scheduled because they change their
-net: the share of no-ops a round drops instead of carrying to the next
-tick.
+An engine step is one pass of the single loop in
+``TimeWarpEngine.run``, which prices the machines, delivers due
+arrivals and calls ``ClusterLP.execute_batch`` — the one LP batch
+implementation.  A second line, from one more run with
+``GateTable.step`` wrapped (so the timing above stays unwrapped),
+counts the outputs the kernel rounds produced against the ones they
+scheduled because they change their net: the share of no-ops a round
+drops instead of carrying to the next tick.
+
+The wrapped runs patch ``ClusterLP.execute_batch`` and
+``GateTable.step`` on their classes; the tool exits with an error when
+the wrapped run's batch count differs from the engine's steps or the
+kernel wrapper saw no call, so a refactor that bypasses either fails
+here (``tools/run_checks.py`` runs it at test size) instead of printing
+empty tables.
 
 ``--batches`` replaces the cProfile listing with the view cProfile
 cannot give — LP batches bucketed by size:
@@ -74,8 +84,9 @@ EVAL_EDGES = (0, 1, 8, 24, 64, 256)
 UPDATE_EDGES = (1, 8, 24, 48, 64, 96, 128, 192, 256)
 
 
-def _per_step(label: str, func) -> None:
-    """One plain run: what an engine step costs and carries."""
+def _per_step(label: str, func) -> int:
+    """One plain run: what an engine step costs and carries; returns
+    the number of steps."""
     recorder = MetricsRecorder()
     stats = func(recorder).run_stats
     host = recorder.phases["tw.run"].host_seconds
@@ -85,16 +96,18 @@ def _per_step(label: str, func) -> None:
           f"host us/step={host / steps * 1e6:.2f} "
           f"evals/step={stats.processed_events / steps:.2f} "
           f"sends/step={sends / steps:.3f} (tw.run {host:.3f} s)")
+    return steps
 
 
 def _no_ops(label: str, func) -> None:
     """One more run, untimed: how many of the outputs its kernel rounds
     produced change their net (and so are scheduled)."""
-    produced = changed = 0
+    calls = produced = changed = 0
     inner = kernel.GateTable.step
 
     def counting(*args):
-        nonlocal produced, changed
+        nonlocal calls, produced, changed
+        calls += 1
         result = inner(*args)
         if result is not None:
             produced += result[2]
@@ -108,6 +121,9 @@ def _no_ops(label: str, func) -> None:
         func()
     finally:
         kernel.GateTable.step = inner
+    if not calls:
+        raise SystemExit(f"[{label}] the wrapped GateTable.step was never "
+                         "called: the LP batch no longer reaches it")
     print(f"[{label}] outputs produced={produced} scheduled (changed)="
           f"{changed} no-ops={1 - changed / max(produced, 1):.1%} "
           f"(rolled-back rounds included)")
@@ -158,10 +174,14 @@ def _timed(owner, name: str, edges, size_of, run):
     return rows
 
 
-def _batch_tables(label: str, run) -> None:
+def _batch_tables(label: str, run, steps: int) -> None:
     print(f"\n=== {label}: LP batches by gate evaluations ===")
     rows = _timed(ClusterLP, "execute_batch", EVAL_EDGES,
                   lambda args, res: (res[0], res[0]), run)
+    batches = sum(row[0] for row in rows)
+    if batches != steps:
+        raise SystemExit(f"[{label}] the wrapped ClusterLP.execute_batch "
+                         f"ran {batches} batches, the engine {steps} steps")
     print(f"{'evals/batch':>12} {'batches':>9} {'evals':>10} "
           f"{'host s':>8} {'us/batch':>9}")
     for i, (calls, evals, secs) in enumerate(rows):
@@ -246,10 +266,10 @@ def main(argv: list[str] | None = None) -> int:
                                       config, recorder=recorder).report
 
         label = f"{label} ({vectors} vectors)"
-        _per_step(label, run)
+        steps = _per_step(label, run)
         _no_ops(label, run)
         if args.batches:
-            _batch_tables(label, run)
+            _batch_tables(label, run, steps)
         else:
             _profile(label, run, args.top, args.sort)
     return 0

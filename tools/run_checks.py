@@ -29,7 +29,13 @@ Runs, in order, stopping at the first failure:
    benchmarks/pipeline/test_pipeline_bench.py``, ~20 s) — the only
    test of the traced pass (``run.py --trace 1``), the runner's one use
    of the recorder (spans, phase totals, counters); tier-1 does not
-   collect them (``testpaths = ["tests"]``).
+   collect them (``testpaths = ["tests"]``);
+8. the simulation profiler at test size (``tools/profile_sim.py
+   --circuit cpu-test --k 2 --b 10 --vectors 5``, once with
+   ``--batches`` and once with ``--top 5``, ~1.5 s each) — it wraps
+   ``ClusterLP.execute_batch`` and ``GateTable.step`` by patching their
+   classes and exits non-zero when the engine loop no longer calls
+   them, so a refactor that moves the batch fails here.
 
 Usage::
 
@@ -52,6 +58,10 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: test-size arguments of the two profiler steps
+_PROFILE_SIM_SMOKE = ("--circuit", "cpu-test", "--k", "2", "--b", "10",
+                      "--vectors", "5")
 
 #: (label, argv, extra PYTHONPATH entries) for each gate step
 STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
@@ -77,6 +87,14 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("pipeline benchmark tests",
      [sys.executable, "-m", "pytest",
       "benchmarks/pipeline/test_pipeline_bench.py", "-q"],
+     ()),
+    ("simulation profiler, batch tables",
+     [sys.executable, "tools/profile_sim.py", *_PROFILE_SIM_SMOKE,
+      "--batches"],
+     ()),
+    ("simulation profiler, cProfile listing",
+     [sys.executable, "tools/profile_sim.py", *_PROFILE_SIM_SMOKE,
+      "--top", "5"],
      ()),
 ]
 
