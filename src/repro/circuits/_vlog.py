@@ -3,14 +3,18 @@
 Generators build module bodies line by line; :class:`ModuleWriter`
 handles port/wire declarations and gate instantiation syntax so the
 generator code reads like netlist construction, not string plumbing.
-All emitted text parses back through :mod:`repro.verilog`.
+The writer records the module as data — declarations in call order,
+gates, instances — and :meth:`ModuleWriter.emit` renders that record
+as text, which parses back through :mod:`repro.verilog`.  The streamed
+construction path lowers the same record straight to arrays
+(:func:`repro.circuits.stream.lower_module`).
 """
 
 from __future__ import annotations
 
-import io
+from typing import NamedTuple
 
-__all__ = ["ModuleWriter", "bus"]
+__all__ = ["Instance", "ModuleWriter", "bus"]
 
 
 def bus(name: str, width: int) -> list[str]:
@@ -21,28 +25,42 @@ def bus(name: str, width: int) -> list[str]:
     return [f"{name}[{i}]" for i in range(width)]
 
 
+class Instance(NamedTuple):
+    """One recorded instantiation, placed in body order after the
+    module's first ``gates_before`` gates."""
+
+    cell: str
+    name: str
+    connections: dict[str, str]
+    gates_before: int
+
+
 class ModuleWriter:
-    """Accumulates one Verilog module definition."""
+    """Records one Verilog module definition: ``decls`` holds
+    ``(kind, name, width)`` in call order (``kind`` ``"input"``,
+    ``"output"`` or ``"wire"``), ``gates`` ``(gtype, terms)`` in body
+    order with the output terminal first, ``instances`` the
+    :class:`Instance` records in declaration order."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._ports: list[tuple[str, str, int]] = []  # (dir, name, width)
-        self._wires: list[tuple[str, int]] = []
-        self._body: list[str] = []
+        self.decls: list[tuple[str, str, int]] = []
+        self.gates: list[tuple[str, tuple[str, ...]]] = []
+        self.instances: list[Instance] = []
         self._tmp = 0
 
     # -- declarations ------------------------------------------------------
 
     def input(self, name: str, width: int = 1) -> list[str]:
-        self._ports.append(("input", name, width))
+        self.decls.append(("input", name, width))
         return bus(name, width)
 
     def output(self, name: str, width: int = 1) -> list[str]:
-        self._ports.append(("output", name, width))
+        self.decls.append(("output", name, width))
         return bus(name, width)
 
     def wire(self, name: str, width: int = 1) -> list[str]:
-        self._wires.append((name, width))
+        self.decls.append(("wire", name, width))
         return bus(name, width)
 
     def fresh(self, prefix: str = "t", width: int = 1) -> list[str]:
@@ -54,21 +72,18 @@ class ModuleWriter:
     # -- gates ----------------------------------------------------------------
 
     def gate(self, gtype: str, out: str, *ins: str) -> None:
-        terms = ", ".join((out, *ins))
-        self._body.append(f"  {gtype} ({terms});")
+        self.gates.append((gtype, (out, *ins)))
 
     def dff(self, q: str, d: str, clk: str) -> None:
-        self._body.append(f"  dff ({q}, {d}, {clk});")
+        self.gates.append(("dff", (q, d, clk)))
 
     def dffr(self, q: str, d: str, clk: str, rst: str) -> None:
-        self._body.append(f"  dffr ({q}, {d}, {clk}, {rst});")
+        self.gates.append(("dffr", (q, d, clk, rst)))
 
     def instance(self, module: str, name: str, connections: dict[str, str]) -> None:
-        conns = ", ".join(f".{p}({e})" for p, e in connections.items())
-        self._body.append(f"  {module} {name} ({conns});")
-
-    def raw(self, line: str) -> None:
-        self._body.append("  " + line)
+        self.instances.append(
+            Instance(module, name, dict(connections), len(self.gates))
+        )
 
     # -- compound gate-level blocks ----------------------------------------------
 
@@ -133,16 +148,16 @@ class ModuleWriter:
     # -- emission -------------------------------------------------------------------
 
     def emit(self) -> str:
-        out = io.StringIO()
-        port_names = ", ".join(p[1] for p in self._ports)
-        out.write(f"module {self.name} ({port_names});\n")
-        for direction, name, width in self._ports:
+        """Render the record as Verilog: ports, then wires, then the
+        body with gates and instances interleaved in call order."""
+        ports = [d for d in self.decls if d[0] != "wire"]
+        wires = [d for d in self.decls if d[0] == "wire"]
+        lines = [f"module {self.name} ({', '.join(p[1] for p in ports)});"]
+        for kind, name, width in ports + wires:
             rng = f"[{width - 1}:0] " if width > 1 else ""
-            out.write(f"  {direction} {rng}{name};\n")
-        for name, width in self._wires:
-            rng = f"[{width - 1}:0] " if width > 1 else ""
-            out.write(f"  wire {rng}{name};\n")
-        for line in self._body:
-            out.write(line + "\n")
-        out.write("endmodule\n")
-        return out.getvalue()
+            lines.append(f"  {kind} {rng}{name};")
+        body = [f"  {gtype} ({', '.join(terms)});" for gtype, terms in self.gates]
+        for inst in reversed(self.instances):
+            conns = ", ".join(f".{p}({e})" for p, e in inst.connections.items())
+            body.insert(inst.gates_before, f"  {inst.cell} {inst.name} ({conns});")
+        return "\n".join(lines + body + ["endmodule", ""])

@@ -14,21 +14,20 @@ point-to-point neighbour links.  A partition of this design pays cut
 on the broadcast nets no matter where it cuts, which stresses the
 λ−1 connectivity metric rather than plain cut counting.
 
-Both emitters exist: :func:`memctrl_verilog` (text) and
-:func:`memctrl_stream` (array-native), equivalent gate-for-gate.
+One description, two backends: :func:`memctrl_verilog` (text) and
+:func:`memctrl_stream` (the same recorded top module lowered to arrays),
+equivalent gate-for-gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
-from .stream import ModuleTemplate, StreamBuilder
+from .stream import lower_module
 
 __all__ = [
     "MemCtrlConfig", "memctrl_verilog", "memctrl_stream",
@@ -121,7 +120,7 @@ def _bank_module(cfg: MemCtrlConfig) -> str:
     return m.emit()
 
 
-def _top_module(cfg: MemCtrlConfig) -> str:
+def _top_module(cfg: MemCtrlConfig) -> ModuleWriter:
     m = ModuleWriter("memctrl_top")
     clk = m.input("clk")[0]
     rst = m.input("rst")[0]
@@ -184,85 +183,19 @@ def _top_module(cfg: MemCtrlConfig) -> str:
         dst = hit if bk == cfg.banks - 1 else m.fresh("ohit")[0]
         m.gate("or", dst, acc, f"bhit[{bk}]")
         acc = dst
-    return m.emit()
+    return m
 
 
 def memctrl_verilog(cfg: MemCtrlConfig = BENCH_CONFIG) -> str:
     """Generate the controller as Verilog source text."""
-    return _bank_module(cfg) + "\n" + _top_module(cfg)
+    return _bank_module(cfg) + "\n" + _top_module(cfg).emit()
 
 
 def memctrl_stream(cfg: MemCtrlConfig = BENCH_CONFIG,
                    recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
-    """Generate the controller directly as a :class:`NetlistCSR`.
-
-    The top module's own gates (pipeline registers, decoder, OR-trees)
-    are emitted first in body order, then all banks in one vectorized
-    stamp — the elaborator's order contract, as in the other streamed
-    emitters.
+    """Generate the controller directly as a :class:`NetlistCSR`: the
+    recorded top module (pipeline registers, decoder, OR-trees) lowered
+    onto the bank template, all banks stamped in one block
+    (:func:`~repro.circuits.stream.lower_module`).
     """
-    A, W, nb = cfg.abits, cfg.width, cfg.bank_bits
-    bank_t = ModuleTemplate.from_verilog(_bank_module(cfg))
-    b = StreamBuilder("memctrl_top")
-    clk = b.net()
-    rst = b.net()
-    addr = b.nets(cfg.addr_bits)
-    wdata = b.nets(W)
-    b.mark_input([clk, rst])
-    b.mark_input(addr)
-    b.mark_input(wdata)
-    rdata = b.nets(W)
-    hit = b.net()
-    b.mark_output(rdata)
-    b.mark_output(hit)
-
-    stage = np.concatenate((addr, wdata))
-    for _j in range(cfg.queue):
-        q = b.nets(cfg.addr_bits + W)
-        pins = np.stack(
-            (stage, np.full_like(stage, clk), np.full_like(stage, rst)),
-            axis=1,
-        )
-        b.gates("dffr", q, pins)
-        stage = q
-    c_addr = stage[: cfg.addr_bits]
-    c_wdata = stage[cfg.addr_bits:]
-    inv = b.nets(nb)
-    b.gates("not", inv, c_addr[A:, None])
-    sels = b.nets(cfg.banks)
-    for bk in range(cfg.banks):
-        acc = None
-        for i in range(nb):
-            term = int(c_addr[A + i]) if (bk >> i) & 1 else int(inv[i])
-            if acc is None:
-                acc = term
-            else:
-                nxt = b.net()
-                b.gate("and", nxt, acc, term)
-                acc = nxt
-        b.gate("buf", int(sels[bk]), acc)
-    rd = b.nets(cfg.banks * W).reshape(cfg.banks, W)
-    bhit = b.nets(cfg.banks)
-    for i in range(W):
-        acc = int(rd[0, i])
-        for bk in range(1, cfg.banks):
-            dst = int(rdata[i]) if bk == cfg.banks - 1 else b.net()
-            b.gate("or", dst, acc, int(rd[bk, i]))
-            acc = dst
-    acc = int(bhit[0])
-    for bk in range(1, cfg.banks):
-        dst = hit if bk == cfg.banks - 1 else b.net()
-        b.gate("or", dst, acc, int(bhit[bk]))
-        acc = dst
-
-    n_ports = 3 + A + W + W + 1
-    ports = np.empty((cfg.banks, n_ports), dtype=np.int64)
-    ports[:, 0] = clk
-    ports[:, 1] = rst
-    ports[:, 2] = sels
-    ports[:, 3:3 + A] = c_addr[:A]
-    ports[:, 3 + A:3 + A + W] = c_wdata
-    ports[:, 3 + A + W:3 + A + 2 * W] = rd
-    ports[:, -1] = bhit
-    b.stamp(bank_t, ports)
-    return b.build(recorder=recorder)
+    return lower_module(_top_module(cfg), _bank_module(cfg), recorder)

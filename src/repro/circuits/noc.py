@@ -13,9 +13,10 @@ Viterbi decoder's chained survivor pipeline and to the memory
 controller's global fan-out buses — three families, three hypergraph
 shapes.
 
-Both emitters exist: :func:`noc_verilog` (text, parsed by the normal
-front end) and :func:`noc_stream` (array-native
-:class:`~repro.verilog.netlist_csr.NetlistCSR` via template stamping),
+One description, two backends: :func:`noc_verilog` renders the
+generator's modules as text for the normal front end, and
+:func:`noc_stream` lowers the same recorded top module straight to a
+:class:`~repro.verilog.netlist_csr.NetlistCSR` by template stamping —
 equivalent gate-for-gate at any config.
 """
 
@@ -23,13 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
-from .stream import ModuleTemplate, StreamBuilder
+from .stream import lower_module
 
 __all__ = [
     "NocConfig", "noc_verilog", "noc_stream",
@@ -119,7 +118,7 @@ def _neighbor(cfg: NocConfig, r: int, c: int, port: str) -> tuple[int, int, str]
     return r, (c - 1) % cfg.cols, "e"
 
 
-def _top_module(cfg: NocConfig) -> str:
+def _top_module(cfg: NocConfig) -> ModuleWriter:
     m = ModuleWriter("noc_top")
     clk = m.input("clk")[0]
     rst = m.input("rst")[0]
@@ -142,59 +141,18 @@ def _top_module(cfg: NocConfig) -> str:
             for p in _PORTS:
                 conns[f"out_{p}"] = f"o_{p}_{r}_{c}"
             m.instance("noc_router", f"rtr_{r}_{c}", conns)
-    return m.emit()
+    return m
 
 
 def noc_verilog(cfg: NocConfig = BENCH_CONFIG) -> str:
     """Generate the fabric as Verilog source text."""
-    return _router_module(cfg) + "\n" + _top_module(cfg)
+    return _router_module(cfg) + "\n" + _top_module(cfg).emit()
 
 
 def noc_stream(cfg: NocConfig = BENCH_CONFIG,
                recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
-    """Generate the fabric directly as a :class:`NetlistCSR`.
-
-    Same order contract as :func:`~repro.circuits.viterbi
-    .viterbi_stream`: the top module's eject bufs first (body order),
-    then every router stamped in row-major declaration order — here as
-    one vectorized stamp over the whole grid.
+    """Generate the fabric directly as a :class:`NetlistCSR`: the
+    recorded top module lowered onto the router template, every router
+    stamped in one block (:func:`~repro.circuits.stream.lower_module`).
     """
-    W = cfg.width
-    router_t = ModuleTemplate.from_verilog(_router_module(cfg))
-    b = StreamBuilder("noc_top")
-    clk = b.net()
-    rst = b.net()
-    inj = b.nets(W)
-    b.mark_input([clk, rst])
-    b.mark_input(inj)
-    eject = b.nets(W)
-    b.mark_output(eject)
-    # (rows, cols, 5 ports, W) output-bus net grid, allocated as one block
-    out = b.nets(cfg.routers * 5 * W).reshape(cfg.rows, cfg.cols, 5, W)
-    last = out[cfg.rows - 1, cfg.cols - 1, _PORTS.index("l")]
-    b.gates("buf", eject, last[:, None])
-    ports = np.empty((cfg.rows, cfg.cols, 2 + 10 * W), dtype=np.int64)
-    ports[:, :, 0] = clk
-    ports[:, :, 1] = rst
-    col = 2
-    for p in ("n", "s", "e", "w"):
-        # in_<p> of every router = the facing output bus of its neighbour
-        if p == "n":
-            src = np.roll(out[:, :, _PORTS.index("s")], 1, axis=0)
-        elif p == "s":
-            src = np.roll(out[:, :, _PORTS.index("n")], -1, axis=0)
-        elif p == "e":
-            src = np.roll(out[:, :, _PORTS.index("w")], -1, axis=1)
-        else:
-            src = np.roll(out[:, :, _PORTS.index("e")], 1, axis=1)
-        ports[:, :, col:col + W] = src
-        col += W
-    loc = out[:, :, _PORTS.index("l")].copy()
-    loc[0, 0] = inj
-    ports[:, :, col:col + W] = loc
-    col += W
-    for pi in range(5):
-        ports[:, :, col:col + W] = out[:, :, pi]
-        col += W
-    b.stamp(router_t, ports.reshape(cfg.routers, -1))
-    return b.build(recorder=recorder)
+    return lower_module(_top_module(cfg), _router_module(cfg), recorder)

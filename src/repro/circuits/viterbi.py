@@ -28,14 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..verilog.netlist import CONST0, CONST1
 from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
-from .stream import ModuleTemplate, StreamBuilder
+from .stream import lower_module
 
 __all__ = [
     "ViterbiConfig", "viterbi_verilog", "viterbi_stream",
@@ -219,7 +216,7 @@ def _smu_module(cfg: ViterbiConfig, cols: int, name: str) -> str:
     return m.emit()
 
 
-def _top_module(cfg: ViterbiConfig) -> str:
+def _top_module(cfg: ViterbiConfig) -> ModuleWriter:
     m = ModuleWriter("viterbi_top")
     clk = m.input("clk")[0]
     rst = m.input("rst")[0]
@@ -304,11 +301,11 @@ def _top_module(cfg: ViterbiConfig) -> str:
         out_bits.append(decoded)
         m.output(f"ch{c}_bit")
         m.gate("buf", f"ch{c}_bit", decoded)
-    return m.emit()
+    return m
 
 
-def viterbi_verilog(cfg: ViterbiConfig = BENCH_CONFIG) -> str:
-    """Generate the full decoder as Verilog source text."""
+def _cells(cfg: ViterbiConfig) -> str:
+    """Every module but the top, as Verilog text."""
     parts = [
         _bmu_module(cfg),
         _acs_module(cfg),
@@ -319,98 +316,23 @@ def viterbi_verilog(cfg: ViterbiConfig = BENCH_CONFIG) -> str:
     tail = cfg.traceback % cfg.smu_cols
     if tail:
         parts.append(_smu_module(cfg, tail, "vit_smu_tail"))
-    parts.append(_top_module(cfg))
     return "\n".join(parts)
+
+
+def viterbi_verilog(cfg: ViterbiConfig = BENCH_CONFIG) -> str:
+    """Generate the full decoder as Verilog source text."""
+    return _cells(cfg) + "\n" + _top_module(cfg).emit()
 
 
 def viterbi_stream(cfg: ViterbiConfig = BENCH_CONFIG,
                    recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
     """Generate the decoder directly as a :class:`NetlistCSR`.
 
-    Mirrors :func:`viterbi_verilog` + parse + elaborate without the
-    text round trip: each cell module is compiled once into a
-    :class:`~repro.circuits.stream.ModuleTemplate`, then stamped per
-    instance.  Gate order, gate types and primary-I/O order match the
-    parsed path exactly (the elaborator's own-gates-first /
-    instances-in-declaration-order contract); net ids differ only by a
-    bijection.  ``tests/test_stream_circuits.py`` pins this.
+    :func:`viterbi_verilog` + parse + elaborate without the top
+    module's text: the recorded top is lowered onto the cells, each
+    compiled once (:func:`~repro.circuits.stream.lower_module`).  Gate
+    order, gate types and primary-I/O order match the parsed path
+    exactly; net ids differ only by a bijection
+    (``tests/test_stream_circuits.py``).
     """
-    W, S = cfg.width, cfg.states
-    bmu_t = ModuleTemplate.from_verilog(_bmu_module(cfg))
-    acs_t = ModuleTemplate.from_verilog(_acs_module(cfg))
-    pmreg_t = ModuleTemplate.from_verilog(_pmreg_module(cfg))
-    recol = _recol_module(cfg)
-    smu_t = ModuleTemplate.from_verilog(
-        recol + "\n" + _smu_module(cfg, cfg.smu_cols, "vit_smu"),
-        top="vit_smu",
-    )
-    tail = cfg.traceback % cfg.smu_cols
-    smu_tail_t = (
-        ModuleTemplate.from_verilog(
-            recol + "\n" + _smu_module(cfg, tail, "vit_smu_tail"),
-            top="vit_smu_tail",
-        )
-        if tail
-        else None
-    )
-
-    b = StreamBuilder("viterbi_top")
-    clk = b.net()
-    rst = b.net()
-    b.mark_input([clk, rst])
-
-    # pass 1: per-channel nets, primary I/O, and the top module's own
-    # gates — the elaborator emits *all* of a module's own gates before
-    # any instance gates, so these bufs must come first
-    chans = []
-    for _c in range(cfg.channels):
-        rx0 = b.net()
-        rx1 = b.net()
-        b.mark_input([rx0, rx1])
-        bms = [b.nets(W) for _ in range(4)]
-        pm = [b.nets(W) for _ in range(S)]
-        pmn = [b.nets(W) for _ in range(S)]
-        dec = b.nets(S)
-        blocks = []
-        remaining = cfg.traceback
-        while remaining > 0:
-            cols = min(cfg.smu_cols, remaining)
-            blocks.append((cols, b.nets(S)))
-            remaining -= cols
-        decoded = b.net()
-        bit = b.net()
-        b.gate("buf", decoded, int(blocks[-1][1][0]))
-        b.mark_output(bit)
-        b.gate("buf", bit, decoded)
-        chans.append((rx0, rx1, bms, pm, pmn, dec, blocks))
-
-    # pass 2: stamp instances in declaration order
-    for rx0, rx1, bms, pm, pmn, dec, blocks in chans:
-        bmu_ports = np.empty((4, 4 + W), dtype=np.int64)
-        for sym in range(4):
-            bmu_ports[sym, 0] = rx0
-            bmu_ports[sym, 1] = rx1
-            bmu_ports[sym, 2] = CONST1 if sym & 1 else CONST0
-            bmu_ports[sym, 3] = CONST1 if (sym >> 1) & 1 else CONST0
-            bmu_ports[sym, 4:] = bms[sym]
-        b.stamp(bmu_t, bmu_ports)
-        for s in range(S):
-            p0 = (2 * s) % S
-            p1 = (2 * s + 1) % S
-            sym0 = (s ^ p0) & 3
-            sym1 = (s ^ p1) & 3
-            acs_ports = np.concatenate(
-                (pm[p0], pm[p1], bms[sym0], bms[sym1], pmn[s], dec[s:s + 1])
-            )
-            b.stamp(acs_t, acs_ports[None, :])
-            pmreg_ports = np.concatenate(
-                (pmn[s], [clk, rst], pm[s])
-            )
-            b.stamp(pmreg_t, pmreg_ports[None, :])
-        prev = dec
-        for cols, out in blocks:
-            tmpl = smu_t if cols == cfg.smu_cols else smu_tail_t
-            ports = np.concatenate((prev, dec, [clk, rst], out))
-            b.stamp(tmpl, ports[None, :])
-            prev = out
-    return b.build(recorder=recorder)
+    return lower_module(_top_module(cfg), _cells(cfg), recorder)

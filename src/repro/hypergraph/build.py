@@ -295,9 +295,8 @@ class Clustering:
         return self._edge_drivers
 
     def _build_hypergraph(self) -> Hypergraph:
-        netlist = self.netlist
         nets, edge_ptr, edge_pins, drivers = spanning_nets(
-            netlist.csr, self.gate_cluster
+            self.netlist.csr, self.gate_cluster
         )
         self._edge_drivers = drivers.tolist()
         return Hypergraph.from_csr(
@@ -305,8 +304,6 @@ class Clustering:
             np.ones(len(nets), dtype=np.int64),
             edge_ptr,
             edge_pins,
-            vertex_names=self.names,
-            edge_names=list(map(netlist.net_names.__getitem__, nets.tolist())),
         )
 
     # -- views -------------------------------------------------------------------

@@ -87,8 +87,6 @@ class Hypergraph:
         "_edge_pins_lists",
         "_edge_weight_list",
         "_vertex_weight_list",
-        "vertex_names",
-        "edge_names",
         "__weakref__",
     )
 
@@ -98,15 +96,11 @@ class Hypergraph:
         edge_weight: np.ndarray,
         edge_ptr: np.ndarray,
         edge_pins: np.ndarray,
-        vertex_names: Sequence[str] | None = None,
-        edge_names: Sequence[str] | None = None,
     ) -> None:
         self.vertex_weight = vertex_weight
         self.edge_weight = edge_weight
         self._edge_ptr = edge_ptr
         self._edge_pins = edge_pins
-        self.vertex_names = list(vertex_names) if vertex_names is not None else None
-        self.edge_names = list(edge_names) if edge_names is not None else None
         self._validate()
         self._build_vertex_index()
 
@@ -118,8 +112,6 @@ class Hypergraph:
         vertex_weights: Sequence[int],
         edges: Iterable[Sequence[int]],
         edge_weights: Sequence[int] | None = None,
-        vertex_names: Sequence[str] | None = None,
-        edge_names: Sequence[str] | None = None,
     ) -> "Hypergraph":
         """Build a hypergraph from explicit pin lists.
 
@@ -145,7 +137,7 @@ class Hypergraph:
             ew = np.ones(len(edge_lists), dtype=np.int64)
         else:
             ew = np.asarray(edge_weights, dtype=np.int64)
-        return cls(vw, ew, ptr, pins, vertex_names, edge_names)
+        return cls(vw, ew, ptr, pins)
 
     @classmethod
     def from_csr(
@@ -154,8 +146,6 @@ class Hypergraph:
         edge_weight: np.ndarray,
         edge_ptr: np.ndarray,
         edge_pins: np.ndarray,
-        vertex_names: Sequence[str] | None = None,
-        edge_names: Sequence[str] | None = None,
     ) -> "Hypergraph":
         """Freeze pre-built CSR arrays into a hypergraph directly.
 
@@ -185,7 +175,7 @@ class Hypergraph:
         return cls(
             require_int64(np.asarray(vertex_weight)),
             require_int64(np.asarray(edge_weight)),
-            ptr, pins, vertex_names, edge_names,
+            ptr, pins,
         )
 
     def _build_vertex_index(self) -> None:
@@ -225,10 +215,6 @@ class Hypergraph:
             raise HypergraphError("edge pin refers to a vertex id out of range")
         if len(self.edge_weight) + 1 != len(self._edge_ptr):
             raise HypergraphError("edge pointer array length mismatch")
-        if self.vertex_names is not None and len(self.vertex_names) != n:
-            raise HypergraphError("vertex_names length mismatch")
-        if self.edge_names is not None and len(self.edge_names) != self.num_edges:
-            raise HypergraphError("edge_names length mismatch")
 
     # -- basic queries ---------------------------------------------------
 
@@ -281,18 +267,6 @@ class Hypergraph:
     def vertex_degree(self, v: int) -> int:
         """Number of hyperedges incident to vertex ``v``."""
         return int(self._vertex_ptr[v + 1] - self._vertex_ptr[v])
-
-    def vertex_name(self, v: int) -> str:
-        """Human-readable name of vertex ``v`` (falls back to ``v<id>``)."""
-        if self.vertex_names is not None:
-            return self.vertex_names[v]
-        return f"v{v}"
-
-    def edge_name(self, e: int) -> str:
-        """Human-readable name of hyperedge ``e`` (falls back to ``e<id>``)."""
-        if self.edge_names is not None:
-            return self.edge_names[e]
-        return f"e{e}"
 
     def iter_edges(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(edge_id, pin_array)`` for every hyperedge."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NetlistError
+from .primitives import gate_spec, is_gate_type
 
 __all__ = ["CONST0", "CONST1", "CONSTX", "ChunkedIntArray", "NetlistCSR",
            "fanout_csr"]
@@ -98,16 +99,6 @@ class ChunkedIntArray:
                 self._head = np.empty(self.chunk, dtype=self.dtype)
                 self._fill = 0
         self._len += len(values)
-
-    def append(self, value: int) -> None:
-        """Append one scalar."""
-        if self._fill == self.chunk:
-            self._full.append(self._head)
-            self._head = np.empty(self.chunk, dtype=self.dtype)
-            self._fill = 0
-        self._head[self._fill] = value
-        self._fill += 1
-        self._len += 1
 
     def freeze(self) -> np.ndarray:
         """Concatenate the chunks into one array (single use)."""
@@ -223,7 +214,10 @@ class NetlistCSR:
         streamed generators); a :class:`Netlist` runs the same driver
         rules worded by name before it builds its ``csr``.  The
         single-driver rule is one scatter of gate ids into
-        ``net_driver`` that every gate must read back.
+        ``net_driver`` that every gate must read back.  Every gate's
+        type and input count must be one the primitive table
+        (:func:`~repro.verilog.primitives.gate_spec`) accepts — the
+        same rule the parser enforces on text.
         """
         n_gates = self.num_gates
         if len(self.gate_output) != n_gates:
@@ -238,6 +232,7 @@ class NetlistCSR:
             if int(self.gate_code.min()) < 0 or \
                     int(self.gate_code.max()) >= len(self.gate_types):
                 raise NetlistError("gate_code outside the gate_types table")
+            self._check_primitives()
             if int(self.gate_output.min()) < _NUM_CONST_NETS:
                 bad = int(np.argmax(self.gate_output < _NUM_CONST_NETS))
                 raise NetlistError(f"gate {bad} drives a constant net")
@@ -266,6 +261,32 @@ class NetlistCSR:
             )
         if (self.inputs < _NUM_CONST_NETS).any():
             raise NetlistError("a primary input is a constant net")
+
+    def _check_primitives(self) -> None:
+        """Type and input count of every gate against the primitive
+        table, one masked pass per type code."""
+        arity = np.diff(self.pin_ptr)
+        for code, gtype in enumerate(self.gate_types):
+            mine = self.gate_code == code
+            counts = arity[mine]
+            if not len(counts):
+                continue
+            if not is_gate_type(gtype):
+                gid = int(np.argmax(mine))
+                raise NetlistError(f"gate {gid} has unknown type {gtype!r}")
+            spec = gate_spec(gtype)
+            least, most = spec.min_inputs, spec.max_inputs
+            if counts.min() < least or (
+                    most is not None and counts.max() > most):
+                bad = counts < least
+                if most is not None:
+                    bad |= counts > most
+                gid = int(np.flatnonzero(mine)[np.argmax(bad)])
+                raise NetlistError(
+                    f"gate {gid} ({gtype}) has {int(arity[gid])} inputs; "
+                    f"{gtype} takes {least} to "
+                    f"{'any' if most is None else most}"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

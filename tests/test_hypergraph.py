@@ -54,18 +54,6 @@ class TestConstruction:
         seen = {e: list(p) for e, p in hg.iter_edges()}
         assert seen[1] == [1, 3]
 
-    def test_names_default(self):
-        hg = simple_hg()
-        assert hg.vertex_name(2) == "v2"
-        assert hg.edge_name(0) == "e0"
-
-    def test_names_explicit(self):
-        hg = Hypergraph.from_edges(
-            [1, 1], [[0, 1]], vertex_names=["a", "b"], edge_names=["n"]
-        )
-        assert hg.vertex_name(1) == "b"
-        assert hg.edge_name(0) == "n"
-
     def test_empty_edge_set(self):
         hg = Hypergraph.from_edges([1, 1], [])
         assert hg.num_edges == 0
@@ -85,21 +73,14 @@ class TestValidation:
         with pytest.raises(HypergraphError, match="out of range"):
             Hypergraph.from_edges([1, 1], [[0, 5]])
 
-    def test_name_length_mismatch_rejected(self):
-        with pytest.raises(HypergraphError, match="vertex_names"):
-            Hypergraph.from_edges([1, 1], [[0, 1]], vertex_names=["only-one"])
-
 
 class TestBuilder:
     """:meth:`Hypergraph.from_edges` — the constructor from pin lists."""
 
     def test_basic_flow(self):
-        hg = Hypergraph.from_edges(
-            [2, 1], [[0, 1]], vertex_names=["g1", "g2"], edge_names=["n1"]
-        )
+        hg = Hypergraph.from_edges([2, 1], [[0, 1]])
         assert hg.num_vertices == 2
         assert hg.total_weight == 3
-        assert hg.vertex_name(0) == "g1"
 
 
 @st.composite

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import CIRCUITS, load_circuit, random_vectors
-from repro.errors import ElaborationError
+from repro.errors import ElaborationError, NetlistError
 from repro.hypergraph import Clustering
 from repro.sim.compiled import compile_circuit
 from repro.verilog import NetlistBuilder, compile_verilog
@@ -68,7 +68,7 @@ class TestViewsEqualReplay:
 
 
 def _oracle(clustering: Clustering):
-    """One set per net: (pins per edge, edge names, driver cluster per edge)."""
+    """One set per net: (pins per edge, driver cluster per edge)."""
     nl = clustering.netlist
     where = {g: ci for ci, c in enumerate(clustering.clusters) for g in c.gate_ids}
     touched = [set() for _ in range(nl.num_nets)]
@@ -81,7 +81,6 @@ def _oracle(clustering: Clustering):
     spanning = [n for n in range(nl.num_nets) if len(touched[n]) > 1]
     return (
         [sorted(touched[n]) for n in spanning],
-        [nl.net_names[n] for n in spanning],
         [drivers[n] for n in spanning],
     )
 
@@ -110,11 +109,9 @@ class TestClusterHypergraphOracle:
 
     def _check(self, clustering: Clustering):
         hg = clustering.hypergraph()
-        pins, names, drivers = _oracle(clustering)
+        pins, drivers = _oracle(clustering)
         assert hg.edge_pins_lists() == pins
-        assert hg.edge_names == names
         assert clustering.edge_drivers() == drivers
-        assert hg.vertex_names == [c.name for c in clustering.clusters]
         assert hg.vertex_weight.tolist() == [c.weight for c in clustering.clusters]
 
     def test_top_level(self, netlist):
@@ -215,3 +212,48 @@ def test_pickle_round_trip_keeps_the_netlist(name):
     clone = pickle.loads(pickle.dumps(nl))
     assert _netlist_digest(clone) == _netlist_digest(nl)
     assert np.array_equal(clone.csr.pin_net, nl.csr.pin_net)
+
+
+class TestPrimitiveTable:
+    """``NetlistCSR.validate`` holds array-built netlists to the same
+    type and arity rules the parser holds Verilog text to."""
+
+    @staticmethod
+    def _one_gate(gtype: str, n_inputs: int):
+        from repro.circuits.stream import StreamBuilder
+
+        b = StreamBuilder("t")
+        ins = b.nets(n_inputs)
+        b.mark_input(ins)
+        b.gate(gtype, b.net(), *ins.tolist())
+        return b.build()
+
+    @pytest.mark.parametrize("gtype, n_inputs", [
+        ("not", 2), ("buf", 2), ("and", 1), ("xor", 1),
+        ("dff", 3), ("dffr", 2), ("dffe", 4),
+    ])
+    def test_wrong_arity_rejected(self, gtype, n_inputs):
+        with pytest.raises(NetlistError, match=rf"gate 0 \({gtype}\) has "
+                                               rf"{n_inputs} inputs"):
+            self._one_gate(gtype, n_inputs)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(NetlistError, match="gate 0 has unknown type 'bogus'"):
+            self._one_gate("bogus", 1)
+
+    @pytest.mark.parametrize("gtype, n_inputs", [
+        ("not", 1), ("and", 2), ("nand", 5), ("dff", 2), ("dffr", 3),
+    ])
+    def test_legal_arity_accepted(self, gtype, n_inputs):
+        assert self._one_gate(gtype, n_inputs).num_gates == 1
+
+    def test_first_offending_gate_is_named(self):
+        from repro.circuits.stream import StreamBuilder
+
+        b = StreamBuilder("t")
+        ins = b.nets(3)
+        b.mark_input(ins)
+        b.gate("and", b.net(), 3, 4, 5)
+        b.gate("and", b.net(), 3)
+        with pytest.raises(NetlistError, match=r"gate 1 \(and\) has 1 inputs"):
+            b.build()

@@ -25,11 +25,12 @@ with :mod:`tracemalloc` and ends each level line with the MB live
 before the level's refine and the peak MB during it, counted from the
 run's start, so the input hypergraph is not in them — the tracing
 slows allocation-heavy kernels, so the gain kernel's and the kicks'
-host ms read higher than untraced), and — where FM ran — how many
-moves its passes tried on their working sets against how many the best
-prefixes committed to the state, and how many passes the locked-cut
-bound ended, or — where the batch refiner ran — how many vertices it
-re-scored per round and per applied move.  This is the before/after
+host ms read higher than untraced; the tool exits with an error when
+a wrapped kernel the run should reach records no call), and — where
+FM ran — how many moves its passes tried on their working sets against
+how many the best prefixes committed to the state, and how many passes
+the locked-cut bound ended, or — where the batch refiner ran — how
+many vertices it re-scored per round and per applied move.  This is the before/after
 evidence harness for partitioner kernel work — the peer of
 ``tools/profile_sim.py`` on the partitioning side
 (docs/performance.md records the numbers it moved).
@@ -178,6 +179,21 @@ def _wrapped_run(run):
     return calls, by_size, boundary, memory
 
 
+def _unseen_kernels(calls, by_size, boundary, memory, refiner: str,
+                    levels: int) -> list[str]:
+    """Wrapped kernels the second run never called — a wrapper that no
+    longer intercepts its kernel (renamed, moved, or bound by a direct
+    import) would otherwise print zeros as if measured."""
+    seen = {"_cluster_level": calls["_cluster_level"],
+            "_refine_level": memory}
+    if levels:
+        seen["project_hypergraph"] = calls["project_hypergraph"]
+    if refiner == "batch":
+        seen.update((name, by_size[name]) for _, name, _ in REFINE_KERNELS)
+        seen["BoundaryGains.refresh"] = boundary
+    return [name for name, got in seen.items() if not got]
+
+
 def _refine_line(n: int, by_size, boundary) -> str:
     """The refinement summary of the level whose hypergraph has ``n``
     vertices ("" where the batch refiner never scored it)."""
@@ -260,6 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     print(summary)
     if args.algorithm == "multilevel":
         calls, by_size, boundary, memory = _wrapped_run(run)
+        unseen = _unseen_kernels(calls, by_size, boundary, memory,
+                                 args.refiner, result.levels)
+        if unseen:
+            raise SystemExit(f"the wrapped {', '.join(unseen)} recorded "
+                             f"zero calls: the multilevel loop no longer "
+                             f"calls them through the patched names")
         cluster_ms, project_ms = (calls[name] for name in LEVEL_KERNELS)
         for i, (fine, coarse, sub_rounds, proposed, conflict, cap) in \
                 enumerate(result.level_joins):

@@ -35,7 +35,16 @@ Runs, in order, stopping at the first failure:
    ``--batches`` and once with ``--top 5``, ~1.5 s each) — it wraps
    ``ClusterLP.execute_batch`` and ``GateTable.step`` by patching their
    classes and exits non-zero when the engine loop no longer calls
-   them, so a refactor that moves the batch fails here.
+   them, so a refactor that moves the batch fails here;
+9. the front-end profiler at test size (``tools/profile_frontend.py
+   --circuit viterbi-test --top 3``, under 1 s) — it drives the
+   elaborator's private ``_Elaborator`` and reads its work counters;
+10. the partition profiler at test size, once flat multilevel
+    (``tools/profile_partition.py --circuit viterbi-s10k``) and once
+    design-driven (``--algorithm multiway --circuit viterbi-test --k
+    3``), under 1 s each — it wraps ``_cluster_level``, ``_kick``,
+    ``BoundaryGains.refresh`` and the other kernels it times and exits
+    non-zero when one it wraps records no call.
 
 Usage::
 
@@ -59,7 +68,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: test-size arguments of the two profiler steps
+#: test-size arguments of the two simulation-profiler steps
 _PROFILE_SIM_SMOKE = ("--circuit", "cpu-test", "--k", "2", "--b", "10",
                       "--vectors", "5")
 
@@ -95,6 +104,18 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("simulation profiler, cProfile listing",
      [sys.executable, "tools/profile_sim.py", *_PROFILE_SIM_SMOKE,
       "--top", "5"],
+     ()),
+    ("front-end profiler",
+     [sys.executable, "tools/profile_frontend.py", "--circuit",
+      "viterbi-test", "--top", "3"],
+     ()),
+    ("partition profiler, flat multilevel",
+     [sys.executable, "tools/profile_partition.py", "--circuit",
+      "viterbi-s10k"],
+     ()),
+    ("partition profiler, design-driven",
+     [sys.executable, "tools/profile_partition.py", "--algorithm",
+      "multiway", "--circuit", "viterbi-test", "--k", "3"],
      ()),
 ]
 
