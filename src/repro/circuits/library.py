@@ -7,14 +7,14 @@ full Verilog front end (no precompiled netlists), keeping the paper's
 vvp-like input path exercised everywhere.
 
 :data:`STREAM_CIRCUITS` is the parallel registry for the array-native
-construction path (:mod:`repro.circuits.stream`): entries emit a
-:class:`~repro.verilog.netlist_csr.NetlistCSR` directly, with no
-Verilog text or per-gate objects — the only practical route to the
-scale-ladder rungs (``viterbi-xl`` is ~1.2 M gates; round-tripping it
-through text costs minutes and gigabytes).  Families present in both
-registries under the same name (``noc-*``, ``memctrl-*``,
-``viterbi-test``/``-bench``) are equivalent gate-for-gate
-(``tests/test_stream_circuits.py``).
+construction path (:mod:`repro.circuits.stream`): entries build the
+same :class:`~repro.verilog.netlist.Netlist` directly, hierarchy and
+names included, with no Verilog text or per-gate objects — the quick
+route to the scale-ladder rungs (``viterbi-xl`` is ~1.2 M gates).
+Families present in both registries under the same name are the same
+circuit: ``noc-*`` and ``memctrl-*`` in every column, hierarchy node
+and name; ``viterbi-test`` / ``-bench`` gate for gate, with nets
+numbered differently (``tests/test_stream_circuits.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog import Netlist, compile_verilog
-from ..verilog.netlist_csr import NetlistCSR
 from .generators import (
     counter_verilog,
     lfsr_verilog,
@@ -99,7 +98,7 @@ CIRCUITS: dict[str, Callable[[], str]] = {
 
 #: array-native emitters; large entries are stream-only by design —
 #: the text path would round-trip megabytes of Verilog for nothing
-STREAM_CIRCUITS: dict[str, Callable[..., NetlistCSR]] = {
+STREAM_CIRCUITS: dict[str, Callable[..., Netlist]] = {
     "viterbi-test": lambda **kw: viterbi_stream(TEST_CONFIG, **kw),
     "viterbi-bench": lambda **kw: viterbi_stream(BENCH_CONFIG, **kw),
     # the scale-ladder rungs (benchmarks/bench_scale_ladder.py)
@@ -142,7 +141,7 @@ def load_circuit(name: str) -> Netlist:
 
 
 def load_stream_circuit(name: str,
-                        recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
+                        recorder: Recorder = NULL_RECORDER) -> Netlist:
     """Emit a registered circuit through the array-native path.
 
     ``recorder`` receives the builder's ``circ.*`` counters.

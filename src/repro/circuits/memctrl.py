@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
 from .stream import lower_module
 
@@ -192,8 +191,8 @@ def memctrl_verilog(cfg: MemCtrlConfig = BENCH_CONFIG) -> str:
 
 
 def memctrl_stream(cfg: MemCtrlConfig = BENCH_CONFIG,
-                   recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
-    """Generate the controller directly as a :class:`NetlistCSR`: the
+                   recorder: Recorder = NULL_RECORDER) -> Netlist:
+    """Generate the controller directly as a :class:`~repro.verilog.netlist.Netlist`: the
     recorded top module (pipeline registers, decoder, OR-trees) lowered
     onto the bank template, all banks stamped in one block
     (:func:`~repro.circuits.stream.lower_module`).

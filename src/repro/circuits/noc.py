@@ -16,7 +16,7 @@ shapes.
 One description, two backends: :func:`noc_verilog` renders the
 generator's modules as text for the normal front end, and
 :func:`noc_stream` lowers the same recorded top module straight to a
-:class:`~repro.verilog.netlist_csr.NetlistCSR` by template stamping —
+:class:`~repro.verilog.netlist.Netlist` by template stamping —
 equivalent gate-for-gate at any config.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
 from .stream import lower_module
 
@@ -150,8 +149,8 @@ def noc_verilog(cfg: NocConfig = BENCH_CONFIG) -> str:
 
 
 def noc_stream(cfg: NocConfig = BENCH_CONFIG,
-               recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
-    """Generate the fabric directly as a :class:`NetlistCSR`: the
+               recorder: Recorder = NULL_RECORDER) -> Netlist:
+    """Generate the fabric directly as a :class:`~repro.verilog.netlist.Netlist`: the
     recorded top module lowered onto the router template, every router
     stamped in one block (:func:`~repro.circuits.stream.lower_module`).
     """

@@ -62,10 +62,9 @@ class VectorSchedule:
 
 def detect_clocks(netlist: Netlist) -> list[int]:
     """Primary-input nets wired to any flip-flop's clock pin."""
-    csr = netlist.csr
-    clocked = flip_flop_mask(csr) & (np.diff(csr.pin_ptr) >= 2)
-    clk = csr.pin_net[csr.pin_ptr[:-1][clocked] + 1]  # pin 1 of (d, clk, ...)
-    return np.intersect1d(clk, csr.inputs).tolist()
+    clocked = flip_flop_mask(netlist) & (np.diff(netlist.pin_ptr) >= 2)
+    clk = netlist.pin_net[netlist.pin_ptr[:-1][clocked] + 1]  # pin 1 of (d, clk, ...)
+    return np.intersect1d(clk, netlist.inputs).tolist()
 
 
 def natural_schedule(netlist: Netlist, margin: int = 4) -> VectorSchedule:
@@ -128,7 +127,7 @@ def random_vectors(
     """
     rng = np.random.default_rng(seed)
     clocks = detect_clocks(netlist)
-    data_nets = [n for n in netlist.inputs if n not in set(clocks)]
+    data_nets = [n for n in netlist.inputs.tolist() if n not in set(clocks)]
     bits = rng.integers(0, 2, size=(n_vectors, len(data_nets)), dtype=np.int8)
     events = list(
         vector_events(data_nets, bits, clock_nets=clocks, schedule=schedule)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..verilog.netlist_csr import NetlistCSR
 from ._vlog import ModuleWriter
 from .stream import lower_module
 
@@ -325,8 +324,8 @@ def viterbi_verilog(cfg: ViterbiConfig = BENCH_CONFIG) -> str:
 
 
 def viterbi_stream(cfg: ViterbiConfig = BENCH_CONFIG,
-                   recorder: Recorder = NULL_RECORDER) -> NetlistCSR:
-    """Generate the decoder directly as a :class:`NetlistCSR`.
+                   recorder: Recorder = NULL_RECORDER) -> Netlist:
+    """Generate the decoder directly as a :class:`~repro.verilog.netlist.Netlist`.
 
     :func:`viterbi_verilog` + parse + elaborate without the top
     module's text: the recorded top is lowered onto the cells, each

@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the option groups the verbs share; the three whose default or
     # choices differ by verb are built per use
     source = _option("file", type=Path,
-                     help="Verilog file, circuit:NAME or stream:NAME")
+                     help="Verilog file, circuit:NAME (generated text, "
+                          "parsed) or stream:NAME (the same circuit built "
+                          "without text: same hierarchy and names)")
     source.add_argument("--top", default=None)
     kb = _option("-k", type=int, default=2, help="number of partitions")
     kb.add_argument("-b", type=float, default=10.0, help="balance factor (%%)")
@@ -215,24 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args, needs_names_for: str | None = None) -> "object":
-    """Resolve the ``file`` argument to a netlist.
-
-    Three spellings: a Verilog path (parsed through the full front
-    end), ``circuit:NAME`` (the text registry, still parsed), or
-    ``stream:NAME`` (the array-native registry — returns a
-    :class:`~repro.verilog.netlist_csr.NetlistCSR` with no Verilog
-    text round-trip; the only practical route to the million-gate
-    scale-ladder circuits like ``stream:viterbi-xl``).  A caller that
-    needs the hierarchy or the name strings says who it is in
-    ``needs_names_for``; a ``stream:`` circuit is then refused by name.
-    """
+def _load(args) -> "object":
+    """Resolve the ``file`` argument to a netlist: a Verilog path or
+    ``circuit:NAME`` (the text registry), both parsed, or ``stream:NAME``
+    (the array-native registry: no text round-trip, the quick route to
+    ``stream:viterbi-xl``) — the same netlist, hierarchy and names."""
     spec = str(args.file)
     if spec.startswith("stream:"):
-        if needs_names_for is not None:
-            raise ConfigError(
-                f"{needs_names_for}: stream: circuits carry no hierarchy / "
-                "names; use circuit:NAME or a Verilog file")
         from .circuits import load_stream_circuit
 
         return load_stream_circuit(spec[len("stream:"):])
@@ -319,21 +310,14 @@ def _cmd_generate(args, out) -> int:
 
 def _cmd_info(args, out) -> int:
     from .sim.logic import flip_flop_mask
-    from .verilog.netlist_csr import NetlistCSR
 
     netlist = _load(args)
-    arrays = isinstance(netlist, NetlistCSR)
     out.write(f"top module : {netlist.top}\n")
     out.write(f"gates      : {netlist.num_gates}\n")
     out.write(f"nets       : {netlist.num_nets}\n")
-    if arrays:
-        out.write(f"pins       : {netlist.num_pins}\n")
     out.write(f"inputs     : {len(netlist.inputs)}\n")
     out.write(f"outputs    : {len(netlist.outputs)}\n")
-    if arrays:
-        out.write("form       : array-native (no hierarchy/name strings)\n")
-        return 0
-    out.write(f"flip-flops : {int(flip_flop_mask(netlist.csr).sum())}\n")
+    out.write(f"flip-flops : {int(flip_flop_mask(netlist).sum())}\n")
     out.write(f"instances  : {len(netlist.hierarchy.children)} (top level)\n")
     undriven = netlist.undriven_nets()
     if undriven:
@@ -354,7 +338,7 @@ def _cmd_partition(args, out) -> int:
     design = args.algorithm == "design"
     if args.save is not None and not design:
         raise ConfigError("--save requires --algorithm design")
-    netlist = _load(args, "partition --algorithm design" if design else None)
+    netlist = _load(args)
     recorder = _recorder_for(args)
     counters = {}
     with _sampling(args, recorder, out):
@@ -397,10 +381,9 @@ def _cmd_partition(args, out) -> int:
     out.write(f"cut size  : {cut}\n")
     out.write(f"loads     : {loads}\n")
     if args.assignment_out is not None:
-        # streamed circuits carry no name strings; their g<gid> is stable
         args.assignment_out.write_text("".join(
-            f"{netlist.gate_name(g)} {int(p)}\n"
-            for g, p in enumerate(gate_assignment)))
+            f"{name} {int(p)}\n"
+            for name, p in zip(netlist.gate_names, gate_assignment)))
         out.write(f"wrote      {args.assignment_out}\n")
     _write_metrics(
         args, out, "metrics    ", "partition",
@@ -413,7 +396,7 @@ def _cmd_partition(args, out) -> int:
 def _cmd_optimize(args, out) -> int:
     from .verilog import optimize_netlist, write_netlist_verilog
 
-    netlist = _load(args, "optimize")
+    netlist = _load(args)
     optimized, stats = optimize_netlist(netlist)
     out.write(stats.summary() + "\n")
     if args.output is not None:
@@ -426,7 +409,7 @@ def _load_with_vectors(args):
     """The netlist plus the verb's seeded random stimulus."""
     from .circuits import random_vectors
 
-    netlist = _load(args, args.command)
+    netlist = _load(args)
     return netlist, random_vectors(netlist, args.vectors, seed=args.seed)
 
 

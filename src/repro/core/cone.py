@@ -48,9 +48,9 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
             succ[src].update(pins)
     for c, readers in enumerate(succ):
         readers.discard(c)  # a cluster reading its own net is no successor
-    csr = clustering.netlist.csr
+    netlist = clustering.netlist
     fed, _ = _csr_gather(
-        *csr.fanout(), csr.inputs[csr.net_driver[csr.inputs] < 0]
+        *netlist.fanout(), netlist.inputs[netlist.net_driver[netlist.inputs] < 0]
     )
     roots = np.unique(clustering.gate_cluster[fed]).tolist()
     return [sorted(s) for s in succ], roots

@@ -14,8 +14,8 @@ Public surface:
 * :func:`read_hgr` / :func:`write_hgr` — hMetis file interchange.
 * :func:`flat_hypergraph` / :func:`hierarchy_hypergraph` — builders from
   elaborated Verilog netlists (see :mod:`repro.hypergraph.build`);
-  :func:`streamed_flat_hypergraph` is the chunked array-native variant
-  behind ``flat_hypergraph``'s :class:`NetlistCSR` dispatch.
+  :func:`streamed_flat_hypergraph` is ``flat_hypergraph`` with a
+  recorder for the ``part.build.*`` counters.
 * :func:`index_dtype` / :func:`require_int64` — the index dtype policy
   shared by the streamed construction paths
   (:mod:`repro.hypergraph.dtypes`).

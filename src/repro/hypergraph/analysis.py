@@ -85,9 +85,8 @@ def locality_fraction(netlist: Netlist) -> tuple[int, int]:
     (one per net :func:`~repro.hypergraph.build.spanning_nets` finds);
     every other net with two or more pins, its driver included, is
     internal."""
-    csr = netlist.csr
     boundary = hierarchy_hypergraph(netlist).num_edges
-    pins = np.diff(csr.fanout()[0]) + (csr.net_driver >= 0)
+    pins = np.diff(netlist.fanout()[0]) + (netlist.net_driver >= 0)
     return int(np.count_nonzero(pins >= 2)) - boundary, boundary
 
 
@@ -135,8 +134,7 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
     sim.add_inputs(events)
     sim.run()
     undriven = set(netlist.undriven_nets())
-    csr = netlist.csr
-    ff_outputs = set(csr.gate_output[flip_flop_mask(csr)].tolist())
+    ff_outputs = set(netlist.gate_output[flip_flop_mask(netlist)].tolist())
     report = StuckXReport(total_nets=netlist.num_nets)
     for nid in range(3, netlist.num_nets):
         if int(sim.values[nid]) != VX:
@@ -146,7 +144,7 @@ def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
             cause = "undriven net"
         elif nid in ff_outputs:
             cause = "uninitialized flip-flop (no reset reached it)"
-        elif csr.net_driver[nid] == -1:
+        elif netlist.net_driver[nid] == -1:
             cause = "primary input never driven by the stimulus"
         else:
             cause = "derived from another stuck-X net"
@@ -160,8 +158,7 @@ def analyze_netlist(netlist: Netlist) -> CircuitStats:
     from ..sim.logic import flip_flop_mask
 
     circuit = compile_circuit(netlist)
-    csr = netlist.csr
-    fanouts = np.diff(csr.fanout()[0])
+    fanouts = np.diff(netlist.fanout()[0])
     nonzero = fanouts[fanouts > 0]
     local, boundary = locality_fraction(netlist)
     hierarchy_depth = max(
@@ -172,7 +169,7 @@ def analyze_netlist(netlist: Netlist) -> CircuitStats:
         nets=netlist.num_nets,
         inputs=len(netlist.inputs),
         outputs=len(netlist.outputs),
-        flip_flops=int(np.count_nonzero(flip_flop_mask(csr))),
+        flip_flops=int(np.count_nonzero(flip_flop_mask(netlist))),
         logic_depth=combinational_depth(circuit),
         top_instances=len(netlist.hierarchy.children),
         hierarchy_depth=hierarchy_depth,

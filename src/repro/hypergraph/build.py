@@ -20,8 +20,8 @@ level is a lookup through ``gate_node`` — no per-node gate lists.
 
 Every circuit hypergraph here — visible-node, partially flattened, flat
 from a parsed netlist, flat from a streamed one — is built by one array
-kernel, :func:`spanning_nets`, over the netlist's ``NetlistCSR``
-columns and a gate → vertex map; a :class:`Clustering` only adds the
+kernel, :func:`spanning_nets`, over the netlist's columns and a
+gate → vertex map; a :class:`Clustering` only adds the
 vertex weights and the names.
 """
 
@@ -35,7 +35,6 @@ import numpy as np
 from ..errors import PartitionError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import HierNode, Netlist
-from ..verilog.netlist_csr import NetlistCSR
 from .hypergraph import Hypergraph, _csr_gather
 
 __all__ = ["Cluster", "Clustering", "flat_hypergraph", "group_members",
@@ -204,9 +203,9 @@ class Clustering:
         keys, vertex = np.unique(
             np.where(head == node, gates, num_gates + head), return_inverse=True
         )
-        gate_names, nodes = netlist.gate_names, netlist.nodes
+        nodes = netlist.nodes
         names = [
-            gate_names[key] if key < num_gates
+            netlist.gate_name(key) if key < num_gates
             else prefix + nodes[key - num_gates].name
             for key in keys.tolist()
         ]
@@ -296,7 +295,7 @@ class Clustering:
 
     def _build_hypergraph(self) -> Hypergraph:
         nets, edge_ptr, edge_pins, drivers = spanning_nets(
-            self.netlist.csr, self.gate_cluster
+            self.netlist, self.gate_cluster
         )
         self._edge_drivers = drivers.tolist()
         return Hypergraph.from_csr(
@@ -340,7 +339,7 @@ class Clustering:
 
 
 def spanning_nets(
-    csr: NetlistCSR, gate_cluster: np.ndarray | None = None
+    netlist: Netlist, gate_cluster: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The nets touching two or more clusters, as hyperedge arrays.
 
@@ -357,9 +356,9 @@ def spanning_nets(
     driver folded in) finds the nets whose pins disagree, and only those
     nets' pins are sorted (one key sort) and deduplicated.
     """
-    fan_ptr, fan_gate = csr.fanout()
+    fan_ptr, fan_gate = netlist.fanout()
     pin_vertex = fan_gate if gate_cluster is None else gate_cluster[fan_gate]
-    driver = csr.net_driver
+    driver = netlist.net_driver
     if gate_cluster is not None:
         # no driver is -1: it reads the -1 appended behind the last gate
         driver = np.append(gate_cluster, -1)[driver]
@@ -378,7 +377,7 @@ def spanning_nets(
     # pins plus one per driven net — as one sortable key each (net and
     # vertex counts are array lengths, so the product is far from 2^63)
     width = (
-        csr.num_gates if gate_cluster is None
+        netlist.num_gates if gate_cluster is None
         else int(gate_cluster.max(initial=-1)) + 1
     )
     sinks, counts = _csr_gather(fan_ptr, pin_vertex, nets)
@@ -397,26 +396,16 @@ def spanning_nets(
     return nets, edge_ptr, edge_pins, drivers
 
 
-def flat_hypergraph(netlist: "Netlist | NetlistCSR") -> Hypergraph:
-    """Gate-level hypergraph of the flattened netlist (hMetis's input).
-
-    A :class:`~repro.verilog.netlist.Netlist` goes through
-    :class:`Clustering` and so carries gate and net names; an
-    array-native :class:`~repro.verilog.netlist_csr.NetlistCSR` has no
-    names to carry and goes through :func:`streamed_flat_hypergraph`.
-    Both are :func:`spanning_nets` under the identity clustering and
-    produce the identical hypergraph for the same circuit
-    (``tests/test_stream_circuits.py``).
-    """
-    if isinstance(netlist, NetlistCSR):
-        return streamed_flat_hypergraph(netlist)
-    return Clustering.flat(netlist).hypergraph()
+def flat_hypergraph(netlist: Netlist) -> Hypergraph:
+    """Gate-level hypergraph of the flattened netlist (hMetis's input):
+    ``Clustering.flat(netlist).hypergraph()`` without the vertex names."""
+    return streamed_flat_hypergraph(netlist)
 
 
 def streamed_flat_hypergraph(
-    csr: NetlistCSR, recorder: Recorder = NULL_RECORDER
+    netlist: Netlist, recorder: Recorder = NULL_RECORDER
 ) -> Hypergraph:
-    """Gate-level hypergraph of an array-native netlist.
+    """Gate-level hypergraph of a netlist, parsed or streamed.
 
     :func:`spanning_nets` with every gate its own vertex: one hyperedge
     per net touching two or more distinct gates (driver, when one
@@ -426,15 +415,15 @@ def streamed_flat_hypergraph(
     peak build RSS at a small constant times the pin count (asserted by
     ``benchmarks/bench_scale_ladder.py``).
     """
-    nets, edge_ptr, edge_pins, _ = spanning_nets(csr)
+    nets, edge_ptr, edge_pins, _ = spanning_nets(netlist)
     if recorder.enabled:
-        recorder.incr("part.build.gates", csr.num_gates)
-        recorder.incr("part.build.nets", csr.num_nets)
-        recorder.incr("part.build.pins", csr.num_pins)
+        recorder.incr("part.build.gates", netlist.num_gates)
+        recorder.incr("part.build.nets", netlist.num_nets)
+        recorder.incr("part.build.pins", netlist.num_pins)
         recorder.incr("part.build.edges", len(nets))
         recorder.incr("part.build.edge_pins", len(edge_pins))
     return Hypergraph.from_csr(
-        vertex_weight=np.ones(csr.num_gates, dtype=np.int64),
+        vertex_weight=np.ones(netlist.num_gates, dtype=np.int64),
         edge_weight=np.ones(len(nets), dtype=np.int64),
         edge_ptr=edge_ptr,
         edge_pins=edge_pins,

@@ -30,6 +30,12 @@ from ..errors import ConfigError
 
 __all__ = ["ClusterSpec", "TimeWarpConfig", "MachineStats", "LPStats", "RunStats"]
 
+#: modeled seconds charged to both machines per LP migration (state
+#: transfer + rebinding), and the GVT rounds the next one waits — damping
+#: load/locality thrash (load-driven migration ignores communication
+#: affinity, so chasing every imbalance sample destroys locality)
+MIGRATION_COST, MIGRATION_COOLDOWN = 500.0e-6, 4
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -117,17 +123,11 @@ class TimeWarpConfig:
         round, if the busiest machine's recent busy time exceeds the
         least busy machine's by more than ``migration_threshold``
         (relative), the hottest LP of the busiest machine moves to the
-        least busy one, paying ``migration_cost`` of wall time on both.
+        least busy one, paying :data:`MIGRATION_COST` of wall time on
+        both, and the next migration waits :data:`MIGRATION_COOLDOWN`
+        GVT rounds.
     migration_threshold:
         Relative busy-time imbalance that triggers a migration.
-    migration_cost:
-        Modeled seconds charged to source and destination per migration
-        (state transfer + rebinding).
-    migration_cooldown:
-        GVT rounds to wait after a migration before considering the
-        next one — damping against load/locality thrash (load-driven
-        migration ignores communication affinity, so chasing every
-        imbalance sample destroys the static partition's locality).
     conservative:
         Run the engine as an *idealized conservative* simulator: an LP
         may only execute a batch at the exact global safe time (the
@@ -153,8 +153,6 @@ class TimeWarpConfig:
     max_checkpoint_interval: int = 64
     migration: bool = False
     migration_threshold: float = 0.25
-    migration_cost: float = 500.0e-6
-    migration_cooldown: int = 4
     conservative: bool = False
     record_changes: bool = False
 
@@ -173,10 +171,6 @@ class TimeWarpConfig:
             )
         if not (0.0 < self.migration_threshold):
             raise ConfigError("migration_threshold must be positive")
-        if self.migration_cost < 0:
-            raise ConfigError("migration_cost must be non-negative")
-        if self.migration_cooldown < 0:
-            raise ConfigError("migration_cooldown must be non-negative")
 
 
 @dataclass

@@ -8,12 +8,10 @@ simulator's dense codes and adopts the netlist's arrays.
 Sequential cells keep their input pin roles: ``dff`` = (d, clk),
 ``dffr`` = (d, clk, rst), ``dffe`` = (d, clk, en).
 
-There is one construction path.  A parsed
-:class:`~repro.verilog.netlist.Netlist` and a streamed
-:class:`~repro.verilog.netlist_csr.NetlistCSR` are the same arrays
-(``netlist.csr``): the type table maps through one fancy index, the pin
-CSR and the net-sorted fanout CSR are adopted as they are, and no
-per-gate Python work happens.  The circuit holds arrays only; the one
+There is one construction path, for parsed and streamed netlists
+alike: the type table maps through one fancy index, the pin CSR and
+the net-sorted fanout CSR are adopted as they are, and no per-gate
+Python work happens.  The circuit holds arrays only; the one
 derived structure, the step kernel's
 :class:`~repro.sim.kernel.GateTable`, is built on first simulation.
 """
@@ -24,7 +22,6 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..verilog.netlist import CONST0, CONST1, Netlist
-from ..verilog.netlist_csr import NetlistCSR
 from .kernel import GateTable
 from .logic import SEQ_CODE_MIN, VX, gate_code_table
 
@@ -72,31 +69,30 @@ class CompiledCircuit:
         "table",
     )
 
-    def __init__(self, netlist: Netlist | NetlistCSR) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        csr = netlist.csr if isinstance(netlist, Netlist) else netlist
-        self.num_gates = csr.num_gates
-        self.num_nets = csr.num_nets
-        codes = gate_code_table(csr.gate_types)[csr.gate_code]
+        self.num_gates = netlist.num_gates
+        self.num_nets = netlist.num_nets
+        codes = gate_code_table(netlist.gate_types)[netlist.gate_code]
         if (codes < 0).any():
             gid = int(np.argmax(codes < 0))
             raise SimulationError(
                 f"gate {netlist.gate_name(gid)!r} has unknown type "
-                f"{csr.gate_type(gid)!r}"
+                f"{netlist.gate_type(gid)!r}"
             )
         self.gate_code = codes
-        self.gate_output = csr.gate_output
+        self.gate_output = netlist.gate_output
         init = np.full(self.num_nets, VX, dtype=np.int8)
         init[CONST0] = 0
         init[CONST1] = 1
         self.initial_values = init
-        self.inputs = tuple(csr.inputs.tolist())
-        self.outputs = tuple(csr.outputs.tolist())
-        self.pin_offsets = csr.pin_ptr
-        self.pin_net = csr.pin_net
+        self.inputs = tuple(netlist.inputs.tolist())
+        self.outputs = tuple(netlist.outputs.tolist())
+        self.pin_offsets = netlist.pin_ptr
+        self.pin_net = netlist.pin_net
         # sinks per net in (gid, pin position) order, duplicates preserved
-        self.sink_offsets, self.sink_gate = csr.fanout()
-        self.max_arity = int(np.diff(csr.pin_ptr).max(initial=0))
+        self.sink_offsets, self.sink_gate = netlist.fanout()
+        self.max_arity = int(np.diff(netlist.pin_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
         # compilation leaves ``table`` unset (its __slots__ entry raises
@@ -113,7 +109,7 @@ class CompiledCircuit:
         )
 
 
-def compile_circuit(netlist: Netlist | NetlistCSR) -> CompiledCircuit:
+def compile_circuit(netlist: Netlist) -> CompiledCircuit:
     """Lower an elaborated netlist for simulation."""
     return CompiledCircuit(netlist)
 

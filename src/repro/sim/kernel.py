@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
-from ..verilog.netlist_csr import fanout_csr
+from ..verilog.netlist import fanout_csr
 from .logic import _FOLDS_PY, _NOT, GATE_CODES, SEQ_CODE_MIN, VX
 
 __all__ = ["BATCH_THRESHOLD", "FF", "FINAL", "FOLD", "HOLD", "PAD",

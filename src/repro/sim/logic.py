@@ -66,10 +66,10 @@ def gate_code_table(gate_types: Sequence[str]) -> np.ndarray:
     return np.array([GATE_CODES.get(t, -1) for t in gate_types], dtype=np.int8)
 
 
-def flip_flop_mask(csr) -> np.ndarray:
-    """Per gate of a :class:`~repro.verilog.netlist_csr.NetlistCSR`:
-    is it a state-holding cell."""
-    return gate_code_table(csr.gate_types)[csr.gate_code] >= SEQ_CODE_MIN
+def flip_flop_mask(netlist) -> np.ndarray:
+    """Per gate of a :class:`~repro.verilog.netlist.Netlist`: is it a
+    state-holding cell."""
+    return gate_code_table(netlist.gate_types)[netlist.gate_code] >= SEQ_CODE_MIN
 
 
 def _and2(a: int, b: int) -> int:

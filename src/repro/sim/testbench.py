@@ -55,7 +55,7 @@ class Testbench:
     def _group_inputs(netlist: Netlist) -> dict[str, list[int]]:
         """Group bit-level primary inputs back into named buses."""
         groups: dict[str, list[tuple[int, int]]] = {}
-        for nid in netlist.inputs:
+        for nid in netlist.inputs.tolist():
             name = netlist.net_name(nid)
             if "[" in name and name.endswith("]"):
                 base, _, idx = name.rpartition("[")
@@ -137,7 +137,7 @@ class Testbench:
             claimed.update(self._reset)
         for d in self._drives:
             claimed.update(d.nets)
-        unclaimed = [n for n in self.netlist.inputs if n not in claimed]
+        unclaimed = [n for n in self.netlist.inputs.tolist() if n not in claimed]
         rng = np.random.default_rng(self._random_seed or 0)
 
         events: list[InputEvent] = []

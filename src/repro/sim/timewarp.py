@@ -33,7 +33,15 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..obs.trace import TraceBuffer
-from .cluster import ClusterSpec, LPStats, MachineStats, RunStats, TimeWarpConfig
+from .cluster import (
+    MIGRATION_COOLDOWN,
+    MIGRATION_COST,
+    ClusterSpec,
+    LPStats,
+    MachineStats,
+    RunStats,
+    TimeWarpConfig,
+)
 from .compiled import CompiledCircuit
 from .events import InputEvent, Message, check_stimulus
 from .lp import ClusterLP
@@ -795,14 +803,14 @@ class TimeWarpEngine:
                     (max(arrival, src.wall) + self.spec.msg_latency, serial, msg),
                 )
         # state transfer cost on both ends
-        src.wall += self.config.migration_cost
-        src.stats.busy_time += self.config.migration_cost
-        dst.wall += self.config.migration_cost
-        dst.stats.busy_time += self.config.migration_cost
+        src.wall += MIGRATION_COST
+        src.stats.busy_time += MIGRATION_COST
+        dst.wall += MIGRATION_COST
+        dst.stats.busy_time += MIGRATION_COST
         if self._heap_sched:
             self._mark_ready(self.lps[lid])
         self.stats.migrations += 1
-        self._migration_cooldown = self.config.migration_cooldown
+        self._migration_cooldown = MIGRATION_COOLDOWN
         if self._trace is not None:
             self._trace.emit(
                 "migrate",

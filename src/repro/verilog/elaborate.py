@@ -27,11 +27,13 @@ handed to :meth:`Netlist.adopt_columns`.  Temp ids are allocated
 exactly where a per-instance walk of the body would allocate them, and
 final net ids are first-appearance order over temp ids, so the
 numbering of the output does not depend on how it is stamped.
+
+Names are the hierarchy (:mod:`repro.verilog.netlist`): a plan's local
+names enter the name table once, an instance adds the runs indexing
+them, and no name string is built per gate or per net.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 import numpy as np
 
@@ -40,10 +42,15 @@ from . import ast
 from .netlist import (
     CONST0,
     CONST1,
+    CONST_NAMES,
     CONSTX,
     _NUM_CONST_NETS,
     HierNode,
     Netlist,
+    name_runs,
+    pick_names,
+    run_lengths,
+    run_names,
 )
 from .primitives import gate_spec, is_gate_type
 
@@ -173,22 +180,22 @@ class _ModulePlan:
     walk's.
     """
 
-    __slots__ = ("names", "name_base", "num_local", "port_slots",
-                 "union_a", "union_b", "gate_names", "gate_code",
+    __slots__ = ("names", "name_base", "gate_base", "num_local",
+                 "port_slots", "union_a", "union_b", "gate_code",
                  "pin_count", "pin_slots", "out_slots", "children")
 
     def __init__(self) -> None:
         #: name suffix (``w`` / ``v[3]``) of slot ``3 + i``
         self.names: list[str] = []
-        #: where ``names`` starts in the elaborator's name table
-        self.name_base = 0
+        #: where ``names``, then the gate names, start in the
+        #: elaborator's name table
+        self.name_base = self.gate_base = 0
         self.num_local = 0
         self.port_slots: dict[str, list[int]] = {}
         #: slot pairs aliased by ``assign`` and ``supply0/1``
         self.union_a = self.union_b = _slots(())
-        #: per gate: name, type code, input count, output slot; the
-        #: input slots of all gates back to back
-        self.gate_names: list[str] = []
+        #: per gate: type code, input count, output slot; the input
+        #: slots of all gates back to back
         self.gate_code = np.zeros(0, dtype=np.int16)
         self.pin_count = self.pin_slots = self.out_slots = _slots(())
         self.children: list[_ChildPlan] = []
@@ -200,26 +207,25 @@ class _Elaborator:
     def __init__(self, source: ast.Source) -> None:
         self.source = source
         self.plans: dict[str, _ModulePlan] = {}
-        #: every plan's slot names back to back, after the constants'
-        self.names: list[str] = ["const0", "const1", "constx"]
+        #: every plan's slot names and gate names, after the constants'
+        self.names: list[str] = list(CONST_NAMES)
         self.gate_types: dict[str, int] = {}
         # per instance (= hierarchy node, in walk order): dotted prefix
         self.prefixes: list[str] = []
         # temp nets: allocated count and the runs that name them,
-        # (first temp id, instance, first name-table index, length)
+        # (first temp id, instance, first name-table index)
         self.num_temp = _NUM_CONST_NETS
-        self.name_runs: list[tuple[int, int, int, int]] = [
-            (0, 0, 0, _NUM_CONST_NETS)
-        ]
+        self.temp_runs: list[tuple[int, int, int]] = [(0, 0, 0)]
         # chunks, one entry per stamped instance that has any
         self.union_a: list[np.ndarray] = []
         self.union_b: list[np.ndarray] = []
-        self.gate_names: list[str] = []
         self.gate_code: list[np.ndarray] = []
         self.pin_count: list[np.ndarray] = []
         self.pin_temp: list[np.ndarray] = []
         self.out_temp: list[np.ndarray] = []
-        self.gate_runs: list[tuple[int, int]] = []  # (instance, gates)
+        # (first gate, instance, first name-table index) per gate run
+        self.num_gates = 0
+        self.gate_runs: list[tuple[int, int, int]] = []
         # work counters, printed by tools/profile_frontend.py:
         # instances_stamped grows per instance, len(plans) and
         # exprs_resolved per definition; the rest are set by _compact
@@ -232,9 +238,8 @@ class _Elaborator:
     def run(self, top: str) -> Netlist:
         netlist = Netlist(top)
         module = self.source.modules[top]
-        root = netlist.hierarchy
-        root.module = top
-        ids = self._instantiate(module, (), root, None, None, depth=0)
+        ids = self._instantiate(module, (), netlist.hierarchy, None, None,
+                                depth=0)
         port_slots = self.plans[top].port_slots
         top_inputs: list[int] = []
         top_outputs: list[int] = []
@@ -302,8 +307,7 @@ class _Elaborator:
             )
         inst = self.instances_stamped  # also hier's index in walk order
         self.instances_stamped += 1
-        dotted = prefix + "." if prefix else ""
-        self.prefixes.append(dotted)
+        self.prefixes.append(prefix + "." if prefix else "")
 
         ids = np.empty(_NUM_CONST_NETS + len(plan.names), dtype=np.int64)
         ids[:_NUM_CONST_NETS] = _CONST_IDS
@@ -316,13 +320,13 @@ class _Elaborator:
         if len(plan.union_a):
             self.union_a.append(ids[plan.union_a])
             self.union_b.append(ids[plan.union_b])
-        if plan.gate_names:
-            self.gate_names.extend([dotted + name for name in plan.gate_names])
+        if len(plan.gate_code):
+            self.gate_runs.append((self.num_gates, inst, plan.gate_base))
+            self.num_gates += len(plan.gate_code)
             self.gate_code.append(plan.gate_code)
             self.pin_count.append(plan.pin_count)
             self.pin_temp.append(ids[plan.pin_slots])
             self.out_temp.append(ids[plan.out_slots])
-            self.gate_runs.append((inst, len(plan.gate_names)))
 
         for sub in plan.children:
             if sub.num_late:
@@ -349,7 +353,7 @@ class _Elaborator:
         base = self.num_temp
         self.num_temp = base + count
         if count:
-            self.name_runs.append((base, inst, first_name, count))
+            self.temp_runs.append((base, inst, first_name))
         return np.arange(base, base + count, dtype=np.int64)
 
     # -- per definition: resolve the module body to slots -------------------
@@ -402,6 +406,7 @@ class _Elaborator:
 
         # primitive gates
         unnamed = 0
+        gate_names: list[str] = []
         codes: list[int] = []
         pin_count: list[int] = []
         pin_slots: list[int] = []
@@ -423,7 +428,7 @@ class _Elaborator:
                         f"terminal {i} of gate {hier_name!r} is "
                         f"{len(bits)} bits wide; gate pins are scalar"
                     )
-            plan.gate_names.append(gname)
+            gate_names.append(gname)
             codes.append(
                 self.gate_types.setdefault(gate.gtype, len(self.gate_types))
             )
@@ -467,6 +472,8 @@ class _Elaborator:
             )
         plan.name_base = len(self.names)
         self.names.extend(names)
+        plan.gate_base = len(self.names)
+        self.names.extend(gate_names)
         return plan
 
     def _connection_bindings(
@@ -608,44 +615,19 @@ class _Elaborator:
         final_of = (np.cumsum(is_root) - 1)[roots]
         num_nets = int(is_root.sum())
 
-        # name of temp net t: prefixes[temp_inst[t]] + names[temp_name[t]]
-        runs = np.array(self.name_runs, dtype=np.int64)
-        start, inst, first_name, count = runs.T
-        temp_inst = np.repeat(inst, count)
-        temp_name = np.repeat(first_name - start, count) + np.arange(num_temp)
-        prefixes = np.array(self.prefixes, dtype=object)
-        names = np.array(self.names, dtype=object)
+        # a net is named by one of its temps: the shortest name, then
+        # the lexically smallest, then the first; constants keep theirs
+        runs = np.array(self.temp_runs, dtype=np.int64)
 
         def temp_names(temps: np.ndarray) -> list[str]:
-            return list(map(add, prefixes[temp_inst[temps]].tolist(),
-                            names[temp_name[temps]].tolist()))
+            return run_names(runs, temps, self.prefixes, self.names)
 
-        # representative name per group: shortest, tie-break lexical,
-        # then first.  Lengths are arithmetic; only groups whose
-        # shortest length is shared build candidate strings to compare
-        length = (
-            np.fromiter(map(len, self.prefixes), np.int64, len(prefixes))[temp_inst]
-            + np.fromiter(map(len, self.names), np.int64, len(names))[temp_name]
+        temps = np.flatnonzero(final_of >= _NUM_CONST_NETS)
+        net_temp, self.name_ties = pick_names(
+            num_nets, final_of[temps], temps,
+            run_lengths(runs, temps, self.prefixes, self.names), temp_names,
         )
-        shortest = np.full(num_nets, np.iinfo(np.int64).max)
-        np.minimum.at(shortest, final_of, length)
-        cand = np.flatnonzero(length == shortest[final_of])
-        cand_net = final_of[cand]
-        best = np.full(num_nets, num_temp)
-        np.minimum.at(best, cand_net, cand)
-        tied = np.bincount(cand_net, minlength=num_nets)[cand_net] > 1
-        tied[cand_net < _NUM_CONST_NETS] = False  # constants keep their names
-        pick: dict[int, tuple[str, int]] = {}
-        for net, temp, name in zip(
-            cand_net[tied].tolist(), cand[tied].tolist(), temp_names(cand[tied])
-        ):
-            if net not in pick or name < pick[net][0]:
-                pick[net] = (name, temp)
-        self.name_ties = len(pick)
-        if pick:
-            best[list(pick)] = [temp for _, temp in pick.values()]
-        net_names = temp_names(best)
-        net_names[:_NUM_CONST_NETS] = self.names[:_NUM_CONST_NETS]
+        net_temp[:_NUM_CONST_NETS] = _CONST_IDS
 
         gate_output = final_of[_concat(self.out_temp)]
         pin_ptr = np.zeros(len(gate_output) + 1, dtype=np.int64)
@@ -666,11 +648,11 @@ class _Elaborator:
                         f"primary inputs {a!r} and {b!r} are aliased to one net"
                     )
                 first[nid] = temp
-        gate_runs = np.array(self.gate_runs, dtype=np.int64).reshape(-1, 2)
         netlist.adopt_columns(
-            net_names,
-            self.gate_names,
-            np.repeat(gate_runs[:, 0], gate_runs[:, 1]),
+            self.names,
+            np.array(self.gate_runs, dtype=np.int64),
+            runs,
+            net_temp,
             tuple(self.gate_types),
             _concat(self.gate_code, np.int16),
             gate_output,
@@ -689,7 +671,8 @@ class NetlistBuilder:
     grouping without going through Verilog text, then hands the whole
     circuit to :meth:`Netlist.adopt_columns` once, in :meth:`build` —
     which is where a doubly driven net or a driven constant is
-    reported.  Example::
+    reported.  Net names are taken whole; a gate's name is local to the
+    instance at its ``path``.  Example::
 
         nb = NetlistBuilder("toy")
         a, b = nb.input("a"), nb.input("b")
@@ -701,10 +684,10 @@ class NetlistBuilder:
 
     def __init__(self, top: str) -> None:
         self._netlist = Netlist(top)
-        self._net_names = list(self._netlist.net_names)
+        self._net_names = list(CONST_NAMES)
         self._inputs: list[int] = []
         self._outputs: list[int] = []
-        # per gate: full name, type name, instance path, output net,
+        # per gate: local name, type name, instance path, output net,
         # input count; the input nets of all gates back to back
         self._gate_names: list[str] = []
         self._gate_types: list[str] = []
@@ -753,15 +736,14 @@ class NetlistBuilder:
             )
         if name is None:
             name = f"_g{len(self._gate_names)}"
-        hier_name = ".".join((*path, name))
         num_nets = len(self._net_names)
         for nid in (*inputs, output):
             if not 0 <= nid < num_nets:
                 raise NetlistError(
-                    f"gate {hier_name!r} references bad net {nid}"
+                    f"gate {'.'.join((*path, name))!r} references bad net {nid}"
                 )
         self._ensure_path(path)
-        self._gate_names.append(hier_name)
+        self._gate_names.append(name)
         self._gate_types.append(gtype)
         self._paths.append(path)
         self._gate_output.append(output)
@@ -797,10 +779,13 @@ class NetlistBuilder:
                  for t in self._gate_types]
         pin_ptr = np.zeros(len(codes) + 1, dtype=np.int64)
         np.cumsum(self._pin_count, out=pin_ptr[1:])
+        num_nets = len(self._net_names)
         netlist.adopt_columns(
-            self._net_names,
-            self._gate_names,
-            np.array([node_index[p] for p in self._paths], dtype=np.int64),
+            self._net_names + self._gate_names,
+            name_runs([node_index[p] for p in self._paths],
+                      num_nets + np.arange(len(codes))),
+            np.zeros((1, 3), dtype=np.int64),
+            np.arange(num_nets),
             tuple(type_code),
             np.array(codes, dtype=np.int16),
             np.array(self._gate_output, dtype=np.int64),

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NetlistError
-from .netlist import CONST0, CONST1, _NUM_CONST_NETS, HierNode, Netlist
+from .netlist import (
+    CONST0, CONST1, _NUM_CONST_NETS, Netlist, name_runs, run_locate,
+)
 from .primitives import is_sequential
 
 __all__ = ["OptStats", "optimize_netlist"]
@@ -73,12 +75,13 @@ _NEUTRAL_FOLD = {  # all-known fold handled generically below
 def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
     """Run all passes; returns (optimized netlist, statistics)."""
     stats = OptStats(gates_before=netlist.num_gates)
-    csr = netlist.csr
-    gtypes = [csr.gate_types[c] for c in csr.gate_code.tolist()]
-    ptr = csr.pin_ptr.tolist()
-    flat = csr.pin_net.tolist()
+    gtypes = [netlist.gate_types[c] for c in netlist.gate_code.tolist()]
+    ptr = netlist.pin_ptr.tolist()
+    flat = netlist.pin_net.tolist()
     gate_inputs = [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-    gate_output = csr.gate_output.tolist()
+    gate_output = netlist.gate_output.tolist()
+    primary_in = netlist.inputs.tolist()
+    primary_out = netlist.outputs.tolist()
 
     # resolution state over the ORIGINAL net ids
     const: dict[int, int] = {CONST0: 0, CONST1: 1}
@@ -135,7 +138,7 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
             driver_of[resolve(out)] = gid
     live: set[int] = set()
     frontier: deque[int] = deque()
-    for po in netlist.outputs:
+    for po in primary_out:
         gid = driver_of.get(resolve(po))
         if gid is not None and gid not in live:
             live.add(gid)
@@ -159,7 +162,7 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
     # surviving nets are numbered in first-use order: per kept gate its
     # inputs then its output, then the primary inputs, then the outputs
     used = [n for gid in keep for n in (*gate_inputs[gid], gate_output[gid])]
-    used = np.array(used + netlist.inputs + netlist.outputs, dtype=np.int64)
+    used = np.array(used + primary_in + primary_out, dtype=np.int64)
     used = rep[used[value[used] < 0]]
     used = used[used >= _NUM_CONST_NETS]  # CONSTX stays itself
     _, first = np.unique(used, return_index=True)
@@ -169,41 +172,38 @@ def optimize_netlist(netlist: Netlist) -> tuple[Netlist, OptStats]:
     remap = np.where(value == 0, CONST0,
                      np.where(value == 1, CONST1, new_id[rep]))
 
-    inputs = remap[netlist.inputs]
-    if (inputs < _NUM_CONST_NETS).any():
-        nid = netlist.inputs[int(np.argmax(inputs < _NUM_CONST_NETS))]
+    new_inputs = remap[netlist.inputs]
+    if (new_inputs < _NUM_CONST_NETS).any():
+        nid = primary_in[int(np.argmax(new_inputs < _NUM_CONST_NETS))]
         raise NetlistError(
             f"primary input {netlist.net_name(nid)!r} folded to a constant"
         )
 
     out = Netlist(netlist.top)
-
     # hierarchy skeleton first so gate nodes keep their walk indices
-    def clone_tree(src: HierNode, dst: HierNode) -> None:
-        for name, child in src.children.items():
-            node = HierNode(name=name, module=child.module, path=child.path)
-            dst.children[name] = node
-            clone_tree(child, node)
-
-    clone_tree(netlist.hierarchy, out.hierarchy)
+    out.hierarchy = netlist.hierarchy.clone(())
 
     kept = np.zeros(netlist.num_gates, dtype=bool)
     kept[keep] = True
     type_code: dict[str, int] = {}  # first-appearance order
     codes = [type_code.setdefault(gtypes[gid], len(type_code)) for gid in keep]
-    arity = np.diff(csr.pin_ptr)[kept]
+    arity = np.diff(netlist.pin_ptr)[kept]
     pin_ptr = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(arity, out=pin_ptr[1:])
+    # surviving gates and nets keep their names: the same table, runs
+    # re-cut over the kept gates, each new net the temp of its old one
     out.adopt_columns(
-        out.net_names + [netlist.net_names[n] for n in fresh.tolist()],
-        [netlist.gate_names[gid] for gid in keep],
-        netlist.gate_node[kept],
+        netlist.name_table,
+        name_runs(*run_locate(netlist.gate_runs, np.flatnonzero(kept))),
+        netlist.temp_runs,
+        np.concatenate((netlist.net_temp[:_NUM_CONST_NETS],
+                        netlist.net_temp[fresh])),
         tuple(type_code),
         np.array(codes, dtype=np.int16),
-        remap[csr.gate_output[kept]],
+        remap[netlist.gate_output[kept]],
         pin_ptr,
-        remap[csr.pin_net[np.repeat(kept, np.diff(csr.pin_ptr))]],
-        inputs,
+        remap[netlist.pin_net[np.repeat(kept, np.diff(netlist.pin_ptr))]],
+        new_inputs,
         remap[netlist.outputs],
     )
     return out, stats

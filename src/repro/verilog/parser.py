@@ -40,6 +40,13 @@ from .primitives import COMBINATIONAL_GATES, SEQUENTIAL_CELLS, is_gate_type
 
 __all__ = ["parse_source", "parse_file", "parse_literal_bits"]
 
+#: the widest vector or literal accepted: IEEE 1364-2005 guarantees
+#: 2^16 bits (the widest in any registered circuit is 64)
+MAX_WIDTH = 1 << 16
+#: decimal digits in an index or a literal's size (int64), and in a
+#: decimal literal (what ``int()`` converts)
+_MAX_INDEX_DIGITS, _MAX_DECIMAL_DIGITS = 18, 4300
+
 _NET_KINDS = ("wire", "supply0", "supply1")
 
 
@@ -62,15 +69,24 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
     is a :class:`ParseError` at ``line``/``col``.
     """
     text = raw.replace("_", "")
+    shown = raw if len(raw) <= 40 else raw[:36] + "..."
+    too_wide = ParseError(
+        f"literal {shown!r} is wider than {MAX_WIDTH} bits "
+        f"or {_MAX_DECIMAL_DIGITS} decimal digits", line, col)
     if "'" not in text:
         if not _is_decimal(text):
             raise ParseError(f"malformed literal {raw!r}", line, col)
+        if len(text.lstrip("0")) > _MAX_DECIMAL_DIGITS:
+            raise too_wide
         return _bits_of(int(text))
     size_txt, rest = text.split("'", 1)
     if size_txt and not _is_decimal(size_txt):
         raise ParseError(f"malformed size in literal {raw!r}", line, col)
-    if size_txt and int(size_txt) == 0:
+    if size_txt and not size_txt.lstrip("0"):
         raise ParseError(f"literal {raw!r} has zero width", line, col)
+    if size_txt and (len(size_txt.lstrip("0")) > _MAX_INDEX_DIGITS
+                     or int(size_txt) > MAX_WIDTH):
+        raise too_wide
     rest = rest.lstrip("sS")
     per_digit = {"b": 1, "o": 3, "h": 4, "d": 0}.get(rest[:1].lower())
     if per_digit is None:
@@ -79,11 +95,15 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
     digits = rest[1:]
     if not digits:
         raise ParseError(f"literal {raw!r} has no digits", line, col)
+    if len(digits) * per_digit > MAX_WIDTH:
+        raise too_wide
     bits: list[int] = []
     if base_ch == "d":
         if not _is_decimal(digits):
             bad = next(ch for ch in digits if ch not in "0123456789")
             raise ParseError(f"bad digit {bad!r} in literal {raw!r}", line, col)
+        if len(digits.lstrip("0")) > _MAX_DECIMAL_DIGITS:
+            raise too_wide
         bits = list(_bits_of(int(digits)))
     else:
         for ch in reversed(digits.lower()):
@@ -208,13 +228,25 @@ class _Parser:
                 tok.column,
             )
 
+    def _index(self, what: str) -> int:
+        tok = self._expect("number", what)
+        if len(tok.value.lstrip("0")) > _MAX_INDEX_DIGITS:
+            raise ParseError(f"{what} {tok.value} is out of range",
+                             tok.line, tok.column)
+        return int(tok.value)
+
     def _range(self) -> ast.Range:
-        self._expect("[")
-        msb = int(self._expect("number", "range msb").value)
+        start = self._expect("[")
+        msb = self._index("range msb")
         self._expect(":")
-        lsb = int(self._expect("number", "range lsb").value)
+        lsb = self._index("range lsb")
         self._expect("]")
-        return ast.Range(msb, lsb)
+        rng = ast.Range(msb, lsb)
+        if rng.width > MAX_WIDTH:
+            raise ParseError(
+                f"vector range [{msb}:{lsb}] is {rng.width} bits wide; "
+                f"at most {MAX_WIDTH} are supported", start.line, start.column)
+        return rng
 
     def _port_decl(self, module: ast.Module) -> None:
         direction = self._next().value
@@ -391,10 +423,10 @@ class _Parser:
             self._next()
             if self._peek().kind == "[":
                 self._next()
-                first = int(self._expect("number", "index").value)
+                first = self._index("index")
                 if self._peek().kind == ":":
                     self._next()
-                    second = int(self._expect("number", "index").value)
+                    second = self._index("index")
                     self._expect("]")
                     return ast.PartSelect(tok.value, first, second)
                 self._expect("]")

@@ -121,14 +121,15 @@ def write_netlist_verilog(netlist: Netlist) -> str:
     ``assign`` from that net or literal.  The output parses back
     through :func:`repro.verilog.parser.parse_source`.
     """
-    csr = netlist.csr
     out = io.StringIO()
-    names = [_netname(netlist, nid) for nid in range(netlist.num_nets)]
+    names = netlist.net_names
+    names[:_NUM_CONST_NETS] = ["_const0", "_const1", "_constx"]
     taken = set(names)
-    declared = set(netlist.inputs)  # nets that are ports
+    inputs = netlist.inputs.tolist()
+    declared = set(inputs)  # nets that are ports
     out_ports: list[str] = []
     assigns: list[tuple[str, str]] = []
-    for i, nid in enumerate(netlist.outputs):
+    for i, nid in enumerate(netlist.outputs.tolist()):
         if nid >= _NUM_CONST_NETS and nid not in declared:
             declared.add(nid)
             out_ports.append(names[nid])
@@ -139,13 +140,13 @@ def write_netlist_verilog(netlist: Netlist) -> str:
         taken.add(port)
         out_ports.append(port)
         assigns.append((port, _LITERALS.get(nid) or _ident(names[nid])))
-    ports = [names[n] for n in netlist.inputs] + out_ports
+    ports = [names[n] for n in inputs] + out_ports
     out.write(f"module {_ident(netlist.top)} ({', '.join(_ident(p) for p in ports)});\n")
-    for nid in netlist.inputs:
+    for nid in inputs:
         out.write(f"  input {_ident(names[nid])};\n")
     for port in out_ports:
         out.write(f"  output {_ident(port)};\n")
-    for nid in np.union1d(csr.gate_output, csr.pin_net).tolist():
+    for nid in np.union1d(netlist.gate_output, netlist.pin_net).tolist():
         if nid in declared:
             continue
         if nid == CONST0:
@@ -156,11 +157,11 @@ def write_netlist_verilog(netlist: Netlist) -> str:
             out.write(f"  wire {_ident(names[nid])};\n")
     for port, source in assigns:
         out.write(f"  assign {_ident(port)} = {source};\n")
-    types = csr.gate_types
-    codes = csr.gate_code.tolist()
-    outs = csr.gate_output.tolist()
-    ptr = csr.pin_ptr.tolist()
-    pins = csr.pin_net.tolist()
+    types = netlist.gate_types
+    codes = netlist.gate_code.tolist()
+    outs = netlist.gate_output.tolist()
+    ptr = netlist.pin_ptr.tolist()
+    pins = netlist.pin_net.tolist()
     for gid, gname in enumerate(netlist.gate_names):
         terms = ", ".join(
             _ident(names[n]) for n in (outs[gid], *pins[ptr[gid]:ptr[gid + 1]])
@@ -168,13 +169,3 @@ def write_netlist_verilog(netlist: Netlist) -> str:
         out.write(f"  {types[codes[gid]]} {_ident(gname)} ({terms});\n")
     out.write("endmodule\n")
     return out.getvalue()
-
-
-def _netname(netlist: Netlist, nid: int) -> str:
-    if nid == CONST0:
-        return "_const0"
-    if nid == CONST1:
-        return "_const1"
-    if nid == CONSTX:
-        return "_constx"
-    return netlist.net_names[nid]

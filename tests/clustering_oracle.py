@@ -49,7 +49,7 @@ def tree_clustering(netlist: Netlist, opened: set[int], gate_weights=None):
         for gid in range(netlist.num_gates):
             if paths[gid] == node.path and keys[gid] == ("gate", gid):
                 order.append(keys[gid])
-                names.append(netlist.gate_names[gid])
+                names.append(netlist.gate_name(gid))
                 nodes.append(None)
         for child in node.children.values():
             if id(child) in opened:

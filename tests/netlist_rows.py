@@ -1,7 +1,7 @@
 """Plain-Python shapes of a netlist, rebuilt from its columns.
 
 A :class:`~repro.verilog.netlist.Netlist` keeps its structure only as
-arrays (``netlist.csr``).  Tests that walk or compare gates one at a
+arrays (``netlist``).  Tests that walk or compare gates one at a
 time rebuild the rows they need here, from those arrays alone, so the
 production code carries no second copy of the structure for them.
 """
@@ -16,7 +16,7 @@ from repro.verilog import is_sequential
 def gate_rows(nl) -> list[tuple]:
     """``(gid, gtype, name, path, inputs, output)`` per gate, ``inputs``
     a tuple of net ids in pin order."""
-    csr = nl.csr
+    csr = nl
     ptr = csr.pin_ptr.tolist()
     pins = csr.pin_net.tolist()
     codes = csr.gate_code.tolist()
@@ -32,7 +32,7 @@ def gate_rows(nl) -> list[tuple]:
 
 def flip_flops(nl) -> int:
     """How many gates are state-holding cells."""
-    csr = nl.csr
+    csr = nl
     return sum(is_sequential(csr.gate_types[c]) for c in csr.gate_code.tolist())
 
 
@@ -47,7 +47,7 @@ def net_sinks(csr) -> list[list[int]]:
 def column_digest(nl) -> str:
     """sha256 over everything a netlist holds: names, per-gate type
     names, the pin / output columns, primary I/O and the hierarchy."""
-    csr = nl.csr
+    csr = nl
     doc = (
         nl.top,
         nl.net_names,
@@ -56,8 +56,8 @@ def column_digest(nl) -> str:
         csr.gate_output.tolist(),
         csr.pin_ptr.tolist(),
         csr.pin_net.tolist(),
-        list(nl.inputs),
-        list(nl.outputs),
+        nl.inputs.tolist(),
+        nl.outputs.tolist(),
         nl.gate_node.tolist(),
         [(n.name, n.module, n.path, n.total_gates, list(n.children))
          for n in nl.nodes],

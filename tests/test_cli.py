@@ -213,22 +213,30 @@ class TestCircuitSpellings:
         assert code == 0
         assert "(k, b) sweep: circuit:viterbi-test (6 vectors)" in text
 
-    @pytest.mark.parametrize("verb", ["psim", "search", "simulate"])
-    def test_stream_circuit_is_refused_by_name(self, verb, capsys):
-        code, text = run(verb, "stream:viterbi-test", "--vectors", "4")
-        assert code == 1 and text == ""
-        assert capsys.readouterr().err == (
-            f"error: {verb}: stream: circuits carry no hierarchy / names; "
-            "use circuit:NAME or a Verilog file\n")
+    @pytest.mark.parametrize("argv", [
+        ("info", "--tree", "--stats"),
+        ("psim", "-k", "2", "--vectors", "6"),
+        ("search", "--max-k", "2", "--vectors", "4"),
+        ("simulate", "--vectors", "4"),
+    ], ids=["info", "psim", "search", "simulate"])
+    def test_stream_circuit_prints_like_its_text_twin(self, argv):
+        """``stream:NAME`` carries the text path's hierarchy and names,
+        so every verb prints what ``circuit:NAME`` prints."""
+        verb, *rest = argv
+        code, text = run(verb, "circuit:noc-test", *rest)
+        assert code == 0
+        assert run(verb, "stream:noc-test", *rest) == (0, text)
 
-    def test_design_partition_of_stream_circuit_is_refused(self, capsys):
-        code, _ = run("partition", "stream:viterbi-test")
-        assert code == 1
-        assert "partition --algorithm design: stream: circuits carry no " \
-            "hierarchy / names" in capsys.readouterr().err
-        code, text = run("partition", "stream:viterbi-test",
-                         "--algorithm", "multilevel")
-        assert code == 0 and "cut size" in text
+    def test_stream_circuit_design_partition_file_matches(self, tmp_path):
+        outs = {}
+        for spelling in ("circuit", "stream"):
+            path = tmp_path / f"{spelling}.json"
+            code, text = run("partition", f"{spelling}:noc-test", "-k", "3",
+                             "--algorithm", "design", "--save", str(path))
+            assert code == 0
+            outs[spelling] = (text.replace(str(path), "<saved>"),
+                              path.read_bytes())
+        assert outs["circuit"] == outs["stream"]
 
 
 class TestObsCommands:

@@ -40,8 +40,6 @@ class TestTimeWarpConfig:
             (dict(optimism_window=0), "optimism_window"),
             (dict(stall_threshold=0), "stall_threshold"),
             (dict(migration_threshold=0.0), "migration_threshold"),
-            (dict(migration_cost=-1.0), "migration_cost"),
-            (dict(migration_cooldown=-1), "migration_cooldown"),
         ],
     )
     def test_invalid_values(self, kwargs, match):

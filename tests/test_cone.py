@@ -18,8 +18,8 @@ def _net_walk_dag(clustering):
     gate_cluster = {gid: ci for ci, cluster in enumerate(clustering.clusters)
                     for gid in cluster.gate_ids}
     inputs = set(netlist.inputs)
-    net_driver = netlist.csr.net_driver.tolist()
-    sinks = net_sinks(netlist.csr)
+    net_driver = netlist.net_driver.tolist()
+    sinks = net_sinks(netlist)
     succ = [set() for _ in clustering.clusters]
     roots = set()
     for nid in range(netlist.num_nets):

@@ -134,7 +134,7 @@ class TestBinding:
             module t (o); output o; s u (.o(o), .i()); endmodule
             """
         )
-        assert nl.csr.gate_inputs(0)[0] == CONSTX
+        assert nl.gate_inputs(0)[0] == CONSTX
 
     def test_undefined_module(self):
         with pytest.raises(ElaborationError, match="not defined"):
@@ -155,7 +155,7 @@ class TestConstantsAndAliases:
             module t (o); output o; s u (.o(o), .i(1'b1)); endmodule
             """
         )
-        assert nl.csr.gate_inputs(0)[0] == CONST1
+        assert nl.gate_inputs(0)[0] == CONST1
 
     def test_supply_nets(self):
         nl = compile_verilog(
@@ -166,7 +166,7 @@ class TestConstantsAndAliases:
             endmodule
             """
         )
-        assert set(nl.csr.gate_inputs(0).tolist()) == {CONST0, CONST1}
+        assert set(nl.gate_inputs(0).tolist()) == {CONST0, CONST1}
 
     def test_assign_alias_merges_nets(self):
         nl = compile_verilog(
@@ -178,7 +178,7 @@ class TestConstantsAndAliases:
             endmodule
             """
         )
-        assert nl.csr.gate_inputs(0)[0] in nl.inputs
+        assert nl.gate_inputs(0)[0] in nl.inputs
 
     def test_assign_width_mismatch(self):
         with pytest.raises(ElaborationError, match="width mismatch"):
@@ -252,8 +252,8 @@ class TestNetlistBuilder:
         nb.output_net(y)
         nl = nb.build()
         assert nl.num_gates == 1
-        assert nl.inputs == [a, b]
-        assert nl.outputs == [y]
+        assert nl.inputs.tolist() == [a, b]
+        assert nl.outputs.tolist() == [y]
 
     def test_inputs_recorded(self):
         nb = NetlistBuilder("toy")
@@ -261,7 +261,7 @@ class TestNetlistBuilder:
         y = nb.net()
         nb.gate("or", (a, b), y)
         nl = nb.build()
-        assert nl.inputs == [a, b]
+        assert nl.inputs.tolist() == [a, b]
 
     def test_path_creates_hierarchy(self):
         nb = NetlistBuilder("toy")
@@ -291,7 +291,7 @@ class TestNetlistBuilder:
         q = nb.net("q")
         nb.dff(d, clk, q)
         nl = nb.build()
-        assert nl.csr.gate_type(0) == "dff"
+        assert nl.gate_type(0) == "dff"
 
 
 class TestNetNames:
@@ -326,10 +326,10 @@ def _netlist_digest(nl):
     doc = (
         nl.net_names,
         gate_rows(nl),
-        nl.inputs,
-        nl.outputs,
-        nl.csr.net_driver.tolist(),
-        net_sinks(nl.csr),
+        nl.inputs.tolist(),
+        nl.outputs.tolist(),
+        nl.net_driver.tolist(),
+        net_sinks(nl),
         [
             (n.name, n.module, n.path, _direct_gates(nl, i), n.total_gates,
              list(n.children))
@@ -419,7 +419,7 @@ class TestExactNetlists:
             ("not", "u3._g0", ("u3",), (7,), 9),
             ("not", "u3.g", ("u3",), (9,), 3),
         ]
-        assert (nl.inputs, nl.outputs) == ([4], [3])
+        assert (nl.inputs.tolist(), nl.outputs.tolist()) == ([4], [3])
 
     def test_one_definition_at_two_depths(self):
         nl = compile_verilog(
@@ -475,8 +475,8 @@ class TestExactNetlists:
             ("buf", "u.b2", ("u",), (14,), 5),
             ("buf", "u.b3", ("u",), (7,), 6),
         ]
-        assert nl.inputs == [7, 8, 9, 10, 11, 12, 13, 14, 15]
-        assert nl.outputs == [3, 4, 5, 6]
+        assert nl.inputs.tolist() == [7, 8, 9, 10, 11, 12, 13, 14, 15]
+        assert nl.outputs.tolist() == [3, 4, 5, 6]
 
     def test_unconnected_input_and_output(self):
         nl = compile_verilog(
@@ -517,7 +517,7 @@ class TestExactNetlists:
             ("and", "g", (), (5, CONST1), 3),
             ("or", "_g0", (), (5, CONST0), 4),
         ]
-        assert (nl.inputs, nl.outputs) == ([5], [3, 4])
+        assert (nl.inputs.tolist(), nl.outputs.tolist()) == ([5], [3, 4])
 
 
 _SUB = "module s (i); input [3:0] i; endmodule\n"
@@ -687,7 +687,7 @@ class TestPrimaryInputAliases:
         nl = compile_verilog(
             "module top (a, y); input a; output y; assign y = a; endmodule"
         )
-        assert nl.inputs == nl.outputs == [3]
+        assert nl.inputs.tolist() == nl.outputs.tolist() == [3]
 
 
 class TestPerDefinitionWork:
@@ -715,3 +715,23 @@ class TestPerDefinitionWork:
         # leaf's 4 gate terminals are resolved once however many
         # instances are stamped
         assert elab.exprs_resolved == 2 * n + 4
+
+
+def test_elaboration_builds_no_name_lists():
+    """Names are the hierarchy: elaborating ``viterbi-paper`` (93k
+    gates) builds no per-gate or per-net string list.  The elaborator
+    that built both lists peaked at 35.7 MB under tracemalloc; the two
+    lists alone take ~14 MB."""
+    import tracemalloc
+
+    from repro.circuits import circuit_source
+
+    source = parse_source(circuit_source("viterbi-paper"))
+    tracemalloc.start()
+    try:
+        nl = elaborate(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nl.num_gates == 93096
+    assert peak < (35.7 - 14) * 2**20

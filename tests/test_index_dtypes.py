@@ -3,7 +3,7 @@
 One helper (:mod:`repro.hypergraph.dtypes`) decides index widths for
 the whole repo; construction paths may run int32, the frozen substrate
 (:class:`Hypergraph`, :class:`PartitionState`, :class:`CompiledCircuit`,
-:class:`NetlistCSR`) is int64-only, except ``edge_part_count``, whose
+:class:`Netlist`) is int64-only, except ``edge_part_count``, whose
 counts are bounded by the largest net's pins.  Allocating 2^31 real ids
 is not an option in a test, so the boundary itself is exercised with
 synthetic ``max_id`` values and the overflow guards with mocked bounds.

@@ -1,7 +1,7 @@
 """The columnar netlist: one construction route, shared array kernels,
 label propagation.
 
-A :class:`Netlist` stores arrays (``netlist.csr``) plus names and the
+A :class:`Netlist` stores arrays (``netlist``) plus names and the
 instance tree, and gets them through one call,
 :meth:`Netlist.adopt_columns`.  These tests pin (a) that the elaborator's
 columns are exactly what :class:`NetlistBuilder` produces when the same
@@ -58,7 +58,7 @@ class TestViewsEqualReplay:
         nl = load_circuit(name)
         replay = _replay(nl)
         assert _netlist_digest(nl) == _netlist_digest(replay)
-        a, b = nl.csr, replay.csr
+        a, b = nl, replay
         assert a.gate_types == b.gate_types
         for column in ("gate_code", "gate_output", "pin_ptr", "pin_net",
                        "inputs", "outputs", "net_driver"):
@@ -141,7 +141,7 @@ def test_gateless_netlist_goes_through_every_array_consumer():
     assert compile_circuit(nl).num_gates == 0
     assert random_vectors(nl, 1)[0].net == nl.inputs[0]
     assert gate_rows(nl) == []
-    assert (nl.csr.net_driver.tolist(), net_sinks(nl.csr)) == ([-1] * 4, [[]] * 4)
+    assert (nl.net_driver.tolist(), net_sinks(nl)) == ([-1] * 4, [[]] * 4)
 
 
 def _union_find_min(n, pairs):
@@ -211,11 +211,11 @@ def test_pickle_round_trip_keeps_the_netlist(name):
     nl = load_circuit(name)
     clone = pickle.loads(pickle.dumps(nl))
     assert _netlist_digest(clone) == _netlist_digest(nl)
-    assert np.array_equal(clone.csr.pin_net, nl.csr.pin_net)
+    assert np.array_equal(clone.pin_net, nl.pin_net)
 
 
 class TestPrimitiveTable:
-    """``NetlistCSR.validate`` holds array-built netlists to the same
+    """``Netlist.validate`` holds array-built netlists to the same
     type and arity rules the parser holds Verilog text to."""
 
     @staticmethod

@@ -239,3 +239,44 @@ class TestParseErrors:
             assert e.line == 2
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+
+class TestWidthLimits:
+    """A width past ``MAX_WIDTH`` (2^16 bits, what IEEE 1364-2005
+    guarantees) is a located :class:`ParseError`, decided before any
+    per-bit work — never a ``MemoryError`` or a bare ``ValueError``."""
+
+    @pytest.mark.parametrize("decl,match,column", [
+        ("input [100000000:0] a;", r"\[100000000:0\] is 100000001 bits", 9),
+        ("input [0:65536] a;", "65537 bits wide; at most 65536", 9),
+        ("input [" + "9" * 40 + ":0] a;", "range msb 9+ is out of range", 10),
+    ])
+    def test_vector_range(self, decl, match, column):
+        with pytest.raises(ParseError, match=match) as info:
+            parse_source(f"module m (a);\n  {decl}\nendmodule\n")
+        assert (info.value.line, info.value.column) == (2, column)
+
+    def test_widest_vector_is_accepted(self):
+        m = one_module("module m (a); input [65535:0] a; endmodule")
+        assert m.width_of("a") == 65536
+
+    @pytest.mark.parametrize("literal,match", [
+        ("999999999'b1", "wider than 65536 bits"),
+        ("65537'h0", "wider than 65536 bits"),
+        ("'b" + "1" * 65537, "wider than 65536 bits"),
+        ("4'h" + "f" * 16385, "wider than 65536 bits"),
+        ("9" * 5000, "or 4300 decimal digits"),
+        ("8'd" + "1" * 4301, "or 4300 decimal digits"),
+        ("000'b1", "zero width"),
+    ])
+    def test_literal(self, literal, match):
+        text = f"module m (y);\n  output y;\n  assign y = {literal};\nendmodule\n"
+        with pytest.raises(ParseError, match=match) as info:
+            parse_source(text)
+        assert (info.value.line, info.value.column) == (3, 14)
+        assert len(str(info.value)) < 120
+
+    def test_bit_select_index(self):
+        with pytest.raises(ParseError, match="index 9+ is out of range"):
+            parse_source("module m (y, a); output y; input [3:0] a; "
+                         f"assign y = a[{'9' * 30}]; endmodule")

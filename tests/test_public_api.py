@@ -114,7 +114,7 @@ class TestNetlistIsItsColumns:
         *(f"repro.verilog.netlist.Netlist.{name}" for name in (
             "gates", "net_driver", "net_sinks", "add_net", "add_gate",
             "finalize", "driver_of", "sinks_of", "sequential_gates")),
-        "repro.verilog.netlist_csr.NetlistCSR.from_netlist",
+        "repro.verilog.netlist.Netlist.from_netlist",
         *(f"repro.sim.compiled.CompiledCircuit.{name}" for name in (
             "gate_inputs", "net_sinks", "gate_code_list", "gate_output_list",
             "eval_combinational")),

@@ -13,15 +13,21 @@ zero-pin nets.  The design-driven drivers
 initial partitions, :func:`repro.core.recursive_design_driven_partition`)
 run a small netlist at degenerate k; and a balance factor that is not
 ``>= 0`` (NaN included) is a :class:`~repro.errors.ConfigError` on every
-partition entry point and the CLI.
+partition entry point and the CLI.  Last, a Hypothesis fuzz of the
+Verilog front end (lex -> parse -> elaborate) on token soups and on
+mutated registered circuits: every rejection is a located
+:class:`~repro.errors.VerilogError` or a
+:class:`~repro.errors.NetlistError`.
 """
 
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import load_circuit
+from repro.circuits import circuit_source, load_circuit
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
@@ -32,7 +38,13 @@ from repro.core import (
     recursive_design_driven_partition,
 )
 from repro.core.batch_refine import REFINERS
-from repro.errors import ConfigError, PartitionError
+from repro.errors import (
+    ConfigError,
+    ElaborationError,
+    NetlistError,
+    PartitionError,
+    VerilogError,
+)
 from repro.hypergraph import (
     Clustering,
     Hypergraph,
@@ -262,3 +274,65 @@ def test_cli_rejects_a_nan_balance_factor(algorithm, capsys):
     assert code == 1
     assert out.getvalue() == ""
     assert "error: b must be >= 0, got nan" in capsys.readouterr().err
+
+
+# -- the Verilog front end under fuzzing ---------------------------------------
+
+#: tokens a soup is drawn from: keywords, primitives, names, numbers,
+#: literals (some too wide), punctuation and a few stray characters
+_TOKENS = (
+    "module", "endmodule", "input", "output", "inout", "wire", "supply0",
+    "supply1", "assign", "and", "or", "nand", "xor", "not", "buf", "dff",
+    "dffr", "m", "t", "a", "b", "y", "u0", "v", "0", "1", "3", "7",
+    "65536", "1'b0", "1'bx", "4'hf", "2'd3", "'b101", "70000'b1",
+    "999999999'b1", "(", ")", "[", "]", ":", ";", ",", ".", "{", "}", "=",
+    "#", "@", "\\", "`", "//", "/*", "*/", "\n",
+)
+#: small registered circuits whose text the mutations start from
+_SEEDS = {name: circuit_source(name)
+          for name in ("adder8", "counter8", "mul4", "noc-test")}
+
+
+def _front_end(text: str) -> None:
+    """Lex, parse and elaborate ``text``; a rejection must be a typed,
+    located front-end error."""
+    from repro.verilog import compile_verilog
+
+    try:
+        compile_verilog(text)
+    except VerilogError as exc:
+        if isinstance(exc, ElaborationError):
+            assert str(exc)
+        else:  # the lexer and the parser point into the text
+            assert 1 <= exc.line <= text.count("\n") + 1, exc
+            assert exc.column >= 1, exc
+    except NetlistError as exc:
+        assert str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=60),
+       st.booleans())
+def test_fuzz_token_soup(tokens, wrap):
+    body = " ".join(tokens)
+    _front_end(f"module m (a, y);\n{body}\nendmodule\n" if wrap else body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SEEDS)), st.lists(st.tuples(
+    st.sampled_from(("delete", "duplicate", "replace", "insert")),
+    st.floats(0, 1), st.integers(1, 40), st.sampled_from(_TOKENS),
+), min_size=1, max_size=4))
+def test_fuzz_mutated_circuit(name, mutations):
+    text = _SEEDS[name]
+    for kind, where, span, token in mutations:
+        at = int(where * len(text))
+        if kind == "delete":
+            text = text[:at] + text[at + span:]
+        elif kind == "duplicate":
+            text = text[:at] + text[at:at + span] + text[at:]
+        elif kind == "replace":
+            text = text[:at] + token + text[at + len(token):]
+        else:
+            text = text[:at] + " " + token + " " + text[at:]
+    _front_end(text)

@@ -2,7 +2,7 @@
 
 The tentpole claim of the streamed construction
 (:mod:`repro.circuits.stream`): for every family that exists in both
-registries, the :class:`NetlistCSR` emitted directly matches the
+registries, the :class:`Netlist` emitted directly matches the
 netlist parsed from the generated Verilog **gate for gate** — same
 gate count, same type and arity at every gate index, and a consistent
 net-id bijection covering primary I/O positionally.  On top of that,
@@ -30,7 +30,7 @@ from repro.hypergraph.build import flat_hypergraph, streamed_flat_hypergraph
 from repro.sim.compiled import compile_circuit
 from repro.verilog import compile_verilog
 from repro.verilog.netlist import _NUM_CONST_NETS
-from repro.verilog.netlist_csr import NetlistCSR
+from repro.verilog.netlist import Netlist
 from tests.netlist_rows import gate_rows
 
 #: small configs of the three streamed families — cheap enough that the
@@ -50,13 +50,14 @@ SMALL = {
 }
 
 
-def assert_stream_equivalent(netlist, csr) -> None:
+def assert_stream_equivalent(netlist, csr) -> np.ndarray:
     """Gate-for-gate equivalence via a net-id bijection.
 
     Gate ``i`` of the parsed netlist must be gate ``i`` of the stream
     (same type, same arity), and the pairing of their output/input nets
     must form a single consistent bijection that also maps primary I/O
     positionally and pins the three constant nets to themselves.
+    Returns the bijection, parsed net id -> streamed net id.
     """
     assert csr.num_gates == netlist.num_gates
     assert csr.num_nets == netlist.num_nets
@@ -88,6 +89,7 @@ def assert_stream_equivalent(netlist, csr) -> None:
         bind(a, b)
     assert (fwd >= 0).all(), "some parsed net has no streamed counterpart"
     assert (rev >= 0).all(), "some streamed net has no parsed counterpart"
+    return fwd
 
 
 @pytest.mark.parametrize("family", sorted(SMALL))
@@ -104,24 +106,24 @@ def test_streamed_hypergraph_bit_identical(family):
     text_fn, stream_fn, cfg = SMALL[family]
     netlist = compile_verilog(text_fn(cfg))
     a = flat_hypergraph(netlist)
-    b = streamed_flat_hypergraph(netlist.csr)
+    b = streamed_flat_hypergraph(netlist)
     assert np.array_equal(a._edge_ptr, b._edge_ptr)
     assert np.array_equal(a._edge_pins, b._edge_pins)
     assert np.array_equal(a.vertex_weight, b.vertex_weight)
     assert np.array_equal(a.edge_weight, b.edge_weight)
-    # the public dispatch takes the streamed path for a NetlistCSR
-    c = flat_hypergraph(netlist.csr)
+    # the public dispatch takes the streamed path for a Netlist
+    c = flat_hypergraph(netlist)
     assert np.array_equal(a._edge_ptr, c._edge_ptr)
     assert np.array_equal(a._edge_pins, c._edge_pins)
 
 
 @pytest.mark.parametrize("family", sorted(SMALL))
 def test_compiled_circuit_csr_branch_identical(family):
-    """compile_circuit(nl.csr) == compile_circuit(nl)."""
+    """compile_circuit(nl) == compile_circuit(nl)."""
     text_fn, _, cfg = SMALL[family]
     netlist = compile_verilog(text_fn(cfg))
     a = compile_circuit(netlist)
-    b = compile_circuit(netlist.csr)
+    b = compile_circuit(netlist)
     assert np.array_equal(a.gate_code, b.gate_code)
     assert np.array_equal(a.gate_output, b.gate_output)
     assert np.array_equal(a.pin_offsets, b.pin_offsets)
@@ -140,7 +142,7 @@ def test_stream_registry_names_resolve():
         if "xl" in name or "scale" in name or "s100k" in name:
             continue  # big rungs belong to the bench, not tier-1
         csr = load_stream_circuit(name)
-        assert isinstance(csr, NetlistCSR)
+        assert isinstance(csr, Netlist)
         assert csr.num_gates > 0
 
 
@@ -216,3 +218,72 @@ def test_streamed_build_records_part_build_counters():
     assert rec.counters["part.build.edge_pins"] == hg.num_pins
     assert rec.counters["part.build.pins"] == csr.num_pins
     assert all(is_registered(k) for k in rec.counters)
+
+
+#: every array column of a netlist, ``net_driver`` included
+COLUMNS = ("gate_code", "gate_output", "pin_ptr", "pin_net", "inputs",
+           "outputs", "net_driver", "gate_node", "subtree_end")
+
+
+def _tree(nl) -> list[tuple]:
+    return [(n.name, n.module, n.path, n.total_gates, list(n.children))
+            for n in nl.nodes]
+
+
+@pytest.mark.parametrize("name", ["noc-test", "noc-bench", "memctrl-test",
+                                  "memctrl-bench"])
+def test_stream_equals_text(name):
+    """Same columns, same hierarchy, same gate and net names."""
+    text, stream = load_circuit(name), load_stream_circuit(name)
+    assert (stream.top, stream.gate_types, stream.num_nets) == \
+        (text.top, text.gate_types, text.num_nets)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(stream, column), getattr(text, column)), column
+    assert _tree(stream) == _tree(text)
+    assert stream.gate_names == text.gate_names
+    assert stream.net_names == text.net_names
+    a, b = compile_circuit(text), compile_circuit(stream)
+    assert np.array_equal(a.gate_code, b.gate_code)
+    assert np.array_equal(a.table.pins, b.table.pins)
+
+
+@pytest.mark.parametrize("name", ["viterbi-test", "viterbi-bench"])
+def test_stream_names_match_text_under_bijection(name):
+    """Viterbi's streamed nets are numbered differently; gate for gate
+    and net for net under the bijection, the names and the hierarchy
+    are the text path's."""
+    text, stream = load_circuit(name), load_stream_circuit(name)
+    fwd = assert_stream_equivalent(text, stream)
+    assert _tree(stream) == _tree(text)
+    assert np.array_equal(stream.gate_node, text.gate_node)
+    assert np.array_equal(stream.subtree_end, text.subtree_end)
+    assert stream.gate_names == text.gate_names
+    names = stream.net_names
+    assert [names[n] for n in fwd.tolist()] == text.net_names
+
+
+def test_flat_clustering_hypergraph_equals_flat_hypergraph():
+    """``flat_hypergraph`` skips the vertex names ``Clustering.flat``
+    builds, and nothing else."""
+    from repro.hypergraph import Clustering
+
+    netlist = load_stream_circuit("viterbi-test")
+    a = Clustering.flat(netlist).hypergraph()
+    b = flat_hypergraph(netlist)
+    assert np.array_equal(a._edge_ptr, b._edge_ptr)
+    assert np.array_equal(a._edge_pins, b._edge_pins)
+    assert np.array_equal(a.vertex_weight, b.vertex_weight)
+
+
+def test_stamped_instances_need_distinct_names():
+    from repro.circuits._vlog import ModuleWriter
+    from repro.circuits.stream import lower_module
+
+    cell = "module c (o, i); output o; input i; buf (o, i); endmodule\n"
+    m = ModuleWriter("top")
+    m.input("a")
+    m.wire("y", 2)
+    m.instance("c", "u", {"i": "a", "o": "y[0]"})
+    m.instance("c", "u", {"i": "a", "o": "y[1]"})
+    with pytest.raises(ElaborationError, match="duplicate instance name 'u'"):
+        lower_module(m, cell)

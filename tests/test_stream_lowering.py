@@ -2,7 +2,7 @@
 
 :func:`repro.circuits.stream.lower_module` reads the record a
 :class:`~repro.circuits._vlog.ModuleWriter` keeps and builds the
-:class:`NetlistCSR` the text path would elaborate from
+:class:`Netlist` the text path would elaborate from
 :meth:`~repro.circuits._vlog.ModuleWriter.emit` — gate for gate, with
 primary I/O in port order.  What the record can say but the lowering
 cannot express ends in an :class:`ElaborationError`.

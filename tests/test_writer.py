@@ -136,7 +136,7 @@ class TestSpecialOutputs:
             " and (y, a, 1'b0); or (z, a, 1'b1); xor (w, a, y); endmodule"
         )
         opt, _ = optimize_netlist(nl)
-        assert opt.outputs[:2] == [0, 1]  # CONST0, CONST1
+        assert opt.outputs[:2].tolist() == [0, 1]  # CONST0, CONST1
         _assert_round_trip(opt)
         text = write_netlist_verilog(opt)
         assert "assign _out0 = 1'b0;" in text and "assign _out1 = 1'b1;" in text

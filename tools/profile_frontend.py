@@ -12,7 +12,11 @@ depends on the definitions, not on the instance count
 expressions for 93 096 gates).  ``compact:`` — temp nets allocated,
 union pairs recorded, label-propagation rounds taken, and how many net
 groups needed their shortest-name tie broken by comparing strings in
-Python.  This is the before/after
+Python.  ``names:`` — what the netlist keeps instead of a string per
+gate and per net: the name-table entries (every definition's local
+names, once), the gate runs and temp runs that index it (about one
+each per instance), and the hierarchy nodes whose dotted prefixes
+complete a name.  This is the before/after
 evidence harness for front-end work — the peer of
 ``tools/profile_partition.py`` and ``tools/profile_sim.py``
 (docs/performance.md, "Front end", records the numbers it moved).
@@ -87,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
           f"union_pairs={elab.union_pairs} "
           f"propagation_rounds={elab.propagation_rounds} "
           f"name_ties_in_python={elab.name_ties}")
+    print(f"names: table={len(netlist.name_table)} "
+          f"gate_runs={len(netlist.gate_runs)} "
+          f"temp_runs={len(netlist.temp_runs)} "
+          f"nodes={len(netlist.nodes)}")
     return 0
 
 
