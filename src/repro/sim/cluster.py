@@ -60,6 +60,12 @@ class ClusterSpec:
     undo_cost:
         CPU cost per rolled-back event (re-execution is charged at
         ``event_cost`` when the events are re-processed).
+    save_cost:
+        CPU cost per byte of a saved checkpoint (state saving copies
+        the LP's whole state, so a machine-sized LP pays for its size).
+        The default is ``event_cost / 1000``, a 2001-era memcpy rate; a
+        testbed ratio, never a host measurement, so modeled times stay
+        bit-reproducible (``docs/kernel.md`` §6).
     """
 
     num_machines: int
@@ -68,12 +74,13 @@ class ClusterSpec:
     msg_cpu_overhead: float = 40.0e-6
     rollback_overhead: float = 60.0e-6
     undo_cost: float = 1.0e-6
+    save_cost: float = 2.0e-9
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
             raise ConfigError(f"num_machines must be >= 1, got {self.num_machines}")
         for name in ("event_cost", "msg_latency", "msg_cpu_overhead",
-                     "rollback_overhead", "undo_cost"):
+                     "rollback_overhead", "undo_cost", "save_cost"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
 
