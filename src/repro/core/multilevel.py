@@ -44,13 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PartitionError
-from ..hypergraph.build import flat_hypergraph, group_members, project_hypergraph
+from ..hypergraph.build import flat_hypergraph, project_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import Netlist
 from .balance import BalanceConstraint
 from .batch_refine import validate_refiner
+from .multiway import machine_shares
 from .pairing import (
     improve_until_stable,
     pairing_strategy,
@@ -162,14 +163,9 @@ class MultilevelKwayResult:
         return self.assignment
 
     def to_simulation(self) -> tuple[list[np.ndarray], list[int]]:
-        """(gate clusters, machine per cluster) for the Time Warp engine.
-
-        One cluster per non-empty partition — the clustered Time Warp
-        granularity a flat partition induces.
-        """
-        members = group_members(self.assignment, self.k)
-        machines = [p for p in range(self.k) if members[p].size]
-        return [members[p] for p in machines], machines
+        """(gate clusters, machine per cluster) for the Time Warp engine:
+        one per non-empty machine (:func:`~repro.core.multiway.machine_shares`)."""
+        return machine_shares(self.assignment, self.k)
 
 
 # -- coarsening -------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PartitionError
-from ..hypergraph.build import Clustering
+from ..hypergraph.build import Clustering, group_members
 from ..hypergraph.partition_state import PartitionState
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..verilog.netlist import Netlist
@@ -76,8 +76,25 @@ class MultiwayResult:
         ]
 
     def to_simulation(self) -> tuple[list[np.ndarray], list[int]]:
-        """(gate clusters, machine per cluster) for the Time Warp engine."""
-        return self.clustering.gate_clusters(), self.assignment.tolist()
+        """(gate clusters, machine per cluster) for the Time Warp engine:
+        one per non-empty machine (:func:`machine_shares`)."""
+        return machine_shares(self.gate_assignment(), self.k)
+
+
+def machine_shares(
+    gate_part: np.ndarray, k: int
+) -> tuple[list[np.ndarray], list[int]]:
+    """One cluster LP per non-empty machine: its gates ascending, with
+    the machine ids ascending beside them.
+
+    The Clustered Time Warp granularity the paper ran on OOCTW: each
+    machine's share of the partition is one unit, simulated
+    sequentially and rolled back as a whole.  Every partition result's
+    ``to_simulation`` is this over its gate → machine array.
+    """
+    members = group_members(gate_part, k)
+    machines = [p for p in range(k) if members[p].size]
+    return [members[p] for p in machines], machines
 
 
 def design_driven_partition(
