@@ -1,9 +1,9 @@
-"""Simulator toolbox tour: analysis, calibration, waveforms, saved partitions.
+"""Simulator toolbox tour: analysis, cost model, waveforms, saved partitions.
 
 Covers the substrate features around the core algorithm:
 
 1. structural analysis of a design (why partitioners behave as they do),
-2. calibrating the virtual-cluster cost model to this host,
+2. the virtual cluster's cost model (testbed ratios, not host timings),
 3. dumping a VCD waveform of a simulation run,
 4. saving a partition to JSON and reusing it.
 
@@ -21,9 +21,7 @@ from repro.sim import (
     ClusterSpec,
     SequentialSimulator,
     VcdWriter,
-    calibrated_spec,
     compile_circuit,
-    measure_event_cost,
     run_partitioned,
 )
 
@@ -39,15 +37,17 @@ def main() -> None:
     print("=== structural analysis (cpu-test) ===")
     print(analyze_netlist(netlist).summary())
 
-    # 2. host calibration: map modeled seconds to real seconds
+    # 2. the cost model: modeled seconds from the paper's testbed ratios,
+    # so every modeled time is the same on any host
     schedule = natural_schedule(netlist)
     events = random_vectors(netlist, 40, seed=1, schedule=schedule)
-    calibration = measure_event_cost(circuit, events, repeats=2)
-    spec = calibrated_spec(ClusterSpec(num_machines=2), calibration)
-    print("\n=== host calibration ===")
-    print(f"measured {calibration.events} events in {calibration.elapsed:.3f}s "
-          f"-> {calibration.events_per_second():,.0f} events/s")
-    print(f"calibrated event_cost = {spec.event_cost * 1e6:.2f} us")
+    spec = ClusterSpec(num_machines=2)
+    print("\n=== cost model ===")
+    print(f"gate event {spec.event_cost * 1e6:.2f} us "
+          f"({1 / spec.event_cost:,.0f} events/s), message "
+          f"{spec.msg_cpu_overhead * 1e6:.0f} us CPU + "
+          f"{spec.msg_latency * 1e6:.0f} us latency, checkpoint "
+          f"{spec.save_cost * 1e9:.1f} ns/byte")
 
     # 3. VCD waveform of a short run
     sim = SequentialSimulator(circuit)
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"\n=== saved partition reuse ===")
     print(f"partition file: {part_path}")
     print(f"cut={reloaded.cut_size}, speedup={report.speedup:.2f} "
-          f"(calibrated model), verified={report.verified}")
+          f"(modeled), verified={report.verified}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .lp import ClusterLP
 from .timewarp import TimeWarpEngine
 from .engine import SimulationReport, run_partitioned, run_sequential_baseline
 from .vcd import VcdWriter
-from .calibrate import CalibrationResult, calibrated_spec, measure_event_cost
 from .testbench import Testbench
 
 __all__ = [
@@ -51,8 +50,5 @@ __all__ = [
     "run_partitioned",
     "run_sequential_baseline",
     "VcdWriter",
-    "CalibrationResult",
-    "calibrated_spec",
-    "measure_event_cost",
     "Testbench",
 ]

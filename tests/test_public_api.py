@@ -145,6 +145,43 @@ class TestNetlistIsItsColumns:
         assert not hits, hits
 
 
+class TestModeledCostsOnly:
+    """The cost model is testbed ratios only: the host-calibration
+    module, which rescaled it from measured runtimes, is gone."""
+
+    #: retired with repro.sim.calibrate
+    RETIRED = (
+        "repro.sim.calibrate",
+        "repro.sim.CalibrationResult",
+        "repro.sim.calibrated_spec",
+        "repro.sim.measure_event_cost",
+    )
+    UNAMBIGUOUS = ("CalibrationResult", "calibrated_spec",
+                   "measure_event_cost")
+
+    def test_retired_names_do_not_resolve(self):
+        import repro.sim
+
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+            assert path.rsplit(".", 1)[1] not in repro.sim.__all__
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
 class TestOneFlatDriver:
     """The hMetis-style second partitioner is gone; Table 2's flat side
     is ``repro.core.multilevel_kway_partition``."""
