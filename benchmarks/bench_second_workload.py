@@ -60,9 +60,9 @@ def test_second_workload(benchmark):
         "slices, *across* module boundaries, so the flat multilevel "
         "partitioner beats the module-granularity cut at k>=3; the "
         "design-driven cut is the lower one only at k=2.  Both meet "
-        "Formula 1 at every k.  Speedups below 1 at k>=3 reflect the "
-        "workload, not the partitioner: a small in-order CPU serializes "
-        "on its register file and PC chain.",
+        "Formula 1 at every k.  Speedups near 1 at every k (below it at "
+        "k=3) reflect the workload, not the partitioner: a small in-order "
+        "CPU serializes on its register file and PC chain.",
         rows=table_rows(headers, rows),
         params={"circuit": CIRCUIT, "b": 10.0,
                 "num_gates": netlist.num_gates},
