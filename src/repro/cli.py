@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="idealized conservative mode (no rollbacks)")
     ps.add_argument("--trace", type=Path, default=None, metavar="PATH",
                     help="dump the kernel's bounded event trace as JSONL "
-                         "(exec/send/rollback/gvt/migrate events)")
+                         "(exec/send/rollback/gvt/throttle events)")
     ps.add_argument("--trace-capacity", type=int, default=65536,
                     help="event-trace ring-buffer size (default: 65536; "
                          "oldest events drop first)")

@@ -309,28 +309,20 @@ class LocalityMatrix:
         return self.local_messages / total if total else 1.0
 
 
-def message_locality(events: list[dict], by: str = "partition") -> LocalityMatrix:
+def message_locality(events: list[dict]) -> LocalityMatrix:
     """Build the k×k message matrix from ``send`` events.
 
-    ``by='partition'`` groups by the static partition the LP was
-    assigned to (falls back to machine ids for pre-enrichment traces);
-    ``by='machine'`` groups by the host machine at send time — the two
-    differ exactly when dynamic migration moved LPs.
+    Groups by the partition of the sending and receiving LP (falls back
+    to machine ids for pre-enrichment traces); placement is fixed, so
+    that is also the host machine.
     """
-    if by not in ("partition", "machine"):
-        raise TraceError(f"message_locality: by must be 'partition' or "
-                         f"'machine', got {by!r}")
     pairs: list[tuple[int, int, int]] = []  # (src, dst, sign)
     antis = 0
     for e in _by_kind(events, "send"):
         if e.get("src_lp", -1) < 0:
             continue  # environment stimulus is not partition traffic
-        if by == "partition":
-            src = e.get("src_partition", e.get("src_machine", 0))
-            dst = e.get("dst_partition", e.get("dst_machine", 0))
-        else:
-            src = e.get("src_machine", 0)
-            dst = e.get("dst_machine", 0)
+        src = e.get("src_partition", e.get("src_machine", 0))
+        dst = e.get("dst_partition", e.get("dst_machine", 0))
         if e.get("sign", 1) < 0:
             antis += 1
             continue

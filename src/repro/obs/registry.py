@@ -82,7 +82,6 @@ METRIC_REGISTRY: dict[str, str] = {
     "tw.rolled_back_events": "gate events undone by rollbacks",
     "tw.straggler_depth": "virtual-time depth of a straggler below LP time (use .max)",
     "tw.gvt_rounds": "GVT computation / fossil-collection rounds",
-    "tw.migrations": "dynamic LP migrations between machines",
     "tw.peak_checkpoint_bytes": "peak total checkpoint memory across LPs",
     "tw.wall_time": "modeled parallel wall time (max machine clock, seconds)",
     "tw.speedup": "modeled sequential wall over modeled parallel wall",
@@ -159,9 +158,9 @@ HOST_VALUE_REGISTRY: dict[str, str] = {
 #: cannot drift apart.
 TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
     "exec": {
-        "machine": "host machine id at execution time",
+        "machine": "host machine id",
         "lp": "executing LP id",
-        "partition": "the LP's static partition (pre-migration)",
+        "partition": "the LP's partition (its fixed host machine)",
         "vt": "virtual time of the executed batch",
         "evals": "gate events the batch processed",
         "sends": "messages the batch emitted",
@@ -200,12 +199,6 @@ TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
         "round": "GVT round number",
         "gvt": "new GVT estimate (2^62 = everything committed)",
         "checkpoint_bytes": "total checkpoint memory after the sweep",
-    },
-    "migrate": {
-        "lp": "migrated LP id",
-        "src_machine": "machine the LP left",
-        "dst_machine": "machine the LP joined",
-        "forwarded": "queued arrivals re-routed with the LP",
     },
     "throttle": {
         "engaged": "1 when the emergency clamp engaged, 0 on release",

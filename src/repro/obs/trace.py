@@ -2,11 +2,11 @@
 
 A :class:`TraceBuffer` is a ring buffer of structured events the engine
 emits at its decision points (batch execution, message routing,
-rollbacks, GVT rounds, migrations).  It exists to answer the question
-the aggregate counters cannot: *why did this run roll back?*  A dump is
-a JSONL stream ordered by emission sequence number, which — because the
-kernel itself is deterministic — is bit-identical across runs with the
-same inputs.
+rollbacks, GVT rounds, throttle transitions).  It exists to answer the
+question the aggregate counters cannot: *why did this run roll back?*
+A dump is a JSONL stream ordered by emission sequence number, which —
+because the kernel itself is deterministic — is bit-identical across
+runs with the same inputs.
 
 Determinism contract: events carry only modeled quantities (virtual
 times, modeled wall seconds, LP/machine ids, serials) — never host
@@ -36,7 +36,6 @@ TRACE_EVENT_KINDS: dict[str, str] = {
     "send": "a message was routed between machines (sign -1 = anti)",
     "rollback": "a straggler or anti-message rolled an LP back",
     "gvt": "one GVT round completed (new estimate + fossil sweep)",
-    "migrate": "an LP moved between machines (dynamic load balancing)",
     "throttle": "the GVT-stall emergency throttle engaged or released",
 }
 

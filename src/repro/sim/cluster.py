@@ -30,12 +30,6 @@ from ..errors import ConfigError
 
 __all__ = ["ClusterSpec", "TimeWarpConfig", "MachineStats", "LPStats", "RunStats"]
 
-#: modeled seconds charged to both machines per LP migration (state
-#: transfer + rebinding), and the GVT rounds the next one waits — damping
-#: load/locality thrash (load-driven migration ignores communication
-#: affinity, so chasing every imbalance sample destroys locality)
-MIGRATION_COST, MIGRATION_COOLDOWN = 500.0e-6, 4
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -124,17 +118,6 @@ class TimeWarpConfig:
         starting value.
     max_checkpoint_interval:
         Upper bound for adaptive checkpointing.
-    migration:
-        Dynamic LP migration — the paper's future-work item ("make it
-        responsive to changes in processor loads").  At every GVT
-        round, if the busiest machine's recent busy time exceeds the
-        least busy machine's by more than ``migration_threshold``
-        (relative), the hottest LP of the busiest machine moves to the
-        least busy one, paying :data:`MIGRATION_COST` of wall time on
-        both, and the next migration waits :data:`MIGRATION_COOLDOWN`
-        GVT rounds.
-    migration_threshold:
-        Relative busy-time imbalance that triggers a migration.
     conservative:
         Run the engine as an *idealized conservative* simulator: an LP
         may only execute a batch at the exact global safe time (the
@@ -158,8 +141,6 @@ class TimeWarpConfig:
     stall_threshold: int = 8
     adaptive_checkpointing: bool = False
     max_checkpoint_interval: int = 64
-    migration: bool = False
-    migration_threshold: float = 0.25
     conservative: bool = False
     record_changes: bool = False
 
@@ -176,8 +157,6 @@ class TimeWarpConfig:
             raise ConfigError(
                 "max_checkpoint_interval must be >= checkpoint_interval"
             )
-        if not (0.0 < self.migration_threshold):
-            raise ConfigError("migration_threshold must be positive")
 
 
 @dataclass
@@ -289,7 +268,6 @@ class RunStats:
     processed_events: int = 0
     committed_events: int = 0
     gvt_rounds: int = 0
-    migrations: int = 0
     peak_checkpoint_bytes: int = 0
     max_straggler_depth: int = 0
     #: LP batches the step kernel ran as array passes
@@ -339,7 +317,6 @@ class RunStats:
             "tw.rolled_back_events": self.rolled_back_events,
             "tw.straggler_depth.max": self.max_straggler_depth,
             "tw.gvt_rounds": self.gvt_rounds,
-            "tw.migrations": self.migrations,
             "tw.peak_checkpoint_bytes": self.peak_checkpoint_bytes,
             "tw.wall_time": self.wall_time,
             "tw.speedup": self.speedup,

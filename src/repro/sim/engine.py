@@ -125,7 +125,7 @@ def run_partitioned(
     trace:
         Optional bounded :class:`~repro.obs.trace.TraceBuffer`
         capturing per-event kernel history (exec/send/rollback/gvt/
-        migrate) for offline JSONL analysis
+        throttle) for offline JSONL analysis
         (:mod:`repro.obs.analyze`).
     progress:
         Optional :class:`~repro.obs.progress.ProgressHeartbeat` printing

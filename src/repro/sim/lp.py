@@ -210,10 +210,6 @@ class ClusterLP:
         #: anti-messages produced when a re-send superseded a buffered
         #: message with a different value; drained by flush_unconfirmed
         self.deferred_antis: list[Message] = []
-        #: anti-messages that arrived before their positive twin
-        #: ((uid, src_lp) -> anti); channels are FIFO per machine pair,
-        #: but LP migration re-routes queued traffic and can reorder
-        self._orphan_antis: dict[tuple[int, int], Message] = {}
         self._save_checkpoint()  # initial state at vt = -1
         self.saved_bytes = 0  # loaded with the circuit, not saved by a batch
 
@@ -272,13 +268,8 @@ class ClusterLP:
 
         Returns a :class:`RollbackResult` when the message's receive
         time is not after ``lvt`` (the LP had optimistically advanced
-        past it), else None.  A positive whose anti-message already
-        arrived (channel reordering under LP migration) annihilates on
-        the spot without entering the queue.
+        past it), else None.
         """
-        orphans = self._orphan_antis
-        if orphans and orphans.pop((msg.uid, msg.src_lp), None) is not None:
-            return None  # annihilated in flight
         rollback = None
         t = msg.recv_time
         if t <= self.lvt:
@@ -302,10 +293,10 @@ class ClusterLP:
         """Enqueue positive messages in one go, before the LP has run.
 
         What :meth:`insert_positive` does one message at a time, minus
-        the cases that cannot arise yet: with ``lvt == -1`` nothing was
-        processed or sent, so there is no straggler to roll back for and
-        no anti-message waiting for its twin.  Equal queue keys keep
-        their order (earlier calls first), as repeated insertion would.
+        the case that cannot arise yet: with ``lvt == -1`` nothing was
+        processed, so there is no straggler to roll back for.  Equal
+        queue keys keep their order (earlier calls first), as repeated
+        insertion would.
         """
         queue = sorted(self._in_msgs + msgs, key=_msg_sort_key)
         if self.lvt != -1 or (queue and queue[0].recv_time < 0):
@@ -321,18 +312,22 @@ class ClusterLP:
         """Process an anti-message: annihilate its positive twin.
 
         If the twin was already processed, first rolls back so it moves
-        into the unprocessed region, then removes it.  If the twin has
-        not arrived yet (channels are FIFO per machine pair, but LP
-        migration re-routes queued traffic and can reorder), the anti is
-        parked and annihilates the twin on arrival.
+        into the unprocessed region, then removes it.  Placement is
+        fixed and every machine pair's channel is FIFO (constant
+        latency, a sender's wall clock never goes back, serials break
+        ties), so the twin always arrived first: a missing twin is a
+        :class:`~repro.errors.SimulationError`.
         """
+        idx = self._find_twin(msg)
+        if idx is None:
+            raise SimulationError(
+                f"{self.name}: anti-message uid={msg.uid} from "
+                f"src_lp={msg.src_lp} (t={msg.recv_time}) has no positive "
+                "twin in the queue: per-channel FIFO order was broken"
+            )
         rollback = None
         if msg.recv_time <= self.lvt:
             rollback = self._rollback_to(msg.recv_time)
-        idx = self._find_twin(msg)
-        if idx is None:
-            self._orphan_antis[(msg.uid, msg.src_lp)] = msg
-            return rollback
         del self._in_msgs[idx]
         del self._in_keys[idx]
         if idx < self._next_idx:  # pragma: no cover - defensive

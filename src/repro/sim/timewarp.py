@@ -25,23 +25,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..obs.trace import TraceBuffer
-from .cluster import (
-    MIGRATION_COOLDOWN,
-    MIGRATION_COST,
-    ClusterSpec,
-    LPStats,
-    MachineStats,
-    RunStats,
-    TimeWarpConfig,
-)
+from .cluster import ClusterSpec, LPStats, MachineStats, RunStats, TimeWarpConfig
 from .compiled import CompiledCircuit
 from .events import InputEvent, Message, check_stimulus
 from .lp import ClusterLP
@@ -104,7 +94,8 @@ class TimeWarpEngine:
         ``to_simulation()``.  Every gate must appear in exactly one
         cluster.
     lp_machine:
-        Machine index per LP (the partition assignment).
+        Machine index per LP (the partition assignment), fixed for the
+        whole run as on the paper's Clustered Time Warp testbed.
     spec:
         Virtual cluster hardware model.
     config:
@@ -112,7 +103,7 @@ class TimeWarpEngine:
     trace:
         Optional :class:`~repro.obs.trace.TraceBuffer`; when given, the
         engine emits one event per batch execution, message routing,
-        rollback, GVT round, migration and throttle transition — the
+        rollback, GVT round and throttle transition — the
         debugging trail for rollback cascades (``docs/observability.md``
         walks through one).  ``None`` (default) disables tracing at
         zero cost; traced quantities are all modeled, so a trace never
@@ -144,7 +135,7 @@ class TimeWarpEngine:
         self.circuit = circuit
         self.spec = spec
         self.config = config
-        self.lp_machine = [int(m) for m in lp_machine]
+        self.lp_machine = tuple(int(m) for m in lp_machine)
         for m in self.lp_machine:
             if not (0 <= m < spec.num_machines):
                 raise SimulationError(f"machine id {m} out of range")
@@ -192,11 +183,6 @@ class TimeWarpEngine:
         self.stats.lps = [LPStats(lid=lid) for lid in range(len(self.lps))]
         self._trace = trace
         self._progress = progress
-        # original partition per LP: lp_machine drifts under migration,
-        # so trace events carry both the current host machine and the
-        # static partition the LP was assigned to (the quantity the
-        # partitioner's predicted cut speaks about)
-        self._lp_partition = tuple(self.lp_machine)
         self._arrival_serial = 0
         self._gvt_estimate = -1
         self._stalled_rounds = 0
@@ -205,12 +191,10 @@ class TimeWarpEngine:
         #: GVT round sets it from the estimate, window and throttle
         self._horizon: int | float = -1
         # per-LP activity since the last GVT round (adaptive
-        # checkpointing and migration use these); the evaluations are
-        # the LPs' own counters, read when the round folds them
+        # checkpointing uses these); the evaluations are the LPs' own
+        # counters, read when the round folds them
         self._lp_recent_evals = [0] * len(self.lps)
         self._lp_recent_rollbacks = [0] * len(self.lps)
-        self._machine_busy_prev = [0.0] * spec.num_machines
-        self._migration_cooldown = 0
         # conservative mode: exact global safe-time tracking
         self._conservative = config.conservative
         # scheduler flavor: linear next_vt scans for small LP fleets,
@@ -229,8 +213,9 @@ class TimeWarpEngine:
                 lp.checkpoint_interval = 1 << 30
 
     def _partition_of(self, lp_id: int) -> int:
-        """Static partition of an LP; -1 for the environment LP (-1)."""
-        return self._lp_partition[lp_id] if lp_id >= 0 else -1
+        """Partition (host machine) of an LP; -1 for the environment LP
+        (-1).  Placement is fixed, so it is also the trace's machine."""
+        return self.lp_machine[lp_id] if lp_id >= 0 else -1
 
     def _readers(self, net: int) -> list[int]:
         """Sorted ids of the LPs holding a gate that reads ``net``."""
@@ -313,7 +298,6 @@ class TimeWarpEngine:
             return stats
         machines = self.machines
         lps = self.lps
-        lp_machine = self.lp_machine
         heap_sched = self._heap_sched
         conservative = self._conservative
         trace = self._trace
@@ -343,11 +327,11 @@ class TimeWarpEngine:
                         ready = m.ready
                         while ready:
                             vt, lid = ready[0]
-                            if lp_machine[lid] == m.mid and lps[lid].next_vt == vt:
+                            if lps[lid].next_vt == vt:
                                 pick = lps[lid]
                                 break
-                            # migrated away, or its time moved (the change
-                            # pushed a current entry: _mark_ready)
+                            # its time moved (the change pushed a current
+                            # entry: _mark_ready)
                             heappop(ready)
                     else:
                         # linear (vt, lid) argmin — what the heap pops,
@@ -422,7 +406,7 @@ class TimeWarpEngine:
                         "exec",
                         machine=m.mid,
                         lp=lp.lid,
-                        partition=self._lp_partition[lp.lid],
+                        partition=m.mid,
                         vt=lp.lvt,
                         evals=evals,
                         sends=len(sends),
@@ -549,7 +533,7 @@ class TimeWarpEngine:
                 "rollback",
                 machine=machine.mid,
                 lp=lp.lid,
-                partition=self._lp_partition[lp.lid],
+                partition=machine.mid,
                 straggler_vt=straggler.recv_time,
                 straggler_src=straggler.src_lp,
                 src_partition=self._partition_of(straggler.src_lp),
@@ -651,10 +635,9 @@ class TimeWarpEngine:
         or quiescent LP would pin GVT forever.
         """
         stats = self.stats
-        # fold the LPs' batch counters first — progress, adaptive
-        # checkpointing and migration read them.  No LP has moved since
-        # the last round (migration happens only below), so each
-        # batch is charged to the machine that ran it
+        # fold the LPs' batch counters first — progress and adaptive
+        # checkpointing read them; each batch is charged to the machine
+        # that hosts (and ran) it
         recent = []
         for lp, lp_stats, mid in zip(self.lps, stats.lps, self.lp_machine):
             batches, evals = lp.new_batches, lp.new_evals
@@ -740,19 +723,13 @@ class TimeWarpEngine:
 
         if self.config.adaptive_checkpointing:
             self._adapt_checkpoint_intervals()
-        if self.config.migration and self.spec.num_machines > 1:
-            self._maybe_migrate()
-        if self.config.adaptive_checkpointing or self.config.migration:
             self._lp_recent_rollbacks = [0] * len(self.lps)
-            self._machine_busy_prev = [
-                m.stats.busy_time for m in self.machines
-            ]
-        # the round may have flushed sends, migrated LPs, or moved the
-        # optimism horizon: every cached next-action time is suspect now
+        # the round may have flushed sends or moved the optimism
+        # horizon: every cached next-action time is suspect now
         for m in self.machines:
             m.action_cache = _STALE
 
-    # -- adaptive extensions -------------------------------------------------
+    # -- adaptive checkpointing ----------------------------------------------
 
     def _adapt_checkpoint_intervals(self) -> None:
         """Classic adaptive state saving: checkpoint often where
@@ -763,66 +740,6 @@ class TimeWarpEngine:
                 lp.checkpoint_interval = max(1, lp.checkpoint_interval // 2)
             elif self._lp_recent_evals[lp.lid] > 0:
                 lp.checkpoint_interval = min(max_ci, lp.checkpoint_interval * 2)
-
-    def _maybe_migrate(self) -> None:
-        """Move the hottest LP off the busiest machine when the recent
-        busy-time imbalance exceeds the configured threshold — the
-        paper's "responsive to changes in processor loads" extension."""
-        if self._migration_cooldown > 0:
-            self._migration_cooldown -= 1
-            return
-        recent = [
-            m.stats.busy_time - self._machine_busy_prev[m.mid]
-            for m in self.machines
-        ]
-        busiest = max(range(len(recent)), key=lambda i: (recent[i], -i))
-        calmest = min(range(len(recent)), key=lambda i: (recent[i], i))
-        if busiest == calmest:
-            return
-        src = self.machines[busiest]
-        hosted = [lid for lid in range(len(self.lps))
-                  if self.lp_machine[lid] == busiest]
-        if len(hosted) < 2:
-            return  # never empty a machine
-        if recent[busiest] <= recent[calmest] * (1.0 + self.config.migration_threshold):
-            return
-        lid = max(hosted, key=lambda l: (self._lp_recent_evals[l], -l))
-        if self._lp_recent_evals[lid] == 0:
-            return
-        dst = self.machines[calmest]
-        self.lp_machine[lid] = calmest
-        src.lps.remove(self.lps[lid])
-        insort(dst.lps, self.lps[lid], key=attrgetter("lid"))  # id order
-        # forward queued arrivals addressed to the migrated LP
-        kept: list[tuple[float, int, Message]] = []
-        moved: list[tuple[float, int, Message]] = []
-        for entry in src.arrivals:
-            (moved if entry[2].dst_lp == lid else kept).append(entry)
-        if moved:
-            src.arrivals = kept
-            heapq.heapify(src.arrivals)
-            for arrival, serial, msg in moved:
-                heapq.heappush(
-                    dst.arrivals,
-                    (max(arrival, src.wall) + self.spec.msg_latency, serial, msg),
-                )
-        # state transfer cost on both ends
-        src.wall += MIGRATION_COST
-        src.stats.busy_time += MIGRATION_COST
-        dst.wall += MIGRATION_COST
-        dst.stats.busy_time += MIGRATION_COST
-        if self._heap_sched:
-            self._mark_ready(self.lps[lid])
-        self.stats.migrations += 1
-        self._migration_cooldown = MIGRATION_COOLDOWN
-        if self._trace is not None:
-            self._trace.emit(
-                "migrate",
-                lp=lid,
-                src_machine=busiest,
-                dst_machine=calmest,
-                forwarded=len(moved),
-            )
 
     # -- verification -----------------------------------------------------------
 

@@ -54,10 +54,6 @@ class TestDeepOracle:
         run_deep(pipeadd, pipeadd_circuit, pipeadd_events, 3,
                  lazy_cancellation=lazy)
 
-    def test_with_migration(self, pipeadd, pipeadd_circuit, pipeadd_events):
-        run_deep(pipeadd, pipeadd_circuit, pipeadd_events, 3,
-                 migration=True, migration_threshold=0.1)
-
     def test_requires_flag_on_engine(self, pipeadd, pipeadd_circuit,
                                      pipeadd_events):
         clusters = Clustering.top_level(pipeadd).gate_clusters()

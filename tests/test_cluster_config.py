@@ -39,7 +39,6 @@ class TestTimeWarpConfig:
             (dict(gvt_interval=0), "gvt_interval"),
             (dict(optimism_window=0), "optimism_window"),
             (dict(stall_threshold=0), "stall_threshold"),
-            (dict(migration_threshold=0.0), "migration_threshold"),
         ],
     )
     def test_invalid_values(self, kwargs, match):

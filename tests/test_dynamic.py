@@ -1,4 +1,4 @@
-"""Dynamic extensions: adaptive checkpointing and LP migration.
+"""Dynamic extension: adaptive checkpointing.
 
 The invariant that matters: every dynamic policy preserves exact
 equivalence with the sequential oracle — these knobs may only move
@@ -60,114 +60,16 @@ class TestAdaptiveCheckpointing:
             TimeWarpConfig(checkpoint_interval=16, max_checkpoint_interval=8)
 
 
-class TestMigration:
-    def test_equivalence_preserved(self, pipeadd, pipeadd_circuit, pipeadd_events):
-        config = TimeWarpConfig(
-            gvt_interval=20, migration=True, migration_threshold=0.05,
-        )
-        run_config(pipeadd, pipeadd_circuit, pipeadd_events, 3, config)
-
-    def test_migrations_happen_under_imbalance(self, viterbi_test, viterbi_test_circuit):
-        """Stack every LP but one on machine 0: migration must fire."""
-        events = random_vectors(viterbi_test, 20, seed=2)
-        clusters = Clustering.top_level(viterbi_test).gate_clusters()
-        lp_machine = [0] * len(clusters)
-        lp_machine[-1] = 1
-        seq = SequentialSimulator(viterbi_test_circuit)
-        seq.add_inputs(events)
-        seq.run()
-        config = TimeWarpConfig(
-            gvt_interval=15, migration=True, migration_threshold=0.10,
-        )
-        eng = TimeWarpEngine(
-            viterbi_test_circuit, clusters, lp_machine,
-            ClusterSpec(num_machines=2), config,
-        )
-        eng.load_inputs(events)
-        stats = eng.run()
-        eng.verify_against_sequential(seq)
-        assert stats.committed_events == seq.stats.gate_evals
-        assert stats.migrations > 0
-
-    def test_migration_results_identical_regardless_of_placement_changes(
-        self, viterbi_test, viterbi_test_circuit
-    ):
-        """Migration is a pure performance policy: however it reshuffles
-        LPs, committed results are identical to the frozen placement.
-
-        (Whether it *helps* is workload-dependent — load-only migration
-        ignores communication affinity and can lose to a good static
-        partition; the extension benchmark measures that trade-off.)"""
-        events = random_vectors(viterbi_test, 20, seed=2)
-        clusters = Clustering.top_level(viterbi_test).gate_clusters()
-        lp_machine = [0] * len(clusters)
-        lp_machine[-1] = 1
-        committed = set()
-        for migrate in (False, True):
-            seq = SequentialSimulator(viterbi_test_circuit)
-            seq.add_inputs(events)
-            seq.run()
-            eng = TimeWarpEngine(
-                viterbi_test_circuit, clusters, list(lp_machine),
-                ClusterSpec(num_machines=2),
-                TimeWarpConfig(gvt_interval=15, migration=migrate,
-                               migration_threshold=0.10),
-            )
-            eng.load_inputs(events)
-            stats = eng.run()
-            eng.verify_against_sequential(seq)
-            committed.add(stats.committed_events)
-        assert len(committed) == 1
-
-    def test_never_empties_a_machine(self, viterbi_test, viterbi_test_circuit):
-        events = random_vectors(viterbi_test, 15, seed=1)
-        clusters = Clustering.top_level(viterbi_test).gate_clusters()
-        lp_machine = [0] * len(clusters)
-        lp_machine[0] = 1
-        config = TimeWarpConfig(gvt_interval=10, migration=True,
-                                migration_threshold=0.01)
-        eng = TimeWarpEngine(
-            viterbi_test_circuit, clusters, lp_machine,
-            ClusterSpec(num_machines=2), config,
-        )
-        eng.load_inputs(events)
-        eng.run()
-        hosted = [sum(1 for m in eng.lp_machine if m == mid) for mid in range(2)]
-        assert all(h >= 1 for h in hosted)
-
-    def test_combined_policies(self, pipeadd, pipeadd_circuit, pipeadd_events):
-        config = TimeWarpConfig(
-            checkpoint_interval=2, gvt_interval=25,
-            adaptive_checkpointing=True, migration=True,
-        )
-        run_config(pipeadd, pipeadd_circuit, pipeadd_events, 4, config)
-
-    def test_conservative_with_migration(self, pipeadd, pipeadd_circuit,
-                                          pipeadd_events):
-        """Conservative execution must stay rollback-free even when
-        migration re-routes queued traffic mid-run."""
-        config = TimeWarpConfig(
-            conservative=True, migration=True, migration_threshold=0.05,
-            gvt_interval=15,
-        )
-        eng, stats = run_config(
-            pipeadd, pipeadd_circuit, pipeadd_events, 3, config
-        )
-        assert stats.rollbacks == 0
-
-
 class TestStressMatrix:
     """Every policy combination preserves the oracle equivalence."""
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    @pytest.mark.parametrize("migrate", [False, True])
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_policy_cube(self, viterbi_test, viterbi_test_circuit,
-                         adaptive, migrate, lazy):
+    def test_policy_square(self, viterbi_test, viterbi_test_circuit,
+                           adaptive, lazy):
         events = random_vectors(viterbi_test, 12, seed=6)
         config = TimeWarpConfig(
             checkpoint_interval=3, gvt_interval=20,
             lazy_cancellation=lazy, adaptive_checkpointing=adaptive,
-            migration=migrate, migration_threshold=0.1,
         )
         run_config(viterbi_test, viterbi_test_circuit, events, 3, config)

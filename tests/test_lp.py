@@ -154,16 +154,19 @@ class TestRollback:
         assert rb is not None
         assert lp1.next_vt is None  # the event is gone
 
-    def test_anti_before_positive_annihilates_on_arrival(self):
-        """Reordered channels (LP migration): the anti parks until its
-        twin arrives, then both vanish without any event surviving."""
+    def test_anti_without_twin_raises(self):
+        """Placement is fixed and each machine pair's channel is FIFO,
+        so an anti always finds its twin; a missing one is an error
+        naming the LP, the uid and the sender, and the LP is untouched."""
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
         pos = Message(recv_time=3, net=m, value=1, src_lp=0, dst_lp=1,
                       send_time=2, uid=77)
-        lp1.insert_anti(pos.anti())
-        assert lp1.next_vt is None
+        with pytest.raises(SimulationError,
+                           match=r"lp1: anti-message uid=77 from src_lp=0"):
+            lp1.insert_anti(pos.anti())
+        assert lp1.next_vt is None and lp1.lvt == -1
         assert lp1.insert_positive(pos) is None
-        assert lp1.next_vt is None  # annihilated in flight
+        assert lp1.next_vt == 3  # the positive is queued as usual
 
 
 class TestFossil:

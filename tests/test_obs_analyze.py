@@ -234,20 +234,6 @@ class TestLocality:
         assert loc.local_fraction == pytest.approx(5 / 6)
         assert loc.anti_messages == 1
 
-    def test_by_machine_vs_partition_differ_under_migration(self):
-        # LP 1 migrated to machine 0: partition view still charges
-        # partition 1, machine view sees local traffic
-        moved = send(0, 1, 0, uid=1)
-        moved["src_machine"] = 0     # current host after migration
-        part = message_locality([moved], by="partition")
-        mach = message_locality([moved], by="machine")
-        assert part.counts == ((0, 0), (1, 0))
-        assert mach.counts == ((1,),)
-
-    def test_rejects_unknown_grouping(self):
-        with pytest.raises(TraceError, match="by must be"):
-            message_locality([], by="colour")
-
     def test_empty(self):
         loc = message_locality([])
         assert loc.k == 0 and loc.local_fraction == 1.0

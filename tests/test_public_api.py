@@ -182,6 +182,54 @@ class TestModeledCostsOnly:
         assert not hits, hits
 
 
+class TestFixedPlacement:
+    """Every LP stays on its partitioner-assigned machine for the whole
+    run, as on the paper's Clustered Time Warp testbed: dynamic LP
+    migration, and the orphan-anti buffer only it needed, are gone."""
+
+    #: retired with migration
+    RETIRED = ("repro.sim.cluster.MIGRATION_COST",
+               "repro.sim.cluster.MIGRATION_COOLDOWN")
+    UNAMBIGUOUS = ("migration_threshold", "_maybe_migrate",
+                   "_orphan_antis", r"tw\.migrations")
+
+    def test_config_has_no_migration(self):
+        from repro.sim import TimeWarpConfig
+
+        with pytest.raises(TypeError):
+            TimeWarpConfig(migration=True)
+        with pytest.raises(TypeError):
+            TimeWarpConfig(migration_threshold=0.1)
+
+    def test_retired_names_do_not_resolve(self):
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+
+    def test_not_registered(self):
+        from repro.obs.registry import METRIC_REGISTRY, TRACE_FIELD_REGISTRY
+        from repro.obs.trace import TRACE_EVENT_KINDS
+
+        assert "tw.migrations" not in METRIC_REGISTRY
+        assert "migrate" not in TRACE_EVENT_KINDS
+        assert "migrate" not in TRACE_FIELD_REGISTRY
+
+    def test_nothing_live_mentions_it(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools", "tests"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile(r"(" + "|".join(self.UNAMBIGUOUS) + r")\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live if p != Path(__file__).resolve()
+                for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
 class TestOneFlatDriver:
     """The hMetis-style second partitioner is gone; Table 2's flat side
     is ``repro.core.multilevel_kway_partition``."""

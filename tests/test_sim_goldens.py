@@ -166,8 +166,6 @@ def _float_repr(obj):
 RUN_STATS_CONFIGS = {
     "default": {},
     "conservative": {"conservative": True},
-    "migration": {"migration": True, "adaptive_checkpointing": True,
-                  "migration_threshold": 0.1},
     "aggressive": {"lazy_cancellation": False},
     # the optimism horizon: a binding window, the emergency throttle
     # (it engages and releases dozens of times here), no window at all
@@ -179,33 +177,29 @@ RUN_STATS_CONFIGS = {
 
 RUN_STATS_SHA = {
     ("cpu-test", "default"):
-        "dafa05bae63974778f17337da7efa7a47b57712100e40504cf0db3bac8cb7851",
+        "2e5b990daa848dbfbb33c70400f9e679835563f7cda256bb393b6bd80c00f09a",
     ("cpu-test", "conservative"):
-        "4a967e573c60eb7ddd2a61e629e14499a9af858bf1aefbf324f373936fd8d371",
-    ("cpu-test", "migration"):
-        "f175cfe36580392a6b924a6db6f4d788ddaccec6c83f7bf72eaa2aaa58b81e1c",
+        "68a771a77cb8aa95ab698bf2797896048431389bd110efeba51a4b357f038207",
     ("cpu-test", "aggressive"):
-        "90e4d8787af2b4e2a1933ffab8ffdbbbac4cd11eb9e2b47886dfb275b0999549",
+        "13ad15da4ba79c76be1fb9b772a4be3fa46e4c3ba6e109bbc88dbbcb112c26c1",
     ("cpu-test", "window"):
-        "96e466732a5cc55c5d5cc3152cfee8153db6ee8959f57cfe85976ef1cfe1735e",
+        "42558b11d4db93759ca6faca522a5dc1934e3be1b170d70bc5dcf69c98c42b91",
     ("cpu-test", "throttle"):
-        "d66a06fe66bb214d567aeaee87dd2f8848be57c5c504bdf47433d1704a298dc6",
+        "7b4cf3e6370aa5f105a9603bdada22d780a3762069b2f908cbf9f2a26fdc9f2a",
     ("cpu-test", "unbounded"):
-        "15db4929d15fb83a5929829760537a8b273f3dfba74b1af34f4f4f449094a97b",
+        "3bb7a0f62da44534b843b3be1e61053d1723b8fbf9bc0d5208384e3fc60d5781",
     ("noc-test", "default"):
-        "c7665c275a0528c3b0e14bad90416568cd508430bb0035db4c275d1c5f407b71",
+        "6fcf6a573f3571b2e4950857594441cfe167eca9e78e9b3dafc452b431b3bc07",
     ("noc-test", "conservative"):
-        "e14b3ecb35f8955238c16da073c293ac7f418669e9eacc54e968fa38a86c65ac",
-    ("noc-test", "migration"):
-        "7936e1606d121688283408e03f6d91ab02bb821641d533b711e0a17b20eddd25",
+        "5a3a5b576fddc8d759af9920e4ab8812d4633efcd07f8685118ac1d29ff9c00e",
     ("noc-test", "aggressive"):
-        "cd399dfb136034c04a0cb862f25b5297ff7c6e592b53b7a094d2e2596619b1b3",
+        "bed27b556d389e64eb7c7c035a7dded2445b3738e8e0e0e70decfc9f200b5a35",
     ("noc-test", "window"):
-        "2ac4476acc4a5807c9c7c0b26d71f45c5f71aba10f1f8aa390be3df6db04b8ca",
+        "cb5691ca3fe908748c050a1a228e4218b91007be11d105f21eede1156efe6d75",
     ("noc-test", "throttle"):
-        "ad83123b79d6f9d1b76187680b4865fa4780d23e193dfa6a4ff2ee72ed5b1660",
+        "08bfa79218a8b9d55ed56fefac7d36ba8112511c52ab0ea009734e97a9529ae2",
     ("noc-test", "unbounded"):  # the default window never binds on it
-        "c7665c275a0528c3b0e14bad90416568cd508430bb0035db4c275d1c5f407b71",
+        "6fcf6a573f3571b2e4950857594441cfe167eca9e78e9b3dafc452b431b3bc07",
 }
 
 
@@ -234,8 +228,6 @@ def test_run_stats_are_pinned(name, config, heap, monkeypatch):
         == sum(lp.batches for lp in stats.lps) > 0
     assert sum(m.gate_evals for m in stats.machines) \
         == sum(lp.gate_evals for lp in stats.lps) == stats.processed_events
-    if overrides.get("migration"):
-        assert stats.migrations > 0
     if overrides.get("conservative"):
         assert stats.rollbacks == 0
     assert _sha(_float_repr(stats.to_dict())) == RUN_STATS_SHA[name, config]

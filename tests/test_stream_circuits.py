@@ -117,26 +117,6 @@ def test_streamed_hypergraph_bit_identical(family):
     assert np.array_equal(a._edge_pins, c._edge_pins)
 
 
-@pytest.mark.parametrize("family", sorted(SMALL))
-def test_compiled_circuit_csr_branch_identical(family):
-    """compile_circuit(nl) == compile_circuit(nl)."""
-    text_fn, _, cfg = SMALL[family]
-    netlist = compile_verilog(text_fn(cfg))
-    a = compile_circuit(netlist)
-    b = compile_circuit(netlist)
-    assert np.array_equal(a.gate_code, b.gate_code)
-    assert np.array_equal(a.gate_output, b.gate_output)
-    assert np.array_equal(a.pin_offsets, b.pin_offsets)
-    assert np.array_equal(a.pin_net, b.pin_net)
-    assert np.array_equal(a.sink_offsets, b.sink_offsets)
-    assert np.array_equal(a.sink_gate, b.sink_gate)
-    assert np.array_equal(a.initial_values, b.initial_values)
-    assert np.array_equal(a.table.pins, b.table.pins)
-    assert np.array_equal(a.table.fan_gate, b.table.fan_gate)
-    assert a.max_arity == b.max_arity
-    assert a.inputs == b.inputs and a.outputs == b.outputs
-
-
 def test_stream_registry_names_resolve():
     for name in STREAM_CIRCUITS:
         if "xl" in name or "scale" in name or "s100k" in name:
@@ -225,6 +205,11 @@ COLUMNS = ("gate_code", "gate_output", "pin_ptr", "pin_net", "inputs",
            "outputs", "net_driver", "gate_node", "subtree_end")
 
 
+#: every column of the compiled circuit the simulators read
+COMPILED_COLUMNS = ("gate_code", "gate_output", "pin_offsets", "pin_net",
+                    "sink_offsets", "sink_gate", "initial_values")
+
+
 def _tree(nl) -> list[tuple]:
     return [(n.name, n.module, n.path, n.total_gates, list(n.children))
             for n in nl.nodes]
@@ -243,8 +228,12 @@ def test_stream_equals_text(name):
     assert stream.gate_names == text.gate_names
     assert stream.net_names == text.net_names
     a, b = compile_circuit(text), compile_circuit(stream)
-    assert np.array_equal(a.gate_code, b.gate_code)
+    for column in COMPILED_COLUMNS:
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
     assert np.array_equal(a.table.pins, b.table.pins)
+    assert np.array_equal(a.table.fan_gate, b.table.fan_gate)
+    assert a.max_arity == b.max_arity
+    assert a.inputs == b.inputs and a.outputs == b.outputs
 
 
 @pytest.mark.parametrize("name", ["viterbi-test", "viterbi-bench"])

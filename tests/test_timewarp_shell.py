@@ -120,7 +120,6 @@ CIRCUITS = ("cpu-test", "noc-test", "viterbi-test")
 MODES = {
     "optimistic": {},
     "conservative": {"conservative": True},
-    "migration": {"migration": True, "migration_threshold": 0.1},
 }
 
 
@@ -150,8 +149,6 @@ class TestSchedulersAgree:
         assert counters["tw.processed_events"] > 0
         if mode == "conservative":
             assert counters["tw.rollbacks"] == 0
-        if mode == "migration" and name != "noc-test":
-            assert counters["tw.migrations"] > 0
 
 
     @pytest.mark.parametrize("mode", MODES)
