@@ -11,7 +11,9 @@ as the evidence that a simulator rewrite changed nothing observable:
   stream of three circuits at a fixed stimulus seed,
 * the ordered message trail (send time, net, destination, uid) of one
   rollback-heavy run — uids are handed out in evaluation order, so this
-  pins the order gates are visited in, not just what they compute.
+  pins the order gates are visited in, not just what they compute,
+* every ``RunStats`` counter and the message trail of machine-share
+  runs (one LP per machine, as ``to_simulation()`` groups them).
 
 Everything is built from the public API only.
 """
@@ -22,7 +24,7 @@ import json
 import pytest
 
 from repro.circuits import load_circuit, random_vectors
-from repro.core import brute_force_presim
+from repro.core import brute_force_presim, partition_netlist
 from repro.hypergraph import Clustering
 from repro.obs.trace import TraceBuffer
 from repro.sim import (
@@ -231,3 +233,65 @@ def test_run_stats_are_pinned(name, config, heap, monkeypatch):
     if overrides.get("conservative"):
         assert stats.rollbacks == 0
     assert _sha(_float_repr(stats.to_dict())) == RUN_STATS_SHA[name, config]
+
+
+#: machine-share runs: the grouping every partition result's
+#: ``to_simulation()`` hands the engine (one LP per non-empty machine,
+#: design-driven at b = 10), which is the only one the pipeline runs.
+#: The two bench circuits are here for their clock groups: each of their
+#: LPs clocks 78-256 flip-flops from one net, where every test circuit's
+#: largest group is 33
+MACHINE_SHARE_RUNS = {
+    "cpu-test": 3, "noc-test": 3, "noc-bench": 4, "viterbi-single": 4,
+}
+
+MACHINE_SHARE_SHA = {
+    "cpu-test": (
+        "3c03ce97cebf957601f25b9deaa0e35e63d9114e5d3e5ab0a71b7948fe841685",
+        "8dcb0c5f0f1e4952a60c82ea6018b7729f48440c4374ba56617752220aa5a653",
+    ),
+    "noc-bench": (
+        "38ac5e392441e19e711a112491c4c30522c1da2645b3c9e1f94fd1acc3797bce",
+        "80012444062d7dd9a1bbadff4830fdd7a1128e43c9ea729f18b1fc63c5b7b457",
+    ),
+    "noc-test": (
+        "fa7491950de7f9be83214f89bae5b85c38b44a2ea23038522e31b05a0fa1b578",
+        "9df1de718e54f43dd2d00e416041b7cd6e89300135c6c82f98c3e5b6d85638ee",
+    ),
+    "viterbi-single": (
+        "0a6ee848fe5d6691f23d85e0ce4c6b0c9af5ab887381a4e5bc5fc2dc150ad96c",
+        "443fd6ebea259d5d25760f11285ca8b6353b66fc973d2679adf2c1d8bc865864",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE_SHARE_RUNS))
+def test_machine_share_runs_are_pinned(name):
+    """Every counter of an untraced run and the ordered message trail
+    (send time, net, destination, uid, source, sign) of a traced one."""
+    k = MACHINE_SHARE_RUNS[name]
+    netlist = load_circuit(name)
+    circuit = compile_circuit(netlist)
+    clusters, machines = partition_netlist(
+        netlist, k, 10.0, algorithm="design", seed=1).to_simulation()
+    assert len(clusters) == k
+    events = random_vectors(netlist, VECTORS, seed=STIMULUS_SEED)
+    runs = []
+    for trace in (None, TraceBuffer(1 << 20)):
+        engine = TimeWarpEngine(
+            circuit, clusters, machines, ClusterSpec(num_machines=k),
+            TimeWarpConfig(gvt_interval=30, checkpoint_interval=3),
+            trace=trace,
+        )
+        engine.load_inputs(events)
+        runs.append(engine.run())
+    untraced, traced = runs
+    assert trace.dropped == 0 and traced.rollbacks > 0
+    trail = [
+        (e.fields["recv_time"] - 1, e.fields["net"], e.fields["dst_lp"],
+         e.fields["uid"], e.fields["src_lp"], e.fields["sign"])
+        for e in trace.events("send")
+    ]
+    got = (_sha(_float_repr(untraced.to_dict())),
+           _sha([trail, traced.rollbacks, traced.anti_messages]))
+    assert got == MACHINE_SHARE_SHA[name]
