@@ -27,10 +27,13 @@ id space — global ids for the sequential simulator, LP-local ids for a
 array side and the scalar side read the same tables (the scalar side as
 tuples, plus two shortcuts composed from them: the fold of a gate with
 one or two pins as one ``(op, v0, v1)`` lookup, and the
-``(clk_before, clk_after)`` edges on which every :data:`FF` row holds)
-and the same bytes: an LP's net values are one ``bytearray``,
-indexed directly by the scalar side and seen through a zero-copy
-``np.frombuffer`` view by the array side.
+``(clk_before, clk_after)`` edges on which every :data:`FF` row holds;
+per clock net, its flip-flops, which a round counts without visiting
+them on such an edge and, when there are :data:`BATCH_THRESHOLD` or
+more, samples in one array pass on a firing one) and the same bytes:
+an LP's net values are one ``bytearray``, indexed directly by the
+scalar side and seen through a zero-copy ``np.frombuffer`` view by the
+array side.
 
 :meth:`GateTable.step_arrays` schedules every output it computes — the
 sequential simulator's round, whose ``now`` and observers rely on it.
@@ -61,9 +64,17 @@ HOLD = 3
 
 #: steps applying at least this many scheduled updates run as array
 #: passes, smaller ones through the scalar loop.  A module constant, not
-#: a knob: it is the measured break-even of the two sides on the
-#: reference host (docs/performance.md, "Simulation kernel")
+#: a knob: the measured break-even of the two sides on the reference
+#: host (docs/performance.md, "Simulation kernel").  Since clock groups
+#: are sampled in one pass, noc-bench and viterbi-single break even near
+#: 48 and cpu8 still at 64; it stays, because moving it moves every
+#: side-dispatch count and the tool's break-even has failed to predict
+#: the pipeline before (docs/performance.md, "Clock fan-out")
 BATCH_THRESHOLD = 64
+#: clock groups of at least this many flip-flops are sampled in one array
+#: pass on a firing edge (the same break-even, bound here so that forcing
+#: a side by patching BATCH_THRESHOLD keeps the group path)
+_GROUP_MIN = BATCH_THRESHOLD
 
 _NUM_COMB = SEQ_CODE_MIN
 _UNARY = (GATE_CODES["buf"], GATE_CODES["not"])
@@ -135,6 +146,27 @@ _PAIR_T = (VX,) + tuple(
 _IDLE_T = tuple(_idle_edge(cb, ca) for cb in range(3) for ca in range(3))
 
 _NEVER = np.iinfo(np.int64).max
+
+
+def _sample_group(columns, edge, store, updates, last, watched):
+    """The array pass of one clock group on edge ``edge``: the
+    flip-flop table read at the pre-update d/aux bytes.  Returns the
+    number that fired and the gates and values of the "hot" ones, whose
+    output differs from its net's post-update byte or, watched, from
+    the last-sent one (every other one changes nothing)."""
+    gates, base, d, aux, q, out_at = columns
+    vbuf = np.frombuffer(store, dtype=np.int8)
+    vals = FF[base + edge * 9 + vbuf[d] * 3 + vbuf[aux]]
+    fired = vals != HOLD
+    post = vbuf[q]
+    for net in updates.keys() & out_at.keys():
+        post[out_at[net]] = updates[net]
+    hot = vals != post
+    hot |= np.frombuffer(watched, dtype=np.bool_)[gates] & (
+        np.frombuffer(last, dtype=np.int8)[gates] != vals)
+    hot &= fired
+    return (int(np.count_nonzero(fired)), gates[hot].tolist(),
+            vals[hot].tolist())
 
 
 class GateTable:
@@ -284,35 +316,49 @@ class GateTable:
     # -- the scalar side -----------------------------------------------------
 
     def _scalar_tables(self):
-        # a flip-flop reads exactly (d, clk, aux), a gate of one or two
-        # pins two (the pad cell stands in for an absent second pin), a
-        # wider gate its real pins
-        is_ff, arity = self._is_ff, self.arity
-        take = np.where(is_ff, 3, np.maximum(arity, 2))
-        width = max(len(self.pins), 2)
-        pins = np.full((width, self.num_gates), self.num_nets, dtype=np.int64)
+        is_ff, n, pad = self._is_ff, self.num_gates, self.num_nets
+        pins = np.full((max(len(self.pins), 3), n), pad, dtype=np.int64)
         pins[:len(self.pins)] = self.pins
-        flat = pins.T[
-            np.arange(width, dtype=np.int64)[None, :] < take[:, None]
-        ].tolist()
-        ptr = np.concatenate(([0], np.cumsum(take))).tolist()
+        # one packed row per gate, (base, a, b, out).  A gate of one or
+        # two pins has its _PAIR_T row base (> 0, one past op * 16 for
+        # the filler cell) and pins a, b (the pad cell stands in for an
+        # absent second pin); a flip-flop the complement ~base (< 0) of
+        # its FF row base, d and aux (its clock is in clock_of); a gate
+        # of three or more pins base 0, its pin tuple and the initial
+        # state of its fold
+        base = np.where(is_ff, ~self._ff_base,
+                        self.codes.astype(np.int64) * 16 + 1)
+        wide = ~is_ff & (self.arity > 2)
+        base[wide] = 0
+        rows = list(zip(base.tolist(), pins[0].tolist(),
+                        np.where(is_ff, pins[2], pins[1]).tolist(),
+                        self.out.tolist()))
+        for g in np.flatnonzero(wide).tolist():
+            rows[g] = (0, tuple(pins[:self.arity[g], g].tolist()),
+                       int(self._state0[g]), rows[g][3])
         fan, fptr = self.fan_gate.tolist(), self.fan_ptr.tolist()
-        # one int per gate picks its path in step(): its _PAIR_T row base
-        # (> 0, one past op * 16 for the filler cell), the complement
-        # ~base of its FF row base (< 0), or 0 for a gate of three or
-        # more pins, which folds from the initial state a dict holds for
-        # the few such gates
-        pair_base = self.codes.astype(np.int64) * 16 + 1
-        wide = ~is_ff & (arity > 2)
-        start = np.where(is_ff, ~self._ff_base, np.where(wide, 0, pair_base))
-        self._scalar = (
-            start.tolist(),
-            [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])],
-            self.out.tolist(),
-            [tuple(fan[a:b]) for a, b in zip(fptr, fptr[1:])],
-            dict(zip(np.flatnonzero(wide).tolist(),
-                     self._state0[wide].tolist())),
-        )
+        fan = [tuple(fan[a:b]) for a, b in zip(fptr, fptr[1:])]
+        # per clock net: its flip-flops (gate-id order) and its other
+        # readers; a group of _GROUP_MIN or more also keeps the columns
+        # its array pass reads
+        groups: list = [None] * self.num_nets
+        big = []
+        ff = np.flatnonzero(is_ff)
+        clk = pins[1, ff]
+        order = np.argsort(clk, kind="stable")
+        clocks, first = np.unique(clk[order], return_index=True)
+        for c, members in zip(clocks.tolist(),
+                              np.split(ff[order], first[1:])):
+            own = set(members.tolist())
+            groups[c] = (len(members),
+                         tuple(g for g in fan[c] if g not in own))
+            if len(members) >= _GROUP_MIN:
+                q = self.out[members]
+                columns = (members, self._ff_base[members], pins[0, members],
+                           pins[2, members], q,
+                           dict(zip(q.tolist(), range(len(q)))))
+                big.append((c, columns))
+        self._scalar = (rows, pins[1].tolist(), fan, groups, tuple(big))
         return self._scalar
 
     # -- the LP's round -------------------------------------------------------
@@ -350,9 +396,26 @@ class GateTable:
                 np.fromiter(updates.values(), np.int8, len(updates)),
                 last, watched,
             )
-        # the scalar side: step_arrays as one Python loop over the bytes
-        start, pins, out, fan, wide = self._scalar or self._scalar_tables()
+        # the scalar side: step_arrays as one Python loop over the bytes,
+        # with each clock's flip-flops counted instead of visited where
+        # the edge decides them all (docs/kernel.md, "The scalar side")
+        tables = self._scalar or self._scalar_tables()
+        rows, clock_of, fan, groups, big = tables
         pair, fold, ff_table, idle = _PAIR_T, _FOLD_T, _FF_T, _IDLE_T
+        counted = fired = 0  # group flip-flops evaluated resp. fired
+        sampled: dict[int, list[int]] = {}  # clock -> its walk order
+        hot: dict[int, int] = {}
+        for clk, columns in big:  # the array pass of a firing wide group
+            ca = updates.get(clk)
+            if ca is not None and ca != (cb := store[clk]) \
+                    and not idle[edge := cb * 3 + ca]:
+                n_fired, gates, values = _sample_group(
+                    columns, edge, store, updates, last, watched)
+                fired += n_fired
+                counted += len(columns[0])
+                hot.update(zip(gates, values))
+                others = groups[clk][1]  # merged by gate id, as fan[clk]
+                sampled[clk] = sorted([*gates, *others]) if others else gates
         old: dict[int, int] = {}
         affected: dict[int, None] = {}
         for net, value in updates.items():
@@ -360,43 +423,57 @@ class GateTable:
             if cur != value:
                 old[net] = cur
                 store[net] = value
-                for g in fan[net]:
+                group = groups[net]
+                if group is None:
+                    readers = fan[net]
+                elif idle[cur * 3 + value]:  # every flip-flop holds
+                    counted += group[0]
+                    readers = group[1]
+                elif net in sampled:  # its hot flip-flops only
+                    readers = sampled[net]
+                else:
+                    readers = fan[net]
+                for g in readers:
                     affected[g] = None
         if not old:
             return None
         due: dict[int, int] = {}
         crossed: list[tuple[int, int]] = []
-        held = 0
+        held = grouped = 0
         for g in affected:
-            base = start[g]
+            base, a, b, net = rows[g]
             if base > 0:  # one or two pins: one lookup
-                a, b = pins[g]
                 value = pair[base + store[a] * 4 + store[b]]
-            elif base:  # a flip-flop
-                d, clk, aux = pins[g]
+            elif base:  # a flip-flop: a, b are d, aux
+                clk = clock_of[g]
                 cb = old.get(clk)
-                if cb is None or idle[edge := cb * 3 + store[clk]]:
+                if cb is None:
                     held += 1
-                    continue  # idle clock or idle edge: every FF row holds
-                value = ff_table[
-                    edge * 9 + old.get(d, store[d]) * 3
-                    + old.get(aux, store[aux]) + ~base
-                ]
-                if value == HOLD:
-                    held += 1
-                    continue
+                    continue  # idle clock: every FF row holds
+                edge = cb * 3 + store[clk]
+                if idle[edge] or clk in sampled:
+                    grouped += 1  # its clock's group counted it
+                    if (value := hot.get(g)) is None:
+                        continue
+                else:
+                    value = ff_table[edge * 9 + old.get(a, store[a]) * 3
+                                     + old.get(b, store[b]) + ~base]
+                    if value == HOLD:
+                        held += 1
+                        continue
             else:  # three or more pins: the pairwise fold
-                state = wide[g]
-                for p in pins[g]:
+                state = b
+                for p in a:
                     state = fold[state + store[p]]
                 value = _FINAL_T[state]
-            net = out[g]
             if value != store[net]:
                 due[net] = value
             if watched[g] and value != last[g]:
                 last[g] = value
                 crossed.append((g, value))
-        return old, len(affected), len(affected) - held, due or None, crossed
+        evals = len(affected) - grouped
+        return (old, evals + counted, evals - held + fired, due or None,
+                crossed)
 
     def _step_batch(self, store, nets, vals, last, watched):
         """:meth:`step` on the array side, through zero-copy views."""

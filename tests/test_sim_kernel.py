@@ -395,25 +395,46 @@ class TestPendingPair:
         assert [lp.local_value(n) for n in (y, q, r, s)] == [1, 1, 1, 1]
 
 
-def _random_table(rng, num_nets=64, num_gates=60, clocks=(0, 1)):
+def _random_table(rng, num_nets=64, num_gates=60, clocks=(0, 1), wide=0):
     """A gate set with every path of the scalar side: gates of one to
     four pins, all three flip-flop kinds on two shared clock nets, and
-    feedback (pins read any net, outputs drive distinct ones)."""
+    feedback (pins read any net, outputs drive distinct ones).
+
+    With ``wide``, that many more flip-flops share ``clocks[0]`` (a
+    group the scalar side samples in one array pass), which an ``and``
+    gate and another flip-flop's data pin also read; the gates are
+    shuffled, so the clock's readers interleave by id."""
     comb = [c for c in GATE_CODES.values() if c < SEQ_CODE_MIN]
-    out = rng.choice(np.arange(len(clocks), num_nets), num_gates,
-                     replace=False)
-    codes, pins = [], []
+    kinds = [SEQ_CODE_MIN + k for k in range(3)]
+    total = num_gates + (wide + 2 if wide else 0)
+    out = rng.choice(np.arange(len(clocks), num_nets), total, replace=False)
+
+    def flip_flop(code, clock=None):
+        row = rng.integers(0, num_nets, 2 if code == SEQ_CODE_MIN else 3)
+        row = row.tolist()
+        row[1] = int(rng.choice(clocks)) if clock is None else clock
+        return code, row
+
+    gates = []
     for _ in range(num_gates):
-        code = int(rng.choice(comb + [SEQ_CODE_MIN + k for k in range(3)]))
+        code = int(rng.choice(comb + kinds))
         if code >= SEQ_CODE_MIN:
-            arity = 2 if code == SEQ_CODE_MIN else 3
-            row = rng.integers(0, num_nets, arity).tolist()
-            row[1] = int(rng.choice(clocks))
+            gates.append(flip_flop(code))
         else:
-            row = rng.integers(0, num_nets, int(rng.integers(1, 5))).tolist()
-        codes.append(code)
-        pins.append(row)
-    pin_ptr = np.zeros(num_gates + 1, dtype=np.int64)
+            row = rng.integers(0, num_nets, int(rng.integers(1, 5)))
+            gates.append((code, row.tolist()))
+    if wide:
+        gates += [flip_flop(int(rng.choice(kinds)), clocks[0])
+                  for _ in range(wide)]
+        gates.append((GATE_CODES["and"],
+                      [clocks[0], int(rng.integers(num_nets))]))
+        code, row = flip_flop(SEQ_CODE_MIN + 1, clocks[1])
+        row[0] = clocks[0]
+        gates.append((code, row))
+        gates = [gates[i] for i in rng.permutation(total).tolist()]
+    codes = [code for code, _ in gates]
+    pins = [row for _, row in gates]
+    pin_ptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum([len(p) for p in pins], out=pin_ptr[1:])
     pin_net = np.array([n for p in pins for n in p], dtype=np.int64)
     return GateTable(np.array(codes, dtype=np.int8), pin_ptr, pin_net, out,
@@ -594,3 +615,89 @@ class TestStimulusValidation:
         engine.run()
         engine.verify_against_sequential(sim)
         assert [sim.value_of(n) for n in (a, b, m, y, z)] == [0, 1, 1, 1, 1]
+
+
+class TestClockGroups:
+    """The scalar side counts a clock's flip-flops on an idle edge and
+    samples a group of ``_GROUP_MIN`` or more in one array pass on a
+    firing one, walking only the hot ones; a round must still equal
+    ``step_arrays`` in everything it reports and leaves behind."""
+
+    @pytest.mark.parametrize("group_min", [kernel._GROUP_MIN, 1],
+                             ids=["shipped", "every-group"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_round_equals_the_reference(self, seed, group_min,
+                                               monkeypatch):
+        # the scalar side forced the way the other tests force it; the
+        # group path must stay reachable under that patch
+        monkeypatch.setattr(kernel, "BATCH_THRESHOLD", 10 ** 9)
+        monkeypatch.setattr(kernel, "_GROUP_MIN", group_min)
+        seen = {"edges": set(), "hot": 0, "patched": 0}
+        inner = kernel._sample_group
+
+        def sample(columns, edge, store, updates, last, watched):
+            seen["edges"].add(edge)
+            seen["patched"] += bool(updates.keys() & columns[5].keys())
+            result = inner(columns, edge, store, updates, last, watched)
+            seen["hot"] += len(result[1])
+            return result
+
+        monkeypatch.setattr(kernel, "_sample_group", sample)
+        rng = np.random.default_rng(seed)
+        table = _random_table(rng, num_nets=180, num_gates=80, wide=80)
+        ffs = np.flatnonzero(table.codes >= SEQ_CODE_MIN)
+        grouped = ffs[table.pins[1, ffs] == 0]
+        assert len(grouped) >= 64
+        data = np.union1d(table.pins[0, grouped], table.pins[2, grouped])
+        outs = table.out[grouped]
+        store = bytearray(table.new_values(
+            rng.integers(0, 3, table.num_nets).astype(np.int8)))
+        last = bytearray(rng.integers(0, 3, table.num_gates).astype(np.int8))
+        watched = bytearray(rng.integers(0, 2, table.num_gates).astype(np.int8))
+        pending: dict[int, int] = {}
+        rounds = 0
+        for i in range(88):
+            updates = dict(pending)
+            # the wide group's clock walks every kind of edge (rising,
+            # falling, X-involved, none), the other clock moves at
+            # random, and data pins and outputs of the wide group and
+            # other nets change in the same round
+            updates[0] = (0, 1, 1, 0, 2, 1, 2, 0, 2, 2, 0)[i % 11]
+            if rng.random() < 0.7:
+                updates[1] = int(rng.integers(0, 3))
+            for pool, n in ((data, 6), (outs, 2), (table.num_nets, 3)):
+                for net in rng.choice(pool, n, replace=False).tolist():
+                    updates[net] = int(rng.integers(0, 3))
+            ref = table.new_values(np.frombuffer(store, np.int8)[:-1])
+            ref_last = bytearray(last)
+            arrays = table.step_arrays(
+                ref, np.fromiter(updates, np.int64, len(updates)),
+                np.fromiter(updates.values(), np.int8, len(updates)))
+            s, l = bytearray(store), bytearray(last)
+            got = table.step(s, dict(updates), l, watched)
+            if arrays is None:
+                assert got is None and s == store
+                pending = {}
+                continue
+            changed, _, affected, out_nets, out_vals, gates = arrays
+            expect_crossed = []
+            for g, v in zip(gates.tolist(), out_vals.tolist()):
+                if watched[g] and ref_last[g] != v:
+                    ref_last[g] = v
+                    expect_crossed.append((g, v))
+            expect = (
+                changed.tolist(), len(affected), len(out_nets),
+                {n: v for n, v in zip(out_nets.tolist(), out_vals.tolist())
+                 if ref[n] != v},
+                expect_crossed, ref.tobytes(), bytes(ref_last),
+            )
+            changed, evals, produced, due, crossed = got
+            assert (list(changed), evals, produced, due or {}, crossed,
+                    bytes(s), bytes(l)) == expect
+            store, last, pending = s, l, due or {}
+            rounds += 1
+        assert rounds > 70
+        # the array pass ran on rising and X edges, walked hot flip-flops
+        # and read outputs that the same round updated
+        assert {0 * 3 + 1, 0 * 3 + 2, 2 * 3 + 1} <= seen["edges"]
+        assert seen["hot"] > 0 and seen["patched"] > 0
