@@ -166,8 +166,10 @@ SECTIONS = [
      "state saving priced; see Table 3); runs and gap did not."),
     ("Ablation — pairing strategies (§3.1.1)", "ablation_pairing",
      "The paper lists random/exhaustive/cut/gain pairing without "
-     "numbers; measured: exhaustive pairing is never worse than random, "
-     "at higher cost."),
+     "numbers; measured: exhaustive pairing is never worse than random. "
+     "Its cost is a host wall, kept with the others in the document's "
+     "host_timings (the table's time column moved there, so a "
+     "regeneration reproduces the table byte for byte)."),
     ("Ablation — cone vs random initial partition (§3.3)",
      "ablation_initial",
      "Cone partitioning seeds FM with input-to-output concurrency; "
@@ -200,8 +202,10 @@ SECTIONS = [
      "on the single-decoder viterbi-paper-single.  It used to run here "
      "on the four-channel viterbi-paper, whose '25x at k=4' compared "
      "cut 4 against cut 100 at a k that divides the channel count — "
-     "a construction artifact, not the algorithm.  Walls and RSS are "
-     "host facts (quarantined channel)."),
+     "a construction artifact, not the algorithm.  Walls and the peak "
+     "RSS (measured in a fresh process, gated below 512 MB) are host "
+     "facts, kept in the document's host_timings and out of the "
+     "table."),
     ("Extension — multilevel vs direct k-way at scale", "multilevel",
      "Not in the paper: the production multilevel engine "
      "(docs/multilevel.md) against a direct k-way comparator with the "
