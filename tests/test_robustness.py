@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import circuit_source, load_circuit
+from repro.circuits import load_circuit
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
@@ -53,6 +53,7 @@ from repro.hypergraph import (
     flat_hypergraph,
     hyperedge_cut,
 )
+from tests.verilog_fuzz import EDITS, SEEDS, TOKENS, mutated_text, soup_text
 
 #: large enough that the driver coarsens (its stop size is 160 vertices)
 N = 300
@@ -278,21 +279,6 @@ def test_cli_rejects_a_nan_balance_factor(algorithm, capsys):
 
 # -- the Verilog front end under fuzzing ---------------------------------------
 
-#: tokens a soup is drawn from: keywords, primitives, names, numbers,
-#: literals (some too wide), punctuation and a few stray characters
-_TOKENS = (
-    "module", "endmodule", "input", "output", "inout", "wire", "supply0",
-    "supply1", "assign", "and", "or", "nand", "xor", "not", "buf", "dff",
-    "dffr", "m", "t", "a", "b", "y", "u0", "v", "0", "1", "3", "7",
-    "65536", "1'b0", "1'bx", "4'hf", "2'd3", "'b101", "70000'b1",
-    "999999999'b1", "(", ")", "[", "]", ":", ";", ",", ".", "{", "}", "=",
-    "#", "@", "\\", "`", "//", "/*", "*/", "\n",
-)
-#: small registered circuits whose text the mutations start from
-_SEEDS = {name: circuit_source(name)
-          for name in ("adder8", "counter8", "mul4", "noc-test")}
-
-
 def _front_end(text: str) -> None:
     """Lex, parse and elaborate ``text``; a rejection must be a typed,
     located front-end error."""
@@ -311,28 +297,16 @@ def _front_end(text: str) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(_TOKENS), max_size=60),
+@given(st.lists(st.sampled_from(TOKENS), max_size=60),
        st.booleans())
 def test_fuzz_token_soup(tokens, wrap):
-    body = " ".join(tokens)
-    _front_end(f"module m (a, y);\n{body}\nendmodule\n" if wrap else body)
+    _front_end(soup_text(tokens, wrap))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(_SEEDS)), st.lists(st.tuples(
-    st.sampled_from(("delete", "duplicate", "replace", "insert")),
-    st.floats(0, 1), st.integers(1, 40), st.sampled_from(_TOKENS),
+@given(st.sampled_from(sorted(SEEDS)), st.lists(st.tuples(
+    st.sampled_from(EDITS), st.floats(0, 1), st.integers(1, 40),
+    st.sampled_from(TOKENS),
 ), min_size=1, max_size=4))
 def test_fuzz_mutated_circuit(name, mutations):
-    text = _SEEDS[name]
-    for kind, where, span, token in mutations:
-        at = int(where * len(text))
-        if kind == "delete":
-            text = text[:at] + text[at + span:]
-        elif kind == "duplicate":
-            text = text[:at] + text[at:at + span] + text[at:]
-        elif kind == "replace":
-            text = text[:at] + token + text[at + len(token):]
-        else:
-            text = text[:at] + " " + token + " " + text[at:]
-    _front_end(text)
+    _front_end(mutated_text(name, mutations))
