@@ -5,6 +5,14 @@ synthesis tools), sized/unsized numeric literals (``8'hFF``, ``1'b0``,
 ``42``), punctuation, line (``//``) and block (``/* */``) comments, and
 compiler directives (backtick lines are skipped — timescale directives
 are irrelevant to a unit-delay model).
+
+:class:`Scan` is what the parser reads: one ``re.split`` over the text
+gives every token's string and the skipped text before it, and each
+*distinct* token string is classified once.  No token carries a
+position; :meth:`Scan.line` and :meth:`Scan.position` count it from
+the skipped text when asked, which the parser does only to stamp a
+statement's line or to report an error.  :func:`tokenize` builds
+positioned :class:`Token` tuples from the same scan.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import NamedTuple
 
 from ..errors import LexError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "Scan", "KEYWORDS"]
 
 KEYWORDS = frozenset(
     {
@@ -30,30 +38,32 @@ KEYWORDS = frozenset(
     }
 )
 
-#: one alternative per token class, tried in order at each position;
-#: ``skip`` takes a whole run of whitespace, comments and directives
-#: (backtick lines); ``open`` and ``bad_base`` only match what the
-#: earlier alternatives rejected, to name the error
+#: one match per token: group 1 takes a run of whitespace, comments
+#: and directives (backtick lines), possessively, so no later
+#: alternative ever starts inside it; group 2 takes the token.  Its
+#: alternatives are tried in order; those after the escaped identifier
+#: only match what the earlier ones rejected, to name the error, and
+#: the empty match at the end of the text is the eof token
 _TOKEN = re.compile(
     r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)+)
-    |(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-    |(?P<based>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_$?]*)
-    |(?P<number>[0-9][0-9_]*(?!['0-9_]))
-    |(?P<punct>[()\[\]{},;:=.\#])
-    |\\(?P<escaped>[^ \t\r\n]+)
-    |(?P<open>/\*)
-    |(?P<empty_escape>\\)
-    |(?P<bad_base>(?:[0-9][0-9_]*)?')
+    ((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*+)
+    ([A-Za-z_$][A-Za-z0-9_$]*
+    |[()\[\]{},;:=.\#]
+    |(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_$?]*
+    |[0-9][0-9_]*(?!['0-9_])
+    |\\[^ \t\r\n]+
+    |/\*
+    |\\
+    |(?:[0-9][0-9_]*)?'
+    |.
+    |\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_ERRORS = {
-    "open": "unterminated block comment",
-    "empty_escape": "empty escaped identifier",
-    "bad_base": "malformed based literal",
-}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+_PUNCT = frozenset("()[]{},;:=.#")
+_DIGITS = frozenset("0123456789")
 
 
 class Token(NamedTuple):
@@ -72,47 +82,95 @@ class Token(NamedTuple):
     column: int
 
 
+def _classify(tok: str) -> tuple[str, str]:
+    """``(kind, value)`` of one scanned string, or ``("error",
+    message)`` for a string that is no token."""
+    first = tok[:1]
+    if not first:
+        return "eof", ""
+    if first in _WORD_START:
+        return ("keyword" if tok in KEYWORDS else "ident"), tok
+    if first in _PUNCT:
+        return tok, tok
+    if first == "\\":
+        if len(tok) == 1:
+            return "error", "empty escaped identifier"
+        return "ident", tok[1:]
+    if "'" in tok:
+        if tok[-1] == "'":
+            return "error", "malformed based literal"
+        return "sized_number", tok
+    if first in _DIGITS:
+        return "number", tok.replace("_", "")
+    if tok == "/*":
+        return "error", "unterminated block comment"
+    return "error", f"unexpected character {tok!r}"
+
+
+class Scan:
+    """The tokens of one text: ``toks`` their strings, ending with the
+    eof string ``""``, and ``info`` the ``(kind, value)`` of each
+    distinct string.
+
+    Raises :class:`LexError` at the first string that is no token, as a
+    per-position lexer would: the scan is contiguous, so every string
+    before it is a token.
+    """
+
+    def __init__(self, text: str) -> None:
+        # contiguous matches leave no text between them: parts are
+        # ["", skip, token] per match, then the empty tail
+        parts = _TOKEN.split(text)
+        self.toks: list[str] = parts[2::3]
+        self._skips: list[str] = parts[1::3]
+        if self.toks[-2:] == ["", ""]:
+            # skipped text at the end: the match that took it and the
+            # empty match after it both give the eof string
+            self.toks.pop()
+            self._skips.pop()
+        self._text = text
+        self._index, self._line = -1, 1
+        self.info = {tok: _classify(tok) for tok in set(self.toks)}
+        bad = [tok for tok, (kind, _) in self.info.items() if kind == "error"]
+        if bad:
+            index = min(map(self.toks.index, bad))
+            raise LexError(self.info[self.toks[index]][1], *self.position(index))
+
+    def line(self, index: int) -> int:
+        """1-based line of token ``index``.  Lookups in increasing
+        order count only the skipped text since the last one."""
+        if index < self._index:
+            self._index, self._line = -1, 1
+        if index > self._index:
+            skipped = "".join(self._skips[self._index + 1:index + 1])
+            self._line += skipped.count("\n")
+            self._index = index
+        return self._line
+
+    def position(self, index: int) -> tuple[int, int]:
+        """1-based ``(line, column)`` of token ``index``."""
+        offset = (sum(map(len, self._skips[:index + 1]))
+                  + sum(map(len, self.toks[:index])))
+        return self.line(index), offset - self._text.rfind("\n", 0, offset)
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize Verilog source text; raises :class:`LexError` on
     unrecognized characters.
 
-    One compiled pattern matched at each position; columns count
-    characters from the last newline, which only skipped whitespace,
-    comments and directives can contain.
+    The strings a :class:`Scan` gives, each with its kind, value, line
+    and column; columns count characters from the last newline, which
+    only skipped whitespace, comments and directives can contain.
     """
-    match = _TOKEN.match
+    scan = Scan(text)
     tokens: list[Token] = []
-    append = tokens.append
-    line, line_start, pos, n = 1, 0, 0, len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise LexError(f"unexpected character {text[pos]!r}",
-                           line, pos - line_start + 1)
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "skip":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        elif kind == "word":
-            word = m.group()
-            append(Token("keyword" if word in KEYWORDS else "ident", word,
-                         line, pos - line_start + 1))
-        elif kind == "punct":
-            c = text[pos]
-            append(Token(c, c, line, pos - line_start + 1))
-        elif kind == "number":
-            append(Token("number", m.group().replace("_", ""),
-                         line, pos - line_start + 1))
-        elif kind == "based":
-            append(Token("sized_number", m.group(),
-                         line, pos - line_start + 1))
-        elif kind == "escaped":
-            append(Token("ident", m.group(kind), line, pos - line_start + 1))
-        else:
-            raise LexError(_ERRORS[kind], line, pos - line_start + 1)
-        pos = end
-    append(Token("eof", "", line, n - line_start + 1))
+    line, line_start, offset = 1, 0, 0
+    for tok, skip in zip(scan.toks, scan._skips):
+        newlines = skip.count("\n")
+        if newlines:
+            line += newlines
+            line_start = offset + skip.rindex("\n") + 1
+        offset += len(skip)
+        tokens.append(Token(*scan.info[tok], line, offset - line_start + 1))
+        offset += len(tok)
     return tokens

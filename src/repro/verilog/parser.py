@@ -35,7 +35,7 @@ from pathlib import Path
 
 from ..errors import ParseError
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Scan
 from .primitives import COMBINATIONAL_GATES, SEQUENTIAL_CELLS, is_gate_type
 
 __all__ = ["parse_source", "parse_file", "parse_literal_bits"]
@@ -47,12 +47,13 @@ MAX_WIDTH = 1 << 16
 #: decimal literal (what ``int()`` converts)
 _MAX_INDEX_DIGITS, _MAX_DECIMAL_DIGITS = 18, 4300
 
+_DIRECTIONS = ("input", "output", "inout")
 _NET_KINDS = ("wire", "supply0", "supply1")
 
 
 def parse_source(text: str) -> ast.Source:
     """Parse Verilog source text into a :class:`~repro.verilog.ast.Source`."""
-    return _Parser(tokenize(text)).parse()
+    return _Parser(Scan(text)).parse()
 
 
 def parse_file(path: str | Path) -> ast.Source:
@@ -68,42 +69,53 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
     else — a digit the base does not have, a zero or non-decimal size —
     is a :class:`ParseError` at ``line``/``col``.
     """
+    try:
+        return _literal_bits(raw)
+    except _BadLiteral as exc:
+        raise ParseError(str(exc), line, col) from None
+
+
+class _BadLiteral(Exception):
+    """A literal :func:`_literal_bits` rejects; the caller adds where."""
+
+
+def _literal_bits(raw: str) -> tuple[int, ...]:
+    """:func:`parse_literal_bits` without a position."""
     text = raw.replace("_", "")
     shown = raw if len(raw) <= 40 else raw[:36] + "..."
-    too_wide = ParseError(
-        f"literal {shown!r} is wider than {MAX_WIDTH} bits "
-        f"or {_MAX_DECIMAL_DIGITS} decimal digits", line, col)
+    too_wide = (f"literal {shown!r} is wider than {MAX_WIDTH} bits "
+                f"or {_MAX_DECIMAL_DIGITS} decimal digits")
     if "'" not in text:
         if not _is_decimal(text):
-            raise ParseError(f"malformed literal {raw!r}", line, col)
+            raise _BadLiteral(f"malformed literal {raw!r}")
         if len(text.lstrip("0")) > _MAX_DECIMAL_DIGITS:
-            raise too_wide
+            raise _BadLiteral(too_wide)
         return _bits_of(int(text))
     size_txt, rest = text.split("'", 1)
     if size_txt and not _is_decimal(size_txt):
-        raise ParseError(f"malformed size in literal {raw!r}", line, col)
+        raise _BadLiteral(f"malformed size in literal {raw!r}")
     if size_txt and not size_txt.lstrip("0"):
-        raise ParseError(f"literal {raw!r} has zero width", line, col)
+        raise _BadLiteral(f"literal {raw!r} has zero width")
     if size_txt and (len(size_txt.lstrip("0")) > _MAX_INDEX_DIGITS
                      or int(size_txt) > MAX_WIDTH):
-        raise too_wide
+        raise _BadLiteral(too_wide)
     rest = rest.lstrip("sS")
     per_digit = {"b": 1, "o": 3, "h": 4, "d": 0}.get(rest[:1].lower())
     if per_digit is None:
-        raise ParseError(f"malformed literal {raw!r}", line, col)
+        raise _BadLiteral(f"malformed literal {raw!r}")
     base_ch = rest[0].lower()
     digits = rest[1:]
     if not digits:
-        raise ParseError(f"literal {raw!r} has no digits", line, col)
+        raise _BadLiteral(f"literal {raw!r} has no digits")
     if len(digits) * per_digit > MAX_WIDTH:
-        raise too_wide
+        raise _BadLiteral(too_wide)
     bits: list[int] = []
     if base_ch == "d":
         if not _is_decimal(digits):
             bad = next(ch for ch in digits if ch not in "0123456789")
-            raise ParseError(f"bad digit {bad!r} in literal {raw!r}", line, col)
+            raise _BadLiteral(f"bad digit {bad!r} in literal {raw!r}")
         if len(digits.lstrip("0")) > _MAX_DECIMAL_DIGITS:
-            raise too_wide
+            raise _BadLiteral(too_wide)
         bits = list(_bits_of(int(digits)))
     else:
         for ch in reversed(digits.lower()):
@@ -113,7 +125,7 @@ def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]
                 try:
                     value = int(ch, 16 if base_ch == "h" else 8 if base_ch == "o" else 2)
                 except ValueError:
-                    raise ParseError(f"bad digit {ch!r} in literal {raw!r}", line, col)
+                    raise _BadLiteral(f"bad digit {ch!r} in literal {raw!r}")
                 for i in range(per_digit):
                     bits.append((value >> i) & 1)
     if size_txt:
@@ -141,99 +153,106 @@ def _bits_of(value: int) -> tuple[int, ...]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._toks = tokens
+    """Recursive descent over the strings of a
+    :class:`~repro.verilog.lexer.Scan`.  Punctuation and keywords are
+    compared as strings (an escaped ``\\module`` is another string than
+    ``module``); other tokens are classified through the scan's table
+    of distinct strings as they are consumed.  A position is counted
+    only when asked for: a line when a statement's node is built, a
+    column for an error."""
+
+    def __init__(self, scan: Scan) -> None:
+        self._scan = scan
+        self._toks, self._info = scan.toks, scan.info
         self._pos = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self._toks[min(self._pos + offset, len(self._toks) - 1)]
+    def _error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, *self._scan.position(index))
 
-    def _next(self) -> Token:
-        tok = self._toks[self._pos]
-        if tok.kind != "eof":
+    def _found(self, index: int) -> str:
+        """How an error names token ``index``."""
+        kind, value = self._info[self._toks[index]]
+        return value or kind  # only eof has no value
+
+    def _expect(self, punct: str) -> int:
+        """Consume the punctuation ``punct``; returns its index."""
+        i = self._pos
+        if self._toks[i] != punct:
+            raise self._error(f"expected {punct!r}, found {self._found(i)!r}", i)
+        self._pos = i + 1
+        return i
+
+    def _take(self, kind: str, what: str) -> str:
+        """Consume a token of ``kind``; returns its value."""
+        i = self._pos
+        tok_kind, value = self._info[self._toks[i]]
+        if tok_kind != kind:
+            raise self._error(f"expected {what!r}, found {self._found(i)!r}", i)
+        self._pos = i + 1
+        return value
+
+    def _comma(self) -> bool:
+        """Consume a ``,`` if one is next."""
+        if self._toks[self._pos] == ",":
             self._pos += 1
-        return tok
-
-    def _expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what or kind!r}, found {tok.value or tok.kind!r}",
-                tok.line,
-                tok.column,
-            )
-        return tok
-
-    def _expect_keyword(self, word: str) -> Token:
-        tok = self._next()
-        if tok.kind != "keyword" or tok.value != word:
-            raise ParseError(
-                f"expected {word!r}, found {tok.value or tok.kind!r}",
-                tok.line,
-                tok.column,
-            )
-        return tok
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "keyword" and tok.value == word
+            return True
+        return False
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> ast.Source:
         source = ast.Source()
-        while self._peek().kind != "eof":
+        while self._toks[self._pos]:
             source.add(self._module())
         return source
 
     def _module(self) -> ast.Module:
-        self._expect_keyword("module")
-        name = self._expect("ident", "module name").value
-        module = ast.Module(name=name)
-        if self._peek().kind == "(":
-            self._next()
-            if self._peek().kind != ")":
-                module.port_order.append(self._expect("ident", "port name").value)
-                while self._peek().kind == ",":
-                    self._next()
-                    module.port_order.append(self._expect("ident", "port name").value)
+        toks = self._toks
+        if toks[self._pos] != "module":
+            raise self._error(f"expected 'module', found {self._found(self._pos)!r}",
+                              self._pos)
+        self._pos += 1
+        module = ast.Module(name=self._take("ident", "module name"))
+        if toks[self._pos] == "(":
+            self._pos += 1
+            if toks[self._pos] != ")":
+                module.port_order.append(self._take("ident", "port name"))
+                while self._comma():
+                    module.port_order.append(self._take("ident", "port name"))
             self._expect(")")
         self._expect(";")
-        while not self._at_keyword("endmodule"):
-            tok = self._peek()
-            if tok.kind == "eof":
-                raise ParseError("unexpected end of file inside module", tok.line, tok.column)
+        while toks[self._pos] != "endmodule":
+            if not toks[self._pos]:
+                raise self._error("unexpected end of file inside module", self._pos)
             self._item(module)
-        self._next()  # endmodule
+        self._pos += 1
         return module
 
     def _item(self, module: ast.Module) -> None:
-        tok = self._peek()
-        if tok.kind == "keyword" and tok.value in ("input", "output", "inout"):
+        tok = self._toks[self._pos]
+        if tok in _DIRECTIONS:
             self._port_decl(module)
-        elif tok.kind == "keyword" and tok.value in _NET_KINDS:
+        elif tok in _NET_KINDS:
             self._net_decl(module)
-        elif tok.kind == "keyword" and tok.value == "assign":
+        elif tok == "assign":
             self._assign(module)
-        elif tok.kind == "ident" and is_gate_type(tok.value):
-            self._gate_inst(module)
-        elif tok.kind == "ident":
-            self._module_inst(module)
         else:
-            raise ParseError(
-                f"unexpected token {tok.value or tok.kind!r} in module body",
-                tok.line,
-                tok.column,
-            )
+            kind, value = self._info[tok]
+            if kind != "ident":
+                raise self._error(
+                    f"unexpected token {value or kind!r} in module body", self._pos)
+            if is_gate_type(value):
+                self._gate_inst(module, value)
+            else:
+                self._module_inst(module, value)
 
     def _index(self, what: str) -> int:
-        tok = self._expect("number", what)
-        if len(tok.value.lstrip("0")) > _MAX_INDEX_DIGITS:
-            raise ParseError(f"{what} {tok.value} is out of range",
-                             tok.line, tok.column)
-        return int(tok.value)
+        value = self._take("number", what)
+        if len(value.lstrip("0")) > _MAX_INDEX_DIGITS:
+            raise self._error(f"{what} {value} is out of range", self._pos - 1)
+        return int(value)
 
     def _range(self) -> ast.Range:
         start = self._expect("[")
@@ -243,197 +262,190 @@ class _Parser:
         self._expect("]")
         rng = ast.Range(msb, lsb)
         if rng.width > MAX_WIDTH:
-            raise ParseError(
+            raise self._error(
                 f"vector range [{msb}:{lsb}] is {rng.width} bits wide; "
-                f"at most {MAX_WIDTH} are supported", start.line, start.column)
+                f"at most {MAX_WIDTH} are supported", start)
         return rng
 
     def _port_decl(self, module: ast.Module) -> None:
-        direction = self._next().value
-        rng = self._range() if self._peek().kind == "[" else None
+        direction = self._toks[self._pos]
+        self._pos += 1
+        rng = self._range() if self._toks[self._pos] == "[" else None
         while True:
-            tok = self._expect("ident", "port name")
-            decl = ast.PortDecl(direction, tok.value, rng)
-            if tok.value in module.port_decls:
-                raise ParseError(f"duplicate port declaration {tok.value!r}", tok.line, tok.column)
-            module.port_decls[tok.value] = decl
-            if tok.value not in module.port_order:
+            name = self._take("ident", "port name")
+            decl = ast.PortDecl(direction, name, rng)
+            if name in module.port_decls:
+                raise self._error(f"duplicate port declaration {name!r}", self._pos - 1)
+            module.port_decls[name] = decl
+            if name not in module.port_order:
                 # ANSI-less style: allow decls for ports not in header only
                 # if the header was empty (legacy tools sometimes omit it).
                 if module.port_order:
-                    raise ParseError(
-                        f"port {tok.value!r} not in module header", tok.line, tok.column
-                    )
-                module.port_order.append(tok.value)
-            if self._peek().kind == ",":
-                self._next()
-                continue
-            break
+                    raise self._error(
+                        f"port {name!r} not in module header", self._pos - 1)
+                module.port_order.append(name)
+            if not self._comma():
+                break
         self._expect(";")
 
     def _net_decl(self, module: ast.Module) -> None:
-        kind = self._next().value
-        rng = self._range() if self._peek().kind == "[" else None
+        kind = self._toks[self._pos]
+        self._pos += 1
+        rng = self._range() if self._toks[self._pos] == "[" else None
         while True:
-            tok = self._expect("ident", "net name")
-            module.net_decls[tok.value] = ast.NetDecl(tok.value, rng, kind)
-            if self._peek().kind == ",":
-                self._next()
-                continue
-            break
+            name = self._take("ident", "net name")
+            module.net_decls[name] = ast.NetDecl(name, rng, kind)
+            if not self._comma():
+                break
         self._expect(";")
 
     def _assign(self, module: ast.Module) -> None:
-        tok = self._next()  # 'assign'
+        head = self._pos  # 'assign'
+        self._pos += 1
         lhs = self._expr()
         self._expect("=")
         rhs = self._expr()
         self._expect(";")
-        module.assigns.append(ast.Assign(lhs, rhs, line=tok.line))
+        module.assigns.append(
+            ast.Assign(lhs, rhs, line=self._scan.line(head)))
 
     def _delay(self) -> None:
         """Parse and discard a delay spec ``#n`` or ``#(a[,b[,c]])``."""
-        self._next()  # '#'
-        if self._peek().kind == "(":
-            self._next()
-            self._expect("number", "delay value")
-            while self._peek().kind == ",":
-                self._next()
-                self._expect("number", "delay value")
+        self._pos += 1  # '#'
+        if self._toks[self._pos] == "(":
+            self._pos += 1
+            self._take("number", "delay value")
+            while self._comma():
+                self._take("number", "delay value")
             self._expect(")")
         else:
-            self._expect("number", "delay value")
+            self._take("number", "delay value")
 
-    def _gate_inst(self, module: ast.Module) -> None:
-        head = self._next()
-        gtype = head.value
-        if self._peek().kind == "#":
+    def _gate_inst(self, module: ast.Module, gtype: str) -> None:
+        toks = self._toks
+        self._pos += 1
+        if toks[self._pos] == "#":
             self._delay()
         while True:
-            name: str | None = None
-            if self._peek().kind == "ident":
-                name = self._next().value
-            tok = self._expect("(")
+            kind, name = self._info[toks[self._pos]]
+            if kind == "ident":
+                self._pos += 1
+            else:
+                name = None
+            paren = self._expect("(")
             terms: list[ast.Expr] = [self._expr()]
-            while self._peek().kind == ",":
-                self._next()
+            while self._comma():
                 terms.append(self._expr())
             self._expect(")")
-            self._check_gate_arity(gtype, terms, tok)
+            self._check_gate_arity(gtype, terms, paren)
+            line = self._scan.line(paren)
             if gtype in ("buf", "not") and len(terms) > 2:
                 # multi-output form: last terminal is the input
                 for i, out in enumerate(terms[:-1]):
                     gname = f"{name}_{i}" if name else None
                     module.gates.append(
-                        ast.GateInst(gtype, gname, (out, terms[-1]), line=tok.line)
+                        ast.GateInst(gtype, gname, (out, terms[-1]), line=line)
                     )
             else:
                 module.gates.append(
-                    ast.GateInst(gtype, name, tuple(terms), line=tok.line)
+                    ast.GateInst(gtype, name, tuple(terms), line=line)
                 )
-            if self._peek().kind == ",":
-                self._next()
-                continue
-            break
+            if not self._comma():
+                break
         self._expect(";")
 
-    def _check_gate_arity(self, gtype: str, terms: list[ast.Expr], tok: Token) -> None:
+    def _check_gate_arity(self, gtype: str, terms: list[ast.Expr], at: int) -> None:
         spec = COMBINATIONAL_GATES.get(gtype) or SEQUENTIAL_CELLS[gtype]
         n_in = len(terms) - 1
         if gtype in ("buf", "not"):
             if n_in < 1:
-                raise ParseError(f"{gtype} needs an output and an input", tok.line, tok.column)
+                raise self._error(f"{gtype} needs an output and an input", at)
             return
         if n_in < spec.min_inputs or (
             spec.max_inputs is not None and n_in > spec.max_inputs
         ):
-            raise ParseError(
+            raise self._error(
                 f"{gtype} gate has {n_in} inputs, expected "
                 f"{spec.min_inputs}"
                 + ("" if spec.max_inputs == spec.min_inputs else "+"),
-                tok.line,
-                tok.column,
+                at,
             )
 
-    def _module_inst(self, module: ast.Module) -> None:
-        head = self._next()
-        module_name = head.value
-        if self._peek().kind == "#":
+    def _module_inst(self, module: ast.Module, module_name: str) -> None:
+        toks = self._toks
+        self._pos += 1
+        if toks[self._pos] == "#":
             self._delay()
         while True:
-            inst_tok = self._expect("ident", "instance name")
+            head = self._pos
+            instance_name = self._take("ident", "instance name")
             self._expect("(")
             positional: tuple[ast.Expr, ...] | None = None
             named: tuple[tuple[str, ast.Expr], ...] | None = None
-            if self._peek().kind == ".":
+            if toks[self._pos] == ".":
                 conns: list[tuple[str, ast.Expr]] = []
                 while True:
                     self._expect(".")
-                    pname = self._expect("ident", "port name").value
+                    pname = self._take("ident", "port name")
                     self._expect("(")
-                    if self._peek().kind == ")":
+                    if toks[self._pos] == ")":
                         expr: ast.Expr = ast.Unconnected()
                     else:
                         expr = self._expr()
                     self._expect(")")
                     conns.append((pname, expr))
-                    if self._peek().kind == ",":
-                        self._next()
-                        continue
-                    break
+                    if not self._comma():
+                        break
                 named = tuple(conns)
-            elif self._peek().kind == ")":
+            elif toks[self._pos] == ")":
                 positional = ()
             else:
                 exprs: list[ast.Expr] = [self._expr()]
-                while self._peek().kind == ",":
-                    self._next()
+                while self._comma():
                     exprs.append(self._expr())
                 positional = tuple(exprs)
             self._expect(")")
             module.instances.append(
                 ast.ModuleInst(
                     module_name,
-                    inst_tok.value,
+                    instance_name,
                     positional=positional,
                     named=named,
-                    line=inst_tok.line,
+                    line=self._scan.line(head),
                 )
             )
-            if self._peek().kind == ",":
-                self._next()
-                continue
-            break
+            if not self._comma():
+                break
         self._expect(";")
 
     def _expr(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind == "{":
-            self._next()
+        i = self._pos
+        tok = self._toks[i]
+        if tok == "{":
+            self._pos = i + 1
             items: list[ast.Expr] = [self._expr()]
-            while self._peek().kind == ",":
-                self._next()
+            while self._comma():
                 items.append(self._expr())
             self._expect("}")
             return ast.Concat(tuple(items))
-        if tok.kind in ("number", "sized_number"):
-            self._next()
-            return ast.Literal(parse_literal_bits(tok.value, tok.line, tok.column))
-        if tok.kind == "ident":
-            self._next()
-            if self._peek().kind == "[":
-                self._next()
+        kind, value = self._info[tok]
+        if kind == "ident":
+            self._pos = i + 1
+            if self._toks[i + 1] == "[":
+                self._pos = i + 2
                 first = self._index("index")
-                if self._peek().kind == ":":
-                    self._next()
+                if self._toks[self._pos] == ":":
+                    self._pos += 1
                     second = self._index("index")
                     self._expect("]")
-                    return ast.PartSelect(tok.value, first, second)
+                    return ast.PartSelect(value, first, second)
                 self._expect("]")
-                return ast.BitSelect(tok.value, first)
-            return ast.Identifier(tok.value)
-        raise ParseError(
-            f"expected expression, found {tok.value or tok.kind!r}",
-            tok.line,
-            tok.column,
-        )
+                return ast.BitSelect(value, first)
+            return ast.Identifier(value)
+        if kind == "number" or kind == "sized_number":
+            self._pos = i + 1
+            try:
+                return ast.Literal(_literal_bits(value))
+            except _BadLiteral as exc:
+                raise self._error(str(exc), i) from None
+        raise self._error(f"expected expression, found {value or kind!r}", i)

@@ -139,3 +139,22 @@ def test_registered_circuit_tokens_are_pinned(name):
             for t in tokenize(circuit_source(name))]
     digest = hashlib.sha256(json.dumps(toks).encode()).hexdigest()
     assert (len(toks), digest) == TOKEN_STREAM_SHA[name]
+
+
+@pytest.mark.parametrize("name", ["cpu-test", "memctrl-test"])
+def test_scan_positions_in_any_order_match_tokenize(name):
+    """``Scan`` counts a position from the skipped text on demand; asked
+    out of order it starts over, and every answer is the token's."""
+    import random
+
+    from repro.verilog.lexer import Scan
+
+    text = circuit_source(name)
+    toks = tokenize(text)
+    scan = Scan(text)
+    assert scan.toks[-1] == "" and len(scan.toks) == len(toks)
+    order = list(range(len(toks)))
+    random.Random(7).shuffle(order)
+    for i in order[:300]:
+        assert scan.position(i) == (toks[i].line, toks[i].column)
+        assert scan.line(i) == toks[i].line
