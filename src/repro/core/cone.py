@@ -15,11 +15,17 @@ cones goes wherever the first cone that reached it went (cones overlap
 heavily in real circuits).  Vertices unreachable from any input —
 constant generators, dangling logic — are packed last, lightest
 partition first.
+
+The cones come from one pass over the cluster graph, not one search
+per input: Tarjan's algorithm closes each strongly connected component
+(a register loop between instances is one) after every component it
+reaches, so the component's reach is its own members' bits OR its
+successors' reach — one Python ``int`` bitset per component.  Each
+input-fed root's cone is its component's bitset, unpacked in NumPy to
+the ascending cluster list and weighed once.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -31,6 +37,9 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["cone_partition", "build_cluster_dag", "input_cones"]
 
+#: bytes of unpacked cone rows held at once while listing the cones
+_UNPACK_BYTES = 1 << 22
+
 
 def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int]]:
     """Directed cluster graph and input-fed roots.
@@ -40,40 +49,107 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
     dropped), and ``roots`` are clusters reading a primary-input net.
     """
     hg = clustering.hypergraph()
-    succ: list[set[int]] = [set() for _ in range(len(clustering))]
+    n = len(clustering)
     # a net reaching a second cluster is a hyperedge, and its other pins
     # are exactly the clusters reading it
-    for pins, src in zip(hg.edge_pins_lists(), clustering.edge_drivers()):
-        if src >= 0:
-            succ[src].update(pins)
-    for c, readers in enumerate(succ):
-        readers.discard(c)  # a cluster reading its own net is no successor
+    src = np.asarray(clustering.edge_drivers(), dtype=np.int64)[hg.pin_edges]
+    dst = hg.pin_vertices
+    keep = (src >= 0) & (src != dst)  # a cluster reading its own net is no successor
+    arcs = np.sort(src[keep] * n + dst[keep])
+    arcs = arcs[np.concatenate(([True], arcs[1:] != arcs[:-1]))]
+    bounds = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n).tolist()
+    heads = (arcs % n).tolist()
     netlist = clustering.netlist
     fed, _ = _csr_gather(
         *netlist.fanout(), netlist.inputs[netlist.net_driver[netlist.inputs] < 0]
     )
-    roots = np.unique(clustering.gate_cluster[fed]).tolist()
-    return [sorted(s) for s in succ], roots
+    is_root = np.zeros(n, dtype=bool)
+    is_root[clustering.gate_cluster[fed]] = True
+    succ = [heads[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return succ, np.flatnonzero(is_root).tolist()
 
 
-def _cones_and_roots(clustering: Clustering) -> tuple[list[list[int]], list[int]]:
-    """``(cones, roots)``: the reachable cluster set per root, heaviest
-    cone first, and the roots of the one DAG build behind them."""
+def _reach(succ: list[list[int]]) -> list[int]:
+    """Per vertex, the bitset of the vertices it reaches, itself
+    included: iterative Tarjan, closing each component's reach as the
+    component is popped (every component it reaches is closed by then)."""
+    n = len(succ)
+    order = [-1] * n  # discovery index
+    low = [0] * n
+    on_stack = [False] * n
+    reach = [0] * n
+    stack: list[int] = []
+    counter = 0
+    for start in range(n):
+        if order[start] >= 0:
+            continue
+        order[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        work = [(start, iter(succ[start]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    # members' own reach is still 0 here: OR-ing it is a no-op
+                    bits = 0
+                    for w in members:
+                        bits |= 1 << w
+                        for x in succ[w]:
+                            bits |= reach[x]
+                    for w in members:
+                        reach[w] = bits
+    return reach
+
+
+def _cones_and_roots(
+    clustering: Clustering,
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """``(cones, weights, roots)``: the reachable cluster set per root,
+    heaviest cone first (ties by the ascending cluster lists), each
+    cone's weight, and the roots of the one DAG build behind them."""
     succ, roots = build_cluster_dag(clustering)
-    weights = clustering.weights.tolist()
+    n = len(succ)
+    reach = _reach(succ)
+    width = (n + 7) // 8
+    step = max(1, _UNPACK_BYTES // max(n, 1))  # roots per unpacked chunk
+    weights = clustering.weights
     cones: list[list[int]] = []
-    for root in roots:
-        seen = {root}
-        frontier = deque([root])
-        while frontier:
-            c = frontier.popleft()
-            for nxt in succ[c]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        cones.append(sorted(seen))
-    cones.sort(key=lambda cone: (-sum(weights[c] for c in cone), cone))
-    return cones, roots
+    cone_weights: list[int] = []
+    for lo in range(0, len(roots), step):
+        packed = b"".join(reach[r].to_bytes(width, "little")
+                          for r in roots[lo:lo + step])
+        rows = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(-1, width),
+            axis=1, count=n, bitorder="little",
+        )
+        cone_weights += (rows @ weights).tolist()
+        members = (np.flatnonzero(rows.view(bool)) % n).tolist()
+        ends = np.cumsum(rows.sum(axis=1)).tolist()
+        cones += [members[a:b] for a, b in zip([0] + ends, ends)]
+    ranked = sorted(range(len(cones)), key=lambda i: (-cone_weights[i], cones[i]))
+    return ([cones[i] for i in ranked], [cone_weights[i] for i in ranked], roots)
 
 
 def input_cones(clustering: Clustering) -> list[list[int]]:
@@ -104,13 +180,10 @@ def cone_partition(
             f"cannot make {k} partitions from {hg.num_vertices} vertices"
         )
     rng = np.random.default_rng(seed)
-    cones, roots = _cones_and_roots(clustering)
+    cones, cone_weights, roots = _cones_and_roots(clustering)
     if seed:
         # perturb the visit order of equal-weight cones
-        weights = clustering.weights.tolist()
-        keyed = [
-            (-sum(weights[c] for c in cone), rng.random(), cone) for cone in cones
-        ]
+        keyed = [(-w, rng.random(), cone) for w, cone in zip(cone_weights, cones)]
         keyed.sort(key=lambda t: (t[0], t[1]))
         cones = [t[2] for t in keyed]
 
@@ -118,8 +191,9 @@ def cone_partition(
         recorder.incr("part.cone.cones", len(cones))
         recorder.incr("part.cone.roots", len(roots))
 
-    assignment = np.full(hg.num_vertices, -1, dtype=np.int64)
-    load = np.zeros(k, dtype=np.int64)
+    vertex_weight = hg.vertex_weight_list
+    assignment = [-1] * hg.num_vertices
+    load = [0] * k
     ideal = hg.total_weight / k
     for cone in cones:
         unclaimed = [c for c in cone if assignment[c] < 0]
@@ -128,19 +202,19 @@ def cone_partition(
         # whole cones go to one partition while it has room; a cone
         # larger than the ideal load spills into the next-lightest
         # partition rather than swamping one processor
-        target = int(np.argmin(load))
+        target = load.index(min(load))
         for c in unclaimed:
             if load[target] >= ideal and k > 1:
-                target = int(np.argmin(load))
+                target = load.index(min(load))
             assignment[c] = target
-            load[target] += hg.vertex_weight[c]
+            load[target] += vertex_weight[c]
     orphans = 0
-    for v in range(hg.num_vertices):
-        if assignment[v] < 0:
+    for v, part in enumerate(assignment):
+        if part < 0:
             orphans += 1
-            target = int(np.argmin(load))
+            target = load.index(min(load))
             assignment[v] = target
-            load[target] += hg.vertex_weight[v]
+            load[target] += vertex_weight[v]
     if recorder.enabled and orphans:
         recorder.incr("part.cone.orphan_vertices", orphans)
     return PartitionState(hg, k, assignment)

@@ -130,3 +130,27 @@ class TestConePartition:
         # the ideal-spill rule keeps loads within one max-cluster of ideal
         max_cluster = max(cl.weight for cl in c.clusters)
         assert abs(int(state.part_weight[0]) - total / 2) <= max_cluster + total * 0.05
+
+
+def _bfs_cones(clustering):
+    """One breadth-first search per root — the definition the bitset
+    closure is held to, ties broken the same way."""
+    succ, roots = build_cluster_dag(clustering)
+    weights = clustering.weights.tolist()
+    cones = []
+    for root in roots:
+        seen, frontier = {root}, [root]
+        while frontier:
+            frontier = [w for v in frontier for w in succ[v] if w not in seen
+                        and not seen.add(w)]
+        cones.append(sorted(seen))
+    return sorted(cones, key=lambda cone: (-sum(weights[c] for c in cone), cone))
+
+
+@pytest.mark.parametrize("name", ["counter8", "lfsr16", "cpu-test", "mul4",
+                                  "noc-test", "memctrl-test"])
+def test_cones_equal_one_search_per_root_on_flat_views(name):
+    """Flat views have register loops: the strongly connected components
+    the closure condenses."""
+    c = Clustering.flat(load_circuit(name))
+    assert input_cones(c) == _bfs_cones(c)
