@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Profile the Verilog front end: parse → elaborate → compile.
+"""Profile the Verilog front end: tokenize → parse → elaborate → compile.
 
 Builds a named text circuit's Verilog, then times and cProfiles the
-three stages every text-circuit run starts with — ``parse_source``,
-``elaborate`` and ``compile_circuit`` — and prints the elaborator's
-work counters.  ``plan:`` — how many module *definitions* were planned,
+four stages every text-circuit run starts with — the lexer's
+:class:`~repro.verilog.lexer.Scan`, the parser over that scan (together
+``parse_source``), ``elaborate`` and ``compile_circuit`` — and prints
+the elaborator's work counters.  The tokenize and parse rows also give
+tokens per second.  ``plan:`` — how many module *definitions* were planned,
 how many *instances* were stamped from those plans, and how many
 connection expressions were resolved; the last number is the point: it
 depends on the definitions, not on the instance count
@@ -42,16 +44,20 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.circuits import circuit_source  # noqa: E402
 from repro.sim.compiled import compile_circuit  # noqa: E402
-from repro.verilog import find_top_module, parse_source  # noqa: E402
+from repro.verilog import find_top_module  # noqa: E402
 from repro.verilog.elaborate import _Elaborator  # noqa: E402
+from repro.verilog.lexer import Scan  # noqa: E402
+from repro.verilog.parser import _Parser  # noqa: E402
 
 
-def _stage(label: str, func, top: int, sort: str):
-    """Time ``func`` once bare, then once under cProfile."""
+def _stage(label: str, func, top: int, sort: str, tokens: int | None = None):
+    """Time ``func`` once bare, then once under cProfile; ``tokens``
+    adds the stage's tokens per second."""
     start = time.perf_counter()
     func()
     wall = time.perf_counter() - start
-    print(f"\n=== {label}: {wall:.3f} s ===")
+    rate = "" if tokens is None else f", {tokens / wall:,.0f} tokens/s"
+    print(f"\n=== {label}: {wall:.3f} s{rate} ===")
     prof = cProfile.Profile()
     result = prof.runcall(func)
     stats = pstats.Stats(prof, stream=sys.stdout)
@@ -61,7 +67,7 @@ def _stage(label: str, func, top: int, sort: str):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="time and cProfile parse, elaborate and compile")
+        description="time and cProfile tokenize, parse, elaborate and compile")
     parser.add_argument("--circuit", default="viterbi-paper",
                         help="named text circuit (default: %(default)s)")
     parser.add_argument("--top", type=int, default=12,
@@ -72,8 +78,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     text = circuit_source(args.circuit)
-    print(f"circuit={args.circuit} src_bytes={len(text)}")
-    source = _stage("parse", lambda: parse_source(text), args.top, args.sort)
+    tokens = len(Scan(text).toks)
+    print(f"circuit={args.circuit} src_bytes={len(text)} tokens={tokens}")
+    scan = _stage("tokenize", lambda: Scan(text), args.top, args.sort, tokens)
+    source = _stage("parse", lambda: _Parser(scan).parse(), args.top,
+                    args.sort, tokens)
     top_module = find_top_module(source)
 
     def elaborate():
