@@ -33,11 +33,11 @@ after its RSS sample, ``-`` on the XL rung — is the column to compare
 across revisions.  So do each rung's batch-refiner round and
 re-scored-vertex counts (``rung.<name>.part.batch.*`` counters: a
 regression of the refiner's invalidation rule is a count diff, whatever
-the host); walls and RSS are host facts and live in the
-quarantined ``host_timings`` channel.  ``--rungs N`` caps the ladder
-(``tools/run_checks.py`` runs the 10k smoke rung in tier-1 time); a
-capped run prints and asserts but does not overwrite the committed
-full-ladder document.
+the host); walls and RSS are host facts and live only in the
+quarantined ``host_timings`` channel, never in the table.  ``--rungs
+N`` caps the ladder (``tools/run_checks.py`` runs the 10k smoke rung
+in tier-1 time); a capped run prints the table and the rungs' walls and
+asserts, but does not overwrite the committed full-ladder document.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ SEED = 1
 MEDIAN_SEEDS = range(1, 9)
 #: the one rung too large to partition eight more times
 NO_MEDIAN = {"viterbi-xl"}
-#: printed under the XL rung's host line.  A record, not re-measured
-#: here: "off" needs the vertex-count gate on kick perturbation that
-#: PR 21 deleted (``MultilevelConfig`` lost the field) patched back in
-XL_KICKS_RECORD = (
-    "viterbi-xl, kick perturbation on / off above 200k vertices (PR 21, "
-    "back to back on one host, off = the deleted gate patched back): "
-    "partition 11.1s / 8.5s, peak RSS 995 / 771 MB, cut 1742 / 1744"
-)
-
 #: build-phase RSS growth per pin (bytes), asserted per rung.  The CSR
 #: itself is ~28 B/pin (int64 pin + amortized ptr/output/code), the
 #: hypergraph adds pins + the transposed vertex index and a sort
@@ -86,8 +77,8 @@ MIN_PINS_FOR_BUDGET = 1_000_000
 XL_PEAK_RSS_MB = 512
 
 #: recorder phases reported per rung as the partition wall breakdown
-#: (quarantined with the other host walls; asserted present in smoke
-#: mode by tools/run_checks.py's --rungs 1 step)
+#: (host_timings only, with the other host walls; asserted present in
+#: smoke mode by tools/run_checks.py's --rungs 1 step)
 PARTITION_PHASES = (
     "partition.coarsen",
     "partition.initial",
@@ -237,23 +228,21 @@ def main(argv: list[str] | None = None) -> int:
         title=(f"Scale ladder (b={B}, seed={SEED}, multilevel + batch "
                f"refiner, one fresh process per rung)"),
     )
-    walls = "\n".join(
-        f"  {r['rung']:>14}: build {r['build_s']:.1f}s + hg "
-        f"{r['hypergraph_s']:.1f}s + partition {r['partition_s']:.1f}s "
-        f"(coarsen {r['phase_s']['partition.coarsen']:.1f}s, "
-        f"refine {r['phase_s']['partition.batch_refine']:.1f}s), "
-        f"peak RSS {r['peak_rss_kb'] / 1024:.0f} MB "
-        f"({build_bytes_per_pin(r):.0f} B/pin build overhead)"
-        for r in results
-    )
-    text += f"\nhost walls (quarantined):\n{walls}"
-    if any(r["rung"] == "viterbi-xl" for r in results):
-        text += f"\n  {XL_KICKS_RECORD}"
 
     if len(selected) < len(RUNGS):
         # smoke mode: print + gate only — never overwrite the
-        # committed full-ladder document with a partial one
-        print(text)
+        # committed full-ladder document with a partial one; the walls
+        # are printed here, never written into a table
+        walls = "\n".join(
+            f"  {r['rung']:>14}: build {r['build_s']:.1f}s + hg "
+            f"{r['hypergraph_s']:.1f}s + partition {r['partition_s']:.1f}s "
+            f"(coarsen {r['phase_s']['partition.coarsen']:.1f}s, "
+            f"refine {r['phase_s']['partition.batch_refine']:.1f}s), "
+            f"peak RSS {r['peak_rss_kb'] / 1024:.0f} MB "
+            f"({build_bytes_per_pin(r):.0f} B/pin build overhead)"
+            for r in results
+        )
+        print(f"{text}\nhost walls:\n{walls}")
         print(f"(smoke mode: {len(selected)}/{len(RUNGS)} rungs, "
               f"document not written)")
         return 0
