@@ -141,8 +141,11 @@ def _bfs_cones(clustering):
     for root in roots:
         seen, frontier = {root}, [root]
         while frontier:
-            frontier = [w for v in frontier for w in succ[v] if w not in seen
-                        and not seen.add(w)]
+            v = frontier.pop()
+            for w in succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         cones.append(sorted(seen))
     return sorted(cones, key=lambda cone: (-sum(weights[c] for c in cone), cone))
 

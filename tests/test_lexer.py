@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.circuits import circuit_source
 
 from repro.errors import LexError
-from repro.verilog.lexer import Token, tokenize
+from repro.verilog.lexer import Scan, Token, tokenize
 
 
 def kinds(text):
@@ -145,10 +146,6 @@ def test_registered_circuit_tokens_are_pinned(name):
 def test_scan_positions_in_any_order_match_tokenize(name):
     """``Scan`` counts a position from the skipped text on demand; asked
     out of order it starts over, and every answer is the token's."""
-    import random
-
-    from repro.verilog.lexer import Scan
-
     text = circuit_source(name)
     toks = tokenize(text)
     scan = Scan(text)
