@@ -9,16 +9,18 @@ are irrelevant to a unit-delay model).
 :class:`Scan` is what the parser reads: one ``re.split`` over the text
 gives every token's string and the skipped text before it, and each
 *distinct* token string is classified once.  No token carries a
-position; :meth:`Scan.line` and :meth:`Scan.position` count it from
-the skipped text when asked, which the parser does only to stamp a
-statement's line or to report an error.  :func:`tokenize` builds
-positioned :class:`Token` tuples from the same scan.
+position: :meth:`Scan.line` counts a token's line from the skipped
+text when the parser stamps a statement's line, and
+:meth:`Scan.positions` walks every token's line and column, which
+:meth:`Scan.position` does only to report an error and
+:func:`tokenize` does to build positioned :class:`Token` tuples.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from ..errors import LexError
 
@@ -38,15 +40,16 @@ KEYWORDS = frozenset(
     }
 )
 
-#: one match per token: group 1 takes a run of whitespace, comments
-#: and directives (backtick lines), possessively, so no later
-#: alternative ever starts inside it; group 2 takes the token.  Its
+#: one match per token: group 1 takes the longest run of whitespace,
+#: comments and directives (backtick lines); group 2 takes the token.
+#: Group 2 matches wherever the run ends (``.`` or ``\Z`` at the
+#: latest), so the engine never backtracks into the run.  Its
 #: alternatives are tried in order; those after the escaped identifier
 #: only match what the earlier ones rejected, to name the error, and
 #: the empty match at the end of the text is the eof token
 _TOKEN = re.compile(
     r"""
-    ((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*+)
+    ((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*)
     ([A-Za-z_$][A-Za-z0-9_$]*
     |[()\[\]{},;:=.\#]
     |(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_$?]*
@@ -128,7 +131,6 @@ class Scan:
             # empty match after it both give the eof string
             self.toks.pop()
             self._skips.pop()
-        self._text = text
         self._index, self._line = -1, 1
         self.info = {tok: _classify(tok) for tok in set(self.toks)}
         bad = [tok for tok, (kind, _) in self.info.items() if kind == "error"]
@@ -149,28 +151,30 @@ class Scan:
 
     def position(self, index: int) -> tuple[int, int]:
         """1-based ``(line, column)`` of token ``index``."""
-        offset = (sum(map(len, self._skips[:index + 1]))
-                  + sum(map(len, self.toks[:index])))
-        return self.line(index), offset - self._text.rfind("\n", 0, offset)
+        return next(islice(self.positions(), index, None))
+
+    def positions(self) -> Iterator[tuple[int, int]]:
+        """1-based ``(line, column)`` of every token in order; columns
+        count characters from the last newline, which only skipped
+        whitespace, comments and directives can contain."""
+        line, line_start, offset = 1, 0, 0
+        for tok, skip in zip(self.toks, self._skips):
+            newlines = skip.count("\n")
+            if newlines:
+                line += newlines
+                line_start = offset + skip.rindex("\n") + 1
+            offset += len(skip)
+            yield line, offset - line_start + 1
+            offset += len(tok)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize Verilog source text; raises :class:`LexError` on
     unrecognized characters.
 
-    The strings a :class:`Scan` gives, each with its kind, value, line
-    and column; columns count characters from the last newline, which
-    only skipped whitespace, comments and directives can contain.
+    The strings a :class:`Scan` gives, each with its kind, value and
+    :meth:`Scan.positions` entry.
     """
     scan = Scan(text)
-    tokens: list[Token] = []
-    line, line_start, offset = 1, 0, 0
-    for tok, skip in zip(scan.toks, scan._skips):
-        newlines = skip.count("\n")
-        if newlines:
-            line += newlines
-            line_start = offset + skip.rindex("\n") + 1
-        offset += len(skip)
-        tokens.append(Token(*scan.info[tok], line, offset - line_start + 1))
-        offset += len(tok)
-    return tokens
+    return [Token(*scan.info[tok], line, column)
+            for tok, (line, column) in zip(scan.toks, scan.positions())]
