@@ -20,12 +20,18 @@ The cones come from one pass over the cluster graph, not one search
 per input: Tarjan's algorithm closes each strongly connected component
 (a register loop between instances is one) after every component it
 reaches, so the component's reach is its own members' bits OR its
-successors' reach — one Python ``int`` bitset per component.  Each
-input-fed root's cone is its component's bitset, unpacked in NumPy to
-the ascending cluster list and weighed once.
+successors' reach — one Python ``int`` bitset per component, dropped
+once every component reading it has closed unless it is an input-fed
+root's.  Each root's cone stays that bitset: it is weighed once,
+unpacked in NumPy in bounded chunks, and ranked against equal-weight
+cones as its ascending cluster list would be.  Assignment unpacks only
+the clusters no earlier cone claimed, so each cluster is listed once.
 """
 
 from __future__ import annotations
+
+from functools import cmp_to_key
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +43,8 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["cone_partition", "build_cluster_dag", "input_cones"]
 
-#: bytes of unpacked cone rows held at once while listing the cones
+#: bytes of unpacked cone rows, as the int64 the weighing casts them
+#: to, held at once
 _UNPACK_BYTES = 1 << 22
 
 
@@ -69,15 +76,25 @@ def build_cluster_dag(clustering: Clustering) -> tuple[list[list[int]], list[int
     return succ, np.flatnonzero(is_root).tolist()
 
 
-def _reach(succ: list[list[int]]) -> list[int]:
-    """Per vertex, the bitset of the vertices it reaches, itself
-    included: iterative Tarjan, closing each component's reach as the
-    component is popped (every component it reaches is closed by then)."""
+def _reach(succ: list[list[int]], keep: list[int]) -> list[int]:
+    """Per vertex in ``keep``, the bitset of the vertices it reaches,
+    itself included (0 for every other vertex): iterative Tarjan,
+    closing each component's reach as the component is popped (every
+    component it reaches is closed by then).  Any other vertex's bitset
+    is dropped once every arc into it has been read, so only the kept
+    bitsets and those still awaiting a reader are held at once."""
     n = len(succ)
     order = [-1] * n  # discovery index
     low = [0] * n
     on_stack = [False] * n
     reach = [0] * n
+    # arcs into each vertex not yet read; a kept vertex has one more,
+    # the caller's
+    unread = np.bincount(
+        np.fromiter(chain.from_iterable(succ), dtype=np.int64), minlength=n
+    ).tolist()
+    for v in keep:
+        unread[v] += 1
     stack: list[int] = []
     counter = 0
     for start in range(n):
@@ -118,43 +135,71 @@ def _reach(succ: list[list[int]]) -> list[int]:
                         bits |= 1 << w
                         for x in succ[w]:
                             bits |= reach[x]
+                            unread[x] -= 1
+                            if not unread[x]:
+                                reach[x] = 0
                     for w in members:
-                        reach[w] = bits
+                        if unread[w]:
+                            reach[w] = bits
     return reach
+
+
+def _members(bits: int, n: int) -> list[int]:
+    """The ascending vertices of a bitset over ``n`` vertices."""
+    row = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(row, count=n, bitorder="little")).tolist()
+
+
+def _list_order(a: int, b: int) -> int:
+    """-1, 0 or 1 as bitset ``a``'s ascending vertex list sorts before,
+    with or after ``b``'s.  The lists agree below the lowest bit the
+    sets differ in; the set holding it sorts first unless the other has
+    no vertex above it, i.e. is a prefix of it."""
+    if a == b:
+        return 0
+    diff = a ^ b
+    low = diff & -diff
+    if a & low:
+        return -1 if b > low else 1
+    return 1 if a > low else -1
+
+
+_ListOrder = cmp_to_key(_list_order)
 
 
 def _cones_and_roots(
     clustering: Clustering,
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """``(cones, weights, roots)``: the reachable cluster set per root,
-    heaviest cone first (ties by the ascending cluster lists), each
-    cone's weight, and the roots of the one DAG build behind them."""
+) -> tuple[list[int], list[int], list[int]]:
+    """``(cones, weights, roots)``: the bitset of the clusters reachable
+    from each root, heaviest cone first (ties by the ascending cluster
+    lists), each cone's weight, and the roots of the one DAG build
+    behind them."""
     succ, roots = build_cluster_dag(clustering)
     n = len(succ)
-    reach = _reach(succ)
+    reach = _reach(succ, roots)
+    cones = [reach[r] for r in roots]
+    del reach
     width = (n + 7) // 8
-    step = max(1, _UNPACK_BYTES // max(n, 1))  # roots per unpacked chunk
+    step = max(1, _UNPACK_BYTES // max(8 * n, 1))  # cones per unpacked chunk
     weights = clustering.weights
-    cones: list[list[int]] = []
     cone_weights: list[int] = []
-    for lo in range(0, len(roots), step):
-        packed = b"".join(reach[r].to_bytes(width, "little")
-                          for r in roots[lo:lo + step])
+    for lo in range(0, len(cones), step):
+        packed = b"".join(bits.to_bytes(width, "little")
+                          for bits in cones[lo:lo + step])
         rows = np.unpackbits(
             np.frombuffer(packed, dtype=np.uint8).reshape(-1, width),
             axis=1, count=n, bitorder="little",
         )
         cone_weights += (rows @ weights).tolist()
-        members = (np.flatnonzero(rows.view(bool)) % n).tolist()
-        ends = np.cumsum(rows.sum(axis=1)).tolist()
-        cones += [members[a:b] for a, b in zip([0] + ends, ends)]
-    ranked = sorted(range(len(cones)), key=lambda i: (-cone_weights[i], cones[i]))
+    ranked = sorted(range(len(cones)),
+                    key=lambda i: (-cone_weights[i], _ListOrder(cones[i])))
     return ([cones[i] for i in ranked], [cone_weights[i] for i in ranked], roots)
 
 
 def input_cones(clustering: Clustering) -> list[list[int]]:
     """Reachable cluster set per root, heaviest cone first."""
-    return _cones_and_roots(clustering)[0]
+    n = len(clustering)
+    return [_members(bits, n) for bits in _cones_and_roots(clustering)[0]]
 
 
 def cone_partition(
@@ -195,15 +240,17 @@ def cone_partition(
     assignment = [-1] * hg.num_vertices
     load = [0] * k
     ideal = hg.total_weight / k
+    claimed = 0  # bitset of the vertices some earlier cone took
     for cone in cones:
-        unclaimed = [c for c in cone if assignment[c] < 0]
+        unclaimed = cone & ~claimed
         if not unclaimed:
             continue
+        claimed |= unclaimed
         # whole cones go to one partition while it has room; a cone
         # larger than the ideal load spills into the next-lightest
         # partition rather than swamping one processor
         target = load.index(min(load))
-        for c in unclaimed:
+        for c in _members(unclaimed, hg.num_vertices):
             if load[target] >= ideal and k > 1:
                 target = load.index(min(load))
             assignment[c] = target

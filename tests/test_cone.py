@@ -1,10 +1,13 @@
 """Cone partitioning (initial-partition phase)."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.circuits import available_circuits, load_circuit
 from repro.core import cone_partition, input_cones, build_cluster_dag
+from repro.core.cone import _ListOrder, _reach
 from repro.errors import PartitionError
 from repro.hypergraph import Clustering
 from repro.obs import MetricsRecorder
@@ -157,3 +160,31 @@ def test_cones_equal_one_search_per_root_on_flat_views(name):
     the closure condenses."""
     c = Clustering.flat(load_circuit(name))
     assert input_cones(c) == _bfs_cones(c)
+
+
+def test_bitsets_rank_as_their_ascending_lists():
+    """Equal-weight cones are ranked by their bitsets exactly as their
+    ascending cluster lists would be, prefixes and empty sets included."""
+    rng = random.Random(3)
+    sets = [0, 1, 2, 3, 0b1010, 0b1011]
+    sets += [rng.getrandbits(rng.randint(1, 12)) for _ in range(300)]
+    as_list = lambda bits: [i for i in range(bits.bit_length()) if bits >> i & 1]
+    assert sorted(sets, key=_ListOrder) == sorted(sets, key=as_list)
+
+
+@pytest.mark.parametrize("name", ["lfsr16", "cpu-test"])
+def test_reach_keeps_only_the_roots_bitsets(name):
+    """Every other vertex's bitset is dropped once its readers closed;
+    a root's is its breadth-first closure."""
+    c = Clustering.flat(load_circuit(name))
+    succ, roots = build_cluster_dag(c)
+    reach = _reach(succ, roots)
+    assert not any(reach[v] for v in set(range(len(succ))) - set(roots))
+    for root in roots:
+        seen, frontier = {root}, [root]
+        while frontier:
+            for w in succ[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        assert reach[root] == sum(1 << v for v in seen)
