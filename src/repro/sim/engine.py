@@ -3,10 +3,11 @@
 The paper's DVS stack (Figure 4) is: vvp parser → partitioner →
 distributed simulation engine on OOCTW over MPI.  This module is the
 top of that stack for the reproduction: hand it an elaborated netlist,
-a clustering (the partition's visible nodes), a machine assignment and
-a stimulus, and it runs the sequential baseline and the Time Warp
-virtual cluster, returning the paper's measurements — simulation time,
-speedup, messages, rollbacks.
+its LPs' gate groups (the machine shares a partition result's
+``to_simulation()`` gives), a machine assignment and a stimulus, and it
+runs the sequential baseline and the Time Warp virtual cluster,
+returning the paper's measurements — simulation time, speedup,
+messages, rollbacks.
 
 The sequential baseline wall time uses the *same* cost model as the
 parallel run (``gate_evals * event_cost``), exactly as the paper's
@@ -106,7 +107,8 @@ def run_partitioned(
     netlist_or_circuit:
         The design (compiled on demand).
     clusters:
-        Gate-id groups, one per LP (the partition's visible nodes).
+        Gate-id groups, one per LP (the machine shares of a partition
+        result's ``to_simulation()``).
     lp_machine:
         Machine index per cluster.
     events:

@@ -3,8 +3,8 @@
 Following the paper (§4.3) and Clustered Time Warp [Avril & Tropper],
 an LP is a *cluster of gates* that rolls back as one unit.  A partition
 result's ``to_simulation()`` makes each machine's whole share one LP,
-simulated sequentially as OOCTW ran it; the engine takes any grouping
-(visible nodes, single gates) when given clusters explicitly.  Each LP
+simulated sequentially as OOCTW ran it; the engine takes any other
+grouping of the gates when given clusters explicitly.  Each LP
 is effectively a private unit-delay simulator over its gate subset:
 
 * its **state** is one byte per net its gates touch — a ``bytearray``

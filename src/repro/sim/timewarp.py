@@ -39,13 +39,6 @@ from .sequential import SequentialSimulator
 
 __all__ = ["TimeWarpEngine"]
 
-#: average hosted LPs per machine above which the scheduler keeps lazy
-#: (next_vt, lid) ready-heaps instead of scanning every hosted LP per
-#: decision.  Both schedulers select the identical (vt, lid) minimum —
-#: the scan wins on small fleets (no heap churn), the heaps win once a
-#: linear pass per pick costs more than validating a few stale entries.
-SCAN_SCHED_MAX_LPS = 48
-
 #: sentinel marking a machine's cached next-action time as stale
 _STALE = object()
 #: a machine's next-action time when it has nothing to do
@@ -56,8 +49,7 @@ _NEVER = 1 << 62
 
 class _Machine:
     __slots__ = (
-        "mid", "wall", "lps", "ready", "arrivals", "stats", "action_cache",
-        "pick",
+        "mid", "wall", "lps", "arrivals", "stats", "action_cache", "pick",
     )
 
     def __init__(self, mid: int) -> None:
@@ -65,9 +57,6 @@ class _Machine:
         self.wall = 0.0
         #: the hosted LPs, in id order
         self.lps: list[ClusterLP] = []
-        #: lazy heap of (next_vt, lid); used when the machine hosts
-        #: many LPs (see SCAN_SCHED_MAX_LPS)
-        self.ready: list[tuple[int, int]] = []
         #: heap of (arrival_wall, serial, Message)
         self.arrivals: list[tuple[float, int, Message]] = []
         self.stats = MachineStats()
@@ -197,12 +186,6 @@ class TimeWarpEngine:
         self._lp_recent_rollbacks = [0] * len(self.lps)
         # conservative mode: exact global safe-time tracking
         self._conservative = config.conservative
-        # scheduler flavor: linear next_vt scans for small LP fleets,
-        # lazy ready-heaps for large ones (identical decisions either
-        # way — see SCAN_SCHED_MAX_LPS)
-        self._heap_sched = len(self.lps) > SCAN_SCHED_MAX_LPS * spec.num_machines
-        #: lazy min-heap of (next_vt, lid) across every LP
-        self._global_ready: list[tuple[int, int]] = []
         #: lazy min-heap of in-flight message receive times
         self._inflight_recv: list[int] = []
         self._inflight_removed: dict[int, int] = {}
@@ -289,25 +272,19 @@ class TimeWarpEngine:
         next action may have moved, take the earliest (lowest id on a
         tie), advance its wall clock to that action, deliver its due
         arrivals — re-pricing it when they moved its LPs' times — and
-        run its earliest eligible LP's batch.  Scan or heap scheduling,
-        optimistic or conservative eligibility and tracing are branches
-        on local flags.
+        run its earliest eligible LP's batch.  Optimistic or
+        conservative eligibility and tracing are branches on local
+        flags.
         """
         stats = self.stats
         if self._finished:
             return stats
         machines = self.machines
         lps = self.lps
-        heap_sched = self._heap_sched
         conservative = self._conservative
         trace = self._trace
         event_cost, save_cost = self.spec.event_cost, self.spec.save_cost
         route = self._route
-        mark_ready = self._mark_ready
-        heappop = heapq.heappop
-        if heap_sched:  # scan scheduling reads the LPs directly
-            for lp in lps:
-                mark_ready(lp)
         self._gvt_round()
         horizon = self._horizon
         gvt_interval = self.config.gvt_interval
@@ -322,25 +299,12 @@ class TimeWarpEngine:
                 # machine's progress can change every other machine's
                 # answer: the memo is only sound under optimism
                 if t is _STALE or conservative:
-                    pick = None
-                    if heap_sched:
-                        ready = m.ready
-                        while ready:
-                            vt, lid = ready[0]
-                            if lps[lid].next_vt == vt:
-                                pick = lps[lid]
-                                break
-                            # its time moved (the change pushed a current
-                            # entry: _mark_ready)
-                            heappop(ready)
-                    else:
-                        # linear (vt, lid) argmin — what the heap pops,
-                        # without validating stale entries
-                        vt = _NEVER
-                        for lp in m.lps:  # in id order: the lowest id wins a tie
-                            lp_vt = lp.next_vt
-                            if lp_vt is not None and lp_vt < vt:
-                                pick, vt = lp, lp_vt
+                    # linear (vt, lid) argmin over the hosted LPs
+                    pick, vt = None, _NEVER
+                    for lp in m.lps:  # in id order: the lowest id wins a tie
+                        lp_vt = lp.next_vt
+                        if lp_vt is not None and lp_vt < vt:
+                            pick, vt = lp, lp_vt
                     if pick is not None and (
                         self._safe_time(vt) < vt if conservative else vt > horizon
                     ):
@@ -385,8 +349,6 @@ class TimeWarpEngine:
                 m, repriced = repriced, None
             lp = m.pick
             if lp is not None:
-                if heap_sched:
-                    heappop(m.ready)  # the pick's entry is the top
                 if lp.unconfirmed or lp.deferred_antis:
                     for anti in lp.flush_unconfirmed(before_vt=lp.next_vt):
                         m.wall += route(m, (anti,))
@@ -412,8 +374,6 @@ class TimeWarpEngine:
                         sends=len(sends),
                         wall=m.wall,
                     )
-                if heap_sched:
-                    mark_ready(lp)
             m.action_cache = _STALE  # wall and/or LP state moved
             until_gvt -= 1
             if not until_gvt:
@@ -445,28 +405,15 @@ class TimeWarpEngine:
         queued events at other LPs are fine — lookahead is one tick —
         but an in-flight message at the same time must land first).
         """
-        ready_min = self._global_ready_min()
-        inflight_min = self._inflight_min()
         bound = candidate_vt
-        if ready_min is not None:
-            bound = min(bound, ready_min)
+        for lp in self.lps:
+            t = lp.next_vt
+            if t is not None and t < bound:
+                bound = t
+        inflight_min = self._inflight_min()
         if inflight_min is not None:
             bound = min(bound, inflight_min - 1)
         return bound
-
-    def _global_ready_min(self) -> int | None:
-        if self._heap_sched:
-            heap = self._global_ready
-            while heap:
-                vt, lid = heap[0]
-                if self.lps[lid].next_vt == vt:
-                    return vt
-                # out of date: the change that made it so pushed the
-                # LP's new time itself (_mark_ready)
-                heapq.heappop(heap)
-            return None
-        times = (lp.next_vt for lp in self.lps if lp.next_vt is not None)
-        return min(times, default=None)
 
     def _inflight_min(self) -> int | None:
         heap = self._inflight_recv
@@ -490,7 +437,6 @@ class TimeWarpEngine:
         arrivals = machine.arrivals
         lps = self.lps
         removed = self._inflight_removed if self._conservative else None
-        mark_ready = self._mark_ready if self._heap_sched else None
         while arrivals and arrivals[0][0] <= machine.wall:
             msg = heapq.heappop(arrivals)[2]
             t = msg.recv_time
@@ -504,8 +450,6 @@ class TimeWarpEngine:
                 rollback = lp.insert_anti(msg)
             if rollback is not None:
                 self._account_rollback(machine, lp, rollback, msg, depth)
-            if mark_ready is not None:
-                mark_ready(lp)
 
     def _account_rollback(
         self, machine, lp: ClusterLP, rollback, straggler: Message, depth: int
@@ -613,16 +557,6 @@ class TimeWarpEngine:
             cost += overhead
         self._arrival_serial = serial
         return cost
-
-    def _mark_ready(self, lp: ClusterLP) -> None:
-        """Heap scheduling: record the LP's (possibly new) next time.
-        Scan scheduling reads readiness straight off ``lp.next_vt``."""
-        vt = lp.next_vt
-        if vt is not None:
-            m = self.machines[self.lp_machine[lp.lid]]
-            heapq.heappush(m.ready, (vt, lp.lid))
-            if self._conservative:
-                heapq.heappush(self._global_ready, (vt, lp.lid))
 
     # -- GVT ----------------------------------------------------------------------
 

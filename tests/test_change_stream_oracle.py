@@ -22,11 +22,15 @@ from repro.sim import (
 from repro.verilog import compile_verilog
 
 
-def run_deep(netlist, circuit, events, k, **config_kw):
+def run_deep(netlist, circuit, events, k, clustering=None, **config_kw):
+    """Run ``clustering`` (default: the netlist's visible nodes) dealt
+    round-robin onto ``k`` machines and check its committed change
+    stream against the sequential one."""
     seq = SequentialSimulator(circuit, record_changes=True)
     seq.add_inputs(events)
     seq.run()
-    clusters = Clustering.top_level(netlist).gate_clusters()
+    clustering = clustering or Clustering.top_level(netlist)
+    clusters = clustering.gate_clusters()
     lp_machine = [i % k for i in range(len(clusters))]
     eng = TimeWarpEngine(
         circuit, clusters, lp_machine, ClusterSpec(num_machines=k),
@@ -53,6 +57,22 @@ class TestDeepOracle:
                                      pipeadd_events, lazy):
         run_deep(pipeadd, pipeadd_circuit, pipeadd_events, 3,
                  lazy_cancellation=lazy)
+
+    @pytest.mark.parametrize("conservative", [False, True],
+                             ids=["optimistic", "conservative"])
+    def test_one_lp_per_gate(self, conservative):
+        # a large LP fleet: every machine scans well over a hundred LPs
+        # per pick (pipeline runs host one LP per machine)
+        netlist = load_circuit("cpu-test")
+        circuit = compile_circuit(netlist)
+        events = random_vectors(netlist, 12, seed=8)
+        eng, seq = run_deep(netlist, circuit, events, 3,
+                            clustering=Clustering.flat(netlist),
+                            conservative=conservative)
+        assert len(eng.lps) == netlist.num_gates > 3 * 100
+        assert eng.stats.committed_events == seq.stats.gate_evals > 0
+        if conservative:
+            assert eng.stats.rollbacks == 0
 
     def test_requires_flag_on_engine(self, pipeadd, pipeadd_circuit,
                                      pipeadd_events):

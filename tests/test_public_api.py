@@ -230,6 +230,37 @@ class TestFixedPlacement:
         assert not hits, hits
 
 
+class TestScanScheduling:
+    """The Time Warp engine picks each machine's next LP by one linear
+    pass over its hosted LPs; the lazy ready-heap scheduler it kept for
+    large LP fleets, which no pipeline run reached, is gone."""
+
+    #: retired with the ready-heap scheduler
+    RETIRED = ("repro.sim.timewarp.SCAN_SCHED_MAX_LPS",)
+    #: prefixes: ``_global_ready`` also covers ``_global_ready_min``
+    UNAMBIGUOUS = ("SCAN_SCHED_MAX_LPS", "_heap_sched", "_mark_ready",
+                   "_global_ready")
+
+    def test_retired_names_do_not_resolve(self):
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile("(" + "|".join(self.UNAMBIGUOUS) + ")")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
 class TestOneFlatDriver:
     """The hMetis-style second partitioner is gone; Table 2's flat side
     is ``repro.core.multilevel_kway_partition``."""

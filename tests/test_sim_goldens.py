@@ -33,7 +33,6 @@ from repro.sim import (
     TimeWarpConfig,
     TimeWarpEngine,
     compile_circuit,
-    timewarp,
 )
 
 STIMULUS_SEED = 5
@@ -163,8 +162,7 @@ def _float_repr(obj):
     return obj
 
 
-#: untraced runs, one per engine path the batch counters go through;
-#: each runs under scan and under heap scheduling, which must agree
+#: untraced runs, one per engine path the batch counters go through
 RUN_STATS_CONFIGS = {
     "default": {},
     "conservative": {"conservative": True},
@@ -205,14 +203,11 @@ RUN_STATS_SHA = {
 }
 
 
-@pytest.mark.parametrize("heap", [False, True], ids=["scan", "heap"])
 @pytest.mark.parametrize("config", sorted(RUN_STATS_CONFIGS))
 @pytest.mark.parametrize("name", ["cpu-test", "noc-test"])
-def test_run_stats_are_pinned(name, config, heap, monkeypatch):
+def test_run_stats_are_pinned(name, config):
     """Every per-machine and per-LP counter of an untraced run — the
     batch counters included, whichever way the engine keeps them."""
-    if heap:  # the way tests/test_timewarp_shell.py forces the heaps
-        monkeypatch.setattr(timewarp, "SCAN_SCHED_MAX_LPS", 0)
     overrides = RUN_STATS_CONFIGS[config]
     netlist = load_circuit(name)
     circuit = compile_circuit(netlist)
@@ -223,7 +218,6 @@ def test_run_stats_are_pinned(name, config, heap, monkeypatch):
         TimeWarpConfig(**{"gvt_interval": 30, "checkpoint_interval": 3,
                           **overrides}),
     )
-    assert engine._heap_sched == heap
     engine.load_inputs(random_vectors(netlist, VECTORS, seed=STIMULUS_SEED))
     stats = engine.run()
     assert sum(m.batches for m in stats.machines) \

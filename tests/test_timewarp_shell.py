@@ -1,13 +1,12 @@
 """The Time Warp shell around the step kernel: engine life cycle,
-stimulus hand-over, scheduler agreement and hostile kernel settings.
+stimulus hand-over and hostile kernel settings.
 
 None of these look at *what* a run computes beyond the oracles the
 other suites already apply; they pin the properties the engine loop
 must keep while it is being made faster — a finished engine is inert,
-bulk stimulus loading equals per-message insertion, the scan and heap
-schedulers pick the same batches, and no combination of extreme
-latency / GVT / checkpoint / cancellation / window settings breaks the
-committed history.
+bulk stimulus loading equals per-message insertion, and no combination
+of extreme latency / GVT / checkpoint / cancellation / window settings
+breaks the committed history.
 """
 
 import itertools
@@ -17,7 +16,6 @@ import pytest
 from repro.circuits import load_circuit, random_vectors
 from repro.errors import SimulationError
 from repro.hypergraph import Clustering
-from repro.obs.trace import TraceBuffer
 from repro.sim import (
     ClusterSpec,
     InputEvent,
@@ -25,20 +23,18 @@ from repro.sim import (
     TimeWarpConfig,
     TimeWarpEngine,
     compile_circuit,
-    timewarp,
 )
 from repro.sim.events import Message
 from repro.sim.lp import ClusterLP
 
 
-def _engine(name, k, vectors=12, seed=5, spec=None, config=None, trace=None):
+def _engine(name, k, vectors=12, seed=5, spec=None, config=None):
     netlist = load_circuit(name)
     circuit = compile_circuit(netlist)
     clusters = Clustering.top_level(netlist).gate_clusters()
     engine = TimeWarpEngine(
         circuit, clusters, [i % k for i in range(len(clusters))],
         spec or ClusterSpec(num_machines=k), config or TimeWarpConfig(),
-        trace=trace,
     )
     return engine, random_vectors(netlist, vectors, seed=seed)
 
@@ -114,73 +110,6 @@ class TestBulkStimulus:
         engine, events = _engine("cpu-test", 2)
         with pytest.raises(SimulationError, match="preload"):
             engine.load_inputs([InputEvent(-1, events[0].net, 1)])
-
-
-CIRCUITS = ("cpu-test", "noc-test", "viterbi-test")
-MODES = {
-    "optimistic": {},
-    "conservative": {"conservative": True},
-}
-
-
-class TestSchedulersAgree:
-    """Scan scheduling (small fleets) and the lazy ready-heaps (past
-    ``SCAN_SCHED_MAX_LPS`` LPs per machine) must execute the same
-    batches in the same order: identical counters, identical trace."""
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", CIRCUITS)
-    def test_scan_equals_heap(self, name, mode, monkeypatch):
-        runs = []
-        for max_lps in (timewarp.SCAN_SCHED_MAX_LPS, 0):
-            monkeypatch.setattr(timewarp, "SCAN_SCHED_MAX_LPS", max_lps)
-            trace = TraceBuffer(1 << 20)
-            engine, events = _engine(
-                name, 3, trace=trace,
-                config=TimeWarpConfig(gvt_interval=30, checkpoint_interval=3,
-                                      **MODES[mode]))
-            assert engine._heap_sched == (max_lps == 0)
-            engine.load_inputs(events)
-            stats = engine.run()
-            assert trace.dropped == 0
-            runs.append((stats.to_counters(), stats.to_dict(), trace.to_jsonl()))
-        assert runs[0] == runs[1]
-        counters = runs[0][0]
-        assert counters["tw.processed_events"] > 0
-        if mode == "conservative":
-            assert counters["tw.rollbacks"] == 0
-
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_heap_entries_come_from_mark_ready_only(self, mode, monkeypatch):
-        # every change of an LP's time goes through _mark_ready, which
-        # pushes the new time; a scheduler that pushes again whenever it
-        # pops an out-of-date entry only piles up duplicates
-        monkeypatch.setattr(timewarp, "SCAN_SCHED_MAX_LPS", 0)
-        engine, events = _engine(
-            "cpu-test", 3,
-            config=TimeWarpConfig(gvt_interval=30, checkpoint_interval=3,
-                                  **MODES[mode]))
-        heaps_per_mark = 2 if mode == "conservative" else 1
-        recorded = pushed = 0
-        real_mark, real_push = engine._mark_ready, timewarp.heapq.heappush
-
-        def mark_ready(lp):
-            nonlocal recorded
-            recorded += heaps_per_mark * (lp.next_vt is not None)
-            real_mark(lp)
-
-        def heappush(heap, item):
-            nonlocal pushed
-            pushed += heap is engine._global_ready or any(
-                heap is m.ready for m in engine.machines)
-            real_push(heap, item)
-
-        monkeypatch.setattr(engine, "_mark_ready", mark_ready)
-        monkeypatch.setattr(timewarp.heapq, "heappush", heappush)
-        engine.load_inputs(events)
-        engine.run()
-        assert pushed == recorded > 0
 
 
 class TestPathologicalSettings:
