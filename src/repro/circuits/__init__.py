@@ -23,7 +23,6 @@ from .viterbi import (
 )
 from .noc import NocConfig, noc_stream, noc_verilog
 from .memctrl import MemCtrlConfig, memctrl_stream, memctrl_verilog
-from .stream import ModuleTemplate, StreamBuilder
 from .generators import (
     ripple_adder_verilog,
     multiplier_verilog,
@@ -67,8 +66,6 @@ __all__ = [
     "MemCtrlConfig",
     "memctrl_verilog",
     "memctrl_stream",
-    "ModuleTemplate",
-    "StreamBuilder",
     "ripple_adder_verilog",
     "multiplier_verilog",
     "counter_verilog",

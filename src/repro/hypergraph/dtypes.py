@@ -3,11 +3,8 @@
 Every CSR structure in the repo (hypergraph pins, netlist pin/sink
 arrays, partition assignments) indexes entities with dense integers.
 At the million-gate scale the index arrays themselves become a memory
-term, so construction paths build them at the narrowest safe width and
-widen exactly once at the freeze boundary:
+term, so each array's width is a decision:
 
-* **int32** while the indexed id range provably fits (the streamed
-  builders' accumulation chunks — half the transient footprint);
 * **int64** for every frozen, query-facing array (``Hypergraph``,
   ``PartitionState``, ``CompiledCircuit``): the vectorized kernels mix
   index arrays with ``np.arange``/``np.repeat`` products and weight

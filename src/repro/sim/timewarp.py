@@ -293,6 +293,7 @@ class TimeWarpEngine:
         repriced = None  # the machine whose deliveries just moved LP times
         while True:
             best, best_t = repriced, _IDLE
+            safe = None  # conservative: this pass's global safe bound
             for m in machines if repriced is None else (repriced,):
                 t = m.action_cache
                 # conservative eligibility reads global state, so one
@@ -305,9 +306,14 @@ class TimeWarpEngine:
                         lp_vt = lp.next_vt
                         if lp_vt is not None and lp_vt < vt:
                             pick, vt = lp, lp_vt
-                    if pick is not None and (
-                        self._safe_time(vt) < vt if conservative else vt > horizon
-                    ):
+                    if pick is not None and conservative:
+                        # pricing moves no LP, so the bound is the same
+                        # for every machine of the pass
+                        if safe is None:
+                            safe = self._safe_bound()
+                        if safe < vt:
+                            pick = None  # an earlier event may still land
+                    elif pick is not None and vt > horizon:
                         pick = None  # its earliest batch may not run yet
                     m.pick = pick
                     if pick is not None:
@@ -397,15 +403,16 @@ class TimeWarpEngine:
 
     # -- conservative safe time -------------------------------------------
 
-    def _safe_time(self, candidate_vt: int) -> int:
-        """Exact global safe execution time.
+    def _safe_bound(self) -> int:
+        """Exact global safe bound: a batch at ``vt`` may run iff
+        ``vt`` is at most this.
 
-        A batch at ``vt`` is safe iff no unprocessed event or in-flight
-        message anywhere carries an earlier timestamp (equal-time
-        queued events at other LPs are fine — lookahead is one tick —
-        but an in-flight message at the same time must land first).
+        It is the earliest unprocessed event anywhere (equal-time
+        queued events at other LPs are fine — lookahead is one tick)
+        and one tick before the earliest in-flight message (which must
+        land first).
         """
-        bound = candidate_vt
+        bound = _NEVER
         for lp in self.lps:
             t = lp.next_vt
             if t is not None and t < bound:

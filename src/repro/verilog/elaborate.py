@@ -1,32 +1,41 @@
 """Elaboration: hierarchical AST → flat bit-level :class:`Netlist`.
 
-Elaboration walks the instance tree of the top module, allocating one
-*temporary* net id per declared bit in every scope and recording as
-*union pairs* the nets that Verilog declares equal — port connections
-and continuous ``assign`` aliases.  Once the whole tree is walked, the
-pairs are resolved to net groups (:func:`component_min`: every id takes
-the smallest id of its group, so constants win theirs), the groups are
-compacted to dense ids, and :meth:`Netlist.adopt_columns` enforces the
-single-driver rules.
+Elaboration allocates one *temporary* net id per declared bit in every
+instance scope, in the order a walk of the instance tree meets them,
+and records as *union pairs* the nets that Verilog declares equal —
+port connections and continuous ``assign`` aliases.  Once the whole
+tree is stamped, the pairs are resolved to net groups
+(:func:`component_min`: every id takes the smallest id of its group, so
+constants win theirs), the groups are compacted to dense ids, and
+:meth:`Netlist.adopt_columns` enforces the single-driver rules.
 
 This two-phase approach (allocate + pair, then compact) keeps the
-recursive walk simple: a scope never needs to know whether its local
-wire will eventually be identified with a parent net three levels up.
+stamping simple: a scope never needs to know whether its local wire
+will eventually be identified with a parent net three levels up, and a
+port bound to a constant or to another port of its own instance is just
+one more pair.
 
 A synthesized design is a few definitions instantiated many times, so
 everything that depends only on the *definition* — declarations,
 expression resolution, every width / undeclared-net / connection check
 — is done once, into a :class:`_ModulePlan` of instance-relative net
-*slots*, on the definition's first instantiation.  The plan keeps its
-gates, unions and child bindings as integer arrays over those slots, so
-an instance is stamped as **columns, not objects**: it fills one
-slot → temp-id array and appends a handful of gathers through it (pin
-nets, output nets, union pairs) as chunks.  No per-gate or per-net
-Python object exists at any point; the chunks are concatenated once and
-handed to :meth:`Netlist.adopt_columns`.  Temp ids are allocated
-exactly where a per-instance walk of the body would allocate them, and
-final net ids are first-appearance order over temp ids, so the
-numbering of the output does not depend on how it is stamped.
+*slots*.  Each definition is then compiled once into a
+:class:`_Template`: one instance with its whole subtree as
+instance-relative arrays (gates, pins, union pairs, name runs,
+hierarchy nodes), built from the plan and its children's templates.
+Each run of consecutive children of one definition is stamped into the
+parent's template as **one block** (:meth:`_Elaborator._stamp`: one
+offset-add per array for all its instances); the top's template is the
+circuit.  No per-gate or per-net Python object exists at any point.
+Temp ids are allocated exactly where a per-instance walk would allocate
+them, and final net ids are first-appearance order over temp ids, so
+the numbering does not depend on how the instances are blocked.
+
+The stamper has two readers of the top module: :func:`elaborate` plans
+it from the parsed text, with its slots in declaration order (ports
+first, as Verilog declares them), and
+:func:`repro.circuits.stream.lower_module` reads a generator's recorded
+top, with its slots in declaration call order.
 
 Names are the hierarchy (:mod:`repro.verilog.netlist`): a plan's local
 names enter the name table once, an instance adds the runs indexing
@@ -34,6 +43,8 @@ them, and no name string is built per gate or per net.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -49,7 +60,6 @@ from .netlist import (
     Netlist,
     name_runs,
     pick_names,
-    run_lengths,
     run_names,
 )
 from .primitives import gate_spec, is_gate_type
@@ -130,8 +140,8 @@ def _slots(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.intp)
 
 
-def _concat(chunks: list[np.ndarray], dtype=np.int64) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+def _lengths(names: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, names), dtype=np.int32, count=len(names))
 
 
 class _ChildPlan:
@@ -139,29 +149,32 @@ class _ChildPlan:
 
     ``first_late`` / ``num_late`` locate the slots of the implicit wires
     first seen in this child's connection list; ``bindings`` pairs each
-    connected port with its parent slots and ``bind_slots`` is their
-    concatenation.  ``port_slots`` — the child's own slots in the same
-    order — is filled in when the first instance passes the port-name
-    and width checks, which depend on the two definitions only.
+    connected port with its parent slots, ``ports`` are those ports and
+    ``bind_slots`` the slots' concatenation.  ``port_slots`` — the
+    child's own slots in the same order — is filled in when the first
+    instance passes the port-name and width checks, which depend on the
+    two definitions only.
     """
 
-    __slots__ = ("inst", "definition", "first_late", "num_late",
-                 "bindings", "bind_slots", "port_slots")
+    __slots__ = ("name", "definition", "first_late", "num_late",
+                 "bindings", "ports", "bind_slots", "port_slots")
 
     def __init__(
         self,
-        inst: ast.ModuleInst,
+        name: str,
         definition: ast.Module,
         first_late: int,
         num_late: int,
         bindings: tuple[tuple[str, list[int]], ...],
     ) -> None:
-        self.inst = inst
+        self.name = name
         self.definition = definition
         self.first_late = first_late
         self.num_late = num_late
         self.bindings = bindings
-        self.bind_slots = _slots(s for _, slots in bindings for s in slots)
+        self.ports = tuple(pname for pname, _ in bindings)
+        self.bind_slots = _slots(chain.from_iterable(
+            slots for _, slots in bindings))
         self.port_slots: np.ndarray | None = None
 
 
@@ -177,14 +190,16 @@ class _ModulePlan:
     take the following slots in child order, and an instance allocates
     them just before it enters child ``i`` — which is where a
     per-instance walk would have met them, so temp-id order is that
-    walk's.
+    walk's.  ``template`` is the compiled :class:`_Template`.
     """
 
-    __slots__ = ("names", "name_base", "gate_base", "num_local",
+    __slots__ = ("name", "names", "name_base", "gate_base", "num_local",
                  "port_slots", "union_a", "union_b", "gate_code",
-                 "pin_count", "pin_slots", "out_slots", "children")
+                 "pin_count", "pin_slots", "out_slots", "children",
+                 "template")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         #: name suffix (``w`` / ``v[3]``) of slot ``3 + i``
         self.names: list[str] = []
         #: where ``names``, then the gate names, start in the
@@ -197,11 +212,85 @@ class _ModulePlan:
         #: per gate: type code, input count, output slot; the input
         #: slots of all gates back to back
         self.gate_code = np.zeros(0, dtype=np.int16)
-        self.pin_count = self.pin_slots = self.out_slots = _slots(())
+        self.pin_count = np.zeros(0, dtype=np.int32)
+        self.pin_slots = self.out_slots = _slots(())
         self.children: list[_ChildPlan] = []
+        self.template: _Template | None = None
+
+
+class _Template:
+    """One instance of a definition, its whole subtree included, as
+    instance-relative arrays: what :meth:`_Elaborator._stamp` copies
+    once per instance of a block.
+
+    Temps are coded as for an instance whose first temp is id 3: codes
+    0..2 are the constant nets and code ``c >= 3`` is the instance's
+    temp ``c - 3`` — so the top's codes are final temp ids, and a plan's
+    local slots are their own codes.  Gates and hierarchy nodes count
+    from the instance's first gate and from its own node, 0.
+    ``temp_runs`` / ``gate_runs`` name temps and gates in those
+    coordinates, and ``temp_len`` is each temp's name length below the
+    root (its full length, in the top); per node, ``node_name`` (the root's is set where it is
+    stamped), ``node_module`` and ``node_parent`` (-1 for the root)
+    rebuild the instance tree.  ``kids`` are the children's templates
+    in plan order, ``height`` the nesting depth below the root.
+
+    The array fields are lists of chunks while the template is built
+    and arrays once :meth:`freeze` has run.
+    """
+
+    __slots__ = ("name", "kids", "height", "num_temps", "num_gates",
+                 "node_name", "node_module", "node_parent", "gate_code",
+                 "pin_count", "pin_temp", "out_temp", "union_a", "union_b",
+                 "temp_runs", "temp_len", "gate_runs")
+
+    _ARRAYS = ("node_parent", "gate_code", "pin_count", "pin_temp",
+               "out_temp", "union_a", "union_b", "temp_runs", "temp_len",
+               "gate_runs")
+
+    def __init__(self, plan: _ModulePlan, kids: list[_Template]) -> None:
+        self.name = plan.name
+        self.kids = kids
+        self.height = 1 + max((kid.height for kid in kids), default=-1)
+        self.num_temps = plan.num_local
+        self.num_gates = len(plan.gate_code)
+        self.node_name = [plan.name]
+        self.node_module = [plan.name]
+        self.node_parent = [np.array([-1], dtype=np.int64)]
+        # the plan's own gates and aliases: its slots are their codes
+        self.gate_code = [plan.gate_code]
+        self.pin_count = [plan.pin_count]
+        self.pin_temp = [plan.pin_slots]
+        self.out_temp = [plan.out_slots]
+        self.union_a = [plan.union_a]
+        self.union_b = [plan.union_b]
+        self.temp_runs = [np.array([[_NUM_CONST_NETS, 0, plan.name_base]])
+                          ] if plan.num_local else []
+        self.temp_len = [_lengths(plan.names[:plan.num_local])]
+        self.gate_runs = [np.array([[0, 0, plan.gate_base]])
+                          ] if self.num_gates else []
+
+    def late(self, names: list[str], first_name: int) -> int:
+        """Allocate one temp per name, the names from table index
+        ``first_name`` on; returns the first one's code."""
+        code = _NUM_CONST_NETS + self.num_temps
+        self.temp_runs.append(np.array([[code, 0, first_name]]))
+        self.temp_len.append(_lengths(names))
+        self.num_temps += len(names)
+        return code
+
+    def freeze(self) -> None:
+        # every 1-D field starts with the plan's chunk; runs may not
+        for field in self._ARRAYS:
+            chunks = getattr(self, field)
+            setattr(self, field, np.concatenate(chunks) if chunks
+                    else np.zeros((0, 3), dtype=np.int64))
 
 
 class _Elaborator:
+    """The one stamper: plans definitions, compiles their templates,
+    stamps blocks, and compacts the top into a :class:`Netlist`."""
+
     _MAX_DEPTH = 200
 
     def __init__(self, source: ast.Source) -> None:
@@ -210,37 +299,25 @@ class _Elaborator:
         #: every plan's slot names and gate names, after the constants'
         self.names: list[str] = list(CONST_NAMES)
         self.gate_types: dict[str, int] = {}
-        # per instance (= hierarchy node, in walk order): dotted prefix
-        self.prefixes: list[str] = []
-        # temp nets: allocated count and the runs that name them,
-        # (first temp id, instance, first name-table index)
-        self.num_temp = _NUM_CONST_NETS
-        self.temp_runs: list[tuple[int, int, int]] = [(0, 0, 0)]
-        # chunks, one entry per stamped instance that has any
-        self.union_a: list[np.ndarray] = []
-        self.union_b: list[np.ndarray] = []
-        self.gate_code: list[np.ndarray] = []
-        self.pin_count: list[np.ndarray] = []
-        self.pin_temp: list[np.ndarray] = []
-        self.out_temp: list[np.ndarray] = []
-        # (first gate, instance, first name-table index) per gate run
-        self.num_gates = 0
-        self.gate_runs: list[tuple[int, int, int]] = []
         # work counters, printed by tools/profile_frontend.py:
-        # instances_stamped grows per instance, len(plans) and
-        # exprs_resolved per definition; the rest are set by _compact
-        self.instances_stamped = 0
+        # len(plans) and exprs_resolved grow per definition,
+        # blocks_stamped / largest_block per block; instances_stamped
+        # (hierarchy nodes, the top included), num_temp and the rest
+        # are set by _compact
         self.exprs_resolved = 0
+        self.blocks_stamped = 0
+        self.largest_block = 0
+        self.instances_stamped = 0
+        self.num_temp = _NUM_CONST_NETS
         self.union_pairs = 0
         self.propagation_rounds = 0
         self.name_ties = 0
 
     def run(self, top: str) -> Netlist:
-        netlist = Netlist(top)
+        """Elaborate the parsed module ``top``."""
         module = self.source.modules[top]
-        ids = self._instantiate(module, (), netlist.hierarchy, None, None,
-                                depth=0)
-        port_slots = self.plans[top].port_slots
+        plan = self._plan_of(module, "")
+        template = self._template(plan, "", depth=0)
         top_inputs: list[int] = []
         top_outputs: list[int] = []
         for pname in module.port_order:
@@ -250,113 +327,163 @@ class _Elaborator:
                     f"top module port {pname!r} has no direction declaration"
                 )
             if decl.direction == "input":
-                top_inputs.extend(port_slots[pname])
+                top_inputs.extend(plan.port_slots[pname])
             elif decl.direction == "output":
-                top_outputs.extend(port_slots[pname])
+                top_outputs.extend(plan.port_slots[pname])
             else:
                 raise ElaborationError(
                     f"top-level inout port {pname!r} is not supported"
                 )
-        return self._compact(
-            netlist, ids[_slots(top_inputs)], ids[_slots(top_outputs)]
-        )
+        return self._compact(template, top_inputs, top_outputs)
 
-    # -- per instance: stamp the definition's plan --------------------------
+    def run_plan(self, plan: _ModulePlan, gate_names: list[str],
+                 inputs: list[int], outputs: list[int]) -> Netlist:
+        """Stamp a top ``plan`` read by another front end; its gates
+        are named ``gate_names``, its primary I/O are slots."""
+        self._enter(plan, gate_names)
+        return self._compact(self._template(plan, "", depth=0),
+                             inputs, outputs)
 
-    def _instantiate(
-        self,
-        module: ast.Module,
-        path: tuple[str, ...],
-        hier: HierNode,
-        child: _ChildPlan | None,
-        bound: np.ndarray | None,
-        depth: int,
-    ) -> np.ndarray:
-        """Elaborate one module instance; returns its slot → temp id array.
+    def code(self, gtype: str) -> int:
+        """The gate type code, in first-appearance order."""
+        return self.gate_types.setdefault(gtype, len(self.gate_types))
 
-        ``child`` is the parent plan's entry for this instance and
-        ``bound`` the parent temp ids behind ``child.bind_slots`` (both
-        None for the top module, whose ports become primary I/O).
-        """
-        if depth > self._MAX_DEPTH:
-            raise ElaborationError(
-                f"instance nesting deeper than {self._MAX_DEPTH} "
-                f"(recursive instantiation of {module.name!r}?)"
-            )
-        prefix = ".".join(path)
-        unchecked = child is not None and child.port_slots is None
-        if unchecked:
-            for pname, parent_slots in child.bindings:
+    def _enter(self, plan: _ModulePlan, gate_names: list[str]) -> None:
+        """Add the plan's slot names, then its gate names, to the table."""
+        plan.name_base = len(self.names)
+        self.names.extend(plan.names)
+        plan.gate_base = len(self.names)
+        self.names.extend(gate_names)
+
+    # -- per definition: compile the template, stamping children ----------
+
+    def _template(self, plan: _ModulePlan, prefix: str,
+                  depth: int) -> _Template:
+        """``plan``'s template, compiled on its first instance (at
+        ``prefix``, ``depth``): its own gates and aliases, then each run
+        of consecutive children of one definition, bound alike, stamped
+        as one block.  A child whose late names must be allocated
+        first starts a block."""
+        if plan.template is not None:
+            return plan.template
+        kids: list[_Template] = []
+        for sub in plan.children:  # checks in the order a walk meets them
+            kids.append(self._child(sub, prefix, depth))
+        t = _Template(plan, kids)
+        slot_code = np.arange(_NUM_CONST_NETS + len(plan.names))
+        i = 0
+        while i < len(kids):
+            sub, j = plan.children[i], i + 1
+            while j < len(kids) and kids[j] is kids[i] \
+                    and not plan.children[j].num_late \
+                    and plan.children[j].ports == sub.ports:
+                j += 1
+            if sub.num_late:
+                first, end = sub.first_late, sub.first_late + sub.num_late
+                slot_code[first:end] = t.late(
+                    plan.names[first - _NUM_CONST_NETS:end - _NUM_CONST_NETS],
+                    plan.name_base + first - _NUM_CONST_NETS,
+                ) + np.arange(sub.num_late)
+            block = plan.children[i:j]
+            self._stamp(t, kids[i], [c.name for c in block], sub.port_slots,
+                        slot_code[np.concatenate([c.bind_slots for c in block])])
+            i = j
+        t.freeze()
+        plan.template = t
+        return t
+
+    def _child(self, sub: _ChildPlan, prefix: str, depth: int) -> _Template:
+        """Check one child instance and compile its definition."""
+        module = sub.definition
+        path = f"{prefix}.{sub.name}" if prefix else sub.name
+        if depth >= self._MAX_DEPTH:
+            raise self._nesting_error(module.name)
+        if sub.port_slots is None:
+            for pname, parent_slots in sub.bindings:
                 if pname not in module.port_decls:
                     raise ElaborationError(
                         f"module {module.name!r} has no port {pname!r} "
-                        f"(instance {prefix or module.name})"
+                        f"(instance {path})"
                     )
                 width = module.width_of(pname)
                 if len(parent_slots) != width:
                     raise ElaborationError(
-                        f"width mismatch on port {pname!r} of {prefix or module.name}: "
+                        f"width mismatch on port {pname!r} of {path}: "
                         f"connected {len(parent_slots)} bits to {width}-bit port"
                     )
+            plan = self._plan_of(module, path)
+            sub.port_slots = _slots(chain.from_iterable(
+                plan.port_slots[pname] for pname in sub.ports))
+        kid = self._template(self.plans[module.name], path, depth + 1)
+        if depth + 1 + kid.height > self._MAX_DEPTH:
+            # compiled under a shallower instance: name the definition
+            # the walk down this one meets first past the limit
+            t, level = kid, depth + 1
+            while level <= self._MAX_DEPTH:
+                t = next(k for k in t.kids
+                         if level + 1 + k.height > self._MAX_DEPTH)
+                level += 1
+            raise self._nesting_error(t.name)
+        return kid
+
+    def _nesting_error(self, name: str) -> ElaborationError:
+        return ElaborationError(
+            f"instance nesting deeper than {self._MAX_DEPTH} "
+            f"(recursive instantiation of {name!r}?)"
+        )
+
+    def _stamp(self, t: _Template, kid: _Template, names: list[str],
+               port_slots: np.ndarray, bound: np.ndarray) -> None:
+        """Append one block of ``len(names)`` instances of ``kid`` to
+        ``t``: instance ``i``'s temps, gates and nodes follow instance
+        ``i - 1``'s, and its ``port_slots`` pair with its row of
+        ``bound``, the parent temps its connections name (the rows back
+        to back)."""
+        n = len(names)
+        inst = np.arange(n, dtype=np.int64)[:, None]
+        shift = t.num_temps + inst * kid.num_temps
+        node = len(t.node_name) + inst * len(kid.node_name)
+
+        def temps(codes: np.ndarray) -> np.ndarray:
+            return np.where(codes >= _NUM_CONST_NETS, codes + shift,
+                            codes).reshape(-1)
+
+        def runs(rows: np.ndarray, first: np.ndarray) -> np.ndarray:
+            step = np.zeros((n, 1, 3), dtype=np.int64)
+            step[:, :, 0] = first
+            step[:, :, 1] = node
+            return (rows + step).reshape(-1, 3)
+
+        t.gate_code.append(np.tile(kid.gate_code, n))
+        t.pin_count.append(np.tile(kid.pin_count, n))
+        t.pin_temp.append(temps(kid.pin_temp))
+        t.out_temp.append(temps(kid.out_temp))
+        t.union_a += [temps(kid.union_a), (port_slots + shift).reshape(-1)]
+        t.union_b += [temps(kid.union_b), bound]
+        t.temp_runs.append(runs(kid.temp_runs, shift))
+        t.temp_len.append((kid.temp_len + _lengths(names)[:, None] + 1
+                           ).reshape(-1))
+        t.gate_runs.append(
+            runs(kid.gate_runs, t.num_gates + inst * kid.num_gates))
+        parent = kid.node_parent + node
+        parent[:, 0] = 0
+        t.node_parent.append(parent.reshape(-1))
+        for name in names:
+            t.node_name.append(name)
+            t.node_name += kid.node_name[1:]
+        t.node_module += kid.node_module * n
+        t.num_temps += n * kid.num_temps
+        t.num_gates += n * kid.num_gates
+        self.blocks_stamped += 1
+        self.largest_block = max(self.largest_block, n)
+
+    # -- per definition: resolve the module body to slots -------------------
+
+    def _plan_of(self, module: ast.Module, prefix: str) -> _ModulePlan:
         plan = self.plans.get(module.name)
         if plan is None:
             plan = self.plans[module.name] = self._plan(module, prefix)
-        if unchecked:
-            child.port_slots = _slots(
-                s for pname, _ in child.bindings for s in plan.port_slots[pname]
-            )
-        inst = self.instances_stamped  # also hier's index in walk order
-        self.instances_stamped += 1
-        self.prefixes.append(prefix + "." if prefix else "")
-
-        ids = np.empty(_NUM_CONST_NETS + len(plan.names), dtype=np.int64)
-        ids[:_NUM_CONST_NETS] = _CONST_IDS
-        ids[_NUM_CONST_NETS:_NUM_CONST_NETS + plan.num_local] = \
-            self._allocate(inst, plan.name_base, plan.num_local)
-
-        if child is not None and len(bound):
-            self.union_a.append(ids[child.port_slots])
-            self.union_b.append(bound)
-        if len(plan.union_a):
-            self.union_a.append(ids[plan.union_a])
-            self.union_b.append(ids[plan.union_b])
-        if len(plan.gate_code):
-            self.gate_runs.append((self.num_gates, inst, plan.gate_base))
-            self.num_gates += len(plan.gate_code)
-            self.gate_code.append(plan.gate_code)
-            self.pin_count.append(plan.pin_count)
-            self.pin_temp.append(ids[plan.pin_slots])
-            self.out_temp.append(ids[plan.out_slots])
-
-        for sub in plan.children:
-            if sub.num_late:
-                ids[sub.first_late:sub.first_late + sub.num_late] = self._allocate(
-                    inst,
-                    plan.name_base + sub.first_late - _NUM_CONST_NETS,
-                    sub.num_late,
-                )
-            name = sub.inst.instance_name
-            child_path = path + (name,)
-            child_node = HierNode(
-                name=name, module=sub.inst.module_name, path=child_path
-            )
-            hier.children[name] = child_node
-            self._instantiate(
-                sub.definition, child_path, child_node, sub,
-                ids[sub.bind_slots], depth + 1,
-            )
-        return ids
-
-    def _allocate(self, inst: int, first_name: int, count: int) -> np.ndarray:
-        """``count`` fresh temp ids for instance ``inst``, named by the
-        name table from ``first_name`` on."""
-        base = self.num_temp
-        self.num_temp = base + count
-        if count:
-            self.temp_runs.append((base, inst, first_name))
-        return np.arange(base, base + count, dtype=np.int64)
-
-    # -- per definition: resolve the module body to slots -------------------
+        return plan
 
     def _plan(self, module: ast.Module, prefix: str) -> _ModulePlan:
         """Build ``module``'s plan; every definition-level check runs here.
@@ -364,7 +491,7 @@ class _Elaborator:
         ``prefix`` is the path of the instance that triggered planning
         (the definition's first); it only words the error messages.
         """
-        plan = _ModulePlan()
+        plan = _ModulePlan(module.name)
         # names of slots 3.. in allocation order: locals, then late names
         names = plan.names
         scope: dict[str, list[int]] = {}
@@ -429,14 +556,12 @@ class _Elaborator:
                         f"{len(bits)} bits wide; gate pins are scalar"
                     )
             gate_names.append(gname)
-            codes.append(
-                self.gate_types.setdefault(gate.gtype, len(self.gate_types))
-            )
+            codes.append(self.code(gate.gtype))
             out_slots.append(terms[0][0])
             pin_count.append(len(terms) - 1)
             pin_slots.extend(t[0] for t in terms[1:])
         plan.gate_code = np.array(codes, dtype=np.int16)
-        plan.pin_count = _slots(pin_count)
+        plan.pin_count = np.array(pin_count, dtype=np.int32)
         plan.pin_slots = _slots(pin_slots)
         plan.out_slots = _slots(out_slots)
         plan.num_local = len(names)
@@ -466,14 +591,11 @@ class _Elaborator:
             instance_names.add(inst.instance_name)
             plan.children.append(
                 _ChildPlan(
-                    inst, child_def, _NUM_CONST_NETS + n_before,
+                    inst.instance_name, child_def, _NUM_CONST_NETS + n_before,
                     len(names) - n_before, tuple(child_bindings.items()),
                 )
             )
-        plan.name_base = len(self.names)
-        self.names.extend(names)
-        plan.gate_base = len(self.names)
-        self.names.extend(gate_names)
+        self._enter(plan, gate_names)
         return plan
 
     def _connection_bindings(
@@ -599,41 +721,34 @@ class _Elaborator:
 
     # -- compaction ----------------------------------------------------------
 
-    def _compact(
-        self, netlist: Netlist, top_inputs: np.ndarray, top_outputs: np.ndarray
-    ) -> Netlist:
-        """Canonicalize net groups, hand the final dense columns over."""
-        num_temp = self.num_temp
-        pair_a, pair_b = _concat(self.union_a), _concat(self.union_b)
-        self.union_pairs = len(pair_a)
-        roots, self.propagation_rounds = component_min(num_temp, pair_a, pair_b)
-        if (roots[:_NUM_CONST_NETS] != _CONST_IDS).any():
-            raise ElaborationError("constant nets were merged together")
-        # a root is its group's smallest temp id, so ascending roots are
-        # the groups in first-appearance order: the final numbering
-        is_root = roots == np.arange(num_temp)
-        final_of = (np.cumsum(is_root) - 1)[roots]
-        num_nets = int(is_root.sum())
-
-        # a net is named by one of its temps: the shortest name, then
-        # the lexically smallest, then the first; constants keep theirs
-        runs = np.array(self.temp_runs, dtype=np.int64)
+    def _compact(self, t: _Template, top_inputs: list[int],
+                 top_outputs: list[int]) -> Netlist:
+        """Build the instance tree, canonicalize the top's net groups and
+        hand the final dense columns over.  The top's codes are temp
+        ids (``top_*`` are its slots, so codes too); its template is
+        consumed: the temp columns become the net columns in place."""
+        netlist = Netlist(t.name)
+        nodes = [netlist.hierarchy]
+        for name, module, parent in zip(t.node_name[1:], t.node_module[1:],
+                                        t.node_parent[1:].tolist()):
+            up = nodes[parent]
+            node = up.children[name] = HierNode(
+                name=name, module=module, path=up.path + (name,))
+            nodes.append(node)
+        self.instances_stamped = len(nodes)
+        prefixes = [".".join(n.path) + "." if n.path else "" for n in nodes]
+        runs = np.concatenate((np.zeros((1, 3), dtype=np.int64), t.temp_runs))
 
         def temp_names(temps: np.ndarray) -> list[str]:
-            return run_names(runs, temps, self.prefixes, self.names)
+            return run_names(runs, temps, prefixes, self.names)
 
-        temps = np.flatnonzero(final_of >= _NUM_CONST_NETS)
-        net_temp, self.name_ties = pick_names(
-            num_nets, final_of[temps], temps,
-            run_lengths(runs, temps, self.prefixes, self.names), temp_names,
-        )
-        net_temp[:_NUM_CONST_NETS] = _CONST_IDS
-
-        gate_output = final_of[_concat(self.out_temp)]
-        pin_ptr = np.zeros(len(gate_output) + 1, dtype=np.int64)
-        np.cumsum(_concat(self.pin_count), out=pin_ptr[1:])
-
+        final_of, net_temp = self._nets(t, temp_names)
+        top_inputs = _slots(top_inputs)
         inputs = final_of[top_inputs].tolist()
+        outputs = final_of[_slots(top_outputs)]
+        gate_output = np.take(final_of, t.out_temp, out=t.out_temp)
+        pin_net = np.take(final_of, t.pin_temp, out=t.pin_temp)
+        del final_of
         if (inputs and min(inputs) < _NUM_CONST_NETS) \
                 or len(set(inputs)) != len(inputs):
             first: dict[int, int] = {}
@@ -648,20 +763,46 @@ class _Elaborator:
                         f"primary inputs {a!r} and {b!r} are aliased to one net"
                     )
                 first[nid] = temp
+        pin_ptr = np.zeros(t.num_gates + 1, dtype=np.int64)
+        np.cumsum(t.pin_count, out=pin_ptr[1:])
         netlist.adopt_columns(
-            self.names,
-            np.array(self.gate_runs, dtype=np.int64),
-            runs,
-            net_temp,
-            tuple(self.gate_types),
-            _concat(self.gate_code, np.int16),
-            gate_output,
-            pin_ptr,
-            final_of[_concat(self.pin_temp)],
-            inputs,
-            final_of[top_outputs],
+            self.names, t.gate_runs, runs, net_temp, tuple(self.gate_types),
+            t.gate_code, gate_output, pin_ptr, pin_net, inputs, outputs,
         )
         return netlist
+
+    def _nets(self, t: _Template,
+              temp_names) -> tuple[np.ndarray, np.ndarray]:
+        """Per temp its final net id, and per net the temp naming it."""
+        num_temp = self.num_temp = _NUM_CONST_NETS + t.num_temps
+        self.union_pairs = len(t.union_a)
+        # only a temp in a pair can share its net with another
+        paired = np.zeros(num_temp, dtype=bool)
+        paired[t.union_a] = paired[t.union_b] = True
+        roots, self.propagation_rounds = component_min(
+            num_temp, t.union_a, t.union_b)
+        if (roots[:_NUM_CONST_NETS] != _CONST_IDS).any():
+            raise ElaborationError("constant nets were merged together")
+        # a root is its group's smallest temp id, so ascending roots are
+        # the groups in first-appearance order: the final numbering
+        is_root = roots == np.arange(num_temp)
+        final_of = np.cumsum(is_root)
+        final_of -= 1
+        final_of = final_of[roots]
+        del roots
+        # a net is named by one of its temps: the shortest name, then
+        # the lexically smallest, then the first; constants and nets of
+        # one temp keep their root's
+        net_temp = np.flatnonzero(is_root)
+        temps = np.flatnonzero(paired & (final_of >= _NUM_CONST_NETS))
+        del paired, is_root
+        named = final_of[temps]
+        best, self.name_ties = pick_names(
+            len(net_temp), named, temps,
+            t.temp_len[temps - _NUM_CONST_NETS], temp_names,
+        )
+        net_temp[named] = best[named]
+        return final_of, net_temp
 
 
 class NetlistBuilder:

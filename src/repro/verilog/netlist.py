@@ -122,14 +122,6 @@ def run_names(runs: np.ndarray, ids: np.ndarray, prefixes: list[str],
             for n, i in zip(node.tolist(), index.tolist())]
 
 
-def run_lengths(runs: np.ndarray, ids: np.ndarray, prefixes: list[str],
-                table: list[str]) -> np.ndarray:
-    """The length of every id's full name, without building it."""
-    node, index = run_locate(runs, ids)
-    return (np.fromiter(map(len, prefixes), np.int64, len(prefixes))[node]
-            + np.fromiter(map(len, table), np.int64, len(table))[index])
-
-
 def name_runs(node: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The runs naming items ``0 .. n-1`` by ``(node[i], index[i])``: a
     run breaks where the node changes or the index does not step by 1."""
@@ -152,7 +144,9 @@ def pick_names(
     then the lexically smallest, then the smallest temp.  ``cand_*`` are
     (net, temp, name length) rows; only nets whose shortest length ties
     build strings (``names_of(temps)``).  Also returns how many did."""
-    shortest = np.full(num_nets, np.iinfo(np.int64).max)
+    # (at the lengths' own width: ufunc.at is slow when it casts)
+    shortest = np.full(num_nets, np.iinfo(cand_len.dtype).max,
+                       dtype=cand_len.dtype)
     np.minimum.at(shortest, cand_net, cand_len)
     keep = cand_len == shortest[cand_net]
     net, temp = cand_net[keep], cand_temp[keep]

@@ -146,6 +146,18 @@ class TestBinding:
                 "module a (); a u (); endmodule", top="a"
             )
 
+    def test_nesting_limit_holds_below_a_shallower_first_instance(self):
+        # d1..d200 is first met at depth 1 (fits); under d0 the same
+        # subtree reaches depth 201, and the error names the definition
+        # there, as a walk of every instance would
+        chain = "".join(f"module d{i} (); d{i + 1} u (); endmodule\n"
+                        for i in range(200))
+        with pytest.raises(ElaborationError) as exc:
+            compile_verilog(chain + "module d200 (); endmodule\n"
+                            "module t (); d1 a (); d0 b (); endmodule", top="t")
+        assert str(exc.value) == ("instance nesting deeper than 200 "
+                                  "(recursive instantiation of 'd200'?)")
+
 
 class TestConstantsAndAliases:
     def test_literal_connection(self):
@@ -715,6 +727,14 @@ class TestPerDefinitionWork:
         # leaf's 4 gate terminals are resolved once however many
         # instances are stamped
         assert elab.exprs_resolved == 2 * n + 4
+
+    @pytest.mark.parametrize("n", [2, 200])
+    def test_siblings_stamp_as_one_block(self, n):
+        # the n leaves are one run of one definition, bound alike: one
+        # block however long, and the leaf's 4 terminals resolved once
+        elab = self._elaborate(n)
+        assert (elab.blocks_stamped, elab.largest_block) == (1, n)
+        assert elab.exprs_resolved - 2 * n == 4
 
 
 def test_elaboration_builds_no_name_lists():

@@ -14,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.circuits.stream as stream_mod
 import repro.hypergraph.dtypes as dtypes_mod
 import repro.hypergraph.partition_state as state_mod
 from repro.circuits.noc import NocConfig, noc_stream
-from repro.circuits.stream import StreamBuilder
-from repro.errors import ConfigError
 from repro.hypergraph import Hypergraph, INT32_MAX, index_dtype, require_int64
 from repro.hypergraph.build import flat_hypergraph
 from repro.hypergraph.partition_state import PartitionState
@@ -58,27 +55,10 @@ class TestIndexDtypeBoundary:
 
 
 class TestStreamBuilderOverflowGuard:
-    def test_small_expected_nets_builds_int32_chunks(self):
-        b = StreamBuilder("t", expected_nets=1000)
-        assert b._dtype == np.dtype(np.int32)
-
-    def test_huge_expected_nets_builds_int64_chunks(self):
-        b = StreamBuilder("t", expected_nets=INT32_MAX + 2)
-        assert b._dtype == np.dtype(np.int64)
-        # int64 chunks have no overflow cliff to guard
-        b._num_nets = INT32_MAX + 10
-        b._alloc(4)  # does not raise
-
-    def test_int32_overflow_raises_with_mocked_bound(self, monkeypatch):
-        """The guard fires at the bound without allocating 2^31 nets."""
-        monkeypatch.setattr(stream_mod, "INT32_MAX", 64)
-        b = StreamBuilder("tiny")
-        b._alloc(60)  # still under the mocked bound
-        with pytest.raises(ConfigError, match="exceeded int32"):
-            b._alloc(10)
+    """The stream build stamps at int64 throughout (there is no narrower
+    block width left to guard); its columns come out int64."""
 
     def test_builder_output_is_int64_regardless_of_chunk_width(self):
-        """int32 accumulation, int64 freeze — the one upcast."""
         csr = noc_stream(_NOC)
         for arr in (csr.gate_output, csr.pin_ptr, csr.pin_net,
                     csr.inputs, csr.outputs):

@@ -25,7 +25,7 @@ from repro.hypergraph import Clustering
 from repro.sim.compiled import compile_circuit
 from repro.verilog import NetlistBuilder, compile_verilog
 from repro.verilog.elaborate import component_min
-from repro.verilog.netlist import Netlist
+from repro.verilog.netlist import _NUM_CONST_NETS, CONST_NAMES, Netlist
 from tests.clustering_oracle import flatten_sequence
 from tests.netlist_rows import gate_rows, net_sinks
 from tests.test_elaborate import _netlist_digest
@@ -219,14 +219,30 @@ class TestPrimitiveTable:
     type and arity rules the parser holds Verilog text to."""
 
     @staticmethod
-    def _one_gate(gtype: str, n_inputs: int):
-        from repro.circuits.stream import StreamBuilder
+    def _gates(*gates: tuple[str, int]) -> Netlist:
+        """``gates`` ((type, input count) each) over primary inputs
+        ``3, 4, ...``, handed to ``adopt_columns`` as raw columns."""
+        counts = [n for _, n in gates]
+        types = tuple(dict.fromkeys(gtype for gtype, _ in gates))
+        num_nets = _NUM_CONST_NETS + max(counts) + len(gates)
+        pin_ptr = np.zeros(len(gates) + 1, dtype=np.int64)
+        np.cumsum(counts, out=pin_ptr[1:])
+        netlist = Netlist("t")
+        netlist.adopt_columns(
+            [*CONST_NAMES, *(f"n{i}" for i in range(3, num_nets)),
+             *(f"g{i}" for i in range(len(gates)))],
+            np.array([[0, 0, num_nets]]), np.zeros((1, 3), dtype=np.int64),
+            np.arange(num_nets), types,
+            np.array([types.index(gtype) for gtype, _ in gates], dtype=np.int16),
+            num_nets - len(gates) + np.arange(len(gates)), pin_ptr,
+            np.concatenate([_NUM_CONST_NETS + np.arange(n) for n in counts]),
+            _NUM_CONST_NETS + np.arange(max(counts)), np.zeros(0, dtype=np.int64),
+        )
+        return netlist
 
-        b = StreamBuilder("t")
-        ins = b.nets(n_inputs)
-        b.mark_input(ins)
-        b.gate(gtype, b.net(), *ins.tolist())
-        return b.build()
+    @classmethod
+    def _one_gate(cls, gtype: str, n_inputs: int) -> Netlist:
+        return cls._gates((gtype, n_inputs))
 
     @pytest.mark.parametrize("gtype, n_inputs", [
         ("not", 2), ("buf", 2), ("and", 1), ("xor", 1),
@@ -248,12 +264,5 @@ class TestPrimitiveTable:
         assert self._one_gate(gtype, n_inputs).num_gates == 1
 
     def test_first_offending_gate_is_named(self):
-        from repro.circuits.stream import StreamBuilder
-
-        b = StreamBuilder("t")
-        ins = b.nets(3)
-        b.mark_input(ins)
-        b.gate("and", b.net(), 3, 4, 5)
-        b.gate("and", b.net(), 3)
         with pytest.raises(NetlistError, match=r"gate 1 \(and\) has 1 inputs"):
-            b.build()
+            self._gates(("and", 3), ("and", 1))

@@ -261,6 +261,39 @@ class TestScanScheduling:
         assert not hits, hits
 
 
+class TestOneStamper:
+    """Both front ends stamp through the elaborator: the stream path's
+    cell templates, its builder and the per-instance walk are gone."""
+
+    #: retired with the second stamper
+    RETIRED = ("repro.circuits.ModuleTemplate", "repro.circuits.StreamBuilder",
+               "repro.circuits.stream.ModuleTemplate",
+               "repro.circuits.stream.StreamBuilder",
+               "repro.circuits.stream._shifted",
+               "repro.verilog.elaborate._Elaborator._instantiate")
+    UNAMBIGUOUS = ("ModuleTemplate", "StreamBuilder", "_shifted",
+                   "_instantiate", "expected_nets")
+
+    def test_retired_names_do_not_resolve(self):
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile("(" + "|".join(self.UNAMBIGUOUS) + ")")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits
+
+
 class TestOneFlatDriver:
     """The hMetis-style second partitioner is gone; Table 2's flat side
     is ``repro.core.multilevel_kway_partition``."""

@@ -23,12 +23,13 @@ from repro.circuits import (
 )
 from repro.circuits.memctrl import MemCtrlConfig, memctrl_stream, memctrl_verilog
 from repro.circuits.noc import NocConfig, noc_stream, noc_verilog
-from repro.circuits.stream import ModuleTemplate, StreamBuilder
+from repro.circuits._vlog import ModuleWriter
+from repro.circuits.stream import lower_module
 from repro.circuits.viterbi import ViterbiConfig, viterbi_stream, viterbi_verilog
 from repro.errors import ConfigError, ElaborationError
 from repro.hypergraph.build import flat_hypergraph, streamed_flat_hypergraph
 from repro.sim.compiled import compile_circuit
-from repro.verilog import compile_verilog
+from repro.verilog import CONST0, compile_verilog
 from repro.verilog.netlist import _NUM_CONST_NETS
 from repro.verilog.netlist import Netlist
 from tests.netlist_rows import gate_rows
@@ -137,51 +138,23 @@ def test_unknown_stream_circuit_raises():
         load_stream_circuit("nope")
 
 
-def test_template_rejects_unstampable_ports():
-    from repro.verilog import NetlistBuilder
-
-    # a port bit aliased to a constant net cannot stamp positionally
-    nb = NetlistBuilder("bad")
-    nb.input("a")
-    nb.output_net(0)  # CONST0 as an "output port"
-    with pytest.raises(ElaborationError, match="not stampable"):
-        ModuleTemplate.from_netlist(nb.build())
-    # two port bits sharing one net is equally unstampable
-    nb2 = NetlistBuilder("bad2")
-    nb2.output_net(nb2.input("x"))
-    with pytest.raises(ElaborationError, match="not stampable"):
-        ModuleTemplate.from_netlist(nb2.build())
-
-
-def test_builder_double_build_rejected():
-    b = StreamBuilder("t")
-    n_in = b.net()
-    b.mark_input([n_in])
-    out = b.net()
-    b.mark_output([out])
-    b.gate("buf", out, n_in)
-    b.build()
-    with pytest.raises(ConfigError, match="called twice"):
-        b.build()
-
-
 def test_builder_records_circ_counters():
     from repro.obs import MetricsRecorder
     from repro.obs.registry import is_registered
 
-    b = StreamBuilder("t")
-    n_in = b.net()
-    b.mark_input([n_in])
-    outs = b.nets(4)
-    b.mark_output(outs)
-    b.gates("buf", outs, np.full((4, 1), n_in, dtype=np.int64))
+    cell = "module c (o, i); output o; input i; buf (o, i); endmodule\n"
+    m = ModuleWriter("top")
+    m.input("a")
+    m.output("y", 4)
+    for i in range(4):
+        m.instance("c", f"u{i}", {"i": "a", "o": f"y[{i}]"})
     rec = MetricsRecorder()
-    csr = b.build(recorder=rec)
+    csr = lower_module(m, cell, recorder=rec)
     assert csr.num_gates == 4
     assert rec.counters["circ.gates"] == 4
     assert rec.counters["circ.nets"] == csr.num_nets
     assert rec.counters["circ.pins"] == 4
-    assert rec.counters["circ.stamps"] == 0
+    assert rec.counters["circ.stamps"] == 4
     assert all(is_registered(k) for k in rec.counters)
 
 
@@ -215,11 +188,16 @@ def _tree(nl) -> list[tuple]:
             for n in nl.nodes]
 
 
-@pytest.mark.parametrize("name", ["noc-test", "noc-bench", "memctrl-test",
-                                  "memctrl-bench"])
-def test_stream_equals_text(name):
+#: cells the stream path refused while it stamped standalone cell
+#: elaborations positionally: two port bits on one net, and an output
+#: port tied to a constant
+ALIAS_CELL = "module alias (a, b); input a; output b; assign b = a; endmodule\n"
+TIE_CELL = ("module tie (y, z, a); output y, z; input a;"
+            " assign y = 1'b0; not g (z, a); endmodule\n")
+
+
+def assert_identical(text, stream):
     """Same columns, same hierarchy, same gate and net names."""
-    text, stream = load_circuit(name), load_stream_circuit(name)
     assert (stream.top, stream.gate_types, stream.num_nets) == \
         (text.top, text.gate_types, text.num_nets)
     for column in COLUMNS:
@@ -227,6 +205,50 @@ def test_stream_equals_text(name):
     assert _tree(stream) == _tree(text)
     assert stream.gate_names == text.gate_names
     assert stream.net_names == text.net_names
+
+
+def _lowers_like_text(cells: str, top: ModuleWriter):
+    """With ports declared first, the lowered record is the elaborated
+    text column for column and name for name."""
+    stream = lower_module(top, cells)
+    assert_identical(compile_verilog(cells + top.emit()), stream)
+    return stream
+
+
+def test_cell_aliasing_two_ports_lowers_like_text():
+    m = ModuleWriter("top")
+    m.input("a")
+    m.output("o", 2)
+    m.wire("w", 2)
+    m.instance("alias", "u0", {"a": "a", "b": "w[0]"})
+    m.instance("alias", "u1", {"a": "w[0]", "b": "w[1]"})
+    m.gate("and", "o[0]", "w[1]", "a")
+    m.gate("not", "o[1]", "w[0]")
+    nl = _lowers_like_text(ALIAS_CELL, m)
+    # a, w[0], w[1] and both cells' ports are one net, the input's
+    assert nl.gate_inputs(0).tolist() == [nl.inputs[0]] * 2
+
+
+def test_cell_tying_an_output_to_a_constant_lowers_like_text():
+    m = ModuleWriter("top")
+    m.input("a")
+    m.output("o", 2)
+    m.wire("w", 2)
+    m.wire("v", 2)
+    m.instance("tie", "u0", {"y": "w[0]", "z": "w[1]", "a": "a"})
+    m.instance("tie", "u1", {"y": "v[0]", "z": "v[1]", "a": "w[1]"})
+    m.gate("and", "o[0]", "w[0]", "v[1]")
+    m.gate("or", "o[1]", "v[0]", "a")
+    nl = _lowers_like_text(TIE_CELL, m)
+    assert nl.gate_inputs(0)[0] == nl.gate_inputs(1)[0] == CONST0
+
+
+@pytest.mark.parametrize("name", ["noc-test", "noc-bench", "memctrl-test",
+                                  "memctrl-bench"])
+def test_stream_equals_text(name):
+    """Same columns, same hierarchy, same gate and net names."""
+    text, stream = load_circuit(name), load_stream_circuit(name)
+    assert_identical(text, stream)
     a, b = compile_circuit(text), compile_circuit(stream)
     for column in COMPILED_COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
@@ -265,9 +287,6 @@ def test_flat_clustering_hypergraph_equals_flat_hypergraph():
 
 
 def test_stamped_instances_need_distinct_names():
-    from repro.circuits._vlog import ModuleWriter
-    from repro.circuits.stream import lower_module
-
     cell = "module c (o, i); output o; input i; buf (o, i); endmodule\n"
     m = ModuleWriter("top")
     m.input("a")

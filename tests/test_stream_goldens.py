@@ -1,9 +1,9 @@
 """Byte-level pins of the streamed circuits and the generated Verilog.
 
 Every :data:`~repro.circuits.STREAM_CIRCUITS` entry is pinned column by
-column: a sha256 over each :class:`~repro.verilog.netlist_csr.NetlistCSR`
-array (dtype and shape included), plus its ``gate_types`` table and
-``num_nets``.  Net ids, gate order, type-code order and index widths
+column: a sha256 over each structural array of its
+:class:`~repro.verilog.netlist.Netlist` (dtype and shape included),
+plus its ``gate_types`` table and ``num_nets``.  Net ids, gate order, type-code order and index widths
 are therefore all fixed, not just equal up to a bijection as
 ``tests/test_stream_circuits.py`` checks.  ``viterbi-xl`` (~1.2 M
 gates) is pinned nowhere else.
@@ -26,8 +26,8 @@ from repro.circuits import (
     load_stream_circuit,
 )
 
-#: every array column of a NetlistCSR (``net_driver`` is derived by
-#: ``validate()`` but pinned all the same)
+#: every structural array column of a Netlist (``net_driver`` is
+#: derived by ``validate()`` but pinned all the same)
 COLUMNS = (
     "gate_code", "gate_output", "pin_ptr", "pin_net",
     "inputs", "outputs", "net_driver",

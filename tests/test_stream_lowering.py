@@ -10,14 +10,14 @@ cannot express ends in an :class:`ElaborationError`.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.circuits._vlog import ModuleWriter
-from repro.circuits.stream import ModuleTemplate, StreamBuilder, lower_module
+from repro.circuits.stream import _Nets, lower_module
 from repro.errors import ElaborationError
 from repro.verilog import compile_verilog, parse_source
-from tests.test_stream_circuits import assert_stream_equivalent
+from repro.verilog.elaborate import _Elaborator
+from tests.test_stream_circuits import assert_identical, assert_stream_equivalent
 
 
 def _cell() -> str:
@@ -69,10 +69,6 @@ def _lower(top: ModuleWriter):
     return lower_module(top, _cell())
 
 
-def _template() -> ModuleTemplate:
-    return ModuleTemplate.from_source(parse_source(_cell()), "cell")
-
-
 def test_lowered_matches_elaborated_text():
     top = _top()
     parsed = compile_verilog(_cell() + "\n" + top.emit())
@@ -108,39 +104,44 @@ def test_concatenation_is_msb_first():
 
 def test_consecutive_instances_stamp_as_one_block(monkeypatch):
     # the gate recorded between u1 and u2 is hoisted ahead of every
-    # instance, so all three instances are one run of one cell
+    # instance, so all three instances are one run of one cell — in
+    # the lowered record and in its elaborated text alike
     blocks = []
-    stamp = StreamBuilder.stamp
+    stamp = _Elaborator._stamp
 
-    def counting(self, template, port_nets):
-        blocks.append(len(port_nets))
-        stamp(self, template, port_nets)
+    def counting(self, t, kid, names, port_slots, bound):
+        blocks.append(len(names))
+        stamp(self, t, kid, names, port_slots, bound)
 
-    monkeypatch.setattr(StreamBuilder, "stamp", counting)
-    _lower(_top())
+    monkeypatch.setattr(_Elaborator, "_stamp", counting)
+    top = _top()
+    _lower(top)
     assert blocks == [3]
+    compile_verilog(_cell() + "\n" + top.emit())
+    assert blocks == [3, 3]
 
 
-def test_merged_stamp_equals_separate_stamps():
-    cell = _template()
-    rows = np.arange(3, 3 + 2 * cell.num_ports, dtype=np.int64).reshape(2, -1)
-    built = []
-    for blocks in ([rows], [rows[:1], rows[1:]]):
-        b = StreamBuilder("t")
-        b.nets(rows.size)
-        for block in blocks:
-            b.stamp(cell, block)
-        built.append(b.build())
-    one, two = built
-    assert one.num_nets == two.num_nets
-    for col in ("gate_code", "gate_output", "pin_ptr", "pin_net"):
-        assert np.array_equal(getattr(one, col), getattr(two, col))
+def test_merged_stamp_equals_separate_stamps(monkeypatch):
+    merged = _lower(_top())
+    stamp = _Elaborator._stamp
+
+    def one_by_one(self, t, kid, names, port_slots, bound):
+        width = len(port_slots)
+        for i, name in enumerate(names):
+            stamp(self, t, kid, [name], port_slots,
+                  bound[i * width:(i + 1) * width])
+
+    monkeypatch.setattr(_Elaborator, "_stamp", one_by_one)
+    assert_identical(merged, _lower(_top()))
 
 
 def test_template_keeps_port_list():
-    cell = _template()
-    assert cell.ports == (("a", 3), ("b", 3), ("clk", 1), ("y", 3), ("q", 1))
-    assert sum(w for _, w in cell.ports) == cell.num_ports
+    # an instance binds in its cell's port order, each port at its width
+    top = _top()
+    cell = parse_source(_cell()).modules["cell"]
+    bindings = _Nets(top, 3).bindings(top.instances[0], cell)
+    assert [(port, len(ids)) for port, ids in bindings] == \
+        [("a", 3), ("b", 3), ("clk", 1), ("y", 3), ("q", 1)]
 
 
 # -- what the lowering refuses ------------------------------------------------

@@ -5,22 +5,29 @@ Builds a named text circuit's Verilog, then times and cProfiles the
 four stages every text-circuit run starts with — the lexer's
 :class:`~repro.verilog.lexer.Scan`, the parser over that scan (together
 ``parse_source``), ``elaborate`` and ``compile_circuit`` — and prints
-the elaborator's work counters.  The tokenize and parse rows also give
-tokens per second.  ``plan:`` — how many module *definitions* were planned,
-how many *instances* were stamped from those plans, and how many
-connection expressions were resolved; the last number is the point: it
-depends on the definitions, not on the instance count
-(``viterbi-paper``: 6 definitions, 853 instances, a few thousand
-expressions for 93 096 gates).  ``compact:`` — temp nets allocated,
-union pairs recorded, label-propagation rounds taken, and how many net
-groups needed their shortest-name tie broken by comparing strings in
-Python.  ``names:`` — what the netlist keeps instead of a string per
-gate and per net: the name-table entries (every definition's local
-names, once), the gate runs and temp runs that index it (about one
-each per instance), and the hierarchy nodes whose dotted prefixes
-complete a name.  This is the before/after
-evidence harness for front-end work — the peer of
-``tools/profile_partition.py`` and ``tools/profile_sim.py``
+the work counters of the one stamper both front ends share
+(``repro.verilog.elaborate``; the streamed generators hand it their
+recorded top).  The tokenize and parse rows also give tokens per
+second.  ``plan:`` — how many module *definitions* were planned, how
+many *instances* (hierarchy nodes, the top included) they became, how
+many *blocks* stamped them and the largest block, and how many
+connection expressions were resolved; the expressions depend on the
+definitions, not on the instance count, and a run of consecutive
+instances of one definition is one block (``viterbi-paper``: 6
+definitions, 853 instances, a few thousand expressions for 93 096
+gates).  ``compact:`` — temp nets allocated, union pairs recorded
+(port bindings and aliases), label-propagation rounds taken, and how
+many net groups needed their shortest-name tie broken by comparing
+strings in Python.  ``names:`` — what the netlist keeps instead of a
+string per gate and per net: the name-table entries (every
+definition's local names, once), the gate runs and temp runs that
+index it (about one each per instance), and the hierarchy nodes whose
+dotted prefixes complete a name.  The tool exits non-zero when the
+hierarchy has a run of consecutive same-module siblings but no block
+larger than one was stamped — a stamper that went back to one instance
+at a time.  This is the before/after evidence harness for front-end
+work — the peer of ``tools/profile_partition.py`` and
+``tools/profile_sim.py``
 (docs/performance.md, "Front end", records the numbers it moved).
 
 Examples::
@@ -94,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"plan: definitions={len(elab.plans)} "
           f"instances={elab.instances_stamped} "
+          f"blocks={elab.blocks_stamped} "
+          f"largest_block={elab.largest_block} "
           f"expressions_resolved={elab.exprs_resolved} "
           f"nets={netlist.num_nets} gates={netlist.num_gates}")
     print(f"compact: temp_nets={elab.num_temp} "
@@ -104,6 +113,13 @@ def main(argv: list[str] | None = None) -> int:
           f"gate_runs={len(netlist.gate_runs)} "
           f"temp_runs={len(netlist.temp_runs)} "
           f"nodes={len(netlist.nodes)}")
+    siblings = [list(node.children.values()) for node in netlist.nodes]
+    runs = any(a.module == b.module
+               for kids in siblings for a, b in zip(kids, kids[1:]))
+    if runs and elab.largest_block < 2:
+        print("FAIL: consecutive instances of one module were stamped "
+              "one at a time", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -37,8 +37,11 @@ Runs, in order, stopping at the first failure:
    classes and exits non-zero when the engine loop no longer calls
    them, so a refactor that moves the batch fails here;
 9. the front-end profiler at test size (``tools/profile_frontend.py
-   --circuit viterbi-test --top 3``, under 1 s) — it drives the
-   elaborator's private ``_Elaborator`` and reads its work counters;
+   --circuit viterbi-test --top 3``, under 1 s) — it drives the one
+   stamper both front ends share (``repro.verilog.elaborate``), prints
+   its blocks beside instances, union pairs and name ties, and exits
+   non-zero when consecutive instances of one module were stamped one
+   at a time, so a refactor back to per-instance stamping fails here;
 10. the partition profiler at test size, once flat multilevel
     (``tools/profile_partition.py --circuit viterbi-s10k``) and once
     design-driven (``--algorithm multiway --circuit viterbi-test --k
