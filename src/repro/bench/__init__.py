@@ -9,9 +9,7 @@ from .experiments import (
     table1_cutsize_design,
     table2_cutsize_multilevel,
     table3_presim,
-    table4_best_partitions,
     table5_full_sim,
-    fig5_simulation_time,
     fig6_fig7_messages_rollbacks,
     heuristic_vs_brute_force,
 )
@@ -38,9 +36,7 @@ __all__ = [
     "table1_cutsize_design",
     "table2_cutsize_multilevel",
     "table3_presim",
-    "table4_best_partitions",
     "table5_full_sim",
-    "fig5_simulation_time",
     "fig6_fig7_messages_rollbacks",
     "heuristic_vs_brute_force",
     "PAPER_TABLE1",

@@ -37,9 +37,7 @@ __all__ = [
     "table1_cutsize_design",
     "table2_cutsize_multilevel",
     "table3_presim",
-    "table4_best_partitions",
     "table5_full_sim",
-    "fig5_simulation_time",
     "fig6_fig7_messages_rollbacks",
     "heuristic_vs_brute_force",
 ]
@@ -145,11 +143,6 @@ def table3_presim(cfg: ExperimentConfig) -> PresimStudy:
     )
 
 
-def table4_best_partitions(study: PresimStudy) -> dict[int, object]:
-    """Best (by pre-sim speedup) partition per k — Table 4's rows."""
-    return study.best_per_k()
-
-
 # -- Table 5 / Figure 5 ----------------------------------------------------------
 
 
@@ -199,16 +192,6 @@ def table5_full_sim(
             )
         )
     return rows, seq_wall
-
-
-def fig5_simulation_time(
-    cfg: ExperimentConfig, study: PresimStudy
-) -> tuple[list[int], list[float]]:
-    """Figure 5: simulation time vs machine count, including k=1."""
-    rows, seq_wall = table5_full_sim(cfg, study)
-    xs = [1] + [r.k for r in rows]
-    ys = [seq_wall] + [r.sim_time for r in rows]
-    return xs, ys
 
 
 # -- Figures 6 and 7 ---------------------------------------------------------------

@@ -26,20 +26,11 @@ __all__ = [
 ]
 
 
-def ripple_adder_verilog(width: int = 8, hierarchical: bool = True) -> str:
-    """``width``-bit ripple-carry adder; hierarchical form uses one
-    full-adder module instance per bit (a tiny super-gate per stage)."""
+def ripple_adder_verilog(width: int = 8) -> str:
+    """``width``-bit ripple-carry adder: one full-adder module instance
+    per bit (a tiny super-gate per stage)."""
     if width < 1:
         raise ConfigError("width must be >= 1")
-    if not hierarchical:
-        m = ModuleWriter("adder_flat")
-        a = m.input("a", width)
-        b = m.input("b", width)
-        cin = m.input("cin")[0]
-        s = m.output("s", width)
-        cout = m.output("cout")[0]
-        m.ripple_add(a, b, s, cout=cout, cin=cin)
-        return m.emit()
     fa = ModuleWriter("fa_cell")
     a1 = fa.input("a")[0]
     b1 = fa.input("b")[0]
@@ -123,15 +114,14 @@ def counter_verilog(width: int = 8) -> str:
     return m.emit()
 
 
-def lfsr_verilog(width: int = 16, taps: tuple[int, ...] = ()) -> str:
-    """Fibonacci LFSR; default taps give a long-period register for
-    stimulus-heavy sequential tests.  Reset loads the all-ones state
-    (via inverted-input flip-flops on reset is avoided — instead the
-    feedback ORs in a reset-driven 1)."""
+def lfsr_verilog(width: int = 16) -> str:
+    """Fibonacci LFSR; its taps (``width - 1``, ``width // 2``, 0) give a
+    long-period register for stimulus-heavy sequential tests.  Reset
+    loads the all-ones state (via inverted-input flip-flops on reset is
+    avoided — instead the feedback ORs in a reset-driven 1)."""
     if width < 3:
         raise ConfigError("width must be >= 3")
-    if not taps:
-        taps = (width - 1, width // 2, 0)
+    taps = (width - 1, width // 2, 0)
     m = ModuleWriter("lfsr")
     clk = m.input("clk")[0]
     rst = m.input("rst")[0]
@@ -248,20 +238,18 @@ def random_logic_verilog(
     n_gates: int = 200,
     n_inputs: int = 8,
     seed: int = 0,
-    p_ff: float = 0.1,
-    name: str = "randlogic",
 ) -> str:
     """Random combinational/sequential DAG for property-based tests.
 
     Gates read from earlier gates or primary inputs only, so the
-    combinational part is acyclic by construction; a ``p_ff`` fraction
+    combinational part is acyclic by construction; a tenth of them
     become flip-flops (which may legally read later signals, forming
     sequential feedback).
     """
     if n_gates < 1 or n_inputs < 2:
         raise ConfigError("need n_gates >= 1 and n_inputs >= 2")
     rng = np.random.default_rng(seed)
-    m = ModuleWriter(name)
+    m = ModuleWriter("randlogic")
     clk = m.input("clk")[0]
     rst = m.input("rst")[0]
     signals: list[str] = []
@@ -270,7 +258,7 @@ def random_logic_verilog(
     gate_types = ["and", "or", "nand", "nor", "xor", "xnor", "not", "buf"]
     outs: list[str] = []
     ff_indices = set(
-        rng.choice(n_gates, size=int(n_gates * p_ff), replace=False).tolist()
+        rng.choice(n_gates, size=int(n_gates * 0.1), replace=False).tolist()
     )
     for g in range(n_gates):
         y = m.wire(f"n{g}")[0]

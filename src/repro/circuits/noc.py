@@ -59,11 +59,6 @@ class NocConfig:
         if self.width < 2:
             raise ConfigError("width must be >= 2")
 
-    @property
-    def routers(self) -> int:
-        """Router instances in the fabric."""
-        return self.rows * self.cols
-
 
 #: unit-test scale
 TEST_CONFIG = NocConfig(rows=2, cols=2, width=3)

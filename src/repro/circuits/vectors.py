@@ -67,12 +67,12 @@ def detect_clocks(netlist: Netlist) -> list[int]:
     return np.intersect1d(clk, netlist.inputs).tolist()
 
 
-def natural_schedule(netlist: Netlist, margin: int = 4) -> VectorSchedule:
+def natural_schedule(netlist: Netlist) -> VectorSchedule:
     """A vector schedule whose period exceeds the critical path.
 
     With the unit-delay model, registered values are only meaningful
     when the clock period exceeds the combinational depth; this derives
-    such a period (rise at depth+margin, period twice that), which is
+    such a period (rise at depth + 4, period twice that), which is
     what a functional testbench should use.  Partitioning/speedup
     studies can use shorter periods — the workload stays deterministic
     either way, the logic just pipelines wavefronts.
@@ -80,7 +80,7 @@ def natural_schedule(netlist: Netlist, margin: int = 4) -> VectorSchedule:
     from ..sim.compiled import combinational_depth, compile_circuit
 
     depth = combinational_depth(compile_circuit(netlist))
-    half = max(depth + margin, 4)
+    half = depth + 4
     return VectorSchedule(period=2 * half, rise=half, fall=half + max(2, half // 2))
 
 
@@ -89,12 +89,11 @@ def vector_events(
     vectors: np.ndarray,
     clock_nets: Sequence[int] = (),
     schedule: VectorSchedule = VectorSchedule(),
-    start_time: int = 0,
 ) -> Iterator[InputEvent]:
     """Expand a ``(n_vectors, n_data_nets)`` bit matrix into input events.
 
-    Yields events in nondecreasing time order: data bits at each period
-    start, clock rise and fall at their offsets.
+    Yields events in nondecreasing time order from time 0: data bits at
+    each period start, clock rise and fall at their offsets.
     """
     period, rise, fall = schedule.resolved()
     if vectors.ndim != 2 or vectors.shape[1] != len(data_nets):
@@ -103,7 +102,7 @@ def vector_events(
             f"{len(data_nets)} data nets"
         )
     for i in range(vectors.shape[0]):
-        t0 = start_time + i * period
+        t0 = i * period
         row = vectors[i]
         for j, net in enumerate(data_nets):
             yield InputEvent(t0, net, int(row[j]))

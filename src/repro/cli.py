@@ -344,13 +344,12 @@ def _cmd_partition(args, out) -> int:
     with _sampling(args, recorder, out):
         if args.algorithm == "random":  # the CLI-only floor: no result object
             from .core import random_partition
-            from .hypergraph import flat_hypergraph
-            from .hypergraph.metrics import hyperedge_cut, part_weights
+            from .hypergraph import PartitionState, flat_hypergraph
 
             hg = flat_hypergraph(netlist)
             gate_assignment = random_partition(hg, args.k, seed=args.seed)
-            cut = hyperedge_cut(hg, gate_assignment)
-            loads = part_weights(hg, gate_assignment, args.k).tolist()
+            state = PartitionState(hg, args.k, gate_assignment)
+            cut, loads = state.cut_size, state.part_weight.tolist()
             out.write("algorithm : random (flat netlist)\n")
         else:
             from .core import partition_netlist
@@ -529,8 +528,8 @@ def _cmd_sweep(args, out) -> int:
 
     study, recorder = _presim_study(
         args, out, brute_force_presim, args.workers,
-        ks=tuple(int(x) for x in args.ks.split(",")),
-        bs=tuple(float(x) for x in args.bs.split(",")))
+        ks=_parse_list("--ks", args.ks, int, "an integer"),
+        bs=_parse_list("--bs", args.bs, float, "a number"))
     out.write(format_table(
         ["k", "b", "cut", "balanced", "time (s)", "speedup", "msgs",
          "rollbacks"],
@@ -567,6 +566,19 @@ def _cmd_search(args, out) -> int:
                  {"max_k": args.max_k, "heuristic": args.heuristic},
                  {"bench.best_k": best.k, "bench.best_b": best.b})
     return 0
+
+
+def _parse_list(flag: str, text: str, convert, noun: str) -> tuple:
+    """Parse a comma list such as ``--ks 2,3``; an item ``convert``
+    rejects is a :class:`ConfigError` naming it."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(convert(item))
+        except ValueError:
+            raise ConfigError(
+                f"{flag} {text!r}: {item!r} is not {noun}") from None
+    return tuple(items)
 
 
 def _parse_thresholds(pairs: list[str]) -> dict[str, float]:

@@ -32,13 +32,11 @@ __all__ = ["profile_activity", "activity_clustering"]
 
 
 def profile_activity(
-    netlist: Netlist,
-    events: Sequence[InputEvent],
-    smoothing: int = 1,
+    netlist: Netlist, events: Sequence[InputEvent]
 ) -> np.ndarray:
     """Per-gate load weights from a profiling run.
 
-    Returns ``smoothing + evaluations`` per gate (int64, all >= 1 so a
+    Returns ``1 + evaluations`` per gate (int64, all >= 1 so a
     never-active gate still counts as placeable weight).  The events
     should be a short representative stimulus — the same pre-simulation
     vectors the (k, b) search uses are a natural choice.
@@ -48,14 +46,12 @@ def profile_activity(
     sim.add_inputs(events)
     stats = sim.run()
     assert stats.activity is not None
-    return stats.activity.astype(np.int64) + int(smoothing)
+    return stats.activity.astype(np.int64) + 1
 
 
 def activity_clustering(
-    netlist: Netlist,
-    events: Sequence[InputEvent],
-    smoothing: int = 1,
+    netlist: Netlist, events: Sequence[InputEvent]
 ) -> Clustering:
     """Visible-node clustering weighted by profiled activity."""
-    weights = profile_activity(netlist, events, smoothing=smoothing)
+    weights = profile_activity(netlist, events)
     return Clustering.top_level(netlist, gate_weights=weights)

@@ -36,6 +36,8 @@ class BalanceConstraint:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not self.b >= 0:  # also rejects NaN, which compares False
             raise ConfigError(f"b must be >= 0, got {self.b}")
+        if self.b == float("inf"):  # every load would pass Formula 1
+            raise ConfigError(f"b must be finite, got {self.b}")
 
     def bounds(self, total_load: int) -> tuple[float, float]:
         """(lower, upper) admissible load per partition."""
@@ -43,11 +45,10 @@ class BalanceConstraint:
         hi = total_load * (1.0 / self.k + self.b / 100.0)
         return max(lo, 0.0), hi
 
-    def satisfied(self, part_weights: np.ndarray | list[int], total_load: int | None = None) -> bool:
+    def satisfied(self, part_weights: np.ndarray | list[int]) -> bool:
         """Whether every partition's load is within bounds."""
         w = np.asarray(part_weights)
-        total = int(w.sum()) if total_load is None else total_load
-        lo, hi = self.bounds(total)
+        lo, hi = self.bounds(int(w.sum()))
         return bool((w >= lo - 1e-9).all() and (w <= hi + 1e-9).all())
 
     def violation(self, part_weights: np.ndarray | list[int]) -> float:
@@ -57,11 +58,3 @@ class BalanceConstraint:
         over = np.maximum(w - hi, 0.0).sum()
         under = np.maximum(lo - w, 0.0).sum()
         return float(over + under)
-
-    def describe(self, total_load: int) -> str:
-        """Human-readable bounds for diagnostics."""
-        lo, hi = self.bounds(total_load)
-        return (
-            f"k={self.k}, b={self.b}%: each partition in "
-            f"[{lo:.0f}, {hi:.0f}] of {total_load} gates"
-        )

@@ -93,6 +93,10 @@ REFINERS = ("fm", "batch")
 #: non-improving candidates (at least one vertex)
 _KICK_FRACTION = 16
 
+#: safety cap on gather/select/apply rounds; the natural exit is the
+#: fixpoint (a round with no applicable (cut, soed)-improving move)
+MAX_ROUNDS = 1024
+
 #: vertices scored per ``move_gains_matrix`` call: bounds its ``(pins,
 #: T)`` transients at XL scale, and at 100k vertices scores the finest
 #: level no slower than a 4x larger chunk (docs/refinement.md)
@@ -273,7 +277,6 @@ def batch_refine(
     state: PartitionState,
     constraint,
     blocks: Sequence[int] | None = None,
-    max_rounds: int = 1024,
     max_kicks: int = 8,
     recorder: Recorder = NULL_RECORDER,
 ) -> BatchRefineResult:
@@ -292,10 +295,6 @@ def batch_refine(
         blocks move, and only into these blocks (the recursive
         splitter refines ``(0, 1)`` of a local 3-way state whose third
         block is frozen).  ``None`` means all ``state.k`` blocks.
-    max_rounds:
-        Safety cap on gather/select/apply rounds; the natural exit is
-        the fixpoint (a round with no applicable (cut, soed)-improving
-        move).
     max_kicks:
         At the greedy fixpoint, up to this many perturbation attempts:
         a snapshot is taken, the least-damaging non-improving batch is
@@ -316,8 +315,8 @@ def batch_refine(
     identical at any worker count, since no worker pool is involved.
     """
     with recorder.phase("partition.batch_refine"):
-        result = _batch_refine(state, constraint, blocks, max_rounds,
-                               max_kicks, recorder)
+        result = _batch_refine(state, constraint, blocks, max_kicks,
+                               recorder)
     if recorder.enabled:
         recorder.incr("part.batch.rounds", result.rounds)
         recorder.incr("part.batch.moves", result.moves)
@@ -329,7 +328,6 @@ def _batch_refine(
     state: PartitionState,
     constraint,
     blocks: Sequence[int] | None,
-    max_rounds: int,
     max_kicks: int,
     recorder: Recorder,
 ) -> BatchRefineResult:
@@ -450,7 +448,7 @@ def _batch_refine(
         # positive SOED gain) to a fixpoint.  Each vertex proposes its
         # cached best other block when that beats staying, i.e. the own
         # block's (0, 0).
-        while rounds < max_rounds:
+        while rounds < MAX_ROUNDS:
             boundary = scored_boundary(frozen)
             if not len(boundary):
                 return
@@ -480,9 +478,9 @@ def _batch_refine(
     # result only if the lexicographic (cut, soed) objective strictly
     # improved — otherwise restore the snapshot and stop.  Every
     # accepted kick strictly decreases the potential, so this
-    # terminates; max_kicks and max_rounds bound the exploration.
+    # terminates; max_kicks and MAX_ROUNDS bound the exploration.
     for _ in range(max_kicks):
-        if rounds >= max_rounds:
+        if rounds >= MAX_ROUNDS:
             break
         snap = state.snapshot()
         snap_key = (state.cut_size, state.connectivity)

@@ -661,7 +661,6 @@ def multilevel_flat_partition(
     b: float,
     seed: int = 0,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Multilevel k-way partition of a netlist's flat gate hypergraph.
@@ -674,5 +673,5 @@ def multilevel_flat_partition(
     """
     return multilevel_kway_partition(
         flat_hypergraph(netlist), k, b, seed=seed, recorder=recorder,
-        config=config, refiner=refiner,
+        refiner=refiner,
     )

@@ -105,7 +105,6 @@ def design_driven_partition(
     pairing: str = "gain",
     initial: str = "cone",
     max_flatten_steps: int | None = None,
-    restarts: int = 1,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
     refiner: str = "fm",
@@ -131,11 +130,6 @@ def design_driven_partition(
     max_flatten_steps:
         Safety cap on flattening operations (default: number of
         instances in the design — enough to flatten everything).
-    restarts:
-        Independent runs with consecutive seeds; the best result wins
-        (balance first, then cut).  Multi-start is the standard cheap
-        defense against the local minima iterative partitioners fall
-        into; the paper's single-run behaviour is ``restarts=1``.
     workers:
         Kept for the pipeline benchmark's call sites; delete with the
         next ``benchmark`` PR.  ``None`` or ``1``; anything else is a
@@ -146,9 +140,7 @@ def design_driven_partition(
         ``part.*`` counters (cone stats, pairing rounds, FM moves,
         flatten/redistribute activity) and the phase timers
         ``partition.initial`` / ``partition.refine`` /
-        ``partition.flatten`` / ``partition.rebalance``.  With
-        ``restarts > 1`` every candidate run feeds the same recorder,
-        so counters reflect total work, not just the winner.  The
+        ``partition.flatten`` / ``partition.rebalance``.  The
         default :data:`~repro.obs.recorder.NULL_RECORDER` records
         nothing at zero cost; a recorder never changes the result.
     refiner:
@@ -160,16 +152,6 @@ def design_driven_partition(
     """
     validate_refiner(refiner)
     require_serial(workers)
-    if restarts > 1:
-        candidates = [
-            design_driven_partition(
-                netlist_or_clustering, k, b, seed=seed + i, pairing=pairing,
-                initial=initial, max_flatten_steps=max_flatten_steps,
-                restarts=1, recorder=recorder, refiner=refiner,
-            )
-            for i in range(restarts)
-        ]
-        return min(candidates, key=lambda r: (not r.balanced, r.cut_size))
     if isinstance(netlist_or_clustering, Clustering):
         clustering = netlist_or_clustering
     else:

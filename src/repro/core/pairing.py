@@ -84,24 +84,19 @@ def _cut_based_pairs(state: PartitionState, rng: np.random.Generator) -> list[tu
     return out
 
 
-def estimate_pair_gain(state: PartitionState, a: int, b: int, sample: int = 0) -> int:
+def estimate_pair_gain(state: PartitionState, a: int, b: int) -> int:
     """Cheap optimistic estimate of the cut reduction FM(a, b) can find.
 
     Sums the positive single-move gains of boundary vertices — an
     upper-bound-flavoured proxy (moves interact), adequate for ranking
-    pairs.  ``sample`` > 0 caps the number of boundary vertices
-    inspected for very large states.
+    pairs.
 
     Fully vectorized: :meth:`PartitionState.pair_boundary` masks the
     spanning edges through the λ array and gathers their pins in one
-    CSR pass (the boundary comes back sorted, so the sample cap is the
-    same deterministic ``sorted(...)[:sample]`` prefix as before), and
-    one batch :meth:`PartitionState.move_gains` query replaces the
-    per-vertex gain loop.
+    CSR pass, and one batch :meth:`PartitionState.move_gains` query
+    replaces the per-vertex gain loop.
     """
     boundary = state.pair_boundary(a, b)
-    if sample and len(boundary) > sample:
-        boundary = boundary[:sample]
     if not len(boundary):
         return 0
     targets = np.where(state.part[boundary] == a, b, a)

@@ -50,6 +50,10 @@ __all__ = [
     "heuristic_presim",
 ]
 
+#: the b values Figure 3's loop visits per k: ``b1`` from 7.5 while
+#: below 15, in steps of 2.5
+HEURISTIC_B_ROW = (7.5, 10.0, 12.5)
+
 
 @dataclass
 class PresimPoint:
@@ -412,9 +416,6 @@ def heuristic_presim(
     seed: int = 0,
     pairing: str = "gain",
     refine_workers: int | None = None,
-    b_start: float = 7.5,
-    b_stop: float = 15.0,
-    b_step: float = 2.5,
     workers: int | None = None,
     algorithm: str = "design",
     refiner: str = "fm",
@@ -424,8 +425,8 @@ def heuristic_presim(
 
     Starts at the maximum number of processors ("sooner or later, no
     choice of b will overcome having too many processors"), sweeps b
-    upward, abandons the b sweep on the first non-improving speedup,
-    then decrements k.  Saves pre-simulation runs at the cost of
+    upward along :data:`HEURISTIC_B_ROW`, abandons the b sweep on the
+    first non-improving speedup, then decrements k.  Saves pre-simulation runs at the cost of
     possible local-minimum capture.  ``algorithm`` and ``refiner`` pick
     the partition backend and its improvement engine per candidate
     exactly as in :func:`brute_force_presim`.
@@ -452,17 +453,13 @@ def heuristic_presim(
     try:
         k = max_k
         while k >= 2:
-            row_bs: list[float] = []
-            b1 = b_start
-            while b1 < b_stop:
-                row_bs.append(b1)
-                b1 += b_step
             # parallel: evaluate the whole row speculatively, walk it
             # in order, drop everything past the abandon point.
             # serial: evaluate lazily — exactly the paper's loop.
             row = iter(
-                mapper.map([(k, b) for b in row_bs]) if mapper.parallel
-                else (mapper.one(k, b) for b in row_bs)
+                mapper.map([(k, b) for b in HEURISTIC_B_ROW])
+                if mapper.parallel
+                else (mapper.one(k, b) for b in HEURISTIC_B_ROW)
             )
             for point in row:
                 points.append(point)

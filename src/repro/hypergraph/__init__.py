@@ -9,8 +9,8 @@ Public surface:
   per-edge list round-trip.
 * :class:`PartitionState` — mutable k-way assignment with incremental
   cut tracking (all partitioners operate through it).
-* :func:`hyperedge_cut`, :func:`connectivity_cut`, :func:`part_weights`,
-  :func:`load_imbalance`, :func:`within_balance` — oracle metrics.
+* :func:`hyperedge_cut`, :func:`connectivity_cut` — from-scratch oracle
+  metrics the tests hold :class:`PartitionState` to.
 * :func:`read_hgr` / :func:`write_hgr` — hMetis file interchange.
 * :func:`flat_hypergraph` / :func:`hierarchy_hypergraph` — builders from
   elaborated Verilog netlists (see :mod:`repro.hypergraph.build`);
@@ -24,13 +24,7 @@ Public surface:
 from .hypergraph import Hypergraph
 from .dtypes import INT32_MAX, index_dtype, require_int64
 from .partition_state import PartitionState
-from .metrics import (
-    hyperedge_cut,
-    connectivity_cut,
-    part_weights,
-    load_imbalance,
-    within_balance,
-)
+from .metrics import hyperedge_cut, connectivity_cut
 from .io import read_hgr, write_hgr, loads_hgr, dumps_hgr
 from .build import (
     Cluster,
@@ -40,13 +34,7 @@ from .build import (
     project_hypergraph,
     streamed_flat_hypergraph,
 )
-from .analysis import (
-    CircuitStats,
-    StuckXReport,
-    analyze_netlist,
-    locality_fraction,
-    stuck_x_report,
-)
+from .analysis import CircuitStats, analyze_netlist, locality_fraction
 
 __all__ = [
     "Cluster",
@@ -59,17 +47,12 @@ __all__ = [
     "index_dtype",
     "require_int64",
     "CircuitStats",
-    "StuckXReport",
     "analyze_netlist",
     "locality_fraction",
-    "stuck_x_report",
     "Hypergraph",
     "PartitionState",
     "hyperedge_cut",
     "connectivity_cut",
-    "part_weights",
-    "load_imbalance",
-    "within_balance",
     "read_hgr",
     "write_hgr",
     "loads_hgr",

@@ -1,17 +1,20 @@
-"""Circuit and hypergraph structure analysis.
+"""Circuit structure statistics (``repro info --stats``).
 
 Partitioning papers characterize their workloads with a handful of
-structural statistics; this module computes them for any elaborated
-netlist so users can tell *why* an algorithm behaves as it does on
-their design (e.g. the Viterbi decoder's module-size skew vs the CPU
-datapath's bit-sliced connectivity):
+structural statistics; :func:`analyze_netlist` computes them for any
+elaborated netlist as one :class:`CircuitStats`, so users can tell
+*why* an algorithm behaves as it does on their design (e.g. the
+Viterbi decoder's module-size skew vs the CPU datapath's bit-sliced
+connectivity):
 
-* gate/net/fanout distributions,
+* gate, net, primary I/O and flip-flop counts and the fanout
+  distribution,
 * logic depth (longest combinational path),
-* module-instance size distribution and hierarchy depth,
-* net locality: how many nets stay inside one first-level instance
-  (the quantity the design-driven partitioner exploits — the paper's
-  "design locality").
+* first-level instance sizes and hierarchy depth,
+* net locality (:func:`locality_fraction`): how many multi-pin nets
+  stay inside one visible node — a top-level gate or a first-level
+  instance, the quantity the design-driven partitioner exploits (the
+  paper's "design locality").
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ import numpy as np
 from ..verilog.netlist import Netlist
 from .build import hierarchy_hypergraph
 
-__all__ = [
-    "CircuitStats",
-    "analyze_netlist",
-    "locality_fraction",
-    "StuckXReport",
-    "stuck_x_report",
-]
+__all__ = ["CircuitStats", "analyze_netlist", "locality_fraction"]
 
 
 @dataclass
@@ -88,68 +85,6 @@ def locality_fraction(netlist: Netlist) -> tuple[int, int]:
     boundary = hierarchy_hypergraph(netlist).num_edges
     pins = np.diff(netlist.fanout()[0]) + (netlist.net_driver >= 0)
     return int(np.count_nonzero(pins >= 2)) - boundary, boundary
-
-
-@dataclass
-class StuckXReport:
-    """Nets still unknown after a stimulus — reset/initialization bugs.
-
-    The classic causes: a flip-flop without reset in a feedback loop
-    (its X re-circulates forever), an undriven net, a clock period
-    shorter than the logic depth.  ``by_cause`` buckets the stuck nets.
-    """
-
-    total_nets: int
-    stuck: list[int] = field(default_factory=list)
-    by_cause: dict[str, list[int]] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        return not self.stuck
-
-    def summary(self, netlist: Netlist, limit: int = 8) -> str:
-        if self.clean:
-            return "no stuck-X nets: the design initializes completely"
-        lines = [f"{len(self.stuck)} of {self.total_nets} nets still X:"]
-        for cause, nets in self.by_cause.items():
-            names = ", ".join(netlist.net_name(n) for n in nets[:limit])
-            more = f" (+{len(nets) - limit} more)" if len(nets) > limit else ""
-            lines.append(f"  {cause}: {names}{more}")
-        return "\n".join(lines)
-
-
-def stuck_x_report(netlist: Netlist, events) -> StuckXReport:
-    """Simulate a stimulus and classify every net still X at the end.
-
-    Pass a real testbench stimulus (reset sequence + a few cycles, e.g.
-    from :class:`repro.sim.Testbench`); nets that stay X under it are
-    initialization escapes.
-    """
-    from ..sim.compiled import compile_circuit
-    from ..sim.logic import VX, flip_flop_mask
-    from ..sim.sequential import SequentialSimulator
-
-    circuit = compile_circuit(netlist)
-    sim = SequentialSimulator(circuit)
-    sim.add_inputs(events)
-    sim.run()
-    undriven = set(netlist.undriven_nets())
-    ff_outputs = set(netlist.gate_output[flip_flop_mask(netlist)].tolist())
-    report = StuckXReport(total_nets=netlist.num_nets)
-    for nid in range(3, netlist.num_nets):
-        if int(sim.values[nid]) != VX:
-            continue
-        report.stuck.append(nid)
-        if nid in undriven:
-            cause = "undriven net"
-        elif nid in ff_outputs:
-            cause = "uninitialized flip-flop (no reset reached it)"
-        elif netlist.net_driver[nid] == -1:
-            cause = "primary input never driven by the stimulus"
-        else:
-            cause = "derived from another stuck-X net"
-        report.by_cause.setdefault(cause, []).append(nid)
-    return report
 
 
 def analyze_netlist(netlist: Netlist) -> CircuitStats:

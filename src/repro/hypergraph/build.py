@@ -212,16 +212,14 @@ class Clustering:
         return vertex, names, np.where(keys < num_gates, -1, keys - num_gates)
 
     @classmethod
-    def flat(
-        cls, netlist: Netlist, gate_weights: "np.ndarray | None" = None
-    ) -> "Clustering":
+    def flat(cls, netlist: Netlist) -> "Clustering":
         """The flattened-netlist view: every gate its own vertex.
 
         This is the input the paper gave hMetis.
         """
         return cls(
             netlist, np.arange(netlist.num_gates, dtype=np.int64),
-            netlist.gate_names, gate_weights,
+            netlist.gate_names, None,
         )
 
     # -- flattening ----------------------------------------------------------

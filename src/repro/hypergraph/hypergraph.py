@@ -22,7 +22,7 @@ realistic circuits.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -256,23 +256,6 @@ class Hypergraph:
         """Vertices on hyperedge ``e`` (read-only view, sorted)."""
         return self._edge_pins[self._edge_ptr[e] : self._edge_ptr[e + 1]]
 
-    def vertex_edges(self, v: int) -> np.ndarray:
-        """Hyperedges incident to vertex ``v`` (read-only view)."""
-        return self._vertex_pins[self._vertex_ptr[v] : self._vertex_ptr[v + 1]]
-
-    def edge_size(self, e: int) -> int:
-        """Number of pins on hyperedge ``e``."""
-        return int(self._edge_ptr[e + 1] - self._edge_ptr[e])
-
-    def vertex_degree(self, v: int) -> int:
-        """Number of hyperedges incident to vertex ``v``."""
-        return int(self._vertex_ptr[v + 1] - self._vertex_ptr[v])
-
-    def iter_edges(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(edge_id, pin_array)`` for every hyperedge."""
-        for e in range(self.num_edges):
-            yield e, self.edge_vertices(e)
-
     def edges_pins(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bulk CSR gather: concatenated pin lists of many edges.
 
@@ -286,17 +269,6 @@ class Hypergraph:
         """Bulk CSR gather: concatenated incident-edge lists of many
         vertices, as ``(edges, counts)`` (see :meth:`edges_pins`)."""
         return _csr_gather(self._vertex_ptr, self._vertex_pins, vertices)
-
-    def neighbors(self, v: int) -> set[int]:
-        """All vertices sharing at least one hyperedge with ``v``.
-
-        An on-demand CSR gather over ``v``'s incident edges — O(their
-        pins), nothing cached: a whole-graph adjacency materialises
-        ``|e|²`` entries per hyperedge, which one wide clock net makes
-        unaffordable.
-        """
-        pins, _ = self.edges_pins(self.vertex_edges(v))
-        return set(pins.tolist()) - {v}
 
     def vertex_edges_lists(self) -> list[list[int]]:
         """The whole vertex → incident-edge adjacency as nested plain

@@ -20,8 +20,8 @@ The state holds one representation — NumPy arrays — of:
   a secondary diagnostic).
 
 Everything in :mod:`repro.core` changes a partition through
-:meth:`PartitionState.move_batch` (:meth:`move` is its one-vertex form) and scores cut gains through
-:meth:`PartitionState.move_gains` (:meth:`move_gain` likewise), so there
+:meth:`PartitionState.move_batch` (:meth:`move` is its one-vertex form)
+and scores cut gains through :meth:`PartitionState.move_gains`, so there
 is one incremental mutation kernel and one cut-gain kernel to trust;
 :meth:`recompute` re-derives everything from scratch and the test suite
 holds the increments to it.  A caller that needs to *try* moves — heap
@@ -155,10 +155,6 @@ class PartitionState:
             out[int(p)].append(v)
         return out
 
-    def part_of(self, v: int) -> int:
-        """Partition currently holding vertex ``v``."""
-        return int(self.part[v])
-
     def snapshot(self) -> _Snapshot:
         """Cheap in-process checkpoint of the derived state for a later
         :meth:`restore` on this same object (the batch refiner's kick
@@ -242,14 +238,6 @@ class PartitionState:
         """All vertices currently in partition ``a`` or ``b`` (sorted)."""
         return np.nonzero((self.part == a) | (self.part == b))[0]
 
-    def move_gain(self, v: int, to_part: int) -> int:
-        """Change in cut size if ``v`` moved to ``to_part`` (gain > 0 is
-        an improvement, i.e. the cut would *decrease* by ``gain``): the
-        one-vertex form of :meth:`move_gains`, not tallied as a batch."""
-        return int(self._cut_gains(
-            np.array([v], dtype=np.int64), np.array([to_part], dtype=np.int64)
-        )[0])
-
     def move_gains(
         self, vertices: Sequence[int] | np.ndarray, to_parts: Sequence[int] | np.ndarray | int
     ) -> np.ndarray:
@@ -268,10 +256,6 @@ class PartitionState:
         )
         self.gain_batches += 1
         self.gain_batch_vertices += len(vertices)
-        return self._cut_gains(vertices, to_arr)
-
-    def _cut_gains(self, vertices: np.ndarray, to_arr: np.ndarray) -> np.ndarray:
-        """The cut-gain kernel behind :meth:`move_gains` / :meth:`move_gain`."""
         gains = np.zeros(len(vertices), dtype=np.int64)
         hg = self.hg
         edges, deg = hg.vertices_edges(vertices)
@@ -428,7 +412,7 @@ class PartitionState:
         (always a changed one) alters (:mod:`repro.core.batch_refine`).
 
         When no two moved vertices share a hyperedge the realized gain
-        equals the sum of the individual :meth:`move_gain` predictions
+        equals the sum of the individual :meth:`move_gains` predictions
         taken before the batch — each touched edge sees exactly one
         endpoint move, so the per-move cut deltas are additive.  The
         method itself is correct for arbitrary batches (the scatters
@@ -480,14 +464,3 @@ class PartitionState:
         np.add.at(self.part_weight, to_arr, moved_w)
         self.part[vertices] = to_arr
         return gain, touched, old_lam, edge_changed
-
-    # -- balance ------------------------------------------------------------
-
-    def max_imbalance(self) -> float:
-        """Largest relative deviation of any partition from the ideal
-        ``total/k`` load, as a fraction of total weight."""
-        total = self.hg.total_weight
-        if total == 0:
-            return 0.0
-        ideal = total / self.k
-        return float(np.abs(self.part_weight - ideal).max() / total)

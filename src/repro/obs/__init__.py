@@ -72,7 +72,6 @@ from .metrics import (
     read_metrics,
     strip_volatile,
     counters_view,
-    metrics_equal,
 )
 from .registry import (
     METRIC_REGISTRY,
@@ -80,7 +79,6 @@ from .registry import (
     HOST_VALUE_REGISTRY,
     TRACE_FIELD_REGISTRY,
     is_registered,
-    trace_fields,
 )
 from .spans import (
     Span,
@@ -143,13 +141,11 @@ __all__ = [
     "read_metrics",
     "strip_volatile",
     "counters_view",
-    "metrics_equal",
     "METRIC_REGISTRY",
     "PHASE_REGISTRY",
     "HOST_VALUE_REGISTRY",
     "TRACE_FIELD_REGISTRY",
     "is_registered",
-    "trace_fields",
     # spans / timeline / sampler
     "Span",
     "SpanRecorder",

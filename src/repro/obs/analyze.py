@@ -378,10 +378,6 @@ class GvtProgress:
     advance_rate: float
     stalls: tuple[StallInterval, ...]
 
-    @property
-    def longest_stall(self) -> int:
-        return max((s.rounds for s in self.stalls), default=0)
-
 
 def gvt_progress(events: list[dict]) -> GvtProgress:
     """Analyze the ``gvt`` event stream for advance rate and stalls.

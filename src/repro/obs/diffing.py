@@ -275,15 +275,11 @@ def diff_metrics(
 
 
 def gate_directories(
-    baseline_dir: str | Path,
-    current_dir: str | Path,
-    *,
-    pattern: str = "BENCH_*.json",
-    thresholds: dict[str, float] | None = None,
-    default_threshold: float = DEFAULT_THRESHOLD,
+    baseline_dir: str | Path, current_dir: str | Path
 ) -> tuple[list[str], bool]:
-    """Regression-gate every metrics document in ``current_dir`` against
-    its same-named baseline in ``baseline_dir``.
+    """Regression-gate every ``BENCH_*.json`` metrics document in
+    ``current_dir`` against its same-named baseline in ``baseline_dir``,
+    at the per-metric :data:`DEFAULT_THRESHOLDS`.
 
     Returns ``(messages, ok)``: one message per regressed metric,
     invalid document, or document missing a baseline counterpart
@@ -294,7 +290,7 @@ def gate_directories(
     baseline_dir, current_dir = Path(baseline_dir), Path(current_dir)
     messages: list[str] = []
     ok = True
-    for cur_path in sorted(current_dir.glob(pattern)):
+    for cur_path in sorted(current_dir.glob("BENCH_*.json")):
         base_path = baseline_dir / cur_path.name
         if not base_path.exists():
             messages.append(f"{cur_path.name}: no baseline (new benchmark?)")
@@ -306,8 +302,7 @@ def gate_directories(
             messages.append(str(exc))
             ok = False
             continue
-        result = diff_metrics(base, cur, thresholds=thresholds,
-                              default_threshold=default_threshold)
+        result = diff_metrics(base, cur)
         for d in result.regressions:
             messages.append(f"{cur_path.name}: {d.describe()}")
             ok = False

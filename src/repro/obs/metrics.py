@@ -51,7 +51,6 @@ __all__ = [
     "read_metrics",
     "strip_volatile",
     "counters_view",
-    "metrics_equal",
 ]
 
 #: current metrics document schema version (bump on breaking change)
@@ -61,8 +60,8 @@ METRICS_SCHEMA_VERSION = 1
 #: ``generated_at`` is a wall-clock stamp, ``host_timings`` holds host
 #: wall seconds, and ``spans`` carries wall-clock span intervals (the
 #: timeline channel) — all differ between identical runs.  Anything
-#: comparing documents (``strip_volatile``, ``metrics_equal``,
-#: ``repro.obs.diffing``) must go through this list, never hard-code it.
+#: comparing documents (``strip_volatile``, ``repro.obs.diffing``) must
+#: go through this list, never hard-code it.
 #: Span *structure* stays comparable through the deterministic
 #: ``obs.span.count`` / ``obs.span.depth.max`` counters.
 VOLATILE_FIELDS = ("generated_at", "host_timings", "spans")
@@ -306,10 +305,3 @@ def counters_view(doc: dict) -> dict[str, int | float]:
             f"got {type(counters).__name__}"
         )
     return dict(counters)
-
-
-def metrics_equal(a: dict, b: dict) -> bool:
-    """Whether two documents are equal for cross-run purposes — i.e.
-    byte-identical after :func:`strip_volatile` + :func:`dumps_metrics`
-    (so ``host_timings`` and ``generated_at`` never break equality)."""
-    return dumps_metrics(strip_volatile(a)) == dumps_metrics(strip_volatile(b))

@@ -30,24 +30,17 @@ __all__ = ["ProgressHeartbeat"]
 class ProgressHeartbeat:
     """Print a throttled one-line simulation status per GVT round.
 
-    Parameters
-    ----------
-    stream:
-        Where lines go; defaults to ``sys.stderr`` so heartbeats never
-        mix into machine-readable stdout.
-    min_interval:
-        Minimum host seconds between lines (default 1.0).  ``0`` prints
-        on every update — useful in tests.
-    clock:
-        Host clock used only for throttling and the events/sec rate;
-        defaults to :func:`time.perf_counter`.  Tests inject a fake.
+    Lines go to ``sys.stderr``, so heartbeats never mix into
+    machine-readable stdout, at most one per :attr:`min_interval` host
+    seconds of :func:`time.perf_counter` (which also gives the
+    events/sec rate).
     """
 
-    def __init__(self, stream=None, min_interval: float = 1.0,
-                 clock=time.perf_counter) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-        self.min_interval = float(min_interval)
-        self._clock = clock
+    min_interval = 1.0
+
+    def __init__(self) -> None:
+        self._stream = sys.stderr
+        self._clock = time.perf_counter
         self._last_host: float | None = None
         self._last_processed = 0
         #: lines printed (tests assert throttling with this)

@@ -161,15 +161,12 @@ class MetricsRecorder(Recorder):
     Every :meth:`phase` opens a :class:`Span` whose parent is the
     innermost open span, so nested ``recorder.phase()`` calls become
     parent links; :attr:`phases` derives the flat per-name totals from
-    the closed spans.
+    the closed spans.  Span timestamps come from :func:`time.time` —
+    an epoch clock shared by every process on the host, so driver and
+    worker spans land on one comparable timeline.
 
     Parameters
     ----------
-    clock:
-        Seconds source for span timestamps.  Defaults to
-        :func:`time.time` — an epoch clock shared by every process on
-        the host, so driver and worker spans land on one comparable
-        timeline.  Tests inject a fake clock for exact trees.
     lane:
         This recorder's lane label; the driver uses ``"main"``, pool
         tasks use :func:`repro.obs.spans.worker_lane`.
@@ -180,7 +177,7 @@ class MetricsRecorder(Recorder):
 
     enabled = True
 
-    def __init__(self, clock=time.time, lane: str = "main") -> None:
+    def __init__(self, lane: str = "main") -> None:
         #: monotone counters, name -> value
         self.counters: dict[str, int | float] = {}
         #: running maxima, name -> value
@@ -193,7 +190,7 @@ class MetricsRecorder(Recorder):
         self.spans: list[Span] = []
         self.lane = lane
         self._stack: list[Span] = []
-        self._clock = clock
+        self._clock = time.time
 
     def incr(self, name: str, value: int | float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value

@@ -22,7 +22,6 @@ __all__ = [
     "HOST_VALUE_REGISTRY",
     "TRACE_FIELD_REGISTRY",
     "is_registered",
-    "trace_fields",
 ]
 
 #: counter / maximum names -> one-line meaning
@@ -206,11 +205,6 @@ TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
         "stalled_rounds": "consecutive no-advance rounds observed",
     },
 }
-
-
-def trace_fields(kind: str) -> frozenset[str]:
-    """The registered payload fields of one trace event kind."""
-    return frozenset(TRACE_FIELD_REGISTRY[kind])
 
 
 def is_registered(name: str) -> bool:

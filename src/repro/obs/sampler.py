@@ -66,20 +66,17 @@ def _read_cpu_seconds() -> float:
 class ResourceSampler:
     """Poll host resource usage on a background daemon thread.
 
-    Parameters
-    ----------
-    interval:
-        Seconds between polls (default 50 ms — coarse enough to be
-        invisible in profiles, fine enough to catch worker-pool spikes).
-
+    It polls every :attr:`interval` seconds (50 ms — coarse enough to
+    be invisible in profiles, fine enough to catch worker-pool spikes).
     Use as a context manager (or ``start()``/``stop()``).  Aggregates
     are maxima/latest values, so a sampler that never got a chance to
     poll (very short work) still reports one final sample taken at
     ``stop()``.
     """
 
-    def __init__(self, interval: float = 0.05) -> None:
-        self.interval = float(interval)
+    interval = 0.05
+
+    def __init__(self) -> None:
         self.peak_rss_kb = 0.0
         self.cpu_seconds = 0.0
         self.peak_children = 0

@@ -54,7 +54,7 @@ __all__ = [
     "span_depths",
 ]
 
-#: default tolerance (seconds) for cross-process interval containment —
+#: tolerance (seconds) for cross-process interval containment —
 #: workers stamp spans with their own ``time.time()`` calls, so parent
 #: and child clocks can disagree by scheduler-quantum noise
 DEFAULT_SKEW_TOLERANCE = 0.010
@@ -75,10 +75,9 @@ def worker_lane() -> str:
     return f"worker-{match.group(1)}" if match else proc.name
 
 
-def worker_telemetry(lane: str | None = None) -> MetricsRecorder:
-    """A mini-recorder for one pool task (lane defaults to
-    :func:`worker_lane`)."""
-    return MetricsRecorder(lane=lane if lane is not None else worker_lane())
+def worker_telemetry() -> MetricsRecorder:
+    """A mini-recorder for one pool task, on its :func:`worker_lane`."""
+    return MetricsRecorder(lane=worker_lane())
 
 
 def export_telemetry(recorder: MetricsRecorder) -> dict:
@@ -126,17 +125,16 @@ def span_depths(rows: list[dict]) -> dict[int, int]:
     return depths
 
 
-def validate_spans(rows: list[dict], *,
-                   tolerance: float = DEFAULT_SKEW_TOLERANCE) -> list[dict]:
+def validate_spans(rows: list[dict]) -> list[dict]:
     """Check the span-tree invariants; returns ``rows`` on success.
 
     * sids strictly increase (open order is list order);
     * every parent resolves to an *earlier* span — no orphans, no
       cycles, children open after their parents;
     * intervals are well-formed (``t1 >= t0``) and each child interval
-      lies inside its parent's within ``tolerance`` seconds (worker
-      clocks are the host's epoch clock, but independent ``time.time``
-      calls can disagree by scheduler noise).
+      lies inside its parent's within :data:`DEFAULT_SKEW_TOLERANCE`
+      seconds (worker clocks are the host's epoch clock, but
+      independent ``time.time`` calls can disagree by scheduler noise).
 
     Raises :class:`~repro.errors.MetricsError` naming the first
     offending span.
@@ -164,10 +162,12 @@ def validate_spans(rows: list[dict], *,
                 f"span[{i}] (sid {sid}): t1 {t1} precedes t0 {t0}")
         if parent is not None:
             pt = by_sid[parent]
-            if t0 < pt["t0"] - tolerance or t1 > pt["t1"] + tolerance:
+            if (t0 < pt["t0"] - DEFAULT_SKEW_TOLERANCE
+                    or t1 > pt["t1"] + DEFAULT_SKEW_TOLERANCE):
                 raise MetricsError(
                     f"span[{i}] (sid {sid}, {row.get('name')!r}): interval "
                     f"[{t0}, {t1}] escapes parent {parent} "
-                    f"[{pt['t0']}, {pt['t1']}] beyond tolerance {tolerance}")
+                    f"[{pt['t0']}, {pt['t1']}] beyond tolerance "
+                    f"{DEFAULT_SKEW_TOLERANCE}")
         by_sid[sid] = row
     return rows

@@ -16,30 +16,27 @@ Layers (mirroring DVS, paper Figure 4):
   the paper's measurements.
 """
 
-from .logic import V0, V1, VX, GATE_CODES, eval_gate
+from .logic import V0, V1, VX, GATE_CODES
 from .compiled import CompiledCircuit, compile_circuit
 from .events import InputEvent, Message
-from .sequential import SequentialSimulator, SeqStats, simulate_sequential
+from .sequential import SequentialSimulator, SeqStats
 from .cluster import ClusterSpec, TimeWarpConfig, RunStats, MachineStats
 from .lp import ClusterLP
 from .timewarp import TimeWarpEngine
 from .engine import SimulationReport, run_partitioned, run_sequential_baseline
 from .vcd import VcdWriter
-from .testbench import Testbench
 
 __all__ = [
     "V0",
     "V1",
     "VX",
     "GATE_CODES",
-    "eval_gate",
     "CompiledCircuit",
     "compile_circuit",
     "InputEvent",
     "Message",
     "SequentialSimulator",
     "SeqStats",
-    "simulate_sequential",
     "ClusterSpec",
     "TimeWarpConfig",
     "RunStats",
@@ -50,5 +47,4 @@ __all__ = [
     "run_partitioned",
     "run_sequential_baseline",
     "VcdWriter",
-    "Testbench",
 ]

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ConfigError
 
 __all__ = ["ClusterSpec", "TimeWarpConfig", "MachineStats", "LPStats", "RunStats"]
@@ -279,12 +277,6 @@ class RunStats:
     machines: list[MachineStats] = field(default_factory=list)
     lps: list[LPStats] = field(default_factory=list)
 
-    def efficiency(self) -> float:
-        """Parallel efficiency: speedup / machines."""
-        if self.num_machines == 0:
-            return 0.0
-        return self.speedup / self.num_machines
-
     def summary(self) -> str:
         """One-line human-readable digest."""
         return (
@@ -293,15 +285,6 @@ class RunStats:
             f"msgs={self.messages} rollbacks={self.rollbacks} "
             f"(undone {self.rolled_back_events} ev)"
         )
-
-    def idle_fraction(self) -> float:
-        """Mean fraction of wall time machines spent idle."""
-        if not self.machines or self.wall_time <= 0:
-            return 0.0
-        fracs = [
-            1.0 - m.busy_time / self.wall_time for m in self.machines
-        ]
-        return float(np.mean(fracs))
 
     def to_counters(self) -> dict[str, int | float]:
         """Aggregates flattened to the registered ``tw.*`` metric names

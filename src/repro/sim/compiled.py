@@ -65,7 +65,6 @@ class CompiledCircuit:
         "pin_offsets",
         "sink_gate",
         "sink_offsets",
-        "max_arity",
         "table",
     )
 
@@ -92,7 +91,6 @@ class CompiledCircuit:
         self.pin_net = netlist.pin_net
         # sinks per net in (gid, pin position) order, duplicates preserved
         self.sink_offsets, self.sink_gate = netlist.fanout()
-        self.max_arity = int(np.diff(netlist.pin_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
         # compilation leaves ``table`` unset (its __slots__ entry raises

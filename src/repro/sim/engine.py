@@ -71,7 +71,6 @@ def run_sequential_baseline(
     circuit: CompiledCircuit,
     events: Sequence[InputEvent],
     spec: ClusterSpec,
-    record_activity: bool = False,
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[SequentialSimulator, float]:
     """Run the reference simulator; returns it and its modeled wall time.
@@ -80,7 +79,7 @@ def run_sequential_baseline(
     presim searches pass their driver recorder here so the one-time
     baseline shows up alongside the per-point worker spans.
     """
-    sim = SequentialSimulator(circuit, record_activity=record_activity)
+    sim = SequentialSimulator(circuit)
     sim.add_inputs(events)
     with recorder.phase("seq.run"):
         stats = sim.run()
@@ -94,7 +93,6 @@ def run_partitioned(
     events: Sequence[InputEvent],
     spec: ClusterSpec,
     config: TimeWarpConfig = TimeWarpConfig(),
-    verify: bool = True,
     sequential: SequentialSimulator | None = None,
     recorder: Recorder = NULL_RECORDER,
     trace: TraceBuffer | None = None,
@@ -113,9 +111,6 @@ def run_partitioned(
         Machine index per cluster.
     events:
         Input stimulus (see :func:`repro.circuits.random_vectors`).
-    verify:
-        Cross-check final committed values against the sequential
-        oracle (cheap — the baseline is needed for speedup anyway).
     sequential:
         A pre-run sequential simulator over the *same events*, to avoid
         re-running the baseline across a (k, b) sweep.
@@ -154,11 +149,10 @@ def run_partitioned(
         stats = engine.run()
     stats.sequential_wall_time = seq_wall
     stats.speedup = seq_wall / stats.wall_time if stats.wall_time > 0 else 0.0
-    verified = False
-    if verify:
-        with recorder.phase("tw.verify"):
-            engine.verify_against_sequential(sequential)
-        verified = True
+    # every run is cross-checked against the sequential oracle (cheap:
+    # the baseline is needed for the speedup anyway)
+    with recorder.phase("tw.verify"):
+        engine.verify_against_sequential(sequential)
     if recorder.enabled:
         for name, value in stats.to_counters().items():
             recorder.incr(name, value)
@@ -181,5 +175,5 @@ def run_partitioned(
         peak_checkpoint_bytes=stats.peak_checkpoint_bytes,
         seq_stats=sequential.stats,
         run_stats=stats,
-        verified=verified,
+        verified=True,
     )

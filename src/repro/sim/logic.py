@@ -23,12 +23,9 @@ __all__ = [
     "V1",
     "VX",
     "GATE_CODES",
-    "CODE_NAMES",
-    "eval_gate",
     "eval_gate_coded",
     "flip_flop_mask",
     "gate_code_table",
-    "invert",
     "value_name",
 ]
 
@@ -51,10 +48,6 @@ GATE_CODES: dict[str, int] = {
     "dffr": 9,
     "dffe": 10,
 }
-
-CODE_NAMES: list[str] = [
-    name for name, _ in sorted(GATE_CODES.items(), key=lambda kv: kv[1])
-]
 
 SEQ_CODE_MIN = GATE_CODES["dff"]
 
@@ -107,11 +100,6 @@ for _op, _plain, _inverted in (
     _FOLDS_PY[GATE_CODES[_inverted]] = (_table, True)
 
 
-def invert(v: int) -> int:
-    """Three-valued NOT."""
-    return _NOT[v]
-
-
 def eval_gate_coded(code: int, values: tuple[int, ...] | list[int]) -> int:
     """Evaluate a *combinational* gate by dense code over input values."""
     if code == 6:  # buf
@@ -123,11 +111,6 @@ def eval_gate_coded(code: int, values: tuple[int, ...] | list[int]) -> int:
     for v in values[1:]:
         acc = table[acc][v]
     return _NOT[acc] if inv else acc
-
-
-def eval_gate(gtype: str, values: tuple[int, ...] | list[int]) -> int:
-    """Evaluate a combinational gate by primitive name."""
-    return eval_gate_coded(GATE_CODES[gtype], values)
 
 
 def value_name(v: int) -> str:

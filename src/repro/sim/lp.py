@@ -130,11 +130,10 @@ class ClusterLP:
         gate_ids: Sequence[int],
         checkpoint_interval: int = 8,
         lazy: bool = True,
-        name: str | None = None,
         record_changes: bool = False,
     ) -> None:
         self.lid = lid
-        self.name = name or f"lp{lid}"
+        self.name = f"lp{lid}"
         self.circuit = circuit
         self.gate_ids = np.sort(np.asarray(gate_ids, dtype=np.int64))
         self.checkpoint_interval = checkpoint_interval
@@ -234,10 +233,6 @@ class ClusterLP:
             g = gate_of[self._net_loc[net]]
             self._watched[g] = 1
             self._readers[g] = (net, tuple(dsts))
-
-    def has_net(self, net: int) -> bool:
-        """Whether this LP holds a copy of ``net``."""
-        return net in self._net_loc
 
     def _recompute_next_vt(self) -> None:
         """Refresh the cached :attr:`next_vt` after a queue mutation."""

@@ -35,7 +35,7 @@ from ..errors import SimulationError
 from .compiled import CompiledCircuit
 from .events import InputEvent, check_stimulus
 
-__all__ = ["SequentialSimulator", "SeqStats", "simulate_sequential"]
+__all__ = ["SequentialSimulator", "SeqStats"]
 
 
 @dataclass
@@ -201,15 +201,3 @@ class SequentialSimulator:
         """Current values of the primary outputs, port order."""
         return [int(self.values[n]) for n in self.circuit.outputs]
 
-
-def simulate_sequential(
-    circuit: CompiledCircuit,
-    input_events: Iterable[InputEvent],
-    record_activity: bool = False,
-    until: int | None = None,
-) -> tuple[SequentialSimulator, SeqStats]:
-    """One-shot sequential run over an input stimulus stream."""
-    sim = SequentialSimulator(circuit, record_activity=record_activity)
-    sim.add_inputs(input_events)
-    stats = sim.run(until=until)
-    return sim, stats

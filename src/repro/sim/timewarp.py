@@ -50,6 +50,7 @@ _NEVER = 1 << 62
 class _Machine:
     __slots__ = (
         "mid", "wall", "lps", "arrivals", "stats", "action_cache", "pick",
+        "next_vt",
     )
 
     def __init__(self, mid: int) -> None:
@@ -68,6 +69,20 @@ class _Machine:
         #: the eligible ready LP the pricing behind action_cache found,
         #: if any — good until a delivery changes a hosted LP
         self.pick: ClusterLP | None = None
+        #: earliest hosted ``next_vt`` at the last pricing (conservative
+        #: mode reads every machine's for the global safe bound)
+        self.next_vt: int = _NEVER
+
+
+def _price(m: _Machine) -> None:
+    """Set ``m.pick`` / ``m.next_vt`` to the linear (vt, lid) argmin over
+    the hosted LPs (in id order: the lowest id wins a tie)."""
+    pick, vt = None, _NEVER
+    for lp in m.lps:
+        lp_vt = lp.next_vt
+        if lp_vt is not None and lp_vt < vt:
+            pick, vt = lp, lp_vt
+    m.pick, m.next_vt = pick, vt
 
 
 class TimeWarpEngine:
@@ -293,29 +308,29 @@ class TimeWarpEngine:
         repriced = None  # the machine whose deliveries just moved LP times
         while True:
             best, best_t = repriced, _IDLE
-            safe = None  # conservative: this pass's global safe bound
-            for m in machines if repriced is None else (repriced,):
-                t = m.action_cache
+            priced = machines if repriced is None else (repriced,)
+            if conservative:
                 # conservative eligibility reads global state, so one
                 # machine's progress can change every other machine's
-                # answer: the memo is only sound under optimism
+                # answer: the memo is only sound under optimism.  Every
+                # machine is priced before any is judged, against the
+                # bound their minima give
+                for m in priced:
+                    _price(m)
+                bound = self._safe_bound()
+            else:
+                bound = horizon
+            for m in priced:
+                t = m.action_cache
                 if t is _STALE or conservative:
-                    # linear (vt, lid) argmin over the hosted LPs
-                    pick, vt = None, _NEVER
-                    for lp in m.lps:  # in id order: the lowest id wins a tie
-                        lp_vt = lp.next_vt
-                        if lp_vt is not None and lp_vt < vt:
-                            pick, vt = lp, lp_vt
-                    if pick is not None and conservative:
-                        # pricing moves no LP, so the bound is the same
-                        # for every machine of the pass
-                        if safe is None:
-                            safe = self._safe_bound()
-                        if safe < vt:
-                            pick = None  # an earlier event may still land
-                    elif pick is not None and vt > horizon:
-                        pick = None  # its earliest batch may not run yet
-                    m.pick = pick
+                    if not conservative:
+                        _price(m)
+                    pick = m.pick
+                    if pick is not None and m.next_vt > bound:
+                        # its earliest batch may not run yet (optimistic:
+                        # past the window; conservative: an earlier
+                        # event may still land)
+                        m.pick = pick = None
                     if pick is not None:
                         # deliveries due before/at the wall happen first anyway
                         t = m.wall
@@ -410,13 +425,11 @@ class TimeWarpEngine:
         It is the earliest unprocessed event anywhere (equal-time
         queued events at other LPs are fine — lookahead is one tick)
         and one tick before the earliest in-flight message (which must
-        land first).
+        land first).  The earliest event is the least of the machines'
+        minima from their last pricing: a machine's LPs move only when
+        it runs or is delivered to, and both re-price it.
         """
-        bound = _NEVER
-        for lp in self.lps:
-            t = lp.next_vt
-            if t is not None and t < bound:
-                bound = t
+        bound = min(m.next_vt for m in self.machines)
         inflight_min = self._inflight_min()
         if inflight_min is not None:
             bound = min(bound, inflight_min - 1)

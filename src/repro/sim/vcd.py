@@ -46,15 +46,14 @@ class VcdWriter:
         The elaborated design (for net names and module scoping).
     nets:
         Net ids to trace; defaults to primary inputs + outputs.
-    timescale:
-        VCD timescale string for one virtual-time unit.
+
+    One virtual-time unit is written as ``1ns``.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         nets: Sequence[int] | None = None,
-        timescale: str = "1ns",
     ) -> None:
         self.netlist = netlist
         if nets is None:
@@ -67,7 +66,7 @@ class VcdWriter:
         self._codes = {nid: _id_code(i) for i, nid in enumerate(self.nets)}
         self._buf = io.StringIO()
         self._buf.write("$date generated by repro $end\n")
-        self._buf.write(f"$timescale {timescale} $end\n")
+        self._buf.write("$timescale 1ns $end\n")
         self._buf.write(f"$scope module {netlist.top} $end\n")
         for nid in self.nets:
             name = _vcd_name(netlist.net_name(nid))

@@ -7,7 +7,7 @@ The pipeline mirrors DVS's vvp-based front end (paper Figure 4)::
 
 Public surface:
 
-* :func:`parse_source` / :func:`parse_file` — text → AST.
+* :func:`parse_source` — text → AST.
 * :func:`elaborate` — AST → flat bit-level :class:`Netlist` retaining
   the instance hierarchy (the design-driven partitioner's raw input).
 * :func:`compile_verilog` — one-call text → Netlist convenience.
@@ -17,7 +17,7 @@ Public surface:
 
 from .ast import Source, Module
 from .lexer import tokenize
-from .parser import parse_source, parse_file
+from .parser import parse_source
 from .elaborate import elaborate, find_top_module, NetlistBuilder
 from .netlist import Netlist, HierNode, CONST0, CONST1, CONSTX
 from .writer import write_source, write_netlist_verilog
@@ -26,7 +26,6 @@ from .primitives import (
     COMBINATIONAL_GATES,
     SEQUENTIAL_CELLS,
     gate_spec,
-    is_combinational,
     is_sequential,
     is_gate_type,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Module",
     "tokenize",
     "parse_source",
-    "parse_file",
     "elaborate",
     "find_top_module",
     "compile_verilog",
@@ -53,7 +51,6 @@ __all__ = [
     "COMBINATIONAL_GATES",
     "SEQUENTIAL_CELLS",
     "gate_spec",
-    "is_combinational",
     "is_sequential",
     "is_gate_type",
 ]

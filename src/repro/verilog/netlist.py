@@ -96,13 +96,6 @@ class HierNode:
             name: child.clone(path + (name,))
             for name, child in self.children.items()})
 
-    def find(self, path: tuple[str, ...]) -> "HierNode":
-        """Node at ``path`` relative to this node."""
-        node = self
-        for name in path:
-            node = node.children[name]
-        return node
-
 
 # -- names in runs -------------------------------------------------------------
 

@@ -31,14 +31,12 @@ one gate per output.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..errors import ParseError
 from . import ast
 from .lexer import Scan
 from .primitives import COMBINATIONAL_GATES, SEQUENTIAL_CELLS, is_gate_type
 
-__all__ = ["parse_source", "parse_file", "parse_literal_bits"]
+__all__ = ["parse_source"]
 
 #: the widest vector or literal accepted: IEEE 1364-2005 guarantees
 #: 2^16 bits (the widest in any registered circuit is 64)
@@ -56,31 +54,19 @@ def parse_source(text: str) -> ast.Source:
     return _Parser(Scan(text)).parse()
 
 
-def parse_file(path: str | Path) -> ast.Source:
-    """Parse a Verilog file."""
-    return parse_source(Path(path).read_text())
-
-
-def parse_literal_bits(raw: str, line: int = 0, col: int = 0) -> tuple[int, ...]:
-    """Decode a Verilog literal into LSB-first bits (0/1/2 for x/z).
-
-    ``raw`` may be sized+based (``4'b10x1``), based without size
-    (``'hff``), or plain decimal (``13`` → minimal width).  Anything
-    else — a digit the base does not have, a zero or non-decimal size —
-    is a :class:`ParseError` at ``line``/``col``.
-    """
-    try:
-        return _literal_bits(raw)
-    except _BadLiteral as exc:
-        raise ParseError(str(exc), line, col) from None
-
-
 class _BadLiteral(Exception):
     """A literal :func:`_literal_bits` rejects; the caller adds where."""
 
 
 def _literal_bits(raw: str) -> tuple[int, ...]:
-    """:func:`parse_literal_bits` without a position."""
+    """Decode a Verilog literal into LSB-first bits (0/1/2 for x/z).
+
+    ``raw`` may be sized+based (``4'b10x1``), based without size
+    (``'hff``), or plain decimal (``13`` → minimal width).  Anything
+    else — a digit the base does not have, a zero or non-decimal size —
+    raises :class:`_BadLiteral`, which the parser turns into a
+    :class:`ParseError` at the literal's position.
+    """
     text = raw.replace("_", "")
     shown = raw if len(raw) <= 40 else raw[:36] + "..."
     too_wide = (f"literal {shown!r} is wider than {MAX_WIDTH} bits "

@@ -25,7 +25,6 @@ __all__ = [
     "SEQUENTIAL_CELLS",
     "GateSpec",
     "gate_spec",
-    "is_combinational",
     "is_sequential",
     "is_gate_type",
 ]
@@ -79,11 +78,6 @@ _ALL = {**COMBINATIONAL_GATES, **SEQUENTIAL_CELLS}
 def gate_spec(name: str) -> GateSpec:
     """Look up the :class:`GateSpec` for a primitive/cell name."""
     return _ALL[name]
-
-
-def is_combinational(name: str) -> bool:
-    """True if ``name`` is a combinational gate primitive."""
-    return name in COMBINATIONAL_GATES
 
 
 def is_sequential(name: str) -> bool:

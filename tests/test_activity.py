@@ -25,10 +25,9 @@ class TestProfileActivity:
         sim = SequentialSimulator(compile_circuit(pipeadd), record_activity=True)
         sim.add_inputs(pipeadd_events)
         sim.run()
-        w = profile_activity(pipeadd, pipeadd_events, smoothing=0)
-        # smoothing=0 gives raw counts (may contain zeros -> Clustering
-        # would reject them; profile only)
-        assert (w == sim.stats.activity).all()
+        w = profile_activity(pipeadd, pipeadd_events)
+        # raw counts plus one, so a never-active gate still weighs 1
+        assert (w == sim.stats.activity + 1).all()
 
     def test_active_gates_weigh_more(self, pipeadd, pipeadd_events):
         w = profile_activity(pipeadd, pipeadd_events)

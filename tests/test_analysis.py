@@ -1,11 +1,8 @@
 """Circuit structure analysis."""
 
-import pytest
 
 from repro.circuits import load_circuit
-from repro.hypergraph import analyze_netlist, locality_fraction, stuck_x_report
-from repro.sim import Testbench
-from repro.verilog import compile_verilog
+from repro.hypergraph import analyze_netlist, locality_fraction
 
 
 class TestLocality:
@@ -50,59 +47,6 @@ class TestAnalyze:
         # the CPU has far fewer, much bigger top instances
         assert cpu.top_instances < vit.top_instances
         assert max(cpu.instance_sizes) > max(vit.instance_sizes)
-
-
-class TestStuckX:
-    def test_clean_design(self, pipeadd):
-        tb = Testbench(pipeadd).clock("clk").reset("rst").randomize(seed=1)
-        report = stuck_x_report(pipeadd, tb.events(cycles=4))
-        assert report.clean
-        assert "initializes completely" in report.summary(pipeadd)
-
-    def test_resetless_feedback_detected(self):
-        """A dff without reset in a feedback loop re-circulates X —
-        exactly the bug the CPU generator originally had."""
-        nl = compile_verilog(
-            """
-            module t (clk, o); input clk; output o;
-              wire q, d;
-              not (d, q);
-              dff (q, d, clk);   // no reset: q is X forever
-              buf (o, q);
-            endmodule
-            """
-        )
-        tb = Testbench(nl).clock("clk")
-        report = stuck_x_report(nl, tb.events(cycles=6))
-        assert not report.clean
-        causes = set(report.by_cause)
-        assert any("flip-flop" in c for c in causes)
-        text = report.summary(nl)
-        assert "still X" in text
-
-    def test_undriven_net_classified(self):
-        nl = compile_verilog(
-            "module t (o, a); output o; input a; wire dang; and (o, a, dang); endmodule"
-        )
-        from repro.sim import InputEvent
-
-        report = stuck_x_report(nl, [InputEvent(0, nl.inputs[0], 1)])
-        assert any("undriven" in c for c in report.by_cause)
-
-    def test_derived_x_classified(self):
-        nl = compile_verilog(
-            """
-            module t (o, a); output o; input a;
-              wire dang, mid;
-              xor (mid, a, dang);
-              buf (o, mid);
-            endmodule
-            """
-        )
-        from repro.sim import InputEvent
-
-        report = stuck_x_report(nl, [InputEvent(0, nl.inputs[0], 1)])
-        assert any("derived" in c for c in report.by_cause)
 
 
 class TestCli:

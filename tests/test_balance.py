@@ -21,7 +21,7 @@ class TestBounds:
 
     def test_satisfied_exact_split(self):
         c = BalanceConstraint(k=2, b=2.5)
-        assert c.satisfied(np.array([500, 500]), 1000)
+        assert c.satisfied(np.array([500, 500]))
 
     def test_satisfied_edge_of_band(self):
         c = BalanceConstraint(k=2, b=10.0)
@@ -44,10 +44,6 @@ class TestBounds:
         c = BalanceConstraint(k=2, b=0.0)
         assert c.violation(np.array([600, 400])) == pytest.approx(200.0)
 
-    def test_describe_mentions_parameters(self):
-        text = BalanceConstraint(k=3, b=7.5).describe(900)
-        assert "k=3" in text and "7.5" in text
-
     def test_invalid_k(self):
         with pytest.raises(ConfigError):
             BalanceConstraint(k=0, b=5.0)
@@ -55,7 +51,6 @@ class TestBounds:
     def test_invalid_b(self):
         with pytest.raises(ConfigError):
             BalanceConstraint(k=2, b=-1.0)
-
     def test_paper_grid_constants(self):
         assert PAPER_K_VALUES == (2, 3, 4)
         assert PAPER_B_VALUES == (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)

@@ -123,7 +123,7 @@ class TestCutDegrees:
         deg = cut_degrees(state)
         for v in range(hg.num_vertices):
             expect = sum(
-                1 for e in hg.vertex_edges(v) if state.edge_lambda[e] > 1
+                1 for e in hg.vertices_edges([v])[0] if state.edge_lambda[e] > 1
             )
             assert deg[v] == expect
 

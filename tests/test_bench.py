@@ -17,7 +17,6 @@ from repro.bench import (
     table1_cutsize_design,
     table2_cutsize_multilevel,
     table3_presim,
-    table4_best_partitions,
     table5_full_sim,
 )
 
@@ -80,7 +79,7 @@ class TestExperiments:
     def test_table3_through_5_pipeline(self):
         study = table3_presim(TINY)
         assert study.runs == 4
-        best = table4_best_partitions(study)
+        best = study.best_per_k()
         assert set(best) == {2, 3}
         rows, seq_wall = table5_full_sim(TINY, study)
         assert len(rows) == 2

@@ -36,9 +36,8 @@ def run_with(nl, cc, pin_values, extra=()):
 
 
 class TestAdder:
-    @pytest.mark.parametrize("hier", [True, False])
-    def test_random_cases(self, hier):
-        nl = compile_verilog(ripple_adder_verilog(6, hierarchical=hier))
+    def test_random_cases(self):
+        nl = compile_verilog(ripple_adder_verilog(6))
         cc = compile_circuit(nl)
         rng = np.random.default_rng(0)
         for _ in range(40):

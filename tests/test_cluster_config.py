@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim import ClusterSpec, RunStats, TimeWarpConfig
-from repro.sim.cluster import MachineStats
 
 
 class TestClusterSpec:
@@ -50,19 +49,6 @@ class TestTimeWarpConfig:
 
 
 class TestRunStats:
-    def test_efficiency(self):
-        s = RunStats(num_machines=4, speedup=2.0)
-        assert s.efficiency() == 0.5
-
-    def test_efficiency_empty(self):
-        assert RunStats().efficiency() == 0.0
-
-    def test_idle_fraction_bounds(self):
-        s = RunStats(num_machines=2, wall_time=10.0)
-        s.machines = [MachineStats(busy_time=5.0), MachineStats(busy_time=10.0)]
-        assert 0.0 <= s.idle_fraction() <= 1.0
-        assert s.idle_fraction() == pytest.approx(0.25)
-
     def test_summary_mentions_key_numbers(self):
         s = RunStats(num_machines=3, wall_time=1.0, sequential_wall_time=2.0,
                      speedup=2.0, messages=42, rollbacks=7)

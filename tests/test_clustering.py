@@ -89,7 +89,7 @@ class TestHypergraphs:
         # only the carry chain crosses fa instances (PI/PO nets touch one)
         assert hh.num_vertices == 4
         for e in range(hh.num_edges):
-            assert hh.edge_size(e) >= 2
+            assert len(hh.edge_vertices(e)) >= 2
 
     def test_flat_edges_match_nets(self, adder4):
         fh = flat_hypergraph(adder4)
@@ -243,7 +243,7 @@ class TestSizingBugs:
         with pytest.raises(PartitionError, match="must be integers, got 1.5 for gate 0"):
             Clustering.top_level(nl, np.array([1.5, 2, 1, 1]))
         with pytest.raises(PartitionError, match="must be integers"):
-            Clustering.flat(nl, [1, 1, float("nan"), 1])
+            Clustering.top_level(nl, [1, 1, float("nan"), 1])
         # integer-valued weights of any type weigh as before
         for weights in ([1, 1, 2, 3], np.array([1.0, 1.0, 2.0, 3.0]),
                         np.array([1, 1, 2, 3], dtype=np.int32)):

@@ -106,7 +106,7 @@ def oracle_projection(hg: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     for v, c in enumerate(mapping.tolist()):
         weights[c] += int(hg.vertex_weight[v])
     merged: dict[tuple[int, ...], int] = {}
-    for e, pins in hg.iter_edges():
+    for e, pins in enumerate(hg.edge_pins_lists()):
         key = tuple(sorted({int(mapping[v]) for v in pins}))
         if len(key) >= 2:
             merged[key] = merged.get(key, 0) + int(hg.edge_weight[e])
@@ -129,10 +129,10 @@ def check_clustering(hg: Hypergraph, mapping: np.ndarray, cap: int,
     # join went along a positive rating iff each cluster is connected
     # (so a vertex heavier than the cap, or on no scoring edge, is alone)
     linked: dict[int, set[int]] = {v: set() for v in range(hg.num_vertices)}
-    for _, pins in hg.iter_edges():
+    for pins in hg.edge_pins_lists():
         if 2 <= len(pins) <= limit:
-            for v in pins.tolist():
-                linked[v].update(u for u in pins.tolist()
+            for v in pins:
+                linked[v].update(u for u in pins
                                  if mapping[u] == mapping[v])
     for vs in members.values():
         if len(vs) >= 2:
@@ -459,7 +459,7 @@ class TestGainMatrixKernel:
                 rng.integers(0, n, int(rng.integers(1, n + 1))),
                 [n - 2, n - 1],
             ]))
-            assert not len(hg.vertex_edges(n - 1))
+            assert not len(hg.vertices_edges([n - 1])[0])
             targets = np.arange(k, dtype=np.int64)
             if trial % 2:
                 targets = rng.permutation(k)[:int(rng.integers(1, k + 1))]

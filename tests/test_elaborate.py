@@ -245,13 +245,15 @@ class TestHierarchyTree:
         assert all_gates == list(range(adder4.num_gates))
 
     def test_find(self, adder4):
-        node = adder4.hierarchy.find(("f1", "u2"))
+        node = adder4.hierarchy.children["f1"].children["u2"]
         assert node.module == "ha"
         assert len(_direct_gates(adder4, adder4.nodes.index(node))) == 2
 
     def test_gate_paths_match_tree(self, adder4):
         for gid, _, _, path, _, _ in gate_rows(adder4):
-            node = adder4.hierarchy.find(path)
+            node = adder4.hierarchy
+            for name in path:
+                node = node.children[name]
             assert gid in _direct_gates(adder4, adder4.nodes.index(node))
 
 

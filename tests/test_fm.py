@@ -45,7 +45,7 @@ class TestRefinePair:
         state = PartitionState(hg, 3, init)
         refine_pair(state, 0, 1, BalanceConstraint(3, 15.0))
         # partition 2's membership is untouched
-        assert [v for v in range(9) if state.part_of(v) == 2] == [6, 7, 8]
+        assert [v for v in range(9) if state.part[v] == 2] == [6, 7, 8]
 
     def test_gain_counts_third_party_edges(self):
         """Moving a vertex can cut an edge into partition 2; the k-way
@@ -125,13 +125,13 @@ class TestFMProperties:
             b = (a + 1) % k
         state = PartitionState(hg, k, init)
         outside = {
-            v: state.part_of(v)
+            v: int(state.part[v])
             for v in range(hg.num_vertices)
-            if state.part_of(v) not in (a, b)
+            if state.part[v] not in (a, b)
         }
         refine_pair(state, a, b, BalanceConstraint(k, 100.0))
         for v, p in outside.items():
-            assert state.part_of(v) == p
+            assert state.part[v] == p
 
 
 class TestRebalance:

@@ -233,11 +233,11 @@ def _reference_forward(state, a, b, constraint):
     moves, gains = [], []
     while free:
         def key(u):
-            side = state.part_of(u)
-            return (-state.move_gain(u, b if side == a else a), u)
+            side = int(state.part[u])
+            return (-int(state.move_gains([u], b if side == a else a)[0]), u)
         v = min(free, key=key)
         free.remove(v)
-        frm = state.part_of(v)
+        frm = int(state.part[v])
         to = b if frm == a else a
         wv = int(hg.vertex_weight[v])
         pw = state.part_weight
@@ -504,7 +504,7 @@ def _dead_by_definition(state, a, b, locked):
     hold a ``locked`` pin on each side — from the pins, not from λ."""
     dead = 0
     for pins, w in zip(state.hg.edge_pins_lists(), state.hg.edge_weight_list):
-        sides = [state.part_of(u) for u in pins]
+        sides = [int(state.part[u]) for u in pins]
         if set(sides) == {a, b} and {
             p for u, p in zip(pins, sides) if u in locked
         } == {a, b}:

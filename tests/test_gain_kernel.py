@@ -57,7 +57,7 @@ class TestGainOracle:
             n = hg.num_vertices
             verts = np.unique(np.concatenate([
                 rng.integers(0, n, int(rng.integers(1, n + 1))), [n - 1]]))
-            assert not len(hg.vertex_edges(n - 1))
+            assert not len(hg.vertices_edges([n - 1])[0])
             targets = np.arange(k, dtype=np.int64)
             if trial % 2:
                 targets = rng.permutation(k)[:int(rng.integers(1, k + 1))]

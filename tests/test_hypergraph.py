@@ -28,13 +28,13 @@ class TestConstruction:
 
     def test_duplicate_pins_collapsed(self):
         hg = Hypergraph.from_edges([1, 1], [[0, 1, 1, 0]])
-        assert hg.edge_size(0) == 2
+        assert len(hg.edge_vertices(0)) == 2
 
     def test_vertex_edges(self):
         hg = simple_hg()
-        assert list(hg.vertex_edges(1)) == [0, 1]
-        assert list(hg.vertex_edges(3)) == [1, 2]
-        assert hg.vertex_degree(0) == 1
+        assert list(hg.vertices_edges([1])[0]) == [0, 1]
+        assert list(hg.vertices_edges([3])[0]) == [1, 2]
+        assert len(hg.vertices_edges([0])[0]) == 1
 
     def test_default_edge_weights_one(self):
         hg = simple_hg()
@@ -44,20 +44,10 @@ class TestConstruction:
         hg = Hypergraph.from_edges([1, 1], [[0, 1]], edge_weights=[5])
         assert hg.edge_weight[0] == 5
 
-    def test_neighbors(self):
-        hg = simple_hg()
-        assert hg.neighbors(0) == {1, 2}
-        assert hg.neighbors(3) == {1, 2}
-
-    def test_iter_edges(self):
-        hg = simple_hg()
-        seen = {e: list(p) for e, p in hg.iter_edges()}
-        assert seen[1] == [1, 3]
-
     def test_empty_edge_set(self):
         hg = Hypergraph.from_edges([1, 1], [])
         assert hg.num_edges == 0
-        assert hg.vertex_degree(0) == 0
+        assert len(hg.vertices_edges([0])[0]) == 0
 
 
 class TestValidation:
@@ -102,17 +92,17 @@ class TestProperties:
     @given(random_hypergraph())
     @settings(max_examples=60, deadline=None)
     def test_incidence_is_symmetric(self, hg):
-        """v in edge_vertices(e) iff e in vertex_edges(v)."""
+        """v in edge_vertices(e) iff e in the incident edges of v."""
         for e in range(hg.num_edges):
             for v in hg.edge_vertices(e):
-                assert e in hg.vertex_edges(int(v))
+                assert e in hg.vertices_edges([int(v)])[0]
         for v in range(hg.num_vertices):
-            for e in hg.vertex_edges(v):
+            for e in hg.vertices_edges([v])[0]:
                 assert v in hg.edge_vertices(int(e))
 
     @given(random_hypergraph())
     @settings(max_examples=60, deadline=None)
     def test_pin_count_consistent(self, hg):
-        from_edges = sum(hg.edge_size(e) for e in range(hg.num_edges))
-        from_vertices = sum(hg.vertex_degree(v) for v in range(hg.num_vertices))
+        from_edges = sum(len(hg.edge_vertices(e)) for e in range(hg.num_edges))
+        from_vertices = sum(len(hg.vertices_edges([v])[0]) for v in range(hg.num_vertices))
         assert from_edges == from_vertices == hg.num_pins

@@ -345,9 +345,9 @@ class TestOneStoreTwoViews:
 class TestConstruction:
     def test_gate_clusters_and_nets(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()
-        assert lp0.has_net(a) and lp0.has_net(m)
-        assert not lp0.has_net(y)
-        assert lp1.has_net(m) and lp1.has_net(y)
+        assert a in lp0._net_loc and m in lp0._net_loc
+        assert y not in lp0._net_loc
+        assert m in lp1._net_loc and y in lp1._net_loc
 
     def test_initial_values_are_x(self):
         nl, cc, lp0, lp1, a, m, y = two_lp_fixture()

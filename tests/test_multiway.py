@@ -143,11 +143,3 @@ class TestQualityTrends:
         assert r.cut_size == 0
         assert r.balanced
 
-    def test_multistart_never_worse(self, viterbi_test):
-        single = design_driven_partition(viterbi_test, k=3, b=10.0, seed=1)
-        multi = design_driven_partition(
-            viterbi_test, k=3, b=10.0, seed=1, restarts=3
-        )
-        assert (not multi.balanced, multi.cut_size) <= (
-            not single.balanced, single.cut_size
-        )

@@ -10,8 +10,6 @@ locality matrix) are therefore exact, not fuzzy.
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from repro.circuits import random_vectors
@@ -29,16 +27,16 @@ from repro.obs import (
     TraceBuffer,
     analyze_run,
     diff_metrics,
+    dumps_metrics,
     gate_directories,
     gvt_progress,
     is_registered,
     message_locality,
     metrics_document,
-    metrics_equal,
     parse_trace,
     reconstruct_cascades,
     rollback_hotspots,
-    trace_fields,
+    strip_volatile,
     write_metrics,
 )
 from repro.obs.report import _SUMMARY_COUNTERS
@@ -257,7 +255,6 @@ class TestGvtProgress:
         assert g.advance_rate == pytest.approx(4.0)
         assert [(s.start_round, s.end_round, s.gvt, s.rounds)
                 for s in g.stalls] == [(1, 3, 10, 2), (5, 6, 30, 1)]
-        assert g.longest_stall == 2
 
     def test_monotone_progress_has_no_stalls(self):
         events = [ev(i, "gvt", round=i + 1, gvt=10 * (i + 1))
@@ -298,7 +295,8 @@ class TestDiffMetrics:
         b = doc({"tw.rollbacks": 1}, generated_at="2026-02-02T00:00:00Z")
         b["host_timings"] = {"tw.run": 3.5}
         assert diff_metrics(a, b).deltas == ()
-        assert metrics_equal(a, b)
+        assert dumps_metrics(strip_volatile(a)) == dumps_metrics(
+            strip_volatile(b))
 
     def test_25pct_more_rollbacks_regresses(self):
         result = diff_metrics(doc({"tw.rollbacks": 100}),
@@ -471,7 +469,7 @@ class TestRegistryEnforcement:
 
     def test_synthetic_traces_use_registered_fields(self):
         for e in CASCADE_3LP:
-            extra = set(e) - {"seq", "kind"} - trace_fields(e["kind"])
+            extra = set(e) - {"seq", "kind"} - set(TRACE_FIELD_REGISTRY[e["kind"]])
             assert not extra, (e["kind"], extra)
 
 
@@ -496,7 +494,7 @@ class TestEngineTraceContract:
     def test_emitted_fields_are_registered(self, traced_run):
         trace, _ = traced_run
         for e in trace.events():
-            extra = set(e.fields) - trace_fields(e.kind)
+            extra = set(e.fields) - set(TRACE_FIELD_REGISTRY[e.kind])
             assert not extra, (e.kind, extra)
 
     def test_rollback_events_carry_culprit_enrichment(self, traced_run):
@@ -528,7 +526,7 @@ class TestEngineTraceContract:
 class TestHeartbeatNeutrality:
     def test_heartbeat_does_not_change_results(self, pipeadd,
                                                pipeadd_circuit,
-                                               pipeadd_events):
+                                               pipeadd_events, capsys):
         """The change-stream oracle passes with a heartbeat attached and
         the run is bit-identical to a silent one."""
         seq = SequentialSimulator(pipeadd_circuit, record_changes=True)
@@ -549,26 +547,24 @@ class TestHeartbeatNeutrality:
             eng.verify_change_stream(seq)
             return stats
 
-        stream = io.StringIO()
-        beat = ProgressHeartbeat(stream=stream, min_interval=0.0)
+        beat = ProgressHeartbeat()
         silent, chatty = run(None), run(beat)
         assert silent == chatty
-        assert beat.lines >= 1 and stream.getvalue().startswith("tw: ")
+        assert beat.lines >= 1 and capsys.readouterr().err.startswith("tw: ")
 
     def test_throttling_by_host_clock(self):
         ticks = iter([0.0, 0.2, 0.4, 2.0, 2.1])
-        beat = ProgressHeartbeat(stream=io.StringIO(), min_interval=1.0,
-                                 clock=lambda: next(ticks))
+        beat = ProgressHeartbeat()
+        beat._clock = lambda: next(ticks)
         for i in range(5):
             beat.update(gvt=i, rounds=i, processed=10 * i, rollbacks=0,
                         wall=0.0)
         # first line prints immediately, then only the t=2.0 update
         assert beat.lines == 2
 
-    def test_done_sentinel_rendered(self):
-        stream = io.StringIO()
-        beat = ProgressHeartbeat(stream=stream, min_interval=0.0)
+    def test_done_sentinel_rendered(self, capsys):
+        beat = ProgressHeartbeat()
         beat.update(gvt=GVT_DONE, rounds=9, processed=100, rollbacks=5,
                     wall=1.0)
-        line = stream.getvalue()
+        line = capsys.readouterr().err
         assert "gvt=done" in line and "(5.0%)" in line

@@ -103,7 +103,9 @@ class TestFolding:
         opt, _ = optimize_netlist(pipeadd)
         assert set(opt.hierarchy.children) <= set(pipeadd.hierarchy.children)
         for gid, _, _, path, _, _ in gate_rows(opt):
-            node = opt.hierarchy.find(path)
+            node = opt.hierarchy
+            for name in path:
+                node = node.children[name]
             assert opt.gate_node[gid] == opt.nodes.index(node)
 
     def test_stats_summary(self, pipeadd):

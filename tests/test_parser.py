@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.verilog import ast
-from repro.verilog.parser import parse_literal_bits, parse_source
+from repro.verilog.parser import _BadLiteral, _literal_bits, parse_source
 
 
 def one_module(text):
@@ -175,26 +175,26 @@ class TestLiterals:
         ],
     )
     def test_decode(self, raw, bits):
-        assert parse_literal_bits(raw) == bits
+        assert _literal_bits(raw) == bits
 
     def test_no_digits(self):
-        with pytest.raises(ParseError, match="digits"):
-            parse_literal_bits("4'b")
+        with pytest.raises(_BadLiteral, match="digits"):
+            _literal_bits("4'b")
 
     @pytest.mark.parametrize("raw", ["4'dx", "4'd1a", "'d9z"])
     def test_non_decimal_digit_in_decimal_base(self, raw):
-        with pytest.raises(ParseError, match="bad digit"):
-            parse_literal_bits(raw, 3, 7)
+        with pytest.raises(_BadLiteral, match="bad digit"):
+            _literal_bits(raw)
 
     @pytest.mark.parametrize("raw", ["0'b1", "0'd0", "0_0'hf"])
     def test_zero_width(self, raw):
-        with pytest.raises(ParseError, match="zero width"):
-            parse_literal_bits(raw)
+        with pytest.raises(_BadLiteral, match="zero width"):
+            _literal_bits(raw)
 
     @pytest.mark.parametrize("raw", ["", "1a", "x'b1", "4'q1", "4's"])
     def test_malformed_is_a_parse_error(self, raw):
-        with pytest.raises(ParseError, match="malformed"):
-            parse_literal_bits(raw)
+        with pytest.raises(_BadLiteral, match="malformed"):
+            _literal_bits(raw)
 
 
 class TestParseErrors:

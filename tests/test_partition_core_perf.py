@@ -86,7 +86,7 @@ def test_interleaved_ops_match_recompute(seed, k):
         else:
             v = int(rng.integers(0, hg.num_vertices))
             target = int(rng.integers(0, k))
-            predicted = state.move_gain(v, target)
+            predicted = int(state.move_gains([v], target)[0])
             assert predicted == _oracle_gain(state, v, target)
             assert state.move(v, target) == predicted
         if step % 30 == 29:
@@ -110,17 +110,14 @@ def test_batch_gains_equal_scalar_everywhere(seed, k):
     batch = state.move_gains(all_v, targets)
     assert batch.tolist() == [_oracle_gain(state, int(v), int(t))
                               for v, t in zip(all_v, targets)]
-    # gains predict the realized cut delta; the one-vertex form is not
-    # tallied as a batch
-    batches = state.gain_batches, state.gain_batch_vertices
+    # gains predict the realized cut delta
     for v in range(0, hg.num_vertices, 7):
         t = int(targets[v])
         before = state.cut_size
-        g = state.move_gain(v, t)
+        g = int(state.move_gains([v], t)[0])
         assert g == _oracle_gain(state, v, t)
         assert state.move(v, t) == g
         assert state.cut_size == before - g
-    assert (state.gain_batches, state.gain_batch_vertices) == batches
 
 
 def test_move_gains_tiny_batch_matches_vector_path():
@@ -137,7 +134,7 @@ def test_move_gains_tiny_batch_matches_vector_path():
         assert got.tolist() == whole[vs].tolist()
         assert got.tolist() == [_oracle_gain(state, int(v), int(targets[v]))
                                 for v in vs]
-        assert got.tolist() == [state.move_gain(int(v), int(targets[v]))
+        assert got.tolist() == [int(state.move_gains([v], targets[v])[0])
                                 for v in vs]
 
 
@@ -161,23 +158,8 @@ def test_snapshot_restore_preserves_views_and_state():
     _assert_matches_oracle(state)
     assert state.cut_size == before.cut_size
     # and the restored state still moves correctly
-    state.move(5, (state.part_of(5) + 1) % 4)
+    state.move(5, (int(state.part[5]) + 1) % 4)
     _assert_matches_oracle(state)
-
-
-def test_neighbors_match_bruteforce():
-    hg = _random_hg(17)
-    for v in range(hg.num_vertices):
-        expect: set[int] = set()
-        for e in hg.vertex_edges(v):
-            expect.update(int(u) for u in hg.edge_vertices(int(e)))
-        expect.discard(v)
-        assert hg.neighbors(v) == expect
-
-
-def test_neighbors_empty_graph():
-    hg = Hypergraph.from_edges([1, 1, 1], [])
-    assert hg.neighbors(1) == set()
 
 
 def test_edge_pins_lists_transpose_vertex_edges_lists():
@@ -186,7 +168,7 @@ def test_edge_pins_lists_transpose_vertex_edges_lists():
     assert hg.edge_pins_lists() is pins  # cached on the object
     assert pins == [hg.edge_vertices(e).tolist() for e in range(hg.num_edges)]
     adj = hg.vertex_edges_lists()
-    assert adj == [hg.vertex_edges(v).tolist() for v in range(hg.num_vertices)]
+    assert adj == [hg.vertices_edges([v])[0].tolist() for v in range(hg.num_vertices)]
     for e, row in enumerate(pins):
         assert all(e in adj[u] for u in row)
     assert sum(map(len, pins)) == sum(map(len, adj)) == hg.num_pins

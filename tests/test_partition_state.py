@@ -11,7 +11,6 @@ from repro.hypergraph import (
     PartitionState,
     connectivity_cut,
     hyperedge_cut,
-    part_weights,
 )
 
 
@@ -48,7 +47,7 @@ class TestBasics:
         s = PartitionState(hg3(), 2)
         s.move(2, 1)
         assert s.part_weight.tolist() == [5, 3]
-        assert s.part_of(2) == 1
+        assert int(s.part[2]) == 1
 
     def test_move_to_same_part_is_noop(self):
         s = PartitionState(hg3(), 2)
@@ -69,9 +68,9 @@ class TestBasics:
         s = PartitionState(hg3(), 3, [0, 1, 2, 0, 1])
         for v in range(5):
             for p in range(3):
-                predicted = s.move_gain(v, p)
+                predicted = int(s.move_gains([v], p)[0])
                 before = s.cut_size
-                frm = s.part_of(v)
+                frm = int(s.part[v])
                 realized = s.move(v, p)
                 assert realized == predicted
                 assert s.cut_size == before - realized
@@ -91,10 +90,6 @@ class TestBasics:
                 else:
                     assert m[a, a] == 0
 
-    def test_max_imbalance_zero_for_perfect(self):
-        hg = Hypergraph.from_edges([1, 1], [[0, 1]])
-        s = PartitionState(hg, 2, [0, 1])
-        assert s.max_imbalance() == 0.0
 
 
 @st.composite
@@ -130,7 +125,8 @@ class TestIncrementalOracle:
             s.move(v, p)
         assert s.cut_size == hyperedge_cut(hg, s.part)
         assert s.connectivity == connectivity_cut(hg, s.part)
-        assert s.part_weight.tolist() == part_weights(hg, s.part, k).tolist()
+        assert s.part_weight.tolist() == np.bincount(
+            s.part, weights=hg.vertex_weight, minlength=k).astype(int).tolist()
         # and edge_part_count is internally consistent
         fresh = PartitionState(hg, k, s.part)
         assert (fresh.edge_part_count == s.edge_part_count).all()

@@ -5,6 +5,7 @@ import pytest
 from repro.circuits import random_vectors
 from repro.core import brute_force_presim, evaluate_partition, heuristic_presim
 from repro.core import design_driven_partition, partition_netlist
+from repro.core.presim import HEURISTIC_B_ROW
 from repro.errors import ConfigError
 from repro.sim import ClusterSpec, TimeWarpConfig, compile_circuit
 
@@ -106,11 +107,10 @@ class TestHeuristic:
         events = random_vectors(viterbi_test, 10, seed=2)
         heur = heuristic_presim(
             viterbi_test, events, max_k=max(KS), seed=1,
-            b_start=7.5, b_stop=15.0, b_step=5.0,
             config=TimeWarpConfig(gvt_interval=64),
         )
         # fig-3 sweep: at most (k-1) * len(b grid) runs
-        assert 1 <= heur.runs <= (max(KS) - 1) * 2
+        assert 1 <= heur.runs <= (max(KS) - 1) * len(HEURISTIC_B_ROW)
         assert heur.best is not None
 
     def test_needs_k2(self, viterbi_test):

@@ -47,12 +47,40 @@ class TestOneGridEvaluator:
     def test_unset_knobs_are_not_parameters(self):
         import inspect
 
+        from repro.circuits import (
+            lfsr_verilog,
+            natural_schedule,
+            random_logic_verilog,
+            ripple_adder_verilog,
+            vector_events,
+        )
         from repro.core import (
+            BalanceConstraint,
             MultilevelConfig,
+            activity_clustering,
+            batch_refine,
             brute_force_presim,
             design_driven_partition,
+            estimate_pair_gain,
             heuristic_presim,
+            multilevel_flat_partition,
+            profile_activity,
             recursive_design_driven_partition,
+        )
+        from repro.hypergraph import Clustering
+        from repro.obs import (
+            MetricsRecorder,
+            ProgressHeartbeat,
+            ResourceSampler,
+            gate_directories,
+            validate_spans,
+            worker_telemetry,
+        )
+        from repro.sim import (
+            ClusterLP,
+            VcdWriter,
+            run_partitioned,
+            run_sequential_baseline,
         )
 
         assert set(MultilevelConfig.__dataclass_fields__) == {
@@ -62,6 +90,35 @@ class TestOneGridEvaluator:
                    recursive_design_driven_partition):
             assert not {"partitioner", "max_fm_passes", "max_rounds"} & set(
                 inspect.signature(fn).parameters)
+        # values only tests set: each is a constant now, or gone
+        removed = {
+            heuristic_presim: {"b_start", "b_stop", "b_step"},
+            design_driven_partition: {"restarts"},
+            run_partitioned: {"verify"},
+            BalanceConstraint.satisfied: {"total_load"},
+            activity_clustering: {"smoothing"},
+            profile_activity: {"smoothing"},
+            batch_refine: {"max_rounds"},
+            estimate_pair_gain: {"sample"},
+            multilevel_flat_partition: {"config"},
+            natural_schedule: {"margin"},
+            vector_events: {"start_time"},
+            ripple_adder_verilog: {"hierarchical"},
+            lfsr_verilog: {"taps"},
+            random_logic_verilog: {"p_ff", "name"},
+            gate_directories: {"pattern", "thresholds", "default_threshold"},
+            ProgressHeartbeat: {"stream", "min_interval", "clock"},
+            MetricsRecorder: {"clock"},
+            ResourceSampler: {"interval"},
+            worker_telemetry: {"lane"},
+            validate_spans: {"tolerance"},
+            run_sequential_baseline: {"record_activity"},
+            VcdWriter: {"timescale"},
+            ClusterLP: {"name"},
+            Clustering.flat: {"gate_weights"},
+        }
+        for fn, names in removed.items():
+            assert not names & set(inspect.signature(fn).parameters), fn
 
 
 class TestOneGateVertexArray:
@@ -389,6 +446,90 @@ class TestCombinationalDepth:
         from repro.circuits import ripple_adder_verilog
 
         d4 = combinational_depth(compile_circuit(adder4))
-        nl8 = compile_verilog(ripple_adder_verilog(8, hierarchical=False))
+        nl8 = compile_verilog(ripple_adder_verilog(8))
         d8 = combinational_depth(compile_circuit(nl8))
         assert d8 > d4 >= 4
+
+
+class TestOneCallerSurface:
+    """Every exported name, public method and keyword of ``repro`` has a
+    caller outside ``tests/``: what only tests reached is gone."""
+
+    #: retired with the test-only surface
+    RETIRED = (
+        "repro.sim.Testbench",
+        "repro.sim.simulate_sequential",
+        "repro.sim.sequential.simulate_sequential",
+        "repro.sim.eval_gate",
+        "repro.sim.logic.eval_gate",
+        "repro.sim.logic.invert",
+        "repro.sim.logic.CODE_NAMES",
+        "repro.sim.lp.ClusterLP.has_net",
+        "repro.sim.cluster.RunStats.idle_fraction",
+        "repro.sim.cluster.RunStats.efficiency",
+        "repro.sim.compiled.CompiledCircuit.max_arity",
+        "repro.hypergraph.stuck_x_report",
+        "repro.hypergraph.StuckXReport",
+        "repro.hypergraph.analysis.stuck_x_report",
+        "repro.hypergraph.within_balance",
+        "repro.hypergraph.load_imbalance",
+        "repro.hypergraph.part_weights",
+        "repro.hypergraph.metrics.within_balance",
+        "repro.hypergraph.metrics.load_imbalance",
+        "repro.hypergraph.metrics.part_weights",
+        "repro.hypergraph.Hypergraph.edge_size",
+        "repro.hypergraph.Hypergraph.vertex_degree",
+        "repro.hypergraph.Hypergraph.vertex_edges",
+        "repro.hypergraph.Hypergraph.iter_edges",
+        "repro.hypergraph.Hypergraph.neighbors",
+        "repro.hypergraph.PartitionState.part_of",
+        "repro.hypergraph.PartitionState.move_gain",
+        "repro.hypergraph.PartitionState.max_imbalance",
+        "repro.verilog.parse_file",
+        "repro.verilog.parser.parse_file",
+        "repro.verilog.parser.parse_literal_bits",
+        "repro.verilog.is_combinational",
+        "repro.verilog.primitives.is_combinational",
+        "repro.verilog.netlist.HierNode.find",
+        "repro.bench.fig5_simulation_time",
+        "repro.bench.table4_best_partitions",
+        "repro.core.balance.BalanceConstraint.describe",
+        "repro.circuits.noc.NocConfig.routers",
+        "repro.obs.metrics_equal",
+        "repro.obs.metrics.metrics_equal",
+        "repro.obs.trace_fields",
+        "repro.obs.registry.trace_fields",
+        "repro.obs.analyze.GvtProgress.longest_stall",
+    )
+    #: names no live file has another use for
+    UNAMBIGUOUS = (
+        "Testbench", "simulate_sequential", "eval_gate", "CODE_NAMES",
+        "has_net", "idle_fraction", "max_arity", "stuck_x_report",
+        "StuckXReport", "within_balance", "load_imbalance", "edge_size",
+        "vertex_degree", "vertex_edges", "iter_edges", "part_of",
+        "move_gain", "max_imbalance", "parse_file", "parse_literal_bits",
+        "is_combinational", "fig5_simulation_time",
+        "table4_best_partitions", "metrics_equal", "trace_fields",
+        "longest_stall",
+    )
+
+    def test_retired_names_do_not_resolve(self):
+        for path in self.RETIRED:
+            assert check_docs.resolves(path.rsplit(".", 1)[0]), path
+            assert not check_docs.resolves(path), path
+        with pytest.raises(ImportError):
+            import repro.sim.testbench  # noqa: F401
+
+    def test_nothing_live_mentions_a_retired_name(self):
+        import re
+
+        root = Path(__file__).resolve().parent.parent
+        live = [root / "README.md", root / "DESIGN.md"]
+        live += [p for p in (root / "docs").glob("*.md")
+                 if p.name != "performance.md"]
+        for tree in ("src", "examples", "benchmarks", "tools"):
+            live += (root / tree).rglob("*.py")
+        word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
+        hits = [f"{p.relative_to(root)}: {m.group(1)}"
+                for p in live for m in word.finditer(p.read_text())]
+        assert not hits, hits

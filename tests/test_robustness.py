@@ -277,6 +277,39 @@ def test_cli_rejects_a_nan_balance_factor(algorithm, capsys):
     assert "error: b must be >= 0, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_infinite_balance_factor_is_a_config_error(adder8, entry):
+    with pytest.raises(ConfigError, match="b must be finite"):
+        ENTRY_POINTS[entry](adder8, float("inf"))
+
+
+@pytest.mark.parametrize("algorithm", ["design", "multilevel"])
+def test_cli_rejects_an_infinite_balance_factor(algorithm, capsys):
+    # at b = inf Formula 1 admits any loads: adder8 came back as
+    # [0, 0, 41] and was reported balanced
+    out = io.StringIO()
+    code = main(["partition", "circuit:adder8", "-k", "3", "-b", "inf",
+                 "--algorithm", algorithm], out=out)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert "error: b must be finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ks", "2,x", "--ks '2,x': 'x' is not an integer"),
+    ("--ks", ",", "--ks ',': '' is not an integer"),
+    ("--bs", "10,abc", "--bs '10,abc': 'abc' is not a number"),
+], ids=["ks-letter", "ks-empty", "bs-letters"])
+def test_cli_rejects_a_malformed_grid_list(flag, value, message, capsys):
+    # each spelling ended in a bare ValueError traceback
+    out = io.StringIO()
+    code = main(["sweep", "circuit:adder8", flag, value, "--vectors", "2"],
+                out=out)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- the Verilog front end under fuzzing ---------------------------------------
 
 def _front_end(text: str) -> None:

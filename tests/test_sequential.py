@@ -9,7 +9,6 @@ from repro.sim import (
     InputEvent,
     SequentialSimulator,
     compile_circuit,
-    simulate_sequential,
 )
 from repro.sim.logic import V0, V1, VX
 from repro.verilog import NetlistBuilder, compile_verilog
@@ -99,13 +98,6 @@ class TestScheduling:
         assert sim.value_of(adder4.inputs[0]) == VX
         sim.run(until=6)
         assert sim.value_of(adder4.inputs[0]) == V1
-
-    def test_simulate_sequential_helper(self, adder4, adder4_circuit):
-        sim, stats = simulate_sequential(
-            adder4_circuit, [InputEvent(0, n, 0) for n in adder4.inputs]
-        )
-        assert stats.gate_evals > 0
-        assert sim.output_values()[:4] == [0, 0, 0, 0]
 
 
 def _dff_fixture(cell="dff"):

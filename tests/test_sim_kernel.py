@@ -162,7 +162,7 @@ def _single_lp_log(circuit, events):
                    checkpoint_interval=4, record_changes=True)
     uid = 0
     for ev in events:
-        if lp.has_net(ev.net):
+        if ev.net in lp._net_loc:
             lp.insert_positive(Message(ev.time, ev.net, ev.value, -1, 0,
                                        ev.time - 1, uid))
             uid += 1
@@ -188,7 +188,7 @@ class TestOneKernelTwoShells:
         # first, and the visiting order of the following ticks inherits
         # that — so the two logs hold the same entries tick for tick,
         # in an order that is each shell's own (pinned by the goldens)
-        expect = [e for e in seq.change_log if lp.has_net(e[1])]
+        expect = [e for e in seq.change_log if e[1] in lp._net_loc]
         times = [e[0] for e in lp._change_log]
         assert times == sorted(times)
         assert sorted(lp._change_log) == sorted(expect)

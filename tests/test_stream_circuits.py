@@ -254,7 +254,6 @@ def test_stream_equals_text(name):
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
     assert np.array_equal(a.table.pins, b.table.pins)
     assert np.array_equal(a.table.fan_gate, b.table.fan_gate)
-    assert a.max_arity == b.max_arity
     assert a.inputs == b.inputs and a.outputs == b.outputs
 
 
