@@ -36,7 +36,6 @@ def test_heuristic_vs_brute_force(benchmark):
             "bench.brute_force_runs": comp.brute.runs,
             "bench.heuristic_runs": comp.heuristic.runs,
             "bench.runs_saved": comp.runs_saved,
-            "bench.speedup_gap": comp.speedup_gap,
         },
         rows=[
             {"method": "brute", "k": comp.brute.best.k, "b": comp.brute.best.b,

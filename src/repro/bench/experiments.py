@@ -1,7 +1,7 @@
 """Experiment runners: one function per table / figure of the paper.
 
-Each runner takes an :class:`ExperimentConfig` (circuit, vector counts,
-cost model), computes the data behind one paper artifact, and returns a
+Each runner takes an :class:`ExperimentConfig` (circuit, grid, vector
+counts, seed), computes the data behind one paper artifact, and returns a
 structured result that the benchmark scripts print via
 :mod:`repro.bench.tables` and the EXPERIMENTS.md generator consumes.
 
@@ -28,7 +28,7 @@ from ..core import (
     multilevel_kway_partition,
 )
 from ..hypergraph import flat_hypergraph
-from ..sim import ClusterSpec, TimeWarpConfig, compile_circuit, run_sequential_baseline
+from ..sim import ClusterSpec, compile_circuit, run_sequential_baseline
 from ..verilog.netlist import Netlist
 
 __all__ = [
@@ -53,9 +53,10 @@ class ExperimentConfig:
     presim_vectors: int = 40
     full_vectors: int = 400
     seed: int = 1
-    pairing: str = "gain"
-    spec: ClusterSpec = ClusterSpec(num_machines=1)
-    tw: TimeWarpConfig = TimeWarpConfig()
+
+
+#: the virtual cluster's cost model (each run sets its machine count)
+_SPEC = ClusterSpec(num_machines=1)
 
 
 @dataclass
@@ -74,12 +75,6 @@ def _netlist(circuit: str) -> Netlist:
     return load_circuit(circuit)
 
 
-def _partition(cfg: ExperimentConfig, netlist: Netlist, k: int, b: float):
-    return design_driven_partition(
-        netlist, k=k, b=b, seed=cfg.seed, pairing=cfg.pairing
-    )
-
-
 # -- Table 1 -----------------------------------------------------------------
 
 
@@ -89,7 +84,7 @@ def table1_cutsize_design(cfg: ExperimentConfig) -> list[CutRow]:
     rows = []
     for k in cfg.ks:
         for b in cfg.bs:
-            r = _partition(cfg, netlist, k, b)
+            r = design_driven_partition(netlist, k=k, b=b, seed=cfg.seed)
             rows.append(
                 CutRow(
                     k=k,
@@ -131,16 +126,8 @@ def table3_presim(cfg: ExperimentConfig) -> PresimStudy:
     """Pre-simulation time and speedup for every (k, b)."""
     netlist = _netlist(cfg.circuit)
     events = random_vectors(netlist, cfg.presim_vectors, seed=cfg.seed)
-    return brute_force_presim(
-        netlist,
-        events,
-        ks=cfg.ks,
-        bs=cfg.bs,
-        base_spec=cfg.spec,
-        config=cfg.tw,
-        seed=cfg.seed,
-        pairing=cfg.pairing,
-    )
+    return brute_force_presim(netlist, events, ks=cfg.ks, bs=cfg.bs,
+                              seed=cfg.seed)
 
 
 # -- Table 5 / Figure 5 ----------------------------------------------------------
@@ -169,17 +156,11 @@ def table5_full_sim(
     netlist = _netlist(cfg.circuit)
     events = random_vectors(netlist, cfg.full_vectors, seed=cfg.seed + 1)
     circuit = compile_circuit(netlist)
-    sequential, seq_wall = run_sequential_baseline(circuit, events, cfg.spec)
+    sequential, seq_wall = run_sequential_baseline(circuit, events, _SPEC)
     rows: list[FullSimRow] = []
     for k, point in sorted(study.best_per_k().items()):
-        full = evaluate_partition(
-            circuit,
-            point.partition,
-            events,
-            cfg.spec,
-            cfg.tw,
-            sequential=sequential,
-        )
+        full = evaluate_partition(circuit, point.partition, events, _SPEC,
+                                  sequential=sequential)
         rows.append(
             FullSimRow(
                 k=k,
@@ -245,13 +226,6 @@ def heuristic_vs_brute_force(
     events = random_vectors(netlist, cfg.presim_vectors, seed=cfg.seed)
     if brute is None:
         brute = table3_presim(cfg)
-    heur = heuristic_presim(
-        netlist,
-        events,
-        max_k=max(cfg.ks),
-        base_spec=cfg.spec,
-        config=cfg.tw,
-        seed=cfg.seed,
-        pairing=cfg.pairing,
-    )
+    heur = heuristic_presim(netlist, events, max_k=max(cfg.ks),
+                            seed=cfg.seed)
     return HeuristicComparison(brute=brute, heuristic=heur)

@@ -90,12 +90,8 @@ class ShapeCheck:
 
 def shape_check_counters(checks: list[ShapeCheck]) -> dict[str, int]:
     """Fold shape-check outcomes into the registered ``bench.*``
-    counters for a metrics document (see :mod:`repro.obs.registry`)."""
-    passed = sum(1 for c in checks if c.passed)
-    return {
-        "bench.shape_checks_passed": passed,
-        "bench.shape_checks_failed": len(checks) - passed,
-    }
+    counter for a metrics document (see :mod:`repro.obs.registry`)."""
+    return {"bench.shape_checks_passed": sum(1 for c in checks if c.passed)}
 
 
 def shape_checks_cutsize(

@@ -21,8 +21,8 @@ Public surface:
   :func:`multilevel_flat_partition` — the production multilevel k-way
   engine and its flat comparator (see ``docs/multilevel.md``).
 * :func:`batch_refine` / :data:`REFINERS` — the data-parallel boundary
-  refiner selectable as ``refiner="batch"`` on every partition entry
-  point (see ``docs/refinement.md``).
+  refiner selectable as ``refiner="batch"`` on the design-driven and
+  multilevel entry points (see ``docs/refinement.md``).
 * :func:`random_partition` — the seeded, weight-balanced random floor
   (``initial="random"``, ``repro partition --algorithm random``).
 """
@@ -45,7 +45,6 @@ from .pairing import (
 )
 from .multiway import MultiwayResult, design_driven_partition
 from .multilevel import (
-    MultilevelConfig,
     MultilevelKwayResult,
     MultilevelLevel,
     coarsen_hypergraph,
@@ -94,7 +93,6 @@ __all__ = [
     "tournament_rounds",
     "MultiwayResult",
     "design_driven_partition",
-    "MultilevelConfig",
     "MultilevelKwayResult",
     "MultilevelLevel",
     "coarsen_hypergraph",

@@ -287,14 +287,14 @@ def batch_refine(
     state:
         The partition to improve; mutated in place.
     constraint:
-        Anything with ``bounds(total_weight) -> (lo, hi)`` — a
-        :class:`~repro.core.balance.BalanceConstraint` or the recursive
-        splitter's subset window.  Only ``bounds`` is consulted.
+        Anything with ``bounds(total_weight) -> (lo, hi)``, such as a
+        :class:`~repro.core.balance.BalanceConstraint`.  Only ``bounds``
+        is consulted.
     blocks:
         Optional block restriction: only vertices currently in these
-        blocks move, and only into these blocks (the recursive
-        splitter refines ``(0, 1)`` of a local 3-way state whose third
-        block is frozen).  ``None`` means all ``state.k`` blocks.
+        blocks move, and only into these blocks (``(0, 1)`` of a 3-way
+        state leaves its third block frozen).  ``None`` means all
+        ``state.k`` blocks.
     max_kicks:
         At the greedy fixpoint, up to this many perturbation attempts:
         a snapshot is taken, the least-damaging non-improving batch is

@@ -21,7 +21,7 @@ the paper gave hMetis::
 Every refinement — at the coarsest level and at every uncoarsening
 level — is the stability loop the design-driven driver runs
 (:func:`repro.core.pairing.improve_until_stable`), serial and in place,
-so a partition is a function of ``(hg, k, b, seed, config, refiner)``
+so a partition is a function of ``(hg, k, b, seed, refiner)``
 alone (``docs/multilevel.md``).
 
 Design references (PAPERS.md): the weight-aware cluster cap follows
@@ -60,7 +60,6 @@ from .pairing import (
 )
 
 __all__ = [
-    "MultilevelConfig",
     "MultilevelLevel",
     "MultilevelKwayResult",
     "coarsen_hypergraph",
@@ -68,30 +67,6 @@ __all__ = [
     "direct_kway_partition",
     "multilevel_flat_partition",
 ]
-
-
-@dataclass(frozen=True)
-class MultilevelConfig:
-    """The coarsening bounds tests vary (every other bound is a module
-    constant: :data:`SUB_ROUNDS` and its neighbours, :data:`NUM_INITIAL`).
-
-    ``coarsest_vertices`` / ``coarsest_per_part`` set the stop size:
-    coarsening halts at ``max(coarsest_vertices, coarsest_per_part*k)``
-    vertices.  Hyperedges wider than ``large_edge_limit`` pins carry no
-    locality signal and do not rate joins.
-    """
-
-    coarsest_vertices: int = 160
-    coarsest_per_part: int = 24
-    large_edge_limit: int = 48
-
-    def stop_size(self, k: int) -> int:
-        return max(self.coarsest_vertices, self.coarsest_per_part * k)
-
-    def max_cluster_weight(self, constraint: BalanceConstraint,
-                           total_weight: int) -> int:
-        _, hi = constraint.bounds(total_weight)
-        return max(1, int(hi * MATCH_WEIGHT_FRACTION))
 
 
 @dataclass(frozen=True)
@@ -170,6 +145,15 @@ class MultilevelKwayResult:
 
 # -- coarsening -------------------------------------------------------------
 
+
+#: stop size: coarsening halts at ``max(COARSEST_VERTICES,
+#: COARSEST_PER_PART * k)`` vertices
+COARSEST_VERTICES = 160
+COARSEST_PER_PART = 24
+
+#: hyperedges wider than this many pins (clock / reset nets) carry no
+#: locality signal and do not rate joins
+LARGE_EDGE_LIMIT = 48
 
 #: a level's seeded vertex permutation is cut into this many sub-rounds
 SUB_ROUNDS = 16
@@ -349,21 +333,20 @@ def coarsen_hypergraph(
     hg: Hypergraph,
     constraint: BalanceConstraint,
     seed: int = 0,
-    config: MultilevelConfig | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[Hypergraph, list[MultilevelLevel]]:
     """Build the coarsening hierarchy for a k-way run.
 
     Returns ``(coarsest hypergraph, levels finest-first)``.  Stops at
-    the config's stop size, after :data:`MAX_LEVELS`, or when a level
-    shrinks less than the :data:`MIN_REDUCTION` stall guard.  The cluster
-    cap is fixed across levels at
-    :meth:`MultilevelConfig.max_cluster_weight` — a fraction of the
-    Formula-1 upper bound, so packability survives contraction.
+    the stop size (:data:`COARSEST_VERTICES`, :data:`COARSEST_PER_PART`),
+    after :data:`MAX_LEVELS`, or when a level shrinks less than the
+    :data:`MIN_REDUCTION` stall guard.  The cluster cap is fixed across
+    levels at :data:`MATCH_WEIGHT_FRACTION` of the Formula-1 upper
+    bound, so packability survives contraction.
     """
-    cfg = config if config is not None else MultilevelConfig()
-    target = cfg.stop_size(constraint.k)
-    max_w = cfg.max_cluster_weight(constraint, hg.total_weight)
+    target = max(COARSEST_VERTICES, COARSEST_PER_PART * constraint.k)
+    _, hi = constraint.bounds(hg.total_weight)
+    max_w = max(1, int(hi * MATCH_WEIGHT_FRACTION))
     rng = np.random.default_rng(seed)
     levels: list[MultilevelLevel] = []
     current = hg
@@ -371,7 +354,7 @@ def coarsen_hypergraph(
         if current.num_vertices <= target:
             break
         mapping, rating, joins = _cluster_level(
-            current, rng, max_w, cfg.large_edge_limit
+            current, rng, max_w, LARGE_EDGE_LIMIT
         )
         coarse = project_hypergraph(current, mapping)
         if coarse.num_vertices >= current.num_vertices * MIN_REDUCTION:
@@ -489,7 +472,6 @@ def _kway_partition(
     b: float,
     seed: int,
     recorder: Recorder,
-    config: MultilevelConfig | None,
     refiner: str,
     coarsen: bool,
 ) -> MultilevelKwayResult:
@@ -516,7 +498,7 @@ def _kway_partition(
     if coarsen:
         with recorder.phase("partition.coarsen"):
             coarsest, levels = coarsen_hypergraph(
-                hg, constraint, seed=seed, config=config, recorder=recorder
+                hg, constraint, seed=seed, recorder=recorder
             )
         history.append(
             f"coarsen: {hg.num_vertices} -> {coarsest.num_vertices} "
@@ -594,7 +576,6 @@ def multilevel_kway_partition(
     seed: int = 0,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Direct k-way multilevel partitioning of a hypergraph.
@@ -618,9 +599,6 @@ def multilevel_kway_partition(
         FM / refine counter families and the ``partition.coarsen`` /
         ``partition.initial`` / ``partition.uncoarsen`` phases.  A
         recorder never changes the result.
-    config:
-        :class:`MultilevelConfig` overrides (stop size, wide-edge
-        limit).
     refiner:
         Per-level refiner: ``"fm"`` (tournament-paired heap FM) or
         ``"batch"`` (the data-parallel whole-boundary refiner,
@@ -628,7 +606,7 @@ def multilevel_kway_partition(
         for the decision guide.
     """
     require_serial(workers)
-    return _kway_partition(hg, k, b, seed, recorder, config, refiner,
+    return _kway_partition(hg, k, b, seed, recorder, refiner,
                            coarsen=True)
 
 
@@ -638,7 +616,6 @@ def direct_kway_partition(
     b: float,
     seed: int = 0,
     recorder: Recorder = NULL_RECORDER,
-    refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Flat direct k-way partitioning — the no-hierarchy comparator.
 
@@ -648,11 +625,9 @@ def direct_kway_partition(
     flat hypergraph" means in the decision guide
     (``docs/multilevel.md``) and in ``benchmarks/bench_multilevel.py``'s
     cut-at-equal-balance gate, so any cut difference is attributable to
-    the hierarchy alone.  ``refiner`` selects heap FM (``"fm"``) or the
-    data-parallel batch refiner (``"batch"``).
+    the hierarchy alone.  It refines with heap FM.
     """
-    return _kway_partition(hg, k, b, seed, recorder, None, refiner,
-                           coarsen=False)
+    return _kway_partition(hg, k, b, seed, recorder, "fm", coarsen=False)
 
 
 def multilevel_flat_partition(

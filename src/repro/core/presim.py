@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.spans import export_telemetry, merge_telemetry, worker_telemetry
 from ..sim.cluster import ClusterSpec, TimeWarpConfig
@@ -350,7 +351,14 @@ class _PointMapper:
 
     def map(self, combos: Sequence[tuple[int, float]]) -> list[PresimPoint]:
         if self._pool is not None and len(combos) > 1:
-            return list(self._pool.map(_presim_point_task, combos))
+            try:
+                return list(self._pool.map(_presim_point_task, combos))
+            except BrokenProcessPool as exc:
+                self.close()
+                raise SimulationError(
+                    f"a presim worker died while evaluating {len(combos)} "
+                    "(k, b) points; the pool is shut down"
+                ) from exc
         return [self.one(k, b) for k, b in combos]
 
     def close(self) -> None:

@@ -25,7 +25,6 @@ from ..hypergraph.build import Clustering
 from ..hypergraph.partition_state import PartitionState
 from ..verilog.netlist import Netlist
 from .balance import BalanceConstraint
-from .batch_refine import batch_refine, validate_refiner
 from .cone import cone_partition
 from .fm import refine_pair
 from .multiway import MultiwayResult
@@ -38,7 +37,6 @@ def recursive_design_driven_partition(
     k: int,
     b: float,
     seed: int = 0,
-    refiner: str = "fm",
 ) -> MultiwayResult:
     """k-way partition by recursive two-way design-driven splits.
 
@@ -48,14 +46,7 @@ def recursive_design_driven_partition(
     (the two-way predecessor [16] flattens too, but interleaving
     flattening with recursion re-derives the direct algorithm; keeping
     the recursive baseline pure preserves the §3.1.1 contrast).
-
-    ``refiner`` selects the per-split improvement engine: ``"fm"`` runs
-    heap FM (:func:`repro.core.fm.refine_pair`) and ``"batch"`` the
-    data-parallel boundary refiner
-    (:func:`repro.core.batch_refine.batch_refine`) restricted to the
-    split's two active blocks.
     """
-    validate_refiner(refiner)
     if isinstance(netlist_or_clustering, Clustering):
         clustering = netlist_or_clustering
     else:
@@ -66,10 +57,7 @@ def recursive_design_driven_partition(
     constraint = BalanceConstraint(k, b)
     assignment = np.zeros(hg.num_vertices, dtype=np.int64)
     seed_state = cone_partition(clustering, max(k, 1), seed=seed)
-    _split(
-        hg, np.arange(hg.num_vertices), k, 0, b, seed, assignment,
-        seed_state, refiner,
-    )
+    _split(hg, np.arange(hg.num_vertices), k, 0, b, assignment, seed_state)
     state = PartitionState(hg, k, assignment)
     return MultiwayResult(
         clustering=clustering,
@@ -91,10 +79,8 @@ def _split(
     k: int,
     first_part: int,
     b: float,
-    seed: int,
     assignment: np.ndarray,
     seed_state: PartitionState,
-    refiner: str = "fm",
 ) -> None:
     if k == 1:
         assignment[vertices] = first_part
@@ -116,20 +102,15 @@ def _split(
     local = PartitionState(hg, 3, seeded)
     # FM between the two sides with the subset-scaled balance window
     slack = subset_weight * b / 100.0
-    window = _SubsetWindow(target0, subset_weight - target0, slack, subset_weight)
-    if refiner == "batch":
-        batch_refine(local, window, blocks=(0, 1))
-    else:
-        refine_pair(local, 0, 1, window)
+    window = _SubsetWindow(target0, subset_weight - target0, slack)
+    refine_pair(local, 0, 1, window)
     sides = local.part[vertices]
     left, right = vertices[sides == 0], vertices[sides == 1]
     if len(left) == 0 or len(right) == 0:
         half = len(vertices) // 2
         left, right = vertices[:half], vertices[half:]
-    _split(hg, left, k0, first_part, b, seed * 31 + 1, assignment,
-           seed_state, refiner)
-    _split(hg, right, k - k0, first_part + k0, b, seed * 31 + 2, assignment,
-           seed_state, refiner)
+    _split(hg, left, k0, first_part, b, assignment, seed_state)
+    _split(hg, right, k - k0, first_part + k0, b, assignment, seed_state)
 
 
 class _SubsetWindow:
@@ -140,7 +121,7 @@ class _SubsetWindow:
     from the *subset* weight, not the hypergraph total.
     """
 
-    def __init__(self, t0: float, t1: float, slack: float, subset: float) -> None:
+    def __init__(self, t0: float, t1: float, slack: float) -> None:
         lo = max(min(t0, t1) - slack, 0.0)
         hi = max(t0, t1) + slack
         self._bounds = (lo, hi)

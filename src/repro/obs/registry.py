@@ -101,11 +101,9 @@ METRIC_REGISTRY: dict[str, str] = {
     "bench.best_k": "winning machine count selected by a (k, b) search",
     "bench.best_b": "winning balance factor selected by a (k, b) search",
     "bench.shape_checks_passed": "qualitative paper claims that held",
-    "bench.shape_checks_failed": "qualitative paper claims that failed",
     "bench.brute_force_runs": "pre-simulation cells evaluated by brute force",
     "bench.heuristic_runs": "cells the Figure-3 heuristic actually ran",
     "bench.runs_saved": "pre-simulation runs the heuristic avoided",
-    "bench.speedup_gap": "brute-force best speedup minus heuristic best",
     # -- observability self-metrics (repro.obs) ----------------------------
     "obs.trace.dropped": "oldest trace events evicted by ring-buffer wrap",
     "obs.span.count": "completed spans in the merged span tree (all lanes)",
@@ -145,7 +143,6 @@ HOST_VALUE_REGISTRY: dict[str, str] = {
     "obs.sampler.cpu_seconds": "user+system CPU of the process and reaped "
                                "children at the last sample",
     "obs.sampler.children.peak": "peak live worker child processes observed",
-    "obs.sampler.samples": "resource-sampler polls taken during the run",
 }
 
 

@@ -18,8 +18,7 @@ Sampled names (registered in
 * ``obs.sampler.cpu_seconds`` — user+system CPU of this process and
   its reaped children;
 * ``obs.sampler.children.peak`` — peak live multiprocessing children
-  observed (worker pools);
-* ``obs.sampler.samples`` — poll count (sampling coverage indicator).
+  observed (worker pools).
 
 Usage::
 
@@ -80,7 +79,6 @@ class ResourceSampler:
         self.peak_rss_kb = 0.0
         self.cpu_seconds = 0.0
         self.peak_children = 0
-        self.samples = 0
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -91,7 +89,6 @@ class ResourceSampler:
         self.cpu_seconds = max(self.cpu_seconds, _read_cpu_seconds())
         self.peak_children = max(self.peak_children,
                                  len(multiprocessing.active_children()))
-        self.samples += 1
 
     def _run(self) -> None:
         while not self._stop_event.wait(self.interval):
@@ -129,7 +126,6 @@ class ResourceSampler:
             "obs.sampler.peak_rss_kb": self.peak_rss_kb,
             "obs.sampler.cpu_seconds": self.cpu_seconds,
             "obs.sampler.children.peak": float(self.peak_children),
-            "obs.sampler.samples": float(self.samples),
         }
 
     def record_into(self, recorder) -> None:

@@ -80,8 +80,7 @@ class SequentialSimulator:
         self._table = circuit.table
         self._vbuf = self._table.new_values(circuit.initial_values)
         # scheduled updates by time; run() carries the gate outputs of
-        # the step it just executed as one array pair instead and only
-        # parks them here when it stops early
+        # the step it just executed as one array pair instead
         self._agenda: dict[int, dict[int, int]] = {}
         self._heap: list[int] = []
         #: nets a gate drives (a stimulus on one may collide with an output)
@@ -133,8 +132,8 @@ class SequentialSimulator:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, until: int | None = None) -> SeqStats:
-        """Process events until quiescence (or ``until``, exclusive).
+    def run(self) -> SeqStats:
+        """Process events until quiescence.
 
         Returns the accumulated statistics object (also available as
         ``self.stats``); may be called repeatedly with interleaved
@@ -147,8 +146,6 @@ class SequentialSimulator:
         pending = None  # gate outputs of step now, due at now + 1
         while pending is not None or heap:
             t = self.now + 1 if pending is not None else heap[0]
-            if until is not None and t >= until:
-                break
             self.now = t
             if heap and heap[0] == t:
                 heapq.heappop(heap)
@@ -171,10 +168,6 @@ class SequentialSimulator:
                 pending = (out_nets, out_vals)
             for observer in self.observers:
                 observer(t)
-        if pending is not None:
-            self._slot(self.now + 1).update(
-                zip(pending[0].tolist(), pending[1].tolist())
-            )
         return stats
 
     def _merge(self, slot: dict[int, int], pending):

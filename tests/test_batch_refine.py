@@ -1,12 +1,12 @@
 """Batch data-parallel refinement (repro.core.batch_refine).
 
-Covers the ISSUE acceptance matrix: the degenerate exits (empty
+Covers the degenerate exits (empty
 boundary, k=1, every move rejected by balance), the randomized
 never-worse / oracle-consistency property at the fixpoint, the
 move_batch scatter against a sequential-move oracle, the incremental
 gain cache (``BoundaryGains``) against a fresh ``move_gains_matrix``
 after every applied batch, and the ``refiner="batch"`` plumbing through
-multilevel, multiway, recursive and the CLI.
+multilevel, multiway and the CLI.
 """
 
 import io
@@ -26,7 +26,6 @@ from repro.core import (
     cut_degrees,
     design_driven_partition,
     multilevel_flat_partition,
-    recursive_design_driven_partition,
     validate_refiner,
 )
 from repro.core.batch_refine import BoundaryGains
@@ -64,8 +63,7 @@ class TestValidateRefiner:
 
     def test_entry_points_reject_unknown(self):
         nl = compile_verilog(ripple_adder_verilog(4))
-        for fn in (design_driven_partition, multilevel_flat_partition,
-                   recursive_design_driven_partition):
+        for fn in (design_driven_partition, multilevel_flat_partition):
             with pytest.raises(ConfigError):
                 fn(nl, 2, 10.0, refiner="anneal")
 
@@ -449,8 +447,7 @@ class TestBlocksRestriction:
 class TestIntegration:
     def test_entry_points_accept_batch(self):
         nl = compile_verilog(ripple_adder_verilog(16))
-        for fn in (design_driven_partition, multilevel_flat_partition,
-                   recursive_design_driven_partition):
+        for fn in (design_driven_partition, multilevel_flat_partition):
             r = fn(nl, 3, 10.0, seed=1, refiner="batch")
             assert r.balanced
 

@@ -32,8 +32,10 @@ from repro.core import (
 from repro.core.batch_refine import batch_refine
 from repro.core.multilevel import (
     COARSE_SHRINK,
+    COARSEST_VERTICES,
+    LARGE_EDGE_LIMIT,
+    MATCH_WEIGHT_FRACTION,
     SUB_ROUNDS,
-    MultilevelConfig,
     _cluster_level,
 )
 from repro.errors import HypergraphError, PartitionError
@@ -145,8 +147,12 @@ def check_clustering(hg: Hypergraph, mapping: np.ndarray, cap: int,
         assert seen == set(vs), f"cluster {vs} not connected"
 
 
-def cluster(hg, seed, cap, limit=48):
+def cluster(hg, seed, cap, limit=LARGE_EDGE_LIMIT):
     return _cluster_level(hg, np.random.default_rng(seed), cap, limit)
+
+
+#: one pin more than a scoring edge may have
+WIDE = list(range(LARGE_EDGE_LIMIT + 1))
 
 
 def star(leaves: int) -> Hypergraph:
@@ -195,13 +201,11 @@ class TestMatchingOracle:
         from repro.hypergraph.build import streamed_flat_hypergraph
 
         hg = streamed_flat_hypergraph(load_stream_circuit("viterbi-s10k"))
-        cfg = MultilevelConfig()
-        cap = cfg.max_cluster_weight(BalanceConstraint(8, 5.0),
-                                     hg.total_weight)
-        mapping, _, (subs, *_) = cluster(hg, 1, cap, cfg.large_edge_limit)
-        check_clustering(hg, mapping, cap, cfg.large_edge_limit)
-        assert np.array_equal(
-            mapping, cluster(hg, 1, cap, cfg.large_edge_limit)[0])
+        _, hi = BalanceConstraint(8, 5.0).bounds(hg.total_weight)
+        cap = max(1, int(hi * MATCH_WEIGHT_FRACTION))
+        mapping, _, (subs, *_) = cluster(hg, 1, cap)
+        check_clustering(hg, mapping, cap, LARGE_EDGE_LIMIT)
+        assert np.array_equal(mapping, cluster(hg, 1, cap)[0])
         # a level shrinks to its bound and then stops spending sub-rounds
         assert hg.num_vertices / (int(mapping.max()) + 1) >= COARSE_SHRINK
         assert subs < SUB_ROUNDS
@@ -251,24 +255,23 @@ class TestMatchingOracle:
         assert len(levels) >= 2 and coarsest.num_vertices <= n // 2
         for level in levels:
             check_clustering(level.fine, level.mapping,
-                             level.max_cluster_weight, 48)
+                             level.max_cluster_weight, LARGE_EDGE_LIMIT)
 
     @pytest.mark.parametrize("edges", [
         [],                              # no edge at all
         [[3], [5], [7]],                 # only one-pin edges
-        [list(range(12))],               # one edge wider than the limit
-        [list(range(12))] * 3 + [[4]],
+        [WIDE],                          # one edge wider than the limit
+        [WIDE] * 3 + [[4]],
     ])
     def test_nothing_to_score_is_the_identity(self, edges):
-        hg = Hypergraph.from_edges([1] * 12, edges)
-        mapping, rating, joins = cluster(hg, 3, 100, 8)
-        assert mapping.tolist() == list(range(12))
+        # more vertices than the stop size, so coarsening tries a level
+        n = COARSEST_VERTICES + 40
+        hg = Hypergraph.from_edges([1] * n, edges)
+        mapping, rating, joins = cluster(hg, 3, 100)
+        assert mapping.tolist() == list(range(n))
         assert rating == 0.0 and joins[1:] == (0, 0, 0)
         coarsest, levels = coarsen_hypergraph(
-            hg, BalanceConstraint(2, 10.0), seed=3,
-            config=MultilevelConfig(coarsest_vertices=4,
-                                    coarsest_per_part=1,
-                                    large_edge_limit=8))
+            hg, BalanceConstraint(2, 10.0), seed=3)
         assert coarsest is hg and not levels
 
     def test_parallel_bundle_merges_exactly_its_pair(self):

@@ -20,7 +20,6 @@ import repro.core.multilevel as multilevel_mod
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
-    MultilevelConfig,
     brute_force_presim,
     coarsen_hypergraph,
     direct_kway_partition,
@@ -87,10 +86,11 @@ class TestCoarsening:
 
     def test_stop_size_honored(self, hg):
         constraint = BalanceConstraint(2, 10.0)
-        cfg = MultilevelConfig(coarsest_vertices=300, coarsest_per_part=10)
-        coarsest, levels = coarsen_hypergraph(hg, constraint, config=cfg)
-        # stopped at/above the target, and the level before was above it
-        assert levels[-1].fine.num_vertices > 300
+        coarsest, levels = coarsen_hypergraph(hg, constraint)
+        stop = max(multilevel_mod.COARSEST_VERTICES,
+                   multilevel_mod.COARSEST_PER_PART * 2)
+        # the level before the stop was above it
+        assert levels[-1].fine.num_vertices > stop
 
     def test_projection_is_cut_exact(self, hg):
         """Randomized oracle: for any assignment, the coarse cut equals

@@ -9,6 +9,8 @@ modulo ``generated_at``.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +227,93 @@ class TestRegistry:
         for name in ("sim.kernel.batches", "sim.kernel.batch_gates",
                      "sim.kernel.scalar_gates"):
             assert is_registered(name)
+
+
+class TestRegistryReaders:
+    """Every registered metric, phase and host value is read somewhere
+    other than the code that records it and ``obs/registry.py``: in a
+    doc's prose, a report or gate (``repro.obs.diffing`` / ``report`` /
+    ``analyze``, ``repro.cli``), a benchmark or a tool.  A name nothing
+    reads is a registry row to delete."""
+
+    #: report and gate modules of ``src/`` that read recorded names
+    SRC_READERS = ("repro/obs/diffing.py", "repro/obs/report.py",
+                   "repro/obs/analyze.py", "repro/cli.py")
+    #: a literal that records the name rather than reading it: a
+    #: recorder call's argument or a counters dict key
+    EMITS = re.compile(
+        r"(?:incr|observe_max|phase|record_host)\(\s*$")
+    #: prefixes that filter span names, not recorded names: the
+    #: pipeline benchmark's layer spans are ``bench.<layer>``
+    SPAN_PREFIXES = {"bench."}
+
+    @staticmethod
+    def reader_texts() -> dict[str, str]:
+        root = Path(__file__).resolve().parent.parent
+        docs = [root / "README.md", root / "DESIGN.md",
+                *sorted((root / "docs").glob("*.md"))]
+        texts = {}
+        for path in docs:
+            text = path.read_text()
+            if path.name == "observability.md":
+                # the registry's own rendering names every row: not a read
+                head = text.index("## Metric name registry")
+                tail = text.index("\n## ", head + 1)
+                text = text[:head] + text[tail:]
+            texts[str(path.relative_to(root))] = text
+        code = [root / "src" / name for name in
+                TestRegistryReaders.SRC_READERS]
+        for tree in ("benchmarks", "tools"):
+            code += [p for p in sorted((root / tree).rglob("*.py"))
+                     if p.name != "check_docs.py"]  # lints the registry
+        for path in code:
+            texts[str(path.relative_to(root))] = path.read_text()
+        return texts
+
+    @classmethod
+    def is_read(cls, name: str, texts: dict[str, str]) -> bool:
+        word = re.compile(r"(?<![\w.])" + re.escape(name) + r"(?!\w)")
+        prefixes = {name[:i + 1] for i, ch in enumerate(name)
+                    if ch == "."} - cls.SPAN_PREFIXES
+        for path, text in texts.items():
+            for m in word.finditer(text):
+                if path.endswith(".md"):
+                    return True
+                before = text[:m.start()]
+                after = text[m.end():]
+                quoted = before[-1:] in "'\"" and after[:1] in "'\""
+                if not quoted:
+                    return True
+                if cls.EMITS.search(before[:-1]):
+                    continue
+                if re.match(r"['\"]\s*:", after):
+                    continue  # a counters dict key
+                return True
+            # prefix reads: key.startswith(("circ.", "part.build."))
+            for call in re.finditer(r"startswith\(([^)]*)\)", text):
+                if prefixes & set(re.findall(r"['\"]([\w.]+)['\"]",
+                                             call.group(1))):
+                    return True
+        return False
+
+    def test_every_registered_name_has_a_reader(self):
+        from repro.obs.registry import HOST_VALUE_REGISTRY
+
+        texts = self.reader_texts()
+        names = [*METRIC_REGISTRY, *PHASE_REGISTRY, *HOST_VALUE_REGISTRY]
+        unread = [name for name in names if not self.is_read(name, texts)]
+        assert unread == []
+
+    def test_the_scan_sees_emitters_and_prefix_reads(self):
+        texts = {
+            "bench.py": 'emit({"bench.x": 1})\nrec.incr("bench.y")\n'
+                        'if k.startswith(("circ.",)): pass\n',
+            "gate.py": 'NEUTRAL = {"bench.z"}\n',
+        }
+        assert not self.is_read("bench.x", texts)
+        assert not self.is_read("bench.y", texts)
+        assert self.is_read("bench.z", texts)
+        assert self.is_read("circ.gates", texts)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,6 @@ class TestResourceSampler:
         with ResourceSampler() as sampler:
             sum(range(10000))
         vals = sampler.as_host_values()
-        assert vals["obs.sampler.samples"] >= 1
         assert vals["obs.sampler.peak_rss_kb"] > 0
         assert vals["obs.sampler.cpu_seconds"] >= 0
 

@@ -47,6 +47,7 @@ class TestOneGridEvaluator:
     def test_unset_knobs_are_not_parameters(self):
         import inspect
 
+        from repro.bench import ExperimentConfig
         from repro.circuits import (
             lfsr_verilog,
             natural_schedule,
@@ -56,14 +57,16 @@ class TestOneGridEvaluator:
         )
         from repro.core import (
             BalanceConstraint,
-            MultilevelConfig,
             activity_clustering,
             batch_refine,
             brute_force_presim,
+            coarsen_hypergraph,
             design_driven_partition,
+            direct_kway_partition,
             estimate_pair_gain,
             heuristic_presim,
             multilevel_flat_partition,
+            multilevel_kway_partition,
             profile_activity,
             recursive_design_driven_partition,
         )
@@ -78,13 +81,12 @@ class TestOneGridEvaluator:
         )
         from repro.sim import (
             ClusterLP,
+            SequentialSimulator,
             VcdWriter,
             run_partitioned,
             run_sequential_baseline,
         )
 
-        assert set(MultilevelConfig.__dataclass_fields__) == {
-            "coarsest_vertices", "coarsest_per_part", "large_edge_limit"}
         for fn in (brute_force_presim, heuristic_presim,
                    design_driven_partition,
                    recursive_design_driven_partition):
@@ -101,6 +103,11 @@ class TestOneGridEvaluator:
             batch_refine: {"max_rounds"},
             estimate_pair_gain: {"sample"},
             multilevel_flat_partition: {"config"},
+            multilevel_kway_partition: {"config"},
+            coarsen_hypergraph: {"config"},
+            direct_kway_partition: {"refiner"},
+            recursive_design_driven_partition: {"refiner"},
+            SequentialSimulator.run: {"until"},
             natural_schedule: {"margin"},
             vector_events: {"start_time"},
             ripple_adder_verilog: {"hierarchical"},
@@ -119,6 +126,8 @@ class TestOneGridEvaluator:
         }
         for fn, names in removed.items():
             assert not names & set(inspect.signature(fn).parameters), fn
+        assert not {"pairing", "spec", "tw"} & set(
+            ExperimentConfig.__dataclass_fields__)
 
 
 class TestOneGateVertexArray:
@@ -500,6 +509,12 @@ class TestOneCallerSurface:
         "repro.obs.trace_fields",
         "repro.obs.registry.trace_fields",
         "repro.obs.analyze.GvtProgress.longest_stall",
+        "repro.core.MultilevelConfig",
+        "repro.core.multilevel.MultilevelConfig",
+        "repro.hypergraph.read_hgr",
+        "repro.hypergraph.loads_hgr",
+        "repro.hypergraph.io.read_hgr",
+        "repro.hypergraph.io.loads_hgr",
     )
     #: names no live file has another use for
     UNAMBIGUOUS = (
@@ -510,7 +525,7 @@ class TestOneCallerSurface:
         "move_gain", "max_imbalance", "parse_file", "parse_literal_bits",
         "is_combinational", "fig5_simulation_time",
         "table4_best_partitions", "metrics_equal", "trace_fields",
-        "longest_stall",
+        "longest_stall", "MultilevelConfig", "read_hgr", "loads_hgr",
     )
 
     def test_retired_names_do_not_resolve(self):

@@ -2,13 +2,12 @@
 typed :mod:`repro.errors` exception, never a bare traceback.
 
 This slice covers degenerate hypergraphs in the multilevel and direct
-k-way engines (:func:`repro.core.multilevel_kway_partition`,
-:func:`repro.core.direct_kway_partition`) under both refiners:
-zero-pin nets, one net spanning every vertex, nets that are all
-parallel copies of one, no nets at all, ``k == |V|`` and ``k > |V|``;
-the batch refiner restricted to two blocks of a 3-way state (the
-recursive splitter's call); and the from-scratch cut metrics on
-zero-pin nets.  The design-driven drivers
+k-way engines (:func:`repro.core.multilevel_kway_partition` under both
+refiners, :func:`repro.core.direct_kway_partition`): zero-pin nets,
+one net spanning every vertex, nets that are all parallel copies of
+one, no nets at all, ``k == |V|`` and ``k > |V|``; the batch refiner
+restricted to two blocks of a 3-way state; and the from-scratch cut
+metrics on zero-pin nets.  The design-driven drivers
 (:func:`repro.core.design_driven_partition` with cone and random
 initial partitions, :func:`repro.core.recursive_design_driven_partition`)
 run a small netlist at degenerate k; and a balance factor that is not
@@ -17,21 +16,27 @@ partition entry point and the CLI.  Last, a Hypothesis fuzz of the
 Verilog front end (lex -> parse -> elaborate) on token soups and on
 mutated registered circuits: every rejection is a located
 :class:`~repro.errors.VerilogError` or a
-:class:`~repro.errors.NetlistError`.
+:class:`~repro.errors.NetlistError`.  And a presim pool worker that
+dies mid-search ends the search in a
+:class:`~repro.errors.SimulationError`.
 """
 
 import io
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import load_circuit
+from repro.circuits import load_circuit, random_vectors
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
     batch_refine,
+    brute_force_presim,
     design_driven_partition,
     direct_kway_partition,
     multilevel_kway_partition,
@@ -43,6 +48,7 @@ from repro.errors import (
     ElaborationError,
     NetlistError,
     PartitionError,
+    SimulationError,
     VerilogError,
 )
 from repro.hypergraph import (
@@ -137,16 +143,26 @@ def test_k_above_vertices_is_rejected(shape, refiner):
 @pytest.mark.parametrize("k", [2, 5, "|V|", "|V|+1"])
 def test_direct_kway_on_degenerate_hypergraphs(shape, refiner, k):
     # the flat engine: no coarsening, the LPT fill refined once; at
-    # k == |V| (b = 5, unit weights) only an exact cover is balanced
+    # k == |V| (b = 5, unit weights) only an exact cover is balanced.
+    # The flat engine refines with heap FM; the batch refiner runs
+    # through the multilevel engine, which builds no level on the
+    # 12-vertex inputs (below its stop size)
     n = 12 if isinstance(k, str) else N
     hg = DEGENERATE[shape](n)
     parts = {"|V|": n, "|V|+1": n + 1}.get(k, k)
     b = 5.0 if isinstance(k, str) else 10.0
+
+    def partition():
+        if refiner == "batch":
+            return multilevel_kway_partition(hg, parts, b, seed=1,
+                                             refiner="batch")
+        return direct_kway_partition(hg, parts, b, seed=1)
+
     if parts > n:
         with pytest.raises(PartitionError, match="partitions from"):
-            direct_kway_partition(hg, parts, b, seed=1, refiner=refiner)
+            partition()
         return
-    result = direct_kway_partition(hg, parts, b, seed=1, refiner=refiner)
+    result = partition()
     check_result(hg, result, parts, b)
     if parts == n:
         assert sorted(result.assignment.tolist()) == list(range(n))
@@ -343,3 +359,28 @@ def test_fuzz_token_soup(tokens, wrap):
 ), min_size=1, max_size=4))
 def test_fuzz_mutated_circuit(name, mutations):
     _front_end(mutated_text(name, mutations))
+
+
+# -- a presim pool worker that dies ---------------------------------------------
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched method reaches forked workers only")
+def test_a_dying_presim_worker_is_a_simulation_error(adder8, monkeypatch):
+    # the (k = 3) task ends its worker process: the search ends in a
+    # typed error chained from the broken pool, and no worker outlives it
+    import repro.core.presim as presim_mod
+
+    evaluate = presim_mod._PointJob.evaluate
+
+    def dying(job, circuit, k, b):
+        if k == 3:
+            os._exit(3)
+        return evaluate(job, circuit, k, b)
+
+    monkeypatch.setattr(presim_mod._PointJob, "evaluate", dying)
+    events = random_vectors(adder8, 4, seed=1)
+    with pytest.raises(SimulationError, match="presim worker died") as err:
+        brute_force_presim(adder8, events, ks=(2, 3), bs=(10.0,), workers=2)
+    assert isinstance(err.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []

@@ -3,8 +3,8 @@
 The tables are checked exhaustively against the scalar references
 (``eval_gate_coded`` and the brute-force flip-flop oracle), the two
 sides of the kernel against each other, and the simulators' shells
-around it — pending-pair checkpoints, ``run(until=...)``, stimulus
-validation — against the behaviour the per-gate loops had.
+around it — pending-pair checkpoints, stimulus validation — against
+the behaviour the per-gate loops had.
 """
 
 import itertools
@@ -514,27 +514,22 @@ def _interleave_circuit():
 
 
 class TestSequentialShell:
-    def test_until_interleaved_inputs_and_far_schedule(self):
-        # the log below was recorded from the per-gate simulator this
-        # kernel replaced
+    def test_far_schedule_and_a_stimulus_on_a_driven_net(self):
+        # a schedule() call several ticks ahead, a stimulus on a driven
+        # net and an output step whose value is swallowed, against the
+        # per-gate reference
         circuit, (a, b, m, y, z) = _interleave_circuit()
+        events = [InputEvent(0, a, 0), InputEvent(1, b, 1),
+                  InputEvent(4, m, 0), InputEvent(7, a, 1)]
         sim = SequentialSimulator(circuit, record_changes=True)
         seen = []
         sim.observers.append(seen.append)
-        sim.add_inputs([InputEvent(0, a, 0), InputEvent(7, a, 1)])
-        sim.run(until=1)
-        assert (sim.now, sim.change_log) == (0, [(0, a, 0)])
-        # g0's output is parked for t=1; a stimulus added now for the
-        # same tick lands after it
-        sim.add_inputs([InputEvent(1, b, 1)])
-        sim.schedule(5, b, 0)  # several ticks ahead
-        sim.run(until=4)
-        assert sim.now == 2
-        assert sim.change_log[1:] == [(1, m, 1), (1, b, 1), (2, y, 1), (2, z, 1)]
-        sim.add_inputs([InputEvent(4, m, 0)])  # a stimulus on a driven net
+        sim.add_inputs(events)
+        sim.schedule(5, b, 0)
         stats = sim.run()
-        assert sim.change_log[5:] == [
-            (4, m, 0), (5, b, 0), (5, y, 0), (6, z, 0), (7, a, 1)]
+        log, values, _ = reference_run(circuit, events + [InputEvent(5, b, 0)])
+        assert sim.change_log == log
+        assert sim.values.tolist() == values
         assert seen == [0, 1, 2, 4, 5, 6, 7]
         assert (stats.gate_evals, stats.net_events, stats.end_time) == (7, 10, 7)
         assert sim.now == 8  # the swallowed m=0 of g0 still is a step
@@ -562,7 +557,6 @@ class TestSequentialShell:
         circuit, (a, b, m, y, z) = _interleave_circuit()
         sim = SequentialSimulator(circuit)
         sim.add_inputs([InputEvent(0, a, 0), InputEvent(0, b, 1)])
-        sim.run(until=1)
         clone = pickle.loads(pickle.dumps(sim))
         clone.run()
         sim.run()
