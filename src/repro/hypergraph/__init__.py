@@ -11,7 +11,7 @@ Public surface:
   cut tracking (all partitioners operate through it).
 * :func:`hyperedge_cut`, :func:`connectivity_cut` — from-scratch oracle
   metrics the tests hold :class:`PartitionState` to.
-* :func:`write_hgr` / :func:`dumps_hgr` — hMetis ``.hgr`` export.
+* :func:`read_hgr` / :func:`write_hgr` — hMetis file interchange.
 * :func:`flat_hypergraph` / :func:`hierarchy_hypergraph` — builders from
   elaborated Verilog netlists (see :mod:`repro.hypergraph.build`);
   :func:`streamed_flat_hypergraph` is ``flat_hypergraph`` with a
@@ -25,7 +25,7 @@ from .hypergraph import Hypergraph
 from .dtypes import INT32_MAX, index_dtype, require_int64
 from .partition_state import PartitionState
 from .metrics import hyperedge_cut, connectivity_cut
-from .io import write_hgr, dumps_hgr
+from .io import read_hgr, write_hgr, loads_hgr, dumps_hgr
 from .build import (
     Cluster,
     Clustering,
@@ -53,6 +53,8 @@ __all__ = [
     "PartitionState",
     "hyperedge_cut",
     "connectivity_cut",
+    "read_hgr",
     "write_hgr",
+    "loads_hgr",
     "dumps_hgr",
 ]

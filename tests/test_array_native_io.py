@@ -1,11 +1,12 @@
-"""IO for array-native artifacts.
+"""IO roundtrips for array-native artifacts.
 
 The streamed construction path (:mod:`repro.circuits.stream`) emits
 hypergraphs and partitions straight from CSR arrays; this module pins
-down that the persistence layers survive that output faithfully: the
-hMetis export (:mod:`repro.hypergraph.io`) writes the CSR pins and
-weights past 2^31 exactly and refuses empty edges, and partitions
-(:mod:`repro.core.partition_io`) round-trip.
+down that the persistence layers (:mod:`repro.hypergraph.io`,
+:mod:`repro.core.partition_io`) survive that output faithfully:
+dtype preservation (everything frozen is int64, weights past 2^31
+included), empty-edge handling, and stability of large ids/weights
+through the text formats.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.core import (
     loads_partition,
 )
 from repro.errors import HypergraphError
-from repro.hypergraph import Hypergraph, dumps_hgr
+from repro.hypergraph import Hypergraph, dumps_hgr, loads_hgr
 from repro.hypergraph.build import flat_hypergraph, streamed_flat_hypergraph
 from repro.verilog import compile_verilog
 
@@ -34,30 +35,46 @@ _MEM = MemCtrlConfig(banks=2, abits=3, width=3, queue=1)
     [(noc_stream, _NOC), (memctrl_stream, _MEM)],
     ids=["noc", "memctrl"],
 )
-class TestStreamedHypergraphExport:
+class TestStreamedHypergraphRoundtrip:
     def test_hgr_preserves_structure(self, stream_fn, cfg):
-        # a header, then one line per edge: its 1-based pins in CSR order
         hg = streamed_flat_hypergraph(stream_fn(cfg))
-        lines = dumps_hgr(hg).splitlines()
-        assert lines[0] == f"{hg.num_edges} {hg.num_vertices}"
-        assert lines[1:] == [" ".join(str(v + 1) for v in pins)
-                             for pins in hg.edge_pins_lists()]
+        rt = loads_hgr(dumps_hgr(hg))
+        assert rt.num_vertices == hg.num_vertices
+        assert rt.num_edges == hg.num_edges
+        assert np.array_equal(rt.vertex_weight, hg.vertex_weight)
+        assert np.array_equal(rt.edge_weight, hg.edge_weight)
+        # pin lists survive (hgr readback sorts within an edge, and the
+        # streamed build already emits sorted deduped pins)
+        assert np.array_equal(rt._edge_ptr, hg._edge_ptr)
+        assert np.array_equal(rt._edge_pins, hg._edge_pins)
+
+    def test_reload_dtypes_are_int64(self, stream_fn, cfg):
+        """The frozen substrate is int64-only; a reload must not narrow."""
+        rt = loads_hgr(dumps_hgr(streamed_flat_hypergraph(stream_fn(cfg))))
+        for arr in (rt._edge_ptr, rt._edge_pins, rt.vertex_weight, rt.edge_weight):
+            assert arr.dtype == np.int64
 
 
 class TestLargeValueStability:
-    def test_weights_past_int32_are_written_exactly(self):
-        """int64 weights reach the text format exactly (no float path)."""
+    def test_weights_past_int32_roundtrip(self):
+        """int64 weights survive the text format exactly (no float path)."""
         big_vw = [1, (1 << 40) + 3, 7]
         big_ew = [(1 << 35) + 1, 5]
         hg = Hypergraph.from_edges(big_vw, [[0, 1], [1, 2]], big_ew)
-        assert dumps_hgr(hg) == (
-            "2 3 11\n34359738369 1 2\n5 2 3\n1\n1099511627779\n7\n")
+        rt = loads_hgr(dumps_hgr(hg))
+        assert rt.vertex_weight.tolist() == big_vw
+        assert rt.edge_weight.tolist() == big_ew
+        assert rt.vertex_weight.dtype == np.int64
+        assert rt.edge_weight.dtype == np.int64
 
 
 class TestEmptyEdgeHandling:
-    def test_zero_edge_hypergraph_is_written(self):
+    def test_zero_edge_hypergraph_roundtrips(self):
         hg = Hypergraph.from_edges([2, 3], [])
-        assert dumps_hgr(hg) == "0 2 10\n2\n3\n"
+        rt = loads_hgr(dumps_hgr(hg))
+        assert rt.num_vertices == 2
+        assert rt.num_edges == 0
+        assert rt.vertex_weight.tolist() == [2, 3]
 
     def test_empty_edge_rejected_with_clear_error(self):
         """An empty pin line would parse as a blank line — refuse to

@@ -511,10 +511,6 @@ class TestOneCallerSurface:
         "repro.obs.analyze.GvtProgress.longest_stall",
         "repro.core.MultilevelConfig",
         "repro.core.multilevel.MultilevelConfig",
-        "repro.hypergraph.read_hgr",
-        "repro.hypergraph.loads_hgr",
-        "repro.hypergraph.io.read_hgr",
-        "repro.hypergraph.io.loads_hgr",
     )
     #: names no live file has another use for
     UNAMBIGUOUS = (
@@ -525,7 +521,7 @@ class TestOneCallerSurface:
         "move_gain", "max_imbalance", "parse_file", "parse_literal_bits",
         "is_combinational", "fig5_simulation_time",
         "table4_best_partitions", "metrics_equal", "trace_fields",
-        "longest_stall", "MultilevelConfig", "read_hgr", "loads_hgr",
+        "longest_stall", "MultilevelConfig",
     )
 
     def test_retired_names_do_not_resolve(self):

@@ -90,7 +90,7 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="cannot schedule"):
             sim.schedule(0, adder4.inputs[0], 0)
 
-    def test_stimulus_lands_at_its_time(self, adder4, adder4_circuit):
+    def test_run_until_is_exclusive(self, adder4, adder4_circuit):
         sim = SequentialSimulator(adder4_circuit)
         seen = []
         sim.observers.append(
