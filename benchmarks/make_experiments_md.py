@@ -8,7 +8,8 @@ then::
     python benchmarks/make_experiments_md.py --check    # CI freshness gate
 
 ``--check`` rebuilds the document in memory, validates every metrics
-JSON against the schema (``repro.obs.validate_metrics``), and exits
+JSON against the schema (``repro.obs.validate_metrics``) and against the
+registries (every counter and host value must be registered), and exits
 non-zero if the committed EXPERIMENTS.md differs from what the current
 outputs would produce — i.e. someone changed a benchmark without
 regenerating the document.
@@ -33,6 +34,7 @@ the ablations, with the scaling context needed to read the comparison.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ try:
 except ImportError:  # direct script run without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
     from repro.obs import MetricsError, gate_directories, read_metrics
+from repro.obs.registry import HOST_VALUE_REGISTRY, is_registered
 
 OUT = Path(__file__).parent / "out"
 TARGET = Path(__file__).parent.parent / "EXPERIMENTS.md"
@@ -301,6 +304,21 @@ SECTIONS = [
 ]
 
 
+def unregistered_names(doc: dict) -> list[str]:
+    """The counters and host values of a metrics document that no
+    registry names.  A scale-ladder counter is checked without its
+    ``rung.<name>.`` prefix; a ``host_timings`` key is a host value when
+    its two-segment family holds one (``obs.sampler.*``), and the rest
+    are the benchmark's own walls."""
+    families = {".".join(n.split(".")[:2]) for n in HOST_VALUE_REGISTRY}
+    counters = [name for name in doc["counters"]
+                if not is_registered(re.sub(r"^rung\.[^.]+\.", "", name))]
+    hosts = [name for name in doc.get("host_timings", {})
+             if ".".join(name.split(".")[:2]) in families
+             and name not in HOST_VALUE_REGISTRY]
+    return sorted(counters + hosts)
+
+
 def _metrics_note(stem: str, errors: list[str]) -> str | None:
     """One deterministic line describing a section's BENCH JSON, or
     ``None`` when the benchmark emitted no metrics document."""
@@ -312,6 +330,8 @@ def _metrics_note(stem: str, errors: list[str]) -> str | None:
     except MetricsError as exc:
         errors.append(str(exc))
         return f"*(metrics document `{path.name}` failed validation)*\n"
+    errors.extend(f"{path.name}: unregistered counter or host value "
+                  f"`{name}`" for name in unregistered_names(doc))
     bits = [f"schema v{doc['schema_version']}",
             f"{len(doc['counters'])} counters"]
     if "rows" in doc:

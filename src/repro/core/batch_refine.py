@@ -69,7 +69,6 @@ Observability: ``part.batch.*`` counters under the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -164,8 +163,8 @@ class BoundaryGains:
 
     ``best_target`` / ``best_gain`` / ``best_soed`` hold, per vertex,
     the block other than its own with the lexicographically best
-    (cut gain, SOED gain) among the targets — lowest target index on
-    ties — and that block's two gains, as
+    (cut gain, SOED gain) — lowest block index on ties — and that
+    block's two gains, as
     :meth:`~repro.hypergraph.partition_state.PartitionState.move_gains_matrix`
     scores them.  That is all a round reads: a greedy round moves the
     vertices whose best is strictly above the own block's (0, 0), a
@@ -176,10 +175,10 @@ class BoundaryGains:
     so every decision sees the numbers a full re-gather would produce.
     """
 
-    def __init__(self, state: PartitionState, targets: np.ndarray):
+    def __init__(self, state: PartitionState):
         n = state.hg.num_vertices
         self.state = state
-        self.targets = targets
+        self.targets = np.arange(state.k, dtype=np.int64)
         self.cut_deg = cut_degrees(state)
         self.best_target = np.zeros(n, dtype=np.int64)
         self.best_gain = np.zeros(n, dtype=np.int64)
@@ -192,11 +191,10 @@ class BoundaryGains:
         for s in range(0, len(need), _GATHER_CHUNK):
             chunk = need[s:s + _GATHER_CHUNK]
             g, so = self.state.move_gains_matrix(chunk, self.targets)
-            g[self.targets[:, None] == self.state.part[chunk][None, :]] = \
-                np.iinfo(np.int64).min
-            best = _lex_argmax(g, so)
             ar = np.arange(len(chunk))
-            self.best_target[chunk] = self.targets[best]
+            g[self.state.part[chunk], ar] = np.iinfo(np.int64).min
+            best = _lex_argmax(g, so)
+            self.best_target[chunk] = best
             self.best_gain[chunk] = g[best, ar]
             self.best_soed[chunk] = so[best, ar]
         self.stale[need] = False
@@ -276,7 +274,6 @@ def _kick(cache: BoundaryGains, boundary: np.ndarray, select,
 def batch_refine(
     state: PartitionState,
     constraint,
-    blocks: Sequence[int] | None = None,
     max_kicks: int = 8,
     recorder: Recorder = NULL_RECORDER,
 ) -> BatchRefineResult:
@@ -290,11 +287,6 @@ def batch_refine(
         Anything with ``bounds(total_weight) -> (lo, hi)``, such as a
         :class:`~repro.core.balance.BalanceConstraint`.  Only ``bounds``
         is consulted.
-    blocks:
-        Optional block restriction: only vertices currently in these
-        blocks move, and only into these blocks (``(0, 1)`` of a 3-way
-        state leaves its third block frozen).  ``None`` means all
-        ``state.k`` blocks.
     max_kicks:
         At the greedy fixpoint, up to this many perturbation attempts:
         a snapshot is taken, the least-damaging non-improving batch is
@@ -315,8 +307,7 @@ def batch_refine(
     identical at any worker count, since no worker pool is involved.
     """
     with recorder.phase("partition.batch_refine"):
-        result = _batch_refine(state, constraint, blocks, max_kicks,
-                               recorder)
+        result = _batch_refine(state, constraint, max_kicks, recorder)
     if recorder.enabled:
         recorder.incr("part.batch.rounds", result.rounds)
         recorder.incr("part.batch.moves", result.moves)
@@ -327,25 +318,15 @@ def batch_refine(
 def _batch_refine(
     state: PartitionState,
     constraint,
-    blocks: Sequence[int] | None,
     max_kicks: int,
     recorder: Recorder,
 ) -> BatchRefineResult:
     hg = state.hg
-    targets = sorted(set(int(p) for p in blocks)) if blocks is not None \
-        else list(range(state.k))
-    if blocks is not None:
-        for p in targets:
-            if not (0 <= p < state.k):
-                raise PartitionError(
-                    f"batch_refine block {p} out of range [0,{state.k})"
-                )
     cut_before = state.cut_size
-    if len(targets) < 2 or hg.num_edges == 0:
+    if state.k < 2 or hg.num_edges == 0:
         return BatchRefineResult(0, 0, 0, cut_before)
-    targets_arr = np.asarray(targets, dtype=np.int64)
     lo, hi = constraint.bounds(hg.total_weight)
-    cache = BoundaryGains(state, targets_arr)
+    cache = BoundaryGains(state)
     rounds = 0
     moves = 0
     # race() scratch: the best candidate rank seen per hyperedge.  Only
@@ -388,12 +369,12 @@ def _batch_refine(
         sel_w = hg.vertex_weight[sel_v]
         w0 = state.part_weight
         keep = np.ones(len(sel_v), dtype=bool)
-        for p in targets:
+        for p in range(state.k):
             dst = sel_t == p
             if dst.any():
                 keep[dst] &= np.cumsum(sel_w[dst]) <= hi - w0[p]
         src_of = state.part[sel_v]
-        for p in targets:
+        for p in range(state.k):
             src = keep & (src_of == p)
             if src.any():
                 ok = np.cumsum(sel_w[src]) <= w0[p] - lo
@@ -434,8 +415,6 @@ def _batch_refine(
     def scored_boundary(frozen: np.ndarray | None = None) -> np.ndarray:
         # the movable boundary, its cached gains made exact
         boundary = np.flatnonzero(cache.cut_deg > 0)
-        if blocks is not None and len(boundary):
-            boundary = boundary[np.isin(state.part[boundary], targets_arr)]
         if frozen is not None and len(boundary):
             boundary = boundary[~frozen[boundary]]
         gathered = cache.refresh(boundary)

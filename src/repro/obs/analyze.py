@@ -118,9 +118,9 @@ def _by_kind(events: list[dict], kind: str) -> list[dict]:
 class Hotspot:
     """Rollback concentration of one LP.
 
-    ``partition`` is the LP's static partition (-1 for pre-enrichment
-    traces without the field); ``share`` is this LP's fraction of all
-    rollback episodes in the trace.
+    ``partition`` is the LP's partition, which is its fixed host
+    machine; ``share`` is this LP's fraction of all rollback episodes
+    in the trace.
     """
 
     lp: int
@@ -145,7 +145,7 @@ def rollback_hotspots(events: list[dict], top: int | None = None) -> list[Hotspo
     for e in _by_kind(events, "rollback"):
         total += 1
         acc = per_lp.setdefault(e["lp"], {
-            "partition": e.get("partition", -1),
+            "partition": e["machine"],
             "rollbacks": 0, "undone": 0, "antis": 0, "max_depth": 0,
         })
         acc["rollbacks"] += 1
@@ -184,8 +184,8 @@ class Cascade:
     ``width`` is the largest number of rollbacks at any level; ``size``
     the total rollbacks in the tree.  ``culprit_lp`` is the sender of
     the root's straggler — the LP (or -1 for the environment) whose
-    late message started the chain; ``culprit_partition`` its static
-    partition.
+    late message started the chain; ``culprit_partition`` its machine
+    (-1 for the environment).
     """
 
     root_seq: int
@@ -259,7 +259,7 @@ def reconstruct_cascades(events: list[dict]) -> list[Cascade]:
         cascades.append(Cascade(
             root_seq=root,
             culprit_lp=root_ev.get("straggler_src", -1),
-            culprit_partition=root_ev.get("src_partition", -1),
+            culprit_partition=root_ev["straggler_machine"],
             depth=len(levels),
             width=max(len(level) for level in levels),
             size=len(members),
@@ -312,17 +312,15 @@ class LocalityMatrix:
 def message_locality(events: list[dict]) -> LocalityMatrix:
     """Build the k×k message matrix from ``send`` events.
 
-    Groups by the partition of the sending and receiving LP (falls back
-    to machine ids for pre-enrichment traces); placement is fixed, so
-    that is also the host machine.
+    Groups by the machines of the sending and receiving LP; placement
+    is fixed, so a machine is also its partition.
     """
     pairs: list[tuple[int, int, int]] = []  # (src, dst, sign)
     antis = 0
     for e in _by_kind(events, "send"):
         if e.get("src_lp", -1) < 0:
             continue  # environment stimulus is not partition traffic
-        src = e.get("src_partition", e.get("src_machine", 0))
-        dst = e.get("dst_partition", e.get("dst_machine", 0))
+        src, dst = e["src_machine"], e["dst_machine"]
         if e.get("sign", 1) < 0:
             antis += 1
             continue

@@ -156,10 +156,6 @@ TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
     "exec": {
         "machine": "host machine id",
         "lp": "executing LP id",
-        "partition": "the LP's partition (its fixed host machine)",
-        "vt": "virtual time of the executed batch",
-        "evals": "gate events the batch processed",
-        "sends": "messages the batch emitted",
         "wall": "sender machine modeled wall seconds after the batch",
     },
     "send": {
@@ -167,25 +163,20 @@ TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
         "dst_machine": "receiving machine id",
         "src_lp": "sending LP id (-1 = environment stimulus)",
         "dst_lp": "receiving LP id",
-        "src_partition": "sender's static partition (-1 = environment)",
-        "dst_partition": "receiver's static partition",
         "net": "boundary net the message carries",
         "recv_time": "virtual receive time",
         "sign": "+1 positive message, -1 anti-message",
         "uid": "sender-serial message uid (annihilation key)",
-        "local": "1 when src and dst machine coincide",
         "wall": "sender machine modeled wall seconds at send",
     },
     "rollback": {
         "machine": "host machine id of the victim LP",
         "lp": "victim LP id",
-        "partition": "victim's static partition",
         "straggler_vt": "receive time of the culprit message",
         "straggler_src": "culprit sender LP (-1 = environment)",
-        "src_partition": "culprit sender's static partition",
+        "straggler_machine": "culprit sender's machine (-1 = environment)",
         "straggler_uid": "culprit message uid (links to its send event)",
         "sign": "+1 straggler, -1 anti-message induced",
-        "restored_to": "virtual time of the restored checkpoint",
         "undone": "gate events the rollback undid",
         "antis": "anti-messages the rollback injected",
         "depth": "straggler depth below the LP's local virtual time",
@@ -194,12 +185,10 @@ TRACE_FIELD_REGISTRY: dict[str, dict[str, str]] = {
     "gvt": {
         "round": "GVT round number",
         "gvt": "new GVT estimate (2^62 = everything committed)",
-        "checkpoint_bytes": "total checkpoint memory after the sweep",
     },
     "throttle": {
         "engaged": "1 when the emergency clamp engaged, 0 on release",
         "gvt": "GVT estimate at the transition",
-        "stalled_rounds": "consecutive no-advance rounds observed",
     },
 }
 

@@ -210,11 +210,6 @@ class TimeWarpEngine:
                 # rollback-free execution needs no state saving
                 lp.checkpoint_interval = 1 << 30
 
-    def _partition_of(self, lp_id: int) -> int:
-        """Partition (host machine) of an LP; -1 for the environment LP
-        (-1).  Placement is fixed, so it is also the trace's machine."""
-        return self.lp_machine[lp_id] if lp_id >= 0 else -1
-
     def _readers(self, net: int) -> list[int]:
         """Sorted ids of the LPs holding a gate that reads ``net``."""
         c = self.circuit
@@ -389,10 +384,6 @@ class TimeWarpEngine:
                         "exec",
                         machine=m.mid,
                         lp=lp.lid,
-                        partition=m.mid,
-                        vt=lp.lvt,
-                        evals=evals,
-                        sends=len(sends),
                         wall=m.wall,
                     )
             m.action_cache = _STALE  # wall and/or LP state moved
@@ -497,13 +488,12 @@ class TimeWarpEngine:
                 "rollback",
                 machine=machine.mid,
                 lp=lp.lid,
-                partition=machine.mid,
                 straggler_vt=straggler.recv_time,
                 straggler_src=straggler.src_lp,
-                src_partition=self._partition_of(straggler.src_lp),
+                straggler_machine=(self.lp_machine[straggler.src_lp]
+                                   if straggler.src_lp >= 0 else -1),
                 straggler_uid=straggler.uid,
                 sign=straggler.sign,
-                restored_to=rollback.restored_to,
                 undone=rollback.undone_events,
                 antis=len(rollback.anti_messages),
                 depth=depth,
@@ -555,13 +545,10 @@ class TimeWarpEngine:
                     dst_machine=dst_machine.mid,
                     src_lp=msg.src_lp,
                     dst_lp=msg.dst_lp,
-                    src_partition=self._partition_of(msg.src_lp),
-                    dst_partition=self._partition_of(msg.dst_lp),
                     net=msg.net,
                     recv_time=msg.recv_time,
                     sign=msg.sign,
                     uid=msg.uid,
-                    local=local,
                     wall=wall,
                 )
             if local:
@@ -640,7 +627,6 @@ class TimeWarpEngine:
                 "throttle",
                 engaged=self._emergency_throttle,
                 gvt=min(gvt, _NEVER),
-                stalled_rounds=self._stalled_rounds,
             )
         if gvt > self._gvt_estimate:
             self._gvt_estimate = gvt
@@ -663,7 +649,6 @@ class TimeWarpEngine:
                 "gvt",
                 round=stats.gvt_rounds,
                 gvt=gvt,
-                checkpoint_bytes=total_bytes,
             )
 
         if self._progress is not None:

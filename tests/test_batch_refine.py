@@ -84,18 +84,6 @@ class TestDegenerateExits:
         res = batch_refine(state, BalanceConstraint(1, 10.0))
         assert (res.rounds, res.moves, res.gain) == (0, 0, 0)
 
-    def test_blocks_restriction_needs_two(self):
-        hg = Hypergraph.from_edges([1] * 4, [[0, 1], [2, 3]])
-        state = PartitionState(hg, 3, [0, 1, 2, 2])
-        res = batch_refine(state, BalanceConstraint(3, 10.0), blocks=(1,))
-        assert res.moves == 0
-
-    def test_blocks_out_of_range(self):
-        hg = Hypergraph.from_edges([1] * 4, [[0, 1], [2, 3]])
-        state = PartitionState(hg, 2, [0, 1, 0, 1])
-        with pytest.raises(PartitionError):
-            batch_refine(state, BalanceConstraint(2, 10.0), blocks=(0, 5))
-
     def test_all_moves_rejected_by_balance(self):
         # a cut edge whose repair would empty a block: with b=0 the
         # weights must stay exactly ideal, so no move is admissible
@@ -339,14 +327,6 @@ class TestGainCacheOracle:
         assert checked_gains["applied"] >= res.rounds > 0
         assert checked_gains["compared"] > 0
 
-    @pytest.mark.parametrize("k", [3, 8])
-    def test_blocks_restriction(self, checked_gains, k):
-        hg, part = family_hypergraph("plain", k, seed=5)
-        state = PartitionState(hg, k, part)
-        res = batch_refine(state, BalanceConstraint(k, 40.0),
-                           blocks=(0, k - 1))
-        assert res.moves > 0 and checked_gains["applied"] > 0
-
     def test_kick_that_rolls_back(self, checked_gains):
         # the last kick's exploration ends no better than its snapshot:
         # more batches were applied (and checked) than rounds retained
@@ -372,7 +352,7 @@ class TestGainCacheOracle:
         hg = Hypergraph.from_edges(
             [1] * 9, [[0, 1, 2, 3, 4, 5], [6, 7, 8], [5, 6]], [3, 1, 2])
         state = PartitionState(hg, 3, pins + [0, 1, 2])
-        cache = BoundaryGains(state, np.arange(3))
+        cache = BoundaryGains(state)
         cache.refresh(np.arange(9))
         assert not cache.stale.any()
         others = np.array([u for u in range(6) if u != v])
@@ -398,7 +378,7 @@ class TestGainCacheOracle:
         hg = Hypergraph.from_edges(
             [1] * 8, [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 4, 5, 6]])
         state = PartitionState(hg, 2, [0, 0, 0, 0, 1, 1, 1, 1])
-        cache = BoundaryGains(state, np.arange(2))
+        cache = BoundaryGains(state)
         cache.refresh(np.arange(8))
         moved = np.array([0])
         _, touched, old_lam, changed = state.move_batch(moved, [1])
@@ -429,19 +409,6 @@ class TestGainCacheOracle:
         assert counters["part.batch.boundary.max"] == n
         # a mover stales itself and the <= 2 far ends of its chain edges
         assert counters["part.batch.gathered"] <= n + 3 * res.moves
-
-
-class TestBlocksRestriction:
-    def test_only_listed_blocks_move(self):
-        hg = synthetic_hypergraph(n=200, seed=19)
-        rng = np.random.default_rng(6)
-        init = rng.integers(0, 3, hg.num_vertices)
-        state = PartitionState(hg, 3, init.copy())
-        frozen = np.flatnonzero(init == 2)
-        batch_refine(state, BalanceConstraint(3, 30.0), blocks=(0, 1))
-        assert (state.part[frozen] == 2).all()
-        moved = np.flatnonzero(state.part != init)
-        assert set(state.part[moved].tolist()) <= {0, 1}
 
 
 class TestIntegration:

@@ -150,3 +150,45 @@ def test_invocation_check_joins_continuation_lines():
     bad = "`repro sweep design.v --trace t.json`"
     out = check_docs.invocation_complaints(bad, table)
     assert out == ["`--trace` is not accepted by `repro sweep`"]
+
+
+def test_experiments_check_rejects_unregistered_names(tmp_path, monkeypatch):
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    import json
+
+    import make_experiments_md
+
+    doc = json.loads((REPO_ROOT / "benchmarks" / "out"
+                      / "BENCH_table1_cutsize_design.json").read_text())
+    doc["counters"]["part.no_such_counter"] = 1
+    doc["counters"]["rung.viterbi-s10k.part.batch.rounds"] = 2
+    doc["host_timings"] = {"obs.sampler.no_such_value": 1.0, "fm": 2.0}
+    (tmp_path / "BENCH_x.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(make_experiments_md, "OUT", tmp_path)
+    errors: list[str] = []
+    make_experiments_md._metrics_note("x", errors)
+    assert [e.split("`")[1] for e in errors] == [
+        "obs.sampler.no_such_value", "part.no_such_counter"]
+
+
+def test_citation_check_catches_a_missing_heading(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "a.md").write_text(
+        "# Title\n\n## Real section: detail\n\n**Bold lead.**  text\n"
+        "```\n# Fenced comment\n```\n")
+    cite = "docs/" + "a.md"
+    (tmp_path / "README.md").write_text(
+        f'{cite}, "Real section" and {cite}`, sections "Bold lead" and\n'
+        f'"Fenced comment"; {cite}, "Real\nsection: detail"\n')
+    assert check_docs.citation_complaints(tmp_path) == [
+        'README.md: `docs/a.md` has no heading "Fenced comment"']
+
+
+def test_length_check_catches_an_overlong_performance_doc(tmp_path):
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "performance.md"
+    doc.write_text("line\n" * 1000)
+    assert check_docs.length_complaints(tmp_path) == []
+    doc.write_text("line\n" * 1001)
+    assert check_docs.length_complaints(tmp_path) == [
+        "docs/performance.md: 1001 lines, over its 1000-line budget"]

@@ -219,7 +219,7 @@ class TestRegistry:
     def test_trace_field_registry_matches_kinds(self):
         assert set(TRACE_FIELD_REGISTRY) == set(TRACE_EVENT_KINDS)
         assert set(TRACE_FIELD_REGISTRY["rollback"]) >= {
-            "partition", "src_partition", "straggler_uid"}
+            "machine", "straggler_machine", "straggler_uid"}
 
     def test_kernel_counters_registered(self):
         # the vectorized gate-eval kernel's counters are first-class
@@ -303,6 +303,49 @@ class TestRegistryReaders:
         names = [*METRIC_REGISTRY, *PHASE_REGISTRY, *HOST_VALUE_REGISTRY]
         unread = [name for name in names if not self.is_read(name, texts)]
         assert unread == []
+
+    @classmethod
+    def trace_reader_texts(cls) -> dict[str, str]:
+        """The readers of trace fields: those of the registry names,
+        less the "Trace format" table of ``docs/observability.md`` (the
+        registry's own rendering), plus the simulator goldens, a gate
+        that digests the message trail from ``send`` events."""
+        root = Path(__file__).resolve().parent.parent
+        texts = cls.reader_texts()
+        text = texts["docs/observability.md"]
+        head = text.index("## Trace format")
+        tail = text.index("\n## ", head + 1)
+        texts["docs/observability.md"] = text[:head] + text[tail:]
+        texts["tests/test_sim_goldens.py"] = (
+            root / "tests" / "test_sim_goldens.py").read_text()
+        return texts
+
+    @staticmethod
+    def reads_field(field: str, texts: dict[str, str]) -> bool:
+        """Code reads a field by key (``e["f"]``, ``e.get("f"``,
+        ``e.fields["f"]``); a doc's prose by naming it in backticks.
+        Names are matched across kinds: ``wall`` read on one kind
+        counts for every kind that carries it."""
+        code = re.compile(r"(?:\[|get\()\s*['\"]" + re.escape(field)
+                          + r"['\"]")
+        prose = re.compile(r"`" + re.escape(field) + r"(?![\w.])")
+        return any((prose if path.endswith(".md") else code).search(text)
+                   for path, text in texts.items())
+
+    def test_every_trace_field_has_a_reader(self):
+        texts = self.trace_reader_texts()
+        unread = [f"{kind}.{field}"
+                  for kind, fields in TRACE_FIELD_REGISTRY.items()
+                  for field in fields if not self.reads_field(field, texts)]
+        assert unread == []
+
+    def test_the_trace_scan_sees_keys_and_backticks(self):
+        texts = {"analyze.py": 'e["lp"] + e.get("undone", 0)\n',
+                 "doc.md": "`depth` counts; emit(vt=1) is no read\n"}
+        assert self.reads_field("lp", texts)
+        assert self.reads_field("undone", texts)
+        assert self.reads_field("depth", texts)
+        assert not self.reads_field("vt", texts)
 
     def test_the_scan_sees_emitters_and_prefix_reads(self):
         texts = {

@@ -53,22 +53,19 @@ def ev(seq, kind, **fields):
     return {"seq": seq, "kind": kind, **fields}
 
 
-def send(seq, src, dst, *, uid, sign=1, src_part=None, dst_part=None):
+def send(seq, src, dst, *, uid, sign=1):
     return ev(seq, "send", src_machine=src, dst_machine=dst,
               src_lp=src, dst_lp=dst,
-              src_partition=src if src_part is None else src_part,
-              dst_partition=dst if dst_part is None else dst_part,
               net=0, recv_time=10, sign=sign, uid=uid,
-              local=int(src == dst), wall=0.0)
+              wall=0.0)
 
 
 def rollback(seq, lp, *, src, uid, sign, antis=0, undone=1, depth=1,
-             part=None, src_part=None):
-    return ev(seq, "rollback", machine=lp, lp=lp,
-              partition=lp if part is None else part,
-              straggler_vt=10, straggler_src=src,
-              src_partition=src if src_part is None else src_part,
-              straggler_uid=uid, sign=sign, restored_to=5,
+             machine=None):
+    return ev(seq, "rollback", machine=lp if machine is None else machine,
+              lp=lp, straggler_vt=10, straggler_src=src,
+              straggler_machine=src,
+              straggler_uid=uid, sign=sign,
               undone=undone, antis=antis, depth=depth, wall=0.0)
 
 
@@ -116,9 +113,9 @@ class TestParseTrace:
 class TestHotspots:
     def test_ranking_and_share(self):
         events = [
-            rollback(0, 5, src=1, uid=1, sign=1, undone=3, depth=4, part=2),
-            rollback(1, 5, src=1, uid=2, sign=1, undone=2, depth=1, part=2),
-            rollback(2, 8, src=1, uid=3, sign=1, undone=9, depth=2, part=0),
+            rollback(0, 5, src=1, uid=1, sign=1, undone=3, depth=4, machine=2),
+            rollback(1, 5, src=1, uid=2, sign=1, undone=2, depth=1, machine=2),
+            rollback(2, 8, src=1, uid=3, sign=1, undone=9, depth=2, machine=0),
         ]
         hs = rollback_hotspots(events)
         assert [h.lp for h in hs] == [5, 8]
@@ -503,7 +500,7 @@ class TestEngineTraceContract:
         if report.rollbacks == 0:
             pytest.skip("no rollbacks at this seed")
         for e in rollbacks:
-            assert {"partition", "src_partition",
+            assert {"machine", "straggler_machine",
                     "straggler_uid"} <= set(e.fields)
 
     def test_analyzers_consume_live_trace(self, traced_run):

@@ -469,7 +469,7 @@ class TestDroppedCounter:
 
         buf = TraceBuffer(capacity=2)
         for r in range(5):
-            buf.emit("gvt", round=r, gvt=r, checkpoint_bytes=0)
+            buf.emit("gvt", round=r, gvt=r)
         events = parse_trace(buf.to_jsonl())
         # inference from surviving seqs, no metrics document needed
         report = analyze_run(events)
@@ -484,7 +484,7 @@ class TestDroppedCounter:
         from repro.obs import TraceBuffer, analyze_run, parse_trace
 
         buf = TraceBuffer(capacity=16)
-        buf.emit("gvt", round=1, gvt=1, checkpoint_bytes=0)
+        buf.emit("gvt", round=1, gvt=1)
         report = analyze_run(parse_trace(buf.to_jsonl()))
         assert report.trace_dropped == 0
         assert "truncated" not in report.render()

@@ -100,7 +100,7 @@ class TestOneGridEvaluator:
             BalanceConstraint.satisfied: {"total_load"},
             activity_clustering: {"smoothing"},
             profile_activity: {"smoothing"},
-            batch_refine: {"max_rounds"},
+            batch_refine: {"max_rounds", "blocks"},
             estimate_pair_gain: {"sample"},
             multilevel_flat_partition: {"config"},
             multilevel_kway_partition: {"config"},
@@ -151,13 +151,11 @@ class TestOneGateVertexArray:
             assert path.rsplit(".", 1)[1] not in repro.core.__all__
 
     def test_nothing_live_mentions_a_retired_name(self):
-        # docs/performance.md is the history document: it names what went
         import re
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         names = sorted({path.rsplit(".", 1)[1] for path in self.RETIRED})
@@ -201,8 +199,7 @@ class TestNetlistIsItsColumns:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
@@ -238,8 +235,7 @@ class TestModeledCostsOnly:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")
@@ -285,8 +281,7 @@ class TestFixedPlacement:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools", "tests"):
             live += (root / tree).rglob("*.py")
         word = re.compile(r"(" + "|".join(self.UNAMBIGUOUS) + r")\b")
@@ -317,8 +312,7 @@ class TestScanScheduling:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         word = re.compile("(" + "|".join(self.UNAMBIGUOUS) + ")")
@@ -350,8 +344,7 @@ class TestOneStamper:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         word = re.compile("(" + "|".join(self.UNAMBIGUOUS) + ")")
@@ -378,8 +371,7 @@ class TestOneFlatDriver:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools", "tests"):
             live += (root / tree).rglob("*.py")
         word = re.compile(r"\b(repro\.baselines|multilevel_partition)\b")
@@ -536,8 +528,7 @@ class TestOneCallerSurface:
 
         root = Path(__file__).resolve().parent.parent
         live = [root / "README.md", root / "DESIGN.md"]
-        live += [p for p in (root / "docs").glob("*.md")
-                 if p.name != "performance.md"]
+        live += list((root / "docs").glob("*.md"))
         for tree in ("src", "examples", "benchmarks", "tools"):
             live += (root / tree).rglob("*.py")
         word = re.compile(r"\b(" + "|".join(self.UNAMBIGUOUS) + r")\b")

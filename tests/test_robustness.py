@@ -171,10 +171,9 @@ def test_direct_kway_on_degenerate_hypergraphs(shape, refiner, k):
 
 
 @pytest.mark.parametrize("shape", sorted(DEGENERATE) + ["random"])
-def test_batch_refine_two_blocks_of_three(shape):
-    # blocks=(0, 1) of a 3-way state whose block 2 is frozen: block 2
-    # keeps exactly its vertices, Formula 1 still holds, the cut does
-    # not rise and the incremental state matches a recompute
+def test_batch_refine_three_way(shape):
+    # a 3-way state refined in place: Formula 1 still holds, the cut
+    # does not rise and the incremental state matches a recompute
     rng = np.random.default_rng(4)
     if shape == "random":
         hg = Hypergraph.from_edges([1] * N, [
@@ -186,8 +185,7 @@ def test_batch_refine_two_blocks_of_three(shape):
     state = PartitionState(hg, 3, part)
     constraint = BalanceConstraint(3, 10.0)
     cut = state.cut_size
-    result = batch_refine(state, constraint, blocks=(0, 1))
-    assert np.array_equal(state.part == 2, part == 2)
+    result = batch_refine(state, constraint)
     assert constraint.satisfied(state.part_weight)
     assert result.cut_size == state.cut_size <= cut
     assert result.gain == cut - state.cut_size

@@ -25,7 +25,12 @@ something real:
   ``.calls`` suffixes and ``family.*`` wildcards.  Only tokens whose
   two-segment family matches a registered name are checked, so
   attribute chains and file names (``part.to_simulation()``,
-  ``part.json``) never false-positive.
+  ``part.json``) never false-positive;
+* section citations (``docs/kernel.md, "The scalar side"``) anywhere
+  in ``src/``, ``tools/``, ``benchmarks/``, ``tests/``, ``docs/``,
+  README, DESIGN or ROADMAP must name a heading of that document;
+* a document with a line budget (``docs/performance.md``: 1 000) must
+  stay within it.
 
 The registries rot the same way from the other side, so one audit runs
 over the code instead of the docs: every key of ``METRIC_REGISTRY``,
@@ -56,6 +61,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: documentation files the linter covers
 DOC_FILES = ("README.md", "DESIGN.md", "docs")
 
+#: where section citations are looked for
+CITING = ("src", "tools", "benchmarks", "tests", "docs", "README.md",
+          "DESIGN.md", "ROADMAP.md")
+
+#: documents with a line budget
+LINE_LIMITS = {"docs/performance.md": 1000}
+
 #: flags that belong to external tools invoked verbatim in the docs
 EXTERNAL_FLAGS = {
     "--benchmark-only",  # pytest-benchmark
@@ -70,6 +82,14 @@ _INVOCATION_RE = re.compile(
     r"(?:python -m )?\brepro\s+([a-z][a-z0-9-]*)\b([^`\n]*)"
 )
 _ADD_ARGUMENT_RE = re.compile(r"add_argument\(\s*['\"](--[a-z][a-z0-9-]*)['\"]")
+#: a section citation, ``docs/<file>.md, "<Heading>"`` or ``sections
+#: "<One>" and "<Two>"``: the document and the run of quoted headings
+_CITATION_RE = re.compile(
+    r"docs/([\w-]+\.md)`?,\s+(?:sections?\s+)?"
+    r"((?:[\"'][^\"'`]+[\"'](?:,?\s+(?:and\s+)?)?)+)"
+)
+_QUOTED_RE = re.compile(r"[\"']([^\"']+)[\"']")
+_BOLD_LEAD_RE = re.compile(r"\*\*([^*]+?)[.:]?\*\*")
 _METRIC_RE = re.compile(
     r"(?<![\w.])(?:part|tw|seq|sim|bench|partition|obs|refine|presim|circ)"
     r"\.(?:[a-z0-9_]+\.)*(?:[a-z0-9_]+|\*)"
@@ -252,6 +272,65 @@ def script_flags(root: Path) -> set[str]:
     return flags
 
 
+def headings(text: str) -> set[str]:
+    """The names a citation may give for a section of a markdown text:
+    each ATX heading (fenced blocks skipped) in full and up to its
+    first ``:`` or `` (``, and each paragraph's bold lead
+    (``**One scheduler.**``) without its stop."""
+    out: set[str] = set()
+    fenced = False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            continue
+        elif line.startswith("#"):
+            title = line.lstrip("#").strip()
+            out.update({title, title.split(":")[0], title.split(" (")[0]})
+        elif (lead := _BOLD_LEAD_RE.match(line)) is not None:
+            out.add(lead.group(1))
+    return out
+
+
+def citation_complaints(root: Path) -> list[str]:
+    """Every ``docs/<file>.md, "<Heading>"`` citation under ``CITING``
+    whose document has no such heading (whitespace normalised)."""
+    files: list[Path] = []
+    for name in CITING:
+        path = root / name
+        if path.is_dir():
+            files.extend(sorted(p for p in path.rglob("*")
+                                if p.suffix in (".py", ".md")))
+        elif path.exists():
+            files.append(path)
+    known: dict[str, set[str]] = {}
+    out: list[str] = []
+    for path in files:
+        for doc, run in _CITATION_RE.findall(path.read_text()):
+            if doc not in known:
+                target = root / "docs" / doc
+                known[doc] = (headings(target.read_text())
+                              if target.exists() else set())
+            for cited in _QUOTED_RE.findall(run):
+                heading = " ".join(cited.split())
+                if heading and heading not in known[doc]:
+                    out.append(f"{path.relative_to(root)}: `docs/{doc}` "
+                               f"has no heading \"{heading}\"")
+    return out
+
+
+def length_complaints(root: Path) -> list[str]:
+    out = []
+    for rel, limit in LINE_LIMITS.items():
+        path = root / rel
+        if path.exists():
+            lines = len(path.read_text().splitlines())
+            if lines > limit:
+                out.append(f"{rel}: {lines} lines, over its {limit}-line "
+                           f"budget")
+    return out
+
+
 def check_docs(root: Path = REPO_ROOT) -> list[str]:
     """Return a list of dangling-reference complaints (empty = clean)."""
     known_flags = cli_flags() | script_flags(root) | EXTERNAL_FLAGS
@@ -274,7 +353,7 @@ def check_docs(root: Path = REPO_ROOT) -> list[str]:
             why = metric_complaint(token, names, families)
             if why is not None:
                 complaints.append(f"{rel}: {why}")
-    return complaints
+    return complaints + citation_complaints(root) + length_complaints(root)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -294,8 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     if complaints:
         print(f"{len(complaints)} dangling documentation reference(s)")
         return 1
-    print("docs clean: every repro.* path, CLI flag and metric name "
-          "resolves; every registered name is recorded somewhere")
+    print("docs clean: every repro.* path, CLI flag, metric name and "
+          "section citation resolves; every registered name is recorded "
+          "somewhere")
     return 0
 
 
